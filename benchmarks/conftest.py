@@ -1,79 +1,65 @@
-"""Shared machinery for the figure-regeneration bench targets.
+"""Shared machinery for the experiment bench targets.
 
-Each bench target runs one experiment exactly once under
+``test_experiments.py`` makes every ``configs/*.toml`` experiment one
+bench target.  :func:`run_config` runs it exactly once under
 pytest-benchmark (``pedantic``: the experiment itself already
-aggregates seeds the way the paper aggregated runs), prints the
-paper-style table, and asserts the DESIGN.md shape checks.
-
-The targets are thin wrappers over the declarative pipeline: they name
-a ``configs/*.toml`` experiment id and :func:`run_config` measures it
-through :func:`repro.pipeline.runner.run_experiment` — the same series
-expansion and shape checks ``python -m repro report`` uses, so the
-bench log and the HTML reports can never disagree.  (The legacy
-:func:`run_experiment` helper still accepts a bare callable for ad-hoc
-experiments that have no config.)
+aggregates seeds the way the paper aggregated runs) through
+:func:`repro.pipeline.runner.run_experiment` — the path ``python -m
+repro report`` takes — prints the paper-style table, keeps a copy under
+``benchmarks/reports/<id>.<mode>.txt`` and asserts the shape checks.
+In quick mode the report text must also match its recorded digest in
+``tests/golden/experiments_quick.json``.
 
 Set ``REPRO_BENCH_QUICK=1`` to shrink the sweep grids (smoke mode).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import pathlib
 
-import pytest
+from repro.pipeline import load_config_dir
+from repro.pipeline.runner import run_experiment
+
+_ROOT = pathlib.Path(__file__).resolve().parent
 
 #: Durable copies of every experiment report (pytest captures stdout,
 #: so the paper-style tables are also written here).
-REPORTS_DIR = pathlib.Path(__file__).resolve().parent / "reports"
+REPORTS_DIR = _ROOT / "reports"
+
+#: sha256 of every experiment's quick-grid report text.
+GOLDEN_PATH = _ROOT.parent / "tests" / "golden" / "experiments_quick.json"
 
 #: Quick mode trims sweep grids; full grids are the default, matching
 #: the paper's parameter ranges.
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
-
-#: Loaded once per session; every bench target shares the validated set.
-_CONFIGS = None
-
-
-def _finish(result, effective_quick: bool):
-    """Print/persist the report and assert every shape check."""
-    report = result.report()
-    print()
-    print(report)
-    REPORTS_DIR.mkdir(parents=True, exist_ok=True)
-    slug = result.figure.lower().replace(" ", "_").replace(":", "")
-    mode = "quick" if effective_quick else "full"
-    (REPORTS_DIR / f"{slug}.{mode}.txt").write_text(report + "\n")
-    failed = [str(c) for c in result.checks if not c.passed]
-    assert not failed, "shape checks failed:\n" + "\n".join(failed)
-    return result
-
-
-def run_experiment(benchmark, experiment, quick: bool | None = None):
-    """Run one experiment callable under the benchmark fixture."""
-    effective_quick = QUICK if quick is None else quick
-    result = benchmark.pedantic(
-        experiment, args=(effective_quick,), rounds=1, iterations=1
-    )
-    return _finish(result, effective_quick)
+#: Every committed experiment, by id.
+CONFIGS = load_config_dir()
 
 
 def run_config(benchmark, experiment_id: str, quick: bool | None = None):
     """Run one ``configs/*.toml`` experiment under the benchmark fixture."""
-    from repro.pipeline import load_config_dir
-    from repro.pipeline.runner import run_experiment as run_pipeline
-
-    global _CONFIGS
-    if _CONFIGS is None:
-        _CONFIGS = load_config_dir()
-    config = _CONFIGS[experiment_id]
     effective_quick = QUICK if quick is None else quick
     result = benchmark.pedantic(
-        run_pipeline,
-        args=(config,),
+        run_experiment,
+        args=(CONFIGS[experiment_id],),
         kwargs={"quick": effective_quick},
         rounds=1,
         iterations=1,
     )
-    return _finish(result, effective_quick)
+    report = result.report()
+    print()
+    print(report)
+    REPORTS_DIR.mkdir(parents=True, exist_ok=True)
+    mode = "quick" if effective_quick else "full"
+    (REPORTS_DIR / f"{experiment_id}.{mode}.txt").write_text(report + "\n")
+    failed = [str(c) for c in result.checks if not c.passed]
+    assert not failed, "shape checks failed:\n" + "\n".join(failed)
+    if effective_quick:
+        golden = json.loads(GOLDEN_PATH.read_text())[experiment_id]
+        digest = hashlib.sha256(report.encode()).hexdigest()
+        assert digest == golden["sha256"], f"{experiment_id}: report drifted"
+    return result

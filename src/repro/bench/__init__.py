@@ -1,30 +1,27 @@
-"""Benchmark harness: one experiment per paper table/figure.
+"""Measurement primitives and the imperative experiment builders.
 
-Each experiment in :mod:`repro.bench.figures` regenerates the data
-behind one figure of the paper's evaluation (§5) and returns a
-:class:`~repro.bench.types.FigureResult` holding the measured series,
-a paper-style text table, and the *shape checks* from DESIGN.md §4
-(who wins, by roughly what factor, where crossovers fall).
+Every experiment of the reproduction is described by one
+``configs/*.toml`` file and run by :mod:`repro.pipeline` (``python -m
+repro report``).  This package holds what those configs and the
+pipeline import:
 
-Run from the command line::
-
-    python -m repro.bench list
-    python -m repro.bench fig3 fig13
-    python -m repro.bench all
-
-or through pytest-benchmark (``pytest benchmarks/ --benchmark-only``),
-where every experiment is a bench target that prints its table and
-asserts its checks.
+* :mod:`repro.bench.runner` — :func:`measure_batch`,
+  :func:`measure_problem` and :func:`run_batch`, which route every
+  measurement through the installed sweep executor
+  (:func:`use_executor`), and the paper's T3D seed protocol;
+* :mod:`repro.bench.types` — the :class:`FigureResult` /
+  :class:`Series` / :class:`Check` result records;
+* the builders that ``kind = "builder"`` configs name — Figures 1 and 2
+  and the §5 varied-lengths study (:mod:`repro.bench.figures`), the
+  ablations, the extension studies and the robustness study.
 """
 
 from __future__ import annotations
 
 from repro.bench.runner import (
     measure_batch,
-    measure_grid,
     measure_problem,
     run_batch,
-    sweep,
     use_executor,
 )
 from repro.bench.types import Check, FigureResult, Series
@@ -35,8 +32,6 @@ __all__ = [
     "Check",
     "measure_problem",
     "measure_batch",
-    "measure_grid",
     "run_batch",
-    "sweep",
     "use_executor",
 ]

@@ -27,7 +27,6 @@ __all__ = [
     "ablation_combining",
     "ablation_ideal_rows",
     "ablation_switching",
-    "ALL_ABLATIONS",
 ]
 
 
@@ -337,13 +336,3 @@ def ablation_switching(quick: bool = False) -> FigureResult:
         )
     )
     return result
-
-
-#: Registry used by the CLI and bench targets.
-ALL_ABLATIONS = {
-    "ablation-contention": ablation_contention,
-    "ablation-mapping": ablation_mapping,
-    "ablation-combining": ablation_combining,
-    "ablation-ideal-rows": ablation_ideal_rows,
-    "ablation-switching": ablation_switching,
-}

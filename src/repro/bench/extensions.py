@@ -19,7 +19,6 @@ __all__ = [
     "extension_ring_crossover",
     "extension_auto_portfolio",
     "extension_hypercube",
-    "ALL_EXTENSIONS",
 ]
 
 
@@ -173,11 +172,3 @@ def extension_hypercube(quick: bool = False) -> FigureResult:
         )
     )
     return result
-
-
-#: Registry used by the CLI and bench targets.
-ALL_EXTENSIONS = {
-    "extension-ring": extension_ring_crossover,
-    "extension-auto": extension_auto_portfolio,
-    "extension-hypercube": extension_hypercube,
-}

@@ -1,7 +1,10 @@
-"""The experiments: one function per table/figure of the paper (§4, §5).
+"""The experiments no declarative series can express (§4, §5).
 
-Every ``figNN()`` regenerates the corresponding figure's data on the
-simulated machines and evaluates the DESIGN.md shape criteria.  The
+Most of the paper's evaluation is described by ``configs/*.toml`` and
+measured by :mod:`repro.pipeline.runner`.  The three experiments here
+stay imperative and are named by their configs' ``builder =`` strings:
+Figure 1 draws placement art, Figure 2 tabulates single-run metric
+counters, and the §5 varied-lengths study draws per-source sizes.  The
 functions are deterministic; ``quick=True`` shrinks the sweep grids for
 smoke testing (the shape checks are chosen to hold in both modes).
 """
@@ -11,44 +14,15 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from repro.bench.runner import measure_batch, measure_grid, run_batch, sweep
+from repro.bench.runner import measure_batch, run_batch
 from repro.bench.types import Check, FigureResult, Series
 from repro.core.analysis import figure2_row
 from repro.core.problem import BroadcastProblem
 from repro.distributions import DISTRIBUTIONS
 from repro.distributions.ascii_art import render_placement
-from repro.machines import paragon, t3d
+from repro.machines import paragon
 
-__all__ = [
-    "fig01",
-    "fig02",
-    "fig03",
-    "fig04",
-    "fig05",
-    "fig06",
-    "fig07",
-    "fig08",
-    "fig09",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "sec52_partitioning",
-    "sec52_conditions",
-    "sec5_varied_lengths",
-    "ALL_FIGURES",
-]
-
-#: The seven Figure-3 algorithms, paper order.
-_FIG3_ALGOS = [
-    "Br_Lin",
-    "Br_xy_source",
-    "Br_xy_dim",
-    "2-Step",
-    "PersAlltoAll",
-    "MPI_AllGather",
-    "MPI_Alltoall",
-]
+__all__ = ["fig01", "fig02", "sec5_varied_lengths"]
 
 
 def fig01(quick: bool = False) -> FigureResult:
@@ -188,714 +162,6 @@ def fig02(quick: bool = False) -> FigureResult:
     return result
 
 
-def fig03(quick: bool = False) -> FigureResult:
-    """Figure 3: 10x10 Paragon, s = 1..100, L = 4K, equal distribution."""
-    machine = paragon(10, 10)
-    s_values = [1, 10, 30, 60, 100] if quick else [1, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
-    curves = sweep(
-        machine, _FIG3_ALGOS, DISTRIBUTIONS["E"], s_values, message_size=4096
-    )
-    series = Series(
-        "10x10 Paragon, L = 4K, equal distribution", "s", s_values, curves
-    )
-    result = FigureResult(
-        "Figure 3", "Paragon: all algorithms as the source count varies"
-    )
-    result.series.append(series)
-    at = series.value
-    mid = 30
-    best_br = min(at(a, mid) for a in ("Br_Lin", "Br_xy_source", "Br_xy_dim"))
-    worst_br = max(at(a, mid) for a in ("Br_Lin", "Br_xy_source", "Br_xy_dim"))
-    result.checks.append(
-        Check(
-            "Br_* are the three best curves (s = 30)",
-            worst_br < min(at(a, mid) for a in ("2-Step", "PersAlltoAll")),
-        )
-    )
-    result.checks.append(
-        Check(
-            "2-Step and PersAlltoAll are far off (>= 2x at s = 30)",
-            min(at("2-Step", mid), at("PersAlltoAll", mid)) > 2 * best_br,
-        )
-    )
-    result.checks.append(
-        Check(
-            "MPI versions trail their NX counterparts",
-            at("MPI_AllGather", mid) > at("2-Step", mid)
-            and at("MPI_Alltoall", mid) > at("PersAlltoAll", mid),
-        )
-    )
-    hi, lo = s_values[-1], 10
-    ratio = at("Br_xy_source", hi) / at("Br_xy_source", lo)
-    result.checks.append(
-        Check(
-            "Br_* scale roughly linearly with s",
-            0.4 * (hi / lo) <= ratio <= 1.6 * (hi / lo),
-            f"time ratio {ratio:.1f} for s ratio {hi / lo:.1f}",
-        )
-    )
-    return result
-
-
-def fig04(quick: bool = False) -> FigureResult:
-    """Figure 4: 10x10 Paragon, L = 32 B..16 K, s = 30, right diagonal."""
-    machine = paragon(10, 10)
-    sizes = [32, 512, 4096, 16384] if quick else [32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384]
-    dist = DISTRIBUTIONS["Dr"]
-    sources = dist.generate(machine, 30)
-    curves = measure_grid(
-        [BroadcastProblem(machine, sources, message_size=L) for L in sizes],
-        _FIG3_ALGOS,
-    )
-    series = Series(
-        "10x10 Paragon, s = 30, right diagonal", "L (bytes)", sizes, curves
-    )
-    result = FigureResult(
-        "Figure 4", "Paragon: all algorithms as the message size varies"
-    )
-    result.series.append(series)
-    at = series.value
-    result.checks.append(
-        Check(
-            "Br_* nearly flat up to 512 B (overhead bound)",
-            at("Br_Lin", 512) < 1.8 * at("Br_Lin", 32),
-            f"{at('Br_Lin', 32):.2f} -> {at('Br_Lin', 512):.2f} ms",
-        )
-    )
-    result.checks.append(
-        Check(
-            "linear growth for large messages (16K ~ 4x the 4K time)",
-            2.5 <= at("Br_Lin", 16384) / at("Br_Lin", 4096) <= 5.5,
-        )
-    )
-    result.checks.append(
-        Check(
-            "2-Step/PersAlltoAll poor at every L",
-            all(
-                min(at("2-Step", L), at("PersAlltoAll", L))
-                > at("Br_xy_source", L)
-                for L in sizes
-            ),
-        )
-    )
-    result.checks.append(
-        Check(
-            "PersAlltoAll flat until ~1K (the Figure-3 observation)",
-            at("PersAlltoAll", 512) < 1.3 * at("PersAlltoAll", 32),
-        )
-    )
-    return result
-
-
-def fig05(quick: bool = False) -> FigureResult:
-    """Figure 5: machine sizes 4..256, L = 1K, s ~ sqrt(p), right diagonal."""
-    sides = [2, 4, 10, 16] if quick else [2, 4, 6, 8, 10, 12, 14, 16]
-    problems = []
-    p_values = []
-    for side in sides:
-        machine = paragon(side, side)
-        p_values.append(machine.p)
-        s = side  # ~ sqrt(p)
-        sources = DISTRIBUTIONS["Dr"].generate(machine, s)
-        problems.append(BroadcastProblem(machine, sources, message_size=1024))
-    curves = measure_grid(problems, _FIG3_ALGOS)
-    series = Series(
-        "square Paragons, L = 1K, s = sqrt(p), right diagonal",
-        "p",
-        p_values,
-        curves,
-    )
-    result = FigureResult(
-        "Figure 5", "Paragon: all algorithms as the machine size varies"
-    )
-    result.series.append(series)
-    at = series.value
-    ratio_small = at("PersAlltoAll", 4) / at("Br_Lin", 4)
-    ratio_mid = at("PersAlltoAll", 16) / at("Br_Lin", 16)
-    ratio_big = at("PersAlltoAll", 256) / at("Br_Lin", 256)
-    result.checks.append(
-        Check(
-            "PersAlltoAll near parity on the smallest machines",
-            ratio_small < 1.3,
-            f"{ratio_small:.2f}x at p = 4",
-        )
-    )
-    result.checks.append(
-        Check(
-            "PersAlltoAll diverges with machine size",
-            ratio_small < ratio_mid < ratio_big and ratio_big > 2.5,
-            f"{ratio_small:.2f}x -> {ratio_mid:.2f}x -> {ratio_big:.2f}x",
-        )
-    )
-    result.checks.append(
-        Check(
-            "every algorithm's time grows with p",
-            all(
-                curves[a][-1] > curves[a][0] for a in _FIG3_ALGOS
-            ),
-        )
-    )
-    return result
-
-
-def fig06(quick: bool = False) -> FigureResult:
-    """Figure 6: 10x10 Paragon, L = 2K, s = 30, all distributions x Br_*."""
-    machine = paragon(10, 10)
-    keys = ["R", "C", "Dr", "Dl", "E", "B", "Sq", "Cr"]
-    algos = ["Br_Lin", "Br_xy_source", "Br_xy_dim"]
-    curves = measure_grid(
-        [
-            BroadcastProblem(
-                machine, DISTRIBUTIONS[key].generate(machine, 30), message_size=2048
-            )
-            for key in keys
-        ],
-        algos,
-    )
-    series = Series(
-        "10x10 Paragon, L = 2K, s = 30", "distribution", keys, curves
-    )
-    result = FigureResult(
-        "Figure 6", "Paragon: Br_* across the eight source distributions"
-    )
-    result.series.append(series)
-    at = series.value
-    easy = ["R", "C", "Dr", "Dl"]
-    result.checks.append(
-        Check(
-            "Br_xy_source roughly equal on row/col/diagonals",
-            max(at("Br_xy_source", k) for k in easy)
-            < 1.15 * min(at("Br_xy_source", k) for k in easy),
-        )
-    )
-    result.checks.append(
-        Check(
-            "square block and cross are the expensive distributions",
-            min(at("Br_xy_source", "Sq"), at("Br_xy_source", "Cr"))
-            > max(at("Br_xy_source", k) for k in easy),
-        )
-    )
-    result.checks.append(
-        Check(
-            "Br_xy_dim pays for the wrong dimension on the row distribution",
-            at("Br_xy_dim", "R") > 1.2 * at("Br_xy_source", "R"),
-        )
-    )
-    result.checks.append(
-        Check(
-            "Br_Lin is the most robust on the cross distribution",
-            at("Br_Lin", "Cr") < 1.1 * min(at("Br_xy_source", "Cr"), at("Br_xy_dim", "Cr")),
-            f"Br_Lin {at('Br_Lin', 'Cr'):.2f} vs xy "
-            f"{min(at('Br_xy_source', 'Cr'), at('Br_xy_dim', 'Cr')):.2f}",
-        )
-    )
-    return result
-
-
-def fig07(quick: bool = False) -> FigureResult:
-    """Figure 7: 10x10 Paragon, right diagonal, total fixed at 80K."""
-    machine = paragon(10, 10)
-    s_values = [5, 20, 80] if quick else [5, 10, 20, 40, 80]
-    algos = ["Br_Lin", "Br_xy_source", "Br_xy_dim"]
-    curves = sweep(
-        machine,
-        algos,
-        DISTRIBUTIONS["Dr"],
-        s_values,
-        message_size=0,
-        total_bytes=80 * 1024,
-    )
-    series = Series(
-        "10x10 Paragon, right diagonal, total = 80K", "s", s_values, curves
-    )
-    result = FigureResult(
-        "Figure 7", "Paragon: fixed total data spread over more sources"
-    )
-    result.series.append(series)
-    for a in algos:
-        result.checks.append(
-            Check(
-                f"{a}: spreading the fixed total helps (s = 5 vs s = 80)",
-                curves[a][-1] < curves[a][0],
-                f"{curves[a][0]:.2f} -> {curves[a][-1]:.2f} ms",
-            )
-        )
-    return result
-
-
-def fig08(quick: bool = False) -> FigureResult:
-    """Figure 8: 120-node Paragon, dimensions vary, equal distribution."""
-    shapes = [(4, 30), (8, 15), (10, 12)] if quick else [
-        (4, 30),
-        (5, 24),
-        (6, 20),
-        (8, 15),
-        (10, 12),
-        (12, 10),
-        (15, 8),
-        (20, 6),
-    ]
-    s_values = (8, 15, 30)
-    labels = [f"{r}x{c}" for r, c in shapes]
-    grid = []
-    for r, c in shapes:
-        machine = paragon(r, c)
-        for s in s_values:
-            sources = DISTRIBUTIONS["E"].generate(machine, s)
-            grid.append(BroadcastProblem(machine, sources, message_size=4096))
-    times = measure_batch([(problem, "Br_Lin") for problem in grid])
-    curves: Dict[str, List[float]] = {f"s={s}": [] for s in s_values}
-    it = iter(times)
-    for _shape in shapes:
-        for s in s_values:
-            curves[f"s={s}"].append(next(it))
-    series = Series(
-        "120-node Paragon, Br_Lin, equal distribution, L = 4K",
-        "dimensions",
-        labels,
-        curves,
-    )
-    result = FigureResult(
-        "Figure 8", "Paragon: machine dimensions interact with the distribution"
-    )
-    result.series.append(series)
-    spread8 = max(curves["s=8"]) / min(curves["s=8"])
-    result.checks.append(
-        Check(
-            "machine dimensions change performance at fixed p = 120",
-            spread8 > 1.15,
-            f"s=8 spread {spread8:.2f}x across shapes",
-        )
-    )
-    result.notes.append(
-        "deviation: the paper reports dimension sensitivity growing "
-        "with s; in our model the equal distribution's placement "
-        "artifacts dominate at small s instead (see EXPERIMENTS.md)"
-    )
-    result.checks.append(
-        Check(
-            "the s = 15 < s = 8 anomaly appears on some shape",
-            any(
-                curves["s=15"][i] < curves["s=8"][i] * 1.02
-                for i in range(len(shapes))
-            ),
-        )
-    )
-    return result
-
-
-def _repos_percent_grid(
-    machine, cells: List[tuple]
-) -> List[float]:
-    """Percent gain of Repos_xy_source over Br_xy_source (+ = faster).
-
-    ``cells`` is a list of ``(key, s, L)`` grid cells; both algorithms
-    are measured for every cell in a single batch.
-    """
-    problems = [
-        BroadcastProblem(
-            machine, DISTRIBUTIONS[key].generate(machine, s), message_size=L
-        )
-        for key, s, L in cells
-    ]
-    curves = measure_grid(problems, ["Br_xy_source", "Repos_xy_source"])
-    return [
-        100.0 * (t_plain - t_repos) / t_plain
-        for t_plain, t_repos in zip(
-            curves["Br_xy_source"], curves["Repos_xy_source"]
-        )
-    ]
-
-
-def fig09(quick: bool = False) -> FigureResult:
-    """Figure 9: 16x16 Paragon, Repos_xy_source vs Br_xy_source, L = 6K."""
-    machine = paragon(16, 16)
-    s_values = [16, 75, 192] if quick else [16, 32, 50, 75, 100, 128, 150, 192]
-    keys = ["Cr", "Sq", "E", "B"]
-    gains = _repos_percent_grid(
-        machine, [(key, s, 6144) for key in keys for s in s_values]
-    )
-    it = iter(gains)
-    curves = {key: [next(it) for _ in s_values] for key in keys}
-    series = Series(
-        "16x16 Paragon, L = 6K: repositioning gain",
-        "s",
-        s_values,
-        curves,
-        y_label="% difference (+ = repositioning faster)",
-    )
-    result = FigureResult(
-        "Figure 9", "Paragon: repositioning vs in-place across distributions"
-    )
-    result.series.append(series)
-    at = series.value
-    result.checks.append(
-        Check(
-            "significant gain on the cross distribution (moderate s)",
-            at("Cr", 75) > 15.0,
-            f"{at('Cr', 75):.1f}%",
-        )
-    )
-    result.checks.append(
-        Check(
-            "gain on the square block distribution",
-            at("Sq", 75) > 5.0,
-            f"{at('Sq', 75):.1f}%",
-        )
-    )
-    result.checks.append(
-        Check(
-            "repositioning costs extra on the near-ideal band",
-            at("B", 75) < 0.0,
-            f"{at('B', 75):.1f}%",
-        )
-    )
-    result.checks.append(
-        Check(
-            "gains taper off as s grows",
-            at("Cr", s_values[-1]) < at("Cr", 75),
-        )
-    )
-    return result
-
-
-def fig10(quick: bool = False) -> FigureResult:
-    """Figure 10: 16x16 Paragon, s = 75, message length varies."""
-    machine = paragon(16, 16)
-    sizes = [128, 1024, 6144, 16384] if quick else [128, 256, 512, 1024, 2048, 4096, 6144, 8192, 16384]
-    keys = ["Cr", "Sq", "E", "B"]
-    gains = _repos_percent_grid(
-        machine, [(key, 75, L) for key in keys for L in sizes]
-    )
-    it = iter(gains)
-    curves = {key: [next(it) for _ in sizes] for key in keys}
-    series = Series(
-        "16x16 Paragon, s = 75: repositioning gain",
-        "L (bytes)",
-        sizes,
-        curves,
-        y_label="% difference (+ = repositioning faster)",
-    )
-    result = FigureResult(
-        "Figure 10", "Paragon: repositioning gain vs message length"
-    )
-    result.series.append(series)
-    at = series.value
-    result.checks.append(
-        Check(
-            "below ~1K repositioning pays only for the cross",
-            at("Cr", 128) > max(at("Sq", 128), at("E", 128), at("B", 128)),
-        )
-    )
-    result.checks.append(
-        Check(
-            "benefit grows with message size on hard distributions",
-            at("Sq", 6144) > at("Sq", 128),
-            f"{at('Sq', 128):.1f}% -> {at('Sq', 6144):.1f}%",
-        )
-    )
-    result.checks.append(
-        Check(
-            "band never benefits meaningfully",
-            all(v < 5.0 for v in curves["B"]),
-        )
-    )
-    return result
-
-
-def fig11(quick: bool = False) -> FigureResult:
-    """Figure 11: T3D MPI_AllGather scalability.
-
-    (a) machine sizes 16..256 with s = 32, total = 128K;
-    (b) p = 128, L = 16K, source count varies.
-    """
-    keys = ["E", "Dr", "R", "Sq"]
-    result = FigureResult(
-        "Figure 11", "T3D: MPI_AllGather vs machine size and problem size"
-    )
-    p_values = [32, 128] if quick else [16, 32, 64, 128, 256]
-    grid_a = []
-    for p in p_values:
-        machine = t3d(p)
-        s = min(32, p)
-        L = (128 * 1024) // s
-        for key in keys:
-            sources = DISTRIBUTIONS[key].generate(machine, s)
-            grid_a.append(BroadcastProblem(machine, sources, message_size=L))
-    times_a = measure_batch([(problem, "MPI_AllGather") for problem in grid_a])
-    curves_a: Dict[str, List[float]] = {k: [] for k in keys}
-    it = iter(times_a)
-    for _p in p_values:
-        for key in keys:
-            curves_a[key].append(next(it))
-    result.series.append(
-        Series(
-            "(a) s = 32, total = 128K, machine size varies",
-            "p",
-            p_values,
-            curves_a,
-        )
-    )
-    machine = t3d(128)
-    s_values = [8, 32, 128] if quick else [8, 16, 32, 64, 128]
-    grid_b = [
-        BroadcastProblem(
-            machine, DISTRIBUTIONS[key].generate(machine, s), message_size=16384
-        )
-        for s in s_values
-        for key in keys
-    ]
-    times_b = measure_batch([(problem, "MPI_AllGather") for problem in grid_b])
-    curves_b: Dict[str, List[float]] = {k: [] for k in keys}
-    it = iter(times_b)
-    for _s in s_values:
-        for key in keys:
-            curves_b[key].append(next(it))
-    result.series.append(
-        Series("(b) p = 128, L = 16K, source count varies", "s", s_values, curves_b)
-    )
-    # checks
-    small_p = p_values[0]
-    i_small = 0
-    spread_small = max(c[i_small] for c in curves_a.values()) / min(
-        c[i_small] for c in curves_a.values()
-    )
-    result.checks.append(
-        Check(
-            "distribution has little impact on small machines",
-            spread_small < 1.25,
-            f"spread {spread_small:.2f}x at p = {small_p}",
-        )
-    )
-    i_big = len(p_values) - 1
-    result.checks.append(
-        Check(
-            "equal distribution among the best on large machines",
-            curves_a["E"][i_big]
-            <= 1.05 * min(c[i_big] for c in curves_a.values()),
-        )
-    )
-    result.checks.append(
-        Check(
-            "(b) time grows with problem size",
-            all(c[-1] > c[0] for c in curves_b.values()),
-        )
-    )
-    return result
-
-
-def fig12(quick: bool = False) -> FigureResult:
-    """Figure 12: 128-proc T3D, total = 128K, sources vary, MPI_AllGather."""
-    machine = t3d(128)
-    keys = ["E", "Dr", "R", "Sq"]
-    s_values = [4, 32, 128] if quick else [2, 4, 8, 16, 32, 64, 128]
-    grid = [
-        BroadcastProblem(
-            machine,
-            DISTRIBUTIONS[key].generate(machine, s),
-            message_size=(128 * 1024) // s,
-        )
-        for s in s_values
-        for key in keys
-    ]
-    times = measure_batch([(problem, "MPI_AllGather") for problem in grid])
-    curves: Dict[str, List[float]] = {k: [] for k in keys}
-    it = iter(times)
-    for _s in s_values:
-        for key in keys:
-            curves[key].append(next(it))
-    series = Series(
-        "128-proc T3D, MPI_AllGather, total = 128K", "s", s_values, curves
-    )
-    result = FigureResult(
-        "Figure 12", "T3D: fixed total spread over more sources"
-    )
-    result.series.append(series)
-    for key in keys:
-        result.checks.append(
-            Check(
-                f"{key}: more sources are faster at fixed total",
-                curves[key][-1] < curves[key][0],
-                f"{curves[key][0]:.2f} -> {curves[key][-1]:.2f} ms",
-            )
-        )
-    return result
-
-
-def fig13(quick: bool = False) -> FigureResult:
-    """Figure 13: 128-proc T3D, L = 4K.
-
-    (a) the three algorithms as s varies (equal distribution);
-    (b) the three algorithms across distributions at s = 40.
-    """
-    machine = t3d(128)
-    algos = ["MPI_AllGather", "MPI_Alltoall", "Br_Lin"]
-    result = FigureResult(
-        "Figure 13", "T3D: the ordering inverts relative to the Paragon"
-    )
-    s_values = [5, 40, 128] if quick else [5, 10, 20, 40, 60, 80, 100, 128]
-    curves_a = sweep(
-        machine, algos, DISTRIBUTIONS["E"], s_values, message_size=4096
-    )
-    series_a = Series(
-        "(a) equal distribution, L = 4K", "s", s_values, curves_a
-    )
-    result.series.append(series_a)
-    keys = ["R", "C", "Dr", "Dl", "E", "B", "Sq", "Cr"]
-    curves_b = measure_grid(
-        [
-            BroadcastProblem(
-                machine, DISTRIBUTIONS[key].generate(machine, 40), message_size=4096
-            )
-            for key in keys
-        ],
-        algos,
-    )
-    result.series.append(
-        Series("(b) s = 40, L = 4K", "distribution", keys, curves_b)
-    )
-    at = series_a.value
-    mid = 40
-    result.checks.append(
-        Check(
-            "MPI_Alltoall gives the best performance (s = 40)",
-            at("MPI_Alltoall", mid)
-            < min(at("MPI_AllGather", mid), at("Br_Lin", mid)),
-        )
-    )
-    result.checks.append(
-        Check(
-            "Br_Lin is the worst at moderate/large s (wait + combining)",
-            at("Br_Lin", mid) > at("MPI_AllGather", mid)
-            and at("Br_Lin", s_values[-1]) > at("MPI_AllGather", s_values[-1]),
-        )
-    )
-    ratio_lo = at("MPI_AllGather", s_values[0]) / at("MPI_Alltoall", s_values[0])
-    ratio_hi = at("MPI_AllGather", s_values[-1]) / at("MPI_Alltoall", s_values[-1])
-    result.checks.append(
-        Check(
-            "AllGather converges toward AlltoAll as s grows",
-            ratio_hi < ratio_lo,
-            f"ratio {ratio_lo:.2f} -> {ratio_hi:.2f}",
-        )
-    )
-    result.checks.append(
-        Check(
-            "(b) MPI_Alltoall performs well for all distribution patterns",
-            max(curves_b["MPI_Alltoall"]) < min(curves_b["Br_Lin"]),
-        )
-    )
-    result.notes.append(
-        "deviation: at very small s (~5) our Br_Lin dips below "
-        "MPI_Alltoall; the paper's Fig 13(a) ordering is reproduced from "
-        "s >= 10 (see EXPERIMENTS.md)"
-    )
-    return result
-
-
-def sec52_partitioning(quick: bool = False) -> FigureResult:
-    """§5.2 (text): partitioning hardly ever beats repositioning alone."""
-    machine = paragon(16, 16)
-    keys = ["Cr", "Sq", "E", "B"]
-    s_values = [32, 75] if quick else [16, 32, 75, 128]
-    cells = [(key, s) for key in keys for s in s_values]
-    labels = [f"{key}/s={s}" for key, s in cells]
-    curves = measure_grid(
-        [
-            BroadcastProblem(
-                machine, DISTRIBUTIONS[key].generate(machine, s), message_size=6144
-            )
-            for key, s in cells
-        ],
-        ["Repos_xy_source", "Part_xy_source"],
-    )
-    trials = len(cells)
-    wins = sum(
-        1
-        for t_repos, t_part in zip(
-            curves["Repos_xy_source"], curves["Part_xy_source"]
-        )
-        if t_part < t_repos
-    )
-    series = Series(
-        "16x16 Paragon, L = 6K: repositioning vs partitioning",
-        "dist/s",
-        labels,
-        curves,
-    )
-    result = FigureResult(
-        "Sec 5.2 partitioning",
-        "the final pairwise exchange dominates partitioning",
-    )
-    result.series.append(series)
-    result.checks.append(
-        Check(
-            "partitioning hardly ever wins",
-            wins <= trials // 3,
-            f"{wins}/{trials} wins",
-        )
-    )
-    return result
-
-
-def sec52_conditions(quick: bool = False) -> FigureResult:
-    """§5.2 (text): repositioning cost is small when the three
-    conditions hold and the input is near-ideal."""
-    from repro.core.ideal import ideal_row_sources
-
-    machine = paragon(16, 16)
-    result = FigureResult(
-        "Sec 5.2 conditions",
-        "repositioning overhead on a near-ideal input within the regime",
-    )
-    s_values = [32, 75] if quick else [16, 32, 50, 75, 100]
-    curves = measure_grid(
-        [
-            BroadcastProblem(
-                machine, ideal_row_sources(machine, s), message_size=6144
-            )
-            for s in s_values
-        ],
-        ["Br_xy_source", "Repos_xy_source"],
-    )
-    series = Series(
-        "16x16 Paragon, ideal row input, L = 6K", "s", s_values, curves
-    )
-    result.series.append(series)
-    overheads = [
-        r - b
-        for r, b in zip(curves["Repos_xy_source"], curves["Br_xy_source"])
-    ]
-    result.checks.append(
-        Check(
-            "repositioning an ideal input costs little (a few ms at most)",
-            all(o < 3.0 for o in overheads),
-            f"overheads {['%.2f' % o for o in overheads]} ms",
-        )
-    )
-    return result
-
-
-#: Registry used by the CLI and the bench targets.
-ALL_FIGURES = {
-    "fig1": fig01,
-    "fig2": fig02,
-    "fig3": fig03,
-    "fig4": fig04,
-    "fig5": fig05,
-    "fig6": fig06,
-    "fig7": fig07,
-    "fig8": fig08,
-    "fig9": fig09,
-    "fig10": fig10,
-    "fig11": fig11,
-    "fig12": fig12,
-    "fig13": fig13,
-    "sec52-partitioning": sec52_partitioning,
-    "sec52-conditions": sec52_conditions,
-}
-
-
 def sec5_varied_lengths(quick: bool = False) -> FigureResult:
     """§5 (text): non-uniform message lengths do not reorder anything.
 
@@ -976,6 +242,3 @@ def sec5_varied_lengths(quick: bool = False) -> FigureResult:
             )
         )
     return result
-
-
-ALL_FIGURES["sec5-varied-lengths"] = sec5_varied_lengths

@@ -36,7 +36,7 @@ from repro.core.runner import run_broadcast
 from repro.distributions import DISTRIBUTIONS
 from repro.machines import paragon
 
-__all__ = ["robustness_faults", "ALL_ROBUSTNESS"]
+__all__ = ["robustness_faults"]
 
 #: The Br_* family the tentpole targets, plus the two schedule shapes
 #: (gather/broadcast and balanced all-to-all) they are measured against.
@@ -167,6 +167,3 @@ def robustness_faults(quick: bool = False) -> FigureResult:
         "deterministic: same spec + seed reproduces every cell bit-exactly"
     )
     return result
-
-
-ALL_ROBUSTNESS = {"robustness": robustness_faults}

@@ -7,29 +7,28 @@ the seed draws a new random virtual→physical mapping — production
 scheduling — so :func:`measure_problem` runs several seeds and averages
 the best, mirroring the paper's methodology.
 
-Since PR 1 every measurement routes through a
-:class:`~repro.sweep.executor.SweepExecutor`: figures batch their whole
-grid into one :func:`measure_batch` / :func:`measure_grid` call, the
-executor fans the points out over worker processes (``--jobs`` /
-``$REPRO_SWEEP_JOBS``) and memoizes results in the on-disk cache.  The
-default executor is serial and uncached, so library behaviour without
-explicit configuration is byte-identical to the original serial loop.
+Every measurement routes through a
+:class:`~repro.sweep.executor.SweepExecutor`: experiments batch their
+whole grid into one :func:`measure_batch` call, the executor fans the
+points out over worker processes (``--jobs`` / ``$REPRO_SWEEP_JOBS``)
+and memoizes results in the on-disk cache.  The default executor is
+serial and uncached, so library behaviour without explicit
+configuration is byte-identical to a plain serial loop.
 
 Problems whose machine has no canonical spec (custom parameters — the
 ablations) and algorithm *instances* (rather than registry names) cannot
-be shipped to worker processes; they transparently fall back to direct
-in-process evaluation.
+be shipped to worker processes; they fall back to direct in-process
+evaluation on the active executor's engine.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.algorithms.base import BroadcastAlgorithm
 from repro.core.problem import BroadcastProblem
 from repro.core.runner import BroadcastResult, run_broadcast
-from repro.distributions.base import SourceDistribution
 from repro.machines.machine import Machine
 from repro.sweep.executor import SweepExecutor
 from repro.sweep.spec import SweepPoint
@@ -37,9 +36,7 @@ from repro.sweep.spec import SweepPoint
 __all__ = [
     "measure_problem",
     "measure_batch",
-    "measure_grid",
     "run_batch",
-    "sweep",
     "active_executor",
     "use_executor",
     "T3D_SEEDS",
@@ -72,9 +69,9 @@ def active_executor() -> SweepExecutor:
 def use_executor(executor: SweepExecutor) -> Iterator[SweepExecutor]:
     """Route all measurements inside the ``with`` body through ``executor``.
 
-    This is how the CLIs wire ``--jobs`` / ``--cache-dir`` / ``--no-cache``
-    into figure functions without threading an argument through every
-    experiment signature.
+    This is how ``python -m repro report`` wires ``--jobs`` /
+    ``--cache-dir`` / ``--no-cache`` / ``--engine`` into the measurements
+    without threading an argument through every experiment signature.
     """
     global _installed_executor
     previous = _installed_executor
@@ -99,12 +96,14 @@ def _aggregate_ms(times_ms: List[float]) -> float:
 
 
 def _measure_direct(
-    problem: BroadcastProblem, algorithm: Algorithm, contention: bool
+    problem: BroadcastProblem, algorithm: Algorithm, contention: bool,
+    engine: str,
 ) -> float:
     """In-process fallback for problems the executor cannot ship."""
     times = [
         run_broadcast(
-            problem, algorithm, seed=seed, contention=contention
+            problem, algorithm, seed=seed, contention=contention,
+            engine=engine,
         ).elapsed_ms
         for seed in _seeds_for(problem.machine)
     ]
@@ -138,14 +137,15 @@ def measure_batch(
         else:
             plan.append(None)
 
-    results: List[BroadcastResult] = (
-        active_executor().run(points) if points else []
-    )
+    executor = active_executor()
+    results: List[BroadcastResult] = executor.run(points) if points else []
 
     out: List[float] = []
     for (problem, algorithm), entry in zip(items, plan):
         if entry is None:
-            out.append(_measure_direct(problem, algorithm, contention))
+            out.append(
+                _measure_direct(problem, algorithm, contention, executor.engine)
+            )
         else:
             start, count = entry
             out.append(
@@ -154,30 +154,6 @@ def measure_batch(
                 )
             )
     return out
-
-
-def measure_grid(
-    problems: Sequence[BroadcastProblem],
-    algorithms: Sequence[Algorithm],
-    *,
-    contention: bool = True,
-) -> Dict[str, List[float]]:
-    """Curves of one y-value per problem, for several algorithms.
-
-    ``problems`` is the x-axis (one problem per x value); the result maps
-    each algorithm's name to its curve.  Everything is measured in a
-    single executor batch.
-    """
-    times = measure_batch(
-        [(problem, algorithm) for problem in problems for algorithm in algorithms],
-        contention=contention,
-    )
-    curves: Dict[str, List[float]] = {_name(a): [] for a in algorithms}
-    it = iter(times)
-    for _problem in problems:
-        for algorithm in algorithms:
-            curves[_name(algorithm)].append(next(it))
-    return curves
 
 
 def run_batch(
@@ -204,11 +180,15 @@ def run_batch(
             )
         else:
             slots.append(None)
-    results = active_executor().run(points) if points else []
+    executor = active_executor()
+    results = executor.run(points) if points else []
     return [
         results[slot]
         if slot is not None
-        else run_broadcast(problem, algorithm, seed=seed, contention=contention)
+        else run_broadcast(
+            problem, algorithm, seed=seed, contention=contention,
+            engine=executor.engine,
+        )
         for (problem, algorithm), slot in zip(items, slots)
     ]
 
@@ -221,33 +201,3 @@ def measure_problem(
 ) -> float:
     """Completion time in milliseconds, averaged over the best seeds."""
     return measure_batch([(problem, algorithm)], contention=contention)[0]
-
-
-def sweep(
-    machine: Machine,
-    algorithms: Sequence[Algorithm],
-    distribution: SourceDistribution,
-    s_values: Iterable[int],
-    message_size: int,
-    *,
-    total_bytes: int | None = None,
-    contention: bool = True,
-) -> Dict[str, List[float]]:
-    """Curves of time-vs-s for several algorithms on one distribution.
-
-    With ``total_bytes`` set, the per-source message size is
-    ``total_bytes // s`` (the fixed-total experiments of Figures 7/12);
-    otherwise every source sends ``message_size`` bytes.
-    """
-    problems: List[BroadcastProblem] = []
-    for s in s_values:
-        size = total_bytes // s if total_bytes is not None else message_size
-        sources = distribution.generate(machine, s)
-        problems.append(
-            BroadcastProblem(machine, sources, message_size=max(size, 1))
-        )
-    return measure_grid(problems, algorithms, contention=contention)
-
-
-def _name(algorithm: Algorithm) -> str:
-    return algorithm if isinstance(algorithm, str) else algorithm.name

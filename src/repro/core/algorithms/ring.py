@@ -11,7 +11,7 @@ of O(p) rounds of per-message software overhead.
 This is the paper's design space probed from the other end: where
 ``Br_Lin`` minimises rounds (log p) and pays in message growth,
 ``Br_Ring`` minimises bytes and pays in round count.  The extension
-bench (``benchmarks/test_extension_ring.py``) shows the crossover:
+bench (``configs/22-extension-ring.toml``) shows the crossover:
 ``Br_Ring`` wins when messages are large relative to the per-message
 overhead (bandwidth-bound regime), loses on overhead-bound problems —
 and the crossover sits at much smaller L on the T3D than the Paragon.

@@ -5,8 +5,8 @@ executor batches: how many grid points were requested, how many were
 answered from the on-disk cache versus computed, how long the batch took
 on the wall clock, and how much single-process compute time that wall
 time represents.  The ``speedup`` ratio folds both effects together —
-process fan-out *and* cache hits — which is what the bench CLI reports
-after every figure regeneration.
+process fan-out *and* cache hits — which is what ``python -m repro
+report`` prints after every experiment.
 """
 
 from __future__ import annotations

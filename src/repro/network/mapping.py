@@ -10,7 +10,7 @@ on physical nodes matters enormously:
 * On the T3D, "the mapping of virtual to physical processors cannot be
   controlled by the user" (§5): :class:`RandomMapping` draws a seeded
   random permutation, which is why topology-aware algorithms lose their
-  edge there (ablated in ``benchmarks/test_ablation_mapping.py``).
+  edge there (ablated in ``configs/18-ablation-mapping.toml``).
 """
 
 from __future__ import annotations

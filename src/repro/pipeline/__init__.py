@@ -17,10 +17,10 @@ checks of its experiment; the pipeline
   :class:`~repro.sweep.spec.SweepPoint` list an experiment will
   evaluate (usable to pre-warm the cache via
   :func:`~repro.sweep.distributed.run_sharded`);
-* **runs** it (:mod:`repro.pipeline.runner`) through the same
-  :mod:`repro.bench.runner` measurement primitives the hand-written
-  figure functions use, producing a bit-identical
-  :class:`~repro.bench.types.FigureResult`;
+* **runs** it (:mod:`repro.pipeline.runner`) through the
+  :mod:`repro.bench.runner` measurement primitives, producing a
+  :class:`~repro.bench.types.FigureResult` whose quick-grid report text
+  is pinned by ``tests/golden/experiments_quick.json``;
 * **reports** it (:mod:`repro.pipeline.report`) as one self-contained
   HTML file per experiment — tables, SVG curves, checks, placement art,
   observability roll-ups — plus an index page, and regenerates

@@ -160,8 +160,8 @@ def evaluate_check(
     """Evaluate one :class:`CheckSpec` against measured series.
 
     Returns the same :class:`~repro.bench.types.Check` record the
-    hand-written figure functions build, so reports and verdicts are
-    rendered identically either way.
+    builder functions build, so reports and verdicts render identically
+    for both experiment kinds.
     """
     if not 0 <= spec.series < len(series):
         raise ConfigurationError(

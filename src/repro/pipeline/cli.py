@@ -2,31 +2,34 @@
 
 Examples::
 
-    python -m repro report list           # show config-driven experiments
+    python -m repro report list           # show the experiments
     python -m repro report all            # run everything, emit HTML reports
     python -m repro report fig3 fig13     # two experiments (full grids)
     python -m repro report all --quick    # smoke grids, same pages
+    python -m repro report --quick --observe fig3  # + trace roll-up
     python -m repro report all --shards 4 # pre-warm the cache via run_sharded
     python -m repro report docs           # regenerate EXPERIMENTS.md/RESULTS.txt
     python -m repro report docs --check   # CI: fail if committed docs drift
 
-Every experiment is described by one ``configs/*.toml`` file; the
-runner expands it into the exact measurement calls the original
-``repro.bench`` figure functions make, so the tables, the sweep-cache
-keys, and the shape-check verdicts are bit-identical to
-``python -m repro.bench`` (the differential tests pin this).  With a
-warm cache, ``report all`` re-renders the whole paper in seconds.
+Every experiment is described by one ``configs/*.toml`` file.  For each
+one the command prints the text report (tables, shape-check verdicts,
+notes) and a progress line saying how many grid points the result cache
+served and how many were computed, then writes one HTML page per
+experiment plus an index.  Measurements route through the
+:class:`~repro.sweep.executor.SweepExecutor` that ``--jobs``,
+``--cache-dir``/``--no-cache``, ``--observe`` and ``--engine`` describe;
+with a warm cache, ``report all`` re-renders the whole paper in seconds.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import difflib
 import pathlib
 import sys
 from typing import List, Optional, Tuple
 
-from repro.bench.cli import build_executor
 from repro.bench.runner import use_executor
 from repro.bench.types import FigureResult
 from repro.errors import ReproError
@@ -34,9 +37,23 @@ from repro.pipeline.docsgen import render_experiments_md, render_results_txt
 from repro.pipeline.loader import DEFAULT_CONFIG_DIR, load_config_dir
 from repro.pipeline.report import render_experiment_html, render_index_html
 from repro.pipeline.runner import experiment_points, run_experiment
-from repro.sweep import DEFAULT_CACHE_DIR
+from repro.sweep import DEFAULT_CACHE_DIR, ResultCache, SweepExecutor
 
-__all__ = ["main"]
+__all__ = ["main", "build_executor"]
+
+
+def build_executor(
+    jobs: Optional[int],
+    cache_dir: Optional[str],
+    no_cache: bool,
+    observe: bool = False,
+    engine: str = "auto",
+) -> SweepExecutor:
+    """Executor for the CLI flags (``--no-cache`` wins over ``--cache-dir``)."""
+    cache = None
+    if not no_cache and cache_dir:
+        cache = ResultCache(cache_dir)
+    return SweepExecutor(jobs=jobs, cache=cache, observe=observe, engine=engine)
 
 
 def _prewarm(configs, shards: int, cache_dir: str, quick: bool) -> None:
@@ -47,7 +64,6 @@ def _prewarm(configs, shards: int, cache_dir: str, quick: bool) -> None:
     ``python -m repro sweep --worker``) without touching the
     serial-measurement code path that defines the tables.
     """
-    from repro.sweep import ResultCache
     from repro.sweep.distributed import run_sharded
 
     points = []
@@ -68,15 +84,37 @@ def _prewarm(configs, shards: int, cache_dir: str, quick: bool) -> None:
 def _run_all(
     configs, args
 ) -> List[Tuple[object, FigureResult]]:
-    """Measure every config (through the executor the flags describe)."""
+    """Measure and print every config through the executor the flags describe."""
     executor = build_executor(
-        args.jobs, args.cache_dir, args.no_cache, engine=args.engine
+        args.jobs, args.cache_dir, args.no_cache,
+        observe=args.observe, engine=args.engine,
     )
     entries = []
     with use_executor(executor):
         for config in configs:
-            entries.append((config, run_experiment(config, quick=args.quick)))
-            print(f"ran {config.id} ({len(entries)}/{len(configs)})")
+            session = executor.session
+            before = dataclasses.replace(
+                session, reliability=session.reliability.snapshot()
+            )
+            observed = len(executor.session_observations)
+            result = run_experiment(config, quick=args.quick)
+            entries.append((config, result))
+            print(result.report())
+            progress = session.since(before)
+            if progress.total:
+                print(progress.summary())
+            if args.observe:
+                from repro.obs.summary import (
+                    aggregate_observations,
+                    render_sweep_rollup,
+                )
+
+                aggregate = aggregate_observations(
+                    executor.session_observations[observed:]
+                )
+                if aggregate["observed"]:
+                    print(render_sweep_rollup(aggregate))
+            print()
     return entries
 
 
@@ -155,6 +193,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="bypass the sweep result cache (no reads, no writes)",
     )
     parser.add_argument(
+        "--observe", action="store_true",
+        help=(
+            "trace every computed point and print a per-experiment roll-up "
+            "(slowest phase per algorithm x distribution, hottest links); "
+            "cache keys are unaffected"
+        ),
+    )
+    parser.add_argument(
         "--engine", choices=("auto", "event", "fast"), default="auto",
         help="simulation engine for computed points (default: %(default)s)",
     )
@@ -179,13 +225,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="docs target: only regenerate EXPERIMENTS.md (no experiment runs)",
     )
     args = parser.parse_args(argv)
-
-    config_dir = pathlib.Path(args.configs) if args.configs else DEFAULT_CONFIG_DIR
     try:
-        by_id = load_config_dir(config_dir)
+        return _dispatch(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _dispatch(args) -> int:
+    """Run the targets ``args`` name; configuration errors propagate."""
+    config_dir = pathlib.Path(args.configs) if args.configs else DEFAULT_CONFIG_DIR
+    by_id = load_config_dir(config_dir)
     configs = list(by_id.values())
 
     names = args.experiments
@@ -218,11 +268,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         _prewarm(selected, args.shards, args.cache_dir, args.quick)
 
-    try:
-        entries = _run_all(selected, args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    entries = _run_all(selected, args)
     _write_reports(entries, pathlib.Path(args.out), args.quick)
     failed = [c.id for c, r in entries if not r.all_passed]
     if failed:

@@ -409,10 +409,7 @@ def _link_heatmap(point: Dict[str, object]) -> Optional[str]:
 def _reproduce_block(config, result: FigureResult) -> str:
     """The commands that rebuild this page and its trace artifacts."""
     name = config.id if config is not None else result.figure
-    lines = [
-        f"python -m repro report {name}        # this page",
-        f"python -m repro.bench {name}         # the text tables below",
-    ]
+    lines = [f"python -m repro report {name}   # this page + the text tables"]
     point = representative_point(config)
     if point is not None:
         lines.append(

@@ -1,26 +1,27 @@
-"""Execute a validated config through the existing bench machinery.
+"""Execute a validated config through the bench measurement primitives.
 
-Bit-identity is the contract here: a declarative series expands into the
-**same** :class:`~repro.core.problem.BroadcastProblem` grid, in the same
-order, measured through the same :func:`repro.bench.runner.measure_batch`
-call the hand-written figure function made — so the measured values, the
-sweep-cache keys and the rendered report text all match the original
-``benchmarks/`` scripts exactly.  ``builder`` configs simply call the
-original function.
+A declarative series expands into a
+:class:`~repro.core.problem.BroadcastProblem` grid measured by one
+:func:`repro.bench.runner.measure_batch` call, then collated into
+curves.  The grid order is part of the contract: it fixes the
+sweep-cache keys and the rendered report text, which
+``tests/golden/experiments_quick.json`` (quick grids) and RESULTS.txt
+(full grids) pin byte for byte.  ``builder`` configs call the named
+function.
 
-The five series kinds and the figure loops they mirror:
+The five series kinds:
 
 ==================  =====================================================
 ``sweep``           s on the x-axis, one machine/distribution
-                    (Figures 3, 7, 13a — :func:`repro.bench.runner.sweep`)
+                    (Figures 3, 7, 13a)
 ``cells``           per-x overrides of machine/dist/placement/s/L
-                    (Figures 4, 5, 6, 13b, §5.2 — ``measure_grid``)
+                    (Figures 4, 5, 6, 13b, §5.2)
 ``dist_curves``     distributions as curves, x-major/key-minor batch
                     (Figures 11, 12)
 ``machines_by_s``   machine shapes on x, source counts as curves
                     (Figure 8)
 ``percent_gain``    % difference of a variant vs a baseline
-                    (Figures 9, 10 — ``_repos_percent_grid``)
+                    (Figures 9, 10)
 ==================  =====================================================
 """
 
@@ -56,7 +57,7 @@ def _per_x(value: Any, quick: bool, xs: Sequence[Any]) -> List[Any]:
 def _grid_collate(
     n_problems: int, algorithms: Sequence[str]
 ) -> Collate:
-    """The problem-major / algorithm-minor collation of ``measure_grid``."""
+    """Problem-major / algorithm-minor collation into one curve per algorithm."""
 
     def collate(times: List[float]) -> Dict[str, List[float]]:
         curves: Dict[str, List[float]] = {a: [] for a in algorithms}
@@ -272,7 +273,7 @@ def run_experiment(
     :func:`repro.bench.runner.measure_batch` (so ``--jobs``, the on-disk
     cache and the engine selection all apply via the installed
     :class:`~repro.sweep.executor.SweepExecutor`); ``builder`` configs
-    dispatch to the named figure function.  Either way the return value
+    dispatch to the named builder function.  Either way the return value
     is the familiar :class:`~repro.bench.types.FigureResult`.
     """
     if config.kind == "builder":

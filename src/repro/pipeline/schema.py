@@ -8,10 +8,8 @@ works from this validated representation, never from raw TOML.
 Two experiment kinds exist:
 
 * ``declarative`` — the series and shape checks are described entirely
-  in the config.  The runner expands them into the same
-  :mod:`repro.bench.runner` measurement calls the original figure
-  functions made, so the measured values (and the sweep-cache keys) are
-  bit-identical.
+  in the config.  The runner expands them into
+  :mod:`repro.bench.runner` measurement calls, one batch per series.
 * ``builder`` — the config names a Python builder function
   (``"repro.bench.figures:fig01"``) for experiments whose logic is
   irreducibly imperative (ASCII placement art, custom machine

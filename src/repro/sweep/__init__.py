@@ -16,10 +16,11 @@ configuration, this subsystem makes grid replay cheap:
   the shared cache directory plus an on-disk lease queue, with work
   stealing and crash-safe resumption.
 
-The bench harness (:mod:`repro.bench.runner`) routes every figure's
-measurements through an executor; see ``--jobs`` / ``--cache-dir`` /
-``--no-cache`` on ``python -m repro.bench`` and ``python -m repro``,
-and ``python -m repro sweep --shards/--worker`` for sharded grids.
+The measurement primitives (:mod:`repro.bench.runner`) route every
+experiment's measurements through an executor; see ``--jobs`` /
+``--cache-dir`` / ``--no-cache`` on ``python -m repro report`` and
+``python -m repro``, and ``python -m repro sweep --shards/--worker`` for
+sharded grids.
 """
 
 from __future__ import annotations

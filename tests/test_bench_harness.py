@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.runner import measure_problem, sweep
+from repro.bench.runner import measure_batch, measure_problem
 from repro.bench.types import Check, FigureResult, Series
 from repro.core.problem import BroadcastProblem
 from repro.distributions import DISTRIBUTIONS
@@ -115,38 +115,15 @@ class TestMeasureProblem:
         assert on > off
 
 
-class TestSweep:
-    def test_curves_shape(self, square_paragon):
-        curves = sweep(
-            square_paragon,
-            ["Br_Lin", "2-Step"],
-            DISTRIBUTIONS["E"],
-            [5, 10],
-            message_size=512,
-        )
-        assert set(curves) == {"Br_Lin", "2-Step"}
-        assert all(len(v) == 2 for v in curves.values())
-
-    def test_fixed_total_divides_message_size(self, square_paragon):
-        curves = sweep(
-            square_paragon,
-            ["Br_Lin"],
-            DISTRIBUTIONS["Dr"],
-            [5, 80],
-            message_size=0,
-            total_bytes=80 * 1024,
-        )
-        # spreading the same total must not blow up the time
-        assert curves["Br_Lin"][1] < curves["Br_Lin"][0] * 2
-
+class TestMeasureBatch:
     def test_algorithm_instances_accepted(self, square_paragon):
         from repro.core.algorithms import BrLin
 
-        curves = sweep(
-            square_paragon,
-            [BrLin()],
-            DISTRIBUTIONS["E"],
-            [5],
-            message_size=256,
+        src = DISTRIBUTIONS["E"].generate(square_paragon, 5)
+        problem = BroadcastProblem(square_paragon, src, message_size=256)
+        # An instance cannot be shipped to the executor: it is measured
+        # in-process, to the same value as its registry name.
+        by_instance, by_name = measure_batch(
+            [(problem, BrLin()), (problem, "Br_Lin")]
         )
-        assert "Br_Lin" in curves
+        assert by_instance == by_name

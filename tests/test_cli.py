@@ -1,4 +1,4 @@
-"""Unit tests for the two command-line interfaces."""
+"""Unit tests for the ``python -m repro`` command line."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import pytest
 
 from repro.__main__ import main as repro_main
 from repro.__main__ import parse_machine
-from repro.bench.cli import available_experiments
-from repro.bench.cli import main as bench_main
 from repro.errors import ReproError
 
 
@@ -199,38 +197,56 @@ class TestTraceCLI:
         assert "error" in capsys.readouterr().err
 
 
-class TestBenchCLI:
-    def test_list(self, capsys):
-        assert bench_main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig3" in out
-        assert "ablation-contention" in out
+class TestReportCLI:
+    """Console output of ``report`` (pages: tests/test_pipeline_report.py)."""
 
-    def test_unknown_experiment(self, capsys):
-        assert bench_main(["fig99"]) == 2
-        assert "unknown" in capsys.readouterr().err
+    def test_warm_rerun_serves_every_point_from_cache(self, capsys, tmp_path):
+        argv = [
+            "report", "--quick", "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(tmp_path / "html"), "fig7",
+        ]
+        assert repro_main(argv) == 0
+        cold = capsys.readouterr().out
+        assert "=== Figure 7" in cold and "[PASS]" in cold
+        assert "sweep: " in cold and " 0 computed)" not in cold
+        assert repro_main(argv) == 0
+        warm = capsys.readouterr().out
+        assert " 0 computed)" in warm
 
-    def test_quick_fig1(self, capsys):
-        assert bench_main(["--quick", "fig1"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 1" in out
-        assert "PASS" in out
+        def tables(out):
+            return [l for l in out.splitlines() if not l.startswith("sweep: ")]
 
-    def test_quick_observe_prints_rollup(self, capsys, tmp_path):
-        code = bench_main(
-            ["--quick", "--observe", "--cache-dir", str(tmp_path), "fig2"]
+        # Same tables and verdicts whether computed or served from cache.
+        assert tables(warm) == tables(cold)
+
+    def test_quick_observe_prints_a_rollup_per_experiment(self, capsys, tmp_path):
+        code = repro_main(
+            [
+                "report", "--quick", "--observe", "--no-cache",
+                "--out", str(tmp_path), "fig2", "fig7",
+            ]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "observed points:" in out
         assert "slowest phase" in out
         assert "hottest links:" in out
+        rollups = [l for l in out.splitlines() if l.startswith("observed points:")]
+        progress = [l for l in out.splitlines() if l.startswith("sweep: ")]
+        assert len(rollups) == len(progress) == 2
+        for rollup, line in zip(rollups, progress):
+            computed = int(line.split(", ")[1].split(" computed")[0])
+            assert rollup == f"observed points: {computed}"
 
-    def test_registry_complete(self):
-        table = available_experiments()
-        # 13 figures + 3 §5 text claims + 5 ablations + 3 extensions
-        # + 1 robustness study
-        assert len(table) == 25
-        assert "robustness" in table
-        for fn in table.values():
-            assert callable(fn)
+    def test_builder_without_grid_points_prints_no_progress(self, capsys, tmp_path):
+        code = repro_main(
+            ["report", "--quick", "--no-cache", "--out", str(tmp_path), "fig1"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "=== Figure 1" in out
+        assert "sweep: " not in out
+
+    def test_docs_target_reports_executor_errors(self, capsys):
+        code = repro_main(["report", "docs", "--observe", "--engine", "fast"])
+        assert code == 2
+        assert "requires the event engine" in capsys.readouterr().err

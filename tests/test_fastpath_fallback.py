@@ -10,7 +10,9 @@ message, which names every blocker).
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.simulator.trace import Tracer
 from repro.sweep import SweepExecutor
 
 FAULTS = "degrade:links=0.25,factor=4"
+GOLDEN_REPORTS = Path(__file__).parent / "golden" / "experiments_quick.json"
 
 
 def _problem():
@@ -159,8 +162,44 @@ def test_sweep_executor_rejects_observe_with_fast():
         SweepExecutor(observe=True, engine="fast")
 
 
-def test_bench_cli_rejects_observe_with_fast(capsys):
-    from repro.bench.cli import main
+def test_report_cli_rejects_observe_with_fast(capsys, tmp_path):
+    from repro.pipeline.cli import main
 
-    assert main(["--observe", "--engine", "fast", "list"]) == 2
-    assert "event engine" in capsys.readouterr().err
+    code = main(
+        ["--observe", "--engine", "fast", "--out", str(tmp_path), "fig1"]
+    )
+    assert code == 2
+    assert "requires the event engine" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unshippable_measurements_honour_executor_engine(monkeypatch):
+    """Ad-hoc machines bypass the executor's pool, not its engine.
+
+    The quick mapping ablation measures a custom identity-mapped T3D
+    in-process; under an event-engine executor it must never touch the
+    fast path, and it still reproduces its recorded report.
+    """
+    from repro.bench.ablations import ablation_mapping
+    from repro.bench.runner import use_executor
+
+    _forbid_fast_path(monkeypatch)
+    with use_executor(SweepExecutor(engine="event")):
+        result = ablation_mapping(True)
+    golden = json.loads(GOLDEN_REPORTS.read_text())["ablation-mapping"]
+    digest = hashlib.sha256(result.report().encode()).hexdigest()
+    assert digest == golden["sha256"]
+
+
+def test_run_batch_fallback_honours_executor_engine(monkeypatch):
+    from repro.bench.runner import run_batch, use_executor
+    from repro.machines import paragon
+    from repro.machines.paragon import PARAGON_PARAMS
+
+    machine = paragon(4, 4, params=PARAGON_PARAMS.with_overrides(t_hop=0.0))
+    assert machine.spec is None  # not shippable: evaluated in-process
+    problem = BroadcastProblem(machine, (0, 5, 10), message_size=512)
+    _forbid_fast_path(monkeypatch)
+    with use_executor(SweepExecutor(engine="event")):
+        [result] = run_batch([(problem, "Br_Lin")])
+    assert result.complete

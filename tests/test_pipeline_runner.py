@@ -1,0 +1,123 @@
+"""The experiment runner: series expansion, builder dispatch, determinism."""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+
+import pytest
+
+from repro.errors import ConfigurationError
+from repro.pipeline.loader import load_config_dir, load_config_text
+from repro.pipeline.runner import experiment_points, run_experiment
+
+SWEEP = """
+[experiment]
+id = "demo"
+title = "Demo"
+description = "a small sweep"
+kind = "declarative"
+
+[[series]]
+kind = "sweep"
+title = "demo sweep"
+x_label = "s"
+machine = "{machine}"
+distribution = "{dist}"
+algorithms = {algorithms}
+s_values = {{ full = {s_values} }}
+message_size = {message_size}
+{extra}
+"""
+
+
+def _sweep(
+    machine="paragon:4x4",
+    dist="E",
+    algorithms=("Br_Lin", "2-Step"),
+    s_values=(4, 8),
+    message_size=512,
+    extra="",
+):
+    return load_config_text(
+        SWEEP.format(
+            machine=machine,
+            dist=dist,
+            algorithms=list(algorithms),
+            s_values=list(s_values),
+            message_size=message_size,
+            extra=extra,
+        ).replace("'", '"')
+    )
+
+
+@pytest.fixture(scope="module")
+def configs():
+    return load_config_dir()
+
+
+class TestSweepSeries:
+    def test_one_curve_per_algorithm_one_value_per_s(self):
+        result = run_experiment(_sweep())
+        (series,) = result.series
+        assert list(series.x_values) == [4, 8]
+        assert set(series.curves) == {"Br_Lin", "2-Step"}
+        assert all(len(v) == 2 for v in series.curves.values())
+
+    def test_fixed_total_divides_message_size(self):
+        config = _sweep(
+            algorithms=("Br_Lin",), message_size=0, extra="total_bytes = 4096"
+        )
+        points = experiment_points(config)
+        assert sorted(len(p.sources) for p in points) == [4, 8]
+        for point in points:
+            assert point.message_size == 4096 // len(point.sources)
+
+    def test_spreading_a_fixed_total_does_not_blow_up_the_time(self):
+        config = _sweep(
+            machine="paragon:10x10",
+            dist="Dr",
+            algorithms=("Br_Lin",),
+            s_values=(5, 80),
+            message_size=0,
+            extra=f"total_bytes = {80 * 1024}",
+        )
+        (series,) = run_experiment(config).series
+        few, many = series.curves["Br_Lin"]
+        assert many < few * 2
+
+
+class TestBuilders:
+    def test_builder_experiment_has_no_point_list(self, configs):
+        with pytest.raises(ConfigurationError, match="builder"):
+            experiment_points(configs["fig1"])
+
+    def test_every_builder_accepts_the_quick_flag(self, configs):
+        for config in configs.values():
+            if config.kind != "builder":
+                continue
+            module_name, _, attr = config.builder.partition(":")
+            builder = getattr(importlib.import_module(module_name), attr)
+            assert "quick" in inspect.signature(builder).parameters, config.id
+
+    def test_every_bench_builder_is_named_by_a_config(self, configs):
+        """``repro.bench`` keeps no experiment that no config runs."""
+        named = {c.builder for c in configs.values() if c.kind == "builder"}
+        for module_name in (
+            "repro.bench.figures",
+            "repro.bench.ablations",
+            "repro.bench.extensions",
+            "repro.bench.robustness",
+        ):
+            module = importlib.import_module(module_name)
+            for name, fn in inspect.getmembers(module, inspect.isfunction):
+                if fn.__module__ != module_name or name.startswith("_"):
+                    continue
+                assert f"{module_name}:{name}" in named, name
+
+
+def test_quick_run_is_reproducible(configs):
+    first = run_experiment(configs["fig7"], quick=True)
+    second = run_experiment(configs["fig7"], quick=True)
+    assert first.series[0].curves == second.series[0].curves
+    assert first.report() == second.report()

@@ -7,7 +7,7 @@ import json
 import os
 import pathlib
 
-from repro.bench.cli import build_executor
+from repro.pipeline.cli import build_executor
 from repro.reliability.envelope import seal_envelope
 from repro.sweep import ResultCache, SweepExecutor, SweepPoint
 
@@ -229,6 +229,14 @@ class TestCacheBypass:
         assert executor.jobs == 2
         assert isinstance(executor.cache, ResultCache)
         assert executor.cache.root == tmp_path
+
+    def test_build_executor_passes_observe_and_engine(self):
+        executor = build_executor(
+            jobs=None, cache_dir=None, no_cache=False, observe=True, engine="event"
+        )
+        assert executor.observe is True
+        assert executor.engine == "event"
+        assert executor.cache is None
 
 
 class TestDeduplication:

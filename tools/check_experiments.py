@@ -14,7 +14,8 @@ Three checks, all cheap (no experiment is run):
    count equals the config's declared check count.
 
 The full byte-level RESULTS.txt regeneration needs actual experiment
-runs; that is ``python -m repro report docs --check`` on a warm cache.
+runs; the docs CI job makes it right after this tool, with
+``python -m repro report docs --check`` (full grids, cold cache).
 
 Run:  python tools/check_experiments.py [repo-root]
 """
