@@ -143,8 +143,9 @@ def main(argv: List[str] | None = None) -> int:
         default="auto",
         help=(
             "simulation engine: auto picks the vectorized fast path for "
-            "clean runs and the event engine otherwise; results are "
-            "bit-identical either way (default: %(default)s)"
+            "runs without faults or recovery (traced or not) and the "
+            "event engine otherwise; results are bit-identical either "
+            "way (default: %(default)s)"
         ),
     )
     parser.add_argument(

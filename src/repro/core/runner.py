@@ -191,6 +191,11 @@ def run_broadcast(
     verify:
         Cross-check that every rank's *simulated* final holdings equal
         the full source set (end-to-end, through the message layer).
+    tracer:
+        Optional :class:`~repro.simulator.trace.Tracer` that receives the
+        run's trace records (spans, ``xfer``, ``send``, ``recv``).  Both
+        engines record the same records in the same order, and tracing
+        never changes the result.
     faults:
         Optional fault injection: a spec string (see the grammar in
         EXPERIMENTS.md), clause iterable, or
@@ -208,11 +213,11 @@ def run_broadcast(
         verdict and cost.  Ignored without ``faults`` (nothing to
         recover; the result stays byte-identical to a clean run).
     engine:
-        Simulation engine selection: ``"auto"`` (default) replays clean
-        runs on the vectorized :mod:`repro.fastpath` and falls back to
-        the generator event engine whenever faults, recovery or tracing
-        are requested; ``"event"`` forces the event engine; ``"fast"``
-        forces the fast path and raises
+        Simulation engine selection: ``"auto"`` (default) replays runs
+        on the vectorized :mod:`repro.fastpath`, traced or not, and
+        falls back to the generator event engine whenever faults or
+        recovery are requested; ``"event"`` forces the event engine;
+        ``"fast"`` forces the fast path and raises
         :class:`~repro.errors.UnsupportedFastPathError` on runs it
         cannot model.  Both engines produce bit-identical results, so
         the choice never changes what a run returns — only how fast.
@@ -231,8 +236,6 @@ def run_broadcast(
         blockers.append("faults")
     if recover:
         blockers.append("recovery")
-    if tracer is not None:
-        blockers.append("tracing")
     if engine == "fast" and blockers:
         raise UnsupportedFastPathError(
             f"engine='fast' does not support {', '.join(blockers)}; "
@@ -251,6 +254,7 @@ def run_broadcast(
             contention=contention,
             validate=validate,
             verify=verify,
+            tracer=tracer,
         )
         fast = outcome.fast
         return BroadcastResult(

@@ -96,12 +96,12 @@ class ConfigurationError(ReproError):
 class UnsupportedFastPathError(ConfigurationError):
     """``engine="fast"`` was requested for a run the fast path cannot model.
 
-    The vectorized fast path replays clean runs only; fault injection,
-    recovery, and tracing all need the full generator engine.  Under
-    ``engine="auto"`` such runs silently fall back to the event engine;
-    asking for ``engine="fast"`` explicitly raises this instead, so a
-    benchmark script cannot believe it measured the fast path when it
-    did not.
+    The vectorized fast path replays every run without faults or
+    recovery, traced or not; fault injection and recovery need the full
+    generator engine.  Under ``engine="auto"`` such runs silently fall
+    back to the event engine; asking for ``engine="fast"`` explicitly
+    raises this instead, so a benchmark script cannot believe it
+    measured the fast path when it did not.
     """
 
 

@@ -22,11 +22,13 @@ starts.  This package exploits that staticness in three layers:
   seeds per point.
 
 Selection is wired through ``run_broadcast(engine=...)``: ``"auto"``
-takes this path whenever faults, recovery and tracing are off, and the
-49 golden sha256 fixtures plus the randomized differential harness
+takes this path whenever faults and recovery are off — traced runs
+included: the kernel then logs its events and the evaluator rebuilds
+the event engine's trace records from the log.  The 49 golden sha256
+fixtures, the trace goldens and the randomized differential harness
 (``tests/test_fastpath_differential.py``) pin the bit-identity claim
-for the kernel, the no-JIT fallback, and warm plan-cache replays alike.
-See ``docs/FASTPATH.md`` for the full contract.
+for the kernel, the no-JIT fallback, warm plan-cache replays and
+traces alike.  See ``docs/FASTPATH.md`` for the full contract.
 """
 
 from repro.errors import UnsupportedFastPathError

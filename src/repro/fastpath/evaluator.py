@@ -40,6 +40,14 @@ non-overtaking ``(source, tag)`` semantics — so the replay stays
 faithful even when same-instant arrivals make static send→recv pairing
 ambiguous.
 
+Tracing rides on the same replay: with a
+:class:`~repro.simulator.trace.Tracer` the kernel fills its event log
+(see :mod:`repro.fastpath.kernel`), and :func:`evaluate_plan` rebuilds
+the event engine's ``span_begin`` / ``span_end`` / ``xfer`` / ``send`` /
+``recv`` records from it, in log order, through ``tracer.record`` — so
+kind filters, limits and truncation behave exactly as on the event
+engine, and the records are equal field for field.
+
 Metric reduction follows :meth:`MetricsReport.from_collector` term by
 term: per-rank float accumulation happens inside the kernel in global
 event order (identical between engines), and the report-level float
@@ -54,13 +62,16 @@ from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple
 
 from repro.errors import DeadlockError
 from repro.fastpath import kernel as _kernel_mod
+from repro.fastpath.kernel import LOG_BEGIN, LOG_RECV, LOG_SEND
 from repro.fastpath.lowering import FastPlan, lower_schedule
 from repro.metrics.report import MetricsReport
 from repro.network.wirestate import flatten_link_paths, wire_utilization_from
+from repro.simulator.trace import SPAN_BEGIN, SPAN_END
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.schedule import Schedule
     from repro.machines.machine import Machine
+    from repro.simulator.trace import Tracer
 
 __all__ = [
     "FastRunResult",
@@ -95,14 +106,16 @@ class PlanBinding:
 
     ``path_flat`` / ``path_start`` are plain lists (the pure-Python
     kernel's containers); :meth:`as_arrays` lazily builds and caches
-    the int32 views the JIT kernel consumes.  Bindings are reusable
-    across replays of the same (plan, rank mapping) — the plan cache
-    keeps one per seed class.
+    the int32 views the JIT kernel consumes.  ``nodes`` is the rank →
+    node placement the paths were resolved under (traced ``xfer``
+    records name nodes).  Bindings are reusable across replays of the
+    same (plan, rank mapping) — the plan cache keeps one per seed class.
     """
 
     path_flat: List[int]
     path_start: List[int]
     hops: Any  # float64[num_sends] wire-hop counts
+    nodes: List[int]
     _arrays: Optional[Tuple[Any, Any]] = None
 
     def as_arrays(self) -> Tuple[Any, Any]:
@@ -119,19 +132,17 @@ class PlanBinding:
 
 def bind_plan(plan: FastPlan, machine: "Machine", seed: int) -> PlanBinding:
     """Resolve ``plan``'s link paths under ``machine``'s ``seed`` mapping."""
-    mapping = machine.build_mapping(seed)
-    node_of = mapping.node_of
+    node_of = machine.build_mapping(seed).node_of
     nodes = [node_of(rank) for rank in range(plan.p)]
-    send_src = plan.send_src
-    send_dst = plan.send_dst
+    lists = plan.list_views()
     path_flat, path_start, hops = flatten_link_paths(
         machine.topology,
-        [
-            (nodes[int(send_src[i])], nodes[int(send_dst[i])])
-            for i in range(plan.num_sends)
-        ],
+        [(nodes[src], nodes[dst])
+         for src, dst in zip(lists["send_src"], lists["send_dst"])],
     )
-    return PlanBinding(path_flat=path_flat, path_start=path_start, hops=hops)
+    return PlanBinding(
+        path_flat=path_flat, path_start=path_start, hops=hops, nodes=nodes
+    )
 
 
 def evaluate_plan(
@@ -141,12 +152,15 @@ def evaluate_plan(
     seed: int = 0,
     contention: bool = True,
     binding: Optional[PlanBinding] = None,
+    tracer: Optional["Tracer"] = None,
 ) -> FastRunResult:
     """Replay ``plan`` on ``machine``; returns timing plus metrics.
 
     ``binding`` may carry pre-resolved link paths for this (plan, rank
     mapping) — pass it when replaying one plan many times (the plan
-    cache and :func:`evaluate_plan_many` do).
+    cache and :func:`evaluate_plan_many` do).  With ``tracer`` the
+    replay also records the event engine's trace records into it; a
+    traced replay runs the pure-Python kernel whatever the active mode.
     """
     import numpy as np
 
@@ -176,8 +190,14 @@ def evaluate_plan(
     wire_offset = 2 * topology.num_nodes
     inbox_cap = int(plan.inbox_base[p])
 
-    kernel = _kernel_mod.get_kernel()
-    mode = _kernel_mod.kernel_mode()
+    if tracer is None:
+        kernel = _kernel_mod.get_kernel()
+        mode = _kernel_mod.kernel_mode()
+        log = None
+    else:
+        kernel = _kernel_mod.replay_kernel
+        mode = "python"
+        log = []
     if mode == "jit":
         i32 = np.int32
         path_flat, path_start = binding.as_arrays()
@@ -312,8 +332,11 @@ def evaluate_plan(
         state["m_copy"],
         state["m_iter_ops"],
         state["m_iter_last"],
+        log,
     )
     now = float(now)
+    if log is not None:
+        _record_trace(log, plan, binding, tracer)
 
     finished = state["finished"]
     blocked = [rank for rank in range(p) if not finished[rank]]
@@ -334,6 +357,75 @@ def evaluate_plan(
         num_sends=num_sends,
         kernel=mode,
     )
+
+
+def _record_trace(
+    log: List[tuple], plan: FastPlan, binding: PlanBinding, tracer: "Tracer"
+) -> None:
+    """Rebuild the event engine's trace records from the kernel's log.
+
+    Each log entry becomes the records the engine emits at that point,
+    with the engine's fields in the engine's order: a send issue is the
+    fabric's ``xfer`` (node ids, link path, reservation window) then the
+    message layer's ``send``; a receive completion is ``recv``; a
+    round-entry boundary is the executor's ``span_begin`` /
+    ``span_end``.
+    """
+    lists = plan.list_views()
+    send_src = lists["send_src"]
+    send_dst = lists["send_dst"]
+    send_round = lists["send_round"]
+    send_nbytes = lists["send_nbytes"]
+    num_rounds = plan.num_rounds
+    round_phase = plan.round_phase
+    nodes = binding.nodes
+    path_flat = binding.path_flat
+    path_start = binding.path_start
+    record = tracer.record
+    # Kinds the tracer's filter drops are skipped before their fields
+    # are built; record() would drop them unseen anyway.
+    xfer = tracer.wants("xfer")
+    send = tracer.wants("send")
+    recv = tracer.wants("recv")
+    spans = tracer.wants(SPAN_BEGIN) or tracer.wants(SPAN_END)
+    for code, ident, time, a, b in log:
+        if code == LOG_SEND:
+            if xfer:
+                record(time, "xfer", {
+                    "src": nodes[send_src[ident]],
+                    "dst": nodes[send_dst[ident]],
+                    "nbytes": send_nbytes[ident],
+                    "links": tuple(
+                        path_flat[path_start[ident]:path_start[ident + 1]]
+                    ),
+                    "start": a,
+                    "finish": b,
+                })
+            if send:
+                record(time, "send", {
+                    "src": send_src[ident],
+                    "dst": send_dst[ident],
+                    "tag": send_round[ident],
+                    "nbytes": send_nbytes[ident],
+                    "start": a,
+                    "finish": b,
+                })
+        elif code == LOG_RECV:
+            if recv:
+                record(time, "recv", {
+                    "rank": send_dst[ident],
+                    "src": send_src[ident],
+                    "tag": send_round[ident],
+                    "nbytes": send_nbytes[ident],
+                    "waited": a,
+                })
+        elif spans:
+            rank, rnd = divmod(ident, num_rounds)
+            record(
+                time,
+                SPAN_BEGIN if code == LOG_BEGIN else SPAN_END,
+                {"name": round_phase[rnd], "rank": rank, "round": rnd},
+            )
 
 
 def _report_from_state(p: int, num_rounds: int, state: dict) -> MetricsReport:

@@ -18,6 +18,24 @@ arithmetic path to keep bit-identical to the event engine — the golden
 sha256 fixtures and the randomized differential grid pin all of:
 event engine, python kernel, and (when numba is installed) jit kernel.
 
+Tracing: the kernel's last argument is an optional event log (a list,
+or ``None`` when the run is untraced).  Every log site sits behind
+``log is not None`` — numba prunes those branches when it compiles the
+untraced kernel, and the pure-Python mode pays one ``None`` check per
+site.  The kernel appends ``(code, id, time, a, b)`` tuples:
+
+* ``(LOG_SEND, sid, t, start, finish)`` when send ``sid`` is issued;
+* ``(LOG_RECV, sid, t, wait, 0.0)`` when the receive matching ``sid``
+  completes at its destination rank;
+* ``(LOG_BEGIN, entry, t, 0.0, 0.0)`` / ``(LOG_END, entry, t, 0.0,
+  0.0)`` when a rank enters / leaves its slice of a round, where
+  ``entry = rank * num_rounds + round``.
+
+Log order is replay order, which is the event engine's record order;
+:mod:`repro.fastpath.evaluator` rebuilds the engine's trace records
+from it.  Traced replays always run in the python mode, so numba only
+ever compiles the kernel with ``log=None``.
+
 Mode selection — ``REPRO_FASTPATH_JIT``:
 
 * unset / ``auto`` — use numba when importable, silently fall back
@@ -68,6 +86,12 @@ EV_RECV_DONE = 4
 OP_SEND = 0
 OP_RECV = 1
 OP_WAIT = 2
+
+# Event-log record codes (first element of each log tuple).
+LOG_SEND = 0
+LOG_RECV = 1
+LOG_BEGIN = 2
+LOG_END = 3
 
 
 def replay_kernel(
@@ -122,6 +146,8 @@ def replay_kernel(
     m_copy,
     m_iter_ops,
     m_iter_last,
+    # -- optional event log (None = untraced) ----------------------------
+    log,
 ):
     """Replay the plan; returns the virtual completion time.
 
@@ -185,6 +211,8 @@ def replay_kernel(
                 m_iter_ops[rank * num_rounds + it] += 1
                 if now > m_iter_last[it]:
                     m_iter_last[it] = now
+                if log is not None:
+                    log.append((LOG_RECV, sid, now, wait, 0.0))
                 adv = rank
         elif code == EV_RECV_DONE:
             rank = arg
@@ -199,6 +227,8 @@ def replay_kernel(
             m_iter_ops[rank * num_rounds + it] += 1
             if now > m_iter_last[it]:
                 m_iter_last[it] = now
+            if log is not None:
+                log.append((LOG_RECV, sid, now, pending_wait[rank], 0.0))
             adv = rank
         elif code == EV_SEND_ISSUE:
             sid = arg
@@ -249,6 +279,8 @@ def replay_kernel(
             m_iter_ops[src_r * num_rounds + it] += 1
             if t > m_iter_last[it]:
                 m_iter_last[it] = t
+            if log is not None:
+                log.append((LOG_SEND, sid, t, start, finish))
             # The engine schedules completion via succeed(delay=finish -
             # now), so the heap time is t + (finish - t) — kept verbatim.
             heappush(heap, (t + (finish - t), seq, EV_COMPLETION, sid))
@@ -265,9 +297,27 @@ def replay_kernel(
             t = now
             while True:
                 if i >= end:
+                    if log is not None:
+                        if end > op_start[rank]:
+                            last = end - 1
+                            rnd = op_aux[last] if op_code[last] == OP_RECV else send_round[op_arg[last]]
+                            log.append((LOG_END, rank * num_rounds + rnd, t, 0.0, 0.0))
                     op_ptr[rank] = end
                     finished[rank] = 1
                     break
+                if log is not None:
+                    # A rank's ops run round by round, one slice per
+                    # round: an op whose round differs from its
+                    # predecessor's closes one slice and opens the next.
+                    rnd = op_aux[i] if op_code[i] == OP_RECV else send_round[op_arg[i]]
+                    if i == op_start[rank]:
+                        log.append((LOG_BEGIN, rank * num_rounds + rnd, t, 0.0, 0.0))
+                    else:
+                        last = i - 1
+                        prev = op_aux[last] if op_code[last] == OP_RECV else send_round[op_arg[last]]
+                        if prev != rnd:
+                            log.append((LOG_END, rank * num_rounds + prev, t, 0.0, 0.0))
+                            log.append((LOG_BEGIN, rank * num_rounds + rnd, t, 0.0, 0.0))
                 oc = op_code[i]
                 if oc == OP_SEND:
                     sid = op_arg[i]
@@ -324,6 +374,8 @@ def replay_kernel(
                     m_iter_ops[src_r * num_rounds + it] += 1
                     if t > m_iter_last[it]:
                         m_iter_last[it] = t
+                    if log is not None:
+                        log.append((LOG_SEND, sid, t, start, finish))
                     heappush(heap, (t + (finish - t), seq, EV_COMPLETION, sid))
                     seq += 1
                     i += 1
@@ -443,6 +495,7 @@ def _smoke_check(kernel: Callable[..., float]) -> None:
         np.zeros(1, dtype=f64),
         np.zeros(1, dtype=i64),
         np.full(1, -1.0, dtype=f64),
+        None,
     )
     if elapsed != 0.0:  # pragma: no cover - sanity net
         raise RuntimeError(f"kernel smoke check returned {elapsed!r}, expected 0.0")

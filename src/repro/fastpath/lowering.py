@@ -76,6 +76,8 @@ class FastPlan:
     op_arg: Any
     op_aux: Any
     op_start: Any
+    #: Phase name of each round — the span names of traced replays.
+    round_phase: Tuple[str, ...]
     #: int32[p + 1] inbox segment bases: rank ``r``'s inbox occupies
     #: ``[inbox_base[r], inbox_base[r + 1])`` of the evaluator's flat
     #: store (capacity = number of sends destined to ``r``).
@@ -192,6 +194,7 @@ class FastPlan:
             op_arg=self.op_arg,
             op_aux=self.op_aux,
             op_start=self.op_start,
+            round_phase=self.round_phase,
             inbox_base=self.inbox_base,
             msg_members=self.msg_members,
             msg_start=self.msg_start,
@@ -352,6 +355,11 @@ def lower_schedule(schedule: "Schedule") -> FastPlan:
         op_arg=np.asarray(op_arg, dtype=i32),
         op_aux=np.asarray(op_aux, dtype=i32),
         op_start=np.asarray(op_start, dtype=i32),
+        round_phase=tuple(
+            name
+            for name, first, last in schedule.phases()
+            for _ in range(first, last + 1)
+        ),
         inbox_base=inbox_base,
         msg_members=msg_members_a,
         msg_start=msg_start_a,

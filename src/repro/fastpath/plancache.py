@@ -54,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.algorithms.base import BroadcastAlgorithm
     from repro.core.problem import BroadcastProblem
     from repro.core.schedule import Schedule
+    from repro.simulator.trace import Tracer
 
 __all__ = [
     "FastOutcome",
@@ -252,13 +253,16 @@ def evaluate_problem(
     contention: bool = True,
     validate: bool = True,
     verify: bool = True,
+    tracer: Optional["Tracer"] = None,
 ) -> FastOutcome:
     """Build-or-reuse the lowering for ``(problem, algorithm)`` and replay.
 
     The fast-path equivalent of the runner's build → validate →
     simulate → verify pipeline, with the first two stages (and the
     verification verdict) amortized across every point that shares this
-    problem's machine spec, algorithm and source placement.  Raises
+    problem's machine spec, algorithm and source placement.  A
+    ``tracer`` receives the event engine's trace records for the
+    replay (see :func:`~repro.fastpath.evaluator.evaluate_plan`).  Raises
     exactly what the un-cached pipeline would: ``AlgorithmError`` from
     build/validate, ``DeadlockError`` from the replay,
     ``VerificationError`` from the delivery check.
@@ -280,7 +284,7 @@ def evaluate_problem(
             validated=validate,
         )
         return _replay(entry, plan, problem, machine, seed, contention,
-                       verify, "bypass")
+                       verify, "bypass", tracer)
 
     sig = _size_sig(problem)
     key_base = (spec, algorithm.name, problem.sources)
@@ -313,7 +317,7 @@ def evaluate_problem(
 
     plan = entry.plan_for(sig, problem)
     return _replay(entry, plan, problem, machine, seed, contention,
-                   verify, verdict)
+                   verify, verdict, tracer)
 
 
 def _replay(
@@ -325,11 +329,13 @@ def _replay(
     contention: bool,
     verify: bool,
     verdict: str,
+    tracer: Optional["Tracer"],
 ) -> FastOutcome:
     """Kernel replay + delivery check, shared by all cache verdicts."""
     binding = entry.binding_for(machine, seed)
     fast = evaluate_plan(
-        plan, machine, seed=seed, contention=contention, binding=binding
+        plan, machine, seed=seed, contention=contention, binding=binding,
+        tracer=tracer,
     )
     if verify:
         failure = entry.verify_failure(problem)

@@ -382,8 +382,15 @@ def representative_point(config) -> Optional[Dict[str, object]]:
 
 
 def _link_heatmap(point: Dict[str, object]) -> Optional[str]:
-    """ASCII link heatmap for the representative point (event engine)."""
+    """ASCII link heatmap for the representative point.
+
+    The traced run takes the default engine (the fast path, which
+    records the event engine's ``xfer`` records).  A point the program
+    rejects drops the heatmap from the page; any other failure is a bug
+    and propagates.
+    """
     import repro
+    from repro.errors import ReproError
     from repro.machines import machine_from_spec
     from repro.obs import link_usage, render_link_heatmap
     from repro.simulator.trace import Tracer
@@ -402,7 +409,7 @@ def _link_heatmap(point: Dict[str, object]) -> Optional[str]:
         )
         usage = link_usage(tracer.records, topology=machine.topology)
         return render_link_heatmap(usage, topology=machine.topology, k=10)
-    except Exception:  # pragma: no cover - heatmap is best-effort garnish
+    except ReproError:  # pragma: no cover - no committed point raises
         return None
 
 
@@ -499,7 +506,7 @@ def render_experiment_html(
                 f'<p class="sub">{_esc(point["algorithm"])} on '
                 f'{_esc(point["machine"])}, {_esc(point["dist"])} '
                 f"distribution, s = {point['s']}, L = {point['L']} B "
-                "(event-engine trace)</p>"
+                "(traced run)</p>"
             )
             parts.append(f"<pre>{_esc(heatmap)}</pre>")
     parts.append("<h2>Reproduce</h2>")

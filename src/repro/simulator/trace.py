@@ -64,6 +64,10 @@ class Tracer:
         self.records: List[TraceRecord] = []
         self.truncated = False
 
+    def wants(self, kind: str) -> bool:
+        """Whether the kind filter keeps records of ``kind``."""
+        return self._kinds is None or kind in self._kinds
+
     def record(self, time: float, kind: str, fields: Dict[str, Any]) -> None:
         """Store one record (subject to the kind filter and limit)."""
         if self._kinds is not None and kind not in self._kinds:

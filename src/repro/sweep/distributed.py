@@ -515,7 +515,7 @@ def _evaluate_unit(
         try:
             if queue.observe:
                 result_dict, seconds, observation = evaluate_point_observed(
-                    payload
+                    payload, queue.engine
                 )
             else:
                 result_dict, seconds = evaluate_point(payload, queue.engine)
@@ -723,7 +723,7 @@ def _collect(
             payload = point.payload()
             if observe:
                 result_dict, seconds, observation = evaluate_point_observed(
-                    payload
+                    payload, queue.engine
                 )
             else:
                 result_dict, seconds = evaluate_point(payload, queue.engine)
@@ -797,11 +797,6 @@ def run_sharded(
     if engine not in ENGINES:
         raise ConfigurationError(
             f"engine must be one of {ENGINES}, got {engine!r}"
-        )
-    if observe and engine == "fast":
-        raise ConfigurationError(
-            "observe=True requires the event engine (tracing is not "
-            "supported by the fast path); use engine='auto' or 'event'"
         )
     shards = int(shards)
     if shards < 1:

@@ -151,7 +151,7 @@ def evaluate_point_batch(
 
 
 def evaluate_point_batch_observed(
-    payloads: Sequence[Dict[str, Any]]
+    payloads: Sequence[Dict[str, Any]], engine: str = "auto"
 ) -> List[Tuple[Dict[str, Any], float, Dict[str, Any]]]:
     """Observed counterpart of :func:`evaluate_point_batch`.
 
@@ -161,21 +161,23 @@ def evaluate_point_batch_observed(
     both through :func:`SweepExecutor._plan_batches` keeps one code
     path, cuts per-point pickling/IPC overhead, and keeps batch shapes
     identical whether or not observation is on (so turning ``observe``
-    on never changes which points share a worker, and any future plan
-    reuse in the traced engine amortizes the same way).  Each point
-    still evaluates through :func:`evaluate_point_observed`, so results
-    are bit-identical to the per-point path.
+    on never changes which points share a worker, and traced fast-path
+    replays amortize their plans the same way).  Each point still
+    evaluates through :func:`evaluate_point_observed`, so results are
+    bit-identical to the per-point path.
     """
-    return [evaluate_point_observed(payload) for payload in payloads]
+    return [evaluate_point_observed(payload, engine) for payload in payloads]
 
 
 def evaluate_point_observed(
-    payload: Dict[str, Any]
+    payload: Dict[str, Any], engine: str = "auto"
 ) -> Tuple[Dict[str, Any], float, Dict[str, Any]]:
     """Like :func:`evaluate_point`, plus an observation summary.
 
     The run is traced with a full :class:`~repro.simulator.trace.Tracer`
-    and digested through :func:`repro.obs.summary.summarize_trace`.
+    on ``engine`` and digested through
+    :func:`repro.obs.summary.summarize_trace`.  Both engines record the
+    same trace, so the summary does not depend on the engine either.
     Trace records never influence simulated time, so the result dict is
     byte-identical to :func:`evaluate_point`'s — which is what lets an
     observed sweep share cache entries with an unobserved one (the
@@ -195,6 +197,7 @@ def evaluate_point_observed(
         faults=point.faults,
         recover=point.recover,
         tracer=tracer,
+        engine=engine,
     )
     seconds = time.perf_counter() - start
     observation = {
@@ -232,8 +235,9 @@ class SweepExecutor:
         | ``"fast"``, see :func:`~repro.core.runner.run_broadcast`).
         Engine choice is **cache-key neutral**: results are bit-identical
         across engines, so sweeps with different engines share cache
-        entries.  Incompatible with ``observe=True`` when forced to
-        ``"fast"`` (tracing needs the event engine).
+        entries.  Observed points run on this engine too: both engines
+        record the same trace, so observation summaries are equal
+        across engines as well.
 
     Attributes
     ----------
@@ -258,11 +262,6 @@ class SweepExecutor:
         if engine not in ENGINES:
             raise ConfigurationError(
                 f"engine must be one of {ENGINES}, got {engine!r}"
-            )
-        if observe and engine == "fast":
-            raise ConfigurationError(
-                "observe=True requires the event engine (tracing is not "
-                "supported by the fast path); use engine='auto' or 'event'"
             )
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
@@ -321,12 +320,12 @@ class SweepExecutor:
             # work either way.  functools.partial stays picklable for
             # the process pool; the engine rides as an argument, never
             # in the payload, keeping cache keys engine-free.
-            if self.observe:
-                evaluate = evaluate_point_batch_observed
-            else:
-                evaluate = functools.partial(
-                    evaluate_point_batch, engine=self.engine
-                )
+            evaluate = functools.partial(
+                evaluate_point_batch_observed
+                if self.observe
+                else evaluate_point_batch,
+                engine=self.engine,
+            )
             if self.jobs > 1 and len(batches) > 1:
                 workers = min(self.jobs, len(batches))
                 with ProcessPoolExecutor(max_workers=workers) as pool:

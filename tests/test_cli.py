@@ -247,6 +247,6 @@ class TestReportCLI:
         assert "sweep: " not in out
 
     def test_docs_target_reports_executor_errors(self, capsys):
-        code = repro_main(["report", "docs", "--observe", "--engine", "fast"])
+        code = repro_main(["report", "docs", "--jobs", "0"])
         assert code == 2
-        assert "requires the event engine" in capsys.readouterr().err
+        assert "jobs must be >= 1" in capsys.readouterr().err

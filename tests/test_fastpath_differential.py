@@ -12,7 +12,11 @@ tests exercise that promise three ways:
 * sweep-level agreement: serial and ``jobs=4`` executors forced to
   ``event``, ``fast`` and ``auto`` all produce the same results;
 * cache-key neutrality: entries written by an event-engine sweep are
-  served verbatim to a fast-engine sweep (and vice versa).
+  served verbatim to a fast-engine sweep (and vice versa);
+* traced replays: with a tracer attached, the fast path records the
+  event engine's trace — equal ``(time, kind, fields)`` record lists and
+  ``truncated`` flags under full, kind-filtered and size-limited
+  tracers — and still returns the same result bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ import repro
 from repro.core.problem import BroadcastProblem
 from repro.core.runner import run_broadcast
 from repro.errors import ReproError
-from repro.machines import machine_from_spec
+from repro.machines import machine_from_spec, paragon
+from repro.machines.paragon import PARAGON_PARAMS
+from repro.simulator.trace import Tracer
 from repro.sweep import ResultCache, SweepExecutor, SweepSpec
 
 #: Pools the seeded sampler draws from.  Machines cover both wormhole
@@ -117,6 +123,66 @@ def test_fast_engine_matches_event_engine(
         problem, alg, seed=seed, contention=contention, engine="fast"
     )
     assert _blob(fast) == _blob(event)
+
+
+#: Tracer shapes the traced differential runs under: full capture, a
+#: kind filter (the report heatmap's) and a limit that truncates.
+TRACERS = {
+    "full": lambda: Tracer(),
+    "xfer-only": lambda: Tracer(kinds=("xfer",)),
+    "limit50": lambda: Tracer(limit=50),
+}
+
+
+def _assert_traced_engines_agree(problem, alg, seed, contention, make_tracer):
+    """Fast and event engine: equal records, truncation and result bytes."""
+    event_tracer = make_tracer()
+    try:
+        event = run_broadcast(
+            problem, alg, seed=seed, contention=contention, engine="event",
+            tracer=event_tracer,
+        )
+    except ReproError as exc:
+        with pytest.raises(type(exc)):
+            run_broadcast(
+                problem, alg, seed=seed, contention=contention,
+                engine="fast", tracer=make_tracer(),
+            )
+        return
+    fast_tracer = make_tracer()
+    fast = run_broadcast(
+        problem, alg, seed=seed, contention=contention, engine="fast",
+        tracer=fast_tracer,
+    )
+    assert [(r.time, r.kind, r.fields) for r in fast_tracer] == [
+        (r.time, r.kind, r.fields) for r in event_tracer
+    ]
+    assert fast_tracer.truncated == event_tracer.truncated
+    assert _blob(fast) == _blob(event)
+
+
+@pytest.mark.parametrize("tracer", sorted(TRACERS))
+@pytest.mark.parametrize(
+    "spec,dist,alg,sources,L,seed,contention", _POINTS, ids=_IDS
+)
+def test_traced_fast_engine_matches_event_engine(
+    spec, dist, alg, sources, L, seed, contention, tracer
+):
+    problem = BroadcastProblem(
+        machine=machine_from_spec(spec), sources=sources, message_size=L
+    )
+    _assert_traced_engines_agree(problem, alg, seed, contention, TRACERS[tracer])
+
+
+@pytest.mark.parametrize("contention", [True, False], ids=["cont", "nocont"])
+@pytest.mark.parametrize("alg", ["Br_Lin", "2-Step", "PersAlltoAll"])
+def test_traced_store_and_forward_matches_event_engine(alg, contention):
+    """The per-hop reservation chain traces identically (ad-hoc machine)."""
+    machine = paragon(
+        4, 4, params=PARAGON_PARAMS.with_overrides(switching="store_and_forward")
+    )
+    problem = BroadcastProblem(machine, (0, 5, 10, 15), message_size=1024)
+    _assert_traced_engines_agree(problem, alg, 1, contention, TRACERS["full"])
 
 
 def test_warm_plan_cache_replay_matches_event_engine():

@@ -2,10 +2,11 @@
 
 ``run_broadcast(engine="auto")`` must fall back to the event engine
 whenever a run carries something the fast path cannot model — faults,
-recovery, tracing — and must take the fast path on clean runs.  An
-explicit ``engine="fast"`` on such a run must fail loudly with
+recovery — and must take the fast path on every other run, traced or
+not.  An explicit ``engine="fast"`` on such a run must fail loudly with
 :class:`~repro.errors.UnsupportedFastPathError` (these tests pin the
-message, which names every blocker).
+message, which names every blocker).  Traced and observed runs on the
+fast path must record what the event engine records.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from repro.errors import (
     UnsupportedFastPathError,
 )
 from repro.machines import machine_from_spec
+from repro.obs.summary import summarize_trace
 from repro.simulator.trace import Tracer
-from repro.sweep import SweepExecutor
+from repro.sweep import ResultCache, SweepExecutor, SweepSpec
 
 FAULTS = "degrade:links=0.25,factor=4"
 GOLDEN_REPORTS = Path(__file__).parent / "golden" / "experiments_quick.json"
@@ -42,6 +44,21 @@ def _problem():
 
 def _blob(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def _records(tracer):
+    return [(r.time, r.kind, r.fields) for r in tracer.records]
+
+
+def _points():
+    return SweepSpec(
+        machines=("paragon:4x4", "t3d:16"),
+        distributions=("E",),
+        s_values=(4,),
+        message_sizes=(256,),
+        algorithms=("Br_Lin", "2-Step"),
+        seeds=(0,),
+    ).points()
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +81,8 @@ def test_fast_with_recovery_raises():
         )
 
 
-def test_fast_with_tracer_raises():
-    with pytest.raises(UnsupportedFastPathError, match="tracing"):
-        run_broadcast(_problem(), "Br_Lin", tracer=Tracer(), engine="fast")
-
-
 def test_fast_error_names_every_blocker():
+    """Faults and recovery are the only blockers; a tracer is not one."""
     with pytest.raises(UnsupportedFastPathError) as excinfo:
         run_broadcast(
             _problem(),
@@ -80,7 +93,7 @@ def test_fast_error_names_every_blocker():
             engine="fast",
         )
     assert str(excinfo.value) == (
-        "engine='fast' does not support faults, recovery, tracing; "
+        "engine='fast' does not support faults, recovery; "
         "use engine='auto' or engine='event'"
     )
 
@@ -108,7 +121,8 @@ def _forbid_fast_path(monkeypatch):
     monkeypatch.setattr(repro.fastpath, "evaluate_problem", _boom)
 
 
-def test_auto_uses_fast_path_on_clean_runs(monkeypatch):
+def _spy_fast_path(monkeypatch):
+    """Record the keyword arguments of every fast-path evaluation."""
     calls = []
     real = repro.fastpath.evaluate_problem
 
@@ -117,6 +131,11 @@ def test_auto_uses_fast_path_on_clean_runs(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(repro.fastpath, "evaluate_problem", _spy)
+    return calls
+
+
+def test_auto_uses_fast_path_on_clean_runs(monkeypatch):
+    calls = _spy_fast_path(monkeypatch)
     result = run_broadcast(_problem(), "Br_Lin", seed=2, engine="auto")
     assert len(calls) == 1
     assert calls[0]["seed"] == 2
@@ -130,16 +149,36 @@ def test_auto_uses_fast_path_on_clean_runs(monkeypatch):
     [
         {"faults": FAULTS},
         {"faults": FAULTS, "recover": True},
-        {"tracer": Tracer()},
         {"faults": FAULTS, "recover": True, "tracer": Tracer()},
     ],
-    ids=["faults", "faults+recover", "tracing", "all-blockers"],
+    ids=["faults", "faults+recover", "all-blockers"],
 )
 def test_auto_falls_back_to_event_engine(monkeypatch, kwargs):
     _forbid_fast_path(monkeypatch)
     result = run_broadcast(_problem(), "Br_Lin", engine="auto", **kwargs)
     event = run_broadcast(_problem(), "Br_Lin", engine="event", **kwargs)
     assert _blob(result) == _blob(event)
+
+
+@pytest.mark.parametrize("engine", ["auto", "fast"])
+def test_traced_run_takes_the_fast_path(monkeypatch, engine):
+    """A tracer no longer blocks the fast path: same records, same bits."""
+    calls = _spy_fast_path(monkeypatch)
+    fast_tracer = Tracer()
+    fast = run_broadcast(_problem(), "Br_Lin", tracer=fast_tracer, engine=engine)
+    assert len(calls) == 1 and calls[0]["tracer"] is fast_tracer
+    assert fast.debug["engine"] == "fast"
+    event_tracer = Tracer()
+    event = run_broadcast(
+        _problem(), "Br_Lin", tracer=event_tracer, engine="event"
+    )
+    assert len(calls) == 1
+    assert _blob(fast) == _blob(event)
+    assert _records(fast_tracer) == _records(event_tracer)
+    topology = _problem().machine.topology
+    assert summarize_trace(fast_tracer, topology=topology) == summarize_trace(
+        event_tracer, topology=topology
+    )
 
 
 def test_explicit_event_engine_never_touches_fast_path(monkeypatch):
@@ -157,20 +196,69 @@ def test_sweep_executor_rejects_unknown_engine():
         SweepExecutor(engine="warp")
 
 
-def test_sweep_executor_rejects_observe_with_fast():
-    with pytest.raises(ConfigurationError, match="observe=True requires"):
-        SweepExecutor(observe=True, engine="fast")
+def test_sweep_executor_observes_on_the_fast_path(monkeypatch, tmp_path):
+    """observe=True with engine="fast": fast replays, event-equal output."""
+    points = _points()
+    calls = _spy_fast_path(monkeypatch)
+    fast = SweepExecutor(
+        observe=True, engine="fast", cache=ResultCache(tmp_path / "fast")
+    )
+    fast_results = fast.run(points)
+    assert len(calls) == len(points)
+    assert all(isinstance(call["tracer"], Tracer) for call in calls)
+    event = SweepExecutor(
+        observe=True, engine="event", cache=ResultCache(tmp_path / "event")
+    )
+    event_results = event.run(points)
+    assert len(calls) == len(points)
+    assert [_blob(r) for r in fast_results] == [_blob(r) for r in event_results]
+    assert fast.last_observations == event.last_observations
+    assert all(obs["summary"] for obs in fast.last_observations)
+    # The stored <key>.obs.json summaries are byte-equal too.
+    for point in points:
+        name = f"{point.key()}.obs.json"
+        [fast_obs] = (tmp_path / "fast").rglob(name)
+        [event_obs] = (tmp_path / "event").rglob(name)
+        assert fast_obs.read_bytes() == event_obs.read_bytes()
 
 
-def test_report_cli_rejects_observe_with_fast(capsys, tmp_path):
+def test_observed_sweep_honours_event_engine(monkeypatch):
+    _forbid_fast_path(monkeypatch)
+    executor = SweepExecutor(observe=True, engine="event")
+    results = executor.run(_points())
+    assert all(r.complete for r in results)
+    assert all(obs["summary"] for obs in executor.last_observations)
+
+
+def _strip_report_output(text: str) -> str:
+    """Report stdout without wall-clock progress and output-path lines."""
+    return "\n".join(
+        line for line in text.splitlines()
+        if not line.startswith(("sweep:", "wrote "))
+    )
+
+
+def test_report_cli_observes_on_the_fast_path(monkeypatch, capsys, tmp_path):
+    """``report --observe --engine fast`` renders what the event engine does."""
     from repro.pipeline.cli import main
 
-    code = main(
-        ["--observe", "--engine", "fast", "--out", str(tmp_path), "fig1"]
-    )
-    assert code == 2
-    assert "requires the event engine" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    calls = _spy_fast_path(monkeypatch)
+    outputs = {}
+    for engine in ("fast", "event"):
+        code = main([
+            "--quick", "--no-cache", "--observe", "--engine", engine,
+            "--out", str(tmp_path / engine), "fig7",
+        ])
+        assert code == 0
+        outputs[engine] = _strip_report_output(capsys.readouterr().out)
+        if engine == "fast":
+            assert calls and all(call["tracer"] is not None for call in calls)
+    assert "observed points:" in outputs["fast"]
+    assert outputs["fast"] == outputs["event"]
+    for page in ("fig7.html", "index.html"):
+        assert (tmp_path / "fast" / page).read_bytes() == (
+            tmp_path / "event" / page
+        ).read_bytes()
 
 
 def test_unshippable_measurements_honour_executor_engine(monkeypatch):

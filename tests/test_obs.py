@@ -7,7 +7,8 @@ The load-bearing guarantees tested here:
 * observability is **free when off** — a traced run returns the exact
   same result JSON as an untraced one (pinned per point by the
   ``tests/golden/trace_golden.json`` fixture, alongside the canonical
-  trace hash itself);
+  trace hash itself, which both the event engine and the fast path
+  reproduce);
 * truncated traces say so in the export metadata and warn once.
 """
 
@@ -46,7 +47,7 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "trace_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 
-def _run_point(key: str, tracer=None):
+def _run_point(key: str, tracer=None, engine="auto"):
     spec, algorithm, s_part, L_part, seed_part = key.split("|")
     s = int(s_part.split("=")[1])
     L = int(L_part.split("=")[1])
@@ -55,7 +56,9 @@ def _run_point(key: str, tracer=None):
     problem = BroadcastProblem(
         machine=machine, sources=tuple(range(s)), message_size=L
     )
-    return machine, run_broadcast(problem, algorithm, seed=seed, tracer=tracer)
+    return machine, run_broadcast(
+        problem, algorithm, seed=seed, tracer=tracer, engine=engine
+    )
 
 
 def _traced(machine_spec="paragon:4x4", algorithm="Br_Lin", s=4, L=512):
@@ -224,10 +227,11 @@ class TestChromeExport:
 class TestGoldenTraces:
     """Pin exported traces AND traced-run results by sha256."""
 
+    @pytest.mark.parametrize("engine", ["event", "fast"])
     @pytest.mark.parametrize("key", sorted(GOLDEN))
-    def test_trace_and_result_match_golden(self, key):
+    def test_trace_and_result_match_golden(self, key, engine):
         tracer = Tracer()
-        machine, result = _run_point(key, tracer=tracer)
+        machine, result = _run_point(key, tracer=tracer, engine=engine)
         trace = export_chrome_trace(tracer, topology=machine.topology)
         blob = canonical_json(trace)
         expect = GOLDEN[key]

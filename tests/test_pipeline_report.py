@@ -118,6 +118,11 @@ class TestExperimentHtml:
         assert "with art" in page
         assert RESULT.series[0].to_table().splitlines()[-1].strip() in page
 
+    def test_figure_page_carries_the_link_heatmap(self, configs):
+        page = render_experiment_html(configs["fig7"], RESULT)
+        assert "<h2>Link utilization (representative point)</h2>" in page
+        assert "(no traced transfers)" not in page
+
     def test_index_links_every_entry(self, tmp_path):
         page = render_index_html([(None, RESULT)])
         assert 'href="Demo figure.html"' in page

@@ -35,6 +35,7 @@ from repro.sweep.distributed import (
     run_sharded,
     run_worker,
 )
+from tests.test_fastpath_fallback import _forbid_fast_path, _spy_fast_path
 
 #: The acceptance grid: the full 8×8 mesh, both source shapes the paper
 #: leans on, three schedule families, 16 points.
@@ -58,6 +59,15 @@ def fingerprint(result):
         result.link_utilization,
         result.metrics.to_json_dict(),
     )
+
+
+def _kill_all(workers):
+    """``worker_hook`` that SIGKILLs every spawned shard at once."""
+    for proc in workers:
+        try:
+            os.kill(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 @pytest.fixture(scope="module")
@@ -116,15 +126,48 @@ class TestShardedDifferential:
         with pytest.raises(ConfigurationError, match="shared result cache"):
             run_sharded(points[:1], shards=2, cache=None)
 
-    def test_observe_fast_rejected(self, points, tmp_path):
-        with pytest.raises(ConfigurationError, match="event engine"):
-            run_sharded(
-                points[:1],
+    def test_observe_fast_matches_event(self, points, tmp_path, monkeypatch):
+        """Observed sharded runs take the fast path and equal the event engine.
+
+        The spawned worker is killed at once, so the coordinator drains
+        the queue in-process where the spy can see the engine used.
+        """
+        calls = _spy_fast_path(monkeypatch)
+        outcomes = {
+            engine: run_sharded(
+                points[:2],
                 shards=1,
-                cache=ResultCache(tmp_path),
-                engine="fast",
+                cache=ResultCache(tmp_path / engine),
+                engine=engine,
                 observe=True,
+                lease_ttl_s=0.6,
+                worker_hook=_kill_all,
             )
+            for engine in ("fast", "event")
+        }
+        assert len(calls) == 2
+        assert all(call["tracer"] is not None for call in calls)
+        fast, event = outcomes["fast"], outcomes["event"]
+        assert [r.to_dict() for r in fast.results] == [
+            r.to_dict() for r in event.results
+        ]
+        assert all(obs["summary"] for obs in fast.observations)
+        assert fast.observations == event.observations
+
+    def test_observe_honours_event_engine(self, points, tmp_path, monkeypatch):
+        """The coordinator, draining in-process, keeps the queue's engine."""
+        _forbid_fast_path(monkeypatch)
+        outcome = run_sharded(
+            points[:2],
+            shards=1,
+            cache=ResultCache(tmp_path),
+            engine="event",
+            observe=True,
+            lease_ttl_s=0.6,
+            worker_hook=_kill_all,
+        )
+        assert all(r.complete for r in outcome.results)
+        assert all(obs["summary"] for obs in outcome.observations)
 
 
 class TestWorkerDeath:
@@ -167,16 +210,9 @@ class TestWorkerDeath:
         # Both shards die instantly; the coordinator is the worker of
         # last resort and drains the queue in-process.
         cache = ResultCache(tmp_path / "cache")
-
-        def hook(workers):
-            for proc in workers:
-                try:
-                    os.kill(proc.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-
         outcome = run_sharded(
-            points, shards=2, cache=cache, lease_ttl_s=0.6, worker_hook=hook
+            points, shards=2, cache=cache, lease_ttl_s=0.6,
+            worker_hook=_kill_all,
         )
         assert [fingerprint(r) for r in outcome.results] == serial_results
 
