@@ -27,7 +27,7 @@ link 7       |.+@:|
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.network.topology import Topology
 from repro.simulator.trace import TraceRecord
@@ -65,18 +65,20 @@ class LinkUsage:
 
 
 def _overlaps(
-    series: List[float], start: float, finish: float, bin_us: float
-) -> None:
-    """Add interval ``[start, finish)``'s per-bin overlap to ``series``."""
+    start: float, finish: float, bin_us: float, bins: int
+) -> List[Tuple[int, float]]:
+    """Interval ``[start, finish)``'s ``(bin, overlap fraction)`` pairs."""
     if finish <= start:
-        return
+        return []
     first = int(start / bin_us)
-    last = min(int(finish / bin_us), len(series) - 1)
+    last = min(int(finish / bin_us), bins - 1)
+    out = []
     for b in range(first, last + 1):
         lo = max(start, b * bin_us)
         hi = min(finish, (b + 1) * bin_us)
         if hi > lo:
-            series[b] += (hi - lo) / bin_us
+            out.append((b, (hi - lo) / bin_us))
+    return out
 
 
 def link_usage(
@@ -90,6 +92,10 @@ def link_usage(
     ``topology`` (optional) restricts the series to wire links,
     dropping the per-node injection/ejection channels (ids below
     ``2 * num_nodes``); without it every reserved link id is kept.
+
+    A transfer holds its whole path for the same interval, so each
+    transfer's per-bin overlaps are computed once and added to every
+    wire link of its path.
     """
     xfers = [r for r in records if r.kind == "xfer"]
     horizon = max((r.fields["finish"] for r in xfers), default=0.0)
@@ -101,17 +107,21 @@ def link_usage(
     queue: Dict[int, List[float]] = {}
     for r in xfers:
         start = r.fields["start"]
-        finish = r.fields["finish"]
-        requested = r.time
+        held = _overlaps(start, r.fields["finish"], bin_us, bins)
+        # Waiting interval: requested but the path not yet acquired.
+        waited = _overlaps(r.time, start, bin_us, bins)
         for link in r.fields["links"]:
             if link < first_wire:
                 continue
             if link not in busy:
                 busy[link] = [0.0] * bins
                 queue[link] = [0.0] * bins
-            _overlaps(busy[link], start, finish, bin_us)
-            # Waiting interval: requested but the path not yet acquired.
-            _overlaps(queue[link], requested, start, bin_us)
+            series = busy[link]
+            for b, fraction in held:
+                series[b] += fraction
+            series = queue[link]
+            for b, fraction in waited:
+                series[b] += fraction
     return LinkUsage(bin_us=bin_us, bins=bins, busy=busy, queue=queue)
 
 

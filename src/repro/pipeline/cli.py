@@ -41,6 +41,9 @@ from repro.sweep import DEFAULT_CACHE_DIR, ResultCache, SweepExecutor
 
 __all__ = ["main", "build_executor"]
 
+#: Targets that stand for every config; each must be the only target.
+META_TARGETS = ("list", "all", "docs")
+
 
 def build_executor(
     jobs: Optional[int],
@@ -233,33 +236,33 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args) -> int:
-    """Run the targets ``args`` name; configuration errors propagate."""
-    config_dir = pathlib.Path(args.configs) if args.configs else DEFAULT_CONFIG_DIR
-    by_id = load_config_dir(config_dir)
-    configs = list(by_id.values())
+    """Run the targets ``args`` name; configuration errors propagate.
 
-    names = args.experiments
-    if names == ["list"] or not names:
+    The meta-targets load and validate every config; experiment ids
+    parse only their own files.
+    """
+    config_dir = pathlib.Path(args.configs) if args.configs else DEFAULT_CONFIG_DIR
+    names = list(dict.fromkeys(args.experiments)) or ["list"]
+    meta = [n for n in names if n in META_TARGETS]
+    if meta and len(names) > 1:
+        print(
+            f"error: meta-target {meta[0]!r} takes no other target "
+            f"(got: {' '.join(names)})",
+            file=sys.stderr,
+        )
+        return 2
+
+    selected = list(
+        load_config_dir(config_dir, ids=None if meta else names).values()
+    )
+    if names == ["list"]:
         print("config-driven experiments:")
-        for config in configs:
+        for config in selected:
             print(f"  {config.id:24s} {config.title}: {config.description}")
         print("meta-targets: all, docs")
         return 0
     if names == ["docs"]:
-        return _docs(configs, args, config_dir.parent)
-
-    if names == ["all"]:
-        selected = configs
-    else:
-        unknown = [n for n in names if n not in by_id]
-        if unknown:
-            print(
-                f"unknown experiment(s): {', '.join(unknown)}\n"
-                f"known: {', '.join(by_id)}",
-                file=sys.stderr,
-            )
-            return 2
-        selected = [by_id[n] for n in names]
+        return _docs(selected, args, config_dir.parent)
 
     if args.shards:
         if args.no_cache:

@@ -671,26 +671,66 @@ def load_config(path: "pathlib.Path | str") -> ExperimentConfig:
     return load_config_text(text, path=str(file_path))
 
 
-def load_config_dir(
-    directory: "pathlib.Path | str | None" = None,
-) -> Dict[str, ExperimentConfig]:
-    """Load every config under ``directory`` (default: repo ``configs/``).
+def _config_files(root: pathlib.Path) -> Dict[str, pathlib.Path]:
+    """``{experiment id: file}`` under ``root``, read from the file names.
 
-    Returns ``{experiment id: config}`` in filename order (the paper's
-    figure order by construction).  Duplicate ids are a defect.
+    Every config is named ``NN-<id>.toml``, so the ids are known without
+    parsing a file.  Filename order is the paper's figure order by
+    construction.  A file named otherwise, and two files for one id,
+    are defects.
     """
-    root = pathlib.Path(directory) if directory else DEFAULT_CONFIG_DIR
     if not root.is_dir():
         raise ConfigurationError(f"config directory {root} does not exist")
-    configs: Dict[str, ExperimentConfig] = {}
+    files: Dict[str, pathlib.Path] = {}
     for file_path in sorted(root.glob("*.toml")):
-        config = load_config(file_path)
-        if config.id in configs:
+        number, _, exp_id = file_path.stem.partition("-")
+        if not number.isdigit() or not exp_id:
             raise ConfigurationError(
-                f"{file_path}: duplicate experiment id {config.id!r} "
-                f"(also defined by {configs[config.id].path})"
+                f"{file_path}: config file names must be NN-<id>.toml"
             )
-        configs[config.id] = config
-    if not configs:
+        if exp_id in files:
+            raise ConfigurationError(
+                f"{file_path}: duplicate experiment id {exp_id!r} "
+                f"(also defined by {files[exp_id]})"
+            )
+        files[exp_id] = file_path
+    if not files:
         raise ConfigurationError(f"no *.toml configs found under {root}")
+    return files
+
+
+def load_config_dir(
+    directory: "pathlib.Path | str | None" = None,
+    ids: Optional[Sequence[str]] = None,
+) -> Dict[str, ExperimentConfig]:
+    """Load the configs under ``directory`` (default: repo ``configs/``).
+
+    Returns ``{experiment id: config}``.  Without ``ids``, every file is
+    parsed and validated, in filename order; the ``list``/``all``/
+    ``docs`` report targets and ``tools/check_experiments.py`` load this
+    way.  With ``ids`` (``report <id>...``), only the files of those ids
+    are parsed, in the order given, and the other configs go
+    unvalidated.  Ids are looked up by file name (``NN-<id>.toml``); an
+    id with no file is an error listing the known ids.  Each parsed file
+    must declare the id its name carries.
+    """
+    root = pathlib.Path(directory) if directory else DEFAULT_CONFIG_DIR
+    files = _config_files(root)
+    if ids is not None:
+        unknown = [exp_id for exp_id in ids if exp_id not in files]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown experiment(s): {', '.join(unknown)}\n"
+                f"known: {', '.join(files)}"
+            )
+        files = {exp_id: files[exp_id] for exp_id in ids}
+    configs: Dict[str, ExperimentConfig] = {}
+    for exp_id, file_path in files.items():
+        config = load_config(file_path)
+        if config.id != exp_id:
+            raise ConfigurationError(
+                f"{file_path}: declares experiment id {config.id!r} but its "
+                f"file name says {exp_id!r} (name it NN-{config.id}.toml)"
+            )
+        configs[exp_id] = config
     return configs

@@ -61,6 +61,43 @@ def _run_point(key: str, tracer=None, engine="auto"):
     )
 
 
+def _reference_overlaps(series, start, finish, bin_us):
+    """Add interval ``[start, finish)``'s per-bin overlap to ``series``."""
+    if finish <= start:
+        return
+    first = int(start / bin_us)
+    last = min(int(finish / bin_us), len(series) - 1)
+    for b in range(first, last + 1):
+        lo = max(start, b * bin_us)
+        hi = min(finish, (b + 1) * bin_us)
+        if hi > lo:
+            series[b] += (hi - lo) / bin_us
+
+
+def _reference_link_usage(records, *, bins=60, topology=None):
+    """``link_usage`` binning every interval again for each link it holds.
+
+    The reference the per-transfer binning must match bit for bit.
+    """
+    xfers = [r for r in records if r.kind == "xfer"]
+    horizon = max((r.fields["finish"] for r in xfers), default=0.0)
+    bin_us = horizon / bins
+    first_wire = 2 * topology.num_nodes if topology is not None else 0
+    busy, queue = {}, {}
+    for r in xfers:
+        for link in r.fields["links"]:
+            if link < first_wire:
+                continue
+            if link not in busy:
+                busy[link] = [0.0] * bins
+                queue[link] = [0.0] * bins
+            _reference_overlaps(busy[link], r.fields["start"],
+                                r.fields["finish"], bin_us)
+            _reference_overlaps(queue[link], r.time, r.fields["start"],
+                                bin_us)
+    return LinkUsage(bin_us=bin_us, bins=bins, busy=busy, queue=queue)
+
+
 def _traced(machine_spec="paragon:4x4", algorithm="Br_Lin", s=4, L=512):
     machine = machine_from_spec(machine_spec)
     problem = BroadcastProblem(
@@ -280,6 +317,49 @@ class TestLinkStats:
         assert "link utilization" in lines[0]
         assert len(lines) == 1 + min(3, len(usage.busy))
         assert all("|" in line for line in lines[1:])
+
+    @pytest.mark.parametrize("point", [
+        ("paragon:10x10", "wormhole", "Br_Lin", 30, 4096),
+        ("paragon:10x10", "store_and_forward", "2-Step", 20, 4096),
+        ("t3d:32", "wormhole", "Br_Lin", 12, 2048),
+    ], ids=["paragon-wormhole", "paragon-store-and-forward", "t3d"])
+    def test_traces_match_the_per_link_reference(self, point):
+        spec, switching, algorithm, s, L = point
+        machine = machine_from_spec(spec)
+        if switching != "wormhole":
+            from repro.machines.paragon import PARAGON_PARAMS, paragon
+
+            machine = paragon(10, 10, params=PARAGON_PARAMS.with_overrides(
+                switching=switching))
+        problem = BroadcastProblem(
+            machine=machine, sources=tuple(range(s)), message_size=L
+        )
+        tracer = Tracer(kinds=("xfer",))
+        run_broadcast(problem, algorithm, tracer=tracer)
+        usage = link_usage(tracer.records, topology=machine.topology)
+        want = _reference_link_usage(tracer.records, topology=machine.topology)
+        assert usage.busy and usage == want
+        assert list(usage.busy) == list(want.busy)
+
+    @pytest.mark.parametrize("bins", [1, 4, 7])
+    def test_synthetic_transfers_match_the_per_link_reference(self, bins):
+        def xfer(time, start, finish, links):
+            return TraceRecord(time, "xfer", {"links": links, "start": start,
+                                              "finish": finish})
+
+        records = [
+            xfer(3.0, 3.0, 3.0, (5, 9)),        # zero-length hold and wait
+            xfer(1.0, 27.5, 27.5, (9, 12)),     # wait over several bins
+            xfer(12.0, 15.0, 40.0, (5, 12)),    # ends at the horizon
+            TraceRecord(2.0, "send", {"src": 0}),
+            xfer(0.0, 0.0, 7.3, (1, 5, 1)),
+            xfer(0.7, 9.9, 30.1, (12,)),
+        ]
+        usage = link_usage(records, bins=bins)
+        want = _reference_link_usage(records, bins=bins)
+        assert (usage.bin_us, usage.bins) == (want.bin_us, want.bins)
+        assert usage.busy == want.busy and usage.queue == want.queue
+        assert list(usage.busy) == [5, 9, 12, 1]
 
     def test_queue_mode(self):
         usage = LinkUsage(

@@ -172,12 +172,44 @@ expected_checks = 1
             load_config_text(text)
 
     def test_duplicate_ids_rejected(self, tmp_path):
-        (tmp_path / "01-a.toml").write_text(_minimal(), encoding="utf-8")
-        (tmp_path / "02-b.toml").write_text(_minimal(), encoding="utf-8")
+        (tmp_path / "01-demo.toml").write_text(_minimal(), encoding="utf-8")
+        (tmp_path / "02-demo.toml").write_text(_minimal(), encoding="utf-8")
         with pytest.raises(ConfigurationError) as err:
             load_config_dir(tmp_path)
         assert "duplicate" in str(err.value)
-        assert "02-b.toml" in str(err.value)
+        assert "02-demo.toml" in str(err.value)
+
+    def test_duplicate_ids_rejected_by_id(self, tmp_path, capsys):
+        """``report <id>`` rejects the duplicate too."""
+        from repro.pipeline.cli import main
+
+        (tmp_path / "01-demo.toml").write_text(_minimal(), encoding="utf-8")
+        (tmp_path / "02-demo.toml").write_text(_minimal(), encoding="utf-8")
+        code = main(["demo", "--configs", str(tmp_path), "--no-cache",
+                     "--out", str(tmp_path / "html")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "duplicate" in err and "02-demo.toml" in err
+        assert not (tmp_path / "html").exists()
+
+    def test_file_name_must_carry_the_declared_id(self, tmp_path, capsys):
+        """Both the full-directory and the by-id load enforce NN-<id>.toml."""
+        from repro.pipeline.cli import main
+
+        (tmp_path / "01-wrong.toml").write_text(_minimal(), encoding="utf-8")
+        with pytest.raises(ConfigurationError) as err:
+            load_config_dir(tmp_path)
+        assert main(["wrong", "--configs", str(tmp_path)]) == 2
+        for message in (str(err.value), capsys.readouterr().err):
+            assert "01-wrong.toml" in message
+            assert "'demo'" in message and "'wrong'" in message
+
+    def test_file_name_without_number_rejected(self, tmp_path):
+        (tmp_path / "demo.toml").write_text(_minimal(), encoding="utf-8")
+        with pytest.raises(ConfigurationError) as err:
+            load_config_dir(tmp_path)
+        assert "demo.toml" in str(err.value)
+        assert "NN-<id>.toml" in str(err.value)
 
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):

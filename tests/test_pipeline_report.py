@@ -211,6 +211,34 @@ class TestReportCli:
         assert main(["fig99"]) == 2
         assert "fig99" in capsys.readouterr().err
 
+    def test_repeated_ids_run_once(self, tmp_path, capsys):
+        from repro.pipeline.cli import main
+
+        out_dir = tmp_path / "html"
+        code = main(["fig1", "fig1", "--quick", "--no-cache",
+                     "--out", str(out_dir)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "wrote 1 report page(s)" in out
+        assert "all shape checks passed (1 experiment(s))" in out
+        index = (out_dir / "index.html").read_text(encoding="utf-8")
+        assert index.count('href="fig1.html"') == 1
+
+    @pytest.mark.parametrize("argv, meta", [
+        (["all", "fig5"], "all"),
+        (["fig5", "all"], "all"),
+        (["list", "fig5"], "list"),
+        (["docs", "all"], "docs"),
+    ])
+    def test_meta_target_with_other_targets_is_a_usage_error(self, argv,
+                                                              meta, capsys):
+        from repro.pipeline.cli import main
+
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"meta-target {meta!r}" in err
+        assert "unknown experiment" not in err
+
     def test_quick_run_emits_self_contained_pages(self, tmp_path, capsys):
         from repro.pipeline.cli import main
 
@@ -228,3 +256,53 @@ class TestReportCli:
 
         assert main(["docs", "--check", "--skip-results"]) == 0
         assert "matches regenerated" in capsys.readouterr().out
+
+
+class TestReportLoadsNamedConfigs:
+    """``report <id>`` parses only the named files; meta-targets parse all."""
+
+    @pytest.fixture()
+    def parsed(self, monkeypatch):
+        """Paths handed to ``load_config_text``, in call order."""
+        import repro.pipeline.loader as loader
+
+        paths = []
+        real = loader.load_config_text
+
+        def spy(text, path="<config>"):
+            paths.append(pathlib.Path(path).name)
+            return real(text, path=path)
+
+        monkeypatch.setattr(loader, "load_config_text", spy)
+        return paths
+
+    def test_named_ids_parse_only_their_files(self, parsed, monkeypatch,
+                                               tmp_path):
+        import repro.pipeline.cli as cli
+
+        ran = []
+
+        def run_all(configs, args):
+            ran.extend(config.id for config in configs)
+            return []
+
+        monkeypatch.setattr(cli, "_run_all", run_all)
+        assert cli.main(["fig7", "fig3", "--out", str(tmp_path)]) == 0
+        assert parsed == ["07-fig7.toml", "03-fig3.toml"]
+        assert ran == ["fig7", "fig3"]
+
+    def test_unknown_id_parses_no_file(self, parsed, configs, capsys):
+        from repro.pipeline.cli import main
+
+        assert main(["fig3", "fig99"]) == 2
+        assert parsed == []
+        err = capsys.readouterr().err
+        assert "unknown experiment(s): fig99" in err
+        assert f"known: {', '.join(configs)}" in err
+        assert len(configs) == 25
+
+    def test_list_parses_every_file(self, parsed, capsys):
+        from repro.pipeline.cli import main
+
+        assert main(["list"]) == 0
+        assert len(parsed) == 25
