@@ -52,24 +52,17 @@ def _engine_line(requested: str, result: "repro.BroadcastResult") -> str:
     Direct runs carry it in ``result.debug``; results that crossed the
     sweep executor's serialization boundary (worker process or cache)
     lose the debug dict, so the line is reconstructed from the engine
-    request and run shape — the selection rule is deterministic — with
-    the kernel mode read from this process (workers share its
-    environment, so the mode matches).
+    request and run shape — the selection rule is deterministic.
     """
     debug = result.debug
     if debug.get("engine") == "fast":
-        return (
-            f"fast (kernel={debug['kernel']}, "
-            f"plan-cache={debug['plan_cache']})"
-        )
+        return f"fast (plan-cache={debug['plan_cache']})"
     if debug.get("engine") == "event":
         return "event"
     blocked = bool(result.faults_active) or result.recovered is not None
     if requested == "event" or (requested == "auto" and blocked):
         return "event"
-    from repro.fastpath import kernel_mode
-
-    return f"fast (kernel={kernel_mode()})"
+    return "fast"
 
 
 def main(argv: List[str] | None = None) -> int:

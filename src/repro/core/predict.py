@@ -23,7 +23,7 @@ prediction uses hop counts from the seed-0 mapping.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from repro.core.schedule import Schedule
 from repro.machines.machine import Machine
@@ -56,7 +56,9 @@ def predict_schedule_time(
     for rnd in schedule.rounds:
         o_send = params.send_overhead(collective=rnd.collective, mpi=rnd.mpi)
         o_recv = params.recv_overhead(collective=rnd.collective, mpi=rnd.mpi)
-        arrivals: Dict[tuple, float] = {}
+        # Keyed by position in the round: one round may carry two
+        # transfers between the same pair of ranks.
+        arrivals: List[float] = []
         issue_clock: Dict[int, float] = {}
         # Phase 1: every rank issues its round sends back-to-back.
         for t in rnd:
@@ -71,13 +73,12 @@ def predict_schedule_time(
                 if hops
                 else 0.0
             )
-            arrivals[(t.src, t.dst)] = clock + wire
+            arrivals.append(clock + wire)
         # Phase 2: receivers drain their receives in schedule order.
         recv_clock: Dict[int, float] = {}
         send_drain: Dict[int, float] = {}
-        for t in rnd:
+        for t, arrival in zip(rnd, arrivals):
             nbytes = t.nbytes(problem)
-            arrival = arrivals[(t.src, t.dst)]
             start = max(
                 arrival, recv_clock.get(t.dst, rank_ready(t.dst))
             )

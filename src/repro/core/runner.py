@@ -54,11 +54,11 @@ class BroadcastResult:
     recovery_rounds: int = 0
     #: Virtual time the recovery pass took, on top of ``elapsed_us``.
     recovery_time_us: float = 0.0
-    #: Execution diagnostics: which engine ran, the fast path's kernel
-    #: mode (``jit``/``python``) and plan-cache verdict.  Diagnostic
-    #: only — excluded from equality, serialization (:meth:`to_dict`)
-    #: and therefore the sweep cache: engines and kernel modes are
-    #: bit-identical, so execution provenance must never split results.
+    #: Execution diagnostics: which engine ran and the fast path's
+    #: plan-cache verdict.  Diagnostic only — excluded from equality,
+    #: serialization (:meth:`to_dict`) and therefore the sweep cache:
+    #: the engines are bit-identical, so execution provenance must
+    #: never split results.
     debug: Dict[str, Any] = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -267,7 +267,6 @@ def run_broadcast(
             link_utilization=fast.link_utilization,
             debug={
                 "engine": "fast",
-                "kernel": fast.kernel,
                 "plan_cache": outcome.plan_cache,
             },
         )

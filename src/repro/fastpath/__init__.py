@@ -6,16 +6,14 @@ starts.  This package exploits that staticness in three layers:
 
 * :mod:`~.lowering` turns a built :class:`~repro.core.schedule.Schedule`
   into a structure-of-arrays :class:`FastPlan` (contiguous int32/int64/
-  float64 arrays for op streams, per-send costs, round tables, inbox
-  segments, and CSR message sets), size-rebindable across message-length
-  sweeps;
-* :mod:`~.kernel` replays a bound plan in **one typed function** written
-  against the Python/numba common subset — compiled with ``numba.njit``
-  when available (``REPRO_FASTPATH_JIT``), executed as plain Python on
-  list views otherwise, both modes sharing the same arithmetic source —
-  reproducing the generator engine's event ordering **bit-for-bit**
-  (same ``(time, seq)`` heap discipline, same float expressions, same
-  metrics accumulation order);
+  float64 arrays for op streams, per-send costs, round tables and CSR
+  message sets, plus the report fields the schedule alone fixes),
+  size-rebindable across message-length sweeps;
+* :mod:`~.kernel` replays a bound plan in **one CPython function** over
+  plain lists and memoized route tuples, reproducing the generator
+  engine's event ordering **bit-for-bit** (same ``(time, seq)``
+  discipline, same float expressions, same metrics accumulation
+  order);
 * :mod:`~.plancache` amortizes schedule build + validation + lowering
   across sweep points that share the schedule-determining data
   (machine spec, algorithm, source placement), rebinding sizes and
@@ -27,8 +25,8 @@ included: the kernel then logs its events and the evaluator rebuilds
 the event engine's trace records from the log.  The 49 golden sha256
 fixtures, the trace goldens and the randomized differential harness
 (``tests/test_fastpath_differential.py``) pin the bit-identity claim
-for the kernel, the no-JIT fallback, warm plan-cache replays and
-traces alike.  See ``docs/FASTPATH.md`` for the full contract.
+for cold lowerings, warm plan-cache replays and traces alike.  See
+``docs/FASTPATH.md`` for the full contract.
 """
 
 from repro.errors import UnsupportedFastPathError
@@ -37,10 +35,7 @@ from repro.fastpath.evaluator import (
     PlanBinding,
     bind_plan,
     evaluate_plan,
-    evaluate_plan_many,
-    evaluate_schedule,
 )
-from repro.fastpath.kernel import kernel_mode, kernel_status
 from repro.fastpath.lowering import FastPlan, lower_schedule
 from repro.fastpath.plancache import FastOutcome, evaluate_problem, plan_cache
 
@@ -52,11 +47,7 @@ __all__ = [
     "UnsupportedFastPathError",
     "bind_plan",
     "evaluate_plan",
-    "evaluate_plan_many",
     "evaluate_problem",
-    "evaluate_schedule",
-    "kernel_mode",
-    "kernel_status",
     "lower_schedule",
     "plan_cache",
 ]

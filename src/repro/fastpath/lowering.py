@@ -16,7 +16,10 @@ plans as the generator executor, then flattens them into a
 * a CSR view of each send's message set (``msg_members`` /
   ``msg_start``), which is what makes a plan **size-rebindable**: the
   structural arrays are shared and only the byte-dependent arrays are
-  recomputed for a new size table (see :meth:`FastPlan.rebind_sizes`).
+  recomputed for a new size table (see :meth:`FastPlan.rebind_sizes`);
+* the metrics report fields the schedule alone fixes: every transfer
+  lowers to one send and one receive, so per-rank op and byte counts
+  are known before replay and are counted here, once per plan.
 
 Float discipline: every vectorized expression reproduces the scalar
 engine's evaluation order term by term (``(nbytes * t_mem_byte) *
@@ -78,10 +81,10 @@ class FastPlan:
     op_start: Any
     #: Phase name of each round — the span names of traced replays.
     round_phase: Tuple[str, ...]
-    #: int32[p + 1] inbox segment bases: rank ``r``'s inbox occupies
-    #: ``[inbox_base[r], inbox_base[r + 1])`` of the evaluator's flat
-    #: store (capacity = number of sends destined to ``r``).
-    inbox_base: Any
+    #: Rounds in which some rank sends or receives, ascending.
+    active_rounds: Tuple[int, ...]
+    #: Per rank, the number of rounds in which it sends or receives.
+    rank_rounds: List[int]
     #: CSR message sets: send ``i`` carries source messages
     #: ``msg_members[msg_start[i]:msg_start[i + 1]]`` (int32).
     msg_members: Any
@@ -102,22 +105,28 @@ class FastPlan:
     recv_total: Any
     #: float64[num_sends] the copy component alone (metrics report it).
     recv_copy: Any
+    #: The :class:`~repro.metrics.report.MetricsReport` fields the plan
+    #: fixes before replay (see :func:`_schedule_counts`):
+    #: ``iterations``, ``congestion``, ``send_recv_ops``,
+    #: ``av_act_proc``, ``total_messages``, ``av_msg_lgth`` and
+    #: ``total_bytes``; the last two are size-bound.
+    report_fields: Dict[str, Any]
     #: Whether every send's byte count equals the sum of its message
     #: set's source sizes — i.e. the *structure* is size-independent and
     #: :meth:`rebind_sizes` is exact.  Pipelined schedules that move
     #: explicit segments (``nbytes_override``) lower with this false.
     size_reusable: bool = True
-    #: Lazily built plain-list views of the arrays (the pure-Python
-    #: kernel's containers); see :meth:`list_views`.
+    #: Lazily built plain-list views of the arrays (the kernel's
+    #: containers); see :meth:`list_views`.
     _lists: Dict[str, list] = field(default_factory=dict, repr=False)
 
     def list_views(self) -> Dict[str, list]:
         """Plain-list views of every kernel-facing array, built once.
 
-        The pure-Python kernel indexes these instead of numpy arrays:
-        list indexing returns unboxed ``int`` / ``float`` and is several
-        times faster in the interpreter, while ``ndarray.tolist()`` is
-        an exact conversion — so both kernel modes see identical values.
+        The kernel indexes these instead of numpy arrays: list indexing
+        returns unboxed ``int`` / ``float`` and is several times faster
+        in the interpreter, while ``ndarray.tolist()`` is an exact
+        conversion.
         """
         if not self._lists:
             self._lists = {
@@ -134,7 +143,6 @@ class FastPlan:
                     "op_arg",
                     "op_aux",
                     "op_start",
-                    "inbox_base",
                 )
             }
         return self._lists
@@ -183,6 +191,11 @@ class FastPlan:
             self.round_mem_scale,
             self.t_mem_byte,
         )
+        report_fields = dict(self.report_fields)
+        report_fields.update(_byte_counts(
+            np, self.p, self.send_src, self.send_dst, send_nbytes,
+            self.rank_rounds,
+        ))
         return FastPlan(
             p=self.p,
             num_rounds=self.num_rounds,
@@ -195,7 +208,8 @@ class FastPlan:
             op_aux=self.op_aux,
             op_start=self.op_start,
             round_phase=self.round_phase,
-            inbox_base=self.inbox_base,
+            active_rounds=self.active_rounds,
+            rank_rounds=self.rank_rounds,
             msg_members=self.msg_members,
             msg_start=self.msg_start,
             round_send_ovh=self.round_send_ovh,
@@ -206,6 +220,7 @@ class FastPlan:
             send_ovh=send_ovh,
             recv_total=recv_total,
             recv_copy=recv_copy,
+            report_fields=report_fields,
             size_reusable=True,
         )
 
@@ -227,6 +242,51 @@ def _csr_nbytes(msg_members, msg_start, num_sends: int, problem) -> Any:
         count=len(msg_members),
     )
     return np.add.reduceat(member_sizes, msg_start[:-1].astype(np.intp))
+
+
+def _schedule_counts(np, p, num_rounds, send_src, send_dst, send_round):
+    """The report fields fixed by the plan's structure.
+
+    Every transfer lowers to one send at its source and one receive at
+    its destination, both in the transfer's round, so each rank's send,
+    receive and per-round op counts are known before replay.  Returns
+    ``(fields, active_rounds, rank_rounds)``; the reductions repeat
+    :meth:`MetricsReport.from_collector` on exact integers.
+    """
+    num_sends = len(send_src)
+    cells = np.concatenate((send_src, send_dst)).astype(np.intp) * num_rounds
+    cells += np.concatenate((send_round, send_round))
+    ops = np.bincount(cells, minlength=p * num_rounds).reshape(p, num_rounds)
+    active = ops > 0
+    round_ranks = active.sum(axis=0)
+    active_rounds = tuple(np.flatnonzero(round_ranks).tolist())
+    iterations = len(active_rounds)
+    fields = {
+        "iterations": iterations,
+        "congestion": int(ops.max()) if ops.size else 0,
+        "send_recv_ops": int(ops.sum(axis=1).max()),
+        "av_act_proc": (
+            int(round_ranks.sum()) / iterations if iterations else 0.0
+        ),
+        "total_messages": num_sends,
+    }
+    return fields, active_rounds, active.sum(axis=1).tolist()
+
+
+def _byte_counts(np, p, send_src, send_dst, send_nbytes, rank_rounds):
+    """The size-bound report fields: ``av_msg_lgth`` and ``total_bytes``.
+
+    A rank's message lengths are the bytes it sends plus the bytes it
+    receives; integer sums, so exact in any order.
+    """
+    msg_bytes = np.zeros(p, dtype=np.int64)
+    np.add.at(msg_bytes, send_src, send_nbytes)
+    np.add.at(msg_bytes, send_dst, send_nbytes)
+    av_msg = 0.0
+    for total, rounds in zip(msg_bytes.tolist(), rank_rounds):
+        if rounds:
+            av_msg = max(av_msg, total / rounds)
+    return {"av_msg_lgth": av_msg, "total_bytes": int(send_nbytes.sum())}
 
 
 def _size_costs(np, send_nbytes, send_round, round_send_ovh,
@@ -321,11 +381,12 @@ def lower_schedule(schedule: "Schedule") -> FastPlan:
     msg_members_a = np.asarray(msg_members, dtype=i32)
     msg_start_a = np.asarray(msg_start, dtype=i32)
 
-    # Inbox segment bases: capacity per rank = sends destined to it.
-    inbox_cap = np.zeros(p + 1, dtype=np.int64)
-    if num_sends:
-        np.add.at(inbox_cap, send_dst_a.astype(np.intp) + 1, 1)
-    inbox_base = np.cumsum(inbox_cap).astype(i32)
+    report_fields, active_rounds, rank_rounds = _schedule_counts(
+        np, p, num_rounds, send_src_a, send_dst_a, send_round_a
+    )
+    report_fields.update(_byte_counts(
+        np, p, send_src_a, send_dst_a, send_nbytes_a, rank_rounds
+    ))
 
     send_ovh, recv_total, recv_copy = _size_costs(
         np,
@@ -360,7 +421,8 @@ def lower_schedule(schedule: "Schedule") -> FastPlan:
             for name, first, last in schedule.phases()
             for _ in range(first, last + 1)
         ),
-        inbox_base=inbox_base,
+        active_rounds=active_rounds,
+        rank_rounds=rank_rounds,
         msg_members=msg_members_a,
         msg_start=msg_start_a,
         round_send_ovh=round_send_ovh,
@@ -371,5 +433,6 @@ def lower_schedule(schedule: "Schedule") -> FastPlan:
         send_ovh=send_ovh,
         recv_total=recv_total,
         recv_copy=recv_copy,
+        report_fields=report_fields,
         size_reusable=size_reusable,
     )

@@ -7,7 +7,8 @@ placement.  The schedule build + validation + lowering for such points
 is identical work, so this module caches it per worker process:
 
 * a :class:`PlanCache` maps ``(machine spec, algorithm, sources)`` to a
-  lowered :class:`~repro.fastpath.lowering.FastPlan` plus everything
+  lowered :class:`~repro.fastpath.lowering.FastPlan` — with the report
+  fields its schedule fixes, counted once at lowering — plus everything
   the runner needs around it (validation state, the lazily computed
   delivery-verification verdict, per-seed link-path bindings,
   per-size-table rebinds);

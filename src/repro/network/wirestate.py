@@ -7,46 +7,13 @@ simulation reaches them) and the :mod:`repro.fastpath` batch evaluator
 (which replays the very same request sequence without an event loop).
 Both must produce bit-identical timings, so the float arithmetic lives
 here exactly once.
-
-:func:`link_path_table` is the lowering-side companion: it resolves a
-batch of (src node, dst node) pairs into their memoized link paths plus
-a numpy hop-count array, the inputs of the vectorized duration formula
-``route_setup + hops * t_hop + nbytes * t_byte``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.network.topology import Topology
-
-__all__ = [
-    "WireState",
-    "link_path_table",
-    "flatten_link_paths",
-    "wire_utilization_from",
-]
-
-
-def wire_utilization_from(
-    busy_time: Sequence[float], wire_offset: int, horizon: float
-) -> float:
-    """Mean busy fraction of wire links over ``[0, horizon]``.
-
-    The shared reduction behind :meth:`WireState.wire_utilization` and
-    the fast-path kernel's flat ``busy_time`` array: a plain
-    left-to-right sum over the wire-link tail of ``busy_time`` — part
-    of the bit-identity contract between the engines (pairwise
-    summation would differ in the last bits).  Returns 0.0 for empty
-    horizons or wire-less topologies.
-    """
-    wire_busy = busy_time[wire_offset:]
-    if len(wire_busy) == 0:
-        return 0.0
-    if horizon <= 0.0:
-        return 0.0
-    return float(sum(wire_busy) / (len(wire_busy) * horizon))
+__all__ = ["WireState"]
 
 
 class WireState:
@@ -113,7 +80,10 @@ class WireState:
         busy-time sum is a plain Python left-to-right reduction — part
         of the bit-identity contract between the two consumers.
         """
-        return wire_utilization_from(self.busy_time, self.wire_offset, horizon)
+        wire_busy = self.busy_time[self.wire_offset:]
+        if len(wire_busy) == 0 or horizon <= 0.0:
+            return 0.0
+        return float(sum(wire_busy) / (len(wire_busy) * horizon))
 
     def max_free_at(self) -> float:
         """Latest reservation end across all links (0.0 when untouched)."""
@@ -123,53 +93,3 @@ class WireState:
         """Clear every reservation and statistic."""
         self.free_at = [0.0] * self.num_links
         self.busy_time = [0.0] * self.num_links
-
-
-def link_path_table(
-    topology: "Topology", pairs: Sequence[Tuple[int, int]]
-) -> Tuple[List[Tuple[int, ...]], "object"]:
-    """Resolve node pairs to link paths plus a numpy hop-count array.
-
-    Returns ``(paths, hops)``: ``paths[i]`` is the memoized link-id
-    tuple (injection channel, wire links, ejection channel) for
-    ``pairs[i]``, shared with the topology's route cache; ``hops`` is a
-    float64 array of wire-hop counts (``len(path) - 2``), ready for the
-    vectorized wormhole duration formula.
-    """
-    import numpy as np
-
-    route_links = topology.route_links
-    paths = [route_links(src, dst) for src, dst in pairs]
-    hops = np.fromiter(
-        (len(path) - 2 for path in paths), dtype=np.float64, count=len(paths)
-    )
-    return paths, hops
-
-
-def flatten_link_paths(
-    topology: "Topology", pairs: Sequence[Tuple[int, int]]
-) -> Tuple[List[int], List[int], "object"]:
-    """Resolve node pairs to one flat link-id stream plus segment starts.
-
-    The structure-of-arrays companion of :func:`link_path_table`:
-    ``path_flat[path_start[i]:path_start[i + 1]]`` is the memoized
-    link-id path (injection channel, wire links, ejection channel) for
-    ``pairs[i]``, and ``hops`` is the float64 wire-hop array
-    (``len(path) - 2``) the vectorized wormhole duration formula
-    consumes.  ``path_flat`` / ``path_start`` come back as plain lists:
-    the pure-Python kernel indexes them directly and the JIT bind step
-    converts them to int32 arrays once.
-    """
-    import numpy as np
-
-    route_links = topology.route_links
-    path_flat: List[int] = []
-    path_start: List[int] = [0]
-    hop_counts: List[int] = []
-    for src, dst in pairs:
-        path = route_links(src, dst)
-        path_flat.extend(path)
-        path_start.append(len(path_flat))
-        hop_counts.append(len(path) - 2)
-    hops = np.fromiter(hop_counts, dtype=np.float64, count=len(hop_counts))
-    return path_flat, path_start, hops

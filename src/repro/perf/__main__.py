@@ -99,8 +99,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             extra_txt += (
                 f"  [replay {extra['replay_s']:.4f}s"
                 f" + lowering {extra['lowering_s']:.4f}s"
-                f" = cold {extra['cold_s']:.4f}s"
-                f", kernel={extra.get('kernel', '?')}]"
+                f" = cold {extra['cold_s']:.4f}s]"
             )
         print(
             f"  {bench_dict['name']:<44} "

@@ -193,8 +193,7 @@ def _bench_point(
 
 
 def _bench_fastpath_point(
-    algorithm: str, spec: str, s: int, message_size: int, repeats: int,
-    name: Optional[str] = None,
+    algorithm: str, spec: str, s: int, message_size: int, repeats: int
 ) -> BenchResult:
     """One ``run_broadcast(engine="fast")`` point, with event-engine ref.
 
@@ -205,7 +204,6 @@ def _bench_fastpath_point(
     (``lowering_s`` / ``replay_s``).  The event engine is timed with
     fewer repeats — it is only there to record the speedup.
     """
-    from repro.fastpath import kernel_mode
     from repro.fastpath import plancache
 
     machine = machine_from_spec(spec)
@@ -229,7 +227,7 @@ def _bench_fastpath_point(
     )
     result = run_broadcast(problem, algorithm, engine="fast")
     return BenchResult(
-        name=name or f"fastpath/{algorithm}/{spec}/s={s}/L={message_size}",
+        name=f"fastpath/{algorithm}/{spec}/s={s}/L={message_size}",
         wall_s=timing.best_s,
         mean_s=timing.mean_s,
         repeats=timing.repeats,
@@ -238,7 +236,6 @@ def _bench_fastpath_point(
             "speedup_vs_event": event_timing.best_s / timing.best_s,
             "elapsed_us": result.elapsed_us,
             "transfers_per_s": result.num_transfers / timing.best_s,
-            "kernel": kernel_mode(),
             "cold_s": cold_timing.best_s,
             "replay_s": timing.best_s,
             "lowering_s": max(cold_timing.best_s - timing.best_s, 0.0),
@@ -255,7 +252,7 @@ def _bench_fastpath_sweep(repeats: int) -> BenchResult:
     cleared per pass — their difference is the schedule-build +
     lowering cost the cache amortizes across the sweep.
     """
-    from repro.fastpath import kernel_mode, plancache
+    from repro.fastpath import plancache
     from repro.sweep import SweepExecutor, SweepSpec
 
     points = SweepSpec(
@@ -297,7 +294,6 @@ def _bench_fastpath_sweep(repeats: int) -> BenchResult:
             "event_s": event_timing.best_s,
             "speedup_vs_event": event_timing.best_s / timing.best_s,
             "points_per_s": len(points) / timing.best_s,
-            "kernel": kernel_mode(),
             "cold_s": cold_timing.best_s,
             "replay_s": timing.best_s,
             "lowering_s": max(cold_timing.best_s - timing.best_s, 0.0),
@@ -421,26 +417,6 @@ def _definitions(quick: bool) -> List[Tuple[str, Callable[[], BenchResult]]]:
         defs.append(
             ("distributed/warm-shard-throughput/paragon:8x8",
              lambda: _bench_distributed_shards(3))
-        )
-    # JIT-labelled view of the 8×8 point, present only when the numba
-    # kernel is active (REPRO_FASTPATH_JIT + numba installed).  It is
-    # informational: python-mode baselines lack the name, and
-    # compare_reports gates only the intersection, so a JIT run is
-    # never judged against a python-mode number (or vice versa).
-    from repro.fastpath import kernel_mode
-
-    if kernel_mode() == "jit":
-        defs.append(
-            (
-                "fastpath/kernel-jit/PersAlltoAll/paragon:8x8/s=16/L=4096",
-                lambda: _bench_fastpath_point(
-                    "PersAlltoAll", "paragon:8x8", 16, 4096, repeats,
-                    name=(
-                        "fastpath/kernel-jit/PersAlltoAll/"
-                        "paragon:8x8/s=16/L=4096"
-                    ),
-                ),
-            )
         )
     return defs
 

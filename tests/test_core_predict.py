@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core import BroadcastProblem, run_broadcast
+from repro.core.algorithms import list_algorithms
 from repro.core.predict import predict_broadcast_time, predict_schedule_time
 from repro.core.schedule import Schedule, Transfer
 from repro.distributions import DISTRIBUTIONS
-from repro.machines import t3d
+from repro.machines import paragon, t3d
 
 
 class TestPrimitive:
@@ -44,17 +45,36 @@ class TestPrimitive:
         assert predict_schedule_time(lib) < predict_schedule_time(plain)
 
 
+#: Every registered algorithm except the predictor-driven selector.
+SCHEDULE_ALGORITHMS = [name for name in list_algorithms() if name != "Auto_Predict"]
+
+
 class TestAgainstSimulation:
-    @pytest.mark.parametrize(
-        "name", ["Br_Lin", "Br_xy_source", "2-Step", "PersAlltoAll"]
-    )
-    def test_prediction_lower_bounds_simulation(self, name, square_paragon):
-        """The model omits contention, so sim >= prediction (within eps)."""
+    @pytest.mark.parametrize("contention", [True, False], ids=["cont", "nocont"])
+    @pytest.mark.parametrize("name", SCHEDULE_ALGORITHMS)
+    def test_prediction_lower_bounds_simulation(
+        self, name, contention, square_paragon
+    ):
+        """The model omits contention, so sim >= prediction (float eps)."""
         src = DISTRIBUTIONS["E"].generate(square_paragon, 30)
         problem = BroadcastProblem(square_paragon, src, message_size=4096)
-        sim = run_broadcast(problem, name).elapsed_us
+        sim = run_broadcast(problem, name, contention=contention).elapsed_us
         pred = predict_broadcast_time(problem, name)
-        assert sim >= pred - 1e-6
+        assert sim >= pred * (1 - 1e-12)
+
+    def test_same_pair_twice_in_one_round(self):
+        """Two transfers between one pair in a round keep both arrivals.
+
+        Naive_Independent on a 2x2 mesh with sources (0, 1) sends twice
+        from one rank to another in a round; without contention the
+        model is then exact.
+        """
+        problem = BroadcastProblem(paragon(2, 2), (0, 1), message_size=1024)
+        sim = run_broadcast(
+            problem, "Naive_Independent", contention=False
+        ).elapsed_us
+        assert sim == pytest.approx(362.2816, rel=1e-12)
+        assert predict_broadcast_time(problem, "Naive_Independent") == sim
 
     @pytest.mark.parametrize(
         "name", ["Br_Lin", "Br_xy_source", "2-Step", "PersAlltoAll"]

@@ -185,6 +185,31 @@ def test_traced_store_and_forward_matches_event_engine(alg, contention):
     _assert_traced_engines_agree(problem, alg, 1, contention, TRACERS["full"])
 
 
+#: Overhead-free parameter sets: sends issue at once (no overhead
+#: timeout), and without receive overhead or copy cost a matched
+#: receive completes at the instant it matches.
+ZERO_OVERHEADS = {
+    "send": {"t_send_overhead": 0.0},
+    "recv": {"t_recv_overhead": 0.0, "t_mem_byte": 0.0},
+    "both": {"t_send_overhead": 0.0, "t_recv_overhead": 0.0, "t_mem_byte": 0.0},
+}
+
+
+@pytest.mark.parametrize("contention", [True, False], ids=["cont", "nocont"])
+@pytest.mark.parametrize("alg", ["Br_Lin", "PersAlltoAll", "Naive_Independent"])
+@pytest.mark.parametrize("overheads", sorted(ZERO_OVERHEADS))
+def test_zero_overhead_replay_matches_event_engine(overheads, alg, contention):
+    """The kernel's zero-overhead branches trace and time as the engine."""
+    machine = paragon(
+        4, 4, params=PARAGON_PARAMS.with_overrides(**ZERO_OVERHEADS[overheads])
+    )
+    problem = BroadcastProblem(
+        machine, (0, 5, 10, 15), message_size=1024,
+        sizes={0: 64, 5: 4096, 10: 1024, 15: 16384},
+    )
+    _assert_traced_engines_agree(problem, alg, 1, contention, TRACERS["full"])
+
+
 def test_warm_plan_cache_replay_matches_event_engine():
     """Cold lowering and warm cache-hit replays are equally bit-identical.
 
@@ -235,6 +260,80 @@ def test_fast_engine_matches_event_on_nonuniform_sizes():
     )
     event = run_broadcast(problem, "PersAlltoAll", seed=1, engine="event")
     fast = run_broadcast(problem, "PersAlltoAll", seed=1, engine="fast")
+    assert _blob(fast) == _blob(event)
+
+
+#: Naive_Independent sends twice between one pair of ranks in a round
+#: whenever two roots' trees share an edge in one stage.  With
+#: per-source sizes and contention off the smaller message can arrive
+#: first, so a receiver's copy cost sums in match order, not op order.
+COPY_ORDER_CASE = (
+    "paragon:4x4",
+    (0, 1, 4, 5, 8, 12, 14, 15),
+    {0: 16384, 1: 64, 4: 16384, 5: 64, 8: 4096, 12: 64, 14: 64, 15: 16384},
+    0,
+)
+#: Seeds of variants whose op-order total also differs in the last bit
+#: under the compensated float sum() of Python 3.12+, where the case
+#: above sums to the same total in either order.
+COPY_ORDER_VARIANTS = (42, 78, 137, 161, 165)
+
+
+def _copy_order_point(variant: int):
+    """A seeded Naive_Independent point with 64 B / 16 KiB sources."""
+    rng = random.Random(variant)
+    spec = rng.choice(("paragon:4x4", "paragon:8x8", "t3d:16"))
+    machine = machine_from_spec(spec)
+    sources = tuple(sorted(rng.sample(range(machine.p), rng.randint(6, machine.p))))
+    sizes = {src: rng.choice((64, 16384)) for src in sources}
+    return spec, sources, sizes, rng.randint(0, 3)
+
+
+def _copy_per_rank(schedule, receives):
+    """Per-rank copy cost of ``(rank, nbytes, round)`` receives, in order."""
+    params = schedule.problem.machine.params
+    per_rank = [0.0] * schedule.problem.p
+    for rank, nbytes, rnd in receives:
+        per_rank[rank] += params.copy_cost(
+            nbytes, collective=schedule.rounds[rnd].collective
+        )
+    return per_rank
+
+
+@pytest.mark.parametrize(
+    "spec,sources,sizes,seed",
+    [COPY_ORDER_CASE] + [_copy_order_point(v) for v in COPY_ORDER_VARIANTS],
+    ids=["paragon:4x4-case"] + [f"v{v}" for v in COPY_ORDER_VARIANTS],
+)
+def test_copy_cost_follows_match_order(spec, sources, sizes, seed):
+    """Copy cost sums in the order receives match, as on the engine."""
+    problem = BroadcastProblem(
+        machine=machine_from_spec(spec),
+        sources=sources,
+        message_size=1024,
+        sizes=sizes,
+    )
+    tracer = Tracer(kinds=("recv",))
+    event = run_broadcast(
+        problem, "Naive_Independent", seed=seed, contention=False,
+        engine="event", tracer=tracer,
+    )
+    schedule = repro.get_algorithm("Naive_Independent").build_schedule(problem)
+    in_match_order = _copy_per_rank(schedule, [
+        (r.fields["rank"], r.fields["nbytes"], r.fields["tag"]) for r in tracer
+    ])
+    in_op_order = _copy_per_rank(schedule, [
+        (t.dst, t.nbytes(problem), i)
+        for i, rnd in enumerate(schedule.rounds)
+        for t in rnd
+    ])
+    # The engine sums in match order, and the case is sensitive to it.
+    assert sum(in_match_order) == event.metrics.total_copy_time
+    assert in_op_order != in_match_order
+    fast = run_broadcast(
+        problem, "Naive_Independent", seed=seed, contention=False,
+        engine="fast",
+    )
     assert _blob(fast) == _blob(event)
 
 

@@ -1,133 +1,22 @@
-"""Kernel-mode selection machinery and kernel edge cases.
+"""Kernel edge cases: the degenerate shapes a sweep can feed the replay.
 
-The replay kernel (:mod:`repro.fastpath.kernel`) is one function with
-two execution modes — numba-compiled or pure Python — resolved once
-per process from ``$REPRO_FASTPATH_JIT``.  These tests pin the
-resolution rules (truthy/falsy/auto spellings, warn-*once* when numba
-is requested but missing, diagnostic status), the bit-identity of runs
-across mode toggles, and the degenerate shapes a sweep can feed the
-kernel: single-rank machines (no events beyond process start) and
-schedules containing empty rounds.
+Single-rank machines (no events beyond process start) and schedules
+containing empty rounds must replay exactly as on the event engine.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import warnings
 
 import pytest
 
 from repro.core.problem import BroadcastProblem
 from repro.core.runner import run_broadcast
-from repro.fastpath import kernel_mode, kernel_status
-from repro.fastpath.kernel import JIT_ENV_VAR, reset_kernel_cache
 from repro.machines import machine_from_spec
-
-HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 def _blob(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
-@pytest.fixture
-def kernel_env(monkeypatch):
-    """Fresh mode resolution around the test; env restored afterwards.
-
-    Teardown order matters: this fixture's ``reset_kernel_cache`` runs
-    *before* monkeypatch undoes the env, so the next activation —
-    whichever test triggers it — resolves against the restored
-    environment, not this test's.
-    """
-    reset_kernel_cache()
-    yield monkeypatch
-    reset_kernel_cache()
-
-
-# ---------------------------------------------------------------------------
-# Mode resolution.
-
-
-def test_mode_resolves_and_status_is_consistent(kernel_env):
-    mode = kernel_mode()
-    status = kernel_status()
-    assert mode in ("jit", "python")
-    assert status["mode"] == mode
-    assert status["requested"] in ("jit", "python", "auto")
-    if mode == "jit":
-        assert status["jit_error"] is None
-
-
-@pytest.mark.parametrize("raw", ["0", "false", "off", "no", "python"])
-def test_falsy_env_forces_python_kernel(kernel_env, raw):
-    kernel_env.setenv(JIT_ENV_VAR, raw)
-    reset_kernel_cache()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # an explicit opt-out never warns
-        assert kernel_mode() == "python"
-    assert kernel_status()["requested"] == "python"
-
-
-@pytest.mark.skipif(HAS_NUMBA, reason="needs numba to be absent")
-def test_jit_request_without_numba_warns_once(kernel_env):
-    kernel_env.setenv(JIT_ENV_VAR, "1")
-    reset_kernel_cache()
-    with pytest.warns(RuntimeWarning, match="numba is not installed"):
-        assert kernel_mode() == "python"
-    status = kernel_status()
-    assert status["requested"] == "jit"
-    assert status["jit_error"] == "numba not installed"
-    # Once per process, not once per run: later runs stay silent.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert kernel_mode() == "python"
-        problem = BroadcastProblem(
-            machine=machine_from_spec("paragon:4x4"),
-            sources=(0, 3),
-            message_size=256,
-        )
-        run_broadcast(problem, "Br_Lin", engine="fast")
-
-
-@pytest.mark.skipif(HAS_NUMBA, reason="needs numba to be absent")
-def test_auto_without_numba_is_silent(kernel_env):
-    kernel_env.delenv(JIT_ENV_VAR, raising=False)
-    reset_kernel_cache()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # auto degrades without noise
-        assert kernel_mode() == "python"
-    assert kernel_status()["jit_error"] == "numba not installed"
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="needs numba")
-def test_jit_request_with_numba_compiles(kernel_env):
-    kernel_env.setenv(JIT_ENV_VAR, "1")
-    reset_kernel_cache()
-    assert kernel_mode() == "jit"
-    assert kernel_status()["jit_error"] is None
-
-
-def test_mode_toggle_results_identical(kernel_env):
-    """Pure-Python and the env-selected mode agree bit-for-bit.
-
-    Without numba this pins python == python across a reset (env
-    handling only); with numba installed it is the real differential:
-    the same run through the compiled and interpreted kernel.
-    """
-    problem = BroadcastProblem(
-        machine=machine_from_spec("paragon:4x4"),
-        sources=(0, 5, 10),
-        message_size=1024,
-    )
-    kernel_env.setenv(JIT_ENV_VAR, "python")
-    reset_kernel_cache()
-    forced_python = run_broadcast(problem, "PersAlltoAll", engine="fast")
-    assert forced_python.debug["kernel"] == "python"
-    kernel_env.delenv(JIT_ENV_VAR, raising=False)
-    reset_kernel_cache()
-    auto = run_broadcast(problem, "PersAlltoAll", engine="fast")
-    assert _blob(forced_python) == _blob(auto)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ count.  The digests were recorded while the declarative configs still
 had hand-written twin functions and both rendered identical text, so
 they carry that differential forward without the twins.
 
-Tier-1 checks the cheap configs: one per declarative series kind plus a
-builder from each family.  The bench suite (``REPRO_BENCH_QUICK=1
+Tier-1 checks the cheap configs: one per declarative series kind, a
+builder from each family, and the builders that drive the replay
+kernel's contention-off and store-and-forward branches.  The bench suite (``REPRO_BENCH_QUICK=1
 pytest benchmarks``) checks all 25 against the same file, and
 ``python -m repro report docs --check`` pins the full grids through
 RESULTS.txt.
@@ -39,6 +40,12 @@ CHEAP = {
     "sec52-conditions": "cells (ideal_rows placement)",
     "ablation-ideal-rows": "ablation builder",
     "extension-hypercube": "extension builder",
+    "ablation-contention": "kernel replay with contention off",
+    "ablation-switching": "kernel replay with store-and-forward links",
+    "ablation-combining": "ablation builder (free combining copy)",
+    "robustness": "builder on the event engine (faults, recovery)",
+    "extension-ring": "extension builder",
+    "sec5-varied-lengths": "builder (per-source sizes)",
 }
 
 
