@@ -24,31 +24,34 @@ the executor's return value — the set of original messages this rank
 ended up holding — gives end-to-end delivery verification through the
 actual simulated communication, independent of
 :meth:`~repro.core.schedule.Schedule.validate`'s static check.
+
+The program does not read the schedule itself: it walks the rank's
+slice of the operation stream that
+:func:`~repro.fastpath.lowering.lower_schedule` produces, the same
+:class:`~repro.fastpath.lowering.FastPlan` the fast path's replay
+kernel replays, so both engines issue operations in one order by
+construction.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, List, Optional, Set
 
-from repro.core.schedule import RoundPlan, Schedule
+from repro.core.schedule import Schedule
 from repro.errors import PeerFailedError
+from repro.fastpath.lowering import OP_RECV, OP_SEND, FastPlan, lower_schedule
 from repro.mpsim.comm import Comm
 
 __all__ = ["ScheduleExecutor"]
 
-#: Backwards-compatible alias; the plan type now lives with the
-#: schedule IR (see :data:`repro.core.schedule.RoundPlan`).
-_RoundPlan = RoundPlan
-
 
 class ScheduleExecutor:
-    """Compiles a :class:`Schedule` into per-rank SPMD programs.
+    """Runs a :class:`Schedule` as per-rank SPMD programs.
 
-    The per-rank send/receive lists are precomputed once (the schedule
-    is static), so program setup is O(transfers) overall rather than
-    O(rounds x p).  Per-transfer byte counts and per-round mode flags
-    are resolved here too, keeping the simulated hot loop free of
-    schedule bookkeeping.
+    The schedule is lowered once (it is static), so program setup is
+    O(transfers) overall rather than O(rounds x p).  Per-transfer byte
+    counts, per-round mode flags and span names come resolved in the
+    plan, keeping the simulated hot loop free of schedule bookkeeping.
     """
 
     def __init__(self, schedule: Schedule) -> None:
@@ -63,10 +66,8 @@ class ScheduleExecutor:
         #: stalled by injected faults leave their entry at whatever
         #: subset they had actually combined when the run ended.
         self.holdings: List[Optional[Set[int]]] = [None] * p
-        # Shared lowering: the fastpath evaluator consumes the same
-        # per-rank round plans, so both executors issue operations in
-        # provably identical order.
-        self._plan: List[List[RoundPlan]] = schedule.lowered()
+        #: The plan every rank's program walks: what the fast path replays.
+        self.plan: FastPlan = lower_schedule(schedule)
 
     def program(self, comm: Comm) -> Generator[Any, Any, frozenset]:
         """The SPMD program for ``comm.rank``; returns its final holdings."""
@@ -75,29 +76,49 @@ class ScheduleExecutor:
         self.holdings[rank] = holdings
         iteration_cell = comm._iteration_cell
         engine = comm.world.engine
-        for round_idx, phase, collective, mpi, sends, recvs in self._plan[rank]:
+        plan = self.plan
+        op_code = plan.op_code
+        op_arg = plan.op_arg
+        op_aux = plan.op_aux
+        i = plan.op_start[rank]
+        end = plan.op_start[rank + 1]
+        while i < end:
+            # The rank's ops for one round are contiguous: op_aux names it.
+            round_idx = op_aux[i]
             iteration_cell[0] = round_idx
             # Observability span around this rank's slice of the round;
             # with tracing off this is the shared NULL_SPAN no-op.
-            with engine.span(phase, rank=rank, round=round_idx):
-                mode = comm.with_mode(collective=collective, mpi=mpi)
-                requests = []
-                for dst, msgset, nbytes in sends:
-                    try:
-                        request = yield from mode.isend(
-                            dst, msgset, nbytes=nbytes, tag=round_idx
+            with engine.span(plan.round_phase[round_idx], rank=rank,
+                             round=round_idx):
+                mode = comm.with_mode(
+                    collective=plan.round_collective[round_idx],
+                    mpi=plan.round_mpi[round_idx],
+                )
+                requests = {}
+                while i < end and op_aux[i] == round_idx:
+                    code = op_code[i]
+                    arg = op_arg[i]
+                    i += 1
+                    if code == OP_SEND:
+                        try:
+                            requests[arg] = yield from mode.isend(
+                                plan.send_dst[arg],
+                                plan.send_msgset[arg],
+                                nbytes=plan.send_nbytes[arg],
+                                tag=round_idx,
+                            )
+                        except PeerFailedError:
+                            # Degraded operation: a send into a dead node
+                            # is abandoned (and so is its wait), the rank
+                            # carries on with the rest of its schedule,
+                            # and the shortfall surfaces as a partial
+                            # delivery fraction instead of a crashed run.
+                            pass
+                    elif code == OP_RECV:
+                        envelope = yield from mode.recv(
+                            source=arg, tag=round_idx
                         )
-                    except PeerFailedError:
-                        # Degraded operation: a send into a dead node is
-                        # abandoned, the rank carries on with the rest of
-                        # its schedule, and the shortfall surfaces as a
-                        # partial delivery fraction instead of a crashed
-                        # run.
-                        continue
-                    requests.append(request)
-                for src in recvs:
-                    envelope = yield from mode.recv(source=src, tag=round_idx)
-                    holdings.update(envelope.payload)
-                for request in requests:
-                    yield from request.wait()
+                        holdings.update(envelope.payload)
+                    elif arg in requests:
+                        yield from requests[arg].wait()
         return frozenset(holdings)

@@ -10,7 +10,10 @@ Rounds are the paper's *iterations*: they bucket the Figure-2 metrics,
 and the executor lets each rank flow through them with only
 data-parallel synchronisation (a rank starts its round-k sends as soon
 as *its own* round-(k-1) operations finished — no global barrier,
-exactly as §5 describes the implementations).
+exactly as §5 describes the implementations).  Both engines run a
+schedule through one lowering,
+:func:`~repro.fastpath.lowering.lower_schedule`, which resolves it into
+per-rank operation streams in round order.
 
 Central invariant (checked by :meth:`Schedule.validate`): **causality**
 — a rank may only send message sets it already holds, where holdings
@@ -30,17 +33,7 @@ from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 from repro.core.problem import BroadcastProblem
 from repro.errors import AlgorithmError, VerificationError
 
-__all__ = ["Transfer", "Round", "RoundPlan", "Schedule"]
-
-#: One rank's slice of one round, fully resolved at plan-build time:
-#: ``(round_idx, phase, collective, mpi, sends, recvs)`` where sends
-#: are ``(dst, msgset, nbytes)`` triples and recvs are source ranks.
-#: ``phase`` is the round's observability span name (see
-#: :meth:`Schedule.span`).  Produced by :meth:`Schedule.lowered` and
-#: consumed by both the generator executor and the fastpath evaluator.
-RoundPlan = Tuple[
-    int, str, bool, bool, List[Tuple[int, FrozenSet[int], int]], List[int]
-]
+__all__ = ["Transfer", "Round", "Schedule"]
 
 
 def _phase_of_label(label: str) -> str:
@@ -206,40 +199,6 @@ class Schedule:
             sends.append([t for t in rnd if t.src == rank])
             recvs.append([t for t in rnd if t.dst == rank])
         return sends, recvs
-
-    def lowered(self) -> List[List[RoundPlan]]:
-        """Per-rank round plans: the schedule resolved for execution.
-
-        For every rank, the rounds it participates in (in round order),
-        each entry carrying the round index, the observability phase
-        name, the overhead-mode flags, the resolved ``(dst, msgset,
-        nbytes)`` send triples and the receive source ranks — everything
-        an executor needs, with no remaining schedule bookkeeping.
-
-        Both consumers — the generator-based
-        :class:`~repro.core.executor.ScheduleExecutor` and the
-        :mod:`repro.fastpath` batch evaluator — lower through this one
-        method, so they are guaranteed to see identical round plans
-        (ordering included: sends and recvs appear in transfer order
-        within each round, which fixes the simulated issue order).
-        """
-        p = self.problem.p
-        plan: List[List[RoundPlan]] = [[] for _ in range(p)]
-        for round_idx, rnd in enumerate(self.rounds):
-            phase = rnd.phase or _phase_of_label(rnd.label)
-            touched: Dict[
-                int, Tuple[List[Tuple[int, FrozenSet[int], int]], List[int]]
-            ] = {}
-            for t in rnd:
-                touched.setdefault(t.src, ([], []))[0].append(
-                    (t.dst, t.msgset, t.nbytes(self.problem))
-                )
-                touched.setdefault(t.dst, ([], []))[1].append(t.src)
-            for rank, (sends, recvs) in touched.items():
-                plan[rank].append(
-                    (round_idx, phase, rnd.collective, rnd.mpi, sends, recvs)
-                )
-        return plan
 
     def holdings_after(self, upto: int | None = None) -> List[Set[int]]:
         """Message sets held by each rank after round ``upto`` (exclusive).

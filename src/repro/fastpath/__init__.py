@@ -1,14 +1,16 @@
-"""Structure-of-arrays schedule fast path: kernel replay + plan cache.
+"""Schedule fast path: one lowering, kernel replay, plan cache.
 
 The paper's algorithms compile to *static* schedules — every round,
 transfer, link path and software overhead is known before the clock
 starts.  This package exploits that staticness in three layers:
 
 * :mod:`~.lowering` turns a built :class:`~repro.core.schedule.Schedule`
-  into a structure-of-arrays :class:`FastPlan` (contiguous int32/int64/
-  float64 arrays for op streams, per-send costs, round tables and CSR
-  message sets, plus the report fields the schedule alone fixes),
-  size-rebindable across message-length sweeps;
+  into a :class:`FastPlan` of plain lists (per-rank op streams, per-send
+  message sets and costs, per-round tables, plus the report fields the
+  schedule alone fixes), size-rebindable across message-length sweeps.
+  It is the one lowering of both engines: the event engine's
+  :class:`~repro.core.executor.ScheduleExecutor` runs the same op
+  streams as generator programs;
 * :mod:`~.kernel` replays a bound plan in **one CPython function** over
   plain lists and memoized route tuples, reproducing the generator
   engine's event ordering **bit-for-bit** (same ``(time, seq)``

@@ -1,10 +1,10 @@
 """Batch replay of a lowered plan, bit-identical to the event engine.
 
 The evaluator is the thin orchestration layer around the replay
-kernel (:mod:`repro.fastpath.kernel`): it binds a structure-of-arrays
+kernel (:mod:`repro.fastpath.kernel`): it binds a lowered
 :class:`~repro.fastpath.lowering.FastPlan` to a run — seed-dependent
 rank placement, one route tuple per send, wire durations — invokes the
-kernel once on the plan's list views, and folds the kernel's
+kernel once on the plan's lists, and folds the kernel's
 timing-dependent accumulators and the plan's precomputed report fields
 into a :class:`~repro.metrics.report.MetricsReport`.
 
@@ -52,8 +52,7 @@ term: the fields the schedule fixes are counted once per plan, at
 lowering; per-rank float accumulation happens inside the kernel in
 global event order (identical between engines), and the report-level
 float totals here are ``sum()`` over ranks in rank order, as in the
-collector — never pairwise numpy sums, which would differ in the last
-bits.
+collector — never pairwise sums, which would differ in the last bits.
 """
 
 from __future__ import annotations
@@ -111,11 +110,10 @@ def bind_plan(plan: FastPlan, machine: "Machine", seed: int) -> PlanBinding:
     node_of = machine.build_mapping(seed).node_of
     nodes = [node_of(rank) for rank in range(plan.p)]
     route_links = machine.topology.route_links
-    lists = plan.list_views()
     return PlanBinding(
         paths=[
             route_links(nodes[src], nodes[dst])
-            for src, dst in zip(lists["send_src"], lists["send_dst"])
+            for src, dst in zip(plan.send_src, plan.send_dst)
         ],
         nodes=nodes,
     )
@@ -145,7 +143,6 @@ def evaluate_plan(
     if binding is None:
         binding = bind_plan(plan, machine, seed)
     paths = binding.paths
-    lists = plan.list_views()
 
     # Wire durations in the fabric's association order: per link for
     # store-and-forward, per path for wormhole (hops exclude the
@@ -155,11 +152,11 @@ def evaluate_plan(
     route_setup = params.route_setup
     store_forward = params.switching == "store_and_forward"
     if store_forward:
-        durations = [t_hop + nbytes * t_byte for nbytes in lists["send_nbytes"]]
+        durations = [t_hop + nbytes * t_byte for nbytes in plan.send_nbytes]
     else:
         durations = [
             route_setup + (len(path) - 2) * t_hop + nbytes * t_byte
-            for path, nbytes in zip(paths, lists["send_nbytes"])
+            for path, nbytes in zip(paths, plan.send_nbytes)
         ]
 
     wire = WireState(topology.num_links, 2 * topology.num_nodes)
@@ -168,16 +165,16 @@ def evaluate_plan(
      round_last) = replay_kernel(
         p,
         num_rounds,
-        lists["op_code"],
-        lists["op_arg"],
-        lists["op_aux"],
-        lists["op_start"],
-        lists["send_src"],
-        lists["send_dst"],
-        lists["send_round"],
-        lists["send_ovh"],
-        lists["recv_total"],
-        lists["recv_copy"],
+        plan.op_code,
+        plan.op_arg,
+        plan.op_aux,
+        plan.op_start,
+        plan.send_src,
+        plan.send_dst,
+        plan.send_round,
+        plan.send_ovh,
+        plan.recv_total,
+        plan.recv_copy,
         durations,
         paths,
         store_forward,
@@ -230,11 +227,10 @@ def _record_trace(
     round-entry boundary is the executor's ``span_begin`` /
     ``span_end``.
     """
-    lists = plan.list_views()
-    send_src = lists["send_src"]
-    send_dst = lists["send_dst"]
-    send_round = lists["send_round"]
-    send_nbytes = lists["send_nbytes"]
+    send_src = plan.send_src
+    send_dst = plan.send_dst
+    send_round = plan.send_round
+    send_nbytes = plan.send_nbytes
     num_rounds = plan.num_rounds
     round_phase = plan.round_phase
     nodes = binding.nodes

@@ -26,7 +26,8 @@ b)`` tuples:
   completes at its destination rank;
 * ``(LOG_BEGIN, entry, t, 0.0, 0.0)`` / ``(LOG_END, entry, t, 0.0,
   0.0)`` when a rank enters / leaves its slice of a round, where
-  ``entry = rank * num_rounds + round``.
+  ``entry = rank * num_rounds + round`` and the round is the op's
+  ``op_aux``.
 
 Log order is replay order, which is the event engine's record order;
 :mod:`repro.fastpath.evaluator` rebuilds the engine's trace records
@@ -239,21 +240,18 @@ def replay_kernel(
         while True:
             if i >= end:
                 if log is not None and end > op_start[rank]:
-                    last = end - 1
-                    rnd = op_aux[last] if op_code[last] == OP_RECV else send_round[op_arg[last]]
-                    log.append((LOG_END, rank * num_rounds + rnd, now, 0.0, 0.0))
+                    log.append((LOG_END, rank * num_rounds + op_aux[end - 1], now, 0.0, 0.0))
                 finished[rank] = True
                 break
             if log is not None:
                 # A rank's ops run round by round, one slice per round:
                 # an op whose round differs from its predecessor's closes
                 # one slice and opens the next.
-                rnd = op_aux[i] if op_code[i] == OP_RECV else send_round[op_arg[i]]
+                rnd = op_aux[i]
                 if i == op_start[rank]:
                     log.append((LOG_BEGIN, rank * num_rounds + rnd, now, 0.0, 0.0))
                 else:
-                    last = i - 1
-                    prev = op_aux[last] if op_code[last] == OP_RECV else send_round[op_arg[last]]
+                    prev = op_aux[i - 1]
                     if prev != rnd:
                         log.append((LOG_END, rank * num_rounds + prev, now, 0.0, 0.0))
                         log.append((LOG_BEGIN, rank * num_rounds + rnd, now, 0.0, 0.0))

@@ -17,7 +17,7 @@ is identical work, so this module caches it per worker process:
   and return a :class:`FastOutcome`.
 
 **Size discipline.**  A plan's structure is usually size-independent
-(whole messages move; byte counts are sums over CSR message sets), and
+(whole messages move; byte counts are sums over message sets), and
 then one cached structure serves every message length via
 :meth:`FastPlan.rebind_sizes` — bit-identical to fresh lowering.  Two
 guards keep this safe: algorithms whose *round structure* depends on

@@ -279,12 +279,6 @@ class FaultInjector:
         path.append(topology.ejection_link(dst))
         return tuple(path)
 
-    # -- introspection ----------------------------------------------------
-    @property
-    def has_dead_links(self) -> bool:
-        """Whether any link (or node) failure is scheduled."""
-        return bool(self._dead_links)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<FaultInjector {self.schedule.canonical()!r} "

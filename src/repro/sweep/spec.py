@@ -217,42 +217,6 @@ class SweepSpec:
                 "on the faults axis (a clean run has nothing to recover)"
             )
 
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible form of the grid (CLI / run-manifest use).
-
-        This describes the *grid*, not the expanded points: distributed
-        run manifests store expanded point payloads (placements resolve
-        on the coordinator, so every worker sees identical ranks), and
-        keep the spec alongside purely as provenance.
-        """
-        return {
-            "machines": list(self.machines),
-            "distributions": list(self.distributions),
-            "s_values": list(self.s_values),
-            "message_sizes": list(self.message_sizes),
-            "algorithms": list(self.algorithms),
-            "seeds": list(self.seeds),
-            "contention": self.contention,
-            "faults": list(self.faults),
-            "recover": self.recover,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SweepSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            machines=tuple(data["machines"]),
-            distributions=tuple(data["distributions"]),
-            s_values=tuple(int(s) for s in data["s_values"]),
-            message_sizes=tuple(int(size) for size in data["message_sizes"]),
-            algorithms=tuple(data["algorithms"]),
-            seeds=tuple(int(seed) for seed in data.get("seeds", (0,))),
-            contention=bool(data.get("contention", True)),
-            faults=tuple(data.get("faults", (None,))),
-            recover=bool(data.get("recover", False)),
-        )
-
     @property
     def num_points(self) -> int:
         """Size of the expanded grid."""

@@ -139,10 +139,8 @@ def test_rebind_sizes_refuses_size_dependent_structure():
 
 
 def test_rebind_sizes_bit_equal_to_fresh_lowering():
-    """Direct check at the lowering layer: rebound cost arrays equal a
-    from-scratch lowering of the resized problem, array by array."""
-    import numpy as np
-
+    """Direct check at the lowering layer: the rebound plan equals a
+    from-scratch lowering of the resized problem, list by list."""
     base = _problem("paragon:4x4", 64)
     schedule = get_algorithm("PersAlltoAll").build_schedule(base)
     plan = lower_schedule(schedule)
@@ -152,11 +150,18 @@ def test_rebind_sizes_bit_equal_to_fresh_lowering():
     fresh = lower_schedule(
         get_algorithm("PersAlltoAll").build_schedule(resized)
     )
-    for name in ("send_nbytes", "send_ovh", "recv_total", "recv_copy"):
-        assert np.array_equal(getattr(rebound, name), getattr(fresh, name)), name
-    # Structural arrays are shared, not copied.
-    assert rebound.op_code is plan.op_code
-    assert rebound.msg_members is plan.msg_members
+    for name in ("send_nbytes", "send_ovh", "recv_total", "recv_copy",
+                 "report_fields"):
+        assert getattr(rebound, name) == getattr(fresh, name), name
+    assert rebound.send_nbytes != plan.send_nbytes
+    assert rebound == fresh
+    # Structural lists are shared, not copied.
+    for name in ("send_src", "send_dst", "send_round", "send_msgset",
+                 "send_ovh", "op_code", "op_arg", "op_aux", "op_start",
+                 "rank_rounds", "round_phase", "round_collective",
+                 "round_mpi", "round_recv_ovh", "round_mem_scale",
+                 "active_rounds"):
+        assert getattr(rebound, name) is getattr(plan, name), name
 
 
 def test_plan_cache_singleton_stats_shape():

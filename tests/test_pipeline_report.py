@@ -251,6 +251,24 @@ class TestReportCli:
         for page in out_dir.glob("*.html"):
             assert checker.audit_file(page) == []
 
+    def test_shards_prewarm_then_measure_from_cache(self, tmp_path, capsys):
+        """``--shards`` fills the cache across worker processes; the
+        measurement is then all cache hits and renders the serial page."""
+        from repro.pipeline.cli import main
+
+        sharded, serial = tmp_path / "sharded", tmp_path / "serial"
+        code = main(["fig4", "--quick", "--shards", "2",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--out", str(sharded)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "pre-warmed 28 grid point(s) across 2 shard(s)" in out
+        assert "(28 cached, 0 computed)" in out
+        assert main(["fig4", "--quick", "--no-cache",
+                     "--out", str(serial)]) == 0
+        assert ((sharded / "fig4.html").read_bytes()
+                == (serial / "fig4.html").read_bytes())
+
     def test_docs_check_skip_results_matches_committed(self, capsys):
         from repro.pipeline.cli import main
 
