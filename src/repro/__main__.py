@@ -33,17 +33,12 @@ import repro
 from repro.core.selector import recommend
 from repro.distributions.ascii_art import render_placement
 from repro.errors import ReproError
-from repro.machines import machine_from_spec
+from repro.machines import SPEC_GRAMMAR, machine_from_spec
 from repro.metrics.timeline import render_timeline
 from repro.simulator.trace import Tracer
 from repro.sweep import ResultCache, SweepExecutor, SweepPoint
 
 __all__ = ["main"]
-
-
-def parse_machine(spec: str) -> "repro.Machine":
-    """``paragon:RxC`` | ``t3d:P`` | ``hypercube:P`` → a Machine."""
-    return machine_from_spec(spec)
 
 
 def _engine_line(requested: str, result: "repro.BroadcastResult") -> str:
@@ -89,7 +84,7 @@ def main(argv: List[str] | None = None) -> int:
         description="Run one s-to-p broadcast on a simulated MPP.",
     )
     parser.add_argument(
-        "--machine", default="paragon:10x10", help="paragon:RxC | t3d:P | hypercube:P"
+        "--machine", default="paragon:10x10", help=SPEC_GRAMMAR
     )
     parser.add_argument(
         "--dist",
@@ -160,7 +155,7 @@ def main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        machine = parse_machine(args.machine)
+        machine = machine_from_spec(args.machine)
         distribution = repro.get_distribution(args.dist)
         sources = distribution.generate(machine, args.s)
         problem = repro.BroadcastProblem(machine, sources, message_size=args.L)
@@ -179,7 +174,7 @@ def main(argv: List[str] | None = None) -> int:
             tracer = Tracer(kinds=("send", "recv"))
         else:
             tracer = None
-        if tracer is None and machine.spec is not None and isinstance(algorithm, str):
+        if tracer is None:
             cache = (
                 ResultCache(args.cache_dir)
                 if args.cache_dir and not args.no_cache

@@ -9,17 +9,15 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.bench.runner import measure_problem
+from repro.bench.runner import measure_batch
 from repro.bench.types import Check, FigureResult, Series
-from repro.core.ideal import best_line_positions
+from repro.core.ideal import best_line_positions, ideal_row_sources
 from repro.core.problem import BroadcastProblem
-from repro.core.runner import run_broadcast
 from repro.core.structure import estimate_halving_time
 from repro.distributions import DISTRIBUTIONS
-from repro.machines import Machine, paragon, t3d
+from repro.machines import machine_from_spec, paragon, t3d
+from repro.machines.paragon import PARAGON_PARAMS
 from repro.machines.t3d import T3D_PARAMS
-from repro.network.mapping import IdentityMapping
-from repro.network.torus import Torus3D
 
 __all__ = [
     "ablation_contention",
@@ -44,22 +42,18 @@ def ablation_contention(quick: bool = False) -> FigureResult:
     """
     machine = paragon(10, 10)
     s_values = [10, 40] if quick else [10, 20, 40, 80]
-    curves: Dict[str, List[float]] = {
-        "Naive (contention)": [],
-        "Naive (no contention)": [],
-        "Br_Lin (contention)": [],
-        "Br_Lin (no contention)": [],
-    }
+    algorithms = (("Naive", "Naive_Independent"), ("Br_Lin", "Br_Lin"))
+    items = []
     for s in s_values:
         sources = DISTRIBUTIONS["E"].generate(machine, s)
         problem = BroadcastProblem(machine, sources, message_size=16384)
-        for label, name in (("Naive", "Naive_Independent"), ("Br_Lin", "Br_Lin")):
-            curves[f"{label} (contention)"].append(
-                measure_problem(problem, name, contention=True)
-            )
-            curves[f"{label} (no contention)"].append(
-                measure_problem(problem, name, contention=False)
-            )
+        items.extend((problem, name) for _label, name in algorithms)
+    on = measure_batch(items, contention=True)
+    off = measure_batch(items, contention=False)
+    curves: Dict[str, List[float]] = {}
+    for i, (label, _name) in enumerate(algorithms):
+        curves[f"{label} (contention)"] = on[i :: len(algorithms)]
+        curves[f"{label} (no contention)"] = off[i :: len(algorithms)]
     series = Series(
         "10x10 Paragon, L = 16K, equal distribution",
         "s",
@@ -102,26 +96,18 @@ def ablation_mapping(quick: bool = False) -> FigureResult:
     locality; the random production mapping is what levels the field —
     the reason the paper runs only topology-oblivious algorithms there.
     """
-    placed = Machine(
-        Torus3D(*Torus3D.dims_for(64)),
-        T3D_PARAMS,
-        mapping_factory=lambda topo, seed: IdentityMapping(topo),
-        kind="t3d-identity",
-    )
+    placed = machine_from_spec("t3d:64+mapping=identity")
     production = t3d(64)
     s_values = [8, 32] if quick else [8, 16, 32, 64]
-    curves: Dict[str, List[float]] = {
-        "Br_Lin (identity)": [],
-        "Br_Lin (random)": [],
-    }
+    items = []
     for s in s_values:
         sources = DISTRIBUTIONS["E"].generate(production, s)
-        for label, machine in (
-            ("Br_Lin (identity)", placed),
-            ("Br_Lin (random)", production),
-        ):
-            problem = BroadcastProblem(machine, sources, message_size=4096)
-            curves[label].append(measure_problem(problem, "Br_Lin"))
+        items.extend(
+            (BroadcastProblem(machine, sources, message_size=4096), "Br_Lin")
+            for machine in (placed, production)
+        )
+    times = measure_batch(items)
+    curves = {"Br_Lin (identity)": times[0::2], "Br_Lin (random)": times[1::2]}
     series = Series("64-proc T3D, L = 4K", "s", s_values, curves)
     result = FigureResult(
         "Ablation: mapping",
@@ -151,20 +137,18 @@ def ablation_combining(quick: bool = False) -> FigureResult:
     normal = t3d(128)
     free_copy = t3d(128, params=T3D_PARAMS.with_overrides(t_mem_byte=0.0))
     s_values = [20, 40] if quick else [10, 20, 40, 80]
-    curves: Dict[str, List[float]] = {
-        "Br_Lin / Alltoall (full combine cost)": [],
-        "Br_Lin / Alltoall (free combining)": [],
-    }
+    items = []
     for s in s_values:
         sources = DISTRIBUTIONS["E"].generate(normal, s)
-        for label, machine in (
-            ("Br_Lin / Alltoall (full combine cost)", normal),
-            ("Br_Lin / Alltoall (free combining)", free_copy),
-        ):
+        for machine in (normal, free_copy):
             problem = BroadcastProblem(machine, sources, message_size=4096)
-            t_lin = measure_problem(problem, "Br_Lin")
-            t_a2a = measure_problem(problem, "MPI_Alltoall")
-            curves[label].append(t_lin / t_a2a)
+            items += [(problem, "Br_Lin"), (problem, "MPI_Alltoall")]
+    times = measure_batch(items)
+    ratios = [t_lin / t_a2a for t_lin, t_a2a in zip(times[0::2], times[1::2])]
+    curves = {
+        "Br_Lin / Alltoall (full combine cost)": ratios[0::2],
+        "Br_Lin / Alltoall (free combining)": ratios[1::2],
+    }
     series = Series(
         "128-proc T3D, L = 4K: Br_Lin time / MPI_Alltoall time",
         "s",
@@ -243,22 +227,14 @@ def ablation_ideal_rows(quick: bool = False) -> FigureResult:
     )
     # End-to-end confirmation on the simulated machine.
     machine = paragon(10, 10)
-    from repro.core.ideal import ideal_row_sources
-
     even_rows = [0, 5]
     even_sources = tuple(
         r * 10 + c for r in even_rows for c in range(10)
     )
-    t_even = run_broadcast(
-        BroadcastProblem(machine, even_sources, message_size=4096),
-        "Br_xy_source",
-    ).elapsed_ms
-    t_searched = run_broadcast(
-        BroadcastProblem(
-            machine, ideal_row_sources(machine, 20), message_size=4096
-        ),
-        "Br_xy_source",
-    ).elapsed_ms
+    t_even, t_searched = measure_batch([
+        (BroadcastProblem(machine, sources, message_size=4096), "Br_xy_source")
+        for sources in (even_sources, ideal_row_sources(machine, 20))
+    ])
     result.checks.append(
         Check(
             "simulated Br_xy_source confirms the placement win",
@@ -267,9 +243,6 @@ def ablation_ideal_rows(quick: bool = False) -> FigureResult:
         )
     )
     return result
-
-
-
 
 
 def ablation_switching(quick: bool = False) -> FigureResult:
@@ -285,18 +258,13 @@ def ablation_switching(quick: bool = False) -> FigureResult:
     most, while the neighbour-hop halving patterns of ``Br_Lin`` and
     ``Br_xy_source`` degrade in step with their shorter paths.
     """
-    from repro.machines.paragon import PARAGON_PARAMS
-
     wormhole = paragon(10, 10)
     saf = paragon(
         10, 10, params=PARAGON_PARAMS.with_overrides(switching="store_and_forward")
     )
     algos = ["Br_Lin", "Br_xy_source", "2-Step"]
     s_values = [10, 30] if quick else [10, 30, 60]
-    curves: Dict[str, List[float]] = {}
-    for name in algos:
-        curves[f"{name} (wormhole)"] = []
-        curves[f"{name} (store&fwd)"] = []
+    labelled = []
     for s in s_values:
         sources = DISTRIBUTIONS["E"].generate(wormhole, s)
         for name in algos:
@@ -305,7 +273,11 @@ def ablation_switching(quick: bool = False) -> FigureResult:
                 (f"{name} (store&fwd)", saf),
             ):
                 problem = BroadcastProblem(machine, sources, message_size=4096)
-                curves[label].append(measure_problem(problem, name))
+                labelled.append((label, (problem, name)))
+    times = measure_batch([item for _label, item in labelled])
+    curves: Dict[str, List[float]] = {}
+    for (label, _item), t in zip(labelled, times):
+        curves.setdefault(label, []).append(t)
     series = Series(
         "10x10 Paragon, L = 4K, equal distribution", "s", s_values, curves
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.bench.runner import measure_problem
+from repro.bench.runner import measure_batch
 from repro.bench.types import Check, FigureResult, Series
 from repro.core.problem import BroadcastProblem
 from repro.distributions import DISTRIBUTIONS
@@ -37,18 +37,22 @@ def extension_ring_crossover(quick: bool = False) -> FigureResult:
         "Extension: ring crossover",
         "Br_Ring vs Br_Lin across the message-size axis",
     )
-    ratios: Dict[str, List[float]] = {}
-    for label, machine, s in (
+    machines = (
         ("Paragon 10x10 (s=30)", paragon(10, 10), 30),
         ("T3D 64 (s=32)", t3d(64), 32),
-    ):
+    )
+    items = []
+    for _label, machine, s in machines:
         sources = DISTRIBUTIONS["E"].generate(machine, s)
-        ratios[label] = []
         for L in sizes:
             problem = BroadcastProblem(machine, sources, message_size=L)
-            t_ring = measure_problem(problem, "Br_Ring")
-            t_lin = measure_problem(problem, "Br_Lin")
-            ratios[label].append(t_ring / t_lin)
+            items += [(problem, "Br_Ring"), (problem, "Br_Lin")]
+    times = measure_batch(items)
+    all_ratios = [ring / lin for ring, lin in zip(times[0::2], times[1::2])]
+    ratios: Dict[str, List[float]] = {
+        label: all_ratios[i * len(sizes) : (i + 1) * len(sizes)]
+        for i, (label, _machine, _s) in enumerate(machines)
+    }
     series = Series(
         "Br_Ring time / Br_Lin time (ratio < 1: ring wins)",
         "L (bytes)",
@@ -99,18 +103,21 @@ def extension_auto_portfolio(quick: bool = False) -> FigureResult:
     if not quick:
         workload += [("Dr", 30, 8192), ("B", 75, 6144), ("E", 150, 1024)]
     fixed = ["Br_Lin", "Br_xy_source", "Repos_xy_source"]
-    totals: Dict[str, float] = {name: 0.0 for name in fixed}
-    totals["Auto_Predict"] = 0.0
+    names = [*fixed, "Auto_Predict"]
     labels = []
-    curves: Dict[str, List[float]] = {name: [] for name in totals}
+    items = []
     for key, s, L in workload:
         sources = DISTRIBUTIONS[key].generate(machine, s)
         problem = BroadcastProblem(machine, sources, message_size=L)
         labels.append(f"{key}/s={s}/L={L}")
-        for name in totals:
-            t = measure_problem(problem, name)
+        items.extend((problem, name) for name in names)
+    times = measure_batch(items)
+    curves = {name: times[i :: len(names)] for i, name in enumerate(names)}
+    # Left-to-right totals: sum() rounds differently across Python versions.
+    totals: Dict[str, float] = {name: 0.0 for name in names}
+    for name in names:
+        for t in curves[name]:
             totals[name] += t
-            curves[name].append(t)
     series = Series(
         "16x16 Paragon, mixed workload", "case", labels, curves
     )
@@ -142,12 +149,13 @@ def extension_hypercube(quick: bool = False) -> FigureResult:
     machine = hypercube(64)
     s_values = [8, 32] if quick else [4, 8, 16, 32, 64]
     algos = ["Br_Lin", "2-Step", "PersAlltoAll", "Br_Ring"]
-    curves: Dict[str, List[float]] = {a: [] for a in algos}
+    items = []
     for s in s_values:
         sources = DISTRIBUTIONS["E"].generate(machine, s)
         problem = BroadcastProblem(machine, sources, message_size=4096)
-        for a in algos:
-            curves[a].append(measure_problem(problem, a))
+        items.extend((problem, a) for a in algos)
+    times = measure_batch(items)
+    curves = {a: times[i :: len(algos)] for i, a in enumerate(algos)}
     series = Series("64-node hypercube, L = 4K", "s", s_values, curves)
     result = FigureResult(
         "Extension: hypercube",

@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from repro.bench.runner import measure_batch, run_batch
+from repro.bench.runner import active_executor, measure_batch
 from repro.bench.types import Check, FigureResult, Series
 from repro.core.analysis import figure2_row
 from repro.core.problem import BroadcastProblem
 from repro.distributions import DISTRIBUTIONS
 from repro.distributions.ascii_art import render_placement
 from repro.machines import paragon
+from repro.sweep.spec import SweepPoint
 
 __all__ = ["fig01", "fig02", "sec5_varied_lengths"]
 
@@ -94,7 +95,9 @@ def fig02(quick: bool = False) -> FigureResult:
         for name in names
         for s in (s_lo, s_hi, 15)
     ]
-    runs = run_batch([(problem, name) for name, _s, problem in grid])
+    runs = active_executor().run(
+        [SweepPoint.from_problem(problem, name) for name, _s, problem in grid]
+    )
     measured: Dict[str, Dict[int, Dict[str, float]]] = {n: {} for n in names}
     for (name, s, _problem), run in zip(grid, runs):
         measured[name][s] = run.metrics.as_dict()

@@ -21,20 +21,24 @@ deliver?*  Three conditions per algorithm on one Paragon submesh:
   — the dead rank itself is unrecoverable).  Its slowdown cell charges
   the *total* time to that state: primary run plus recovery.
 
-Runs go through :func:`repro.run_broadcast` directly (same seeded,
-deterministic path the sweep executor uses) so the table is exactly
-reproducible from the fault-spec strings it prints.
+Every run is a :class:`~repro.sweep.spec.SweepPoint` carrying its fault
+spec and recovery flag, measured in one batch by the installed sweep
+executor: the cells are cached like any other point, and ``--engine``
+applies (``fast`` cannot inject faults and is refused).  Runs are
+seeded and deterministic, so the table is exactly reproducible from the
+fault-spec strings it prints.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.bench.runner import active_executor
 from repro.bench.types import Check, FigureResult, Series
 from repro.core.problem import BroadcastProblem
-from repro.core.runner import run_broadcast
 from repro.distributions import DISTRIBUTIONS
 from repro.machines import paragon
+from repro.sweep.spec import SweepPoint
 
 __all__ = ["robustness_faults"]
 
@@ -77,13 +81,17 @@ def robustness_faults(quick: bool = False) -> FigureResult:
     )
     specs = (None, _LINK_FAIL, _DEGRADE, _NODE_FAIL, _NODE_FAIL)
     recover_flags = (False, False, False, False, True)
+    runs = iter(active_executor().run([
+        SweepPoint.from_problem(problem, algorithm, faults=spec, recover=recover)
+        for algorithm in algorithms
+        for spec, recover in zip(specs, recover_flags)
+    ]))
     for algorithm in algorithms:
         base_ms = None
         slowdowns[algorithm] = []
         deliveries[algorithm] = []
-        for spec, recover in zip(specs, recover_flags):
-            run = run_broadcast(problem, algorithm, faults=spec,
-                                recover=recover)
+        for recover in recover_flags:
+            run = next(runs)
             if base_ms is None:
                 base_ms = run.elapsed_ms
             # The recovery cell charges the total time to the recovered

@@ -80,8 +80,9 @@ class BroadcastResult:
         (Python's float repr is shortest-round-trip), which is what lets
         the sweep cache treat stored results as interchangeable with
         freshly computed ones.  The problem is embedded as a spec
-        descriptor when its machine has a canonical
-        :attr:`~repro.machines.machine.Machine.spec`; ad-hoc machines
+        descriptor when its machine has a
+        :attr:`~repro.machines.machine.Machine.spec` (every factory-built
+        machine, parameter variants included); hand-built machines
         serialize without one and deserialize with ``problem=None``.
         """
         data: Dict[str, Any] = {

@@ -6,7 +6,7 @@ determining* subset of the point: machine spec, algorithm, and source
 placement.  The schedule build + validation + lowering for such points
 is identical work, so this module caches it per worker process:
 
-* a :class:`PlanCache` maps ``(machine spec, algorithm, sources)`` to a
+* a :class:`PlanCache` maps ``(machine, algorithm, sources)`` to a
   lowered :class:`~repro.fastpath.lowering.FastPlan` — with the report
   fields its schedule fixes, counted once at lowering — plus everything
   the runner needs around it (validation state, the lazily computed
@@ -26,12 +26,14 @@ sizes declare it (:meth:`BroadcastAlgorithm.schedule_depends_on_sizes`
 itself probes reusability per plan (:attr:`FastPlan.size_reusable`).
 Either guard failing keys the entry by the full size signature instead.
 
-Machines without a canonical spec (ad-hoc topologies, overridden
-parameters) bypass the cache entirely — there is no stable identity to
-key on.
+The machine part of the key is its canonical spec, which names every
+parameter that differs from the family's defaults, so parameter
+variants never share a plan.  A hand-built machine without a spec (a
+test topology) is keyed by the :class:`~repro.machines.Machine` object
+itself: its own runs share plans, and no other machine's do.
 
-The cache is engine-invisible: hits, misses and bypasses produce
-bit-identical results (the differential tests replay warm-cache points
+The cache is engine-invisible: hits and misses produce bit-identical
+results (the differential tests replay warm-cache points
 against the event engine), and cache state never leaks into result
 bytes or sweep cache keys.
 """
@@ -87,7 +89,7 @@ class FastOutcome:
     algorithm: str
     num_rounds: int
     num_transfers: int
-    #: Cache verdict for debug surfacing: ``hit`` | ``miss`` | ``bypass``.
+    #: Cache verdict for debug surfacing: ``hit`` | ``miss``.
     plan_cache: str
 
 
@@ -190,7 +192,6 @@ class PlanCache:
         self.counters: Dict[str, int] = {
             "hits": 0,
             "misses": 0,
-            "bypasses": 0,
             "size_rebinds": 0,
         }
 
@@ -261,7 +262,7 @@ def evaluate_problem(
     The fast-path equivalent of the runner's build → validate →
     simulate → verify pipeline, with the first two stages (and the
     verification verdict) amortized across every point that shares this
-    problem's machine spec, algorithm and source placement.  A
+    problem's machine, algorithm and source placement.  A
     ``tracer`` receives the event engine's trace records for the
     replay (see :func:`~repro.fastpath.evaluator.evaluate_plan`).  Raises
     exactly what the un-cached pipeline would: ``AlgorithmError`` from
@@ -269,26 +270,8 @@ def evaluate_problem(
     ``VerificationError`` from the delivery check.
     """
     machine = problem.machine
-    spec = machine.spec
-    if spec is None:
-        # Ad-hoc machine: no stable identity to key on — run un-cached.
-        _CACHE.counters["bypasses"] += 1
-        schedule = algorithm.build_schedule(problem)
-        if validate:
-            schedule.validate()
-        plan = lower_schedule(schedule)
-        entry = _PlanEntry(
-            plan,
-            schedule,
-            algorithm.name,
-            _size_sig(problem),
-            validated=validate,
-        )
-        return _replay(entry, plan, problem, machine, seed, contention,
-                       verify, "bypass", tracer)
-
     sig = _size_sig(problem)
-    key_base = (spec, algorithm.name, problem.sources)
+    key_base = (machine.spec or machine, algorithm.name, problem.sources)
     sized_structure = algorithm.schedule_depends_on_sizes(problem)
     entry = None
     if not sized_structure:
@@ -317,22 +300,6 @@ def evaluate_problem(
             _CACHE.put(key_base + ("sized", sig), entry)
 
     plan = entry.plan_for(sig, problem)
-    return _replay(entry, plan, problem, machine, seed, contention,
-                   verify, verdict, tracer)
-
-
-def _replay(
-    entry: _PlanEntry,
-    plan: FastPlan,
-    problem: "BroadcastProblem",
-    machine,
-    seed: int,
-    contention: bool,
-    verify: bool,
-    verdict: str,
-    tracer: Optional["Tracer"],
-) -> FastOutcome:
-    """Kernel replay + delivery check, shared by all cache verdicts."""
     binding = entry.binding_for(machine, seed)
     fast = evaluate_plan(
         plan, machine, seed=seed, contention=contention, binding=binding,

@@ -18,11 +18,13 @@ DESIGN.md §2.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from repro.errors import ConfigurationError
 from repro.machines.hypercube_machine import hypercube
-from repro.machines.machine import Machine, RunResult
+from repro.machines.machine import (
+    SPEC_GRAMMAR,
+    Machine,
+    RunResult,
+    machine_from_spec,
+)
 from repro.machines.params import MachineParams
 from repro.machines.paragon import paragon
 from repro.machines.t3d import t3d
@@ -36,36 +38,3 @@ __all__ = [
     "hypercube",
     "machine_from_spec",
 ]
-
-
-@lru_cache(maxsize=64)
-def machine_from_spec(spec: str) -> Machine:
-    """Rebuild a factory machine from its canonical spec string.
-
-    Accepts ``paragon:RxC``, ``t3d:P`` and ``hypercube:P`` — exactly the
-    strings stored in :attr:`Machine.spec` — and returns the machine
-    with its default calibrated parameters.  This is the inverse the
-    sweep executor relies on to reconstruct problems inside worker
-    processes and to key the on-disk result cache.
-
-    Memoized: a factory machine is an immutable configuration (frozen
-    params, finalized topology; every :meth:`Machine.run` builds a fresh
-    engine/fabric/world), so repeated sweep points within one process
-    share a single instance — and with it the topology's warm route
-    cache — instead of rebuilding the interconnect per point.
-    """
-    kind, _, size = spec.partition(":")
-    try:
-        if kind == "paragon":
-            rows, sep, cols = size.partition("x")
-            if sep:
-                return paragon(int(rows), int(cols))
-        elif kind == "t3d" and size:
-            return t3d(int(size))
-        elif kind == "hypercube" and size:
-            return hypercube(int(size))
-    except ValueError:
-        pass
-    raise ConfigurationError(
-        f"unknown machine spec {spec!r}; use paragon:RxC, t3d:P, hypercube:P"
-    )

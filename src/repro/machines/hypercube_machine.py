@@ -12,7 +12,7 @@ cross-architecture comparisons isolate the *topology* effect.
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.machines.machine import Machine
+from repro.machines.machine import Machine, machine_spec
 from repro.machines.paragon import PARAGON_PARAMS
 from repro.machines.params import MachineParams
 from repro.network.hypercube import Hypercube
@@ -30,6 +30,5 @@ def hypercube(p: int, params: MachineParams = PARAGON_PARAMS) -> Machine:
         Hypercube(p.bit_length() - 1),
         params,
         mapping_factory=None,  # identity: ranks are cube addresses
-        kind="hypercube",
-        spec=f"hypercube:{p}" if params is PARAGON_PARAMS else None,
+        spec=machine_spec(f"hypercube:{p}", params, PARAGON_PARAMS),
     )

@@ -5,11 +5,17 @@ to :meth:`Machine.run` builds a fresh engine/fabric/world, spawns one
 simulated process per rank, runs to completion, and returns a
 :class:`RunResult` with the elapsed virtual time and the collected
 metrics.  Runs are bit-deterministic given ``seed``.
+
+The module also holds the machine spec grammar: :func:`machine_spec`
+writes a factory machine's canonical spec, and :func:`machine_from_spec`
+rebuilds the machine from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
+from functools import lru_cache, partial
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, DeadlockError
@@ -24,12 +30,120 @@ from repro.network.topology import Topology
 from repro.simulator.engine import Engine
 from repro.simulator.trace import Tracer
 
-__all__ = ["Machine", "RunResult"]
+__all__ = ["Machine", "RunResult", "machine_from_spec", "machine_spec"]
 
 #: A per-rank SPMD program: takes this rank's communicator, yields events.
 ProgramFactory = Callable[[Comm], Generator[Any, Any, Any]]
 #: Builds the rank mapping for a run (seed-dependent on the T3D).
 MappingFactory = Callable[[Topology, int], RankMapping]
+
+#: The :class:`MachineParams` fields a spec suffix may name, in
+#: dataclass order (``name`` is a display label, not a parameter).
+SPEC_FIELDS = tuple(f.name for f in fields(MachineParams) if f.name != "name")
+#: Final spec suffix of an identity rank mapping on a family whose
+#: default mapping is random (the T3D).
+IDENTITY_MAPPING = "mapping=identity"
+#: The ``+`` that starts a ``+<field>=<value>`` suffix (a float's
+#: exponent, as in ``1e+20``, is not one).
+_SUFFIX = re.compile(r"\+(?=[a-z_]+=)")
+#: The spec grammar in one line (``--machine`` help, error messages).
+SPEC_GRAMMAR = (
+    "paragon:RxC | t3d:P | hypercube:P, then +<param>=<value> for each "
+    f"non-default MachineParams field (t3d: a final +{IDENTITY_MAPPING})"
+)
+
+
+def machine_spec(base: str, params: MachineParams,
+                 defaults: MachineParams) -> str:
+    """The canonical spec of a factory machine with ``params``.
+
+    ``base`` is the family and size (``"paragon:10x10"``, ``"t3d:64"``).
+    Every :data:`SPEC_FIELDS` field whose value differs from the
+    family's ``defaults`` adds a ``+<field>=<value>`` suffix, in
+    dataclass order: numbers as the ``repr`` of the default value's
+    type, strings bare (``"t3d:128+t_mem_byte=0.0"``,
+    ``"paragon:10x10+switching=store_and_forward"``).  The factories
+    spell their machines with it; :func:`machine_from_spec` parses
+    these strings and writes the one suffix no factory does, the final
+    ``+mapping=identity`` of an identity-mapped T3D.
+    """
+    parts = [base]
+    for name in SPEC_FIELDS:
+        value, default = getattr(params, name), getattr(defaults, name)
+        if value != default:
+            if not isinstance(default, str):
+                value = repr(type(default)(value))
+            parts.append(f"{name}={value}")
+    return "+".join(parts)
+
+
+@lru_cache(maxsize=64)
+def machine_from_spec(spec: str) -> Machine:
+    """Rebuild a factory machine from its canonical spec string.
+
+    The exact inverse of :attr:`Machine.spec`: ``paragon:RxC``,
+    ``t3d:P`` or ``hypercube:P``, then the :func:`machine_spec`
+    suffixes, and on the T3D an optional final ``+mapping=identity``,
+    which builds the torus on the identity mapping
+    (``"t3d:128+t_mem_byte=0.0"``, ``"t3d:64+mapping=identity"``).
+    The sweep executor relies on it to rebuild problems inside worker
+    processes and to key the on-disk result cache, so one machine has
+    one spelling: a spec whose rebuilt machine spells itself
+    differently (``paragon:04x4``, a suffix that repeats a default,
+    suffixes out of order) is rejected with the canonical spelling in
+    the message.
+
+    Memoized: a factory machine is an immutable configuration (frozen
+    params, finalized topology; every :meth:`Machine.run` builds a fresh
+    engine/fabric/world), so repeated sweep points within one process
+    share a single instance — and with it the topology's warm route
+    cache — instead of rebuilding the interconnect per point.
+    """
+    # local: the factory modules import machine_spec from this one
+    from repro.machines.hypercube_machine import hypercube
+    from repro.machines.paragon import PARAGON_PARAMS, paragon
+    from repro.machines.t3d import T3D_PARAMS, t3d
+
+    base, *suffixes = _SUFFIX.split(spec)
+    family, _, size = base.partition(":")
+    identity = suffixes[-1:] == [IDENTITY_MAPPING]
+    if identity:
+        suffixes.pop()
+    try:
+        if family == "paragon":
+            rows, sep, cols = size.partition("x")
+            if not sep:
+                raise ValueError(size)
+            factory = partial(paragon, int(rows), int(cols))
+            defaults = PARAGON_PARAMS
+        elif family == "t3d":
+            factory, defaults = partial(t3d, int(size)), T3D_PARAMS
+        elif family == "hypercube":
+            factory, defaults = partial(hypercube, int(size)), PARAGON_PARAMS
+        else:
+            raise ValueError(family)
+        overrides = {}
+        for suffix in suffixes:
+            name, _, text = suffix.partition("=")
+            if name not in SPEC_FIELDS:
+                raise ValueError(name)
+            overrides[name] = type(getattr(defaults, name))(text)
+    except ValueError:
+        raise ConfigurationError(
+            f"unknown machine spec {spec!r}; use {SPEC_GRAMMAR}"
+        ) from None
+    machine = factory(defaults.with_overrides(**overrides))
+    if identity and not machine.topology_stable_ranks:
+        machine = Machine(
+            machine.topology,
+            machine.params,
+            spec=f"{machine.spec}+{IDENTITY_MAPPING}",
+        )
+    if machine.spec != spec:
+        raise ConfigurationError(
+            f"non-canonical machine spec {spec!r}; write {machine.spec!r}"
+        )
+    return machine
 
 
 @dataclass(frozen=True)
@@ -70,16 +184,15 @@ class Machine:
     mapping_factory:
         Builds the rank→node mapping for a run; defaults to identity
         (ranks in node order, the Paragon submesh convention).
-    kind:
-        Free-form family tag (``"paragon"``, ``"t3d"``, ``"test"``)
-        used by algorithms to check applicability.
     spec:
-        Canonical factory spec string (``"paragon:10x10"``, ``"t3d:128"``,
-        ``"hypercube:32"``) when the machine is reconstructible from it —
-        i.e. factory-built with the default calibrated parameters.
-        ``None`` for ad-hoc machines (custom params, test topologies);
-        such machines cannot be shipped to sweep worker processes or
-        cached, and are evaluated in-process instead.
+        Canonical spec string (``"paragon:10x10"``, ``"t3d:128"``,
+        ``"t3d:128+t_mem_byte=0.0"``, ``"t3d:64+mapping=identity"``; see
+        :func:`machine_spec`) from which :func:`machine_from_spec`
+        rebuilds an equivalent
+        machine.  Every factory-built machine has one, parameter
+        variants included.  ``None`` for hand-built machines (test
+        topologies): they cannot become sweep points, and the fast
+        path's plan cache keys them by the object itself.
     """
 
     def __init__(
@@ -87,12 +200,10 @@ class Machine:
         topology: Topology,
         params: MachineParams,
         mapping_factory: Optional[MappingFactory] = None,
-        kind: str = "generic",
         spec: Optional[str] = None,
     ) -> None:
         self.topology = topology
         self.params = params
-        self.kind = kind
         self.spec = spec
         self._mapping_factory: MappingFactory = (
             mapping_factory
@@ -267,7 +378,5 @@ class Machine:
         )
 
     def __repr__(self) -> str:
-        return (
-            f"<Machine {self.params.name} kind={self.kind} "
-            f"topology={self.topology!r}>"
-        )
+        shape = self.spec if self.spec is not None else repr(self.topology)
+        return f"<Machine {self.params.name} {shape}>"

@@ -21,7 +21,7 @@ Parameter rationale (shapes, not absolute fidelity — DESIGN.md §2):
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.machines.machine import Machine
+from repro.machines.machine import Machine, machine_spec
 from repro.machines.params import MachineParams
 from repro.network.mesh import Mesh2D
 
@@ -56,6 +56,5 @@ def paragon(
         Mesh2D(rows, cols),
         params,
         mapping_factory=None,  # identity
-        kind="paragon",
-        spec=f"paragon:{rows}x{cols}" if params is PARAGON_PARAMS else None,
+        spec=machine_spec(f"paragon:{rows}x{cols}", params, PARAGON_PARAMS),
     )

@@ -23,6 +23,7 @@ phenomena the paper relies on are separately tunable:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -74,20 +75,23 @@ class MachineParams:
             "collective_mem_scale",
         ):
             value = getattr(self, field_name)
-            if not isinstance(value, (int, float)) or value < 0:
+            if not isinstance(value, (int, float)) or not 0 <= value < math.inf:
                 raise ConfigurationError(
                     f"{self.name or 'params'}: {field_name} must be a "
-                    f"non-negative number, got {value!r}"
+                    f"finite non-negative number, got {value!r}"
                 )
         if self.collective_style not in ("monolithic", "pipelined"):
             raise ConfigurationError(
                 f"collective_style must be 'monolithic' or 'pipelined', "
                 f"got {self.collective_style!r}"
             )
-        if self.collective_segment_bytes <= 0:
+        if (
+            not isinstance(self.collective_segment_bytes, int)
+            or self.collective_segment_bytes <= 0
+        ):
             raise ConfigurationError(
-                "collective_segment_bytes must be positive, got "
-                f"{self.collective_segment_bytes}"
+                "collective_segment_bytes must be a positive integer, got "
+                f"{self.collective_segment_bytes!r}"
             )
         if self.switching not in ("wormhole", "store_and_forward"):
             raise ConfigurationError(

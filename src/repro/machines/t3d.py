@@ -22,7 +22,7 @@ is the paper's stated explanation for ``Br_Lin`` losing on the T3D.
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.machines.machine import Machine
+from repro.machines.machine import Machine, machine_spec
 from repro.machines.params import MachineParams
 from repro.network.mapping import RandomMapping
 from repro.network.torus import Torus3D
@@ -61,6 +61,5 @@ def t3d(p: int, params: MachineParams = T3D_PARAMS) -> Machine:
         Torus3D(nx, ny, nz),
         params,
         mapping_factory=lambda topo, seed: RandomMapping(topo, seed=seed),
-        kind="t3d",
-        spec=f"t3d:{p}" if params is T3D_PARAMS else None,
+        spec=machine_spec(f"t3d:{p}", params, T3D_PARAMS),
     )

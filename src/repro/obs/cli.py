@@ -22,7 +22,7 @@ from typing import List
 import repro
 from repro.core.selector import recommend
 from repro.errors import ReproError
-from repro.machines import machine_from_spec
+from repro.machines import SPEC_GRAMMAR, machine_from_spec
 from repro.obs.chrome import write_chrome_trace
 from repro.obs.linkstats import link_usage, render_link_heatmap
 from repro.obs.summary import render_rollup, summarize_trace
@@ -37,7 +37,7 @@ def main(argv: List[str] | None = None) -> int:
         description="Run one s-to-p broadcast with span/link observability.",
     )
     parser.add_argument(
-        "--machine", default="paragon:10x10", help="paragon:RxC | t3d:P | hypercube:P"
+        "--machine", default="paragon:10x10", help=SPEC_GRAMMAR
     )
     parser.add_argument(
         "--dist",

@@ -48,6 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.algorithms import ALGORITHMS
 from repro.distributions import DISTRIBUTIONS
 from repro.errors import ConfigurationError
+from repro.machines import machine_from_spec
 from repro.pipeline.checks import compile_expr
 from repro.pipeline.schema import (
     CHECK_TYPES,
@@ -160,21 +161,12 @@ def _dual(value: Any, parse, context: str) -> Dual:
 
 
 def _machine_spec(value: Any, context: str) -> str:
-    """Syntax-validate a machine spec without building the machine."""
+    """A spec :func:`~repro.machines.machine_from_spec` accepts, as written."""
     spec = _str(value, context)
-    kind, _, size = spec.partition(":")
-    ok = False
     try:
-        if kind == "paragon":
-            rows, sep, cols = size.partition("x")
-            ok = bool(sep) and int(rows) > 0 and int(cols) > 0
-        elif kind in ("t3d", "hypercube"):
-            ok = bool(size) and int(size) > 0
-    except ValueError:
-        ok = False
-    if not ok:
-        _fail(context, f"malformed machine spec {spec!r} "
-                       "(use paragon:RxC, t3d:P, hypercube:P)")
+        machine_from_spec(spec)
+    except ConfigurationError as exc:
+        _fail(context, str(exc))
     return spec
 
 

@@ -34,10 +34,13 @@ __all__ = ["SweepPoint", "SweepSpec"]
 class SweepPoint:
     """One fully specified broadcast run, as plain picklable data.
 
-    ``machine`` is a canonical factory spec (``"paragon:10x10"``, ...);
-    ``sources`` are explicit ranks, so the point stays valid even for
-    placements no registered distribution generates (ideal rows,
-    repositioned targets).  ``sizes`` optionally carries the per-source
+    ``machine`` is a canonical machine spec (``"paragon:10x10"``,
+    ``"t3d:128+t_mem_byte=0.0"``, ...; see
+    :func:`~repro.machines.machine_from_spec`), so a parameter variant
+    ships and caches like its family's default.  ``sources`` are
+    explicit ranks, so the point stays valid even for placements no
+    registered distribution generates (ideal rows, repositioned
+    targets).  ``sizes`` optionally carries the per-source
     byte table of non-uniform problems.  ``distribution`` is a
     provenance label; it participates in the cache key (two identically
     placed points from different distributions hash apart, which only
@@ -92,15 +95,15 @@ class SweepPoint:
         Raises
         ------
         ConfigurationError
-            If the problem's machine has no canonical spec (ad-hoc
-            topology or overridden parameters) — such runs must stay
-            in-process because a worker could not reconstruct them.
+            If the problem's machine has no spec: a hand-built machine
+            (a test topology) that no worker or cache entry could
+            rebuild.  Every factory-built machine has one.
         """
         spec = problem.machine.spec
         if spec is None:
             raise ConfigurationError(
-                "sweep points require a factory-built machine with default "
-                f"parameters; {problem.machine!r} has no canonical spec"
+                "sweep points require a factory-built machine; "
+                f"{problem.machine!r} has no spec"
             )
         sizes: Optional[Tuple[Tuple[int, int], ...]] = None
         if problem.sizes is not None:

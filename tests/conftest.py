@@ -43,7 +43,7 @@ def small_t3d() -> Machine:
 @pytest.fixture
 def line_machine() -> Machine:
     """An 8-node linear array with simple test parameters."""
-    return Machine(LinearArray(8), TEST_PARAMS, kind="test")
+    return Machine(LinearArray(8), TEST_PARAMS)
 
 
 @pytest.fixture

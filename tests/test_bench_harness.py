@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.runner import measure_batch, measure_problem
+from repro.bench.runner import measure_batch
 from repro.bench.types import Check, FigureResult, Series
 from repro.core.problem import BroadcastProblem
 from repro.distributions import DISTRIBUTIONS
+from repro.errors import ConfigurationError
 from repro.machines import t3d
 
 
@@ -86,12 +87,13 @@ class TestCheckAndFigure:
         assert "a note" in report
 
 
-class TestMeasureProblem:
+class TestMeasureBatch:
     def test_paragon_single_run(self, square_paragon):
         src = DISTRIBUTIONS["E"].generate(square_paragon, 10)
         problem = BroadcastProblem(square_paragon, src, message_size=512)
-        a = measure_problem(problem, "Br_Lin")
-        b = measure_problem(problem, "Br_Lin")
+        item = (problem, "Br_Lin")
+        [a] = measure_batch([item])
+        [b] = measure_batch([item])
         assert a == b  # deterministic, one seed
 
     def test_t3d_averages_best_seeds(self):
@@ -100,7 +102,7 @@ class TestMeasureProblem:
         problem = BroadcastProblem(machine, src, message_size=2048)
         from repro.core import run_broadcast
 
-        mean_best = measure_problem(problem, "Br_Lin")
+        [mean_best] = measure_batch([(problem, "Br_Lin")])
         singles = sorted(
             run_broadcast(problem, "Br_Lin", seed=s).elapsed_ms
             for s in range(5)
@@ -110,20 +112,12 @@ class TestMeasureProblem:
     def test_contention_flag_forwarded(self, square_paragon):
         src = DISTRIBUTIONS["E"].generate(square_paragon, 40)
         problem = BroadcastProblem(square_paragon, src, message_size=16384)
-        on = measure_problem(problem, "Naive_Independent", contention=True)
-        off = measure_problem(problem, "Naive_Independent", contention=False)
+        item = (problem, "Naive_Independent")
+        [on] = measure_batch([item], contention=True)
+        [off] = measure_batch([item], contention=False)
         assert on > off
 
-
-class TestMeasureBatch:
-    def test_algorithm_instances_accepted(self, square_paragon):
-        from repro.core.algorithms import BrLin
-
-        src = DISTRIBUTIONS["E"].generate(square_paragon, 5)
-        problem = BroadcastProblem(square_paragon, src, message_size=256)
-        # An instance cannot be shipped to the executor: it is measured
-        # in-process, to the same value as its registry name.
-        by_instance, by_name = measure_batch(
-            [(problem, BrLin()), (problem, "Br_Lin")]
-        )
-        assert by_instance == by_name
+    def test_hand_built_machine_rejected(self, line_machine):
+        problem = BroadcastProblem(line_machine, (0, 3), message_size=64)
+        with pytest.raises(ConfigurationError, match="has no spec"):
+            measure_batch([(problem, "Br_Lin")])

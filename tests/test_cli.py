@@ -5,24 +5,37 @@ from __future__ import annotations
 import pytest
 
 from repro.__main__ import main as repro_main
-from repro.__main__ import parse_machine
 from repro.errors import ReproError
+from repro.machines import machine_from_spec
 
 
-class TestParseMachine:
+class TestMachineSpecs:
     def test_paragon_spec(self):
-        machine = parse_machine("paragon:4x6")
+        machine = machine_from_spec("paragon:4x6")
         assert machine.mesh_shape == (4, 6)
 
     def test_t3d_spec(self):
-        assert parse_machine("t3d:64").p == 64
+        assert machine_from_spec("t3d:64").p == 64
 
     def test_hypercube_spec(self):
-        assert parse_machine("hypercube:32").p == 32
+        assert machine_from_spec("hypercube:32").p == 32
 
     def test_unknown_spec(self):
         with pytest.raises(ReproError):
-            parse_machine("connectionmachine:65536")
+            machine_from_spec("connectionmachine:65536")
+
+    def test_cli_accepts_variant_specs(self, capsys):
+        code = repro_main([
+            "--machine", "t3d:16+mapping=identity", "--s", "4", "--L", "256",
+            "--algorithm", "Br_Lin",
+        ])
+        assert code == 0
+        assert "p = 16" in capsys.readouterr().out
+
+    def test_cli_rejects_non_canonical_spelling(self, capsys):
+        code = repro_main(["--machine", "paragon:04x4", "--s", "3"])
+        assert code == 2
+        assert "'paragon:4x4'" in capsys.readouterr().err
 
 
 class TestReproCLI:

@@ -80,7 +80,7 @@ class TestModes:
         fast = line_machine.params.with_overrides(collective_overhead_scale=0.0)
         from repro.machines import Machine
 
-        machine = Machine(line_machine.topology, fast, kind="test")
+        machine = Machine(line_machine.topology, fast)
         problem = BroadcastProblem(machine, (0,), message_size=100)
 
         plain = Schedule(problem, algorithm="p")

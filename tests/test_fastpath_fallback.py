@@ -140,7 +140,7 @@ def test_auto_uses_fast_path_on_clean_runs(monkeypatch):
     assert len(calls) == 1
     assert calls[0]["seed"] == 2
     assert result.debug["engine"] == "fast"
-    assert result.debug["plan_cache"] in ("hit", "miss", "bypass")
+    assert result.debug["plan_cache"] in ("hit", "miss")
 
 
 @pytest.mark.parametrize(
@@ -260,33 +260,48 @@ def test_report_cli_observes_on_the_fast_path(monkeypatch, capsys, tmp_path):
         ).read_bytes()
 
 
-def test_unshippable_measurements_honour_executor_engine(monkeypatch):
-    """Ad-hoc machines bypass the executor's pool, not its engine.
+def test_identity_t3d_measurements_honour_executor_engine(monkeypatch):
+    """The mapping ablation's identity T3D is a sweep point like any other.
 
-    The quick mapping ablation measures a custom identity-mapped T3D
-    in-process; under an event-engine executor it must never touch the
-    fast path, and it still reproduces its recorded report.
+    Under an event-engine executor the quick mapping ablation never
+    touches the fast path, and it still reproduces its recorded report.
     """
     from repro.bench.ablations import ablation_mapping
     from repro.bench.runner import use_executor
 
     _forbid_fast_path(monkeypatch)
-    with use_executor(SweepExecutor(engine="event")):
+    with use_executor(SweepExecutor(engine="event")) as executor:
         result = ablation_mapping(True)
+    assert executor.session.computed == executor.session.total > 0
     golden = json.loads(GOLDEN_REPORTS.read_text())["ablation-mapping"]
     digest = hashlib.sha256(result.report().encode()).hexdigest()
     assert digest == golden["sha256"]
 
 
-def test_run_batch_fallback_honours_executor_engine(monkeypatch):
-    from repro.bench.runner import run_batch, use_executor
+def test_variant_machines_honour_executor_engine(monkeypatch):
+    from repro.bench.runner import measure_batch, use_executor
     from repro.machines import paragon
     from repro.machines.paragon import PARAGON_PARAMS
 
     machine = paragon(4, 4, params=PARAGON_PARAMS.with_overrides(t_hop=0.0))
-    assert machine.spec is None  # not shippable: evaluated in-process
+    assert machine.spec == "paragon:4x4+t_hop=0.0"
     problem = BroadcastProblem(machine, (0, 5, 10), message_size=512)
+    expected = run_broadcast(problem, "Br_Lin").elapsed_ms
     _forbid_fast_path(monkeypatch)
-    with use_executor(SweepExecutor(engine="event")):
-        [result] = run_batch([(problem, "Br_Lin")])
-    assert result.complete
+    with use_executor(SweepExecutor(engine="event")) as executor:
+        assert measure_batch([(problem, "Br_Lin")]) == [expected]
+    assert executor.last_report.computed == 1
+
+
+def test_report_robustness_honours_engine(monkeypatch, capsys, tmp_path):
+    """Robustness injects faults, so ``--engine fast`` is refused with
+    run_broadcast's error, and ``--engine event`` never takes the fast
+    path."""
+    from repro.pipeline.cli import main
+
+    argv = ["robustness", "--quick", "--no-cache", "--out", str(tmp_path)]
+    assert main([*argv, "--engine", "fast"]) == 2
+    assert "engine='fast' does not support faults" in capsys.readouterr().err
+    _forbid_fast_path(monkeypatch)
+    assert main([*argv, "--engine", "event"]) == 0
+    assert "all shape checks passed" in capsys.readouterr().out

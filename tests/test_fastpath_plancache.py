@@ -21,8 +21,8 @@ from repro.core.problem import BroadcastProblem
 from repro.core.runner import run_broadcast
 from repro.fastpath import lower_schedule, plan_cache
 from repro.fastpath import plancache
-from repro.machines import machine_from_spec, paragon
-from repro.machines.paragon import PARAGON_PARAMS
+from repro.machines import Machine, machine_from_spec
+from repro.network.linear import LinearArray
 
 
 @pytest.fixture(autouse=True)
@@ -112,21 +112,36 @@ def test_seed_variation_shares_plan_not_binding():
         assert _blob(cold) == blob
 
 
-def test_adhoc_machine_bypasses_cache():
-    """Machines without a canonical spec cannot key a cache entry; the
-    run still replays through the kernel, uncached, and matches the
-    event engine."""
-    machine = paragon(4, 4, params=PARAGON_PARAMS.with_overrides(t_byte=1.0))
-    assert machine.spec is None
-    problem = BroadcastProblem(
-        machine=machine, sources=(0, 5), message_size=512
+def test_hand_built_machine_is_keyed_by_the_object():
+    """A machine without a spec keys its plans by the object itself: its
+    own repeated run hits, an equal but distinct machine misses, and
+    every run matches the event engine."""
+    from tests.conftest import TEST_PARAMS
+
+    def problem_on(machine):
+        return BroadcastProblem(machine=machine, sources=(0, 5), message_size=512)
+
+    problem = problem_on(Machine(LinearArray(8), TEST_PARAMS))
+    first = run_broadcast(problem, "Br_Lin", engine="fast")
+    second = run_broadcast(problem, "Br_Lin", engine="fast")
+    assert first.debug["plan_cache"] == "miss"
+    assert second.debug["plan_cache"] == "hit"
+    twin = run_broadcast(
+        problem_on(Machine(LinearArray(8), TEST_PARAMS)), "Br_Lin",
+        engine="fast",
     )
-    fast = run_broadcast(problem, "Br_Lin", engine="fast")
-    assert fast.debug["plan_cache"] == "bypass"
-    assert plancache.stats()["bypasses"] >= 1
-    assert plancache.stats()["entries"] == 0
+    assert twin.debug["plan_cache"] == "miss"
     event = run_broadcast(problem, "Br_Lin", engine="event")
-    assert _blob(fast) == _blob(event)
+    assert _blob(first) == _blob(second) == _blob(twin) == _blob(event)
+
+
+def test_parameter_variants_do_not_share_plans():
+    base = run_broadcast(_problem("t3d:16", 2048), "Br_Lin", engine="fast")
+    variant = run_broadcast(
+        _problem("t3d:16+t_mem_byte=0.0", 2048), "Br_Lin", engine="fast"
+    )
+    assert variant.debug["plan_cache"] == "miss"
+    assert variant.elapsed_us < base.elapsed_us
 
 
 def test_rebind_sizes_refuses_size_dependent_structure():
@@ -167,6 +182,4 @@ def test_rebind_sizes_bit_equal_to_fresh_lowering():
 def test_plan_cache_singleton_stats_shape():
     cache = plan_cache()
     stats = cache.stats()
-    assert set(stats) >= {
-        "hits", "misses", "bypasses", "size_rebinds", "entries"
-    }
+    assert set(stats) >= {"hits", "misses", "size_rebinds", "entries"}

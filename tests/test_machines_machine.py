@@ -141,6 +141,6 @@ class TestFactories:
             t3d(100)
 
     def test_generic_machine(self):
-        m = Machine(LinearArray(4), TEST_PARAMS, kind="test")
+        m = Machine(LinearArray(4), TEST_PARAMS)
         assert m.p == 4
         assert not m.is_mesh

@@ -28,6 +28,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             make_params(t_byte=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_field_rejected(self, value):
+        with pytest.raises(ConfigurationError):
+            make_params(t_byte=value)
+
     def test_bad_collective_style_rejected(self):
         with pytest.raises(ConfigurationError):
             make_params(collective_style="magic")
@@ -35,6 +40,10 @@ class TestValidation:
     def test_bad_segment_size_rejected(self):
         with pytest.raises(ConfigurationError):
             make_params(collective_segment_bytes=0)
+
+    def test_fractional_segment_size_rejected(self):
+        with pytest.raises(ConfigurationError):
+            make_params(collective_segment_bytes=1.5)
 
 
 class TestOverheadTiers:

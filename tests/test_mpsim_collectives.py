@@ -15,7 +15,7 @@ from tests.conftest import TEST_PARAMS
 @pytest.fixture(params=[5, 8])
 def machine(request):
     """Both a power-of-two and a non-power-of-two group size."""
-    return Machine(LinearArray(request.param), TEST_PARAMS, kind="test")
+    return Machine(LinearArray(request.param), TEST_PARAMS)
 
 
 class TestBarrier:

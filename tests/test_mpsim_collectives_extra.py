@@ -13,7 +13,7 @@ from tests.conftest import TEST_PARAMS
 
 @pytest.fixture(params=[3, 6, 8])
 def machine(request):
-    return Machine(LinearArray(request.param), TEST_PARAMS, kind="test")
+    return Machine(LinearArray(request.param), TEST_PARAMS)
 
 
 class TestScatter:

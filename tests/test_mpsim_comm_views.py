@@ -19,7 +19,7 @@ from tests.conftest import TEST_PARAMS
 
 @pytest.fixture
 def machine():
-    return Machine(LinearArray(6), TEST_PARAMS, kind="test")
+    return Machine(LinearArray(6), TEST_PARAMS)
 
 
 class TestWithMode:

@@ -7,12 +7,13 @@ count.  The digests were recorded while the declarative configs still
 had hand-written twin functions and both rendered identical text, so
 they carry that differential forward without the twins.
 
-Tier-1 checks the cheap configs: one per declarative series kind, a
-builder from each family, and the builders that drive the replay
-kernel's contention-off and store-and-forward branches.  The bench suite (``REPRO_BENCH_QUICK=1
-pytest benchmarks``) checks all 25 against the same file, and
-``python -m repro report docs --check`` pins the full grids through
-RESULTS.txt.
+Tier-1 checks one cheap config per declarative series kind, and every
+builder config twice: first into an empty result cache, then again from
+that cache with both simulation engines forbidden, which proves that
+every measurement a builder makes is a cached sweep point.  The bench
+suite (``REPRO_BENCH_QUICK=1 pytest benchmarks``) checks all 25 against
+the same file, and ``python -m repro report docs --check`` pins the
+full grids through RESULTS.txt.
 """
 
 from __future__ import annotations
@@ -23,48 +24,65 @@ from pathlib import Path
 
 import pytest
 
+import repro.fastpath
+from repro.bench.runner import use_executor
+from repro.machines import Machine
 from repro.pipeline.loader import load_config_dir
 from repro.pipeline.runner import run_experiment
+from repro.sweep import ResultCache, SweepExecutor
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "experiments_quick.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
+CONFIGS = load_config_dir()
 
-#: The tier-1 subset and what each one stands for.
+#: The tier-1 declarative subset and what each one stands for.
 CHEAP = {
-    "fig1": "builder (placement art)",
     "fig6": "cells (distribution axis)",
     "fig7": "sweep with total_bytes",
     "fig8": "machines_by_s",
     "fig9": "percent_gain",
     "fig11": "dist_curves",
     "sec52-conditions": "cells (ideal_rows placement)",
-    "ablation-ideal-rows": "ablation builder",
-    "extension-hypercube": "extension builder",
-    "ablation-contention": "kernel replay with contention off",
-    "ablation-switching": "kernel replay with store-and-forward links",
-    "ablation-combining": "ablation builder (free combining copy)",
-    "robustness": "builder on the event engine (faults, recovery)",
-    "extension-ring": "extension builder",
-    "sec5-varied-lengths": "builder (per-source sizes)",
 }
+#: Every ``kind = "builder"`` config.
+BUILDERS = [id_ for id_, config in CONFIGS.items() if config.kind == "builder"]
 
 
-@pytest.fixture(scope="module")
-def configs():
-    return load_config_dir()
+def _quick_digest(config) -> str:
+    result = run_experiment(config, quick=True)
+    failed = [str(c) for c in result.checks if not c.passed]
+    assert not failed, "\n".join(failed)
+    return hashlib.sha256(result.report().encode()).hexdigest()
+
+
+def _forbidden(*args, **kwargs):  # pragma: no cover - failure path
+    raise AssertionError("a warm builder run must not simulate")
 
 
 @pytest.mark.parametrize("experiment_id", sorted(CHEAP))
-def test_quick_report_matches_golden(configs, experiment_id):
-    result = run_experiment(configs[experiment_id], quick=True)
-    failed = [str(c) for c in result.checks if not c.passed]
-    assert not failed, "\n".join(failed)
-    text = result.report()
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == GOLDEN[experiment_id]["sha256"], text
+def test_quick_report_matches_golden(experiment_id):
+    assert _quick_digest(CONFIGS[experiment_id]) == (
+        GOLDEN[experiment_id]["sha256"]
+    )
 
 
-def test_golden_covers_every_config(configs):
-    assert sorted(GOLDEN) == sorted(configs)
-    for experiment_id, config in configs.items():
+@pytest.mark.parametrize("experiment_id", BUILDERS)
+def test_builder_reruns_from_a_warm_cache(experiment_id, tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    with use_executor(SweepExecutor(cache=cache)):
+        assert _quick_digest(CONFIGS[experiment_id]) == (
+            GOLDEN[experiment_id]["sha256"]
+        )
+    monkeypatch.setattr(repro.fastpath, "evaluate_problem", _forbidden)
+    monkeypatch.setattr(Machine, "run", _forbidden)
+    with use_executor(SweepExecutor(cache=cache)) as warm:
+        assert _quick_digest(CONFIGS[experiment_id]) == (
+            GOLDEN[experiment_id]["sha256"]
+        )
+    assert warm.session.computed == 0
+
+
+def test_golden_covers_every_config():
+    assert sorted(GOLDEN) == sorted(CONFIGS)
+    for experiment_id, config in CONFIGS.items():
         assert GOLDEN[experiment_id]["checks"] == config.num_checks, experiment_id

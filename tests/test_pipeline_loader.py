@@ -82,6 +82,21 @@ class TestErrorNaming:
             )
         assert "cray:banana" in str(err.value)
 
+    def test_machine_specs_follow_machine_from_spec(self):
+        config = load_config_text(
+            _minimal().replace('machine = "paragon:4x4"',
+                               'machine = "t3d:16+mapping=identity"')
+        )
+        assert config.sweep_specs()[0].machines == ("t3d:16+mapping=identity",)
+        with pytest.raises(ConfigurationError) as err:
+            load_config_text(
+                _minimal().replace('machine = "paragon:4x4"',
+                                   'machine = "paragon:04x4"'),
+                path="configs/xx-demo.toml",
+            )
+        assert "'paragon:4x4'" in str(err.value)
+        assert "configs/xx-demo.toml" in str(err.value)
+
     def test_unknown_assertion_type_rejected_at_load(self):
         """The satellite case: a bad check type never reaches a sweep."""
         text = _minimal(

@@ -14,7 +14,7 @@ sizes = st.integers(2, 9)
 
 
 def make_machine(n: int) -> Machine:
-    return Machine(LinearArray(n), TEST_PARAMS, kind="test")
+    return Machine(LinearArray(n), TEST_PARAMS)
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -11,8 +12,9 @@ from repro.core.runner import BroadcastResult, run_broadcast
 from repro.errors import ConfigurationError
 from repro.machines import Machine, machine_from_spec, paragon, t3d
 from repro.machines.paragon import PARAGON_PARAMS
+from repro.machines.t3d import T3D_PARAMS
 from repro.network.linear import LinearArray
-from repro.sweep import SweepPoint, SweepSpec
+from repro.sweep import ResultCache, SweepExecutor, SweepPoint, SweepSpec
 
 
 class TestMachineSpec:
@@ -20,9 +22,69 @@ class TestMachineSpec:
         assert paragon(4, 5).spec == "paragon:4x5"
         assert t3d(32).spec == "t3d:32"
 
-    def test_custom_params_have_no_spec(self):
-        custom = PARAGON_PARAMS.with_overrides(t_byte=1.0)
-        assert paragon(4, 4, params=custom).spec is None
+    @pytest.mark.parametrize("spec", [
+        "t3d:64+mapping=identity",
+        "t3d:128+t_mem_byte=0.0",
+        "paragon:10x10+switching=store_and_forward",
+    ])
+    def test_committed_variants_round_trip(self, spec):
+        machine = machine_from_spec(spec)
+        assert machine.spec == spec
+        assert machine_from_spec(machine.spec).params == machine.params
+
+    def test_variant_specs_name_their_overrides(self):
+        assert (
+            t3d(128, params=T3D_PARAMS.with_overrides(t_mem_byte=0.0)).spec
+            == "t3d:128+t_mem_byte=0.0"
+        )
+        assert machine_from_spec("t3d:64+mapping=identity").topology_stable_ranks
+        assert not machine_from_spec("t3d:64").topology_stable_ranks
+
+    def test_overridden_params_round_trip(self):
+        custom = PARAGON_PARAMS.with_overrides(
+            t_byte=1.0, collective_segment_bytes=4096, switching="store_and_forward"
+        )
+        machine = paragon(4, 4, params=custom)
+        assert machine.spec == (
+            "paragon:4x4+t_byte=1.0+collective_segment_bytes=4096"
+            "+switching=store_and_forward"
+        )
+        rebuilt = machine_from_spec(machine.spec)
+        assert rebuilt.spec == machine.spec
+        assert rebuilt.params == machine.params
+
+    @pytest.mark.parametrize("spelling, canonical", [
+        ("paragon:04x4", "paragon:4x4"),
+        ("paragon: 4x4", "paragon:4x4"),
+        ("paragon:4x4 ", "paragon:4x4"),
+        ("t3d:+16", "t3d:16"),
+        ("hypercube:016", "hypercube:16"),
+        ("t3d:16+t_mem_byte=0", "t3d:16+t_mem_byte=0.0"),
+        ("t3d:16+t_mem_byte=0.05", "t3d:16"),
+        ("t3d:16+t_hop=1.0+t_byte=1.0", "t3d:16+t_byte=1.0+t_hop=1.0"),
+        ("paragon:4x4+mapping=identity", "paragon:4x4"),
+    ])
+    def test_non_canonical_spellings_rejected(self, spelling, canonical):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(canonical))):
+            machine_from_spec(spelling)
+        spec = SweepSpec(
+            machines=(spelling,), distributions=("E",), s_values=(2,),
+            message_sizes=(64,), algorithms=("Br_Lin",),
+        )
+        with pytest.raises(ConfigurationError):
+            spec.points()
+
+    def test_variant_result_round_trips_through_the_cache(self, tmp_path):
+        machine = machine_from_spec("t3d:16+t_mem_byte=0.0")
+        problem = BroadcastProblem(machine, (0, 5, 9), message_size=512)
+        point = SweepPoint.from_problem(problem, "Br_Lin", seed=2)
+        executor = SweepExecutor(cache=ResultCache(tmp_path))
+        [computed] = executor.run([point])
+        [loaded] = executor.run([point])
+        assert executor.last_report.cached == 1
+        assert loaded.problem.machine.spec == "t3d:16+t_mem_byte=0.0"
+        assert loaded.problem.machine.params == machine.params
+        assert loaded.to_dict() == computed.to_dict()
 
     def test_machine_from_spec_round_trip(self):
         machine = machine_from_spec("paragon:4x5")
@@ -32,7 +94,8 @@ class TestMachineSpec:
         assert machine_from_spec("hypercube:16").p == 16
 
     def test_machine_from_spec_rejects_garbage(self):
-        for bad in ("cm5:64", "paragon:4", "paragon:axb", "t3d:", ""):
+        for bad in ("cm5:64", "paragon:4", "paragon:axb", "t3d:", "",
+                    "t3d:16+name=x", "t3d:16+t_hop", "t3d:16+t_hop=nan"):
             with pytest.raises(ConfigurationError):
                 machine_from_spec(bad)
 
@@ -65,7 +128,7 @@ class TestSweepPoint:
     def test_rejects_machines_without_spec(self):
         from tests.conftest import TEST_PARAMS
 
-        machine = Machine(LinearArray(8), TEST_PARAMS, kind="test")
+        machine = Machine(LinearArray(8), TEST_PARAMS)
         problem = BroadcastProblem(machine, (0, 3), message_size=64)
         with pytest.raises(ConfigurationError):
             SweepPoint.from_problem(problem, "Br_Lin")
