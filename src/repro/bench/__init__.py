@@ -5,30 +5,30 @@ Every experiment of the reproduction is described by one
 repro report``).  This package holds what those configs and the
 pipeline import:
 
-* :mod:`repro.bench.runner` — :func:`measure_batch`, which turns a grid
-  of problems into sweep points evaluated by the installed sweep
-  executor (:func:`active_executor`, :func:`use_executor`) under the
-  paper's T3D seed protocol;
+* :mod:`repro.bench.runner` — :class:`Plan`, the sweep points an
+  experiment needs plus the ``finish`` function that turns their
+  results into its figure, and the paper's T3D seed protocol
+  (:func:`seed_points`, :func:`seed_times`);
 * :mod:`repro.bench.types` — the :class:`FigureResult` /
   :class:`Series` / :class:`Check` result records;
 * the builders that ``kind = "builder"`` configs name — Figures 1 and 2
   and the §5 varied-lengths study (:mod:`repro.bench.figures`), the
   ablations, the extension studies and the robustness study.  Each
-  builder measures its whole grid in one executor batch (one per
-  contention setting), so the result cache, ``--jobs`` and
-  ``--engine`` apply to it as to the declarative configs.
+  builder returns a :class:`Plan` and evaluates nothing itself, so the
+  result cache, ``--jobs``, ``--shards`` and ``--engine`` apply to it
+  as to the declarative configs.
 """
 
 from __future__ import annotations
 
-from repro.bench.runner import active_executor, measure_batch, use_executor
+from repro.bench.runner import Plan, seed_points, seed_times
 from repro.bench.types import Check, FigureResult, Series
 
 __all__ = [
     "Series",
     "FigureResult",
     "Check",
-    "measure_batch",
-    "active_executor",
-    "use_executor",
+    "Plan",
+    "seed_points",
+    "seed_times",
 ]

@@ -1,12 +1,13 @@
 """The experiments no declarative series can express (§4, §5).
 
 Most of the paper's evaluation is described by ``configs/*.toml`` and
-measured by :mod:`repro.pipeline.runner`.  The three experiments here
+planned by :mod:`repro.pipeline.runner`.  The three experiments here
 stay imperative and are named by their configs' ``builder =`` strings:
 Figure 1 draws placement art, Figure 2 tabulates single-run metric
-counters, and the §5 varied-lengths study draws per-source sizes.  The
-functions are deterministic; ``quick=True`` shrinks the sweep grids for
-smoke testing (the shape checks are chosen to hold in both modes).
+counters, and the §5 varied-lengths study draws per-source sizes.  Each
+returns a :class:`~repro.bench.runner.Plan`.  The functions are
+deterministic; ``quick=True`` shrinks the sweep grids for smoke testing
+(the shape checks are chosen to hold in both modes).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from repro.bench.runner import active_executor, measure_batch
+from repro.bench.runner import Plan, seed_points, seed_times
 from repro.bench.types import Check, FigureResult, Series
 from repro.core.analysis import figure2_row
 from repro.core.problem import BroadcastProblem
@@ -26,11 +27,12 @@ from repro.sweep.spec import SweepPoint
 __all__ = ["fig01", "fig02", "sec5_varied_lengths"]
 
 
-def fig01(quick: bool = False) -> FigureResult:
+def fig01(quick: bool = False) -> Plan:
     """Figure 1: placement of 30 sources in row/cross/right-diagonal.
 
     Regenerated as ASCII grids (the paper's dots-on-a-mesh picture);
-    the checks verify the structural facts the figure shows.
+    the checks verify the structural facts the figure shows.  Nothing
+    is measured: the plan has no points.
     """
     machine = paragon(10, 10)
     result = FigureResult(
@@ -67,10 +69,10 @@ def fig01(quick: bool = False) -> FigureResult:
     result.checks.append(
         Check("Cr(30) contains two full rows", len(full_rows) == 2)
     )
-    return result
+    return Plan([], lambda _results: result)
 
 
-def fig02(quick: bool = False) -> FigureResult:
+def fig02(quick: bool = False) -> Plan:
     """Figure 2 (table): measured vs analytic algorithm/distribution
     parameters on the equal distribution of a p = 2^k machine.
 
@@ -82,10 +84,6 @@ def fig02(quick: bool = False) -> FigureResult:
     """
     machine = paragon(16, 16)
     p = machine.p
-    result = FigureResult(
-        "Figure 2",
-        "algorithm vs distribution parameters, equal distribution, p = 256",
-    )
     s_lo, s_hi = 16, 32  # both powers of two: the table's s = 2^l row
     names = ("2-Step", "PersAlltoAll", "Br_Lin")
     grid = [
@@ -95,77 +93,85 @@ def fig02(quick: bool = False) -> FigureResult:
         for name in names
         for s in (s_lo, s_hi, 15)
     ]
-    runs = active_executor().run(
-        [SweepPoint.from_problem(problem, name) for name, _s, problem in grid]
-    )
-    measured: Dict[str, Dict[int, Dict[str, float]]] = {n: {} for n in names}
-    for (name, s, _problem), run in zip(grid, runs):
-        measured[name][s] = run.metrics.as_dict()
-    params = ["congestion", "wait", "send_recv", "av_msg_lgth", "av_act_proc"]
-    for s in (s_lo, s_hi):
-        series = Series(
-            title=f"measured parameters at s = {s} (L = 1K)",
-            x_label="param",
-            x_values=params,
-            curves={
-                name: [measured[name][s][k] for k in params]
-                for name in measured
-            },
-            y_label="counter value",
+
+    def finish(runs):
+        result = FigureResult(
+            "Figure 2",
+            "algorithm vs distribution parameters, equal distribution, p = 256",
         )
-        result.series.append(series)
-    two = measured["2-Step"]
-    result.checks.append(
-        Check(
-            "2-Step congestion is O(s): doubles when s doubles",
-            1.6 <= two[s_hi]["congestion"] / two[s_lo]["congestion"] <= 2.4,
-            f"{two[s_lo]['congestion']} -> {two[s_hi]['congestion']}",
+        measured: Dict[str, Dict[int, Dict[str, float]]] = {n: {} for n in names}
+        for (name, s, _problem), run in zip(grid, runs):
+            measured[name][s] = run.metrics.as_dict()
+        params = ["congestion", "wait", "send_recv", "av_msg_lgth", "av_act_proc"]
+        for s in (s_lo, s_hi):
+            series = Series(
+                title=f"measured parameters at s = {s} (L = 1K)",
+                x_label="param",
+                x_values=params,
+                curves={
+                    name: [measured[name][s][k] for k in params]
+                    for name in measured
+                },
+                y_label="counter value",
+            )
+            result.series.append(series)
+        two = measured["2-Step"]
+        result.checks.append(
+            Check(
+                "2-Step congestion is O(s): doubles when s doubles",
+                1.6 <= two[s_hi]["congestion"] / two[s_lo]["congestion"] <= 2.4,
+                f"{two[s_lo]['congestion']} -> {two[s_hi]['congestion']}",
+            )
         )
-    )
-    pers = measured["PersAlltoAll"]
-    result.checks.append(
-        Check(
-            "PersAlltoAll congestion is O(1) in s",
-            pers[s_hi]["congestion"] == pers[s_lo]["congestion"] <= 2,
+        pers = measured["PersAlltoAll"]
+        result.checks.append(
+            Check(
+                "PersAlltoAll congestion is O(1) in s",
+                pers[s_hi]["congestion"] == pers[s_lo]["congestion"] <= 2,
+            )
         )
-    )
-    result.checks.append(
-        Check(
-            "PersAlltoAll #send/rec is O(p)",
-            p - 1 <= pers[s_lo]["send_recv"] <= 2 * p,
-            f"{pers[s_lo]['send_recv']} vs p = {p}",
+        result.checks.append(
+            Check(
+                "PersAlltoAll #send/rec is O(p)",
+                p - 1 <= pers[s_lo]["send_recv"] <= 2 * p,
+                f"{pers[s_lo]['send_recv']} vs p = {p}",
+            )
         )
-    )
-    lin = measured["Br_Lin"]
-    logp = math.ceil(math.log2(p))
-    result.checks.append(
-        Check(
-            "Br_Lin #send/rec is O(log p)",
-            lin[s_lo]["send_recv"] <= 3 * logp,
-            f"{lin[s_lo]['send_recv']} vs 3*log p = {3 * logp}",
+        lin = measured["Br_Lin"]
+        logp = math.ceil(math.log2(p))
+        result.checks.append(
+            Check(
+                "Br_Lin #send/rec is O(log p)",
+                lin[s_lo]["send_recv"] <= 3 * logp,
+                f"{lin[s_lo]['send_recv']} vs 3*log p = {3 * logp}",
+            )
         )
-    )
-    result.checks.append(
-        Check(
-            "Br_Lin wait cost is O(log p), higher than the others' O(1)",
-            lin[s_lo]["wait"] > max(two[s_lo]["wait"], 1),
-            f"Br_Lin {lin[s_lo]['wait']} vs 2-Step {two[s_lo]['wait']}",
+        result.checks.append(
+            Check(
+                "Br_Lin wait cost is O(log p), higher than the others' O(1)",
+                lin[s_lo]["wait"] > max(two[s_lo]["wait"], 1),
+                f"Br_Lin {lin[s_lo]['wait']} vs 2-Step {two[s_lo]['wait']}",
+            )
         )
-    )
-    result.checks.append(
-        Check(
-            "Br_Lin at s != 2^l activates processors faster than s = 2^l",
-            lin[15]["av_act_proc"] >= lin[16]["av_act_proc"] * 0.98,
-            f"s=15: {lin[15]['av_act_proc']:.1f}, s=16: {lin[16]['av_act_proc']:.1f}",
+        result.checks.append(
+            Check(
+                "Br_Lin at s != 2^l activates processors faster than s = 2^l",
+                lin[15]["av_act_proc"] >= lin[16]["av_act_proc"] * 0.98,
+                f"s=15: {lin[15]['av_act_proc']:.1f}, s=16: {lin[16]['av_act_proc']:.1f}",
+            )
         )
+        for name in ("2-Step", "PersAlltoAll", "Br_Lin"):
+            row = figure2_row(name, p, s_lo, 1024)
+            result.notes.append(f"analytic {row.algorithm}: {row.as_dict()}")
+        return result
+
+    return Plan(
+        [SweepPoint.from_problem(problem, name) for name, _s, problem in grid],
+        finish,
     )
-    for name in ("2-Step", "PersAlltoAll", "Br_Lin"):
-        row = figure2_row(name, p, s_lo, 1024)
-        result.notes.append(f"analytic {row.algorithm}: {row.as_dict()}")
-    return result
 
 
-def sec5_varied_lengths(quick: bool = False) -> FigureResult:
+def sec5_varied_lengths(quick: bool = False) -> Plan:
     """§5 (text): non-uniform message lengths do not reorder anything.
 
     "In our experiments, using different length messages did not
@@ -185,10 +191,6 @@ def sec5_varied_lengths(quick: bool = False) -> FigureResult:
     algos = ["Br_Lin", "Br_xy_source"]
     L = 2048
     rng = np.random.default_rng(7)
-    result = FigureResult(
-        "Sec 5 varied lengths",
-        "non-uniform message lengths preserve the distribution ordering",
-    )
     pairs = []
     for key in keys:
         sources = DISTRIBUTIONS[key].generate(machine, 30)
@@ -202,46 +204,55 @@ def sec5_varied_lengths(quick: bool = False) -> FigureResult:
         for a in algos:
             pairs.append((f"{a} (uniform)", (uniform, a)))
             pairs.append((f"{a} (varied)", (varied, a)))
-    times = measure_batch([item for _label, item in pairs])
-    curves: Dict[str, List[float]] = {}
-    for a in algos:
-        curves[f"{a} (uniform)"] = []
-        curves[f"{a} (varied)"] = []
-    for (label, _item), t in zip(pairs, times):
-        curves[label].append(t)
-    series = Series(
-        "10x10 Paragon, s = 30, L ~ U[1K, 3K] vs uniform 2K",
-        "distribution",
-        keys,
-        curves,
-    )
-    result.series.append(series)
-    for a in algos:
-        uniform = curves[f"{a} (uniform)"]
-        varied = curves[f"{a} (varied)"]
-        # Ordering preserved up to ties: every decisively ordered pair
-        # (>15% apart under uniform sizes) keeps its order when sizes
-        # vary.  Near-ties may legitimately shuffle.
-        inversions = []
-        for i, ki in enumerate(keys):
-            for j, kj in enumerate(keys):
-                if uniform[i] > 1.15 * uniform[j] and varied[i] < varied[j]:
-                    inversions.append((ki, kj))
-        result.checks.append(
-            Check(
-                f"{a}: decisively good/bad distributions keep their order",
-                not inversions,
-                f"inversions: {inversions}" if inversions else "none",
+    items = [item for _label, item in pairs]
+
+    def finish(results):
+        result = FigureResult(
+            "Sec 5 varied lengths",
+            "non-uniform message lengths preserve the distribution ordering",
+        )
+        times = seed_times(items, results)
+        curves: Dict[str, List[float]] = {}
+        for a in algos:
+            curves[f"{a} (uniform)"] = []
+            curves[f"{a} (varied)"] = []
+        for (label, _item), t in zip(pairs, times):
+            curves[label].append(t)
+        series = Series(
+            "10x10 Paragon, s = 30, L ~ U[1K, 3K] vs uniform 2K",
+            "distribution",
+            keys,
+            curves,
+        )
+        result.series.append(series)
+        for a in algos:
+            uniform = curves[f"{a} (uniform)"]
+            varied = curves[f"{a} (varied)"]
+            # Ordering preserved up to ties: every decisively ordered pair
+            # (>15% apart under uniform sizes) keeps its order when sizes
+            # vary.  Near-ties may legitimately shuffle.
+            inversions = []
+            for i, ki in enumerate(keys):
+                for j, kj in enumerate(keys):
+                    if uniform[i] > 1.15 * uniform[j] and varied[i] < varied[j]:
+                        inversions.append((ki, kj))
+            result.checks.append(
+                Check(
+                    f"{a}: decisively good/bad distributions keep their order",
+                    not inversions,
+                    f"inversions: {inversions}" if inversions else "none",
+                )
             )
-        )
-        rel = max(
-            abs(u - v) / u for u, v in zip(uniform, varied)
-        )
-        result.checks.append(
-            Check(
-                f"{a}: times move only modestly (< 25%)",
-                rel < 0.25,
-                f"max shift {100 * rel:.1f}%",
+            rel = max(
+                abs(u - v) / u for u, v in zip(uniform, varied)
             )
-        )
-    return result
+            result.checks.append(
+                Check(
+                    f"{a}: times move only modestly (< 25%)",
+                    rel < 0.25,
+                    f"max shift {100 * rel:.1f}%",
+                )
+            )
+        return result
+
+    return Plan(seed_points(items), finish)

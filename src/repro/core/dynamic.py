@@ -32,6 +32,7 @@ from repro.core.runner import BroadcastResult, run_broadcast
 from repro.core.selector import recommend
 from repro.errors import ConfigurationError
 from repro.machines.machine import Machine
+from repro.summation import left_sum
 
 __all__ = ["RoundRecord", "DynamicBroadcastSession"]
 
@@ -136,7 +137,7 @@ class DynamicBroadcastSession:
     @property
     def total_ms(self) -> float:
         """Sum of completion times across the session."""
-        return sum(r.elapsed_ms for r in self.history)
+        return left_sum(r.elapsed_ms for r in self.history)
 
     @property
     def rounds(self) -> int:

@@ -191,15 +191,6 @@ class Schedule:
     def num_transfers(self) -> int:
         return sum(len(r) for r in self.rounds)
 
-    def transfers_of(self, rank: int) -> Tuple[List[List[Transfer]], List[List[Transfer]]]:
-        """Per-round ``(sends, recvs)`` lists for one rank."""
-        sends: List[List[Transfer]] = []
-        recvs: List[List[Transfer]] = []
-        for rnd in self.rounds:
-            sends.append([t for t in rnd if t.src == rank])
-            recvs.append([t for t in rnd if t.dst == rank])
-        return sends, recvs
-
     def holdings_after(self, upto: int | None = None) -> List[Set[int]]:
         """Message sets held by each rank after round ``upto`` (exclusive).
 
@@ -280,12 +271,6 @@ class Schedule:
         return out
 
     # -- statistics -----------------------------------------------------------
-    def bytes_by_round(self) -> List[int]:
-        """Total bytes moved per round."""
-        return [
-            sum(t.nbytes(self.problem) for t in rnd) for rnd in self.rounds
-        ]
-
     def max_transfer_bytes(self) -> int:
         """Largest single message in the schedule (0 if empty)."""
         return max(

@@ -51,8 +51,9 @@ Metric reduction follows :meth:`MetricsReport.from_collector` term by
 term: the fields the schedule fixes are counted once per plan, at
 lowering; per-rank float accumulation happens inside the kernel in
 global event order (identical between engines), and the report-level
-float totals here are ``sum()`` over ranks in rank order, as in the
-collector — never pairwise sums, which would differ in the last bits.
+float totals here are :func:`~repro.summation.left_sum` over ranks in
+rank order, as in the collector — never pairwise or compensated sums,
+which would differ in the last bits.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from repro.fastpath.lowering import FastPlan
 from repro.metrics.report import MetricsReport
 from repro.network.wirestate import WireState
 from repro.simulator.trace import SPAN_BEGIN, SPAN_END
+from repro.summation import left_sum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machines.machine import Machine
@@ -197,13 +199,13 @@ def evaluate_plan(
         )
 
     # The rest of MetricsReport.from_collector, term by term: float
-    # totals are sum() over ranks in rank order, like the collector's.
+    # totals are left_sum() over ranks in rank order, like the collector's.
     metrics = MetricsReport(
         p=p,
         wait_count=max(recv_wait_ct),
-        total_recv_wait=sum(recv_wait),
-        total_link_wait=sum(link_wait),
-        total_copy_time=sum(copy),
+        total_recv_wait=left_sum(recv_wait),
+        total_link_wait=left_sum(link_wait),
+        total_copy_time=left_sum(copy),
         iteration_times=tuple((it, round_last[it]) for it in plan.active_rounds),
         **plan.report_fields,
     )

@@ -6,7 +6,8 @@ answered from the on-disk cache versus computed, how long the batch took
 on the wall clock, and how much single-process compute time that wall
 time represents.  The ``speedup`` ratio folds both effects together —
 process fan-out *and* cache hits — which is what ``python -m repro
-report`` prints after every experiment.
+report`` prints once per run, for the one batch that evaluates every
+selected experiment's points.
 """
 
 from __future__ import annotations
@@ -136,19 +137,6 @@ class SweepReport:
             reliability=ReliabilityCounters.from_dict(
                 data.get("reliability", {})
             ),
-        )
-
-    def since(self, earlier: "SweepReport") -> "SweepReport":
-        """Counter delta relative to an earlier snapshot of this report."""
-        return SweepReport(
-            total=self.total - earlier.total,
-            cached=self.cached - earlier.cached,
-            computed=self.computed - earlier.computed,
-            wall_s=self.wall_s - earlier.wall_s,
-            busy_s=self.busy_s - earlier.busy_s,
-            saved_s=self.saved_s - earlier.saved_s,
-            jobs=self.jobs,
-            reliability=self.reliability.since(earlier.reliability),
         )
 
     def summary(self) -> str:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, Tuple
 
+from repro.summation import left_sum
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metrics.counters import MetricsCollector
 
@@ -81,9 +83,9 @@ class MetricsReport:
             av_act_proc=av_act,
             total_messages=sum(c.sends for c in collector.ranks),
             total_bytes=sum(c.bytes_sent for c in collector.ranks),
-            total_recv_wait=sum(c.recv_wait_time for c in collector.ranks),
-            total_link_wait=sum(c.link_wait_time for c in collector.ranks),
-            total_copy_time=sum(c.copy_time for c in collector.ranks),
+            total_recv_wait=left_sum(c.recv_wait_time for c in collector.ranks),
+            total_link_wait=left_sum(c.link_wait_time for c in collector.ranks),
+            total_copy_time=left_sum(c.copy_time for c in collector.ranks),
             iteration_times=tuple(
                 sorted(collector.last_time_by_iter.items())
             ),

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+from repro.summation import left_sum
+
 __all__ = ["WireState"]
 
 
@@ -77,13 +79,13 @@ class WireState:
         """Mean busy fraction of wire links over ``[0, horizon]``.
 
         Returns 0.0 for empty horizons or wire-less topologies.  The
-        busy-time sum is a plain Python left-to-right reduction — part
-        of the bit-identity contract between the two consumers.
+        busy-time sum is :func:`~repro.summation.left_sum` — part of the
+        bit-identity contract between the two consumers.
         """
         wire_busy = self.busy_time[self.wire_offset:]
         if len(wire_busy) == 0 or horizon <= 0.0:
             return 0.0
-        return float(sum(wire_busy) / (len(wire_busy) * horizon))
+        return float(left_sum(wire_busy) / (len(wire_busy) * horizon))
 
     def max_free_at(self) -> float:
         """Latest reservation end across all links (0.0 when untouched)."""

@@ -31,6 +31,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.network.topology import Topology
 from repro.simulator.trace import TraceRecord
+from repro.summation import left_sum
 
 __all__ = ["LinkUsage", "link_usage", "render_link_heatmap", "RAMP"]
 
@@ -60,7 +61,7 @@ class LinkUsage:
     def busiest(self, k: int = 10) -> List[int]:
         """The ``k`` links with the highest total busy time."""
         return sorted(
-            self.busy, key=lambda link: (-sum(self.busy[link]), link)
+            self.busy, key=lambda link: (-left_sum(self.busy[link]), link)
         )[:k]
 
 

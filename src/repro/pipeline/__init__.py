@@ -10,17 +10,16 @@ checks of its experiment; the pipeline
   :class:`~repro.pipeline.schema.ExperimentConfig`, rejecting unknown
   keys, unknown assertion types and malformed axes at load time with
   errors that name the offending file and key;
-* **expands** it into the existing sweep machinery —
-  :meth:`~repro.pipeline.schema.ExperimentConfig.sweep_specs` yields
-  cartesian :class:`~repro.sweep.spec.SweepSpec` grids,
-  :func:`~repro.pipeline.runner.experiment_points` the exact
-  :class:`~repro.sweep.spec.SweepPoint` list an experiment will
-  evaluate (usable to pre-warm the cache via
-  :func:`~repro.sweep.distributed.run_sharded`);
-* **runs** it (:mod:`repro.pipeline.runner`) through the
-  :mod:`repro.bench.runner` measurement primitives, producing a
+* **plans** it (:func:`~repro.pipeline.runner.plan_experiment`) into a
+  :class:`~repro.bench.runner.Plan`: the exact
+  :class:`~repro.sweep.spec.SweepPoint` list the experiment evaluates
+  (:func:`~repro.pipeline.runner.experiment_points`) and the ``finish``
+  function that turns their results into a
   :class:`~repro.bench.types.FigureResult` whose quick-grid report text
-  is pinned by ``tests/golden/experiments_quick.json``;
+  is pinned by ``tests/golden/experiments_quick.json``.  ``report``
+  evaluates the points of every selected experiment in one executor
+  batch; :func:`~repro.pipeline.runner.run_experiment` runs one plan
+  serially;
 * **reports** it (:mod:`repro.pipeline.report`) as one self-contained
   HTML file per experiment — tables, SVG curves, checks, placement art,
   observability roll-ups — plus an index page, and regenerates
@@ -38,7 +37,11 @@ from repro.pipeline.loader import (
     load_config,
     load_config_dir,
 )
-from repro.pipeline.runner import experiment_points, run_experiment
+from repro.pipeline.runner import (
+    experiment_points,
+    plan_experiment,
+    run_experiment,
+)
 from repro.pipeline.schema import (
     CheckSpec,
     DocSpec,
@@ -50,6 +53,7 @@ __all__ = [
     "DEFAULT_CONFIG_DIR",
     "load_config",
     "load_config_dir",
+    "plan_experiment",
     "run_experiment",
     "experiment_points",
     "ExperimentConfig",

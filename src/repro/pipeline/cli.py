@@ -7,36 +7,37 @@ Examples::
     python -m repro report fig3 fig13     # two experiments (full grids)
     python -m repro report all --quick    # smoke grids, same pages
     python -m repro report --quick --observe fig3  # + trace roll-up
-    python -m repro report all --shards 4 # pre-warm the cache via run_sharded
+    python -m repro report all --shards 4 # evaluate over 4 run_sharded workers
     python -m repro report docs           # regenerate EXPERIMENTS.md/RESULTS.txt
     python -m repro report docs --check   # CI: fail if committed docs drift
 
-Every experiment is described by one ``configs/*.toml`` file.  For each
-one the command prints the text report (tables, shape-check verdicts,
-notes) and a progress line saying how many grid points the result cache
-served and how many were computed, then writes one HTML page per
-experiment plus an index.  Measurements route through the
-:class:`~repro.sweep.executor.SweepExecutor` that ``--jobs``,
-``--cache-dir``/``--no-cache``, ``--observe`` and ``--engine`` describe;
-with a warm cache, ``report all`` re-renders the whole paper in seconds.
+Every experiment is described by one ``configs/*.toml`` file.  The
+command plans every selected one, evaluates all their sweep points in
+one call to the executor the flags pick — a
+:class:`~repro.sweep.executor.SweepExecutor`, or
+:func:`~repro.sweep.distributed.run_sharded` for ``--shards`` — and
+prints each experiment's text report (tables, shape-check verdicts,
+notes; ``--observe`` adds its roll-up), then one progress line saying
+how many points the cache served and how many were computed, and
+writes one HTML page per experiment plus an index.  With a warm cache,
+``report all`` re-renders the whole paper in seconds.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import difflib
 import pathlib
 import sys
 from typing import List, Optional, Tuple
 
-from repro.bench.runner import use_executor
 from repro.bench.types import FigureResult
 from repro.errors import ReproError
 from repro.pipeline.docsgen import render_experiments_md, render_results_txt
 from repro.pipeline.loader import DEFAULT_CONFIG_DIR, load_config_dir
 from repro.pipeline.report import render_experiment_html, render_index_html
-from repro.pipeline.runner import experiment_points, run_experiment
+from repro.pipeline.runner import plan_experiment
+from repro.pipeline.schema import ExperimentConfig
 from repro.sweep import DEFAULT_CACHE_DIR, ResultCache, SweepExecutor
 
 __all__ = ["main", "build_executor"]
@@ -59,65 +60,52 @@ def build_executor(
     return SweepExecutor(jobs=jobs, cache=cache, observe=observe, engine=engine)
 
 
-def _prewarm(configs, shards: int, cache_dir: str, quick: bool) -> None:
-    """Fan every declarative grid point over ``run_sharded`` workers.
+def _evaluate(points, args):
+    """``(results, observations, report)`` of the executor the flags pick."""
+    if args.shards is not None:
+        from repro.sweep.distributed import run_sharded
 
-    Measurement afterwards is pure cache hits, so a multi-minute full
-    run parallelizes across worker processes (or across machines — see
-    ``python -m repro sweep --worker``) without touching the
-    serial-measurement code path that defines the tables.
-    """
-    from repro.sweep.distributed import run_sharded
-
-    points = []
-    seen = set()
-    for config in configs:
-        if config.kind != "declarative":
-            continue
-        for point in experiment_points(config, quick=quick):
-            key = point.key()
-            if key not in seen:
-                seen.add(key)
-                points.append(point)
-    if points:
-        run_sharded(points, shards=shards, cache=ResultCache(cache_dir))
-    print(f"pre-warmed {len(points)} grid point(s) across {shards} shard(s)")
-
-
-def _run_all(
-    configs, args
-) -> List[Tuple[object, FigureResult]]:
-    """Measure and print every config through the executor the flags describe."""
+        run = run_sharded(
+            points, shards=args.shards, cache=ResultCache(args.cache_dir),
+            engine=args.engine, observe=args.observe,
+        )
+        return run.results, run.observations, run.report
     executor = build_executor(
         args.jobs, args.cache_dir, args.no_cache,
         observe=args.observe, engine=args.engine,
     )
-    entries = []
-    with use_executor(executor):
-        for config in configs:
-            session = executor.session
-            before = dataclasses.replace(
-                session, reliability=session.reliability.snapshot()
-            )
-            observed = len(executor.session_observations)
-            result = run_experiment(config, quick=args.quick)
-            entries.append((config, result))
-            print(result.report())
-            progress = session.since(before)
-            if progress.total:
-                print(progress.summary())
-            if args.observe:
-                from repro.obs.summary import (
-                    aggregate_observations,
-                    render_sweep_rollup,
-                )
+    results = executor.run(points)
+    return results, executor.last_observations, executor.last_report
 
-                aggregate = aggregate_observations(
-                    executor.session_observations[observed:]
-                )
-                if aggregate["observed"]:
-                    print(render_sweep_rollup(aggregate))
-            print()
+
+def _run_all(
+    configs: List[ExperimentConfig], args
+) -> List[Tuple[ExperimentConfig, FigureResult]]:
+    """Plan every config, evaluate all their points at once, print each."""
+    plans = [plan_experiment(config, quick=args.quick) for config in configs]
+    results, observations, report = _evaluate(
+        [point for plan in plans for point in plan.points], args
+    )
+    entries = []
+    start = 0
+    for config, plan in zip(configs, plans):
+        end = start + len(plan.points)
+        result = plan.finish(results[start:end])
+        entries.append((config, result))
+        print(result.report())
+        if args.observe:
+            from repro.obs.summary import (
+                aggregate_observations,
+                render_sweep_rollup,
+            )
+
+            aggregate = aggregate_observations(observations[start:end])
+            if aggregate["observed"]:
+                print(render_sweep_rollup(aggregate))
+        print()
+        start = end
+    if report.total:
+        print(report.summary())
     return entries
 
 
@@ -209,7 +197,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="pre-warm the cache by sharding all grid points over N workers",
+        help=(
+            "evaluate the grid points over N run_sharded workers that "
+            "share the --cache-dir cache (instead of --jobs)"
+        ),
     )
     parser.add_argument(
         "--out", default="reports/html",
@@ -261,15 +252,17 @@ def _dispatch(args) -> int:
             print(f"  {config.id:24s} {config.title}: {config.description}")
         print("meta-targets: all, docs")
         return 0
-    if names == ["docs"]:
-        return _docs(selected, args, config_dir.parent)
-
-    if args.shards:
+    if args.shards is not None:
         if args.no_cache:
             print("error: --shards needs the cache (drop --no-cache)",
                   file=sys.stderr)
             return 2
-        _prewarm(selected, args.shards, args.cache_dir, args.quick)
+        if args.jobs is not None:
+            print("error: --shards and --jobs each pick the executor; "
+                  "pass one of them", file=sys.stderr)
+            return 2
+    if names == ["docs"]:
+        return _docs(selected, args, config_dir.parent)
 
     entries = _run_all(selected, args)
     _write_reports(entries, pathlib.Path(args.out), args.quick)

@@ -7,7 +7,7 @@ specs are all rejected **at load time**, with an error message naming
 the offending file and key — a config never fails halfway through a
 multi-minute sweep.
 
-Doctest — a config expands into the existing sweep machinery::
+Doctest — a config expands into the sweep points ``report`` evaluates::
 
     >>> config = load_config_text('''
     ... [experiment]
@@ -31,11 +31,11 @@ Doctest — a config expands into the existing sweep machinery::
     ... description = "time grows with s"
     ... expr = "curve('Br_Lin')[-1] > curve('Br_Lin')[0]"
     ... ''')
-    >>> spec = config.sweep_specs()[0]
-    >>> (spec.machines, spec.s_values, spec.algorithms)
-    (('paragon:4x4',), (4, 8), ('Br_Lin',))
-    >>> spec.num_points
-    2
+    >>> from repro.pipeline.runner import experiment_points
+    >>> [(p.machine, len(p.sources), p.algorithm) for p in experiment_points(config)]
+    [('paragon:4x4', 4, 'Br_Lin'), ('paragon:4x4', 8, 'Br_Lin')]
+    >>> len(experiment_points(config, quick=True))
+    1
 """
 
 from __future__ import annotations

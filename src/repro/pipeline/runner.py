@@ -1,13 +1,16 @@
-"""Execute a validated config through the bench measurement primitives.
+"""Plan a validated config: the sweep points it needs, and its figure.
 
-A declarative series expands into a
-:class:`~repro.core.problem.BroadcastProblem` grid measured by one
-:func:`repro.bench.runner.measure_batch` call, then collated into
-curves.  The grid order is part of the contract: it fixes the
-sweep-cache keys and the rendered report text, which
+:func:`plan_experiment` turns a config into a
+:class:`~repro.bench.runner.Plan`.  A declarative series expands into a
+:class:`~repro.core.problem.BroadcastProblem` grid whose per-seed points
+(:func:`repro.bench.runner.seed_points`) the plan lists series by
+series; its ``finish`` collates each series from its slice of the
+results into curves, evaluates the shape checks and appends the notes.
+The grid order is part of the contract: it fixes the sweep-cache keys
+and the rendered report text, which
 ``tests/golden/experiments_quick.json`` (quick grids) and RESULTS.txt
 (full grids) pin byte for byte.  ``builder`` configs call the named
-function.
+function, which returns its own plan.
 
 The five series kinds:
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 import importlib
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-from repro.bench.runner import MeasureItem, _seeds_for, measure_batch
+from repro.bench.runner import MeasureItem, Plan, seed_points, seed_times
 from repro.bench.types import FigureResult, Series
 from repro.core.problem import BroadcastProblem
 from repro.distributions import DISTRIBUTIONS
@@ -38,9 +41,10 @@ from repro.errors import ConfigurationError
 from repro.machines import machine_from_spec
 from repro.pipeline.checks import evaluate_check
 from repro.pipeline.schema import CellSpec, ExperimentConfig, SeriesSpec
+from repro.sweep.executor import SweepExecutor
 from repro.sweep.spec import SweepPoint
 
-__all__ = ["run_experiment", "experiment_points"]
+__all__ = ["plan_experiment", "run_experiment", "experiment_points"]
 
 #: times → curves, in the grid order the items were emitted.
 Collate = Callable[[List[float]], Dict[str, List[float]]]
@@ -236,6 +240,7 @@ def _expand_percent_gain(
     return list(xs), items, collate
 
 
+#: Series kind → expander: (spec, quick) → (x values, items, collation).
 _EXPANDERS = {
     "sweep": _expand_sweep,
     "cells": _expand_cells,
@@ -245,36 +250,13 @@ _EXPANDERS = {
 }
 
 
-def _expand_series(
-    spec: SeriesSpec, quick: bool
-) -> Tuple[List[Any], List[MeasureItem], Collate]:
-    """One series → (x values, measurement items, collation)."""
-    return _EXPANDERS[spec.kind](spec, quick)
+def plan_experiment(config: ExperimentConfig, quick: bool = False) -> Plan:
+    """The sweep points ``config`` needs, and how they become its figure.
 
-
-def _measure_series(spec: SeriesSpec, quick: bool) -> Series:
-    xs, items, collate = _expand_series(spec, quick)
-    times = measure_batch(items, contention=spec.contention)
-    return Series(
-        title=spec.title,
-        x_label=spec.x_label,
-        x_values=xs,
-        curves=collate(times),
-        y_label=spec.y_label,
-    )
-
-
-def run_experiment(
-    config: ExperimentConfig, quick: bool = False
-) -> FigureResult:
-    """Measure one experiment and evaluate its shape checks.
-
-    Declarative configs expand and measure through
-    :func:`repro.bench.runner.measure_batch` (so ``--jobs``, the on-disk
-    cache and the engine selection all apply via the installed
-    :class:`~repro.sweep.executor.SweepExecutor`); ``builder`` configs
-    dispatch to the named builder function.  Either way the return value
-    is the familiar :class:`~repro.bench.types.FigureResult`.
+    ``builder`` configs return the named builder's plan.  A declarative
+    config lists its series' points in series order; ``finish``
+    collates each series from its slice of the results, evaluates the
+    checks and appends the notes.
     """
     if config.kind == "builder":
         module_name, _, attr = config.builder.partition(":")
@@ -286,42 +268,52 @@ def run_experiment(
                 f"failed to import: {exc}"
             ) from exc
         return builder(quick)
-    result = FigureResult(config.title, config.description)
+    series = []
+    points: List[SweepPoint] = []
     for spec in config.series:
-        result.series.append(_measure_series(spec, quick))
-    where = config.path or config.id
-    for i, check in enumerate(config.checks):
-        result.checks.append(
-            evaluate_check(
-                check, result.series, context=f"{where}: [checks#{i}]"
+        xs, items, collate = _EXPANDERS[spec.kind](spec, quick)
+        start = len(points)
+        points.extend(seed_points(items, contention=spec.contention))
+        series.append((spec, xs, items, collate, start, len(points)))
+
+    def finish(results) -> FigureResult:
+        result = FigureResult(config.title, config.description)
+        for spec, xs, items, collate, start, end in series:
+            result.series.append(
+                Series(
+                    title=spec.title,
+                    x_label=spec.x_label,
+                    x_values=xs,
+                    curves=collate(seed_times(items, results[start:end])),
+                    y_label=spec.y_label,
+                )
             )
-        )
-    result.notes.extend(config.notes)
-    return result
+        where = config.path or config.id
+        for i, check in enumerate(config.checks):
+            result.checks.append(
+                evaluate_check(
+                    check, result.series, context=f"{where}: [checks#{i}]"
+                )
+            )
+        result.notes.extend(config.notes)
+        return result
+
+    return Plan(points, finish)
+
+
+def run_experiment(
+    config: ExperimentConfig, quick: bool = False
+) -> FigureResult:
+    """Plan one experiment and finish it on a default, uncached executor.
+
+    For a cache or an engine, run ``plan.finish(executor.run(plan.points))``.
+    """
+    plan = plan_experiment(config, quick)
+    return plan.finish(SweepExecutor().run(plan.points))
 
 
 def experiment_points(
     config: ExperimentConfig, quick: bool = False
 ) -> List[SweepPoint]:
-    """Every :class:`SweepPoint` a declarative experiment will evaluate.
-
-    This is the exact per-seed expansion :func:`measure_batch` performs
-    (T3D machines fan out over the paper's seed set, stable-rank
-    machines use seed 0), so feeding these points to
-    :func:`repro.sweep.distributed.run_sharded` pre-warms precisely the
-    cache entries ``python -m repro report`` will hit.  Builder
-    experiments measure through their own imperative code and are not
-    expressible as a point list; they raise.
-    """
-    config.require_declarative()
-    points: List[SweepPoint] = []
-    for spec in config.series:
-        _xs, items, _collate = _expand_series(spec, quick)
-        for problem, algorithm in items:
-            points.extend(
-                SweepPoint.from_problem(
-                    problem, algorithm, seed=seed, contention=spec.contention
-                )
-                for seed in _seeds_for(problem.machine)
-            )
-    return points
+    """The points of :func:`plan_experiment`, in evaluation order."""
+    return plan_experiment(config, quick).points

@@ -8,8 +8,8 @@ works from this validated representation, never from raw TOML.
 Two experiment kinds exist:
 
 * ``declarative`` — the series and shape checks are described entirely
-  in the config.  The runner expands them into
-  :mod:`repro.bench.runner` measurement calls, one batch per series.
+  in the config.  The runner expands them into the sweep points of one
+  :class:`~repro.bench.runner.Plan`.
 * ``builder`` — the config names a Python builder function
   (``"repro.bench.figures:fig01"``) for experiments whose logic is
   irreducibly imperative (ASCII placement art, custom machine
@@ -21,9 +21,7 @@ Two experiment kinds exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
-
-from repro.errors import ConfigurationError
+from typing import Any, Optional, Tuple
 
 __all__ = [
     "Dual",
@@ -178,47 +176,3 @@ class ExperimentConfig:
         if self.kind == "builder":
             return int(self.expected_checks or 0)
         return len(self.checks)
-
-    def sweep_specs(self, quick: bool = False) -> List["SweepSpec"]:
-        """The cartesian :class:`~repro.sweep.spec.SweepSpec` grids.
-
-        Only ``sweep``-kind series without a fixed total are cartesian
-        grids; other kinds vary sources or sizes per x-cell and expand
-        to explicit point lists instead (see
-        :func:`repro.pipeline.runner.experiment_points`).  Note the
-        spec's ``distributions`` axis labels its points with the
-        distribution key, while the runner's measurement path labels
-        them ``None``; the two therefore hash to different cache keys —
-        use :func:`~repro.pipeline.runner.experiment_points` when
-        pre-warming a cache for ``python -m repro report``.
-        """
-        from repro.bench.runner import T3D_SEEDS
-        from repro.machines import machine_from_spec
-        from repro.sweep.spec import SweepSpec
-
-        specs: List[SweepSpec] = []
-        for series in self.series:
-            if series.kind != "sweep" or series.total_bytes is not None:
-                continue
-            machine = machine_from_spec(series.machine)
-            seeds = (0,) if machine.topology_stable_ranks else T3D_SEEDS
-            specs.append(
-                SweepSpec(
-                    machines=(series.machine,),
-                    distributions=(series.distribution,),
-                    s_values=tuple(series.s_values.get(quick)),
-                    message_sizes=(series.message_size,),
-                    algorithms=tuple(series.algorithms),
-                    seeds=seeds,
-                    contention=series.contention,
-                )
-            )
-        return specs
-
-    def require_declarative(self) -> None:
-        """Raise unless this config carries declarative series."""
-        if self.kind != "declarative":
-            raise ConfigurationError(
-                f"{self.path or self.id}: experiment kind is {self.kind!r}; "
-                "declarative series are not available"
-            )

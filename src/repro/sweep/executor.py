@@ -212,6 +212,9 @@ def evaluate_point_observed(
 class SweepExecutor:
     """Evaluates batches of sweep points, optionally in parallel and cached.
 
+    ``python -m repro report`` builds one executor from its flags and
+    evaluates every selected experiment's points in one :meth:`run`.
+
     Parameters
     ----------
     jobs:
@@ -248,8 +251,6 @@ class SweepExecutor:
         With ``observe=True``: per-point observation dicts of the most
         recent :meth:`run`, aligned with its input order (``None`` for
         unobserved cache hits).  ``None`` when observation is off.
-    session:
-        Accumulated counters across every :meth:`run` of this executor.
     """
 
     def __init__(
@@ -269,11 +270,6 @@ class SweepExecutor:
         self.engine = engine
         self.last_report: Optional[SweepReport] = None
         self.last_observations: Optional[List[Optional[Dict[str, Any]]]] = None
-        #: With ``observe=True``: every observation across this
-        #: executor's lifetime, in evaluation order (the sweep-level
-        #: roll-ups aggregate over this).
-        self.session_observations: List[Optional[Dict[str, Any]]] = []
-        self.session = SweepReport(jobs=self.jobs)
 
     def run(self, points: Sequence[SweepPoint]) -> List[BroadcastResult]:
         """Evaluate ``points``; returns results aligned with the input order.
@@ -360,8 +356,6 @@ class SweepExecutor:
         self.last_report = report
         if self.observe:
             self.last_observations = observations
-            self.session_observations.extend(observations)
-        self.session.merge(report)
         return [BroadcastResult.from_dict(d) for d in result_dicts]
 
     def _record(

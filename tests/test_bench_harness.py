@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.runner import measure_batch
+from repro.bench.runner import seed_points, seed_times
 from repro.bench.types import Check, FigureResult, Series
 from repro.core.problem import BroadcastProblem
 from repro.distributions import DISTRIBUTIONS
 from repro.errors import ConfigurationError
 from repro.machines import t3d
+from repro.sweep import SweepExecutor
 
 
 class TestSeries:
@@ -87,13 +88,21 @@ class TestCheckAndFigure:
         assert "a note" in report
 
 
-class TestMeasureBatch:
+def _measure(items, contention=True):
+    """The paper's per-item times, measured on a fresh serial executor."""
+    points = seed_points(items, contention=contention)
+    return seed_times(items, SweepExecutor().run(points))
+
+
+class TestSeedProtocol:
     def test_paragon_single_run(self, square_paragon):
         src = DISTRIBUTIONS["E"].generate(square_paragon, 10)
         problem = BroadcastProblem(square_paragon, src, message_size=512)
         item = (problem, "Br_Lin")
-        [a] = measure_batch([item])
-        [b] = measure_batch([item])
+        assert [p.seed for p in seed_points([item])] == [0]
+        # Two separate runs: one batch would compute the point once.
+        [a] = _measure([item])
+        [b] = _measure([item])
         assert a == b  # deterministic, one seed
 
     def test_t3d_averages_best_seeds(self):
@@ -102,7 +111,10 @@ class TestMeasureBatch:
         problem = BroadcastProblem(machine, src, message_size=2048)
         from repro.core import run_broadcast
 
-        [mean_best] = measure_batch([(problem, "Br_Lin")])
+        assert [p.seed for p in seed_points([(problem, "Br_Lin")])] == [
+            0, 1, 2, 3, 4
+        ]
+        [mean_best] = _measure([(problem, "Br_Lin")])
         singles = sorted(
             run_broadcast(problem, "Br_Lin", seed=s).elapsed_ms
             for s in range(5)
@@ -113,11 +125,11 @@ class TestMeasureBatch:
         src = DISTRIBUTIONS["E"].generate(square_paragon, 40)
         problem = BroadcastProblem(square_paragon, src, message_size=16384)
         item = (problem, "Naive_Independent")
-        [on] = measure_batch([item], contention=True)
-        [off] = measure_batch([item], contention=False)
+        [on] = _measure([item], contention=True)
+        [off] = _measure([item], contention=False)
         assert on > off
 
     def test_hand_built_machine_rejected(self, line_machine):
         problem = BroadcastProblem(line_machine, (0, 3), message_size=64)
         with pytest.raises(ConfigurationError, match="has no spec"):
-            measure_batch([(problem, "Br_Lin")])
+            seed_points([(problem, "Br_Lin")])

@@ -142,12 +142,6 @@ class TestValidation:
 
 
 class TestStatistics:
-    def test_bytes_by_round(self, problem):
-        sched = Schedule(problem)
-        sched.add_round([Transfer(0, 1, frozenset({0}))])
-        sched.add_round([Transfer(0, 2, frozenset({0})), Transfer(4, 2, frozenset({4}))])
-        assert sched.bytes_by_round() == [100, 200]
-
     def test_max_transfer_bytes(self, problem):
         sched = Schedule(problem)
         sched.add_round([Transfer(0, 1, frozenset({0}))])
@@ -164,12 +158,3 @@ class TestStatistics:
         assert ops[0] == 2  # two sends
         assert ops[1] == 1
         assert ops[2] == 1
-
-    def test_transfers_of(self, problem):
-        sched = Schedule(problem)
-        sched.add_round(
-            [Transfer(0, 1, frozenset({0})), Transfer(4, 0, frozenset({4}))]
-        )
-        sends, recvs = sched.transfers_of(0)
-        assert len(sends[0]) == 1
-        assert len(recvs[0]) == 1

@@ -33,6 +33,7 @@ from repro.errors import ReproError
 from repro.machines import machine_from_spec, paragon
 from repro.machines.paragon import PARAGON_PARAMS
 from repro.simulator.trace import Tracer
+from repro.summation import left_sum
 from repro.sweep import ResultCache, SweepExecutor, SweepSpec
 
 #: Pools the seeded sampler draws from.  Machines cover both wormhole
@@ -328,7 +329,7 @@ def test_copy_cost_follows_match_order(spec, sources, sizes, seed):
         for t in rnd
     ])
     # The engine sums in match order, and the case is sensitive to it.
-    assert sum(in_match_order) == event.metrics.total_copy_time
+    assert left_sum(in_match_order) == event.metrics.total_copy_time
     assert in_op_order != in_match_order
     fast = run_broadcast(
         problem, "Naive_Independent", seed=seed, contention=False,

@@ -267,19 +267,19 @@ def test_identity_t3d_measurements_honour_executor_engine(monkeypatch):
     touches the fast path, and it still reproduces its recorded report.
     """
     from repro.bench.ablations import ablation_mapping
-    from repro.bench.runner import use_executor
 
     _forbid_fast_path(monkeypatch)
-    with use_executor(SweepExecutor(engine="event")) as executor:
-        result = ablation_mapping(True)
-    assert executor.session.computed == executor.session.total > 0
+    executor = SweepExecutor(engine="event")
+    plan = ablation_mapping(True)
+    result = plan.finish(executor.run(plan.points))
+    assert executor.last_report.computed == executor.last_report.total > 0
     golden = json.loads(GOLDEN_REPORTS.read_text())["ablation-mapping"]
     digest = hashlib.sha256(result.report().encode()).hexdigest()
     assert digest == golden["sha256"]
 
 
 def test_variant_machines_honour_executor_engine(monkeypatch):
-    from repro.bench.runner import measure_batch, use_executor
+    from repro.bench.runner import seed_points, seed_times
     from repro.machines import paragon
     from repro.machines.paragon import PARAGON_PARAMS
 
@@ -288,8 +288,9 @@ def test_variant_machines_honour_executor_engine(monkeypatch):
     problem = BroadcastProblem(machine, (0, 5, 10), message_size=512)
     expected = run_broadcast(problem, "Br_Lin").elapsed_ms
     _forbid_fast_path(monkeypatch)
-    with use_executor(SweepExecutor(engine="event")) as executor:
-        assert measure_batch([(problem, "Br_Lin")]) == [expected]
+    executor = SweepExecutor(engine="event")
+    items = [(problem, "Br_Lin")]
+    assert seed_times(items, executor.run(seed_points(items))) == [expected]
     assert executor.last_report.computed == 1
 
 

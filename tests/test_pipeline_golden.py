@@ -25,10 +25,9 @@ from pathlib import Path
 import pytest
 
 import repro.fastpath
-from repro.bench.runner import use_executor
 from repro.machines import Machine
 from repro.pipeline.loader import load_config_dir
-from repro.pipeline.runner import run_experiment
+from repro.pipeline.runner import plan_experiment, run_experiment
 from repro.sweep import ResultCache, SweepExecutor
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "experiments_quick.json"
@@ -48,8 +47,13 @@ CHEAP = {
 BUILDERS = [id_ for id_, config in CONFIGS.items() if config.kind == "builder"]
 
 
-def _quick_digest(config) -> str:
-    result = run_experiment(config, quick=True)
+def _quick_digest(config, executor=None) -> str:
+    """Digest of the quick report, run on ``executor`` when given."""
+    if executor is None:
+        result = run_experiment(config, quick=True)
+    else:
+        plan = plan_experiment(config, quick=True)
+        result = plan.finish(executor.run(plan.points))
     failed = [str(c) for c in result.checks if not c.passed]
     assert not failed, "\n".join(failed)
     return hashlib.sha256(result.report().encode()).hexdigest()
@@ -69,17 +73,14 @@ def test_quick_report_matches_golden(experiment_id):
 @pytest.mark.parametrize("experiment_id", BUILDERS)
 def test_builder_reruns_from_a_warm_cache(experiment_id, tmp_path, monkeypatch):
     cache = ResultCache(tmp_path)
-    with use_executor(SweepExecutor(cache=cache)):
-        assert _quick_digest(CONFIGS[experiment_id]) == (
-            GOLDEN[experiment_id]["sha256"]
-        )
+    config = CONFIGS[experiment_id]
+    golden = GOLDEN[experiment_id]["sha256"]
+    assert _quick_digest(config, SweepExecutor(cache=cache)) == golden
     monkeypatch.setattr(repro.fastpath, "evaluate_problem", _forbidden)
     monkeypatch.setattr(Machine, "run", _forbidden)
-    with use_executor(SweepExecutor(cache=cache)) as warm:
-        assert _quick_digest(CONFIGS[experiment_id]) == (
-            GOLDEN[experiment_id]["sha256"]
-        )
-    assert warm.session.computed == 0
+    warm = SweepExecutor(cache=cache)
+    assert _quick_digest(config, warm) == golden
+    assert warm.last_report.computed == 0
 
 
 def test_golden_covers_every_config():

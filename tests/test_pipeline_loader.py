@@ -11,6 +11,7 @@ from repro.pipeline.loader import (
     load_config_dir,
     load_config_text,
 )
+from repro.pipeline.runner import experiment_points
 
 MINIMAL = """
 [experiment]
@@ -87,7 +88,8 @@ class TestErrorNaming:
             _minimal().replace('machine = "paragon:4x4"',
                                'machine = "t3d:16+mapping=identity"')
         )
-        assert config.sweep_specs()[0].machines == ("t3d:16+mapping=identity",)
+        machines = {point.machine for point in experiment_points(config)}
+        assert machines == {"t3d:16+mapping=identity"}
         with pytest.raises(ConfigurationError) as err:
             load_config_text(
                 _minimal().replace('machine = "paragon:4x4"',
@@ -232,33 +234,37 @@ expected_checks = 1
 
 
 class TestRoundTrip:
-    """TOML → SweepSpec expansion is bit-stable across loads."""
+    """TOML → sweep point expansion is bit-stable across loads."""
 
     def test_text_round_trip_is_stable(self):
         first = load_config_text(_minimal())
         second = load_config_text(_minimal())
         assert first == second
-        assert first.sweep_specs() == second.sweep_specs()
-        assert first.sweep_specs(quick=True) == second.sweep_specs(quick=True)
+        assert experiment_points(first) == experiment_points(second)
+        assert experiment_points(first, quick=True) == experiment_points(
+            second, quick=True
+        )
 
     def test_file_round_trip_matches_committed_configs(self):
         """Re-reading every committed config is a fixed point."""
         for config in load_config_dir().values():
             assert load_config(config.path) == config
 
-    def test_sweep_spec_points_are_deterministic(self):
+    def test_experiment_points_are_deterministic(self):
         config = load_config_text(_minimal())
-        spec_a = config.sweep_specs()[0]
-        spec_b = config.sweep_specs()[0]
-        keys_a = [point.key() for point in spec_a.points()]
-        keys_b = [point.key() for point in spec_b.points()]
+        keys_a = [point.key() for point in experiment_points(config)]
+        keys_b = [point.key() for point in experiment_points(config)]
         assert keys_a == keys_b
-        assert len(keys_a) == spec_a.num_points
+        assert len(keys_a) == 2
 
     def test_quick_axis_falls_back_to_full(self):
+        def s_values(quick):
+            points = experiment_points(config, quick=quick)
+            return [len(point.sources) for point in points]
+
         config = load_config_text(_minimal())
-        assert config.sweep_specs(quick=True)[0].s_values == (4,)
-        assert config.sweep_specs(quick=False)[0].s_values == (4, 8)
+        assert s_values(quick=True) == [4]
+        assert s_values(quick=False) == [4, 8]
 
 
 class TestCommittedConfigs:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -251,9 +252,9 @@ class TestReportCli:
         for page in out_dir.glob("*.html"):
             assert checker.audit_file(page) == []
 
-    def test_shards_prewarm_then_measure_from_cache(self, tmp_path, capsys):
-        """``--shards`` fills the cache across worker processes; the
-        measurement is then all cache hits and renders the serial page."""
+    def test_shards_render_the_serial_page(self, tmp_path, capsys):
+        """``--shards`` evaluates the grid over worker processes and
+        renders the page a serial run renders."""
         from repro.pipeline.cli import main
 
         sharded, serial = tmp_path / "sharded", tmp_path / "serial"
@@ -262,12 +263,88 @@ class TestReportCli:
                      "--out", str(sharded)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "pre-warmed 28 grid point(s) across 2 shard(s)" in out
-        assert "(28 cached, 0 computed)" in out
+        assert "(0 cached, 28 computed)" in out
+        assert "[jobs=2," in out
         assert main(["fig4", "--quick", "--no-cache",
                      "--out", str(serial)]) == 0
         assert ((sharded / "fig4.html").read_bytes()
                 == (serial / "fig4.html").read_bytes())
+
+    def test_one_executor_call_holds_every_experiment(self, tmp_path,
+                                                      monkeypatch, configs):
+        from repro.pipeline.cli import main
+        from repro.pipeline.runner import experiment_points
+        from repro.sweep import SweepExecutor
+
+        calls = []
+        real = SweepExecutor.run
+
+        def spy(self, points):
+            calls.append(list(points))
+            return real(self, points)
+
+        monkeypatch.setattr(SweepExecutor, "run", spy)
+        ids = ["fig7", "ablation-mapping"]
+        assert main([*ids, "--quick", "--no-cache",
+                     "--out", str(tmp_path)]) == 0
+        expected = [point for experiment_id in ids
+                    for point in experiment_points(configs[experiment_id],
+                                                   quick=True)]
+        assert calls == [expected]
+
+    def test_shards_honour_engine_and_observe(self, tmp_path, monkeypatch,
+                                              capsys, configs):
+        """``--shards`` reaches builder experiments, runs on ``--engine``
+        and rolls up ``--observe`` per experiment; the cache it fills
+        serves a later serial run without simulating."""
+        import repro.fastpath
+        from repro.machines import Machine
+        from repro.pipeline.cli import main
+        from repro.pipeline.runner import experiment_points
+        from repro.sweep import ResultCache, SweepExecutor
+
+        ids = ["fig4", "ablation-mapping"]
+        cache = tmp_path / "cache"
+        sharded, serial = tmp_path / "sharded", tmp_path / "serial"
+        code = main([*ids, "--quick", "--shards", "2", "--engine", "event",
+                     "--observe", "--cache-dir", str(cache),
+                     "--out", str(sharded)])
+        out = capsys.readouterr().out
+        assert code == 0
+        (manifest,) = (cache / "runs").glob("run-*/manifest.json")
+        knobs = json.loads(manifest.read_text())
+        assert knobs["engine"] == "event"
+        assert knobs["observe"] is True
+        rollups = [l for l in out.splitlines()
+                   if l.startswith("observed points:")]
+        assert len(rollups) == len(ids)
+        assert main([*ids, "--quick", "--no-cache",
+                     "--out", str(serial)]) == 0
+        for experiment_id in ids:
+            page = f"{experiment_id}.html"
+            assert ((sharded / page).read_bytes()
+                    == (serial / page).read_bytes())
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("a warm render must not simulate")
+
+        monkeypatch.setattr(repro.fastpath, "evaluate_problem", forbidden)
+        monkeypatch.setattr(Machine, "run", forbidden)
+        warm = SweepExecutor(cache=ResultCache(cache))
+        warm.run([point for experiment_id in ids
+                  for point in experiment_points(configs[experiment_id],
+                                                 quick=True)])
+        assert warm.last_report.computed == 0
+
+    @pytest.mark.parametrize("flags", [["--jobs", "2"], ["--no-cache"]])
+    def test_shards_refuse_a_second_executor_flag(self, flags, capsys):
+        """``--jobs`` also picks the executor, and sharded workers share
+        only the result cache."""
+        from repro.pipeline.cli import main
+
+        assert main(["fig4", "--quick", "--shards", "2", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "--shards" in err and flags[0] in err
 
     def test_docs_check_skip_results_matches_committed(self, capsys):
         from repro.pipeline.cli import main

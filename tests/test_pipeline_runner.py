@@ -7,9 +7,13 @@ import inspect
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.bench.runner import Plan
 from repro.pipeline.loader import load_config_dir, load_config_text
-from repro.pipeline.runner import experiment_points, run_experiment
+from repro.pipeline.runner import (
+    experiment_points,
+    plan_experiment,
+    run_experiment,
+)
 
 SWEEP = """
 [experiment]
@@ -88,9 +92,17 @@ class TestSweepSeries:
 
 
 class TestBuilders:
-    def test_builder_experiment_has_no_point_list(self, configs):
-        with pytest.raises(ConfigurationError, match="builder"):
-            experiment_points(configs["fig1"])
+    def test_builders_plan_their_points(self, configs):
+        for config in configs.values():
+            if config.kind == "builder":
+                plan = plan_experiment(config, quick=True)
+                assert isinstance(plan, Plan), config.id
+        assert experiment_points(configs["fig1"], quick=True) == []
+        machines = {
+            point.machine
+            for point in experiment_points(configs["ablation-mapping"], quick=True)
+        }
+        assert machines == {"t3d:64", "t3d:64+mapping=identity"}
 
     def test_every_builder_accepts_the_quick_flag(self, configs):
         for config in configs.values():

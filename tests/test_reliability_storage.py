@@ -275,11 +275,3 @@ class TestReportReliability:
         a.merge(b)
         assert a.reliability.quarantines == 3
         assert a.reliability.fencing_rejections == 1
-
-    def test_since_subtracts_counters(self):
-        earlier = SweepReport(total=1, computed=1, jobs=1)
-        earlier.reliability.retries = 1
-        later = SweepReport(total=3, computed=3, jobs=1)
-        later.reliability.retries = 4
-        delta = later.since(earlier)
-        assert delta.reliability.retries == 3

@@ -13,8 +13,10 @@ down to the last float bit.
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ import pytest
 from repro.core.problem import BroadcastProblem
 from repro.core.runner import run_broadcast
 from repro.machines import machine_from_spec
+from repro.summation import left_sum
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "simcore_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -85,3 +88,62 @@ def test_repeated_runs_are_bit_identical():
 def test_golden_fixture_covers_acceptance_point():
     """The 16x16 s=64 perf acceptance point is pinned by a fixture."""
     assert "paragon:16x16|PersAlltoAll|s=64|L=4096|seed=0" in GOLDEN
+
+
+def _compensated_sum(iterable, /, start=0):
+    """``builtins.sum`` as Python 3.12 computes it.
+
+    Ints add exactly; once the total is a float, float items add with
+    Neumaier compensation and ints add plainly, and the compensation is
+    folded in at the end.
+    """
+    items = iter(iterable)
+    total = start
+    if type(total) is not float:
+        for item in items:
+            total = total + item
+            if type(total) is float:
+                break
+        else:
+            return total
+    compensation = 0.0
+    for item in items:
+        if type(item) is float:
+            t = total + item
+            if abs(total) >= abs(item):
+                compensation += (total - t) + item
+            else:
+                compensation += (item - t) + total
+            total = t
+        elif isinstance(item, int):
+            total += float(item)
+        else:  # pragma: no cover - no result sums other types
+            raise TypeError(f"unsupported summand {item!r}")
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_compensated_sum_differs_from_left_to_right():
+    assert _compensated_sum([0.1] * 10) == 1.0
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert _compensated_sum([1, 2, 3]) == 6
+
+
+@pytest.mark.parametrize("engine", ["event", "fast"])
+@pytest.mark.parametrize("key", [
+    "paragon:8x8|Br_Lin|s=16|L=1024|seed=0",
+    "paragon:16x16|PersAlltoAll|s=16|L=1024|seed=0",
+    "t3d:64|MPI_Alltoall|s=16|L=1024|seed=1",
+    "hypercube:16|2-Step|s=16|L=1024|seed=0",
+])
+def test_results_do_not_depend_on_builtin_sum(key, engine, monkeypatch):
+    """Python 3.12's compensated ``sum`` reproduces the goldens too.
+
+    The fixtures were recorded on 3.11, whose ``sum`` adds left to
+    right; every float total that feeds a result goes through
+    :func:`repro.summation.left_sum`, never ``builtins.sum``.
+    """
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    result = _run_point(key, engine)
+    assert _canonical_hash(result) == GOLDEN[key]["sha256"]

@@ -84,13 +84,11 @@ class TestObserve:
         assert obs[0]["distribution"] == "R"
         assert obs[0]["machine"] == "paragon:4x4"
         assert obs[0]["summary"]["slowest_phase"] == "halving"
-        assert executor.session_observations == obs
 
     def test_observe_off_leaves_no_observations(self):
         executor = SweepExecutor(jobs=1)
         executor.run([_point()])
         assert executor.last_observations is None
-        assert executor.session_observations == []
 
     def test_cache_key_neutral(self, tmp_path):
         """Observed and unobserved sweeps share entries bit-for-bit."""
