@@ -137,12 +137,6 @@ def main(argv: List[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="sweep worker processes (default: $REPRO_SWEEP_JOBS or 1)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         help="memoize results in this sweep cache directory",
@@ -180,9 +174,8 @@ def main(argv: List[str] | None = None) -> int:
                 if args.cache_dir and not args.no_cache
                 else None
             )
-            executor = SweepExecutor(
-                jobs=args.jobs, cache=cache, engine=args.engine
-            )
+            # One point is one batch, which never leaves this process.
+            executor = SweepExecutor(jobs=1, cache=cache, engine=args.engine)
             point = SweepPoint.from_problem(
                 problem,
                 algorithm,

@@ -18,12 +18,37 @@ the best performer (Figure 13).
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.core.algorithms.base import BroadcastAlgorithm, register
 from repro.core.problem import BroadcastProblem
 from repro.core.schedule import Schedule, Transfer
-from repro.mpsim.collectives import xor_or_cyclic_partner
+from repro.errors import CommError
 
-__all__ = ["PersAlltoAll", "build_pers_alltoall_schedule"]
+__all__ = [
+    "PersAlltoAll",
+    "build_pers_alltoall_schedule",
+    "xor_or_cyclic_partner",
+]
+
+
+def xor_or_cyclic_partner(
+    rank: int, size: int, round_index: int
+) -> Tuple[int, int]:
+    """``(dest, source)`` partners for one personalized-exchange round.
+
+    Power-of-two groups use the XOR permutations of [8] (dest == source
+    each round); other sizes fall back to cyclic offsets.  Either way
+    every round is a permutation, so each rank sends and receives at
+    most one message per round (one-ported in the sense of Träff,
+    arXiv 2008.12144).  ``round_index`` runs from 1 to ``size - 1``.
+    """
+    if not 1 <= round_index < size:
+        raise CommError(f"round index {round_index} outside [1, {size})")
+    if size & (size - 1) == 0:
+        partner = rank ^ round_index
+        return partner, partner
+    return (rank + round_index) % size, (rank - round_index) % size
 
 
 def build_pers_alltoall_schedule(

@@ -164,14 +164,17 @@ def run_broadcast(
     *,
     seed: int = 0,
     contention: bool = True,
-    validate: bool = True,
-    verify: bool = True,
     tracer: Optional[Tracer] = None,
     faults: Union[None, str, Iterable, FaultSchedule] = None,
     recover: bool = False,
     engine: str = "auto",
 ) -> BroadcastResult:
     """Run ``algorithm`` on ``problem`` and return timing plus metrics.
+
+    The schedule is always validated (causality and delivery, see
+    :meth:`~repro.core.schedule.Schedule.validate`) before it runs; a
+    clean event-engine run also checks every rank's *simulated*
+    holdings, which checks the message layer rather than the schedule.
 
     Parameters
     ----------
@@ -186,12 +189,6 @@ def run_broadcast(
         the fault schedule's seeded degradations.
     contention:
         Pass ``False`` to disable link contention (ablation).
-    validate:
-        Statically check the schedule (causality + delivery) before
-        running.
-    verify:
-        Cross-check that every rank's *simulated* final holdings equal
-        the full source set (end-to-end, through the message layer).
     tracer:
         Optional :class:`~repro.simulator.trace.Tracer` that receives the
         run's trace records (spans, ``xfer``, ``send``, ``recv``).  Both
@@ -253,8 +250,6 @@ def run_broadcast(
             algorithm,
             seed=seed,
             contention=contention,
-            validate=validate,
-            verify=verify,
             tracer=tracer,
         )
         fast = outcome.fast
@@ -272,8 +267,7 @@ def run_broadcast(
             },
         )
     schedule: Schedule = algorithm.build_schedule(problem)
-    if validate:
-        schedule.validate()
+    schedule.validate()
     executor = ScheduleExecutor(schedule)
     result = problem.machine.run(
         executor.program,
@@ -314,7 +308,10 @@ def run_broadcast(
             for held in holdings
         )
         delivery = achieved / total if total else 1.0
-    elif verify:
+    else:
+        # Safety check of the message layer, not of the schedule
+        # (validate() proved the schedule delivers): every rank's
+        # *simulated* holdings must be the full source set.
         for rank, held in enumerate(result.returns):
             if held != expected:
                 missing = sorted(expected - held)

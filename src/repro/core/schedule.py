@@ -191,23 +191,6 @@ class Schedule:
     def num_transfers(self) -> int:
         return sum(len(r) for r in self.rounds)
 
-    def holdings_after(self, upto: int | None = None) -> List[Set[int]]:
-        """Message sets held by each rank after round ``upto`` (exclusive).
-
-        ``upto=None`` means after the whole schedule.
-        """
-        holdings: List[Set[int]] = [set(h) for h in self.problem.initial_holdings()]
-        stop = self.num_rounds if upto is None else upto
-        for rnd in self.rounds[:stop]:
-            # Snapshot semantics: everything sent in a round left the
-            # sender before anything received in the round is usable.
-            deliveries: List[Tuple[int, FrozenSet[int]]] = [
-                (t.dst, t.msgset) for t in rnd
-            ]
-            for dst, msgset in deliveries:
-                holdings[dst] |= msgset
-        return holdings
-
     # -- validation ---------------------------------------------------------
     def validate(self) -> None:
         """Check causality and delivery; raises on violation.

@@ -15,9 +15,7 @@ __all__ = [
     "TopologyError",
     "CommError",
     "PeerFailedError",
-    "SendTimeoutError",
     "RecvTimeoutError",
-    "MatchingError",
     "ConfigurationError",
     "DistributedSweepError",
     "UnsupportedFastPathError",
@@ -61,17 +59,10 @@ class PeerFailedError(CommError):
 
     Raised at the *sender* when fault injection has marked the
     destination node dead at send time — the simulated analogue of a
-    connection refused / node-down error from the transport layer.
-    """
-
-
-class SendTimeoutError(CommError):
-    """A blocking send with ``timeout_us`` did not complete in time.
-
-    Under fault injection a send can stall indefinitely (dead path) or
-    far beyond its budget (degraded links); algorithms opting into
-    ``Comm.send(..., timeout_us=...)`` get this typed error instead of
-    hanging, and may retry with backoff.
+    connection refused / node-down error from the transport layer —
+    and by :class:`~repro.mpsim.reliable.ReliableComm` once a silent or
+    refusing peer is presumed failed.  Retransmission lives only there:
+    a plain send has no timeout.
     """
 
 
@@ -83,10 +74,6 @@ class RecvTimeoutError(CommError):
     abandoned receive.  The reliable transport layer uses this to turn
     a silently lost message into failure *detection*.
     """
-
-
-class MatchingError(CommError):
-    """A receive could not be matched against the message that arrived."""
 
 
 class ConfigurationError(ReproError):

@@ -7,10 +7,9 @@ placement.  The schedule build + validation + lowering for such points
 is identical work, so this module caches it per worker process:
 
 * a :class:`PlanCache` maps ``(machine, algorithm, sources)`` to a
-  lowered :class:`~repro.fastpath.lowering.FastPlan` — with the report
-  fields its schedule fixes, counted once at lowering — plus everything
-  the runner needs around it (validation state, the lazily computed
-  delivery-verification verdict, per-seed link-path bindings,
+  lowered, validated :class:`~repro.fastpath.lowering.FastPlan` — with
+  the report fields its schedule fixes, counted once at lowering — plus
+  everything the runner needs around it (per-seed link-path bindings,
   per-size-table rebinds);
 * :func:`evaluate_problem` is the runner's fast-path entry: resolve the
   cache, bind the point's sizes and seed, replay through the kernel,
@@ -44,7 +43,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.errors import VerificationError
 from repro.fastpath.evaluator import (
     FastRunResult,
     PlanBinding,
@@ -56,7 +54,6 @@ from repro.fastpath.lowering import FastPlan, lower_schedule
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.algorithms.base import BroadcastAlgorithm
     from repro.core.problem import BroadcastProblem
-    from repro.core.schedule import Schedule
     from repro.simulator.trace import Tracer
 
 __all__ = [
@@ -75,8 +72,6 @@ BINDING_CAPACITY = 32
 #: Link-path bindings kept per entry (LRU; one covers all seeds on
 #: machines with seed-independent rank placement).
 PATH_CAPACITY = 8
-
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -98,56 +93,22 @@ class _PlanEntry:
 
     __slots__ = (
         "plan",
-        "schedule",
         "algorithm_label",
-        "algorithm_name",
         "built_sig",
-        "validated",
-        "_verify_failure",
         "size_bindings",
         "path_bindings",
     )
 
     def __init__(
-        self,
-        plan: FastPlan,
-        schedule: "Schedule",
-        algorithm_name: str,
-        built_sig: Tuple[int, ...],
-        validated: bool,
+        self, plan: FastPlan, algorithm_label: str, built_sig: Tuple[int, ...]
     ) -> None:
         self.plan = plan
-        self.schedule = schedule
-        self.algorithm_label = schedule.algorithm or algorithm_name
-        self.algorithm_name = algorithm_name
+        self.algorithm_label = algorithm_label
         self.built_sig = built_sig
-        self.validated = validated
-        self._verify_failure = _UNSET
         self.size_bindings: "OrderedDict[Tuple[int, ...], FastPlan]" = (
             OrderedDict()
         )
         self.path_bindings: "OrderedDict[int, PlanBinding]" = OrderedDict()
-
-    def verify_failure(self, problem: "BroadcastProblem") -> Optional[str]:
-        """Delivery-check verdict, computed once per entry.
-
-        Simulated delivery is a pure function of the schedule structure
-        and the source set — both part of the cache key — so the first
-        verification covers every replay of this entry.
-        """
-        if self._verify_failure is _UNSET:
-            failure = None
-            expected = problem.source_set
-            for rank, held in enumerate(self.schedule.holdings_after()):
-                if held != expected:
-                    missing = sorted(expected - held)
-                    failure = (
-                        f"{self.algorithm_name}: rank {rank} finished without "
-                        f"messages {missing[:8]} (simulated delivery check)"
-                    )
-                    break
-            self._verify_failure = failure
-        return self._verify_failure
 
     def plan_for(self, sig: Tuple[int, ...], problem: "BroadcastProblem") -> FastPlan:
         """The plan bound to ``problem``'s size table (LRU-cached)."""
@@ -253,21 +214,18 @@ def evaluate_problem(
     *,
     seed: int = 0,
     contention: bool = True,
-    validate: bool = True,
-    verify: bool = True,
     tracer: Optional["Tracer"] = None,
 ) -> FastOutcome:
     """Build-or-reuse the lowering for ``(problem, algorithm)`` and replay.
 
     The fast-path equivalent of the runner's build → validate →
-    simulate → verify pipeline, with the first two stages (and the
-    verification verdict) amortized across every point that shares this
-    problem's machine, algorithm and source placement.  A
-    ``tracer`` receives the event engine's trace records for the
-    replay (see :func:`~repro.fastpath.evaluator.evaluate_plan`).  Raises
-    exactly what the un-cached pipeline would: ``AlgorithmError`` from
-    build/validate, ``DeadlockError`` from the replay,
-    ``VerificationError`` from the delivery check.
+    simulate pipeline, with the first two stages amortized across every
+    point that shares this problem's machine, algorithm and source
+    placement.  A ``tracer`` receives the event engine's trace records
+    for the replay (see :func:`~repro.fastpath.evaluator.evaluate_plan`).
+    Raises exactly what the un-cached pipeline would: ``AlgorithmError``
+    or ``VerificationError`` from build/validate, ``DeadlockError``
+    from the replay.
     """
     machine = problem.machine
     sig = _size_sig(problem)
@@ -282,18 +240,13 @@ def evaluate_problem(
     if entry is not None:
         _CACHE.counters["hits"] += 1
         verdict = "hit"
-        if validate and not entry.validated:
-            entry.schedule.validate()
-            entry.validated = True
     else:
         _CACHE.counters["misses"] += 1
         verdict = "miss"
         schedule = algorithm.build_schedule(problem)
-        if validate:
-            schedule.validate()
+        schedule.validate()
         plan = lower_schedule(schedule)
-        entry = _PlanEntry(plan, schedule, algorithm.name, sig,
-                           validated=validate)
+        entry = _PlanEntry(plan, schedule.algorithm or algorithm.name, sig)
         if plan.size_reusable and not sized_structure:
             _CACHE.put(key_base + ("any",), entry)
         else:
@@ -305,10 +258,6 @@ def evaluate_problem(
         plan, machine, seed=seed, contention=contention, binding=binding,
         tracer=tracer,
     )
-    if verify:
-        failure = entry.verify_failure(problem)
-        if failure is not None:
-            raise VerificationError(failure)
     return FastOutcome(
         fast=fast,
         algorithm=entry.algorithm_label,

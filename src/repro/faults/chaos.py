@@ -60,7 +60,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.spec import (
     DegradeFault,
@@ -739,48 +739,6 @@ def run_io_trial(trial: IOTrial) -> Optional[Violation]:
     return None
 
 
-def run_io_trials(
-    trials: int,
-    seed: int,
-    *,
-    only: Optional[int] = None,
-    verbose: bool = True,
-) -> "ChaosReport":
-    """Seeded batch of storage-chaos trials (the ``--io`` mode)."""
-    report = ChaosReport(seed=seed, trials=trials)
-    indices = [only] if only is not None else list(range(trials))
-    for index in indices:
-        trial = generate_io_trial(seed, index)
-        violation = run_io_trial(trial)
-        if verbose:
-            status = "FAIL" if violation is not None else "ok"
-            print(f"  [{status:4s}] {trial.describe()}")
-        if violation is not None:
-            report.violations.append(violation)
-    return report
-
-
-def run_orchestrator_trials(
-    trials: int,
-    seed: int,
-    *,
-    only: Optional[int] = None,
-    verbose: bool = True,
-) -> "ChaosReport":
-    """Seeded batch of orchestrator trials (the ``--orchestrator`` mode)."""
-    report = ChaosReport(seed=seed, trials=trials)
-    indices = [only] if only is not None else list(range(trials))
-    for index in indices:
-        trial = generate_orchestrator_trial(seed, index)
-        violation = run_orchestrator_trial(trial)
-        if verbose:
-            status = "FAIL" if violation is not None else "ok"
-            print(f"  [{status:4s}] {trial.describe()}")
-        if violation is not None:
-            report.violations.append(violation)
-    return report
-
-
 @dataclass
 class ChaosReport:
     """Outcome of a chaos batch (JSON-serialisable for CI artifacts)."""
@@ -802,6 +760,32 @@ class ChaosReport:
         }
 
 
+def _run_batch(
+    generate: Callable[[int, int], Any],
+    run: Callable[[Any, bool], Optional[Violation]],
+    trials: int,
+    seed: int,
+    only: Optional[int],
+    verbose: bool,
+) -> ChaosReport:
+    """The one batch loop of every chaos mode.
+
+    ``generate(seed, index)`` draws a trial and ``run(trial, first)``
+    returns its violation; ``first`` marks the batch's first trial.
+    """
+    report = ChaosReport(seed=seed, trials=trials)
+    indices = [only] if only is not None else list(range(trials))
+    for index in indices:
+        trial = generate(seed, index)
+        violation = run(trial, index == indices[0])
+        if verbose:
+            status = "FAIL" if violation is not None else "ok"
+            print(f"  [{status:4s}] {trial.describe()}")
+        if violation is not None:
+            report.violations.append(violation)
+    return report
+
+
 def run_trials(
     trials: int,
     seed: int,
@@ -814,10 +798,9 @@ def run_trials(
     verbose: bool = True,
 ) -> ChaosReport:
     """Run a batch of seeded trials; collect (shrunk) violations."""
-    report = ChaosReport(seed=seed, trials=trials)
-    indices = [only] if only is not None else list(range(trials))
-    for index in indices:
-        trial = generate_trial(
+
+    def generate(seed: int, index: int) -> ChaosTrial:
+        return generate_trial(
             seed,
             index,
             machine_spec=machine_spec,
@@ -825,13 +808,34 @@ def run_trials(
             distributions=distributions,
             message_size=message_size,
         )
-        violation = run_trial(trial, determinism=(index == indices[0]))
-        if verbose:
-            status = "FAIL" if violation is not None else "ok"
-            print(f"  [{status:4s}] {trial.describe()}")
-        if violation is not None:
-            report.violations.append(violation)
-    return report
+
+    def run(trial: ChaosTrial, first: bool) -> Optional[Violation]:
+        # The determinism invariant re-runs the batch's first trial.
+        return run_trial(trial, determinism=first)
+
+    return _run_batch(generate, run, trials, seed, only, verbose)
+
+
+def run_io_trials(
+    trials: int, seed: int, *, only: Optional[int] = None, verbose: bool = True
+) -> ChaosReport:
+    """Seeded batch of storage-chaos trials (the ``--io`` mode)."""
+    return _run_batch(
+        generate_io_trial,
+        lambda trial, _first: run_io_trial(trial),
+        trials, seed, only, verbose,
+    )
+
+
+def run_orchestrator_trials(
+    trials: int, seed: int, *, only: Optional[int] = None, verbose: bool = True
+) -> ChaosReport:
+    """Seeded batch of orchestrator trials (the ``--orchestrator`` mode)."""
+    return _run_batch(
+        generate_orchestrator_trial,
+        lambda trial, _first: run_orchestrator_trial(trial),
+        trials, seed, only, verbose,
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -886,69 +890,29 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.io:
-        print(f"chaos (io): {args.trials} trial(s), seed {args.seed}")
-        report = run_io_trials(args.trials, args.seed, only=args.trial)
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-            print(f"report written to {args.report}")
-        if report.ok:
-            print(f"all invariants held over {report.trials} trial(s)")
-            return 0
-        for violation in report.violations:
-            print()
-            print(
-                f"VIOLATION [{violation.invariant}] in trial "
-                f"{violation.trial}:"
-            )
-            print(f"  {violation.detail}")
-            print(f"  io faults: {violation.schedule}")
-            print(
-                "  replay:    python -m repro chaos --io --trials 1 "
-                f"--seed {report.seed} --trial {violation.trial}"
-            )
-        print(f"\n{len(report.violations)} violation(s)")
-        return 1
-
-    if args.orchestrator:
+    mode = "io" if args.io else "orchestrator" if args.orchestrator else ""
+    flag = f" --{mode}" if mode else ""
+    if mode:
+        print(f"chaos ({mode}): {args.trials} trial(s), seed {args.seed}")
+    else:
         print(
-            f"chaos (orchestrator): {args.trials} trial(s), seed {args.seed}"
+            f"chaos: {args.trials} trial(s), seed {args.seed}, "
+            f"machine {args.machine}"
         )
-        report = run_orchestrator_trials(
-            args.trials, args.seed, only=args.trial
+    if args.io:
+        report = run_io_trials(args.trials, args.seed, only=args.trial)
+    elif args.orchestrator:
+        report = run_orchestrator_trials(args.trials, args.seed, only=args.trial)
+    else:
+        report = run_trials(
+            args.trials,
+            args.seed,
+            machine_spec=args.machine,
+            algorithms=tuple(a for a in args.algorithms.split(",") if a),
+            distributions=tuple(d for d in args.dists.split(",") if d),
+            message_size=args.L,
+            only=args.trial,
         )
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-            print(f"report written to {args.report}")
-        if report.ok:
-            print(f"all invariants held over {report.trials} trial(s)")
-            return 0
-        for violation in report.violations:
-            print()
-            print(
-                f"VIOLATION [{violation.invariant}] in trial "
-                f"{violation.trial}:"
-            )
-            print(f"  {violation.detail}")
-            print(f"  faults: {violation.schedule}")
-        print(f"\n{len(report.violations)} violation(s)")
-        return 1
-
-    print(
-        f"chaos: {args.trials} trial(s), seed {args.seed}, "
-        f"machine {args.machine}"
-    )
-    report = run_trials(
-        args.trials,
-        args.seed,
-        machine_spec=args.machine,
-        algorithms=tuple(a for a in args.algorithms.split(",") if a),
-        distributions=tuple(d for d in args.dists.split(",") if d),
-        message_size=args.L,
-        only=args.trial,
-    )
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
@@ -963,9 +927,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  schedule: {violation.schedule}")
         print(f"  shrunk:   {violation.shrunk_schedule}")
         print(
-            "  replay:   python -m repro chaos --trials 1 "
-            f"--seed {report.seed} --trial {violation.trial}"
+            f"  replay:   python -m repro chaos{flag} "
+            f"--trials 1 --seed {report.seed} --trial {violation.trial}"
         )
+    print(f"\n{len(report.violations)} violation(s)")
     return 1
 
 

@@ -1,21 +1,25 @@
 """Simulated message-passing layer (the NX / MPI substitute).
 
-Algorithms are written against :class:`~repro.mpsim.comm.Comm`, whose
-API mirrors the subset of NX/MPI the paper uses:
+The per-message layer the event engine runs schedules and recovery
+through.  :class:`~repro.mpsim.comm.Comm` is one rank's view of the
+world communicator and mirrors the subset of NX/MPI the paper uses:
 
 * ``send`` / ``recv`` — blocking point-to-point with (source, tag)
-  matching and MPI non-overtaking semantics,
+  matching, ``ANY_SOURCE`` / ``ANY_TAG`` wildcards, MPI non-overtaking
+  semantics, and optional receive timeouts,
 * ``isend`` — non-blocking send returning a
-  :class:`~repro.mpsim.requests.Request`,
-* sub-communicators over arbitrary rank subsets (rows, columns,
-  machine halves), and
-* library collectives in :mod:`repro.mpsim.collectives` (barrier,
-  bcast, gather(v), allgather(v), alltoall(v)) implemented — like real
-  MPI libraries — on top of point-to-point, but charged the machine's
-  *collective* overhead scale (the T3D's shmem fast path).
+  :class:`~repro.mpsim.requests.Request`, and
+* ``with_mode`` — cached views that charge the machine's library
+  collective or MPI overhead tier instead of the native one.
+
+The paper's library collectives (``MPI_AllGather``, ``MPI_Alltoall``)
+are schedules whose collective rounds pay that tier (see
+:mod:`repro.core.algorithms.mpi_coll`), not code in this package.
+:class:`~repro.mpsim.reliable.ReliableComm` adds sequence numbers,
+ACKs and retransmission on top, for the recovery protocol.
 
 Because every operation is a generator that yields simulator events,
-algorithm code reads like SPMD message-passing code::
+code on top of it reads like SPMD message-passing code::
 
     def program(comm):
         if comm.rank == 0:

@@ -1,12 +1,9 @@
 """Rank-addressed communication over the simulated fabric.
 
 :class:`World` owns the shared state of one machine run (engine,
-fabric, inboxes, metrics); :class:`Comm` is a rank's *view* of a group
-of ranks — the world group, a mesh row/column, or a machine half.
-Sub-communicators are plain rank translations; creating one costs no
-simulated time (mirroring the paper's assumption that every processor
-already knows the source positions, so group membership is common
-knowledge).
+fabric, inboxes, metrics); :class:`Comm` is one rank's view of the
+world communicator, with its per-message overhead mode (point-to-point,
+library collective, MPI) selected by :meth:`Comm.with_mode`.
 
 Timing of one point-to-point message::
 
@@ -23,23 +20,9 @@ over the bytes).
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Generator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
-from repro.errors import (
-    CommError,
-    PeerFailedError,
-    RecvTimeoutError,
-    SendTimeoutError,
-)
+from repro.errors import CommError, PeerFailedError, RecvTimeoutError
 from repro.metrics.counters import MetricsCollector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -82,26 +65,12 @@ class World:
         self.size = mapping.size
         self.inboxes: List[Store] = [Store(engine) for _ in range(self.size)]
         self.metrics = metrics if metrics is not None else MetricsCollector(self.size)
-        #: Interned group tuple of the full world, shared by every
-        #: world communicator view (one allocation per run, not per rank).
-        self.world_group: Tuple[int, ...] = tuple(range(self.size))
-        # world-rank -> group-rank dicts, interned per group tuple so
-        # every communicator view over the same group shares one dict.
-        self._group_indices: Dict[Tuple[int, ...], Dict[int, int]] = {}
 
     def comm(self, rank: int) -> "Comm":
         """The world communicator as seen by ``rank``."""
         if not 0 <= rank < self.size:
             raise CommError(f"rank {rank} outside world of size {self.size}")
-        return Comm(self, self.world_group, rank, _validated=True)
-
-    def group_index(self, group: Tuple[int, ...]) -> Dict[int, int]:
-        """The interned ``world rank -> group rank`` dict for ``group``."""
-        index = self._group_indices.get(group)
-        if index is None:
-            index = {w: g for g, w in enumerate(group)}
-            self._group_indices[group] = index
-        return index
+        return Comm(self, rank)
 
     def deliver(self, envelope: Envelope) -> None:
         """Deposit ``envelope`` in its destination inbox (kernel callback)."""
@@ -109,122 +78,49 @@ class World:
 
 
 class Comm:
-    """A rank's communicator over a group of world ranks.
+    """A rank's view of the world communicator.
 
     Parameters
     ----------
     world:
         The shared run state.
-    group:
-        Tuple of *world* ranks in this communicator, in group order.
     rank:
-        This processor's index *within the group*.
+        This processor's rank in the world.
     """
 
-    def __init__(
-        self,
-        world: World,
-        group: Tuple[int, ...],
-        rank: int,
-        *,
-        _validated: bool = False,
-    ) -> None:
-        if not _validated:
-            # Groups derived from an already-validated communicator (mode
-            # views, world comms, sub-comms) skip this O(group) pass.
-            if len(set(group)) != len(group):
-                raise CommError(f"communicator group has duplicates: {group}")
-            if not 0 <= rank < len(group):
-                raise CommError(
-                    f"rank {rank} outside group of size {len(group)}"
-                )
-            for g in group:
-                if not 0 <= g < world.size:
-                    raise CommError(
-                        f"world rank {g} out of range [0, {world.size})"
-                    )
+    def __init__(self, world: World, rank: int) -> None:
         self.world = world
-        self.group = group
         self.rank = rank
-        self.size = len(group)
+        self.size = world.size
         #: Overhead mode applied to every operation issued through this
-        #: communicator (library collectives flip ``collective``).
+        #: communicator (a schedule's collective rounds flip
+        #: ``collective``).
         self.collective = False
         self.mpi = False
-        # Current logical iteration, shared by reference across every
-        # communicator view of this rank (sub-comms, mode copies) so
-        # metrics bucket correctly no matter which view issues the op.
+        # Current logical iteration (the schedule round), shared by
+        # reference across every mode view of this rank so metrics
+        # bucket correctly no matter which view issues the op.
         self._iteration_cell = [0]
-        # Interned world->group rank index (shared across views of the
-        # same group); doubles as the O(1) membership test in recv.
-        self._index = world.group_index(group)
         # (collective, mpi) -> cached mode-variant view of this comm.
         self._mode_cache: Dict[Tuple[bool, bool], "Comm"] = {}
-        # World-group views translate ranks identically, so received
-        # envelopes need no localization copy.
-        self._identity_group = group == world.world_group
         # Per-message software overheads memoized for the current mode
         # flags (invalidated by comparison, so late flag flips are safe).
         self._cost_key: Optional[Tuple[bool, bool]] = None
         self._send_ovh = 0.0
         self._recv_ovh = 0.0
 
-    # -- iteration bookkeeping ---------------------------------------------
-    @property
-    def iteration(self) -> int:
-        """Logical iteration used to bucket this rank's metrics."""
-        return self._iteration_cell[0]
-
-    @iteration.setter
-    def iteration(self, index: int) -> None:
-        self._iteration_cell[0] = index
-
-    # -- group management ------------------------------------------------
-    @property
-    def world_rank(self) -> int:
-        """This processor's rank in the world communicator."""
-        return self.group[self.rank]
-
-    def translate(self, rank: int) -> int:
-        """Group rank → world rank."""
-        if not 0 <= rank < self.size:
-            raise CommError(f"rank {rank} outside group of size {self.size}")
-        return self.group[rank]
-
-    def sub(self, ranks: Sequence[int]) -> Optional["Comm"]:
-        """Sub-communicator over the given *group* ranks.
-
-        Returns ``None`` if the calling rank is not in ``ranks`` —
-        mirroring ``MPI_Comm_split`` returning ``MPI_COMM_NULL``.
-        """
-        world_ranks = tuple(self.translate(r) for r in ranks)
-        if self.rank not in ranks:
-            return None
-        # translate() already range-checked every rank against this
-        # (validated) group, so only duplicates remain to be rejected.
-        if len(set(world_ranks)) != len(world_ranks):
-            raise CommError(f"communicator group has duplicates: {world_ranks}")
-        sub = Comm(
-            self.world,
-            world_ranks,
-            list(ranks).index(self.rank),
-            _validated=True,
-        )
-        sub.collective = self.collective
-        sub.mpi = self.mpi
-        sub._iteration_cell = self._iteration_cell
-        return sub
-
     def with_mode(
         self, *, collective: Optional[bool] = None, mpi: Optional[bool] = None
     ) -> "Comm":
-        """A same-group communicator view with the given overhead modes.
+        """A view of this rank's communicator with the given overhead modes.
 
-        Views are cheap and cached: asking for this communicator's own
-        mode returns ``self``, and each distinct ``(collective, mpi)``
-        combination is built once per communicator.  Cached views share
-        the group, the rank index and the iteration cell, so they are
-        interchangeable with freshly built copies.
+        The schedule executor flips the mode every round, so that a
+        library-collective round pays the machine's collective overhead
+        tier.  Views are cheap and cached: asking for this
+        communicator's own mode returns ``self``, and each distinct
+        ``(collective, mpi)`` combination is built once per
+        communicator.  Cached views share the iteration cell, so they
+        are interchangeable with freshly built copies.
         """
         want_collective = self.collective if collective is None else collective
         want_mpi = self.mpi if mpi is None else mpi
@@ -233,7 +129,7 @@ class Comm:
         key = (want_collective, want_mpi)
         comm = self._mode_cache.get(key)
         if comm is None:
-            comm = Comm(self.world, self.group, self.rank, _validated=True)
+            comm = Comm(self.world, self.rank)
             comm.collective = want_collective
             comm.mpi = want_mpi
             comm._iteration_cell = self._iteration_cell
@@ -264,25 +160,25 @@ class Comm:
         """
         if tag < 0:
             raise CommError(f"send tag must be >= 0, got {tag}")
+        if not 0 <= dest < self.size:
+            raise CommError(f"rank {dest} outside world of size {self.size}")
         world = self.world
         engine = world.engine
-        params = world.params
-        src_world = self.group[self.rank]
-        dst_world = self.translate(dest)
+        rank = self.rank
         overhead = self._mode_costs()[0]
         if overhead > 0.0:
             yield engine.timeout(overhead)
         now = engine.now
         mapping = world.mapping
         injector = world.injector
-        dst_node = mapping.node_of(dst_world)
+        dst_node = mapping.node_of(dest)
         if injector is not None and injector.node_dead(dst_node, now):
             raise PeerFailedError(
-                f"send from rank {src_world} to rank {dst_world} failed: "
+                f"send from rank {rank} to rank {dest} failed: "
                 f"node {dst_node} is dead at t={now:.3f}us"
             )
         stats = world.fabric.transfer(
-            mapping.node_of(src_world), dst_node, nbytes, now
+            mapping.node_of(rank), dst_node, nbytes, now
         )
         if stats.lost:
             # Every route to the destination crosses a dead link: the
@@ -290,7 +186,7 @@ class Comm:
             # completes — blocking on it hangs exactly like the real
             # machine, and the deadlock diagnostic names the faults.
             world.metrics.record_send(
-                src_world,
+                rank,
                 nbytes,
                 0.0,
                 iteration=self._iteration_cell[0],
@@ -299,15 +195,15 @@ class Comm:
             if engine.tracer is not None:
                 engine.trace(
                     "send_lost",
-                    src=src_world,
-                    dst=dst_world,
+                    src=rank,
+                    dst=dest,
                     tag=tag,
                     nbytes=nbytes,
                 )
             return Request(engine.event(), kind="send")
         envelope = Envelope(
-            source=src_world,
-            dest=dst_world,
+            source=rank,
+            dest=dest,
             tag=tag,
             payload=payload,
             nbytes=nbytes,
@@ -315,7 +211,7 @@ class Comm:
             arrival_time=stats.finish_time,
         )
         world.metrics.record_send(
-            src_world,
+            rank,
             nbytes,
             stats.start_time - now,
             iteration=self._iteration_cell[0],
@@ -324,8 +220,8 @@ class Comm:
         if engine.tracer is not None:
             engine.trace(
                 "send",
-                src=src_world,
-                dst=dst_world,
+                src=rank,
+                dst=dest,
                 tag=tag,
                 nbytes=nbytes,
                 start=stats.start_time,
@@ -344,71 +240,17 @@ class Comm:
         return Request(completion, kind="send")
 
     def send(
-        self,
-        dest: int,
-        payload: Any,
-        nbytes: int,
-        tag: int = 0,
-        *,
-        timeout_us: Optional[float] = None,
-        max_retries: int = 0,
-        backoff_factor: float = 2.0,
+        self, dest: int, payload: Any, nbytes: int, tag: int = 0
     ) -> Generator[Any, Any, Envelope]:
         """Blocking send: completes when the last byte reaches ``dest``.
 
-        Without ``timeout_us`` this is the classic blocking send, which
-        under fault injection can hang forever on a dead path.  With
-        ``timeout_us`` the send races its completion against a timer:
-        on expiry the message is re-issued up to ``max_retries`` times,
-        each attempt's budget growing by ``backoff_factor`` (the sender
-        stays blocked through the budget, which *is* the backoff), and
-        :class:`~repro.errors.SendTimeoutError` is raised once the
-        attempts are exhausted.  Retries are at-least-once: a late
-        original may still arrive alongside the retry's copy, so
-        receivers of retried traffic must tolerate duplicates.
+        Under fault injection it can hang forever on a dead path;
+        :class:`~repro.mpsim.reliable.ReliableComm` is the transport
+        that detects loss and retransmits.
         """
-        if timeout_us is None:
-            request = yield from self.isend(dest, payload, nbytes, tag)
-            envelope = yield from request.wait()
-            return envelope
-        if timeout_us <= 0.0:
-            raise CommError(f"send timeout must be positive, got {timeout_us}")
-        if max_retries < 0:
-            raise CommError(f"max_retries must be >= 0, got {max_retries}")
-        if backoff_factor < 1.0:
-            raise CommError(
-                f"backoff_factor must be >= 1, got {backoff_factor}"
-            )
-        engine = self.world.engine
-        budget = float(timeout_us)
-        attempts = max_retries + 1
-        for attempt in range(attempts):
-            request = yield from self.isend(dest, payload, nbytes, tag)
-            index, value = yield AnyOf(
-                engine, (request.event, engine.timeout(budget))
-            )
-            if index == 0:
-                return value
-            if engine.tracer is not None:
-                engine.trace(
-                    "send_timeout",
-                    src=self.group[self.rank],
-                    dst=self.translate(dest),
-                    tag=tag,
-                    attempt=attempt,
-                    budget_us=budget,
-                )
-            # Grow the budget only when another attempt will actually be
-            # made: ``max_retries=0`` means exactly one attempt, and the
-            # error below reports the budget the final attempt really had.
-            if attempt + 1 < attempts:
-                budget *= backoff_factor
-        raise SendTimeoutError(
-            f"send from rank {self.group[self.rank]} to rank "
-            f"{self.translate(dest)} timed out after {attempts} "
-            f"attempt(s) (final budget {budget:g}us) "
-            f"at t={engine.now:.3f}us"
-        )
+        request = yield from self.isend(dest, payload, nbytes, tag)
+        envelope = yield from request.wait()
+        return envelope
 
     def recv(
         self,
@@ -417,11 +259,11 @@ class Comm:
         *,
         timeout_us: Optional[float] = None,
     ) -> Generator[Any, Any, Envelope]:
-        """Blocking receive matching ``(source, tag)`` in group ranks.
+        """Blocking receive matching ``(source, tag)``.
 
         Blocks until a matching envelope arrives, then charges the
         receive overhead plus the per-byte copy cost, and returns the
-        envelope (its ``source`` converted to a *group* rank).
+        envelope.
 
         With ``timeout_us`` the receive races a timer:
         :class:`~repro.errors.RecvTimeoutError` is raised on expiry and
@@ -429,22 +271,17 @@ class Comm:
         later is buffered for future receives instead of being lost to
         the abandoned one.
         """
+        if source != ANY_SOURCE and not 0 <= source < self.size:
+            raise CommError(f"rank {source} outside world of size {self.size}")
         world = self.world
         engine = world.engine
-        params = world.params
-        me_world = self.group[self.rank]
-        src_world = source if source == ANY_SOURCE else self.translate(source)
+        rank = self.rank
         posted = engine.now
-        # Wildcard receives must only match senders inside this group;
-        # the interned world->group index doubles as the O(1) member test.
-        group_index = None if source != ANY_SOURCE else self._index
 
         def matches(env: Envelope) -> bool:
-            if not env.matches(src_world, tag):
-                return False
-            return group_index is None or env.source in group_index
+            return env.matches(source, tag)
 
-        inbox = world.inboxes[me_world]
+        inbox = world.inboxes[rank]
         if timeout_us is None:
             envelope: Envelope = yield inbox.get(matches)
         else:
@@ -467,25 +304,27 @@ class Comm:
                 if engine.tracer is not None:
                     engine.trace(
                         "recv_timeout",
-                        rank=me_world,
-                        src=src_world,
+                        rank=rank,
+                        src=source,
                         tag=tag,
                         budget_us=timeout_us,
                     )
                 raise RecvTimeoutError(
-                    f"recv at rank {me_world} from "
-                    f"{'any source' if source == ANY_SOURCE else f'rank {src_world}'} "
+                    f"recv at rank {rank} from "
+                    f"{'any source' if source == ANY_SOURCE else f'rank {source}'} "
                     f"timed out after {timeout_us:g}us at t={engine.now:.3f}us"
                 )
             envelope = value
         wait_time = engine.now - posted
-        copy_time = params.copy_cost(envelope.nbytes, collective=self.collective)
+        copy_time = world.params.copy_cost(
+            envelope.nbytes, collective=self.collective
+        )
         overhead = self._mode_costs()[1]
         total = overhead + copy_time
         if total > 0.0:
             yield engine.timeout(total)
         world.metrics.record_recv(
-            me_world,
+            rank,
             envelope.nbytes,
             wait_time,
             copy_time,
@@ -495,42 +334,13 @@ class Comm:
         if engine.tracer is not None:
             engine.trace(
                 "recv",
-                rank=me_world,
+                rank=rank,
                 src=envelope.source,
                 tag=envelope.tag,
                 nbytes=envelope.nbytes,
                 waited=wait_time,
             )
-        return self._localized(envelope)
-
-    def _localized(self, envelope: Envelope) -> Envelope:
-        """Envelope with ``source``/``dest`` translated to group ranks."""
-        if self._identity_group:
-            # World-group view: world ranks ARE group ranks, and the
-            # envelope's dest is already this rank — reuse it as-is.
-            return envelope
-        src_local = self._index.get(envelope.source)
-        if src_local is None:
-            raise CommError(
-                f"received from rank {envelope.source} outside group"
-            )
-        return Envelope(
-            source=src_local,
-            dest=self.rank,
-            tag=envelope.tag,
-            payload=envelope.payload,
-            nbytes=envelope.nbytes,
-            send_time=envelope.send_time,
-            arrival_time=envelope.arrival_time,
-        )
-
-    # -- local work --------------------------------------------------------
-    def compute(self, duration: float) -> Generator[Any, Any, None]:
-        """Occupy the processor for ``duration`` microseconds of local work."""
-        if duration < 0:
-            raise CommError(f"negative compute duration {duration}")
-        if duration > 0.0:
-            yield self.world.engine.timeout(duration)
+        return envelope
 
     @property
     def now(self) -> float:
@@ -538,4 +348,4 @@ class Comm:
         return self.world.engine.now
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Comm rank {self.rank}/{self.size} (world {self.world_rank})>"
+        return f"<Comm rank {self.rank}/{self.size}>"

@@ -12,9 +12,9 @@ end-to-end machinery real transports use:
   duplicates, whose earlier ACK may itself have been lost), or
   negatively acknowledges one its caller refuses, which fails the
   sender fast instead of burning its retry budget;
-* **retransmit with backoff** — an unacknowledged message is re-sent
-  with a growing timeout budget (reusing the ``timeout_us`` /
-  ``max_retries`` plumbing of :meth:`Comm.send`);
+* **retransmit with backoff** — each attempt is an ``isend`` plus an
+  ACK receive with a timeout; an unacknowledged message is re-sent
+  with a budget that grows by ``backoff_factor`` per attempt;
 * **failure detection** — once the retry budget is exhausted (or a NACK
   arrives), the peer is *presumed failed* and
   :class:`~repro.errors.PeerFailedError` is raised, turning silent loss
@@ -25,10 +25,10 @@ Delivery semantics are exactly-once per stream for everything the
 receiver returns; the network may still carry duplicates (late original
 plus retransmit), which the receive side absorbs.
 
-Tag spaces: user tags are small non-negative integers; data rides
-``tag + DATA_TAG_BASE`` and acknowledgements ``tag + ACK_TAG_BASE``,
-both above every collective tag base, so reliable streams never collide
-with plain traffic on the same communicator.
+Tag spaces: user tags are small non-negative integers (schedule
+rounds, gossip rounds); data rides ``tag + DATA_TAG_BASE`` and
+acknowledgements ``tag + ACK_TAG_BASE``, far above them, so reliable
+streams never collide with plain traffic on the same communicator.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.mpsim.envelope import Envelope
 
 __all__ = ["ReliableComm", "transfer_budget"]
 
-#: Reliable data / acknowledgement tag bases (collectives stop at 1<<26).
+#: Reliable data / acknowledgement tag bases, far above any round tag.
 DATA_TAG_BASE = 1 << 27
 ACK_TAG_BASE = 1 << 28
 #: Simulated size of an ACK/NACK control message (header-only packet).
@@ -75,7 +75,7 @@ class ReliableComm:
     Parameters
     ----------
     comm:
-        The communicator to wrap (group ranks address messages).
+        The communicator to wrap.
     timeout_us:
         Per-attempt ACK budget of :meth:`send`.  ``None`` derives a
         machine-aware default per message via :func:`transfer_budget`.
@@ -108,18 +108,14 @@ class ReliableComm:
         self._next_seq: Dict[Tuple[int, int], int] = {}
         #: Delivered sequence numbers per incoming ``(source, tag)`` stream.
         self._delivered: Dict[Tuple[int, int], Set[int]] = {}
-        #: Group ranks presumed failed (sticky; see :meth:`mark_failed`).
+        #: Ranks presumed failed (sticky: later sends fail immediately).
         self._failed: Set[int] = set()
 
     # -- failure bookkeeping ----------------------------------------------
     @property
     def failed_peers(self) -> frozenset:
-        """Group ranks this endpoint has presumed failed."""
+        """Ranks this endpoint has presumed failed."""
         return frozenset(self._failed)
-
-    def mark_failed(self, rank: int) -> None:
-        """Record ``rank`` as failed; later sends to it fail immediately."""
-        self._failed.add(rank)
 
     def is_failed(self, rank: int) -> bool:
         """Whether ``rank`` has been presumed failed by this endpoint."""
@@ -140,7 +136,7 @@ class ReliableComm:
         engine = comm.world.engine
         if dest in self._failed:
             raise PeerFailedError(
-                f"reliable send to rank {comm.translate(dest)}: "
+                f"reliable send to rank {dest}: "
                 "peer already presumed failed"
             )
         key = (dest, tag)
@@ -183,14 +179,14 @@ class ReliableComm:
                     return seq
                 self._failed.add(dest)
                 raise PeerFailedError(
-                    f"reliable send to rank {comm.translate(dest)} "
+                    f"reliable send to rank {dest} "
                     f"rejected (NACK for seq {seq}) at t={engine.now:.3f}us"
                 )
             if engine.tracer is not None:
                 engine.trace(
                     "reliable_retry",
-                    src=comm.world_rank,
-                    dst=comm.translate(dest),
+                    src=comm.rank,
+                    dst=dest,
                     tag=tag,
                     seq=seq,
                     attempt=attempt,
@@ -200,7 +196,7 @@ class ReliableComm:
                 budget *= self.backoff_factor
         self._failed.add(dest)
         raise PeerFailedError(
-            f"rank {comm.translate(dest)} presumed failed: no ACK for "
+            f"rank {dest} presumed failed: no ACK for "
             f"seq {seq} after {attempts} attempt(s) "
             f"(final budget {budget:g}us) at t={engine.now:.3f}us"
         )
@@ -237,7 +233,7 @@ class ReliableComm:
                 remaining = deadline - engine.now
                 if remaining <= 0.0:
                     raise RecvTimeoutError(
-                        f"reliable recv at rank {comm.world_rank} timed out "
+                        f"reliable recv at rank {comm.rank} timed out "
                         f"after {timeout_us:g}us at t={engine.now:.3f}us"
                     )
                 envelope = yield from comm.recv(

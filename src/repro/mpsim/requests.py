@@ -25,16 +25,11 @@ class Request:
         self.event = event
         self.kind = kind
 
-    @property
-    def complete(self) -> bool:
-        """Whether the operation has finished."""
-        return self.event.triggered
-
     def wait(self) -> Generator["Event", Any, Any]:
         """Block the calling process until completion; returns the value."""
         value = yield self.event
         return value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "complete" if self.complete else "pending"
+        state = "complete" if self.event.triggered else "pending"
         return f"<Request {self.kind} {state}>"

@@ -138,18 +138,12 @@ class Fabric:
         self.switching = switching
         self.injector = injector
         self.tracer = tracer
-        self._lost = 0
         # Shared reservation core: the fastpath evaluator builds its own
         # WireState over the same link id space, so both engines run the
         # identical contention arithmetic (see repro.network.wirestate).
         self._wire = WireState(topology.num_links, 2 * topology.num_nodes)
         self._transfers = 0
         self._total_wait = 0.0
-
-    @property
-    def _free_at(self) -> List[float]:
-        """Per-link earliest-free timestamps (wire-state view)."""
-        return self._wire.free_at
 
     @property
     def _busy_time(self) -> List[float]:
@@ -177,7 +171,6 @@ class Fabric:
                 # schedule a delivery, and the receiver's hang surfaces
                 # through the engine's fault-naming deadlock diagnostic.
                 self._transfers += 1
-                self._lost += 1
                 if self.tracer is not None:
                     self.tracer.record(
                         now,
@@ -271,11 +264,6 @@ class Fabric:
         return self._transfers
 
     @property
-    def lost_transfers(self) -> int:
-        """Transfers that could never be delivered (fault injection)."""
-        return self._lost
-
-    @property
     def total_link_wait(self) -> float:
         """Sum of contention delays across all transfers (microseconds)."""
         return self._total_wait
@@ -304,5 +292,4 @@ class Fabric:
         """Clear all reservations and statistics."""
         self._wire.reset()
         self._transfers = 0
-        self._lost = 0
         self._total_wait = 0.0

@@ -82,13 +82,6 @@ class Engine:
         return proc
 
     # -- scheduling ---------------------------------------------------------
-    def _schedule(self, delay: float, event: Event) -> None:
-        """Place ``event`` on the calendar ``delay`` microseconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: {delay!r}")
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
-        self._seq += 1
-
     def call_at(self, when: float, callback: Callable[[], None]) -> Event:
         """Run ``callback`` at absolute time ``when`` (must be >= now)."""
         if when < self._now:
@@ -102,14 +95,6 @@ class Engine:
         return event
 
     # -- main loop ------------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event on the calendar."""
-        when, _seq, event = heapq.heappop(self._queue)
-        if when < self._now:  # pragma: no cover - heap invariant
-            raise SimulationError("time ran backwards")
-        self._now = when
-        event._process()
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the calendar drains (or past time ``until``).
 

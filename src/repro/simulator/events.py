@@ -56,11 +56,6 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self) -> bool:
-        """Whether the event's callbacks have already run."""
-        return self._processed
-
-    @property
     def value(self) -> Any:
         """The event's value; raises if the event is still pending."""
         if self._value is _PENDING:
@@ -76,7 +71,7 @@ class Event:
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         self._value = value
-        # Inlined Engine._schedule — one call frame per event matters;
+        # Inlined calendar push — one call frame per event matters;
         # this is the single most frequent operation of a simulation.
         engine = self.engine
         if delay < 0:
@@ -131,7 +126,7 @@ class Timeout(Event):
         self._processed = False
         self.delay = delay
         self._value = value
-        # Inlined Event.__init__ + Engine._schedule (hot path; see succeed).
+        # Inlined Event.__init__ + calendar push (hot path; see succeed).
         heapq.heappush(engine._queue, (engine._now + delay, engine._seq, self))
         engine._seq += 1
 

@@ -88,11 +88,7 @@ from repro.reliability.retry import (
     with_backoff,
 )
 from repro.sweep.cache import ResultCache
-from repro.sweep.executor import (
-    evaluate_point,
-    evaluate_point_observed,
-    plan_affinity_batches,
-)
+from repro.sweep.executor import evaluate_point, plan_affinity_batches
 from repro.sweep.spec import SweepPoint
 
 __all__ = [
@@ -513,13 +509,9 @@ def _evaluate_unit(
             report.saved_s += hit[1]
             continue
         try:
-            if queue.observe:
-                result_dict, seconds, observation = evaluate_point_observed(
-                    payload, queue.engine
-                )
-            else:
-                result_dict, seconds = evaluate_point(payload, queue.engine)
-                observation = None
+            result_dict, seconds, observation = evaluate_point(
+                payload, queue.engine, queue.observe
+            )
         except Exception as exc:  # noqa: BLE001 - recorded, not re-stolen
             # Evaluation is a pure function of the payload, so *any*
             # failure here (verification error, algorithm/machine
@@ -720,14 +712,9 @@ def _collect(
             # corrupt bytes that verify-on-read just quarantined, or the
             # entry was lost after release.  Purity makes recompute-at-
             # collect safe (and cheap: it is one point, not the unit).
-            payload = point.payload()
-            if observe:
-                result_dict, seconds, observation = evaluate_point_observed(
-                    payload, queue.engine
-                )
-            else:
-                result_dict, seconds = evaluate_point(payload, queue.engine)
-                observation = None
+            result_dict, seconds, observation = evaluate_point(
+                point.payload(), queue.engine, observe
+            )
             with_backoff(
                 lambda: cache.store(point, result_dict, seconds),
                 key=f"collect-store:{point.key()}",

@@ -48,8 +48,6 @@ __all__ = [
     "SweepExecutor",
     "evaluate_point",
     "evaluate_point_batch",
-    "evaluate_point_batch_observed",
-    "evaluate_point_observed",
     "plan_affinity_batches",
     "resolve_jobs",
 ]
@@ -105,9 +103,9 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 def evaluate_point(
-    payload: Dict[str, Any], engine: str = "auto"
-) -> Tuple[Dict[str, Any], float]:
-    """Evaluate one point payload; returns ``(result_dict, seconds)``.
+    payload: Dict[str, Any], engine: str = "auto", observe: bool = False
+) -> Tuple[Dict[str, Any], float, Optional[Dict[str, Any]]]:
+    """Evaluate one point: ``(result_dict, seconds, observation)``.
 
     Module-level (picklable) so it serves as the process-pool task; the
     serial path calls the very same function, which is what guarantees
@@ -118,77 +116,20 @@ def evaluate_point(
     :func:`~repro.core.runner.run_broadcast`).  It rides alongside the
     payload — never inside it — because engine choice cannot change a
     result bit, so cache entries stay engine-agnostic.
+
+    ``observation`` is ``None`` unless ``observe`` is set.  Then the run
+    is traced with a full :class:`~repro.simulator.trace.Tracer` and
+    digested through :func:`repro.obs.summary.summarize_trace`.  Both
+    engines record the same trace, so the summary does not depend on
+    the engine either.  Trace records never influence simulated time,
+    so the result dict is byte-identical with and without ``observe``
+    — which is what lets an observed sweep share cache entries with an
+    unobserved one (the differential tests pin this).
     """
-    point = SweepPoint.from_payload(payload)
-    start = time.perf_counter()
-    result = run_broadcast(
-        point.build_problem(),
-        point.algorithm,
-        seed=point.seed,
-        contention=point.contention,
-        faults=point.faults,
-        recover=point.recover,
-        engine=engine,
-    )
-    return result.to_dict(), time.perf_counter() - start
-
-
-def evaluate_point_batch(
-    payloads: Sequence[Dict[str, Any]], engine: str = "auto"
-) -> List[Tuple[Dict[str, Any], float]]:
-    """Evaluate several point payloads in one worker call.
-
-    The batched task the executor ships to pool workers: evaluating
-    many points per process call lets the fast path's plan cache
-    (:mod:`repro.fastpath.plancache`) amortize schedule build +
-    lowering across points that share a machine/algorithm/placement —
-    the executor groups payloads accordingly (see
-    :meth:`SweepExecutor.run`) — and cuts per-point pickling overhead.
-    Each point still evaluates through :func:`evaluate_point`, so
-    results are bit-identical to unbatched evaluation.
-    """
-    return [evaluate_point(payload, engine) for payload in payloads]
-
-
-def evaluate_point_batch_observed(
-    payloads: Sequence[Dict[str, Any]], engine: str = "auto"
-) -> List[Tuple[Dict[str, Any], float, Dict[str, Any]]]:
-    """Observed counterpart of :func:`evaluate_point_batch`.
-
-    Observed sweeps used to fan out with per-point ``pool.map`` calls
-    while unobserved ones shipped plan-affinity batches — two different
-    scheduling regimes for what must be bit-identical work.  Routing
-    both through :func:`SweepExecutor._plan_batches` keeps one code
-    path, cuts per-point pickling/IPC overhead, and keeps batch shapes
-    identical whether or not observation is on (so turning ``observe``
-    on never changes which points share a worker, and traced fast-path
-    replays amortize their plans the same way).  Each point still
-    evaluates through :func:`evaluate_point_observed`, so results are
-    bit-identical to the per-point path.
-    """
-    return [evaluate_point_observed(payload, engine) for payload in payloads]
-
-
-def evaluate_point_observed(
-    payload: Dict[str, Any], engine: str = "auto"
-) -> Tuple[Dict[str, Any], float, Dict[str, Any]]:
-    """Like :func:`evaluate_point`, plus an observation summary.
-
-    The run is traced with a full :class:`~repro.simulator.trace.Tracer`
-    on ``engine`` and digested through
-    :func:`repro.obs.summary.summarize_trace`.  Both engines record the
-    same trace, so the summary does not depend on the engine either.
-    Trace records never influence simulated time, so the result dict is
-    byte-identical to :func:`evaluate_point`'s — which is what lets an
-    observed sweep share cache entries with an unobserved one (the
-    differential tests pin this).
-    """
-    from repro.obs.summary import summarize_trace  # local: keep workers lean
-
     point = SweepPoint.from_payload(payload)
     start = time.perf_counter()
     problem = point.build_problem()
-    tracer = Tracer()
+    tracer = Tracer() if observe else None
     result = run_broadcast(
         problem,
         point.algorithm,
@@ -200,13 +141,38 @@ def evaluate_point_observed(
         engine=engine,
     )
     seconds = time.perf_counter() - start
-    observation = {
-        "algorithm": point.algorithm,
-        "distribution": point.distribution,
-        "machine": point.machine,
-        "summary": summarize_trace(tracer, topology=problem.machine.topology),
-    }
+    observation = None
+    if tracer is not None:
+        from repro.obs.summary import summarize_trace  # local: keep workers lean
+
+        observation = {
+            "algorithm": point.algorithm,
+            "distribution": point.distribution,
+            "machine": point.machine,
+            "summary": summarize_trace(tracer, topology=problem.machine.topology),
+        }
     return result.to_dict(), seconds, observation
+
+
+def evaluate_point_batch(
+    payloads: Sequence[Dict[str, Any]],
+    engine: str = "auto",
+    observe: bool = False,
+) -> List[Tuple[Dict[str, Any], float, Optional[Dict[str, Any]]]]:
+    """Evaluate several point payloads in one worker call.
+
+    The batched task the executor ships to pool workers: evaluating
+    many points per process call lets the fast path's plan cache
+    (:mod:`repro.fastpath.plancache`) amortize schedule build +
+    lowering across points that share a machine/algorithm/placement —
+    the executor groups payloads accordingly (see
+    :meth:`SweepExecutor.run`) — and cuts per-point pickling overhead.
+    Observed and unobserved sweeps ship the same batches, so turning
+    ``observe`` on never changes which points share a worker.  Each
+    point still evaluates through :func:`evaluate_point`, so results
+    are bit-identical to unbatched evaluation.
+    """
+    return [evaluate_point(payload, engine, observe) for payload in payloads]
 
 
 class SweepExecutor:
@@ -311,16 +277,11 @@ class SweepExecutor:
             payload_lists = [
                 [points[i].payload() for i in batch] for batch in batches
             ]
-            # Observed and unobserved sweeps ship the *same* plan-
-            # affinity batches — one scheduling regime, bit-identical
-            # work either way.  functools.partial stays picklable for
-            # the process pool; the engine rides as an argument, never
-            # in the payload, keeping cache keys engine-free.
+            # functools.partial stays picklable for the process pool;
+            # the engine rides as an argument, never in the payload,
+            # keeping cache keys engine-free.
             evaluate = functools.partial(
-                evaluate_point_batch_observed
-                if self.observe
-                else evaluate_point_batch,
-                engine=self.engine,
+                evaluate_point_batch, engine=self.engine, observe=self.observe
             )
             if self.jobs > 1 and len(batches) > 1:
                 workers = min(self.jobs, len(batches))
@@ -330,15 +291,10 @@ class SweepExecutor:
                 evaluated = [evaluate(plist) for plist in payload_lists]
             for batch, items in zip(batches, evaluated):
                 for i, item in zip(batch, items):
-                    if self.observe:
-                        result_dict, seconds, observation = item
-                        observations[i] = observation
-                        if self.cache is not None:
-                            self.cache.store_observation(
-                                points[i], observation
-                            )
-                    else:
-                        result_dict, seconds = item
+                    result_dict, seconds, observation = item
+                    observations[i] = observation
+                    if observation is not None and self.cache is not None:
+                        self.cache.store_observation(points[i], observation)
                     self._record(points[i], i, result_dict, seconds,
                                  result_dicts, report)
 

@@ -51,7 +51,7 @@ class TestBrRing:
     def test_single_rank_machine(self):
         machine = paragon(1, 1)
         problem = BroadcastProblem(machine, (0,), message_size=64)
-        run_broadcast(problem, "Br_Ring", verify=True)
+        run_broadcast(problem, "Br_Ring")
 
     def test_rounds_are_partial_permutations(self, small_problem):
         sched = BrRing().build_schedule(small_problem)
@@ -109,7 +109,7 @@ class TestAutoPredict:
     def test_skips_mesh_algorithms_off_mesh(self):
         machine = t3d(32)
         problem = BroadcastProblem(machine, (0, 5), message_size=1024)
-        run_broadcast(problem, "Auto_Predict", verify=True)  # must not raise
+        run_broadcast(problem, "Auto_Predict")  # must not raise
 
     def test_custom_portfolio(self, square_paragon):
         auto = AutoPredict(portfolio=("Br_Ring",))

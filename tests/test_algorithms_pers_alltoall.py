@@ -2,10 +2,46 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core import BroadcastProblem, run_broadcast
 from repro.core.algorithms import PersAlltoAll
+from repro.core.algorithms.pers_alltoall import xor_or_cyclic_partner
 from repro.distributions import DISTRIBUTIONS
+from repro.errors import CommError
 from repro.machines import paragon
+
+
+class TestPartnerGeneration:
+    def test_xor_for_powers_of_two(self):
+        dst, src = xor_or_cyclic_partner(3, 8, 5)
+        assert dst == src == 3 ^ 5
+
+    def test_cyclic_for_other_sizes(self):
+        dst, src = xor_or_cyclic_partner(2, 10, 3)
+        assert dst == 5
+        assert src == (2 - 3) % 10
+
+    def test_rounds_form_permutations(self):
+        for size in (7, 8, 12):
+            for k in range(1, size):
+                dsts = [xor_or_cyclic_partner(r, size, k)[0] for r in range(size)]
+                assert sorted(dsts) == list(range(size)), (size, k)
+
+    def test_recv_matches_send(self):
+        """If i sends to dst, then dst's source partner must be i."""
+        for size in (7, 8):
+            for k in range(1, size):
+                for rank in range(size):
+                    dst, _ = xor_or_cyclic_partner(rank, size, k)
+                    _, src_of_dst = xor_or_cyclic_partner(dst, size, k)
+                    assert src_of_dst == rank
+
+    def test_round_bounds_checked(self):
+        with pytest.raises(CommError):
+            xor_or_cyclic_partner(0, 8, 0)
+        with pytest.raises(CommError):
+            xor_or_cyclic_partner(0, 8, 8)
 
 
 class TestStructure:

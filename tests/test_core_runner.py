@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import BroadcastProblem, run_broadcast
@@ -59,21 +61,31 @@ class TestRunBroadcast:
                 return sched  # delivers to one rank only
 
         with pytest.raises(VerificationError):
-            run_broadcast(small_problem, Broken(), validate=True)
+            run_broadcast(small_problem, Broken())
 
-    def test_validate_skippable_but_verify_still_catches(self, small_problem):
-        class Broken(BrLin):
-            name = "Broken2"
+    def test_event_engine_checks_simulated_delivery(
+        self, small_problem, monkeypatch
+    ):
+        """A payload the message layer loses fails the run, although the
+        schedule validated: the check covers the wire, not the plan."""
+        from repro.mpsim.comm import Comm
 
-            def build_schedule(self, problem):
-                sched = Schedule(problem, algorithm=self.name)
-                src = problem.sources[0]
-                dst = (src + 1) % problem.p
-                sched.add_round([Transfer(src, dst, frozenset({src}))])
-                return sched
+        real_recv = Comm.recv
+        emptied = []
 
+        def lossy_recv(self, *args, **kwargs):
+            envelope = yield from real_recv(self, *args, **kwargs)
+            if emptied:
+                return envelope
+            emptied.append(envelope)
+            return dataclasses.replace(envelope, payload=frozenset())
+
+        monkeypatch.setattr(Comm, "recv", lossy_recv)
+        # PersAlltoAll moves each source's message to each rank exactly
+        # once, so the emptied envelope's message never arrives.
         with pytest.raises(VerificationError, match="simulated delivery"):
-            run_broadcast(small_problem, Broken(), validate=False, verify=True)
+            run_broadcast(small_problem, "PersAlltoAll", engine="event")
+        assert len(emptied) == 1
 
     def test_mesh_algorithm_rejected_on_t3d(self, small_t3d):
         problem = BroadcastProblem(small_t3d, (0, 5, 9))

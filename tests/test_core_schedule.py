@@ -131,15 +131,6 @@ class TestValidation:
         with pytest.raises(AlgorithmError):
             sched.validate()
 
-    def test_holdings_after(self, problem):
-        sched = self._full_broadcast(problem)
-        after0 = sched.holdings_after(1)
-        assert after0[0] == {0, 4}
-        assert after0[4] == {0, 4}
-        assert after0[2] == set()
-        final = sched.holdings_after()
-        assert all(h == {0, 4} for h in final)
-
 
 class TestStatistics:
     def test_max_transfer_bytes(self, problem):

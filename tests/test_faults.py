@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.core import BroadcastProblem, run_broadcast
-from repro.errors import ConfigurationError, PeerFailedError, SendTimeoutError
+from repro.errors import ConfigurationError, PeerFailedError
 from repro.faults import (
     DegradeFault,
     FaultSchedule,
@@ -353,65 +353,30 @@ class TestCommFaultSemantics:
         machine.run(program, faults=schedule, allow_partial=True)
         assert "5" in seen["error"]
 
-    def test_send_timeout_retries_then_raises(self):
-        machine = paragon(4, 4)
-        # Cut node 5 off from the mesh but leave it alive: messages to
-        # it are lost (no route), so the send must retry and time out.
-        schedule = FaultSchedule.parse("link:5-1;link:5-4;link:5-6;link:5-9")
-        seen = {}
-
-        def program(comm):
-            if comm.rank == 0:
-                try:
-                    yield from comm.send(
-                        5, "x", 64, timeout_us=50.0, max_retries=2
-                    )
-                except SendTimeoutError as exc:
-                    seen["error"] = str(exc)
-            elif comm.rank == 5:
-                yield from comm.recv()  # never arrives
-            return None
-
-        result = machine.run(program, faults=schedule, allow_partial=True)
-        assert "3 attempt" in seen["error"]
-        assert result.deadlock is not None
-        assert "link 5<->6 dead" in result.deadlock  # faults named
-
-    @pytest.mark.parametrize(
-        "max_retries,budgets",
-        [
-            (0, [50.0]),          # boundary: exactly ONE attempt, no retry
-            (1, [50.0, 100.0]),   # one retry, backoff doubles the budget
-        ],
-    )
-    def test_send_attempt_count_boundaries(self, max_retries, budgets):
+    def test_blocking_send_on_a_lost_path_never_completes(self):
         from repro.simulator.trace import Tracer
 
+        # Cut node 5 off from the mesh but leave it alive: a message to
+        # it has no route, so it is lost and a blocking send to it hangs
+        # (ReliableComm is the transport that detects the loss).
         machine = paragon(4, 4)
         schedule = FaultSchedule.parse("link:5-1;link:5-4;link:5-6;link:5-9")
-        tracer = Tracer(kinds=("send_timeout",))
-        seen = {}
+        tracer = Tracer(kinds=("send_lost",))
 
         def program(comm):
             if comm.rank == 0:
-                try:
-                    yield from comm.send(
-                        5, "x", 64, timeout_us=50.0, max_retries=max_retries
-                    )
-                except SendTimeoutError as exc:
-                    seen["error"] = str(exc)
-            return None
-            yield  # pragma: no cover
+                yield from comm.send(5, "x", 64)
+            return comm.rank
 
-        machine.run(
+        result = machine.run(
             program, faults=schedule, allow_partial=True, tracer=tracer
         )
-        timeouts = tracer.of_kind("send_timeout")
-        assert [t.fields["budget_us"] for t in timeouts] == budgets
-        assert f"{max_retries + 1} attempt(s)" in seen["error"]
-        # The reported final budget is the one the last attempt really
-        # had — not grown once more after the last retry.
-        assert f"final budget {budgets[-1]:g}us" in seen["error"]
+        assert result.returns[0] is None  # the sender never returned
+        assert result.returns[5] == 5
+        assert [(r.fields["src"], r.fields["dst"]) for r in tracer] == [(0, 5)]
+        assert result.deadlock is not None
+        for other in (1, 4, 6, 9):
+            assert f"link 5<->{other} dead" in result.deadlock
 
     def test_partial_run_reports_deadlock_not_crash(self):
         machine = paragon(4, 4)

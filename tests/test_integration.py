@@ -28,14 +28,14 @@ class TestParagonPipeline:
         algo = get_algorithm(name)
         src = DISTRIBUTIONS["E"].generate(square_paragon, 30)
         problem = BroadcastProblem(square_paragon, src, message_size=1024)
-        result = run_broadcast(problem, algo, verify=True)
+        result = run_broadcast(problem, algo)
         assert result.elapsed_us > 0
 
     @pytest.mark.parametrize("key", sorted(DISTRIBUTIONS))
     def test_every_distribution_under_repositioning(self, key, square_paragon):
         src = DISTRIBUTIONS[key].generate(square_paragon, 30)
         problem = BroadcastProblem(square_paragon, src, message_size=1024)
-        run_broadcast(problem, "Repos_xy_source", verify=True)
+        run_broadcast(problem, "Repos_xy_source")
 
     def test_extreme_source_counts(self, square_paragon):
         for name in ("Br_Lin", "Br_xy_source", "2-Step", "Part_Lin"):
@@ -43,7 +43,7 @@ class TestParagonPipeline:
                 problem = BroadcastProblem(
                     square_paragon, tuple(range(s)), message_size=256
                 )
-                run_broadcast(problem, name, verify=True)
+                run_broadcast(problem, name)
 
     def test_non_uniform_message_sizes(self, square_paragon):
         sizes = {0: 128, 17: 8192, 55: 1024}
@@ -51,7 +51,7 @@ class TestParagonPipeline:
             square_paragon, (0, 17, 55), message_size=512, sizes=sizes
         )
         for name in ("Br_Lin", "Br_xy_source", "Repos_xy_source", "2-Step"):
-            result = run_broadcast(problem, name, verify=True)
+            result = run_broadcast(problem, name)
             assert result.elapsed_us > 0
 
     def test_good_distribution_stays_good_with_varied_sizes(
@@ -80,7 +80,7 @@ class TestT3DPipeline:
         machine = t3d(64)
         src = DISTRIBUTIONS["E"].generate(machine, 16)
         problem = BroadcastProblem(machine, src, message_size=1024)
-        run_broadcast(problem, name, verify=True)
+        run_broadcast(problem, name)
 
     def test_seeds_change_time_not_correctness(self):
         machine = t3d(64)
@@ -100,18 +100,18 @@ class TestMachineScaling:
             machine = paragon(rows, cols)
             src = DISTRIBUTIONS["E"].generate(machine, 15)
             problem = BroadcastProblem(machine, src, message_size=4096)
-            run_broadcast(problem, "Br_Lin", verify=True)
+            run_broadcast(problem, "Br_Lin")
 
     def test_tiny_machines(self):
         for shape in ((1, 2), (2, 1), (2, 2), (1, 7)):
             machine = paragon(*shape)
             problem = BroadcastProblem(machine, (0,), message_size=64)
             for name in ("Br_Lin", "2-Step", "PersAlltoAll", "Br_xy_source"):
-                run_broadcast(problem, name, verify=True)
+                run_broadcast(problem, name)
 
     def test_single_processor_machine(self):
         machine = paragon(1, 1)
         problem = BroadcastProblem(machine, (0,), message_size=64)
-        result = run_broadcast(problem, "Br_Lin", verify=True)
+        result = run_broadcast(problem, "Br_Lin")
         assert result.elapsed_us == 0.0
         assert result.num_transfers == 0

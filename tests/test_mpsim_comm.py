@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import CommError
+from repro.errors import CommError, RecvTimeoutError
 from repro.machines import Machine
 from repro.mpsim import ANY_SOURCE, ANY_TAG
 from repro.network.linear import LinearArray
+from repro.simulator.trace import Tracer
 from tests.conftest import TEST_PARAMS
+
+#: Binary-exact timing on two neighbours: a 16-byte message leaves after
+#: the 8 us send overhead and lands 0.5 + 16 * 0.25 us later.
+EXACT = TEST_PARAMS.with_overrides(t_send_overhead=8.0, t_byte=0.25, t_hop=0.5)
+ARRIVAL = 12.5
 
 
 @pytest.fixture
@@ -79,6 +85,20 @@ class TestSendRecv:
         result = machine.run(program)
         assert result.returns[2] == "me"
 
+    @pytest.mark.parametrize(
+        "op,rank", [("isend", 6), ("send", -1), ("recv", 6), ("recv", -2)]
+    )
+    def test_rank_outside_world_rejected(self, machine, op, rank):
+        def program(comm):
+            if comm.rank == 0:
+                if op == "recv":
+                    yield from comm.recv(source=rank, tag=0)
+                else:
+                    yield from getattr(comm, op)(rank, None, nbytes=1)
+
+        with pytest.raises(CommError, match=f"rank {rank} outside world"):
+            machine.run(program)
+
     def test_negative_tag_rejected(self, machine):
         def program(comm):
             if comm.rank == 0:
@@ -107,7 +127,7 @@ class TestBlockingSemantics:
     def test_recv_wait_time_recorded(self, machine):
         def program(comm):
             if comm.rank == 0:
-                yield from comm.compute(100.0)  # sender is late
+                yield comm.world.engine.timeout(100.0)  # sender is late
                 yield from comm.send(1, None, nbytes=10, tag=0)
             elif comm.rank == 1:
                 yield from comm.recv(source=0, tag=0)
@@ -131,45 +151,12 @@ class TestBlockingSemantics:
         assert result.returns[1] == 0
 
 
-class TestGroups:
-    def test_sub_communicator_rank_translation(self, machine):
-        def program(comm):
-            sub = comm.sub([1, 3, 5])
-            if sub is None:
-                return None
-            if sub.rank == 0:
-                yield from sub.send(2, "hello-sub", nbytes=10, tag=0)
-            elif sub.rank == 2:
-                env = yield from sub.recv(source=0, tag=0)
-                return (env.payload, env.source, sub.world_rank)
-
-        result = machine.run(program)
-        assert result.returns[5] == ("hello-sub", 0, 5)
-        assert result.returns[0] is None
-
-    def test_sub_returns_none_for_outsiders(self, machine):
-        def program(comm):
-            sub = comm.sub([0, 1])
-            return sub is None
-            yield
-
-        result = machine.run(program)
-        assert result.returns[2] is True
-        assert result.returns[0] is False
-
-    def test_duplicate_group_rejected(self, machine):
-        def program(comm):
-            comm.sub([0, 0])
-            yield comm.world.engine.timeout(0)
-
-        with pytest.raises(CommError):
-            machine.run(program)
-
+class TestModes:
     def test_with_mode_flips_overheads(self, machine):
         def program(comm):
             lib = comm.with_mode(collective=True)
             assert lib.collective and not comm.collective
-            assert lib.group == comm.group
+            assert lib.rank == comm.rank and lib.size == comm.size
             return None
             yield
 
@@ -178,9 +165,68 @@ class TestGroups:
     def test_iteration_cell_shared_across_views(self, machine):
         def program(comm):
             lib = comm.with_mode(collective=True)
-            comm.iteration = 4
-            return lib.iteration
+            comm._iteration_cell[0] = 4
+            return lib._iteration_cell[0]
             yield
 
         result = machine.run(program)
         assert result.returns[0] == 4
+
+
+def late_message_run(receiver, tracer=None):
+    """Rank 0 sends 16 bytes to rank 1 at t=0 (landing at ``ARRIVAL``);
+    ``receiver`` is rank 1's program."""
+
+    def program(comm):
+        if comm.rank == 0:
+            yield from comm.send(1, "late", nbytes=16, tag=3)
+            return None
+        return (yield from receiver(comm))
+
+    return Machine(LinearArray(2), EXACT).run(program, tracer=tracer)
+
+
+class TestRecvTimeout:
+    def test_expiry_raises_and_is_traced(self):
+        tracer = Tracer(kinds=("recv_timeout",))
+
+        def receiver(comm):
+            try:
+                yield from comm.recv(source=0, tag=3, timeout_us=5.0)
+            except RecvTimeoutError:
+                return comm.now
+
+        result = late_message_run(receiver, tracer)
+        assert result.returns[1] == 5.0
+        (record,) = tracer
+        assert record.fields == {"rank": 1, "src": 0, "tag": 3, "budget_us": 5.0}
+
+    def test_message_after_expiry_waits_for_the_next_recv(self):
+        def receiver(comm):
+            with pytest.raises(RecvTimeoutError):
+                yield from comm.recv(source=0, tag=3, timeout_us=5.0)
+            env = yield from comm.recv(source=0, tag=3)
+            return (env.payload, env.arrival_time)
+
+        result = late_message_run(receiver)
+        assert result.returns[1] == ("late", ARRIVAL)
+
+    def test_arrival_at_the_expiry_instant_is_received_not_lost(self):
+        tracer = Tracer(kinds=("recv_timeout",))
+
+        def receiver(comm):
+            env = yield from comm.recv(source=0, tag=3, timeout_us=ARRIVAL)
+            return env.payload
+
+        result = late_message_run(receiver, tracer)
+        assert result.returns[1] == "late"
+        assert len(tracer) == 0
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0])
+    def test_non_positive_budget_rejected(self, machine, budget):
+        def program(comm):
+            if comm.rank == 1:
+                yield from comm.recv(source=0, timeout_us=budget)
+
+        with pytest.raises(CommError, match="timeout must be positive"):
+            machine.run(program)

@@ -99,4 +99,4 @@ class TestMachineIntegration:
         )
         problem = BroadcastProblem(saf, (0, 7, 21), message_size=512)
         for name in ("Br_Lin", "Br_xy_source", "2-Step"):
-            run_broadcast(problem, name, verify=True)
+            run_broadcast(problem, name)

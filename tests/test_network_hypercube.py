@@ -72,7 +72,7 @@ class TestMachine:
             machine, tuple(range(0, 32, 5)), message_size=512
         )
         for name in ("Br_Lin", "2-Step", "PersAlltoAll", "Repos_Lin"):
-            run_broadcast(problem, name, verify=True)
+            run_broadcast(problem, name)
 
     def test_pers_alltoall_xor_rounds_are_single_hop(self):
         """On a hypercube, XOR permutations touch only cube edges when

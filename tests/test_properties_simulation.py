@@ -24,7 +24,7 @@ dist_keys = st.sampled_from(sorted(DISTRIBUTIONS))
 @settings(max_examples=60, deadline=None)
 @given(shape=shapes, name=algo_names, key=dist_keys, data=st.data())
 def test_simulated_delivery_of_every_algorithm(shape, name, key, data):
-    """run_broadcast's verify=True re-checks holdings rank by rank."""
+    """run_broadcast validates delivery and raises if any rank misses one."""
     machine = paragon(*shape)
     algo = get_algorithm(name)
     if not algo.supports(machine):
@@ -32,7 +32,7 @@ def test_simulated_delivery_of_every_algorithm(shape, name, key, data):
     s = data.draw(st.integers(1, machine.p), label="s")
     sources = DISTRIBUTIONS[key].generate(machine, s)
     problem = BroadcastProblem(machine, sources, message_size=128)
-    result = run_broadcast(problem, algo, verify=True)
+    result = run_broadcast(problem, algo)
     assert result.elapsed_us >= 0.0
 
 

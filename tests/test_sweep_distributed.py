@@ -432,7 +432,7 @@ class TestConcurrentWriters:
         from repro.sweep.executor import evaluate_point
 
         payload = points[0].payload()
-        result_dict, _ = evaluate_point(payload, "auto")
+        result_dict, _, _ = evaluate_point(payload, "auto")
         ctx = multiprocessing.get_context("spawn")
         procs = [
             ctx.Process(

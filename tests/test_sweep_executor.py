@@ -8,7 +8,13 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sweep.cache import ResultCache
-from repro.sweep.executor import JOBS_ENV_VAR, SweepExecutor, resolve_jobs
+from repro.sweep.executor import (
+    JOBS_ENV_VAR,
+    SweepExecutor,
+    evaluate_point,
+    evaluate_point_batch,
+    resolve_jobs,
+)
 from repro.sweep.spec import SweepPoint
 
 
@@ -155,6 +161,20 @@ class TestObserve:
         (plain,) = SweepExecutor(jobs=1).run([point])
         (observed,) = SweepExecutor(jobs=1, observe=True).run([point])
         assert observed.to_dict() == plain.to_dict()
+
+    def test_evaluate_point_observes_only_when_asked(self):
+        """One evaluation function: ``observe`` adds an observation and
+        leaves the result dict unchanged."""
+        payload = _point("Br_xy_dim").payload()
+        plain, _, no_observation = evaluate_point(payload)
+        observed, _, observation = evaluate_point(payload, observe=True)
+        assert observed == plain
+        assert no_observation is None
+        assert observation["algorithm"] == "Br_xy_dim"
+        assert observation["summary"]["kinds"]["send"] == plain["num_transfers"]
+        batch = evaluate_point_batch([payload, payload], observe=True)
+        assert [item[0] for item in batch] == [plain, plain]
+        assert all(item[2] == observation for item in batch)
 
     def test_len_excludes_observation_files(self, tmp_path):
         cache = ResultCache(tmp_path)
