@@ -58,6 +58,7 @@ import argparse
 import json
 import os
 import random
+import shlex
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -892,6 +893,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     mode = "io" if args.io else "orchestrator" if args.orchestrator else ""
     flag = f" --{mode}" if mode else ""
+    pools = ""
+    if not mode:
+        # The machine-mode pools shape every trial: a replay needs each
+        # one that the batch ran off its default.
+        for dest in ("machine", "algorithms", "dists", "L"):
+            value = getattr(args, dest)
+            if value != parser.get_default(dest):
+                pools += f" --{dest} {shlex.quote(str(value))}"
     if mode:
         print(f"chaos ({mode}): {args.trials} trial(s), seed {args.seed}")
     else:
@@ -927,8 +936,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  schedule: {violation.schedule}")
         print(f"  shrunk:   {violation.shrunk_schedule}")
         print(
-            f"  replay:   python -m repro chaos{flag} "
-            f"--trials 1 --seed {report.seed} --trial {violation.trial}"
+            f"  replay:   python -m repro chaos{flag} --trials 1 "
+            f"--seed {report.seed} --trial {violation.trial}{pools}"
         )
     print(f"\n{len(report.violations)} violation(s)")
     return 1

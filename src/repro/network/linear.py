@@ -35,6 +35,12 @@ class LinearArray(Topology):
         step = 1 if dst >= src else -1
         return list(range(src, dst + step, step))
 
+    def distance(self, src: int, dst: int) -> int:
+        """Hop count: ``|dst - src|``."""
+        self._check_node(src)
+        self._check_node(dst)
+        return abs(dst - src)
+
     def coords(self, node: int) -> Tuple[int]:
         """Coordinate tuple of ``node`` (trivially ``(node,)``)."""
         self._check_node(node)

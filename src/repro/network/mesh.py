@@ -76,3 +76,9 @@ class Mesh2D(Topology):
         for r in range(sr + row_step, dr + row_step, row_step) if dr != sr else []:
             nodes.append(self.node_at(r, dc))
         return nodes
+
+    def distance(self, src: int, dst: int) -> int:
+        """Hop count of the XY route: row distance plus column distance."""
+        sr, sc = self.coords(src)
+        dr, dc = self.coords(dst)
+        return abs(dr - sr) + abs(dc - sc)

@@ -6,8 +6,8 @@ Every node owns one *injection* link (processor → router) and one
 Links are identified by dense integer ids so the fabric can keep its
 reservation state in flat arrays.
 
-Subclasses implement the coordinate system and the dimension-order
-:meth:`route`.
+Subclasses implement the coordinate system, the dimension-order
+:meth:`route` and its hop count, :meth:`distance`.
 """
 
 from __future__ import annotations
@@ -211,11 +211,13 @@ class Topology(ABC):
         append(self.ejection_link(dst))
         return tuple(path)
 
+    @abstractmethod
     def distance(self, src: int, dst: int) -> int:
-        """Hop count of the dimension-order route (0 for self)."""
-        if src == dst:
-            return 0
-        return len(self.route_nodes(src, dst)) - 1
+        """Hop count of the dimension-order route (0 for self).
+
+        A closed form that builds no route: it must equal
+        ``len(self.route_nodes(src, dst)) - 1``.
+        """
 
     # -- helpers ------------------------------------------------------------
     def _check_node(self, node: int) -> None:

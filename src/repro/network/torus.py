@@ -106,6 +106,14 @@ class Torus3D(Topology):
             nodes.append(self.node_at(dx, dy, z))
         return nodes
 
+    def distance(self, src: int, dst: int) -> int:
+        """Hop count of the route: the shorter way round each ring, summed."""
+        hops = 0
+        for s, d, extent in zip(self.coords(src), self.coords(dst), self.shape):
+            forward = (d - s) % extent
+            hops += min(forward, extent - forward)
+        return hops
+
     @staticmethod
     def dims_for(p: int) -> Tuple[int, int, int]:
         """Near-cubic power-of-two factorisation used for T3D partitions.

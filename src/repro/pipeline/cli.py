@@ -19,8 +19,10 @@ one call to the executor the flags pick — a
 prints each experiment's text report (tables, shape-check verdicts,
 notes; ``--observe`` adds its roll-up), then one progress line saying
 how many points the cache served and how many were computed, and
-writes one HTML page per experiment plus an index.  With a warm cache,
-``report all`` re-renders the whole paper in seconds.
+writes one HTML page per experiment plus an index.  Each page's link
+heatmap is kept beside its point in the same cache, so with a warm
+cache ``report all`` re-renders the whole paper in seconds without
+simulating anything.
 """
 
 from __future__ import annotations
@@ -46,6 +48,15 @@ __all__ = ["main", "build_executor"]
 META_TARGETS = ("list", "all", "docs")
 
 
+def _report_cache(
+    cache_dir: Optional[str], no_cache: bool
+) -> Optional[ResultCache]:
+    """The result cache the flags pick (``--no-cache`` wins over ``--cache-dir``)."""
+    if no_cache or not cache_dir:
+        return None
+    return ResultCache(cache_dir)
+
+
 def build_executor(
     jobs: Optional[int],
     cache_dir: Optional[str],
@@ -53,11 +64,11 @@ def build_executor(
     observe: bool = False,
     engine: str = "auto",
 ) -> SweepExecutor:
-    """Executor for the CLI flags (``--no-cache`` wins over ``--cache-dir``)."""
-    cache = None
-    if not no_cache and cache_dir:
-        cache = ResultCache(cache_dir)
-    return SweepExecutor(jobs=jobs, cache=cache, observe=observe, engine=engine)
+    """Executor for the CLI flags, over :func:`_report_cache`'s cache."""
+    return SweepExecutor(
+        jobs=jobs, cache=_report_cache(cache_dir, no_cache),
+        observe=observe, engine=engine,
+    )
 
 
 def _evaluate(points, args):
@@ -66,7 +77,8 @@ def _evaluate(points, args):
         from repro.sweep.distributed import run_sharded
 
         run = run_sharded(
-            points, shards=args.shards, cache=ResultCache(args.cache_dir),
+            points, shards=args.shards,
+            cache=_report_cache(args.cache_dir, args.no_cache),
             engine=args.engine, observe=args.observe,
         )
         return run.results, run.observations, run.report
@@ -109,10 +121,13 @@ def _run_all(
     return entries
 
 
-def _write_reports(entries, out_dir: pathlib.Path, quick: bool) -> None:
+def _write_reports(
+    entries, out_dir: pathlib.Path, quick: bool, cache: Optional[ResultCache]
+) -> None:
+    """One page per experiment plus the index; ``cache`` keeps the heatmaps."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for config, result in entries:
-        page = render_experiment_html(config, result, quick=quick)
+        page = render_experiment_html(config, result, quick=quick, cache=cache)
         (out_dir / f"{config.id}.html").write_text(page, encoding="utf-8")
     index = render_index_html(entries, quick=quick)
     (out_dir / "index.html").write_text(index, encoding="utf-8")
@@ -265,7 +280,10 @@ def _dispatch(args) -> int:
         return _docs(selected, args, config_dir.parent)
 
     entries = _run_all(selected, args)
-    _write_reports(entries, pathlib.Path(args.out), args.quick)
+    _write_reports(
+        entries, pathlib.Path(args.out), args.quick,
+        _report_cache(args.cache_dir, args.no_cache),
+    )
     failed = [c.id for c, r in entries if not r.all_passed]
     if failed:
         print(f"shape checks FAILED for: {', '.join(failed)}", file=sys.stderr)

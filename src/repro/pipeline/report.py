@@ -33,6 +33,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.types import FigureResult, Series
+from repro.sweep import ResultCache, SweepPoint
 
 __all__ = [
     "render_experiment_html",
@@ -381,13 +382,20 @@ def representative_point(config) -> Optional[Dict[str, object]]:
     return None
 
 
-def _link_heatmap(point: Dict[str, object]) -> Optional[str]:
+def _link_heatmap(
+    point: Dict[str, object], cache: Optional[ResultCache] = None
+) -> Optional[str]:
     """ASCII link heatmap for the representative point.
 
-    The traced run takes the default engine (the fast path, which
-    records the event engine's ``xfer`` records).  A point the program
-    rejects drops the heatmap from the page; any other failure is a bug
-    and propagates.
+    The heatmap is keyed by the point's :class:`~repro.sweep.SweepPoint`
+    (seed 0, contention on, the page's distribution as provenance) and
+    kept in ``cache`` as its ``heatmap`` sibling, so a warm render reads
+    the stored text and simulates nothing.  On a miss, or with no cache
+    (``--no-cache``), a traced run on the default engine (the fast path,
+    which records the event engine's ``xfer`` records) draws it, and the
+    text is stored for the next render.  A point the program rejects
+    drops the heatmap from the page; any other failure is a bug and
+    propagates.
     """
     import repro
     from repro.errors import ReproError
@@ -403,14 +411,24 @@ def _link_heatmap(point: Dict[str, object]) -> Optional[str]:
         problem = repro.BroadcastProblem(
             machine, sources, message_size=int(point["L"])
         )
+        traced = SweepPoint.from_problem(
+            problem, str(point["algorithm"]), distribution=str(point["dist"])
+        )
+        if cache is not None:
+            text = cache.load_sibling(traced, "heatmap")
+            if text is not None:
+                return text
         tracer = Tracer(kinds=("xfer",))
         repro.run_broadcast(
             problem, str(point["algorithm"]), seed=0, tracer=tracer
         )
         usage = link_usage(tracer.records, topology=machine.topology)
-        return render_link_heatmap(usage, topology=machine.topology, k=10)
+        text = render_link_heatmap(usage, topology=machine.topology, k=10)
     except ReproError:  # pragma: no cover - no committed point raises
         return None
+    if cache is not None:
+        cache.store_sibling(traced, "heatmap", text)
+    return text
 
 
 def _reproduce_block(config, result: FigureResult) -> str:
@@ -444,9 +462,17 @@ def _page(title: str, body: str) -> str:
 
 
 def render_experiment_html(
-    config, result: FigureResult, *, quick: bool = False
+    config,
+    result: FigureResult,
+    *,
+    quick: bool = False,
+    cache: Optional[ResultCache] = None,
 ) -> str:
-    """The complete report page for one experiment's measured result."""
+    """The complete report page for one experiment's measured result.
+
+    ``cache`` serves and keeps the page's link heatmap (see
+    :func:`_link_heatmap`); the page's bytes do not depend on it.
+    """
     passed = sum(1 for c in result.checks if c.passed)
     total = len(result.checks)
     check_cls = "pass" if passed == total else "fail"
@@ -499,7 +525,7 @@ def render_experiment_html(
             parts.append(f"<pre>{_esc(note)}</pre>")
     point = representative_point(config)
     if point is not None:
-        heatmap = _link_heatmap(point)
+        heatmap = _link_heatmap(point, cache)
         if heatmap:
             parts.append("<h2>Link utilization (representative point)</h2>")
             parts.append(

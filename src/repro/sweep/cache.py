@@ -11,6 +11,9 @@ payload's canonical JSON, recomputed and checked on every read, so a
 torn write or bit rot can never be served as truth.  Legacy plain
 (v1) entries remain readable — unverified, exactly as trustworthy as
 they always were — and are rewritten as v2 on the next store.
+Beside an entry, ``<key>.<kind>.json`` *siblings* (:data:`SIBLINGS`:
+an observed run's summary, a report page's link heatmap) ride in the
+same envelope under the same payload check.
 
 The cache is defensive by design: a corrupted, truncated, or
 wrong-format entry counts as a miss and is recomputed — a cache must
@@ -62,6 +65,7 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "QUARANTINE_DIR",
     "ResultCache",
+    "SIBLINGS",
     "TMP_MAX_AGE_S",
     "TMP_TTL_ENV_VAR",
     "resolve_tmp_ttl",
@@ -82,6 +86,14 @@ TMP_TTL_ENV_VAR = "REPRO_CACHE_TMP_TTL_S"
 #: Subdirectory quarantined defects move to.  Deliberately longer than
 #: the two-hex shard names, so ``??/*.json`` globs never see it.
 QUARANTINE_DIR = "quarantine"
+
+#: Sibling files kept beside an entry as ``<key>.<kind>.json``, by
+#: kind, with the type of the value each stores: an observed run's
+#: summary and a report page's link-heatmap text.  A sibling is never
+#: counted or scanned as an entry, moves with its entry into
+#: quarantine, is quarantined alone when it is itself defective, and is
+#: served whether or not its point has a result entry.
+SIBLINGS: Dict[str, type] = {"obs": dict, "heatmap": str}
 
 #: Host component of temp names, filesystem-safe.  Distinguishes
 #: writers on different hosts sharing one cache directory.
@@ -207,14 +219,14 @@ class ResultCache:
         """Entry path for a content hash."""
         return self.root / key[:2] / f"{key}.json"
 
-    def obs_path_for(self, key: str) -> pathlib.Path:
-        """Observation-summary path for a content hash.
+    def sibling_path(self, key: str, kind: str) -> pathlib.Path:
+        """Path of the ``kind`` sibling of a content hash (:data:`SIBLINGS`).
 
-        Observations live *beside* the result entry, never inside it:
-        the result file's bytes — and the point's cache key — are
-        identical whether or not the run was observed.
+        Siblings live *beside* the result entry, never inside it: the
+        result file's bytes — and the point's cache key — are identical
+        whether or not the run was observed or its page rendered.
         """
-        return self.root / key[:2] / f"{key}.obs.json"
+        return self.root / key[:2] / f"{key}.{kind}.json"
 
     @property
     def quarantine_root(self) -> pathlib.Path:
@@ -229,11 +241,10 @@ class ResultCache:
         checksum, missing fields, or a stored payload that does not
         match the point (stale format, hash collision) — counts as a
         miss; the bad entry is quarantined *together with its
-        observation sibling* so both are recomputed and rewritten
-        rather than tripping every future run.  (Leaving the
-        ``<key>.obs.json`` sibling behind would let a stale-format
-        observation survive the recompute and be served beside the
-        fresh result.)
+        siblings* so all are recomputed and rewritten rather than
+        tripping every future run.  (Leaving a ``<key>.obs.json``
+        sibling behind would let a stale-format observation survive
+        the recompute and be served beside the fresh result.)
         """
         key = point.key()
         path = self.path_for(key)
@@ -261,16 +272,17 @@ class ResultCache:
             return None
         return result, compute_s
 
-    def load_observation(self, point: SweepPoint) -> Optional[Dict[str, Any]]:
-        """The stored observation summary for ``point``, or ``None``.
+    def load_sibling(self, point: SweepPoint, kind: str) -> Optional[Any]:
+        """The stored ``kind`` sibling of ``point``, or ``None``.
 
-        ``None`` also covers entries cached before observability existed
-        (or by an unobserved sweep) — a result hit with no observation
-        is normal, not a defect, so nothing is quarantined here unless
-        the file itself is corrupt or stale.
+        A sibling needs no result entry beside it, and ``None`` also
+        covers a result hit with no sibling (an unobserved sweep, a
+        page never rendered) — that is normal, not a defect, so nothing
+        is quarantined here unless the sibling itself is corrupt or
+        stale, and then it goes alone.
         """
         key = point.key()
-        path = self.obs_path_for(key)
+        path = self.sibling_path(key, kind)
         try:
             text = self.io.read_text(path)
         except OSError:
@@ -279,16 +291,16 @@ class ResultCache:
             body, _version = open_envelope(text)
             if body["point"] != point.payload():
                 raise ValueError("stored payload does not match the point")
-            observation = body["observation"]
-            if not isinstance(observation, dict):
-                raise TypeError("observation must be a dict")
+            value = body[kind]
+            if not isinstance(value, SIBLINGS[kind]):
+                raise TypeError(f"{kind} must be a {SIBLINGS[kind].__name__}")
         except EnvelopeError as exc:
             self._quarantine(key, str(exc), paths=[path])
             return None
         except (ValueError, KeyError, TypeError) as exc:
             self._quarantine(key, f"bad-entry: {exc}", paths=[path])
             return None
-        return observation
+        return value
 
     # -- write -------------------------------------------------------------
     def store(
@@ -302,12 +314,12 @@ class ResultCache:
         }
         self._write_atomic(self.path_for(point.key()), seal_envelope(body))
 
-    def store_observation(
-        self, point: SweepPoint, observation: Dict[str, Any]
-    ) -> None:
-        """Persist one point's observation summary (atomic replace)."""
-        body = {"point": point.payload(), "observation": observation}
-        self._write_atomic(self.obs_path_for(point.key()), seal_envelope(body))
+    def store_sibling(self, point: SweepPoint, kind: str, value: Any) -> None:
+        """Persist one point's ``kind`` sibling (atomic replace, v2 envelope)."""
+        body = {"point": point.payload(), kind: value}
+        self._write_atomic(
+            self.sibling_path(point.key(), kind), seal_envelope(body)
+        )
 
     def _write_atomic(self, path: pathlib.Path, entry: Dict[str, Any]) -> None:
         """Temp-file + ``replace`` write, with stale-temp GC.
@@ -337,7 +349,7 @@ class ResultCache:
     ) -> None:
         """Move defective files for ``key`` aside, with a reason record.
 
-        Defaults to the entry and its observation sibling.  Each moved
+        Defaults to the entry and all its siblings.  Each moved
         file keeps its name under ``quarantine/``; a ``.reason.json``
         record per key states what failed and when, so the evidence of
         *why* a recompute happened survives the recompute.  A second
@@ -348,7 +360,8 @@ class ResultCache:
         a cache must never be able to fail a sweep.
         """
         if paths is None:
-            paths = [self.path_for(key), self.obs_path_for(key)]
+            paths = [self.path_for(key)]
+            paths += [self.sibling_path(key, kind) for kind in SIBLINGS]
         self.io.mkdir(self.quarantine_root)
         moved = []
         for path in paths:
@@ -409,9 +422,10 @@ class ResultCache:
     def verify_all(self) -> CacheAudit:
         """Offline integrity scan of every result entry.
 
-        Opens each ``??/*.json`` entry through the envelope layer: a
-        verifying v2 entry counts ``verified``; a structurally intact
-        legacy entry counts ``legacy_v1`` (nothing to verify against);
+        Opens each ``??/<key>.json`` entry (siblings are not entries)
+        through the envelope layer: a verifying v2 entry counts
+        ``verified``; a structurally intact legacy entry counts
+        ``legacy_v1`` (nothing to verify against);
         anything else — bad JSON, failed checksum, missing fields — is
         quarantined exactly as a sweep-time read would, and counts
         ``quarantined_now``.  Payload/point agreement is *not* checked
@@ -419,10 +433,8 @@ class ResultCache:
         compare against); a wrong-payload entry is caught at load time.
         """
         audit = CacheAudit()
-        for path in sorted(self.root.glob("??/*.json")):
-            if path.name.endswith(".obs.json"):
-                continue
-            key = path.name[: -len(".json")]
+        for path in sorted(self._entry_paths()):
+            key = path.stem
             try:
                 text = self.io.read_text(path)
             except OSError:
@@ -452,13 +464,13 @@ class ResultCache:
         )
         return audit
 
+    def _entry_paths(self) -> List[pathlib.Path]:
+        """Every ``??/<key>.json`` result entry; siblings have a dotted stem."""
+        return [p for p in self.root.glob("??/*.json") if "." not in p.stem]
+
     def __len__(self) -> int:
-        """Number of result entries on disk (observations not counted)."""
-        return sum(
-            1
-            for p in self.root.glob("??/*.json")
-            if not p.name.endswith(".obs.json")
-        )
+        """Number of result entries on disk (siblings not counted)."""
+        return len(self._entry_paths())
 
     def clear(self) -> None:
         """Delete every entry (and the cache directory itself).

@@ -535,7 +535,7 @@ def _evaluate_unit(
         )
         if observation is not None:
             with_backoff(
-                lambda: cache.store_observation(point, observation),
+                lambda: cache.store_sibling(point, "obs", observation),
                 key=f"store-obs:{key}",
                 policy=retry,
                 counters=cache.counters,
@@ -722,11 +722,11 @@ def _collect(
                 counters=cache.counters,
             )
             if observation is not None:
-                cache.store_observation(point, observation)
+                cache.store_sibling(point, "obs", observation)
             hit = (result_dict, seconds)
         results.append(BroadcastResult.from_dict(hit[0]))
         if observations is not None:
-            observations.append(cache.load_observation(point))
+            observations.append(cache.load_sibling(point, "obs"))
     return results, observations
 
 

@@ -268,7 +268,7 @@ class SweepExecutor:
                 report.cached += 1
                 report.saved_s += original_s
                 if self.observe:
-                    observations[i] = self.cache.load_observation(point)
+                    observations[i] = self.cache.load_sibling(point, "obs")
             else:
                 todo.append(i)
 
@@ -294,7 +294,7 @@ class SweepExecutor:
                     result_dict, seconds, observation = item
                     observations[i] = observation
                     if observation is not None and self.cache is not None:
-                        self.cache.store_observation(points[i], observation)
+                        self.cache.store_sibling(points[i], "obs", observation)
                     self._record(points[i], i, result_dict, seconds,
                                  result_dicts, report)
 

@@ -16,18 +16,48 @@ to explicit source ranks on each machine's logical grid.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import pathlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro._version import __version__
 from repro.core.problem import BroadcastProblem
 from repro.errors import ConfigurationError
 from repro.faults import FaultSchedule
 from repro.machines import machine_from_spec
 
-__all__ = ["SweepPoint", "SweepSpec"]
+__all__ = ["SweepPoint", "SweepSpec", "code_fingerprint", "source_fingerprint"]
+
+#: The ``repro`` package directory, whose modules :func:`code_fingerprint`
+#: hashes.
+_PACKAGE_DIR = pathlib.Path(__file__).resolve().parents[1]
+
+
+def source_fingerprint(root: pathlib.Path) -> str:
+    """sha256 over every ``*.py`` under ``root``: relative path + bytes.
+
+    Modules are taken in sorted relative-path order, each as its path,
+    its length and its bytes, so a rename, an edit, an added or a
+    deleted module all change the digest.  Plain file reads: the cache's
+    injectable IO backend never sees them.
+    """
+    root = pathlib.Path(root)
+    digest = hashlib.sha256()
+    for rel, path in sorted(
+        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+    ):
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def code_fingerprint() -> str:
+    """:func:`source_fingerprint` of this package, once per process."""
+    return source_fingerprint(_PACKAGE_DIR)
 
 
 @dataclass(frozen=True)
@@ -125,16 +155,18 @@ class SweepPoint:
     def payload(self) -> Dict[str, Any]:
         """Canonical JSON-compatible identity of this point.
 
-        Everything the result depends on is here — including the package
-        version, so recalibrated machine parameters in a future release
-        invalidate old cache entries instead of silently serving them.
+        Everything the result depends on is here — including the code:
+        ``code`` is :func:`code_fingerprint`, so any edit to a module of
+        the package (recalibrated machine parameters, a changed
+        algorithm, a new report renderer) re-keys every point instead of
+        letting a warm cache serve results of the old code.
         The ``faults`` key appears only on fault-injected points, so the
         keys (and cached entries) of fault-free points are unchanged
         from the pre-faults format.
         """
         data: Dict[str, Any] = {
             "schema": 1,
-            "version": __version__,
+            "code": code_fingerprint(),
             "machine": self.machine,
             "distribution": self.distribution,
             "sources": list(self.sources),

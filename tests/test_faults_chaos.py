@@ -169,3 +169,36 @@ class TestCli:
         code = main(["chaos", "--trials", "1", "--seed", "7"])
         assert code == 0
         assert "chaos: 1 trial(s), seed 7" in capsys.readouterr().out
+
+    def test_replay_line_names_every_non_default_pool(self, monkeypatch,
+                                                        capsys):
+        """The printed replay command regenerates the failing trial."""
+        import shlex
+
+        def fail_trial_3(trial, determinism=False):
+            if trial.index != 3:
+                return None
+            return chaos.Violation(
+                trial=trial.index, invariant="no-crash", detail="synthetic",
+                schedule=trial.schedule.canonical(),
+                shrunk_schedule=trial.schedule.canonical(),
+                algorithm=trial.algorithm, distribution=trial.distribution,
+            )
+
+        def failing_description(out):
+            (line,) = [l for l in out.splitlines() if l.startswith("  [FAIL]")]
+            return line
+
+        monkeypatch.setattr(chaos, "run_trial", fail_trial_3)
+        argv = ["--trials", "5", "--seed", "7", "--machine", "paragon:8x8",
+                "--L", "64"]
+        assert chaos.main(argv) == 1
+        out = capsys.readouterr().out
+        described = failing_description(out)
+        assert "L=64 on paragon:8x8" in described
+        (replay,) = [l for l in out.splitlines() if l.startswith("  replay:")]
+        command = shlex.split(replay.split("replay:", 1)[1])
+        assert command[:4] == ["python", "-m", "repro", "chaos"]
+        assert "--algorithms" not in command  # defaults stay off the line
+        assert chaos.main(command[4:]) == 1
+        assert failing_description(capsys.readouterr().out) == described

@@ -87,3 +87,43 @@ class TestLinearArrayRouting:
         topo = LinearArray(4)
         assert topo.coords(3) == (3,)
         assert topo.shape == (4,)
+
+
+class TestClosedFormDistance:
+    """Each topology's closed-form hop count equals its route's length."""
+
+    @pytest.mark.parametrize("spec", [
+        "paragon:2x2", "paragon:4x4", "paragon:5x7", "paragon:10x10",
+        "paragon:16x16", "t3d:32", "t3d:64", "t3d:128", "hypercube:16",
+    ])
+    def test_machine_topologies(self, spec):
+        from repro.machines import machine_from_spec
+
+        self._check_all_pairs(machine_from_spec(spec).topology)
+
+    def test_linear_array(self):
+        self._check_all_pairs(LinearArray(7))
+
+    @staticmethod
+    def _check_all_pairs(topo):
+        n = topo.num_nodes
+        wrong = [
+            (src, dst)
+            for src in range(n)
+            for dst in range(n)
+            if topo.distance(src, dst) != len(topo.route_nodes(src, dst)) - 1
+        ]
+        assert wrong == []
+
+    @pytest.mark.parametrize("spec", ["paragon:4x4", "t3d:32"])
+    def test_node_range_checked(self, spec):
+        from repro.machines import machine_from_spec
+
+        topo = machine_from_spec(spec).topology
+        for src, dst in ((0, topo.num_nodes), (-1, 0)):
+            with pytest.raises(TopologyError):
+                topo.distance(src, dst)
+
+    def test_linear_array_node_range_checked(self):
+        with pytest.raises(TopologyError):
+            LinearArray(4).distance(0, 4)

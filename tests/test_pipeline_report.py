@@ -163,6 +163,75 @@ class TestRepresentativePoint:
             assert point["s"] >= 1 and point["L"] >= 1
 
 
+class TestHeatmapCache:
+    """A page's link heatmap is kept beside its point in the result cache."""
+
+    @pytest.mark.parametrize("experiment_id", ["fig7", "fig10"])
+    def test_warm_page_simulates_nothing(self, experiment_id, tmp_path,
+                                         monkeypatch, capsys):
+        # fig10's heatmap point (L = 2048) is off its quick grid, so its
+        # sibling is served with no result entry beside it.
+        import repro.fastpath.evaluator as evaluator
+        from repro.machines import Machine
+        from repro.pipeline.cli import main
+
+        cache = tmp_path / "cache"
+
+        def render(out, *flags):
+            assert main([experiment_id, "--quick", *flags,
+                         "--out", str(tmp_path / out)]) == 0
+            return (tmp_path / out / f"{experiment_id}.html").read_bytes()
+
+        cold = render("cold", "--cache-dir", str(cache))
+        assert len(list(cache.glob("??/*.heatmap.json"))) == 1
+        uncached = render("uncached", "--no-cache")
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("a warm render must not simulate")
+
+        monkeypatch.setattr(evaluator, "replay_kernel", forbidden)
+        monkeypatch.setattr(Machine, "run", forbidden)
+        capsys.readouterr()
+        warm = render("warm", "--cache-dir", str(cache))
+        assert ", 0 computed)" in capsys.readouterr().out
+        assert b"<h2>Link utilization (representative point)</h2>" in cold
+        assert warm == cold
+        assert uncached == cold
+
+    def test_corrupt_sibling_is_recomputed(self, tmp_path, configs):
+        from repro.pipeline.report import _link_heatmap
+        from repro.sweep import ResultCache
+
+        point = representative_point(configs["fig7"])
+        cache = ResultCache(tmp_path)
+        text = _link_heatmap(point, cache)
+        (path,) = tmp_path.glob("??/*.heatmap.json")
+        stored = path.read_text()
+        path.write_text(stored[: len(stored) // 2])
+        assert _link_heatmap(point, cache) == text
+        assert (cache.quarantine_root / path.name).exists()
+        assert path.read_text() == stored
+        assert _link_heatmap(point, None) == text
+
+    def test_code_change_recomputes_every_point(self, tmp_path, monkeypatch,
+                                                capsys):
+        from repro.pipeline.cli import main
+        from repro.sweep import spec
+
+        cache = tmp_path / "cache"
+        argv = ["fig7", "--quick", "--cache-dir", str(cache),
+                "--out", str(tmp_path / "html")]
+        assert main(argv) == 0
+        assert "(0 cached, 9 computed)" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "(9 cached, 0 computed)" in capsys.readouterr().out
+        monkeypatch.setattr(spec, "code_fingerprint", lambda: "0" * 64)
+        assert main(argv) == 0
+        assert "(0 cached, 9 computed)" in capsys.readouterr().out
+        # The heatmap is re-keyed too: a second sibling, not a stale hit.
+        assert len(list(cache.glob("??/*.heatmap.json"))) == 2
+
+
 class TestDocsGen:
     def test_summary_counts(self, configs):
         counts = summary_counts(list(configs.values()))

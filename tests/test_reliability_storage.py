@@ -119,7 +119,7 @@ class TestQuarantine:
     def test_obs_sibling_quarantined_with_its_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
         point = _populate(cache, observe=True)
-        obs_path = cache.obs_path_for(point.key())
+        obs_path = cache.sibling_path(point.key(), "obs")
         assert obs_path.exists()
         cache.path_for(point.key()).write_text("not json")
         cache.load(point)

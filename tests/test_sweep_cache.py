@@ -73,6 +73,41 @@ class TestCacheKey:
         assert executor.last_report.cached == 1
 
 
+class TestCodeFingerprint:
+    """Keys name the code: any source edit re-keys every point."""
+
+    def test_edited_tree_rekeys_every_point(self, tmp_path, monkeypatch):
+        import shutil
+
+        import repro
+        from repro.pipeline.loader import load_config_dir
+        from repro.pipeline.runner import experiment_points
+        from repro.sweep import spec
+
+        tree = tmp_path / "repro"
+        shutil.copytree(
+            pathlib.Path(repro.__file__).parent, tree,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        assert spec.source_fingerprint(tree) == spec.code_fingerprint()
+        params = tree / "machines" / "params.py"
+        params.write_text(params.read_text() + "\n# recalibrated\n")
+        edited = spec.source_fingerprint(tree)
+        assert edited != spec.code_fingerprint()
+
+        points = {
+            point
+            for config in load_config_dir().values()
+            if config.kind == "declarative"
+            for point in experiment_points(config, quick=True)
+        }
+        before = {point.key() for point in points}
+        monkeypatch.setattr(spec, "code_fingerprint", lambda: edited)
+        after = {point.key() for point in points}
+        assert len(after) == len(before) == len(points)
+        assert not before & after
+
+
 class TestCacheDefense:
     def baseline(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -155,7 +190,7 @@ class TestCacheHygiene:
         # its <key>.obs.json sibling orphaned forever — the pair shares
         # one lifecycle.
         cache = self._warm_observed(tmp_path)
-        obs_path = cache.obs_path_for(POINT.key())
+        obs_path = cache.sibling_path(POINT.key(), "obs")
         assert obs_path.exists()
         cache.path_for(POINT.key()).write_text("{ not json !!!")
         assert cache.load(POINT) is None
@@ -205,6 +240,78 @@ class TestCacheHygiene:
             assert cache_mod._HOST_TOKEN in name
             assert f".{os.getpid()}." in name
             assert name.endswith(".tmp")
+
+
+class TestHeatmapSibling:
+    """A ``<key>.heatmap.json`` sibling lives by the observation's rules."""
+
+    TEXT = "link 0->1  |@@##..|\n"
+
+    def _warm(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        SweepExecutor(cache=cache, observe=True).run([POINT])
+        cache.store_sibling(POINT, "heatmap", self.TEXT)
+        return cache
+
+    def test_verify_all_and_len_ignore_siblings(self, tmp_path):
+        cache = self._warm(tmp_path)
+        assert len(list(tmp_path.glob("??/*.json"))) == 3
+        assert len(cache) == 1
+        audit = cache.verify_all()
+        assert (audit.verified, audit.quarantined_now) == (1, 0)
+        # Not scanned either: a garbled sibling is left for its reader.
+        cache.sibling_path(POINT.key(), "heatmap").write_text("{ torn")
+        audit = cache.verify_all()
+        assert (audit.verified, audit.quarantined_now) == (1, 0)
+        assert len(cache) == 1
+
+    def test_corrupt_sibling_is_quarantined_alone(self, tmp_path):
+        cache = self._warm(tmp_path)
+        path = cache.sibling_path(POINT.key(), "heatmap")
+        path.write_text(path.read_text()[:-9])
+        assert cache.load_sibling(POINT, "heatmap") is None
+        assert not path.exists()
+        assert (cache.quarantine_root / path.name).exists()
+        record = json.loads(
+            (cache.quarantine_root / f"{POINT.key()}.reason.json").read_text()
+        )
+        assert record["files"] == [path.name]
+        # The entry and the other sibling stay, and a store repairs it.
+        assert cache.load(POINT) is not None
+        assert cache.load_sibling(POINT, "obs") is not None
+        cache.store_sibling(POINT, "heatmap", self.TEXT)
+        assert cache.load_sibling(POINT, "heatmap") == self.TEXT
+
+    def test_wrong_kind_of_value_is_a_defect(self, tmp_path):
+        cache = self._warm(tmp_path)
+        path = cache.sibling_path(POINT.key(), "heatmap")
+        rewrite_body(path, lambda body: body.update(heatmap={"not": "text"}))
+        assert cache.load_sibling(POINT, "heatmap") is None
+        assert (cache.quarantine_root / path.name).exists()
+
+    def test_entry_quarantine_moves_its_siblings(self, tmp_path):
+        cache = self._warm(tmp_path)
+        cache.path_for(POINT.key()).write_text("{ torn")
+        assert cache.load(POINT) is None
+        record = json.loads(
+            (cache.quarantine_root / f"{POINT.key()}.reason.json").read_text()
+        )
+        names = [cache.path_for(POINT.key()).name] + [
+            cache.sibling_path(POINT.key(), kind).name
+            for kind in ("obs", "heatmap")
+        ]
+        assert record["files"] == names
+        assert sorted(p.name for p in cache.quarantine_root.iterdir()) == sorted(
+            names + [f"{POINT.key()}.reason.json"]
+        )
+        assert not list(tmp_path.glob("??/*.json"))
+
+    def test_sibling_without_an_entry_is_served(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store_sibling(POINT, "heatmap", self.TEXT)
+        assert len(cache) == 0
+        assert cache.load(POINT) is None
+        assert cache.load_sibling(POINT, "heatmap") == self.TEXT
 
 
 class TestCacheBypass:

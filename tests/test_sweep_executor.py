@@ -122,8 +122,8 @@ class TestObserve:
         b.pop("sha256")
         assert a == b
         # The observation landed in a sibling file, not the entry.
-        assert observed.cache.obs_path_for(point.key()).exists()
-        assert not plain.cache.obs_path_for(point.key()).exists()
+        assert observed.cache.sibling_path(point.key(), "obs").exists()
+        assert not plain.cache.sibling_path(point.key(), "obs").exists()
 
     def test_hit_without_observation_is_served_not_recomputed(self, tmp_path):
         cache = ResultCache(tmp_path)
