@@ -13,11 +13,10 @@ on-disk result cache instead of re-simulating; ``--no-cache`` forces
 recomputation.  ``--timeline`` always simulates directly (the tracer
 cannot ride through worker processes or the cache).
 
-Subcommands: ``python -m repro sweep`` evaluates whole grids — serial,
-pooled, or sharded across worker processes (``--shards`` / ``--worker``,
-see :mod:`repro.sweep.cli`); ``python -m repro chaos`` runs the fault
-harness (``--orchestrator`` points it at the sweep coordinator itself);
-``python -m repro trace`` exports Chrome traces; ``python -m repro
+Subcommands: ``python -m repro sweep`` evaluates whole grids — serial
+or pooled (``--jobs``, see :mod:`repro.sweep.cli`); ``python -m repro
+chaos`` runs the fault harness (``--io`` points it at the result
+cache's storage); ``python -m repro trace`` exports Chrome traces; ``python -m repro
 report`` reproduces the paper from ``configs/*.toml`` into
 self-contained HTML reports and regenerates EXPERIMENTS.md/RESULTS.txt
 (see :mod:`repro.pipeline.cli`).

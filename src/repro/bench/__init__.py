@@ -15,8 +15,8 @@ pipeline import:
   and the §5 varied-lengths study (:mod:`repro.bench.figures`), the
   ablations, the extension studies and the robustness study.  Each
   builder returns a :class:`Plan` and evaluates nothing itself, so the
-  result cache, ``--jobs``, ``--shards`` and ``--engine`` apply to it
-  as to the declarative configs.
+  result cache, ``--jobs`` and ``--engine`` apply to it as to the
+  declarative configs.
 """
 
 from __future__ import annotations

@@ -5,11 +5,9 @@ Every experiment is a :class:`Plan`: the
 function that turns their results, one per point and in point order,
 into its :class:`~repro.bench.types.FigureResult`.  Experiments never
 evaluate a point themselves: ``python -m repro report`` plans every
-selected experiment and evaluates all their points in one call to the
-executor its flags pick (a :class:`~repro.sweep.executor.SweepExecutor`
-for serial runs and ``--jobs``, :func:`~repro.sweep.distributed.run_sharded`
-for ``--shards``), so the result cache and ``--engine`` apply to every
-experiment alike.  Every factory-built machine, parameter variants
+selected experiment and evaluates all their points in one
+:class:`~repro.sweep.executor.SweepExecutor` call, so the result cache,
+``--jobs`` and ``--engine`` apply to every experiment alike.  Every factory-built machine, parameter variants
 included, has a canonical spec and therefore ships; a hand-built machine
 is rejected by :meth:`SweepPoint.from_problem
 <repro.sweep.spec.SweepPoint.from_problem>`.

@@ -17,7 +17,6 @@ __all__ = [
     "PeerFailedError",
     "RecvTimeoutError",
     "ConfigurationError",
-    "DistributedSweepError",
     "UnsupportedFastPathError",
     "DistributionError",
     "AlgorithmError",
@@ -89,18 +88,6 @@ class UnsupportedFastPathError(ConfigurationError):
     back to the event engine; asking for ``engine="fast"`` explicitly
     raises this instead, so a benchmark script cannot believe it
     measured the fast path when it did not.
-    """
-
-
-class DistributedSweepError(ReproError):
-    """A distributed sweep could not be completed or collected.
-
-    Raised by the coordinator when results are missing after every work
-    unit finished — which, given the durable lease/done protocol, means
-    a worker recorded a point-evaluation *failure* in its done marker
-    (the error text names the failing point and the worker's exception).
-    Worker crashes and kills never raise this: their leases expire and
-    the work is re-driven to completion.
     """
 
 

@@ -27,28 +27,19 @@ a time (ddmin-style, to a fixpoint) while the violation persists, so
 the reported schedule is a minimal reproduction.  Every trial is
 addressable by ``(seed, index)`` — ``--trial K`` replays exactly one.
 
-``--orchestrator`` points the same methodology at the **distributed
-sweep coordinator** (:mod:`repro.sweep.distributed`) instead of the
-simulated machine: seeded schedules of worker *kills* (``kill:W@T``)
-and *stalls* (``stall:W@T+D``, SIGSTOP then SIGCONT) are injected into
-a sharded sweep mid-flight, and the invariants assert that the lease
-protocol delivers — the sweep completes, results stay bit-identical to
-a serial run, every unit lands a done marker, and a warm re-run
-recomputes nothing.
-
 ``--io`` turns the same methodology on the **storage layer**
 (:mod:`repro.reliability`): seeded plans from the IO-fault grammar
 (``torn:write@K`` / ``err:ENOSPC@K`` / ``crash@K`` / ``stall:read@K+D``)
-are injected into a sweep worker's filesystem calls, and the invariants
-assert that the reliability layer delivers — the queue stays
-recoverable, corrupt cache entries are quarantined and recomputed
-(never served), and the recovered sweep is bit-identical to serial.
+are injected into the filesystem calls of a cached ``SweepExecutor``
+run, and the invariants assert that the result cache delivers — a
+clean rerun completes, corrupt cache entries are quarantined and
+recomputed (never served), and the recovered sweep is bit-identical to
+serial.
 
 CLI::
 
     python -m repro chaos --trials 25 --seed 7
     python -m repro chaos --trials 1 --seed 7 --trial 13   # replay
-    python -m repro chaos --orchestrator --trials 5 --seed 7
     python -m repro chaos --io --trials 25 --seed 7
 """
 
@@ -56,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import shlex
 import sys
@@ -74,16 +64,10 @@ from repro.faults.spec import (
 __all__ = [
     "ChaosTrial",
     "IOTrial",
-    "OrchestratorFault",
-    "OrchestratorTrial",
     "Violation",
     "generate_io_trial",
-    "generate_orchestrator_trial",
-    "parse_orchestrator_spec",
     "run_io_trial",
     "run_io_trials",
-    "run_orchestrator_trial",
-    "run_orchestrator_trials",
     "run_trial",
     "run_trials",
     "shrink",
@@ -327,273 +311,10 @@ def run_trial(trial: ChaosTrial, *, determinism: bool = False) -> Optional[Viola
     )
 
 
-# -- orchestrator chaos: kill/stall sweep workers mid-flight ---------------
-
-@dataclass(frozen=True)
-class OrchestratorFault:
-    """One worker-process fault: ``kill:W@T`` or ``stall:W@T+D``.
-
-    ``worker`` indexes the coordinator's spawned shard processes;
-    ``at_s`` is seconds after spawn; ``duration_s`` (stalls only) is how
-    long the worker sits under SIGSTOP before SIGCONT.  The grammar
-    mirrors the simulator's fault specs: ``;``-separated, canonical
-    spelling, addressable from a seed.
-    """
-
-    kind: str  # "kill" | "stall"
-    worker: int
-    at_s: float
-    duration_s: float = 0.0
-
-    def canonical(self) -> str:
-        if self.kind == "kill":
-            return f"kill:{self.worker}@{self.at_s:g}"
-        return f"stall:{self.worker}@{self.at_s:g}+{self.duration_s:g}"
-
-
-def parse_orchestrator_spec(spec: str) -> Tuple[OrchestratorFault, ...]:
-    """Parse a ``;``-separated orchestrator fault spec.
-
-    >>> [f.canonical() for f in parse_orchestrator_spec(
-    ...     "kill:1@0.2; stall:0@0.1+1.5")]
-    ['kill:1@0.2', 'stall:0@0.1+1.5']
-    """
-    faults: List[OrchestratorFault] = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            kind, rest = part.split(":", 1)
-            worker_text, when = rest.split("@", 1)
-            if kind == "kill":
-                faults.append(
-                    OrchestratorFault("kill", int(worker_text), float(when))
-                )
-            elif kind == "stall":
-                at_text, duration_text = when.split("+", 1)
-                faults.append(
-                    OrchestratorFault(
-                        "stall",
-                        int(worker_text),
-                        float(at_text),
-                        float(duration_text),
-                    )
-                )
-            else:
-                raise ValueError(kind)
-        except ValueError as exc:
-            raise ValueError(
-                f"bad orchestrator fault {part!r} (expected kill:W@T or "
-                f"stall:W@T+D): {exc}"
-            ) from None
-    return tuple(faults)
-
-
-@dataclass(frozen=True)
-class OrchestratorTrial:
-    """One orchestrator-chaos trial: a sharded sweep plus worker faults."""
-
-    index: int
-    shards: int
-    faults: Tuple[OrchestratorFault, ...]
-    lease_ttl_s: float
-    seed: int
-
-    def describe(self) -> str:
-        spec = "; ".join(f.canonical() for f in self.faults)
-        return (
-            f"trial {self.index}: {self.shards} shard(s), "
-            f"ttl={self.lease_ttl_s:g}s, faults='{spec}'"
-        )
-
-
-def generate_orchestrator_trial(base_seed: int, index: int) -> OrchestratorTrial:
-    """The deterministic orchestrator trial at ``(base_seed, index)``.
-
-    Stall durations deliberately exceed the lease TTL, so a stalled
-    worker's leases *expire and get stolen* while it is stopped — the
-    exact straggler scenario work stealing exists for — and the worker
-    then wakes up to discover it lost them (the abandoned-unit path).
-    """
-    rng = random.Random(f"chaos-orchestrator#{base_seed}#{index}")
-    lease_ttl_s = 0.6
-    faults: List[OrchestratorFault] = []
-    shards = 2
-    for _ in range(rng.randint(1, 2)):
-        worker = rng.randrange(shards)
-        at_s = round(rng.uniform(0.05, 0.5), 3)
-        if rng.random() < 0.5:
-            faults.append(OrchestratorFault("kill", worker, at_s))
-        else:
-            duration_s = round(rng.uniform(1.2, 2.0), 3)
-            faults.append(OrchestratorFault("stall", worker, at_s, duration_s))
-    return OrchestratorTrial(
-        index=index,
-        shards=shards,
-        faults=tuple(faults),
-        lease_ttl_s=lease_ttl_s,
-        seed=base_seed,
-    )
-
-
-#: Grid every orchestrator trial sweeps: small enough to finish in
-#: seconds, wide enough for several plan-affinity units per shard.
-_ORCHESTRATOR_GRID = dict(
-    machines=("paragon:4x4",),
-    distributions=("E", "R"),
-    s_values=(2, 4),
-    message_sizes=(256,),
-    algorithms=("Br_Lin", "2-Step"),
-    seeds=(0,),
-)
-
-
-def _inject_worker_faults(
-    faults: Sequence[OrchestratorFault], pids: List[int]
-):
-    """A ``worker_hook`` that arms kill/stall timers against worker pids.
-
-    Returns the timer list (daemon threads; SIGCONT timers always fire,
-    so a stalled worker is never leaked in the stopped state).
-    """
-    import signal
-    import threading
-
-    def _signal(pid: int, signum: int) -> None:
-        try:
-            os.kill(pid, signum)
-        except (ProcessLookupError, PermissionError):
-            pass  # worker already exited; the fault becomes a no-op
-
-    def hook(procs) -> None:
-        pids.extend(proc.pid for proc in procs)
-        timers = []
-        for fault in faults:
-            if fault.worker >= len(procs):
-                continue
-            pid = procs[fault.worker].pid
-            if fault.kind == "kill":
-                timers.append(
-                    threading.Timer(fault.at_s, _signal, (pid, signal.SIGKILL))
-                )
-            else:
-                timers.append(
-                    threading.Timer(fault.at_s, _signal, (pid, signal.SIGSTOP))
-                )
-                timers.append(
-                    threading.Timer(
-                        fault.at_s + fault.duration_s,
-                        _signal,
-                        (pid, signal.SIGCONT),
-                    )
-                )
-        for timer in timers:
-            timer.daemon = True
-            timer.start()
-
-    return hook
-
-
-def run_orchestrator_trial(trial: OrchestratorTrial) -> Optional[Violation]:
-    """Run one sharded sweep under worker faults; check the invariants.
-
-    1. **Completion** — ``run_sharded`` returns despite kills/stalls
-       (leases expire, survivors or the coordinator steal the work).
-    2. **Bit-identity** — results equal a serial ``SweepExecutor`` run.
-    3. **Full accounting** — every unit carries a done marker and no
-       unit recorded a point-evaluation error.
-    4. **Durable resume** — a warm re-run over the same cache computes
-       nothing.
-    """
-    import shutil
-    import signal
-    import tempfile
-
-    from repro.sweep import ResultCache, SweepExecutor, SweepSpec
-    from repro.sweep.distributed import WorkQueue, run_sharded
-
-    spec_text = "; ".join(f.canonical() for f in trial.faults)
-
-    def violation(invariant: str, detail: str) -> Violation:
-        return Violation(
-            trial=trial.index,
-            invariant=invariant,
-            detail=detail,
-            schedule=spec_text,
-            shrunk_schedule=spec_text,
-            algorithm="<sweep-coordinator>",
-            distribution="-",
-        )
-
-    points = SweepSpec(**_ORCHESTRATOR_GRID).points()
-    serial = [
-        json.dumps(r.to_dict(), sort_keys=True)
-        for r in SweepExecutor(jobs=1).run(points)
-    ]
-    workdir = tempfile.mkdtemp(prefix="repro-chaos-orch-")
-    pids: List[int] = []
-    try:
-        cache = ResultCache(os.path.join(workdir, "cache"))
-        outcome = run_sharded(
-            points,
-            shards=trial.shards,
-            cache=cache,
-            run_dir=os.path.join(workdir, "run"),
-            lease_ttl_s=trial.lease_ttl_s,
-            worker_hook=_inject_worker_faults(trial.faults, pids),
-        )
-        sharded = [
-            json.dumps(r.to_dict(), sort_keys=True) for r in outcome.results
-        ]
-        if sharded != serial:
-            mismatches = sum(1 for a, b in zip(serial, sharded) if a != b)
-            return violation(
-                "bit-identity",
-                f"{mismatches}/{len(points)} point(s) differ from serial",
-            )
-        queue = WorkQueue.open(outcome.run_dir)
-        missing = queue.pending_units()
-        if missing:
-            return violation(
-                "full-accounting", f"unit(s) {missing} have no done marker"
-            )
-        errors = queue.errors()
-        if errors:
-            return violation(
-                "full-accounting",
-                f"{len(errors)} point evaluation error(s): "
-                f"{errors[0]['error']}",
-            )
-        rerun = run_sharded(
-            points,
-            shards=trial.shards,
-            cache=cache,
-            run_dir=os.path.join(workdir, "rerun"),
-            lease_ttl_s=trial.lease_ttl_s,
-        )
-        if rerun.report.computed != 0:
-            return violation(
-                "durable-resume",
-                f"warm re-run recomputed {rerun.report.computed} point(s)",
-            )
-    except Exception as exc:  # noqa: BLE001 - any escape is the violation
-        return violation("completion", f"{type(exc).__name__}: {exc}")
-    finally:
-        for pid in pids:  # never leak a stopped/stray worker
-            for signum in (signal.SIGCONT, signal.SIGKILL):
-                try:
-                    os.kill(pid, signum)
-                except (ProcessLookupError, PermissionError):
-                    pass
-        shutil.rmtree(workdir, ignore_errors=True)
-    return None
-
-
-# -- storage chaos: tear/fail/crash the worker's filesystem calls ----------
+# -- storage chaos: tear/fail/crash the result cache's filesystem calls ---
 
 #: Grid every IO trial sweeps — the crash harness's tiny grid: four
-#: points in two plan-affinity units, finishing in well under a second.
+#: points, finishing in well under a second.
 _IO_GRID = dict(
     machines=("paragon:4x4",),
     distributions=("E",),
@@ -603,16 +324,15 @@ _IO_GRID = dict(
     seeds=(0,),
 )
 
-#: Fault indices are drawn below this bound — roughly the IO-op count
-#: of one clean drain of the ``_IO_GRID`` queue, so most faults land
-#: inside the run (one past the end is a legal no-op, like a simulated
-#: fault scheduled after the broadcast completes).
-_IO_INDEX_BOUND = 36
+#: Fault indices are drawn below this bound: the counted IO-op count of
+#: one clean cached run of ``_IO_GRID`` (a read per point, then a write
+#: and a replace per stored entry), so every fault lands inside the run.
+_IO_INDEX_BOUND = 12
 
 
 @dataclass(frozen=True)
 class IOTrial:
-    """One storage-chaos trial: a seeded IO-fault plan vs. one worker."""
+    """One storage-chaos trial: a seeded IO-fault plan vs. a cached run."""
 
     index: int
     plan_spec: str
@@ -627,8 +347,8 @@ def generate_io_trial(base_seed: int, index: int) -> IOTrial:
 
     Draws 1–3 faults from the IO grammar (:mod:`repro.reliability`):
     crashes and torn writes dominate (they are the crash-consistency
-    hazards), injected errnos cover the transient table's common cases,
-    and stalls stay at 10 ms so a 25-trial batch finishes in seconds.
+    hazards), injected errnos cover the common resource failures, and
+    stalls stay at 10 ms so a 25-trial batch finishes in seconds.
     """
     rng = random.Random(f"chaos-io#{base_seed}#{index}")
     clauses: List[str] = []
@@ -647,15 +367,15 @@ def generate_io_trial(base_seed: int, index: int) -> IOTrial:
 
 
 def run_io_trial(trial: IOTrial) -> Optional[Violation]:
-    """Drive one worker under an IO-fault plan; check the invariants.
+    """Run the cached sweep under an IO-fault plan; check the invariants.
 
     1. **Recoverability** — after the faulty attempts (crashes and
-       exhausted retries are expected), a clean same-owner worker drains
-       the queue: every unit lands a done marker.
-    2. **Bit-identity** — results collected from the surviving cache
-       equal a serial ``SweepExecutor`` run (corrupt entries are
-       quarantined and recomputed, never served).
-    3. **No residual corruption** — after collection touched every
+       injected errnos are expected to abort them), a clean rerun over
+       the same cache directory completes.
+    2. **Bit-identity** — the clean rerun's results equal a serial
+       ``SweepExecutor`` run (corrupt entries are quarantined and
+       recomputed, never served).
+    3. **No residual corruption** — after the rerun touched every
        point, an offline ``verify_all`` scan finds nothing left to
        quarantine (everything torn was already caught and rewritten).
     """
@@ -665,12 +385,6 @@ def run_io_trial(trial: IOTrial) -> Optional[Violation]:
     from repro.errors import ReproError
     from repro.reliability.iofaults import FaultyIO, SimulatedCrash
     from repro.sweep import ResultCache, SweepExecutor, SweepSpec
-    from repro.sweep.distributed import (
-        WorkQueue,
-        _collect,
-        _plan_units,
-        run_worker,
-    )
 
     def violation(invariant: str, detail: str) -> Violation:
         return Violation(
@@ -679,47 +393,32 @@ def run_io_trial(trial: IOTrial) -> Optional[Violation]:
             detail=detail,
             schedule=trial.plan_spec,
             shrunk_schedule=trial.plan_spec,
-            algorithm="<storage-worker>",
+            algorithm="<result-cache>",
             distribution="-",
         )
 
+    def fingerprints(results) -> List[str]:
+        return [json.dumps(r.to_dict(), sort_keys=True) for r in results]
+
     points = SweepSpec(**_IO_GRID).points()
-    serial = [
-        json.dumps(r.to_dict(), sort_keys=True)
-        for r in SweepExecutor(jobs=1).run(points)
-    ]
+    serial = fingerprints(SweepExecutor(jobs=1).run(points))
     workdir = tempfile.mkdtemp(prefix="repro-chaos-io-")
     try:
-        cache = ResultCache(os.path.join(workdir, "cache"))
-        run_dir = os.path.join(workdir, "run")
-        payloads, units = _plan_units(points, 2)
-        # Generous TTL: recovery is a same-owner restart (which may
-        # always retake its own lease), not an expiry race.
-        WorkQueue.create(
-            run_dir, payloads, units, cache_dir=cache.root, lease_ttl_s=60.0
-        )
         io = FaultyIO(trial.plan_spec)
         # One shared FaultyIO across attempts: its op counter keeps
         # advancing, so each crash in the plan fires at most once and
         # the attempt loop is bounded by the fault count.
         for _ in range(len(io.plan.faults) + 1):
             try:
-                run_worker(run_dir, "chaos-io-worker", io=io)
+                SweepExecutor(jobs=1, cache=ResultCache(workdir, io=io)).run(
+                    points
+                )
                 break
             except (SimulatedCrash, OSError, ReproError):
                 continue
-        # Clean recovery pass: the restarted worker on a healthy disk.
-        run_worker(run_dir, "chaos-io-worker")
-        queue = WorkQueue.open(run_dir)
-        missing = queue.pending_units()
-        if missing:
-            return violation(
-                "recoverability", f"unit(s) {missing} have no done marker"
-            )
-        results, _ = _collect(queue, points, cache, observe=False)
-        collected = [
-            json.dumps(r.to_dict(), sort_keys=True) for r in results
-        ]
+        # Clean recovery pass: the same cache directory on a healthy disk.
+        cache = ResultCache(workdir)
+        collected = fingerprints(SweepExecutor(jobs=1, cache=cache).run(points))
         if collected != serial:
             mismatches = sum(1 for a, b in zip(serial, collected) if a != b)
             return violation(
@@ -731,7 +430,7 @@ def run_io_trial(trial: IOTrial) -> Optional[Violation]:
             return violation(
                 "no-residual-corruption",
                 f"verify_all quarantined {audit.quarantined_now} entr(ies) "
-                "that collection should already have caught",
+                "that the rerun should already have caught",
             )
     except Exception as exc:  # noqa: BLE001 - any escape is the violation
         return violation("recoverability", f"{type(exc).__name__}: {exc}")
@@ -828,17 +527,6 @@ def run_io_trials(
     )
 
 
-def run_orchestrator_trials(
-    trials: int, seed: int, *, only: Optional[int] = None, verbose: bool = True
-) -> ChaosReport:
-    """Seeded batch of orchestrator trials (the ``--orchestrator`` mode)."""
-    return _run_batch(
-        generate_orchestrator_trial,
-        lambda trial, _first: run_orchestrator_trial(trial),
-        trials, seed, only, verbose,
-    )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro chaos",
@@ -872,47 +560,33 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write a JSON report (shrunk schedules included) here",
     )
     parser.add_argument(
-        "--orchestrator",
-        action="store_true",
-        help=(
-            "target the distributed sweep coordinator instead of the "
-            "simulated machine: kill/stall shard workers mid-sweep"
-        ),
-    )
-    parser.add_argument(
         "--io",
         action="store_true",
         help=(
             "target the storage layer instead of the simulated machine: "
-            "tear, fail, stall, and crash the sweep worker's filesystem "
+            "tear, fail, stall, and crash the result cache's filesystem "
             "calls (grammar: torn:write@K, err:ENOSPC@K, crash@K, "
             "stall:read@K+D)"
         ),
     )
     args = parser.parse_args(argv)
 
-    mode = "io" if args.io else "orchestrator" if args.orchestrator else ""
-    flag = f" --{mode}" if mode else ""
+    flag = " --io" if args.io else ""
     pools = ""
-    if not mode:
+    if args.io:
+        print(f"chaos (io): {args.trials} trial(s), seed {args.seed}")
+        report = run_io_trials(args.trials, args.seed, only=args.trial)
+    else:
         # The machine-mode pools shape every trial: a replay needs each
         # one that the batch ran off its default.
         for dest in ("machine", "algorithms", "dists", "L"):
             value = getattr(args, dest)
             if value != parser.get_default(dest):
                 pools += f" --{dest} {shlex.quote(str(value))}"
-    if mode:
-        print(f"chaos ({mode}): {args.trials} trial(s), seed {args.seed}")
-    else:
         print(
             f"chaos: {args.trials} trial(s), seed {args.seed}, "
             f"machine {args.machine}"
         )
-    if args.io:
-        report = run_io_trials(args.trials, args.seed, only=args.trial)
-    elif args.orchestrator:
-        report = run_orchestrator_trials(args.trials, args.seed, only=args.trial)
-    else:
         report = run_trials(
             args.trials,
             args.seed,

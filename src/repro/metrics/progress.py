@@ -1,28 +1,24 @@
 """Progress counters for sweep execution.
 
-A :class:`SweepReport` summarises one (or several, via :meth:`merge`)
-executor batches: how many grid points were requested, how many were
-answered from the on-disk cache versus computed, how long the batch took
-on the wall clock, and how much single-process compute time that wall
-time represents.  The ``speedup`` ratio folds both effects together —
-process fan-out *and* cache hits — which is what ``python -m repro
-report`` prints once per run, for the one batch that evaluates every
-selected experiment's points.
+A :class:`SweepReport` summarises one executor batch: how many grid
+points were requested, how many were answered from the on-disk cache
+versus computed, how long the batch took on the wall clock, and how much
+single-process compute time that wall time represents.  The ``speedup``
+ratio folds both effects together — process fan-out *and* cache hits —
+which is what ``python -m repro report`` prints once per run, for the
+one batch that evaluates every selected experiment's points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable
+from dataclasses import dataclass
 
-from repro.reliability.retry import ReliabilityCounters
-
-__all__ = ["SweepReport", "merge_shard_reports"]
+__all__ = ["SweepReport"]
 
 
 @dataclass
 class SweepReport:
-    """Counters for one sweep batch (or an accumulation of batches).
+    """Counters for one sweep batch.
 
     Attributes
     ----------
@@ -43,13 +39,10 @@ class SweepReport:
         ``cached`` points — the serial time the cache avoided.
     jobs:
         Worker-process count the executor ran with.
-    reliability:
-        :class:`~repro.reliability.retry.ReliabilityCounters` the
-        storage layer accumulated while serving this batch — retries,
-        quarantines, lease steals, fencing rejections, corrupt queue
-        records.  All-zero on a healthy run, and omitted from
-        :meth:`to_dict` in that case so clean-run report bytes are
-        unchanged from earlier formats.
+    quarantines:
+        Defective cache entries the result cache moved to quarantine
+        (and the executor recomputed) while serving this batch.  Zero
+        on a healthy run, and then :meth:`summary` says nothing of it.
     """
 
     total: int = 0
@@ -59,7 +52,7 @@ class SweepReport:
     busy_s: float = 0.0
     saved_s: float = 0.0
     jobs: int = 1
-    reliability: ReliabilityCounters = field(default_factory=ReliabilityCounters)
+    quarantines: int = 0
 
     @property
     def serial_estimate_s(self) -> float:
@@ -73,72 +66,6 @@ class SweepReport:
             return 1.0
         return self.serial_estimate_s / self.wall_s
 
-    def merge(self, other: "SweepReport") -> None:
-        """Fold another report's counters into this one."""
-        self.total += other.total
-        self.cached += other.cached
-        self.computed += other.computed
-        self.wall_s += other.wall_s
-        self.busy_s += other.busy_s
-        self.saved_s += other.saved_s
-        self.jobs = max(self.jobs, other.jobs)
-        self.reliability.merge(other.reliability)
-
-    def merge_concurrent(self, other: "SweepReport") -> None:
-        """Fold in a report from a shard that ran *concurrently*.
-
-        Unlike :meth:`merge` (sequential batches: wall times add), shards
-        overlap on the wall clock, so their wall times take the max and
-        their worker counts add — ``busy_s``/``saved_s`` still sum, which
-        keeps :attr:`speedup` honest about the fan-out win.
-        """
-        self.total += other.total
-        self.cached += other.cached
-        self.computed += other.computed
-        self.wall_s = max(self.wall_s, other.wall_s)
-        self.busy_s += other.busy_s
-        self.saved_s += other.saved_s
-        self.jobs += other.jobs
-        self.reliability.merge(other.reliability)
-
-    # -- serialization (shard done-markers and worker hand-off) ----------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-JSON form, for lease done-markers and shard reports.
-
-        The ``reliability`` key appears only when one of its counters is
-        nonzero: a clean run's report dict (and its JSON bytes) is
-        identical to the pre-reliability format, which keeps golden
-        fixtures and byte-identity checks stable.
-        """
-        data: Dict[str, Any] = {
-            "total": self.total,
-            "cached": self.cached,
-            "computed": self.computed,
-            "wall_s": self.wall_s,
-            "busy_s": self.busy_s,
-            "saved_s": self.saved_s,
-            "jobs": self.jobs,
-        }
-        if self.reliability.any():
-            data["reliability"] = self.reliability.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SweepReport":
-        """Inverse of :meth:`to_dict` (tolerates missing counters)."""
-        return cls(
-            total=int(data.get("total", 0)),
-            cached=int(data.get("cached", 0)),
-            computed=int(data.get("computed", 0)),
-            wall_s=float(data.get("wall_s", 0.0)),
-            busy_s=float(data.get("busy_s", 0.0)),
-            saved_s=float(data.get("saved_s", 0.0)),
-            jobs=int(data.get("jobs", 1)),
-            reliability=ReliabilityCounters.from_dict(
-                data.get("reliability", {})
-            ),
-        )
-
     def summary(self) -> str:
         """One-line progress rendering for CLI output."""
         line = (
@@ -147,21 +74,6 @@ class SweepReport:
             f"in {self.wall_s:.2f}s "
             f"[jobs={self.jobs}, ~{self.speedup:.1f}x vs cold serial]"
         )
-        if self.reliability.any():
-            line += f" (reliability: {self.reliability.summary()})"
+        if self.quarantines:
+            line += f" (reliability: quarantines={self.quarantines})"
         return line
-
-
-def merge_shard_reports(reports: Iterable[SweepReport]) -> SweepReport:
-    """Cross-shard roll-up of per-worker :class:`SweepReport`\\ s.
-
-    Shards of a distributed sweep run concurrently against one shared
-    cache, so the merged wall time is the slowest shard's (the makespan)
-    while point counters and compute seconds sum across shards.
-    """
-    merged = SweepReport(jobs=0)
-    for report in reports:
-        merged.merge_concurrent(report)
-    if merged.jobs == 0:
-        merged.jobs = 1
-    return merged

@@ -301,61 +301,6 @@ def _bench_fastpath_sweep(repeats: int) -> BenchResult:
     )
 
 
-def _bench_distributed_shards(repeats: int) -> BenchResult:
-    """Warm-cache shard throughput: 2-shard sweep over a cached 8×8 grid.
-
-    The cache is pre-warmed serially, so the timed body measures pure
-    coordination overhead — run-dir setup, lease claims/releases, done
-    markers, report merging — with zero simulation work.  This is the
-    floor a sharded run pays over ``SweepExecutor`` on an all-hit grid;
-    the serial warm replay in ``extra`` prices the same grid without
-    the queue, and their ratio is the coordination tax.
-    """
-    import shutil
-    import tempfile
-
-    from repro.sweep import ResultCache, SweepExecutor, SweepSpec
-    from repro.sweep.distributed import run_sharded
-
-    points = SweepSpec(
-        machines=("paragon:8x8",),
-        distributions=("E", "R"),
-        s_values=(4, 16),
-        message_sizes=(1024,),
-        algorithms=("Br_Lin", "Br_xy_source", "2-Step", "PersAlltoAll"),
-        seeds=(0,),
-    ).points()
-    workdir = tempfile.mkdtemp(prefix="repro-perf-shards-")
-    try:
-        cache = ResultCache(workdir)
-        SweepExecutor(jobs=1, cache=cache).run(points)  # pre-warm
-
-        def sharded_run() -> None:
-            run_sharded(points, shards=2, cache=cache)
-
-        timing = bench(sharded_run, repeats=repeats, warmup=1)
-        serial_timing = bench(
-            lambda: SweepExecutor(jobs=1, cache=cache).run(points),
-            repeats=2,
-            warmup=1,
-        )
-        return BenchResult(
-            name="distributed/warm-shard-throughput/paragon:8x8",
-            wall_s=timing.best_s,
-            mean_s=timing.mean_s,
-            repeats=timing.repeats,
-            extra={
-                "points": len(points),
-                "shards": 2,
-                "points_per_s": len(points) / timing.best_s,
-                "serial_warm_s": serial_timing.best_s,
-                "coordination_tax": timing.best_s / serial_timing.best_s,
-            },
-        )
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
-
 # -- suite definition ------------------------------------------------------
 
 _POINT_ALGOS = ("PersAlltoAll", "Br_xy_source", "MPI_AllGather")
@@ -413,10 +358,6 @@ def _definitions(quick: bool) -> List[Tuple[str, Callable[[], BenchResult]]]:
         defs.append(
             ("fastpath/fig3-sweep/paragon:10x10",
              lambda: _bench_fastpath_sweep(3))
-        )
-        defs.append(
-            ("distributed/warm-shard-throughput/paragon:8x8",
-             lambda: _bench_distributed_shards(3))
         )
     return defs
 

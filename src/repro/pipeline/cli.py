@@ -7,22 +7,20 @@ Examples::
     python -m repro report fig3 fig13     # two experiments (full grids)
     python -m repro report all --quick    # smoke grids, same pages
     python -m repro report --quick --observe fig3  # + trace roll-up
-    python -m repro report all --shards 4 # evaluate over 4 run_sharded workers
+    python -m repro report all --jobs 4   # evaluate over 4 worker processes
     python -m repro report docs           # regenerate EXPERIMENTS.md/RESULTS.txt
     python -m repro report docs --check   # CI: fail if committed docs drift
 
 Every experiment is described by one ``configs/*.toml`` file.  The
 command plans every selected one, evaluates all their sweep points in
-one call to the executor the flags pick — a
-:class:`~repro.sweep.executor.SweepExecutor`, or
-:func:`~repro.sweep.distributed.run_sharded` for ``--shards`` — and
-prints each experiment's text report (tables, shape-check verdicts,
-notes; ``--observe`` adds its roll-up), then one progress line saying
-how many points the cache served and how many were computed, and
-writes one HTML page per experiment plus an index.  Each page's link
-heatmap is kept beside its point in the same cache, so with a warm
-cache ``report all`` re-renders the whole paper in seconds without
-simulating anything.
+one :class:`~repro.sweep.executor.SweepExecutor` call (``--jobs`` sizes
+its process pool) and prints each experiment's text report (tables,
+shape-check verdicts, notes; ``--observe`` adds its roll-up), then one
+progress line saying how many points the cache served and how many
+were computed, and writes one HTML page per experiment plus an index.
+Each page's link heatmap is kept beside its point in the same cache, so
+with a warm cache ``report all`` re-renders the whole paper in seconds
+without simulating anything.
 """
 
 from __future__ import annotations
@@ -71,33 +69,17 @@ def build_executor(
     )
 
 
-def _evaluate(points, args):
-    """``(results, observations, report)`` of the executor the flags pick."""
-    if args.shards is not None:
-        from repro.sweep.distributed import run_sharded
-
-        run = run_sharded(
-            points, shards=args.shards,
-            cache=_report_cache(args.cache_dir, args.no_cache),
-            engine=args.engine, observe=args.observe,
-        )
-        return run.results, run.observations, run.report
-    executor = build_executor(
-        args.jobs, args.cache_dir, args.no_cache,
-        observe=args.observe, engine=args.engine,
-    )
-    results = executor.run(points)
-    return results, executor.last_observations, executor.last_report
-
-
 def _run_all(
     configs: List[ExperimentConfig], args
 ) -> List[Tuple[ExperimentConfig, FigureResult]]:
     """Plan every config, evaluate all their points at once, print each."""
     plans = [plan_experiment(config, quick=args.quick) for config in configs]
-    results, observations, report = _evaluate(
-        [point for plan in plans for point in plan.points], args
+    executor = build_executor(
+        args.jobs, args.cache_dir, args.no_cache,
+        observe=args.observe, engine=args.engine,
     )
+    results = executor.run([point for plan in plans for point in plan.points])
+    observations, report = executor.last_observations, executor.last_report
     entries = []
     start = 0
     for config, plan in zip(configs, plans):
@@ -211,13 +193,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="simulation engine for computed points (default: %(default)s)",
     )
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help=(
-            "evaluate the grid points over N run_sharded workers that "
-            "share the --cache-dir cache (instead of --jobs)"
-        ),
-    )
-    parser.add_argument(
         "--out", default="reports/html",
         help="directory for the HTML pages (default: %(default)s)",
     )
@@ -267,15 +242,6 @@ def _dispatch(args) -> int:
             print(f"  {config.id:24s} {config.title}: {config.description}")
         print("meta-targets: all, docs")
         return 0
-    if args.shards is not None:
-        if args.no_cache:
-            print("error: --shards needs the cache (drop --no-cache)",
-                  file=sys.stderr)
-            return 2
-        if args.jobs is not None:
-            print("error: --shards and --jobs each pick the executor; "
-                  "pass one of them", file=sys.stderr)
-            return 2
     if names == ["docs"]:
         return _docs(selected, args, config_dir.parent)
 

@@ -1,34 +1,29 @@
-"""Storage reliability layer for the sweep's control and data planes.
+"""Storage reliability layer for the sweep's result cache.
 
-The distributed sweep (:mod:`repro.sweep.distributed`) trusts exactly
-two things: the content-addressed result cache (data plane) and the
-on-disk lease queue (control plane).  Both live on real filesystems,
-where writes tear, disks fill, processes die mid-``rename``, and a
-SIGSTOPped worker can wake up long after the world moved on.  This
-package makes those hazards first-class, testable inputs — the same
-move :mod:`repro.faults` made for the *simulated* fabric:
+Every point a cached sweep computes lands in the content-addressed
+result cache (:class:`~repro.sweep.cache.ResultCache`), which
+concurrent ``report``/``sweep`` runs share.  It lives on real
+filesystems, where writes tear, disks fill and processes die
+mid-``rename``.  This package makes those hazards first-class, testable
+inputs — the same move :mod:`repro.faults` made for the *simulated*
+fabric:
 
 * :mod:`repro.reliability.iofaults` — an injectable IO backend.  Every
-  filesystem call :class:`~repro.sweep.cache.ResultCache` and
-  :class:`~repro.sweep.distributed.WorkQueue` make routes through an
-  :class:`IOBackend`; the default is a thin passthrough, and
+  filesystem call :class:`~repro.sweep.cache.ResultCache` makes routes
+  through an :class:`IOBackend`; the default is a thin passthrough, and
   :class:`FaultyIO` applies a seeded :class:`IOFaultPlan` (grammar
   ``torn:write@K`` / ``err:ENOSPC@K`` / ``crash@K`` /
   ``stall:read@K+D``, mirroring the simulator's fault specs).
 * :mod:`repro.reliability.envelope` — self-verifying storage: the
   versioned ``repro-cache/2`` entry envelope with an embedded sha256,
   verified on every read; legacy v1 entries stay readable.
-* :mod:`repro.reliability.retry` — transient / fatal / poison error
-  classification and bounded, deterministically-jittered exponential
-  backoff, plus the :class:`ReliabilityCounters` rolled into
-  :class:`~repro.metrics.progress.SweepReport`.
 * :mod:`repro.reliability.harness` — the crash-consistency harness:
-  replay a worker's store/claim/renew/release sequence with a crash
-  injected at *every* IO-op index and assert the cache never serves
-  unverified bytes, the queue always recovers, and the resumed sweep
-  is bit-identical to serial.
+  replay a cached ``SweepExecutor`` run with a crash injected at
+  *every* IO-op index and assert the cache never serves unverified
+  bytes, a rerun recomputes exactly what the crash lost, and the
+  recovered sweep is bit-identical to serial.
 
-Layering: the three library modules sit below :mod:`repro.sweep` (which
+Layering: the two library modules sit below :mod:`repro.sweep` (which
 consumes them) and import only :mod:`repro.errors`; the harness is the
 deliberate exception — it is a test driver that exercises
 :mod:`repro.sweep` end-to-end, and is therefore not re-exported here.
@@ -50,16 +45,8 @@ from repro.reliability.iofaults import (
     IOFaultPlan,
     SimulatedCrash,
 )
-from repro.reliability.retry import (
-    DEFAULT_RETRY,
-    ReliabilityCounters,
-    RetryPolicy,
-    classify_error,
-    with_backoff,
-)
 
 __all__ = [
-    "DEFAULT_RETRY",
     "ENTRY_SCHEMA_V2",
     "EnvelopeError",
     "FaultyIO",
@@ -67,11 +54,7 @@ __all__ = [
     "IOFault",
     "IOFaultPlan",
     "RAW_IO",
-    "ReliabilityCounters",
-    "RetryPolicy",
     "SimulatedCrash",
-    "classify_error",
     "open_envelope",
     "seal_envelope",
-    "with_backoff",
 ]

@@ -1,17 +1,17 @@
-"""Crash-consistency harness: kill the storage protocol at every IO op.
+"""Crash-consistency harness: kill a cached sweep at every IO op.
 
 The chaos harness (:mod:`repro.faults.chaos` ``--io``) samples random
 fault plans; this module is the *exhaustive* counterpart for the one
 hazard sampling cannot be trusted with — process death.  It drives a
-worker over a tiny, deterministic sweep twice:
+``SweepExecutor(jobs=1)`` run of a tiny, deterministic grid over a
+fresh :class:`~repro.sweep.cache.ResultCache` twice:
 
-1. **Probe pass** — a clean drain through a counting
+1. **Probe pass** — a clean run through a counting
    :class:`~repro.reliability.iofaults.FaultyIO` (empty plan) learns
-   the run's IO-op sequence: N counted operations (reads, writes,
-   replaces, exclusive creates, unlinks) with stable kinds and order
-   (the grid is fixed, the lease TTL is far above the run's duration so
-   no time-dependent renew/GC ops occur, and misses/stores happen in
-   manifest order).
+   the run's IO-op sequence: N counted operations with stable kinds and
+   order (the grid is fixed, the cache starts empty, and misses/stores
+   happen in point order): one read per point, then a write and a
+   replace per stored entry.
 2. **Crash sweep** — for *every* index K in ``0..N-1``, a fresh run is
    killed at exactly op K (``crash@K`` raises
    :class:`~repro.reliability.iofaults.SimulatedCrash`, a
@@ -20,18 +20,17 @@ worker over a tiny, deterministic sweep twice:
 
    * **verified-or-quarantined** — an offline
      :meth:`~repro.sweep.cache.ResultCache.verify_all` scan of the
-     half-written cache finds every surviving entry verifiable; what
-     does not verify is quarantined, never served.
-   * **recoverable** — a restarted same-owner worker on a healthy
-     filesystem drains the queue: every unit lands a done marker.
-   * **bit-identical** — results collected from the recovered cache
-     equal a serial ``SweepExecutor(jobs=1)`` run, byte for byte.
+     half-written cache finds every surviving entry verifiable: a crash
+     can strand a temp file, never publish a torn entry.
+   * **recoverable** — a rerun on a healthy filesystem computes exactly
+     the points whose entry ``replace`` had not landed before op K and
+     serves the rest from the cache, and a second rerun computes none.
+   * **bit-identical** — the recovered results equal a serial
+     ``SweepExecutor(jobs=1)`` run without a cache, byte for byte.
 
 Because the op sequence is deterministic, covering ``0..N-1`` covers
-every crash point the protocol can experience on this workload — the
-claim/renew/release and temp-write/replace orderings are each caught
-mid-flight at least once (including the torn moment between a done
-marker landing and its lease unlinking).
+every crash point the cache can experience on this workload — each
+temp-write/replace pair is caught on both sides of its replace.
 
 Run it via the test suite (``tests/test_reliability_harness.py``, the
 ``storage-chaos`` CI job) or directly::
@@ -42,18 +41,17 @@ Run it via the test suite (``tests/test_reliability_harness.py``, the
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.reliability.iofaults import FaultyIO, SimulatedCrash
+from repro.reliability.iofaults import RAW_IO, FaultyIO, IOBackend, SimulatedCrash
 
 __all__ = ["CrashConsistencyReport", "run_crash_consistency", "main"]
 
-#: The harness grid: four points in two plan-affinity units — the same
-#: tiny workload the ``--io`` chaos mode samples against.
+#: The harness grid: four points — the same tiny workload the ``--io``
+#: chaos mode samples against.
 HARNESS_GRID = dict(
     machines=("paragon:4x4",),
     distributions=("E",),
@@ -63,21 +61,17 @@ HARNESS_GRID = dict(
     seeds=(0,),
 )
 
-#: Lease TTL far above the harness run's duration: no half-TTL renew
-#: ever fires, keeping the probe's op sequence time-independent, and
-#: recovery goes through the same-owner restart path rather than an
-#: expiry race.
-HARNESS_LEASE_TTL_S = 600.0
-
 
 @dataclass
 class CrashConsistencyReport:
     """Outcome of one exhaustive crash sweep."""
 
-    #: Counted IO ops in a clean drain (the number of crash points).
+    #: Counted IO ops in a clean run (the number of crash points).
     ops: int = 0
     #: Crash indices actually exercised.
     checked: int = 0
+    #: Points the recovery run computed, per exercised crash index.
+    recomputed: List[int] = field(default_factory=list)
     #: ``(crash_index, invariant, detail)`` per failed crash point.
     violations: List[Tuple[int, str, str]] = field(default_factory=list)
 
@@ -93,31 +87,14 @@ class CrashConsistencyReport:
         )
 
 
-def _serial_fingerprints(points) -> List[str]:
-    from repro.sweep import SweepExecutor
+def _cached_run(root: str, points, io: IOBackend = RAW_IO):
+    """``(fingerprints, report)`` of one serial run over the cache at ``root``."""
+    from repro.sweep import ResultCache, SweepExecutor
 
-    return [
-        json.dumps(r.to_dict(), sort_keys=True)
-        for r in SweepExecutor(jobs=1).run(points)
-    ]
-
-
-def _fresh_run(workdir: str, points):
-    """A new (cache, run_dir) pair with a freshly cut queue."""
-    from repro.sweep import ResultCache
-    from repro.sweep.distributed import WorkQueue, _plan_units
-
-    cache = ResultCache(os.path.join(workdir, "cache"))
-    run_dir = os.path.join(workdir, "run")
-    payloads, units = _plan_units(points, 2)
-    WorkQueue.create(
-        run_dir,
-        payloads,
-        units,
-        cache_dir=cache.root,
-        lease_ttl_s=HARNESS_LEASE_TTL_S,
-    )
-    return cache, run_dir
+    executor = SweepExecutor(jobs=1, cache=ResultCache(root, io=io))
+    results = executor.run(points)
+    fingerprints = [json.dumps(r.to_dict(), sort_keys=True) for r in results]
+    return fingerprints, executor.last_report
 
 
 def run_crash_consistency(
@@ -125,42 +102,43 @@ def run_crash_consistency(
     max_ops: Optional[int] = None,
     verbose: bool = False,
 ) -> CrashConsistencyReport:
-    """Crash a sweep worker at every IO-op index; check the invariants.
+    """Crash a cached sweep at every IO-op index; check the invariants.
 
     ``max_ops`` truncates the sweep (for quick smoke runs); the full
-    sweep covers every counted operation of a clean drain.  Returns a
+    sweep covers every counted operation of a clean run.  Returns a
     :class:`CrashConsistencyReport`; an empty ``violations`` list means
-    the storage protocol survived death at every point.
+    the cache survived death at every point.
     """
-    from repro.sweep import SweepSpec
-    from repro.sweep.distributed import WorkQueue, _collect, run_worker
+    from repro.sweep import SweepExecutor, SweepSpec
 
     points = SweepSpec(**HARNESS_GRID).points()
-    serial = _serial_fingerprints(points)
+    serial = [
+        json.dumps(r.to_dict(), sort_keys=True)
+        for r in SweepExecutor(jobs=1).run(points)
+    ]
     report = CrashConsistencyReport()
 
-    # Probe pass: learn the clean run's op count (and sanity-check the
-    # workload itself before trusting any crash-point verdicts).
+    # Probe pass: learn the clean run's op sequence (and sanity-check
+    # the workload itself before trusting any crash-point verdicts).
     workdir = tempfile.mkdtemp(prefix="repro-crash-probe-")
     try:
-        cache, run_dir = _fresh_run(workdir, points)
         probe_io = FaultyIO()
-        run_worker(run_dir, "crash-worker", io=probe_io)
-        queue = WorkQueue.open(run_dir)
-        results, _ = _collect(queue, points, cache, observe=False)
-        probe = [json.dumps(r.to_dict(), sort_keys=True) for r in results]
+        probe, _ = _cached_run(workdir, points, probe_io)
         if probe != serial:
             report.violations.append(
-                (-1, "probe", "clean probe drain differs from serial")
+                (-1, "probe", "clean probe run differs from serial")
             )
             return report
         report.ops = probe_io.ops
+        replaces = [i for i, kind, _ in probe_io.trace if kind == "replace"]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
     indices = range(report.ops if max_ops is None else min(report.ops, max_ops))
     for crash_at in indices:
-        failure = _check_crash_point(crash_at, points, serial)
+        # Entries whose replace ran before the crash are durable.
+        lost = len(points) - sum(1 for i in replaces if i < crash_at)
+        failure = _check_crash_point(crash_at, points, serial, lost, report)
         report.checked += 1
         if verbose:
             status = "FAIL" if failure else "ok"
@@ -171,44 +149,52 @@ def run_crash_consistency(
 
 
 def _check_crash_point(
-    crash_at: int, points, serial: List[str]
+    crash_at: int,
+    points,
+    serial: List[str],
+    lost: int,
+    report: CrashConsistencyReport,
 ) -> Optional[Tuple[str, str]]:
     """Kill one run at op ``crash_at``; return ``(invariant, detail)`` on
-    a breach, ``None`` when the protocol recovered cleanly."""
-    from repro.sweep.distributed import WorkQueue, _collect, run_worker
+    a breach, ``None`` when the cache recovered cleanly.
+
+    ``lost`` is the number of points whose entry had not landed before
+    the crash: exactly what the recovery run must compute.
+    """
+    from repro.sweep import ResultCache
 
     workdir = tempfile.mkdtemp(prefix=f"repro-crash-{crash_at}-")
     try:
-        cache, run_dir = _fresh_run(workdir, points)
-        died = False
         try:
-            run_worker(run_dir, "crash-worker", io=FaultyIO(f"crash@{crash_at}"))
+            _cached_run(workdir, points, FaultyIO(f"crash@{crash_at}"))
         except SimulatedCrash:
-            died = True
-        if not died:
-            # The op count shrank below the probe's — itself suspicious,
-            # but crash@K past the end is defined as a no-op, so only
-            # the invariants below decide pass/fail.
             pass
 
-        # Invariant 1: the wreckage serves nothing unverified — every
-        # surviving entry verifies or gets quarantined right here.
-        cache.verify_all()
+        # Invariant 1: the wreckage holds nothing unverified.
+        audit = ResultCache(workdir).verify_all()
+        if audit.quarantined_now:
+            return (
+                "verified-or-quarantined",
+                f"{audit.quarantined_now} torn entr(ies) after the crash",
+            )
 
-        # Invariant 2: a same-owner restart on a healthy disk drains
-        # the queue (its own stale lease is retaken, not waited out).
-        run_worker(run_dir, "crash-worker")
-        queue = WorkQueue.open(run_dir)
-        missing = queue.pending_units()
-        if missing:
+        # Invariant 2: a rerun recomputes exactly what the crash lost,
+        # and after it every point is durable.
+        recovered, rerun = _cached_run(workdir, points)
+        report.recomputed.append(rerun.computed)
+        if rerun.computed != lost:
             return (
                 "recoverable",
-                f"unit(s) {missing} have no done marker after recovery",
+                f"rerun computed {rerun.computed} point(s), expected {lost}",
+            )
+        _, warm = _cached_run(workdir, points)
+        if warm.computed:
+            return (
+                "recoverable",
+                f"second rerun computed {warm.computed} point(s)",
             )
 
         # Invariant 3: the recovered sweep is bit-identical to serial.
-        results, _ = _collect(queue, points, cache, observe=False)
-        recovered = [json.dumps(r.to_dict(), sort_keys=True) for r in results]
         if recovered != serial:
             mismatches = sum(1 for a, b in zip(serial, recovered) if a != b)
             return (

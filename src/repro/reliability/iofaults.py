@@ -1,8 +1,7 @@
 """Injectable IO backend with a seeded fault grammar.
 
-Every filesystem call the sweep's storage layers make —
-:class:`~repro.sweep.cache.ResultCache` and
-:class:`~repro.sweep.distributed.WorkQueue` — routes through an
+Every filesystem call the sweep's result cache
+(:class:`~repro.sweep.cache.ResultCache`) makes routes through an
 :class:`IOBackend`.  The default backend (:data:`RAW_IO`) is a thin
 passthrough to :mod:`os` / :mod:`pathlib`; :class:`FaultyIO` counts
 operations and applies an :class:`IOFaultPlan` against the counter, so
@@ -19,12 +18,12 @@ spelling, addressable from a seed::
     err       := "err:" ERRNO "@" INDEX     (e.g. err:ENOSPC@5, raises OSError)
     crash     := "crash@" INDEX             (raises SimulatedCrash, a
                                              BaseException — pierces the
-                                             worker's error handling the way
+                                             run's error handling the way
                                              SIGKILL would)
     stall     := "stall:" OP "@" INDEX "+" SECONDS   (OP = read | write)
 
 ``INDEX`` counts the backend's *counted* operations (reads, writes,
-replaces, exclusive creates, unlinks) from 0.  A fault whose index is
+replaces, unlinks) from 0.  A fault whose index is
 never reached is a no-op, exactly like a simulated fault scheduled
 after the run ends.
 """
@@ -53,19 +52,19 @@ __all__ = [
 ]
 
 #: Operation kinds that advance the fault-plan index.  Metadata-only
-#: calls (mkdir, stat, exists) are not counted: a crash between a mkdir
-#: and the following write is indistinguishable from a crash at the
-#: write, so counting them would only inflate the harness's sweep.
-COUNTED_OPS = ("read", "write", "replace", "create", "unlink")
+#: calls (mkdir, stat) are not counted: a crash between a mkdir and the
+#: following write is indistinguishable from a crash at the write, so
+#: counting them would only inflate the harness's sweep.
+COUNTED_OPS = ("read", "write", "replace", "unlink")
 
 
 class SimulatedCrash(BaseException):
     """The process "dies" at an injected ``crash@K`` point.
 
     Derives from :class:`BaseException` (not :class:`Exception`) so it
-    pierces the worker's point-evaluation ``except Exception`` handling
-    exactly the way SIGKILL would — no code path can accidentally
-    swallow a crash and keep going.
+    pierces any ``except Exception`` handling exactly the way SIGKILL
+    would — no code path can accidentally swallow a crash and keep
+    going.
     """
 
 
@@ -213,12 +212,6 @@ class IOBackend:
         """Atomic rename, replacing ``dst``."""
         os.replace(src, dst)
 
-    def create_excl(self, path: Union[str, pathlib.Path], text: str) -> None:
-        """Exclusive create-and-write (``FileExistsError`` when present)."""
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-
     def unlink(self, path: Union[str, pathlib.Path]) -> None:
         """Delete a file (``FileNotFoundError`` on a missing one)."""
         pathlib.Path(path).unlink()
@@ -226,10 +219,6 @@ class IOBackend:
     def mkdir(self, path: Union[str, pathlib.Path]) -> None:
         """Create a directory tree (idempotent); not a counted op."""
         pathlib.Path(path).mkdir(parents=True, exist_ok=True)
-
-    def exists(self, path: Union[str, pathlib.Path]) -> bool:
-        """Existence probe; not a counted op."""
-        return pathlib.Path(path).exists()
 
 
 #: The shared passthrough backend production code defaults to.
@@ -249,9 +238,8 @@ class FaultyIO(IOBackend):
 
     * ``torn:write@K`` — the write *appears to succeed* but persists
       only the first half of the bytes (a torn page / partial flush).
-      Applies to plain writes and exclusive creates alike — both
-      persist caller bytes.  The atomic-replace discipline then
-      publishes a corrupt file, which verify-on-read must catch.
+      The atomic-replace discipline then publishes a corrupt file,
+      which verify-on-read must catch.
     * ``err:ERRNO@K`` — the op raises ``OSError(ERRNO)`` before
       touching the filesystem (ENOSPC, EIO, ...).
     * ``crash@K`` — raises :class:`SimulatedCrash` before the op runs:
@@ -300,7 +288,7 @@ class FaultyIO(IOBackend):
                 )
             if fault.kind == "stall" and fault.op == kind:
                 self._sleep(fault.duration_s)
-            if fault.kind == "torn" and kind in ("write", "create"):
+            if fault.kind == "torn" and kind == "write":
                 modifiers.append(fault)
         return modifiers
 
@@ -321,13 +309,6 @@ class FaultyIO(IOBackend):
     ) -> None:
         self._step("replace", dst)
         super().replace(src, dst)
-
-    def create_excl(self, path: Union[str, pathlib.Path], text: str) -> None:
-        modifiers = self._step("create", path)
-        if any(f.kind == "torn" for f in modifiers):
-            data = text.encode("utf-8")
-            text = data[: len(data) // 2].decode("utf-8", errors="ignore")
-        super().create_excl(path, text)
 
     def unlink(self, path: Union[str, pathlib.Path]) -> None:
         self._step("unlink", path)

@@ -28,12 +28,13 @@ entry served as truth.
 Every filesystem call routes through an injectable
 :class:`~repro.reliability.iofaults.IOBackend`, so tests and the
 crash-consistency harness can make exactly the K-th operation tear,
-fail, or kill the process.  What the cache survives is accounted in
-:class:`~repro.reliability.retry.ReliabilityCounters`.
+fail, or kill the process.  Each quarantine is counted in
+:attr:`ResultCache.quarantines`.
 
-The cache directory may be **shared across processes and hosts** (the
-distributed sweep's only coordination channel, see
-:mod:`repro.sweep.distributed`), so temp names carry host + pid + a
+The cache directory is **shared across processes**: every concurrent
+``report`` or ``sweep`` run pointed at the same ``--cache-dir`` (by
+default ``~/.cache/repro/sweep``) reads and writes the same entries.
+Temp names therefore carry host + pid + a
 per-process counter — pid-only suffixes collide between hosts sharing
 one directory over a network filesystem — and stale temp files left by
 crashed writers are garbage-collected opportunistically on the next
@@ -50,14 +51,11 @@ import re
 import shutil
 import socket
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.errors import ConfigurationError
 from repro.reliability.envelope import EnvelopeError, open_envelope, seal_envelope
 from repro.reliability.iofaults import RAW_IO, IOBackend
-from repro.reliability.retry import ReliabilityCounters
 from repro.sweep.spec import SweepPoint
 
 __all__ = [
@@ -67,8 +65,6 @@ __all__ = [
     "ResultCache",
     "SIBLINGS",
     "TMP_MAX_AGE_S",
-    "TMP_TTL_ENV_VAR",
-    "resolve_tmp_ttl",
 ]
 
 #: Default cache location for the CLIs (overridable via ``--cache-dir``).
@@ -79,9 +75,6 @@ DEFAULT_CACHE_DIR = pathlib.Path("~/.cache/repro/sweep")
 #: healthy writer holds a temp file for milliseconds; ten minutes leaves
 #: generous headroom for a paused process on a loaded host.
 TMP_MAX_AGE_S = 600.0
-
-#: Environment override for the stale-temp threshold (seconds).
-TMP_TTL_ENV_VAR = "REPRO_CACHE_TMP_TTL_S"
 
 #: Subdirectory quarantined defects move to.  Deliberately longer than
 #: the two-hex shard names, so ``??/*.json`` globs never see it.
@@ -112,54 +105,6 @@ _REQUIRED_RESULT_FIELDS = (
     "link_utilization",
     "metrics",
 )
-
-
-def resolve_tmp_ttl(tmp_ttl_s: Optional[float] = None) -> float:
-    """Effective stale-temp threshold: argument > env var > 600 s.
-
-    Validation mirrors :func:`~repro.sweep.executor.resolve_jobs`: an
-    unusable *explicit* argument (negative, NaN) raises
-    :class:`~repro.errors.ConfigurationError` — the caller asked for an
-    impossible threshold and clamping would hide the bug.  An unusable
-    ``$REPRO_CACHE_TMP_TTL_S`` falls back to the default — but loudly,
-    with a :class:`RuntimeWarning` naming the bad value, so a typo'd
-    shell profile does not silently make every worker reap its
-    neighbours' live temp files (``TTL=0``) or never reap at all.
-    Zero is a legal explicit value (reap everything now, the
-    :meth:`ResultCache.clear` semantics) but rejected from the
-    environment, where it is far more likely a mangled export than a
-    deliberate choice.
-    """
-    if tmp_ttl_s is not None:
-        tmp_ttl_s = float(tmp_ttl_s)
-        if not tmp_ttl_s >= 0.0:  # catches NaN too
-            raise ConfigurationError(
-                f"tmp_ttl_s must be >= 0, got {tmp_ttl_s}; pass "
-                f"tmp_ttl_s=None to defer to ${TMP_TTL_ENV_VAR}"
-            )
-        return tmp_ttl_s
-    raw = os.environ.get(TMP_TTL_ENV_VAR, "")
-    if not raw:
-        return TMP_MAX_AGE_S
-    try:
-        value = float(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring {TMP_TTL_ENV_VAR}={raw!r}: not a number; using "
-            f"the default ({TMP_MAX_AGE_S:g}s)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return TMP_MAX_AGE_S
-    if not value > 0.0:
-        warnings.warn(
-            f"ignoring {TMP_TTL_ENV_VAR}={raw!r}: threshold must be "
-            f"> 0; using the default ({TMP_MAX_AGE_S:g}s)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return TMP_MAX_AGE_S
-    return value
 
 
 @dataclass
@@ -193,13 +138,12 @@ class ResultCache:
     io:
         Filesystem backend; tests inject
         :class:`~repro.reliability.iofaults.FaultyIO` here.
-    tmp_ttl_s:
-        Stale-temp threshold override; ``None`` defers to
-        ``$REPRO_CACHE_TMP_TTL_S`` then :data:`TMP_MAX_AGE_S`
-        (see :func:`resolve_tmp_ttl`).
-    counters:
-        Shared :class:`~repro.reliability.retry.ReliabilityCounters` to
-        account quarantines into; a private instance when omitted.
+
+    Attributes
+    ----------
+    quarantines:
+        Defects this instance has moved to the quarantine directory
+        (one per quarantined key, each with a reason record).
     """
 
     def __init__(
@@ -207,13 +151,10 @@ class ResultCache:
         root: Union[str, pathlib.Path],
         *,
         io: IOBackend = RAW_IO,
-        tmp_ttl_s: Optional[float] = None,
-        counters: Optional[ReliabilityCounters] = None,
     ) -> None:
         self.root = pathlib.Path(root).expanduser()
         self.io = io
-        self.tmp_ttl_s = resolve_tmp_ttl(tmp_ttl_s)
-        self.counters = counters if counters is not None else ReliabilityCounters()
+        self.quarantines = 0
 
     def path_for(self, key: str) -> pathlib.Path:
         """Entry path for a content hash."""
@@ -372,7 +313,7 @@ class ResultCache:
                 pass  # missing sibling, or the move itself failed
         if not moved:
             return
-        self.counters.quarantines += 1
+        self.quarantines += 1
         record = {
             "key": key,
             "reason": reason,
@@ -398,13 +339,12 @@ class ResultCache:
         A writer that dies between creating its temp file and the atomic
         replace leaks ``<key>.json.<host>.<pid>.<n>.tmp`` forever.  Every
         write sweeps its own shard directory (cheap: shard dirs are
-        256-way), deleting temp files older than ``max_age_s`` (default:
-        this cache's resolved ``tmp_ttl_s``) — young ones may belong to
-        a live writer mid-replace and are left alone.  With no
-        ``directory``, sweeps the whole cache.
+        256-way), deleting temp files older than ``max_age_s`` (default
+        :data:`TMP_MAX_AGE_S`) — young ones may belong to a live writer
+        mid-replace and are left alone.  With no ``directory``, sweeps
+        the whole cache.
         """
-        age_limit = self.tmp_ttl_s if max_age_s is None else max_age_s
-        cutoff = time.time() - age_limit
+        cutoff = time.time() - (TMP_MAX_AGE_S if max_age_s is None else max_age_s)
         if directory is not None:
             candidates = directory.glob("*.tmp")
         else:

@@ -1,23 +1,17 @@
-"""``python -m repro sweep``: run sweep grids, sharded or in-process.
+"""``python -m repro sweep``: evaluate one sweep grid, or audit a cache.
 
-Coordinator (build a grid, shard it over local workers, print the
-roll-up)::
+Build a grid from comma-separated axes, evaluate it through the
+in-process :class:`~repro.sweep.executor.SweepExecutor` (``--jobs``
+sizes its process pool) and print the progress line::
 
     python -m repro sweep --machines paragon:8x8 --dists R,E,Sq \\
         --s 4,8 --L 256 --algorithms Br_Lin,2-Step --seeds 0,1 \\
-        --shards 2 --cache-dir /shared/sweep-cache
+        --jobs 2 --cache-dir /tmp/sweep-cache
 
-Worker (attach to a coordinator's run directory from this or any other
-host that mounts the cache + run directories)::
-
-    python -m repro sweep --worker --run-dir /shared/sweep-cache/runs/run-ab12
-
-With ``--shards 0`` (the default) the grid runs through the in-process
-:class:`~repro.sweep.executor.SweepExecutor` (``--jobs`` controls its
-pool), which needs no run directory.  Either way, results land in the
-shared content-addressed cache, so a sweep can move freely between
-serial, pooled, and sharded execution without recomputing a point —
-all three are bit-identical by construction and by CI differential.
+Results land in the content-addressed cache when ``--cache-dir`` is
+given, so a rerun (serial or pooled, bit-identical either way) computes
+nothing.  ``--verify-cache`` scans such a directory offline instead of
+running a sweep.
 """
 
 from __future__ import annotations
@@ -27,13 +21,7 @@ import sys
 from typing import List, Optional
 
 from repro.errors import ReproError
-from repro.metrics.progress import merge_shard_reports
 from repro.sweep.cache import ResultCache
-from repro.sweep.distributed import (
-    DEFAULT_LEASE_TTL_S,
-    run_sharded,
-    run_worker,
-)
 from repro.sweep.executor import SweepExecutor
 from repro.sweep.spec import SweepSpec
 
@@ -62,15 +50,7 @@ def build_spec(args: argparse.Namespace) -> SweepSpec:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro sweep",
-        description=(
-            "Evaluate a sweep grid — in-process, or sharded across "
-            "worker processes that share only the result cache."
-        ),
-    )
-    parser.add_argument(
-        "--worker",
-        action="store_true",
-        help="attach as a shard worker to an existing --run-dir",
+        description="Evaluate a sweep grid, or audit a result cache.",
     )
     parser.add_argument(
         "--verify-cache",
@@ -80,16 +60,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "envelope checksum, quarantine fresh corruption, report "
             "verified/legacy-v1/quarantined counts (exit 1 on fresh "
             "corruption); no sweep is run"
-        ),
-    )
-    parser.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "run directory holding the work queue (worker mode: required; "
-            "coordinator: resume/inspect location, default a fresh "
-            "directory under <cache-dir>/runs/)"
         ),
     )
     parser.add_argument(
@@ -114,26 +84,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--recover", action="store_true", help="run recovery on faulty points"
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "shard the grid across N spawned worker processes sharing the "
-            "cache (0 = in-process executor with --jobs)"
-        ),
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=None,
-        help="in-process pool size when --shards 0 (default: $REPRO_SWEEP_JOBS)",
+        help="worker processes (default: $REPRO_SWEEP_JOBS or 1)",
     )
     parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="shared result cache directory (required for sharded runs)",
+        help="result cache directory (default: no cache)",
     )
     parser.add_argument(
         "--engine",
@@ -145,13 +105,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--observe",
         action="store_true",
         help="trace computed points and print the sweep-level roll-up",
-    )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=DEFAULT_LEASE_TTL_S,
-        metavar="SECONDS",
-        help="work-lease time-to-live before idle workers steal (default: %(default)s)",
     )
     args = parser.parse_args(argv)
 
@@ -167,59 +120,26 @@ def main(argv: Optional[List[str]] = None) -> int:
             # itself already degraded the damage to a future recompute.
             return 1 if audit.quarantined_now else 0
 
-        if args.worker:
-            if args.run_dir is None:
-                parser.error("--worker requires --run-dir")
-            shard = run_worker(args.run_dir, cache_dir=args.cache_dir)
-            print(f"worker done: {shard.summary()}")
-            return 0
-
-        spec = build_spec(args)
-        points = spec.points()
+        points = build_spec(args).points()
         print(f"sweep grid: {len(points)} point(s)")
-        if args.shards >= 1:
-            if args.cache_dir is None:
-                parser.error("--shards requires --cache-dir (the shared cache "
-                             "is the workers' only data channel)")
-            outcome = run_sharded(
-                points,
-                shards=args.shards,
-                cache=ResultCache(args.cache_dir),
-                run_dir=args.run_dir,
-                engine=args.engine,
-                observe=args.observe,
-                lease_ttl_s=args.lease_ttl,
-            )
-            print(f"run dir:    {outcome.run_dir}")
-            print(outcome.report.summary())
-            shard_view = merge_shard_reports(outcome.unit_reports)
-            print(
-                f"shards:     {args.shards} worker(s), "
-                f"{len(outcome.unit_reports)} unit(s), "
-                f"busiest-unit wall {shard_view.wall_s:.2f}s"
-            )
-            observations = outcome.observations
-        else:
-            cache = (
-                ResultCache(args.cache_dir) if args.cache_dir else None
-            )
-            executor = SweepExecutor(
-                jobs=args.jobs,
-                cache=cache,
-                observe=args.observe,
-                engine=args.engine,
-            )
-            executor.run(points)
-            print(executor.last_report.summary())
-            observations = executor.last_observations
-        if args.observe and observations is not None:
+        executor = SweepExecutor(
+            jobs=args.jobs,
+            cache=ResultCache(args.cache_dir) if args.cache_dir else None,
+            observe=args.observe,
+            engine=args.engine,
+        )
+        executor.run(points)
+        print(executor.last_report.summary())
+        if args.observe:
             from repro.obs.summary import (
                 aggregate_observations,
                 render_sweep_rollup,
             )
 
             print()
-            print(render_sweep_rollup(aggregate_observations(observations)))
+            print(render_sweep_rollup(
+                aggregate_observations(executor.last_observations)
+            ))
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

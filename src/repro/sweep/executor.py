@@ -3,7 +3,7 @@
 The executor exploits the one property everything in this repo is built
 on: a simulated run is a **pure function** of its configuration
 (deterministic tie-breaking in the engine, seeded rank mappings).  That
-makes three transformations of the serial sweep loop safe:
+makes four transformations of the serial sweep loop safe:
 
 * **fan-out** — points evaluate in worker processes via
   :class:`concurrent.futures.ProcessPoolExecutor`;
@@ -18,7 +18,7 @@ makes three transformations of the serial sweep loop safe:
   (:mod:`repro.fastpath.plancache`) builds the schedule once and
   replays it for every remaining point in the batch.
 
-All three are exercised against each other by the differential tests
+All four are exercised against each other by the differential tests
 (``tests/test_sweep_differential.py``): serial, parallel, cold-cache and
 warm-cache evaluations of the same grid must agree bit-for-bit.
 
@@ -248,8 +248,8 @@ class SweepExecutor:
         """
         wall_start = time.perf_counter()
         report = SweepReport(total=len(points), jobs=self.jobs)
-        reliability_start = (
-            self.cache.counters.snapshot() if self.cache is not None else None
+        quarantines_before = (
+            self.cache.quarantines if self.cache is not None else 0
         )
         result_dicts: List[Optional[Dict[str, Any]]] = [None] * len(points)
         observations: List[Optional[Dict[str, Any]]] = [None] * len(points)
@@ -273,7 +273,7 @@ class SweepExecutor:
                 todo.append(i)
 
         if todo:
-            batches = self._plan_batches(points, todo)
+            batches = plan_affinity_batches(points, todo, self.jobs)
             payload_lists = [
                 [points[i].payload() for i in batch] for batch in batches
             ]
@@ -303,12 +303,10 @@ class SweepExecutor:
             observations[i] = observations[j]
 
         report.wall_s = time.perf_counter() - wall_start
-        if reliability_start is not None:
-            # Quarantines and retries the cache performed while serving
-            # this batch belong to this batch's report.
-            report.reliability.merge(
-                self.cache.counters.since(reliability_start)
-            )
+        if self.cache is not None:
+            # Quarantines the cache performed while serving this batch
+            # belong to this batch's report.
+            report.quarantines = self.cache.quarantines - quarantines_before
         self.last_report = report
         if self.observe:
             self.last_observations = observations
@@ -330,12 +328,6 @@ class SweepExecutor:
         if self.cache is not None:
             self.cache.store(point, result_dict, seconds)
 
-    def _plan_batches(
-        self, points: Sequence[SweepPoint], todo: List[int]
-    ) -> List[List[int]]:
-        """Partition ``todo`` indices into worker batches by plan affinity."""
-        return plan_affinity_batches(points, todo, self.jobs)
-
 
 def plan_affinity_batches(
     points: Sequence[SweepPoint], todo: Sequence[int], jobs: int
@@ -353,9 +345,6 @@ def plan_affinity_batches(
     ``ceil(len(todo) / (jobs * 4))`` points so one huge group cannot
     serialize the pool — the 4x oversubscription keeps workers load-
     balanced while leaving chunks big enough to amortize the plan.
-    The distributed coordinator (:mod:`repro.sweep.distributed`) cuts
-    its work-lease units with the same function, so shard workers
-    inherit the same amortization.
     """
     groups: Dict[Tuple[Any, ...], List[int]] = {}
     for i in todo:

@@ -210,6 +210,68 @@ class TestTraceCLI:
         assert "error" in capsys.readouterr().err
 
 
+class TestSweepCLI:
+    def test_grid_roundtrip_through_the_cache(self, capsys, tmp_path):
+        from repro.sweep import ResultCache, SweepSpec
+
+        cache_dir = tmp_path / "cache"
+        argv = [
+            "sweep", "--machines", "paragon:4x4", "--dists", "E",
+            "--s", "4", "--L", "256", "--algorithms", "Br_Lin,2-Step",
+            "--seeds", "0", "--cache-dir", str(cache_dir),
+        ]
+        assert repro_main([*argv, "--observe"]) == 0
+        out = capsys.readouterr().out
+        assert "sweep grid: 2 point(s)" in out
+        assert "(0 cached, 2 computed)" in out
+        assert "observed points: 2" in out
+        assert repro_main(argv) == 0
+        assert "(2 cached, 0 computed)" in capsys.readouterr().out
+
+        # A corrupt entry is quarantined, recomputed and reported.
+        point = SweepSpec(
+            machines=("paragon:4x4",), distributions=("E",), s_values=(4,),
+            message_sizes=(256,), algorithms=("Br_Lin",), seeds=(0,),
+        ).points()[0]
+        ResultCache(cache_dir).path_for(point.key()).write_text("rot")
+        assert repro_main(argv) == 0
+        (line,) = [l for l in capsys.readouterr().out.splitlines()
+                   if l.startswith("sweep: ")]
+        assert "(1 cached, 1 computed)" in line
+        assert line.endswith(" (reliability: quarantines=1)")
+
+        verify = ["sweep", "--verify-cache", "--cache-dir", str(cache_dir)]
+        assert repro_main(verify) == 0
+        assert "2 verified" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--jobs", "0"], "jobs must be >= 1, got 0"),
+            (["--machines", "paragon:04x4"], "write 'paragon:4x4'"),
+            (["--algorithms", "Nope"], "unknown algorithm 'Nope'"),
+            (["--dists", "Q"], "unknown distribution 'Q'"),
+            (["--s", "0"], "s must be in [1, 16], got 0"),
+        ],
+    )
+    def test_bad_grid_exits_2_and_computes_nothing(
+        self, capsys, tmp_path, flags, message
+    ):
+        from repro.sweep import ResultCache
+
+        argv = [
+            "sweep", "--machines", "paragon:4x4", "--s", "2", "--L", "256",
+            "--cache-dir", str(tmp_path), *flags,
+        ]
+        assert repro_main(argv) == 2
+        captured = capsys.readouterr()
+        (error,) = captured.err.splitlines()
+        assert error.startswith("error: ") and message in error
+        assert "sweep: " not in captured.out
+        assert len(ResultCache(tmp_path)) == 0
+
+
 class TestReportCLI:
     """Console output of ``report`` (pages: tests/test_pipeline_report.py)."""
 

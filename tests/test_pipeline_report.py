@@ -321,24 +321,6 @@ class TestReportCli:
         for page in out_dir.glob("*.html"):
             assert checker.audit_file(page) == []
 
-    def test_shards_render_the_serial_page(self, tmp_path, capsys):
-        """``--shards`` evaluates the grid over worker processes and
-        renders the page a serial run renders."""
-        from repro.pipeline.cli import main
-
-        sharded, serial = tmp_path / "sharded", tmp_path / "serial"
-        code = main(["fig4", "--quick", "--shards", "2",
-                     "--cache-dir", str(tmp_path / "cache"),
-                     "--out", str(sharded)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "(0 cached, 28 computed)" in out
-        assert "[jobs=2," in out
-        assert main(["fig4", "--quick", "--no-cache",
-                     "--out", str(serial)]) == 0
-        assert ((sharded / "fig4.html").read_bytes()
-                == (serial / "fig4.html").read_bytes())
-
     def test_one_executor_call_holds_every_experiment(self, tmp_path,
                                                       monkeypatch, configs):
         from repro.pipeline.cli import main
@@ -361,29 +343,44 @@ class TestReportCli:
                                                    quick=True)]
         assert calls == [expected]
 
-    def test_shards_honour_engine_and_observe(self, tmp_path, monkeypatch,
-                                              capsys, configs):
-        """``--shards`` reaches builder experiments, runs on ``--engine``
-        and rolls up ``--observe`` per experiment; the cache it fills
-        serves a later serial run without simulating."""
+    def test_builders_honour_engine_and_observe(self, tmp_path, monkeypatch,
+                                                capsys, configs):
+        """``--engine`` and ``--observe`` reach builder experiments in
+        the one executor batch and each experiment rolls up its own
+        points; the cache the run fills serves a later run without
+        simulating."""
         import repro.fastpath
+        import repro.sweep.executor as executor_module
         from repro.machines import Machine
         from repro.pipeline.cli import main
         from repro.pipeline.runner import experiment_points
         from repro.sweep import ResultCache, SweepExecutor
 
         ids = ["fig4", "ablation-mapping"]
+        points = [point for experiment_id in ids
+                  for point in experiment_points(configs[experiment_id],
+                                                 quick=True)]
+        evaluated = []
+        real = executor_module.evaluate_point_batch
+
+        def spy(payloads, engine="auto", observe=False):
+            evaluated.extend((json.dumps(payload, sort_keys=True), engine,
+                              observe) for payload in payloads)
+            return real(payloads, engine, observe)
+
+        monkeypatch.setattr(executor_module, "evaluate_point_batch", spy)
         cache = tmp_path / "cache"
-        sharded, serial = tmp_path / "sharded", tmp_path / "serial"
-        code = main([*ids, "--quick", "--shards", "2", "--engine", "event",
-                     "--observe", "--cache-dir", str(cache),
-                     "--out", str(sharded)])
+        observed, serial = tmp_path / "observed", tmp_path / "serial"
+        code = main([*ids, "--quick", "--engine", "event", "--observe",
+                     "--cache-dir", str(cache), "--out", str(observed)])
         out = capsys.readouterr().out
         assert code == 0
-        (manifest,) = (cache / "runs").glob("run-*/manifest.json")
-        knobs = json.loads(manifest.read_text())
-        assert knobs["engine"] == "event"
-        assert knobs["observe"] is True
+        assert {payload for payload, _, _ in evaluated} == {
+            json.dumps(point.payload(), sort_keys=True) for point in points
+        }
+        assert {(engine, observe) for _, engine, observe in evaluated} == {
+            ("event", True)
+        }
         rollups = [l for l in out.splitlines()
                    if l.startswith("observed points:")]
         assert len(rollups) == len(ids)
@@ -391,7 +388,7 @@ class TestReportCli:
                      "--out", str(serial)]) == 0
         for experiment_id in ids:
             page = f"{experiment_id}.html"
-            assert ((sharded / page).read_bytes()
+            assert ((observed / page).read_bytes()
                     == (serial / page).read_bytes())
 
         def forbidden(*args, **kwargs):  # pragma: no cover - failure path
@@ -400,20 +397,8 @@ class TestReportCli:
         monkeypatch.setattr(repro.fastpath, "evaluate_problem", forbidden)
         monkeypatch.setattr(Machine, "run", forbidden)
         warm = SweepExecutor(cache=ResultCache(cache))
-        warm.run([point for experiment_id in ids
-                  for point in experiment_points(configs[experiment_id],
-                                                 quick=True)])
+        warm.run(points)
         assert warm.last_report.computed == 0
-
-    @pytest.mark.parametrize("flags", [["--jobs", "2"], ["--no-cache"]])
-    def test_shards_refuse_a_second_executor_flag(self, flags, capsys):
-        """``--jobs`` also picks the executor, and sharded workers share
-        only the result cache."""
-        from repro.pipeline.cli import main
-
-        assert main(["fig4", "--quick", "--shards", "2", *flags]) == 2
-        err = capsys.readouterr().err
-        assert "--shards" in err and flags[0] in err
 
     def test_docs_check_skip_results_matches_committed(self, capsys):
         from repro.pipeline.cli import main

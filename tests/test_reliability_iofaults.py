@@ -57,7 +57,59 @@ class TestGrammar:
             IOFault("err", 0, errno_name="EBOGUS")
 
 
+COUNTED = ("read", "write", "replace", "unlink")
+
+
+def _files(root):
+    """``{name: text}`` of every file directly under ``root``."""
+    return {p.name: p.read_text() for p in sorted(root.iterdir())}
+
+
+def _perform(io, op, root):
+    """Run one counted ``op`` against a fresh ``src.txt`` under ``root``."""
+    src = root / "src.txt"
+    src.write_text("payload")
+    if op == "read":
+        return io.read_text(src)
+    if op == "write":
+        return io.write_text(root / "new.txt", "payload")
+    if op == "replace":
+        return io.replace(src, root / "dst.txt")
+    return io.unlink(src)
+
+
 class TestFaultyIO:
+    @pytest.mark.parametrize("op", COUNTED)
+    def test_err_leaves_each_op_undone(self, op, tmp_path):
+        io = FaultyIO("err:EIO@0")
+        with pytest.raises(OSError) as excinfo:
+            _perform(io, op, tmp_path)
+        assert excinfo.value.errno == errno.EIO
+        assert _files(tmp_path) == {"src.txt": "payload"}
+        assert io.trace[0][1] == op
+
+    @pytest.mark.parametrize("op", COUNTED)
+    def test_crash_leaves_each_op_undone(self, op, tmp_path):
+        io = FaultyIO("crash@0")
+        with pytest.raises(SimulatedCrash):
+            _perform(io, op, tmp_path)
+        assert _files(tmp_path) == {"src.txt": "payload"}
+        assert io.ops == 1
+
+    @pytest.mark.parametrize(
+        "op, after",
+        [
+            ("read", {"src.txt": "payload"}),
+            ("replace", {"dst.txt": "payload"}),
+            ("unlink", {}),
+        ],
+    )
+    def test_torn_leaves_other_ops_whole(self, op, after, tmp_path):
+        # A torn fault at an index that is not a write does nothing.
+        value = _perform(FaultyIO("torn:write@0"), op, tmp_path)
+        assert value == ("payload" if op == "read" else None)
+        assert _files(tmp_path) == after
+
     def test_counts_and_traces_counted_ops(self, tmp_path):
         io = FaultyIO()
         target = tmp_path / "a.txt"
@@ -66,7 +118,7 @@ class TestFaultyIO:
         io.replace(target, tmp_path / "b.txt")
         io.unlink(tmp_path / "b.txt")
         io.mkdir(tmp_path / "dir")  # metadata: not counted
-        assert io.exists(tmp_path / "dir")  # metadata: not counted
+        assert (tmp_path / "dir").is_dir()
         assert io.ops == 4
         assert [kind for _, kind, _ in io.trace] == [
             "write",
@@ -111,11 +163,6 @@ class TestFaultyIO:
         # torn scopes to writes: a read at the same plan is untouched.
         assert FaultyIO("torn:write@0").read_text(tmp_path / "torn.json")
 
-    def test_torn_applies_to_exclusive_creates_too(self, tmp_path):
-        io = FaultyIO("torn:write@0")
-        io.create_excl(tmp_path / "lease", '{"owner": "w", "fence": 1}')
-        assert (tmp_path / "lease").read_text() == '{"owner": "w"'
-
     def test_stall_sleeps_then_proceeds(self, tmp_path):
         naps = []
         io = FaultyIO("stall:read@1+0.25", sleep=naps.append)
@@ -138,8 +185,6 @@ class TestFaultyIO:
         RAW_IO.write_text(tmp_path / "d" / "f", "data")
         assert RAW_IO.read_text(tmp_path / "d" / "f") == "data"
         RAW_IO.replace(tmp_path / "d" / "f", tmp_path / "d" / "g")
-        assert RAW_IO.exists(tmp_path / "d" / "g")
-        with pytest.raises(FileExistsError):
-            RAW_IO.create_excl(tmp_path / "d" / "g", "clobber")
+        assert (tmp_path / "d" / "g").read_text() == "data"
         RAW_IO.unlink(tmp_path / "d" / "g")
-        assert not RAW_IO.exists(tmp_path / "d" / "g")
+        assert not (tmp_path / "d" / "g").exists()

@@ -10,19 +10,12 @@ that rides along in :class:`SweepReport`.
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.metrics.progress import SweepReport
-from repro.reliability import ENTRY_SCHEMA_V2, ReliabilityCounters
-from repro.sweep.cache import (
-    TMP_MAX_AGE_S,
-    TMP_TTL_ENV_VAR,
-    ResultCache,
-    resolve_tmp_ttl,
-)
+from repro.reliability import ENTRY_SCHEMA_V2, seal_envelope
+from repro.sweep.cache import ResultCache
 from repro.sweep.cli import main as sweep_main
 from repro.sweep.executor import SweepExecutor
 from repro.sweep.spec import SweepPoint
@@ -45,55 +38,9 @@ def _populate(cache, seed=0, observe=False):
     return point
 
 
-class TestResolveTmpTtl:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(TMP_TTL_ENV_VAR, "30")
-        assert resolve_tmp_ttl(5.0) == 5.0
-
-    def test_explicit_zero_is_legal(self):
-        # "Reap everything now" — the clear() semantics — is a valid ask
-        # from code, even though it is rejected from the environment.
-        assert resolve_tmp_ttl(0.0) == 0.0
-
-    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
-    def test_explicit_bad_argument_raises(self, bad):
-        with pytest.raises(ConfigurationError, match="tmp_ttl_s"):
-            resolve_tmp_ttl(bad)
-
-    def test_env_var_used_when_unset(self, monkeypatch):
-        monkeypatch.setenv(TMP_TTL_ENV_VAR, "45")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_tmp_ttl(None) == 45.0
-
-    def test_default_when_neither(self, monkeypatch):
-        monkeypatch.delenv(TMP_TTL_ENV_VAR, raising=False)
-        assert resolve_tmp_ttl(None) == TMP_MAX_AGE_S
-
-    @pytest.mark.parametrize("bad", ["abc", "0", "-5"])
-    def test_bad_env_value_warns_and_falls_back(self, monkeypatch, bad):
-        monkeypatch.setenv(TMP_TTL_ENV_VAR, bad)
-        with pytest.warns(RuntimeWarning, match=TMP_TTL_ENV_VAR):
-            assert resolve_tmp_ttl(None) == TMP_MAX_AGE_S
-
-    def test_cache_threads_the_threshold_through(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TMP_TTL_ENV_VAR, "7.5")
-        assert ResultCache(tmp_path).tmp_ttl_s == 7.5
-        assert ResultCache(tmp_path, tmp_ttl_s=2.0).tmp_ttl_s == 2.0
-
-    def test_gc_honours_a_short_ttl(self, tmp_path):
-        cache = ResultCache(tmp_path, tmp_ttl_s=0.0)
-        shard = tmp_path / "ab"
-        shard.mkdir(parents=True)
-        (shard / "x.json.host.1.0.tmp").write_text("{")
-        assert cache.gc_stale_tmp(shard) == 1
-        assert not (shard / "x.json.host.1.0.tmp").exists()
-
-
 class TestQuarantine:
     def test_corrupt_entry_moved_not_deleted(self, tmp_path):
-        counters = ReliabilityCounters()
-        cache = ResultCache(tmp_path, counters=counters)
+        cache = ResultCache(tmp_path)
         point = _populate(cache)
         path = cache.path_for(point.key())
         path.write_text("{ torn !!!")
@@ -101,7 +48,7 @@ class TestQuarantine:
         assert not path.exists()  # ...and the evidence moved aside
         moved = cache.quarantine_root / path.name
         assert moved.read_text() == "{ torn !!!"
-        assert counters.quarantines == 1
+        assert cache.quarantines == 1
 
     def test_reason_record_names_the_defect(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -145,7 +92,101 @@ class TestQuarantine:
         executor.run([point])
         assert executor.last_report.computed == 1  # the miss recomputed
         assert cache.load(point) is not None
-        assert executor.last_report.reliability.quarantines == 1
+        assert executor.last_report.quarantines == 1
+        assert executor.last_report.summary().endswith(
+            " (reliability: quarantines=1)"
+        )
+
+
+def _reseal(mutate):
+    def defect(text):
+        entry = json.loads(text)
+        mutate(entry["body"])
+        return json.dumps(seal_envelope(entry["body"]), sort_keys=True)
+
+    return defect
+
+
+def _unsealed(mutate):
+    def defect(text):
+        entry = json.loads(text)
+        mutate(entry)
+        return json.dumps(entry, sort_keys=True)
+
+    return defect
+
+
+def _flip_elapsed(entry):
+    entry["body"]["result"]["elapsed_us"] += 1
+
+
+#: ``(reason prefix, defect)`` per kind of damage a stored entry can
+#: take; each defect maps the entry's text to its damaged text.
+DEFECTS = {
+    "invalid-json": ("invalid-json", lambda text: "{ torn !!!"),
+    "truncated": ("invalid-json", lambda text: text[: len(text) // 2]),
+    "empty": ("invalid-json", lambda text: ""),
+    "non-object": ("bad-envelope", lambda text: "[1, 2]"),
+    "unknown-schema": (
+        "bad-envelope",
+        _unsealed(lambda entry: entry.update(schema="repro-cache/99")),
+    ),
+    "flipped-bit": ("checksum-mismatch", _unsealed(_flip_elapsed)),
+    "stale-payload": (
+        "bad-entry",
+        _reseal(lambda body: body["point"].update(seed=999)),
+    ),
+    "missing-result-field": (
+        "bad-entry",
+        _reseal(lambda body: body["result"].pop("num_rounds")),
+    ),
+    "missing-compute_s": ("bad-entry", _reseal(lambda body: body.pop("compute_s"))),
+}
+
+
+class TestQuarantineAccounting:
+    """A run reports each quarantine its cache performed, and only those."""
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_defect_is_quarantined_once_and_reported(self, defect, tmp_path):
+        prefix, damage = DEFECTS[defect]
+        cache = ResultCache(tmp_path)
+        point = _populate(cache)
+        path = cache.path_for(point.key())
+        path.write_text(damage(path.read_text()))
+
+        executor = SweepExecutor(jobs=1, cache=cache)
+        executor.run([point])
+        report = executor.last_report
+        assert (report.computed, report.quarantines) == (1, 1)
+        assert report.summary().endswith(" (reliability: quarantines=1)")
+        assert (cache.quarantine_root / path.name).exists()
+        record = json.loads(
+            (cache.quarantine_root / f"{point.key()}.reason.json").read_text()
+        )
+        assert record["reason"].startswith(prefix)
+
+        # The recomputed entry is served, and the next run reports no
+        # quarantine of its own.
+        executor.run([point])
+        report = executor.last_report
+        assert (report.cached, report.computed, report.quarantines) == (1, 0, 0)
+        assert "reliability" not in report.summary()
+
+    def test_quarantines_count_one_per_defective_key(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        points = [_point(seed) for seed in range(3)]
+        SweepExecutor(jobs=1, cache=cache, observe=True).run(points)
+        for point in points[:2]:
+            cache.path_for(point.key()).write_text("rot")
+
+        executor = SweepExecutor(jobs=1, cache=cache)
+        executor.run(points)
+        report = executor.last_report
+        # Each key counts once, though its obs sibling moved with it.
+        assert (report.cached, report.computed, report.quarantines) == (1, 2, 2)
+        assert report.summary().endswith(" (reliability: quarantines=2)")
+        assert cache.quarantines == 2
 
 
 class TestLegacyV1:
@@ -244,34 +285,12 @@ class TestVerifyCacheCli:
 
 class TestReportReliability:
     def test_clean_report_bytes_unchanged(self):
-        # The "reliability" key appears only when something happened:
-        # golden fixtures of clean runs stay byte-identical.
+        # The reliability suffix appears only when something happened:
+        # a clean run's progress line is unchanged.
         report = SweepReport(total=4, computed=4, jobs=2)
-        assert "reliability" not in report.to_dict()
         assert "reliability" not in report.summary()
 
-    def test_roundtrip_with_counters(self):
-        report = SweepReport(total=2, computed=2, jobs=1)
-        report.reliability.retries = 3
-        report.reliability.steals = 1
-        data = report.to_dict()
-        assert data["reliability"] == {
-            "retries": 3,
-            "quarantines": 0,
-            "steals": 1,
-            "fencing_rejections": 0,
-            "corrupt_records": 0,
-        }
-        back = SweepReport.from_dict(data)
-        assert back.reliability == report.reliability
-        assert "reliability:" in back.summary()
-
-    def test_merge_accumulates_counters(self):
-        a = SweepReport(total=1, computed=1, jobs=1)
-        a.reliability.quarantines = 1
-        b = SweepReport(total=1, computed=1, jobs=1)
-        b.reliability.quarantines = 2
-        b.reliability.fencing_rejections = 1
-        a.merge(b)
-        assert a.reliability.quarantines == 3
-        assert a.reliability.fencing_rejections == 1
+    def test_suffix_follows_the_clean_line(self):
+        clean = SweepReport(total=4, computed=3, cached=1, jobs=1)
+        hurt = SweepReport(total=4, computed=3, cached=1, jobs=1, quarantines=3)
+        assert hurt.summary() == clean.summary() + " (reliability: quarantines=3)"

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import pathlib
+import time
+
+import pytest
 
 from repro.pipeline.cli import build_executor
 from repro.reliability.envelope import seal_envelope
-from repro.sweep import ResultCache, SweepExecutor, SweepPoint
+from repro.sweep import ResultCache, SweepExecutor, SweepPoint, SweepSpec
+from repro.sweep.cache import TMP_MAX_AGE_S
 
 
 def rewrite_body(path, mutate):
@@ -210,6 +215,32 @@ class TestCacheHygiene:
         assert not stale.exists()
         assert fresh.exists()
 
+    def test_gc_honours_an_explicit_max_age(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        shard_dir = tmp_path / "ab"
+        shard_dir.mkdir()
+        now = time.time()
+        ages = {"old": 100.0, "young": 10.0}
+        for name, age in ages.items():
+            temp = shard_dir / f"{name}.json.h.1.0.tmp"
+            temp.write_text("{}")
+            os.utime(temp, (now - age, now - age))
+        # Both are younger than the default TMP_MAX_AGE_S.
+        assert cache.gc_stale_tmp(shard_dir) == 0
+        assert cache.gc_stale_tmp(shard_dir, max_age_s=50.0) == 1
+        assert [p.name for p in shard_dir.iterdir()] == ["young.json.h.1.0.tmp"]
+
+    def test_gc_without_a_directory_sweeps_every_shard(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        old = time.time() - 2 * TMP_MAX_AGE_S
+        for shard in ("00", "ff"):
+            (tmp_path / shard).mkdir()
+            temp = tmp_path / shard / "x.json.h.1.0.tmp"
+            temp.write_text("{}")
+            os.utime(temp, (old, old))
+        assert cache.gc_stale_tmp() == 2
+        assert not list(tmp_path.glob("**/*.tmp"))
+
     def test_clear_removes_all_tmp_regardless_of_age(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.store(POINT, {"elapsed_us": 1}, compute_s=0.1)
@@ -353,3 +384,58 @@ class TestDeduplication:
         assert executor.last_report.computed == 1
         assert executor.last_report.total == 3
         assert len({r.elapsed_us for r in results}) == 1
+
+
+@pytest.fixture(scope="module")
+def points():
+    return SweepSpec(
+        machines=("paragon:8x8",),
+        distributions=("E",),
+        s_values=(4,),
+        message_sizes=(512,),
+        algorithms=("Br_Lin",),
+        seeds=(0,),
+    ).points()
+
+
+def _store_race(cache_dir, key_payload, result_dict, rounds):
+    """Spawn target: hammer one cache key with stores."""
+    from repro.sweep import ResultCache
+    from repro.sweep.spec import SweepPoint
+
+    cache = ResultCache(cache_dir)
+    point = SweepPoint.from_payload(key_payload)
+    for _ in range(rounds):
+        cache.store(point, result_dict, compute_s=0.01)
+
+
+class TestConcurrentWriters:
+    """Concurrent runs pointed at one ``--cache-dir`` share its entries."""
+
+    def test_two_processes_storing_one_key(self, points, tmp_path):
+        # Two spawned processes race 50 stores each onto the same key.
+        # Atomic replace + unique temp names must leave exactly one
+        # loadable entry and zero temp-file litter.
+        from repro.sweep.executor import evaluate_point
+
+        payload = points[0].payload()
+        result_dict, _, _ = evaluate_point(payload, "auto")
+        ctx = multiprocessing.get_context("spawn")
+        procs = [
+            ctx.Process(
+                target=_store_race,
+                args=(str(tmp_path), payload, result_dict, 50),
+            )
+            for _ in range(2)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        cache = ResultCache(tmp_path)
+        hit = cache.load(points[0])
+        assert hit is not None
+        assert hit[0] == result_dict
+        assert len(cache) == 1
+        assert not list(tmp_path.glob("**/*.tmp"))
