@@ -46,15 +46,6 @@ __all__ = ["main", "build_executor"]
 META_TARGETS = ("list", "all", "docs")
 
 
-def _report_cache(
-    cache_dir: Optional[str], no_cache: bool
-) -> Optional[ResultCache]:
-    """The result cache the flags pick (``--no-cache`` wins over ``--cache-dir``)."""
-    if no_cache or not cache_dir:
-        return None
-    return ResultCache(cache_dir)
-
-
 def build_executor(
     jobs: Optional[int],
     cache_dir: Optional[str],
@@ -62,22 +53,16 @@ def build_executor(
     observe: bool = False,
     engine: str = "auto",
 ) -> SweepExecutor:
-    """Executor for the CLI flags, over :func:`_report_cache`'s cache."""
-    return SweepExecutor(
-        jobs=jobs, cache=_report_cache(cache_dir, no_cache),
-        observe=observe, engine=engine,
-    )
+    """Executor for the CLI flags (``--no-cache`` wins over ``--cache-dir``)."""
+    cache = None if no_cache or not cache_dir else ResultCache(cache_dir)
+    return SweepExecutor(jobs=jobs, cache=cache, observe=observe, engine=engine)
 
 
 def _run_all(
-    configs: List[ExperimentConfig], args
+    configs: List[ExperimentConfig], args, executor: SweepExecutor
 ) -> List[Tuple[ExperimentConfig, FigureResult]]:
     """Plan every config, evaluate all their points at once, print each."""
     plans = [plan_experiment(config, quick=args.quick) for config in configs]
-    executor = build_executor(
-        args.jobs, args.cache_dir, args.no_cache,
-        observe=args.observe, engine=args.engine,
-    )
     results = executor.run([point for plan in plans for point in plan.points])
     observations, report = executor.last_observations, executor.last_report
     entries = []
@@ -106,17 +91,27 @@ def _run_all(
 def _write_reports(
     entries, out_dir: pathlib.Path, quick: bool, cache: Optional[ResultCache]
 ) -> None:
-    """One page per experiment plus the index; ``cache`` keeps the heatmaps."""
+    """One page per experiment plus the index; ``cache`` keeps the heatmaps.
+
+    Heatmap siblings the cache quarantines while the pages render are
+    counted on the closing line, as the ``sweep:`` line counts those of
+    the points.
+    """
+    before = cache.quarantines if cache is not None else 0
     out_dir.mkdir(parents=True, exist_ok=True)
     for config, result in entries:
         page = render_experiment_html(config, result, quick=quick, cache=cache)
         (out_dir / f"{config.id}.html").write_text(page, encoding="utf-8")
     index = render_index_html(entries, quick=quick)
     (out_dir / "index.html").write_text(index, encoding="utf-8")
-    print(f"wrote {len(entries)} report page(s) + index to {out_dir}/")
+    line = f"wrote {len(entries)} report page(s) + index to {out_dir}/"
+    quarantines = cache.quarantines - before if cache is not None else 0
+    if quarantines:
+        line += f" (reliability: quarantines={quarantines})"
+    print(line)
 
 
-def _docs(configs, args, root: pathlib.Path) -> int:
+def _docs(configs, args, executor: SweepExecutor, root: pathlib.Path) -> int:
     """Regenerate (or ``--check``) EXPERIMENTS.md and RESULTS.txt."""
     targets = [(root / "EXPERIMENTS.md", render_experiments_md(configs))]
     if not args.skip_results:
@@ -127,7 +122,7 @@ def _docs(configs, args, root: pathlib.Path) -> int:
                 file=sys.stderr,
             )
             return 2
-        entries = _run_all(configs, args)
+        entries = _run_all(configs, args, executor)
         results = [result for _, result in entries]
         targets.append((root / "RESULTS.txt", render_results_txt(results)))
     failures = 0
@@ -242,14 +237,16 @@ def _dispatch(args) -> int:
             print(f"  {config.id:24s} {config.title}: {config.description}")
         print("meta-targets: all, docs")
         return 0
-    if names == ["docs"]:
-        return _docs(selected, args, config_dir.parent)
-
-    entries = _run_all(selected, args)
-    _write_reports(
-        entries, pathlib.Path(args.out), args.quick,
-        _report_cache(args.cache_dir, args.no_cache),
+    # One cache per run: the executor's, which the pages share.
+    executor = build_executor(
+        args.jobs, args.cache_dir, args.no_cache,
+        observe=args.observe, engine=args.engine,
     )
+    if names == ["docs"]:
+        return _docs(selected, args, executor, config_dir.parent)
+
+    entries = _run_all(selected, args, executor)
+    _write_reports(entries, pathlib.Path(args.out), args.quick, executor.cache)
     failed = [c.id for c, r in entries if not r.all_passed]
     if failed:
         print(f"shape checks FAILED for: {', '.join(failed)}", file=sys.stderr)

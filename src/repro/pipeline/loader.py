@@ -1,11 +1,11 @@
 """TOML experiment configs → validated :class:`ExperimentConfig`.
 
-The loader is strict by design: unknown table keys, unknown series
-kinds, unknown assertion types, malformed axes, mismatched per-x list
-lengths, unregistered algorithms/distributions and malformed machine
-specs are all rejected **at load time**, with an error message naming
-the offending file and key — a config never fails halfway through a
-multi-minute sweep.
+The loader is strict by design: unknown table keys, unknown assertion
+types, malformed axes, a cell field set twice or not at all, mismatched
+per-x list lengths, unregistered algorithms/distributions and malformed
+machine specs are all rejected **at load time**, with an error message
+naming the offending file and key — a config never fails halfway through
+a multi-minute sweep.
 
 Doctest — a config expands into the sweep points ``report`` evaluates::
 
@@ -17,14 +17,14 @@ Doctest — a config expands into the sweep points ``report`` evaluates::
     ... kind = "declarative"
     ...
     ... [[series]]
-    ... kind = "sweep"
     ... title = "demo sweep"
     ... x_label = "s"
+    ... x_values = { full = [4, 8], quick = [4] }
+    ... cell_axis = "s"
     ... machine = "paragon:4x4"
     ... distribution = "E"
-    ... algorithms = ["Br_Lin"]
-    ... s_values = { full = [4, 8], quick = [4] }
     ... message_size = 256
+    ... algorithms = ["Br_Lin"]
     ...
     ... [[checks]]
     ... type = "expr"
@@ -43,7 +43,7 @@ from __future__ import annotations
 import importlib
 import pathlib
 import tomllib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.algorithms import ALGORITHMS
 from repro.distributions import DISTRIBUTIONS
@@ -51,9 +51,8 @@ from repro.errors import ConfigurationError
 from repro.machines import machine_from_spec
 from repro.pipeline.checks import compile_expr
 from repro.pipeline.schema import (
+    CELL_AXES,
     CHECK_TYPES,
-    SERIES_KINDS,
-    CellSpec,
     CheckSpec,
     DocSpec,
     Dual,
@@ -75,8 +74,6 @@ DEFAULT_CONFIG_DIR = (
 
 _GROUPS = ("figures", "text", "ablations", "extensions", "robustness")
 _PLACEMENTS = ("ideal_rows",)
-_CELL_KEYS = {"machine", "dist", "placement", "s", "L"}
-_CELL_AXES = ("s", "L", "dist", "machine")
 
 
 def _fail(context: str, message: str) -> None:
@@ -124,26 +121,18 @@ def _number(value: Any, context: str) -> float:
     return value
 
 
-def _str_list(value: Any, context: str) -> List[str]:
-    if not isinstance(value, list) or not value:
-        _fail(context, f"expected a non-empty array of strings, got {value!r}")
-    return [_str(item, context) for item in value]
-
-
-def _int_list(value: Any, context: str) -> List[int]:
-    if not isinstance(value, list) or not value:
-        _fail(context, f"expected a non-empty array of integers, got {value!r}")
-    return [_int(item, context) for item in value]
-
-
-def _scalar_list(value: Any, context: str) -> List[Any]:
-    """x-axis values: ints or strings (distribution keys, shape labels)."""
+def _list_of(value: Any, parse, context: str) -> List[Any]:
+    """A non-empty array, each item checked by ``parse``."""
     if not isinstance(value, list) or not value:
         _fail(context, f"expected a non-empty array, got {value!r}")
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, str)):
-            _fail(context, f"x value {item!r} is neither integer nor string")
-    return list(value)
+    return [parse(item, context) for item in value]
+
+
+def _x_value(value: Any, context: str) -> Any:
+    """An x value: an integer or a string (distribution key, shape label)."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        _fail(context, f"x value {value!r} is neither integer nor string")
+    return value
 
 
 def _dual(value: Any, parse, context: str) -> Dual:
@@ -194,296 +183,115 @@ def _placement(value: Any, context: str) -> str:
     return name
 
 
-def _scalar_or_list(value: Any, parse_scalar, context: str) -> Any:
-    if isinstance(value, list):
-        if not value:
-            _fail(context, "expected a scalar or non-empty array")
-        return [parse_scalar(item, context) for item in value]
-    return parse_scalar(value, context)
+# -- series ----------------------------------------------------------------
+
+#: Cell fields a series gives as a scalar or a per-x list, with the
+#: parser of one value.
+_CELL_FIELDS = {
+    "machine": _machine_spec,
+    "distribution": _dist_key,
+    "s": _int,
+    "message_size": _int,
+}
+#: The keys that can set each cell field; a series sets each exactly once.
+_FIELD_SOURCES = {
+    "machine": ("machine",),
+    "distribution": ("distribution", "distributions", "placement",
+                     "cell_axis = 'dist'"),
+    "s": ("s", "s_values", "cell_axis = 's'"),
+    "message_size": ("message_size", "cell_axis = 'L'"),
+}
+#: Curve axes, with the parser of one curve value.
+_CURVE_AXES = {"algorithms": _algorithm, "distributions": _dist_key,
+               "s_values": _int}
+#: What the cells measure besides an ``algorithms`` curve axis.
+_MEASURES = ("algorithm", "baseline", "variant")
+_SERIES_TABLE_KEYS = (
+    "title", "x_label", "y_label", "contention", "x_values", "cell_axis",
+    "placement", *_CELL_FIELDS, *_CURVE_AXES, *_MEASURES,
+)
 
 
-def _cell(value: Any, context: str) -> CellSpec:
-    table = _table(value, context)
-    _reject_unknown(table, sorted(_CELL_KEYS), context)
-    return CellSpec(
-        machine=(
-            _machine_spec(table["machine"], f"{context}.machine")
-            if "machine" in table else None
-        ),
-        dist=(
-            _dist_key(table["dist"], f"{context}.dist")
-            if "dist" in table else None
-        ),
+def _parse_series(table: Dict[str, Any], context: str) -> SeriesSpec:
+    _reject_unknown(table, _SERIES_TABLE_KEYS, context)
+    contention = table.get("contention", True)
+    if not isinstance(contention, bool):
+        _fail(f"{context}.contention", f"expected a boolean, got {contention!r}")
+    x_values = _dual(_req(table, "x_values", context),
+                     lambda v, c: _list_of(v, _x_value, c),
+                     f"{context}.x_values")
+
+    given = set(table)
+    cell_axis = table.get("cell_axis")
+    if cell_axis is not None:
+        if _str(cell_axis, f"{context}.cell_axis") not in CELL_AXES:
+            _fail(f"{context}.cell_axis",
+                  f"unknown cell axis {cell_axis!r} "
+                  f"(known: {', '.join(CELL_AXES)})")
+        for quick in (False, True):
+            for x in x_values.get(quick):
+                _CELL_FIELDS[CELL_AXES[cell_axis]](x, f"{context}.x_values")
+        given.add(f"cell_axis = {cell_axis!r}")
+    for field, sources in _FIELD_SOURCES.items():
+        setters = [source for source in sources if source in given]
+        if len(setters) != 1:
+            _fail(context,
+                  f"the cells' {field} needs exactly one of "
+                  f"{', '.join(sources)} (got {', '.join(setters) or 'none'})")
+
+    cells: Dict[str, Dual] = {}
+    for field, parse in _CELL_FIELDS.items():
+        if field not in table:
+            continue
+        cells[field] = _dual(
+            table[field],
+            lambda v, c, parse=parse: (
+                _list_of(v, parse, c) if isinstance(v, list) else parse(v, c)
+            ),
+            f"{context}.{field}",
+        )
+        for mode, quick in (("full", False), ("quick", True)):
+            value = cells[field].get(quick)
+            xs = x_values.get(quick)
+            if isinstance(value, list) and len(value) != len(xs):
+                _fail(context, f"{field} has {len(value)} entries but "
+                               f"x_values has {len(xs)} in {mode} mode")
+
+    curves = {
+        key: tuple(_list_of(table[key], parse, f"{context}.{key}"))
+        for key, parse in _CURVE_AXES.items() if key in table
+    }
+    if len(curves) != 1:
+        _fail(context, "give exactly one curve axis: algorithms, "
+                       "distributions or s_values "
+                       f"(got {', '.join(curves) or 'none'})")
+    measures = {
+        key: _algorithm(table[key], f"{context}.{key}")
+        for key in _MEASURES if key in table
+    }
+    allowed = (
+        [set()] if "algorithms" in curves
+        else [{"algorithm"}, {"baseline", "variant"}]
+    )
+    if set(measures) not in allowed:
+        _fail(context, "measure with exactly one of algorithms, algorithm, "
+                       "or baseline + variant")
+
+    return SeriesSpec(
+        title=_str(_req(table, "title", context), f"{context}.title"),
+        x_label=_str(_req(table, "x_label", context), f"{context}.x_label"),
+        x_values=x_values,
+        y_label=_str(table.get("y_label", "time (ms)"), f"{context}.y_label"),
+        contention=contention,
+        cell_axis=cell_axis,
         placement=(
             _placement(table["placement"], f"{context}.placement")
             if "placement" in table else None
         ),
-        s=_int(table["s"], f"{context}.s") if "s" in table else None,
-        L=_int(table["L"], f"{context}.L") if "L" in table else None,
+        **cells,
+        **curves,
+        **measures,
     )
-
-
-def _cell_list(value: Any, context: str) -> List[CellSpec]:
-    if not isinstance(value, list) or not value:
-        _fail(context, "expected a non-empty array of cell tables")
-    return [_cell(item, f"{context}[{i}]") for i, item in enumerate(value)]
-
-
-# -- series ----------------------------------------------------------------
-
-_COMMON_SERIES_KEYS = ("kind", "title", "x_label", "y_label", "contention")
-
-_SERIES_KEYS = {
-    "sweep": _COMMON_SERIES_KEYS + (
-        "machine", "distribution", "algorithms", "s_values",
-        "message_size", "total_bytes",
-    ),
-    "cells": _COMMON_SERIES_KEYS + (
-        "machine", "distribution", "placement", "s", "message_size",
-        "algorithms", "x_values", "cell_axis", "cells",
-    ),
-    "dist_curves": _COMMON_SERIES_KEYS + (
-        "machine", "distributions", "algorithm", "x_values", "s",
-        "message_size",
-    ),
-    "machines_by_s": _COMMON_SERIES_KEYS + (
-        "machines", "x_values", "s_values", "algorithm", "distribution",
-        "message_size",
-    ),
-    "percent_gain": _COMMON_SERIES_KEYS + (
-        "machine", "distributions", "baseline", "variant", "axis",
-        "x_values", "s", "message_size",
-    ),
-}
-
-
-def _check_parallel(x_values: Dual, other: Dual, name: str,
-                    context: str) -> None:
-    """Per-x lists must match x_values length in both modes."""
-    for mode, quick in (("full", False), ("quick", True)):
-        xs = x_values.get(quick)
-        value = other.get(quick)
-        if isinstance(value, list) and len(value) != len(xs):
-            _fail(
-                context,
-                f"{name} has {len(value)} entries but x_values has "
-                f"{len(xs)} in {mode} mode",
-            )
-
-
-def _parse_series(table: Dict[str, Any], context: str) -> SeriesSpec:
-    kind = _str(_req(table, "kind", context), f"{context}.kind")
-    if kind not in SERIES_KINDS:
-        _fail(context, f"unknown series kind {kind!r} "
-                       f"(known: {', '.join(SERIES_KINDS)})")
-    _reject_unknown(table, _SERIES_KEYS[kind], context)
-
-    title = _str(_req(table, "title", context), f"{context}.title")
-    x_label = _str(_req(table, "x_label", context), f"{context}.x_label")
-    y_label = _str(table.get("y_label", "time (ms)"), f"{context}.y_label")
-    contention = table.get("contention", True)
-    if not isinstance(contention, bool):
-        _fail(f"{context}.contention", f"expected a boolean, got {contention!r}")
-
-    common = dict(kind=kind, title=title, x_label=x_label, y_label=y_label,
-                  contention=contention)
-
-    if kind == "sweep":
-        return SeriesSpec(
-            **common,
-            machine=_machine_spec(_req(table, "machine", context),
-                                  f"{context}.machine"),
-            distribution=_dist_key(_req(table, "distribution", context),
-                                   f"{context}.distribution"),
-            algorithms=tuple(_algorithm(a, f"{context}.algorithms")
-                             for a in _str_list(
-                                 _req(table, "algorithms", context),
-                                 f"{context}.algorithms")),
-            s_values=_dual(_req(table, "s_values", context), _int_list,
-                           f"{context}.s_values"),
-            message_size=_int(_req(table, "message_size", context),
-                              f"{context}.message_size"),
-            total_bytes=(
-                _int(table["total_bytes"], f"{context}.total_bytes")
-                if "total_bytes" in table else None
-            ),
-        )
-
-    if kind == "cells":
-        x_values = _dual(_req(table, "x_values", context), _scalar_list,
-                         f"{context}.x_values")
-        cell_axis = table.get("cell_axis")
-        cells: Optional[Dual] = None
-        if cell_axis is not None:
-            cell_axis = _str(cell_axis, f"{context}.cell_axis")
-            if cell_axis not in _CELL_AXES:
-                _fail(f"{context}.cell_axis",
-                      f"unknown cell axis {cell_axis!r} "
-                      f"(known: {', '.join(_CELL_AXES)})")
-            if "cells" in table:
-                _fail(context, "cell_axis and cells are mutually exclusive")
-        else:
-            cells = _dual(_req(table, "cells", context), _cell_list,
-                          f"{context}.cells")
-            _check_parallel(x_values, cells, "cells", context)
-        spec = SeriesSpec(
-            **common,
-            machine=(
-                _machine_spec(table["machine"], f"{context}.machine")
-                if "machine" in table else None
-            ),
-            distribution=(
-                _dist_key(table["distribution"], f"{context}.distribution")
-                if "distribution" in table else None
-            ),
-            placement=(
-                _placement(table["placement"], f"{context}.placement")
-                if "placement" in table else None
-            ),
-            s=_int(table["s"], f"{context}.s") if "s" in table else None,
-            message_size=(
-                _int(table["message_size"], f"{context}.message_size")
-                if "message_size" in table else None
-            ),
-            algorithms=tuple(_algorithm(a, f"{context}.algorithms")
-                             for a in _str_list(
-                                 _req(table, "algorithms", context),
-                                 f"{context}.algorithms")),
-            x_values=x_values,
-            cell_axis=cell_axis,
-            cells=cells,
-        )
-        _validate_cells(spec, context)
-        return spec
-
-    if kind == "dist_curves":
-        x_values = _dual(_req(table, "x_values", context), _scalar_list,
-                         f"{context}.x_values")
-        machine = _dual(
-            _req(table, "machine", context),
-            lambda v, c: _scalar_or_list(v, _machine_spec, c),
-            f"{context}.machine",
-        )
-        s = (
-            _dual(table["s"], lambda v, c: _scalar_or_list(v, _int, c),
-                  f"{context}.s")
-            if "s" in table else None
-        )
-        message_size = _dual(
-            _req(table, "message_size", context),
-            lambda v, c: _scalar_or_list(v, _int, c),
-            f"{context}.message_size",
-        )
-        for name, value in (("machine", machine), ("s", s),
-                            ("message_size", message_size)):
-            if value is not None:
-                _check_parallel(x_values, value, name, context)
-        if s is None:
-            for quick in (False, True):
-                for x in x_values.get(quick):
-                    if not isinstance(x, int):
-                        _fail(f"{context}.x_values",
-                              "s is omitted, so x values must be source "
-                              f"counts (integers); got {x!r}")
-        return SeriesSpec(
-            **common,
-            machine=machine,
-            distributions=tuple(
-                _dist_key(k, f"{context}.distributions")
-                for k in _str_list(_req(table, "distributions", context),
-                                   f"{context}.distributions")),
-            algorithm=_algorithm(_req(table, "algorithm", context),
-                                 f"{context}.algorithm"),
-            x_values=x_values,
-            s=s,
-            message_size=message_size,
-        )
-
-    if kind == "machines_by_s":
-        x_values = _dual(_req(table, "x_values", context), _scalar_list,
-                         f"{context}.x_values")
-        machines = _dual(
-            _req(table, "machines", context),
-            lambda v, c: [_machine_spec(m, c) for m in _str_list(v, c)],
-            f"{context}.machines",
-        )
-        _check_parallel(x_values, machines, "machines", context)
-        return SeriesSpec(
-            **common,
-            machines=machines,
-            x_values=x_values,
-            s_values=_dual(_req(table, "s_values", context), _int_list,
-                           f"{context}.s_values"),
-            algorithm=_algorithm(_req(table, "algorithm", context),
-                                 f"{context}.algorithm"),
-            distribution=_dist_key(_req(table, "distribution", context),
-                                   f"{context}.distribution"),
-            message_size=_int(_req(table, "message_size", context),
-                              f"{context}.message_size"),
-        )
-
-    # percent_gain
-    axis = _str(_req(table, "axis", context), f"{context}.axis")
-    if axis not in ("s", "L"):
-        _fail(f"{context}.axis", f"axis must be 's' or 'L', got {axis!r}")
-    fixed_key = "message_size" if axis == "s" else "s"
-    if fixed_key not in table:
-        _fail(context, f"axis = {axis!r} requires a fixed {fixed_key!r}")
-    return SeriesSpec(
-        **common,
-        machine=_machine_spec(_req(table, "machine", context),
-                              f"{context}.machine"),
-        distributions=tuple(
-            _dist_key(k, f"{context}.distributions")
-            for k in _str_list(_req(table, "distributions", context),
-                               f"{context}.distributions")),
-        baseline=_algorithm(_req(table, "baseline", context),
-                            f"{context}.baseline"),
-        variant=_algorithm(_req(table, "variant", context),
-                           f"{context}.variant"),
-        axis=axis,
-        x_values=_dual(_req(table, "x_values", context), _int_list,
-                       f"{context}.x_values"),
-        s=_int(table["s"], f"{context}.s") if "s" in table else None,
-        message_size=(
-            _int(table["message_size"], f"{context}.message_size")
-            if "message_size" in table else None
-        ),
-    )
-
-
-def _validate_cells(spec: SeriesSpec, context: str) -> None:
-    """Every cell must resolve machine, sources and size after defaults."""
-    for quick in (False, True):
-        xs = spec.x_values.get(quick)
-        if spec.cell_axis is not None:
-            cells = [_axis_cell(spec.cell_axis, x, context) for x in xs]
-        else:
-            cells = spec.cells.get(quick)
-        for i, cell in enumerate(cells):
-            where = f"{context}.cells[{i}]"
-            if (cell.machine or spec.machine) is None:
-                _fail(where, "no machine (cell or series level)")
-            placement = cell.placement or spec.placement
-            dist = cell.dist or spec.distribution
-            if placement is None and dist is None:
-                _fail(where, "no source placement: set dist or placement")
-            if (cell.s if cell.s is not None else spec.s) is None:
-                _fail(where, "no source count s (cell or series level)")
-            size = cell.L if cell.L is not None else spec.message_size
-            if size is None:
-                _fail(where, "no message_size (cell or series level)")
-
-
-def _axis_cell(axis: str, x: Any, context: str) -> CellSpec:
-    """The derived cell for x when ``cell_axis`` is set."""
-    if axis == "s":
-        return CellSpec(s=_int(x, context))
-    if axis == "L":
-        return CellSpec(L=_int(x, context))
-    if axis == "dist":
-        return CellSpec(dist=_dist_key(x, context))
-    return CellSpec(machine=_machine_spec(x, context))
 
 
 # -- checks ----------------------------------------------------------------
@@ -597,7 +405,7 @@ def load_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
               f"unknown group {group!r} (known: {', '.join(_GROUPS)})")
 
     notes = tuple(
-        _str_list(data["notes"], f"{path}: notes") if "notes" in data else ()
+        _list_of(data["notes"], _str, f"{path}: notes") if "notes" in data else ()
     )
     doc = (
         _parse_doc(_table(data["doc"], f"{path}: [doc]"), f"{path}: [doc]")

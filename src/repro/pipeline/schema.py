@@ -16,26 +16,28 @@ Two experiment kinds exist:
   parameters, seeded non-uniform sizes).  The config still carries the
   documentation prose and the expected check count, so the generated
   docs and the summary counters cover every experiment uniformly.
+
+A declarative experiment's series all have one form
+(:class:`SeriesSpec`): completion time, or a percent gain, over one
+swept quantity, one curve per algorithm, distribution or source count.
+:meth:`SeriesSpec.grid` resolves it into its cells; the runner measures
+them and the report samples its representative point from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "Dual",
-    "CellSpec",
     "SeriesSpec",
     "CheckSpec",
     "DocSpec",
     "ExperimentConfig",
-    "SERIES_KINDS",
+    "CELL_AXES",
     "CHECK_TYPES",
 ]
-
-#: Recognized series kinds (see docs/PIPELINE.md for the field tables).
-SERIES_KINDS = ("sweep", "cells", "dist_curves", "machines_by_s", "percent_gain")
 
 #: Recognized shape-check assertion types.  Anything else is rejected
 #: at load time, not mid-run.
@@ -66,47 +68,85 @@ class Dual:
         return self.full
 
 
-@dataclass(frozen=True)
-class CellSpec:
-    """One x-axis cell of a ``cells`` series.
-
-    Unset fields inherit the series-level defaults (machine,
-    distribution, ``s``, ``L``, placement).
-    """
-
-    machine: Optional[str] = None
-    dist: Optional[str] = None
-    placement: Optional[str] = None
-    s: Optional[int] = None
-    L: Optional[int] = None
+#: The cell field each ``cell_axis`` value sets to the series' x value.
+CELL_AXES = {"s": "s", "L": "message_size", "dist": "distribution"}
 
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """One measured curve family (one paper plot) of an experiment."""
+    """One measured curve family (one paper plot): an x-axis × curve grid.
 
-    kind: str
+    Each cell of the grid is one broadcast problem.  Its ``machine``,
+    ``distribution``, ``s`` and ``message_size`` are each a
+    :class:`Dual` of a scalar or of a per-x list, or come from
+    ``cell_axis`` (the x value itself), from the curve axis, or — the
+    distribution — from ``placement``.  The curves are ``algorithms``,
+    or ``distributions``/``s_values`` at one fixed ``algorithm``; with
+    ``baseline`` and ``variant`` in place of ``algorithm``, a curve
+    value is the variant's percent gain over the baseline.
+    """
+
     title: str
     x_label: str
+    x_values: Dual
     y_label: str = "time (ms)"
-    machine: Optional[Any] = None  # str, or Dual of per-x list (dist_curves)
-    machines: Optional[Dual] = None  # machines_by_s: per-x machine specs
-    distribution: Optional[str] = None
-    distributions: Tuple[str, ...] = ()
-    algorithm: Optional[str] = None
-    algorithms: Tuple[str, ...] = ()
-    s: Optional[Any] = None  # int, or Dual of per-x list (dist_curves)
-    s_values: Optional[Dual] = None
-    message_size: Optional[Any] = None  # int, or Dual per-x list
-    total_bytes: Optional[int] = None
     contention: bool = True
+    machine: Optional[Dual] = None
+    distribution: Optional[Dual] = None
+    s: Optional[Dual] = None
+    message_size: Optional[Dual] = None
+    cell_axis: Optional[str] = None  # a key of CELL_AXES
     placement: Optional[str] = None
-    x_values: Optional[Dual] = None
-    cell_axis: Optional[str] = None
-    cells: Optional[Dual] = None  # Dual of List[CellSpec]
+    algorithms: Tuple[str, ...] = ()
+    algorithm: Optional[str] = None
+    distributions: Tuple[str, ...] = ()
+    s_values: Tuple[int, ...] = ()
     baseline: Optional[str] = None
     variant: Optional[str] = None
-    axis: Optional[str] = None  # percent_gain: "s" | "L"
+
+    def grid(
+        self, quick: bool = False
+    ) -> Tuple[List[Any], List[str], List[List[Dict[str, Any]]]]:
+        """The x values, the curve names and, per x, each curve's cell.
+
+        A cell maps ``machine``, ``distribution``, ``s``,
+        ``message_size`` and ``algorithm`` to their values there;
+        ``distribution`` is ``None`` under a ``placement`` and
+        ``algorithm`` is ``None`` in a gain series.
+
+        >>> spec = SeriesSpec("t", "s", Dual([4, 8]), machine=Dual("t3d:16"),
+        ...                   message_size=Dual([64, 32]), cell_axis="s",
+        ...                   algorithm="Br_Lin", distributions=("E", "R"))
+        >>> xs, names, rows = spec.grid()
+        >>> names, [(c["distribution"], c["s"], c["message_size"]) for c in rows[1]]
+        (['E', 'R'], [('E', 8, 32), ('R', 8, 32)])
+        """
+        xs = list(self.x_values.get(quick))
+        cells: List[Dict[str, Any]] = [
+            {"machine": None, "distribution": None, "s": None,
+             "message_size": None, "algorithm": self.algorithm}
+            for _ in xs
+        ]
+        for field in ("machine", "distribution", "s", "message_size"):
+            dual = getattr(self, field)
+            if dual is None:
+                continue
+            value = dual.get(quick)
+            values = value if isinstance(value, list) else [value] * len(xs)
+            for cell, v in zip(cells, values):
+                cell[field] = v
+        if self.cell_axis is not None:
+            for cell, x in zip(cells, xs):
+                cell[CELL_AXES[self.cell_axis]] = x
+        if self.algorithms:
+            field, values = "algorithm", self.algorithms
+        elif self.distributions:
+            field, values = "distribution", self.distributions
+        else:
+            field, values = "s", self.s_values
+        names = [f"s={v}" if field == "s" else v for v in values]
+        rows = [[{**cell, field: v} for v in values] for cell in cells]
+        return xs, names, rows
 
 
 @dataclass(frozen=True)

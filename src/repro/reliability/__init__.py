@@ -16,7 +16,7 @@ fabric:
   ``stall:read@K+D``, mirroring the simulator's fault specs).
 * :mod:`repro.reliability.envelope` — self-verifying storage: the
   versioned ``repro-cache/2`` entry envelope with an embedded sha256,
-  verified on every read; legacy v1 entries stay readable.
+  verified on every read.
 * :mod:`repro.reliability.harness` — the crash-consistency harness:
   replay a cached ``SweepExecutor`` run with a crash injected at
   *every* IO-op index and assert the cache never serves unverified

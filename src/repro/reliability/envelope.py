@@ -15,18 +15,15 @@ re-serialises the body with the same canonical ``json.dumps`` used at
 seal time, so a JSON round-trip through disk is digest-stable (Python's
 float repr round-trips exactly).
 
-Legacy v1 entries — plain ``{point, result, compute_s}`` objects with
-no ``schema`` key — pass through :func:`open_envelope` unverified but
-readable, tagged ``"v1"`` so callers can count them (the
-``--verify-cache`` scan reports them separately; they are rewritten as
-v2 whenever their point is recomputed or re-stored).
+An entry without a ``schema`` key (the plain pre-envelope format) is a
+``bad-envelope`` defect like any other: nothing unverified is served.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 from repro.errors import ReproError
 
@@ -68,18 +65,15 @@ def seal_envelope(body: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def open_envelope(text: str) -> Tuple[Dict[str, Any], str]:
-    """Parse and verify stored entry ``text``.
-
-    Returns ``(body, version)`` where ``version`` is ``"v2"`` for a
-    verified envelope or ``"v1"`` for a legacy plain entry.
+def open_envelope(text: str) -> Dict[str, Any]:
+    """Parse and verify stored entry ``text``; returns its body.
 
     Raises
     ------
     EnvelopeError
-        On unparseable JSON, a non-object entry, an unknown schema, a
-        malformed envelope, or — the case the whole layer exists for —
-        a sha256 that does not match the body.
+        On unparseable JSON, a non-object entry, a missing or unknown
+        schema, a malformed envelope, or — the case the whole layer
+        exists for — a sha256 that does not match the body.
     """
     try:
         entry = json.loads(text)
@@ -90,10 +84,6 @@ def open_envelope(text: str) -> Tuple[Dict[str, Any], str]:
             f"bad-envelope: entry is {type(entry).__name__}, not an object"
         )
     schema = entry.get("schema")
-    if schema is None:
-        # Legacy v1: the body *is* the entry.  No digest to verify —
-        # the caller's field validation is the only defence, as before.
-        return entry, "v1"
     if schema != ENTRY_SCHEMA_V2:
         raise EnvelopeError(f"bad-envelope: unknown schema {schema!r}")
     body = entry.get("body")
@@ -106,4 +96,4 @@ def open_envelope(text: str) -> Tuple[Dict[str, Any], str]:
             f"checksum-mismatch: stored {stored[:12]}.., "
             f"recomputed {actual[:12]}.."
         )
-    return body, "v2"
+    return body

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.sweep.cache import ResultCache
 from repro.sweep.executor import SweepExecutor
 from repro.sweep.spec import SweepSpec
@@ -32,15 +32,25 @@ def _csv(text: str) -> List[str]:
     return [item for item in text.split(",") if item]
 
 
+def _ints(text: str, flag: str) -> Tuple[int, ...]:
+    """The comma-separated integers of one axis flag."""
+    try:
+        return tuple(int(item) for item in _csv(text))
+    except ValueError:
+        raise ConfigurationError(
+            f"{flag} takes comma-separated integers, got {text!r}"
+        ) from None
+
+
 def build_spec(args: argparse.Namespace) -> SweepSpec:
     """A :class:`SweepSpec` from the CLI's comma-separated axes."""
     return SweepSpec(
         machines=tuple(_csv(args.machines)),
         distributions=tuple(_csv(args.dists)),
-        s_values=tuple(int(s) for s in _csv(args.s)),
-        message_sizes=tuple(int(size) for size in _csv(args.L)),
+        s_values=_ints(args.s, "--s"),
+        message_sizes=_ints(args.L, "--L"),
         algorithms=tuple(_csv(args.algorithms)),
-        seeds=tuple(int(seed) for seed in _csv(args.seeds)),
+        seeds=_ints(args.seeds, "--seeds"),
         contention=not args.no_contention,
         faults=(None,) if args.faults is None else (args.faults,),
         recover=args.recover,
@@ -58,8 +68,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=(
             "offline integrity scan of --cache-dir: verify every entry's "
             "envelope checksum, quarantine fresh corruption, report "
-            "verified/legacy-v1/quarantined counts (exit 1 on fresh "
-            "corruption); no sweep is run"
+            "verified/quarantined counts (exit 1 on fresh corruption); "
+            "no sweep is run"
         ),
     )
     parser.add_argument(

@@ -42,7 +42,7 @@ from repro.errors import ConfigurationError
 from repro.metrics.progress import SweepReport
 from repro.simulator.trace import Tracer
 from repro.sweep.cache import ResultCache
-from repro.sweep.spec import SweepPoint
+from repro.sweep.spec import SweepPoint, code_fingerprint
 
 __all__ = [
     "SweepExecutor",
@@ -246,6 +246,9 @@ class SweepExecutor:
         Worker exceptions (verification failures, algorithm/machine
         mismatches) propagate to the caller unchanged in kind.
         """
+        # Every key hashes the once-per-process source fingerprint; take
+        # it before the clock starts, since busy_s never counts it.
+        code_fingerprint()
         wall_start = time.perf_counter()
         report = SweepReport(total=len(points), jobs=self.jobs)
         quarantines_before = (

@@ -253,6 +253,9 @@ class TestSweepCLI:
             (["--algorithms", "Nope"], "unknown algorithm 'Nope'"),
             (["--dists", "Q"], "unknown distribution 'Q'"),
             (["--s", "0"], "s must be in [1, 16], got 0"),
+            (["--s", "abc"], "--s takes comma-separated integers, got 'abc'"),
+            (["--L", "1.5"], "--L takes comma-separated integers, got '1.5'"),
+            (["--seeds", "x"], "--seeds takes comma-separated integers, got 'x'"),
         ],
     )
     def test_bad_grid_exits_2_and_computes_nothing(

@@ -7,10 +7,11 @@ count.  The digests were recorded while the declarative configs still
 had hand-written twin functions and both rendered identical text, so
 they carry that differential forward without the twins.
 
-Tier-1 checks one cheap config per declarative series kind, and every
-builder config twice: first into an empty result cache, then again from
-that cache with both simulation engines forbidden, which proves that
-every measurement a builder makes is a cached sweep point.  The bench
+Tier-1 checks six cheap declarative configs, one per way a series
+varies its cells and curves, and every builder config twice: first into
+an empty result cache, then again from that cache with both simulation
+engines forbidden, which proves that every measurement a builder makes
+is a cached sweep point.  The bench
 suite (``REPRO_BENCH_QUICK=1 pytest benchmarks``) checks all 25 against
 the same file, and ``python -m repro report docs --check`` pins the
 full grids through RESULTS.txt.
@@ -36,12 +37,12 @@ CONFIGS = load_config_dir()
 
 #: The tier-1 declarative subset and what each one stands for.
 CHEAP = {
-    "fig6": "cells (distribution axis)",
-    "fig7": "sweep with total_bytes",
-    "fig8": "machines_by_s",
-    "fig9": "percent_gain",
-    "fig11": "dist_curves",
-    "sec52-conditions": "cells (ideal_rows placement)",
+    "fig6": "cell_axis = 'dist', algorithm curves",
+    "fig7": "cell_axis = 's' with per-x message sizes",
+    "fig8": "per-x machines, s_values curves",
+    "fig9": "baseline + variant gain curves",
+    "fig11": "distribution curves, per-x machine/s/size and cell_axis = 's'",
+    "sec52-conditions": "ideal_rows placement",
 }
 #: Every ``kind = "builder"`` config.
 BUILDERS = [id_ for id_, config in CONFIGS.items() if config.kind == "builder"]

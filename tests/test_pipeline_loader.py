@@ -21,13 +21,13 @@ description = "a two-point sweep"
 kind = "declarative"
 
 [[series]]
-kind = "sweep"
 title = "demo sweep"
 x_label = "s"
+x_values = {{ full = [4, 8], quick = [4] }}
+cell_axis = "s"
 machine = "paragon:4x4"
 distribution = "E"
 algorithms = ["Br_Lin"]
-s_values = {{ full = [4, 8], quick = [4] }}
 message_size = 256
 {extra}
 """
@@ -55,10 +55,62 @@ class TestErrorNaming:
             load_config_text(text)
         assert "'x_label'" in str(err.value)
 
-    def test_unknown_series_kind_rejected(self):
+    @pytest.mark.parametrize("spelling", [
+        'kind = "sweep"', 'kind = "cells"', "total_bytes = 4096",
+        'axis = "s"', 'machines = ["paragon:4x4"]', "cells = [{ s = 4 }]",
+    ])
+    def test_old_series_kind_spellings_are_unknown_keys(self, spelling):
+        """A series has one form: a kind, or a kind's own key, is rejected."""
+        key = spelling.split(" = ")[0]
+        text = _minimal().replace('x_label = "s"', f'x_label = "s"\n{spelling}')
         with pytest.raises(ConfigurationError) as err:
-            load_config_text(_minimal().replace('kind = "sweep"', 'kind = "mystery"'))
-        assert "mystery" in str(err.value)
+            load_config_text(text, path="configs/xx-demo.toml")
+        message = str(err.value)
+        assert f"unknown key(s) {key!r}" in message
+        assert "configs/xx-demo.toml: [series#0]" in message
+
+    @pytest.mark.parametrize("old, new, named", [
+        # s set twice: by its own key and by the x axis.
+        ('message_size = 256', 'message_size = 256\ns = 4', "s, cell_axis = 's'"),
+        # no message size at all.
+        ('message_size = 256', '', "message_size"),
+        # the distribution set by a key and by the curve axis.
+        ('algorithms = ["Br_Lin"]',
+         'algorithm = "Br_Lin"\ndistributions = ["E", "R"]',
+         "distribution, distributions"),
+    ])
+    def test_each_cell_field_is_set_exactly_once(self, old, new, named):
+        with pytest.raises(ConfigurationError) as err:
+            load_config_text(_minimal().replace(old, new))
+        assert "needs exactly one of" in str(err.value)
+        assert named in str(err.value)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('algorithms = ["Br_Lin"]', 'algorithm = "Br_Lin"',
+         "exactly one curve axis"),
+        ('algorithms = ["Br_Lin"]',
+         'algorithms = ["Br_Lin"]\nalgorithm = "Br_Lin"',
+         "measure with exactly one of"),
+        ('distribution = "E"\nalgorithms = ["Br_Lin"]',
+         'baseline = "Br_Lin"\ndistributions = ["E"]',
+         "measure with exactly one of"),
+    ])
+    def test_one_curve_axis_and_one_measurement(self, old, new, message):
+        with pytest.raises(ConfigurationError) as err:
+            load_config_text(_minimal().replace(old, new))
+        assert message in str(err.value)
+
+    def test_cell_axis_values_are_checked(self):
+        text = (
+            _minimal()
+            .replace("x_values = { full = [4, 8], quick = [4] }",
+                     'x_values = ["E", "Zed"]\ns = 4')
+            .replace('cell_axis = "s"', 'cell_axis = "dist"')
+            .replace('distribution = "E"\n', "")
+        )
+        with pytest.raises(ConfigurationError) as err:
+            load_config_text(text)
+        assert "[series#0].x_values: unknown distribution 'Zed'" in str(err.value)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigurationError) as err:
@@ -153,13 +205,13 @@ builder = "repro.bench.figures:fig01"
 expected_checks = 3
 
 [[series]]
-kind = "sweep"
 title = "t"
 x_label = "s"
+x_values = [4]
+cell_axis = "s"
 machine = "paragon:4x4"
 distribution = "E"
 algorithms = ["Br_Lin"]
-s_values = [4]
 message_size = 256
 """
         with pytest.raises(ConfigurationError) as err:

@@ -145,6 +145,22 @@ class TestRepresentativePoint:
         point = representative_point(configs["fig7"])
         assert point["L"] * point["s"] <= 81920
 
+    @pytest.mark.parametrize("experiment_id, expected", [
+        # per-x machine and s: the middle of eight machine sizes
+        ("fig5", ("paragon:10x10", "Dr", 10, 1024, "Br_Lin")),
+        # s_values curves: the middle shape, the first curve's s
+        ("fig8", ("paragon:10x12", "E", 8, 4096, "Br_Lin")),
+        # a gain series is sampled with its variant
+        ("fig9", ("paragon:16x16", "Cr", 100, 6144, "Repos_xy_source")),
+        # distribution curves with per-x message sizes
+        ("fig12", ("t3d:128", "E", 16, 8192, "MPI_AllGather")),
+    ])
+    def test_middle_x_of_the_full_grid_on_the_first_curve(
+        self, configs, experiment_id, expected
+    ):
+        point = representative_point(configs[experiment_id])
+        assert tuple(point.values()) == expected
+
     def test_builder_config_has_no_point(self, configs):
         assert representative_point(configs["fig1"]) is None
 
@@ -212,6 +228,29 @@ class TestHeatmapCache:
         assert (cache.quarantine_root / path.name).exists()
         assert path.read_text() == stored
         assert _link_heatmap(point, None) == text
+
+    def test_page_render_quarantines_are_reported(self, tmp_path, capsys):
+        """A heatmap sibling garbled before a warm render is counted."""
+        from repro.pipeline.cli import main
+
+        cache = tmp_path / "cache"
+        argv = ["fig4", "--quick", "--cache-dir", str(cache),
+                "--out", str(tmp_path / "html")]
+        assert main(argv) == 0
+        page = (tmp_path / "html" / "fig4.html").read_bytes()
+        (path,) = cache.glob("??/*.heatmap.json")
+        path.write_text("{ garbled")
+        capsys.readouterr()
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "sweep: 28 point(s) (28 cached, 0 computed)" in out
+        (line,) = [l for l in out.splitlines() if l.startswith("wrote ")]
+        assert line.endswith(" (reliability: quarantines=1)")
+        assert (cache / "quarantine" / path.name).exists()
+        assert (tmp_path / "html" / "fig4.html").read_bytes() == page
+        # The recomputed sibling serves the next render without a word.
+        assert main(argv) == 0
+        assert "reliability" not in capsys.readouterr().out
 
     def test_code_change_recomputes_every_point(self, tmp_path, monkeypatch,
                                                 capsys):
@@ -431,7 +470,7 @@ class TestReportLoadsNamedConfigs:
 
         ran = []
 
-        def run_all(configs, args):
+        def run_all(configs, args, executor):
             ran.extend(config.id for config in configs)
             return []
 

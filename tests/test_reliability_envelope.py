@@ -25,9 +25,7 @@ class TestSealOpen:
     def test_roundtrip(self):
         env = seal_envelope(BODY)
         assert env["schema"] == ENTRY_SCHEMA_V2
-        body, version = open_envelope(json.dumps(env))
-        assert version == "v2"
-        assert body == BODY
+        assert open_envelope(json.dumps(env)) == BODY
 
     def test_digest_survives_a_disk_roundtrip(self):
         # The digest is over canonical JSON, and Python floats
@@ -35,8 +33,7 @@ class TestSealOpen:
         # re-parse must still verify.
         once = json.dumps(seal_envelope(BODY), sort_keys=True)
         twice = json.dumps(json.loads(once), sort_keys=True)
-        body, version = open_envelope(twice)
-        assert version == "v2"
+        body = open_envelope(twice)
         assert canonical_digest(body) == json.loads(twice)["sha256"]
 
     def test_digest_is_key_order_independent(self):
@@ -74,16 +71,13 @@ class TestDefects:
             )
 
 
-class TestLegacyV1:
-    def test_plain_entry_passes_through_unverified(self):
-        body, version = open_envelope(json.dumps(BODY))
-        assert version == "v1"
-        assert body == BODY
+class TestSchemaLess:
+    """The plain pre-envelope format is a defect, not a second format."""
 
-    def test_v1_defects_are_the_callers_problem(self):
-        # No schema key means no digest to check: a *corrupt* v1 body
-        # still comes back (tagged v1) — field validation downstream is
-        # the only defence, exactly as before the envelope existed.
-        body, version = open_envelope(json.dumps({"point": {}, "half": True}))
-        assert version == "v1"
-        assert body == {"point": {}, "half": True}
+    def test_plain_entry_is_a_bad_envelope(self):
+        with pytest.raises(EnvelopeError, match="bad-envelope"):
+            open_envelope(json.dumps(BODY))
+
+    def test_null_schema_is_a_bad_envelope(self):
+        with pytest.raises(EnvelopeError, match="bad-envelope"):
+            open_envelope(json.dumps(dict(BODY, schema=None)))

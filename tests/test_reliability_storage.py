@@ -1,4 +1,4 @@
-"""Storage-reliability semantics: quarantine, v1 legacy, audits, CLI.
+"""Storage-reliability semantics: quarantine, audits, CLI.
 
 Sits above the unit layers (``test_reliability_envelope``,
 ``test_reliability_iofaults``): these tests drive the *integration* of
@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.metrics.progress import SweepReport
-from repro.reliability import ENTRY_SCHEMA_V2, seal_envelope
+from repro.reliability import seal_envelope
 from repro.sweep.cache import ResultCache
 from repro.sweep.cli import main as sweep_main
 from repro.sweep.executor import SweepExecutor
@@ -120,6 +120,11 @@ def _flip_elapsed(entry):
     entry["body"]["result"]["elapsed_us"] += 1
 
 
+def _schema_less(text):
+    """The sealed entry's body alone: the plain pre-envelope format."""
+    return json.dumps(json.loads(text)["body"], sort_keys=True)
+
+
 #: ``(reason prefix, defect)`` per kind of damage a stored entry can
 #: take; each defect maps the entry's text to its damaged text.
 DEFECTS = {
@@ -131,6 +136,7 @@ DEFECTS = {
         "bad-envelope",
         _unsealed(lambda entry: entry.update(schema="repro-cache/99")),
     ),
+    "schema-less": ("bad-envelope", _schema_less),
     "flipped-bit": ("checksum-mismatch", _unsealed(_flip_elapsed)),
     "stale-payload": (
         "bad-entry",
@@ -189,61 +195,64 @@ class TestQuarantineAccounting:
         assert cache.quarantines == 2
 
 
-class TestLegacyV1:
-    def _write_v1(self, cache, point):
-        result, compute_s = cache.load(point)
-        body = {
-            "point": point.payload(),
-            "result": result,
-            "compute_s": compute_s,
-        }
-        cache.path_for(point.key()).write_text(
-            json.dumps(body, sort_keys=True)
-        )
-        return result
+class TestSchemaLess:
+    """A file without the envelope is quarantined, never served."""
 
-    def test_v1_entry_still_readable(self, tmp_path):
+    def _reason(self, cache, point):
+        record = cache.quarantine_root / f"{point.key()}.reason.json"
+        return json.loads(record.read_text())["reason"]
+
+    def test_load_quarantines_it(self, tmp_path):
         cache = ResultCache(tmp_path)
         point = _populate(cache)
-        result = self._write_v1(cache, point)
-        loaded = cache.load(point)
-        assert loaded is not None and loaded[0] == result
+        path = cache.path_for(point.key())
+        path.write_text(_schema_less(path.read_text()))
+        assert cache.load(point) is None
+        assert not path.exists()
+        assert (cache.quarantine_root / path.name).exists()
+        assert self._reason(cache, point).startswith("bad-envelope")
 
-    def test_v1_served_as_a_hit_not_recomputed(self, tmp_path):
+    def test_load_sibling_quarantines_it_alone(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        point = _populate(cache, observe=True)
+        path = cache.sibling_path(point.key(), "obs")
+        path.write_text(_schema_less(path.read_text()))
+        assert cache.load_sibling(point, "obs") is None
+        assert (cache.quarantine_root / path.name).exists()
+        assert self._reason(cache, point).startswith("bad-envelope")
+        assert cache.load(point) is not None  # the entry itself is sound
+
+    def test_verify_all_quarantines_it(self, tmp_path):
         cache = ResultCache(tmp_path)
         point = _populate(cache)
-        self._write_v1(cache, point)
-        executor = SweepExecutor(jobs=1, cache=cache)
-        executor.run([point])
-        assert executor.last_report.cached == 1
-
-    def test_store_rewrites_v1_as_v2(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        point = _populate(cache)
-        result = self._write_v1(cache, point)
-        cache.store(point, result, 0.125)
-        on_disk = json.loads(cache.path_for(point.key()).read_text())
-        assert on_disk["schema"] == ENTRY_SCHEMA_V2
+        path = cache.path_for(point.key())
+        path.write_text(_schema_less(path.read_text()))
+        audit = cache.verify_all()
+        assert (audit.verified, audit.quarantined_now) == (0, 1)
+        assert (cache.quarantine_root / path.name).exists()
+        assert self._reason(cache, point).startswith("bad-envelope")
 
 
 class TestVerifyAll:
     def test_mixed_cache_audit(self, tmp_path):
         cache = ResultCache(tmp_path)
         good = _populate(cache, seed=0)
-        legacy = _populate(cache, seed=1)
+        plain = _populate(cache, seed=1)
         corrupt = _populate(cache, seed=2)
-        TestLegacyV1()._write_v1(cache, legacy)
+        path = cache.path_for(plain.key())
+        path.write_text(_schema_less(path.read_text()))
         cache.path_for(corrupt.key()).write_text("{ half a write")
         audit = cache.verify_all()
         assert audit.verified == 1
-        assert audit.legacy_v1 == 1
-        assert audit.quarantined_now == 1
-        assert audit.quarantined_total == 1
-        assert "1 verified, 1 legacy-v1, 1 newly quarantined" in audit.summary()
+        assert audit.quarantined_now == 2
+        assert audit.quarantined_total == 2
+        assert audit.summary() == (
+            "1 verified, 2 newly quarantined (2 total in quarantine)"
+        )
         # A second scan finds the damage already swept aside.
         again = cache.verify_all()
         assert again.quarantined_now == 0
-        assert again.quarantined_total == 1
+        assert again.quarantined_total == 2
         assert cache.load(good) is not None
 
     def test_empty_cache_is_clean(self, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 import warnings
 
 import pytest
@@ -74,6 +75,25 @@ def _point(algorithm="Br_Lin", seed=0):
         seed=seed,
         distribution="R",
     )
+
+
+def test_wall_time_excludes_the_code_fingerprint(monkeypatch):
+    """The once-per-process source hash is not charged to the sweep."""
+    from repro.sweep import spec
+
+    real = spec.source_fingerprint
+
+    def slow(root):
+        time.sleep(0.5)
+        return real(root)
+
+    spec.code_fingerprint.cache_clear()
+    monkeypatch.setattr(spec, "source_fingerprint", slow)
+    executor = SweepExecutor(jobs=1)
+    started = time.perf_counter()
+    executor.run([_point()])
+    assert time.perf_counter() - started >= 0.5  # the hash did run here
+    assert executor.last_report.wall_s < 0.5
 
 
 class TestObserve:
