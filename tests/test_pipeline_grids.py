@@ -1,9 +1,10 @@
-"""Every declarative config expands into its recorded set of sweep points.
+"""Every config expands into its recorded set of sweep points.
 
-``tests/golden/experiment_grids.json`` holds, for each declarative
-``configs/*.toml`` experiment and each grid mode (``quick``, ``full``),
-the number of points :func:`~repro.pipeline.runner.experiment_points`
-returns and the sha256 of their identities: each point's
+``tests/golden/experiment_grids.json`` holds, for each
+``configs/*.toml`` experiment (declarative and builder) and each grid
+mode (``quick``, ``full``), the number of points
+:func:`~repro.pipeline.runner.experiment_points` returns and the sha256
+of their identities: each point's
 :meth:`~repro.sweep.spec.SweepPoint.payload` without ``code`` (the
 source fingerprint, which every edit changes) as canonical JSON, one
 line per point, lines sorted.  Sorting makes the digest independent of
@@ -30,9 +31,6 @@ from repro.pipeline.runner import experiment_points
 GOLDEN_PATH = Path(__file__).parent / "golden" / "experiment_grids.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 CONFIGS = load_config_dir()
-DECLARATIVE = sorted(
-    id_ for id_, config in CONFIGS.items() if config.kind == "declarative"
-)
 
 
 def grid_digest(config, quick: bool) -> dict:
@@ -47,12 +45,12 @@ def grid_digest(config, quick: bool) -> dict:
 
 
 @pytest.mark.parametrize("mode", ["quick", "full"])
-@pytest.mark.parametrize("experiment_id", DECLARATIVE)
+@pytest.mark.parametrize("experiment_id", sorted(CONFIGS))
 def test_grid_matches_golden(experiment_id, mode):
     got = grid_digest(CONFIGS[experiment_id], quick=mode == "quick")
     assert got == GOLDEN[experiment_id][mode]
 
 
-def test_golden_covers_every_declarative_config():
-    assert sorted(GOLDEN) == DECLARATIVE
-    assert len(DECLARATIVE) == 13
+def test_golden_covers_every_config():
+    assert sorted(GOLDEN) == sorted(CONFIGS)
+    assert len(CONFIGS) == 25
