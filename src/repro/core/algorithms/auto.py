@@ -65,7 +65,3 @@ class AutoPredict(BroadcastAlgorithm):
         assert best_schedule is not None, "portfolio cannot be empty"
         best_schedule.algorithm = f"{self.name}[{best_name}]"
         return best_schedule
-
-    def chosen_for(self, problem: BroadcastProblem) -> str:
-        """The portfolio member the model picks for ``problem``."""
-        return self.build_schedule(problem).algorithm.split("[", 1)[1][:-1]

@@ -21,9 +21,10 @@ Generators provided:
   ``Repos_xy_source`` / ``Repos_xy_dim`` (full rows at searched row
   positions);
 * :func:`ideal_linear_sources` — searched positions on the machine's
-  linear (snake) order, used by ``Repos_Lin``;
-* :func:`left_diagonal_sources` — the paper's named ideal for
-  ``Br_Lin`` (§4), kept for fidelity comparisons and ablation.
+  linear (snake) order, used by ``Repos_Lin``.
+
+The paper's named ideal for ``Br_Lin`` (§4), the left diagonal, is the
+``Dl`` distribution (``DISTRIBUTIONS["Dl"]``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from repro.core.structure import estimate_halving_time
-from repro.distributions.diagonal import LeftDiagonalDistribution
 from repro.errors import DistributionError
 from repro.machines.machine import Machine
 
@@ -42,7 +42,6 @@ __all__ = [
     "best_line_positions",
     "ideal_row_sources",
     "ideal_linear_sources",
-    "left_diagonal_sources",
 ]
 
 #: Exhaustive search bound: enumerate all C(n, k) placements below this.
@@ -180,12 +179,6 @@ def ideal_linear_sources(machine: Machine, s: int) -> Tuple[int, ...]:
     order = machine.linear_order()
     positions = best_line_positions(len(order), s)
     return tuple(sorted(order[pos] for pos in positions))
-
-
-def left_diagonal_sources(machine: Machine, s: int) -> Tuple[int, ...]:
-    """The paper's named ideal for ``Br_Lin``: the left diagonal Dl(s)."""
-    _check_s(machine, s)
-    return LeftDiagonalDistribution().generate(machine, s)
 
 
 def _check_s(machine: Machine, s: int) -> None:

@@ -91,11 +91,6 @@ class BroadcastProblem:
         """Sources as a frozenset (handy for membership tests)."""
         return frozenset(self.sources)
 
-    @property
-    def total_bytes(self) -> int:
-        """Sum of all source message sizes (the paper's "total message size")."""
-        return sum(self._size_table.values())
-
     def is_source(self, rank: int) -> bool:
         """Whether ``rank`` initiates a broadcast."""
         return rank in self._size_table

@@ -178,10 +178,6 @@ class Schedule:
         finally:
             self._phase = previous
 
-    def extend(self, other: "Schedule") -> None:
-        """Append all of ``other``'s rounds (phase composition)."""
-        self.rounds.extend(other.rounds)
-
     # -- queries ------------------------------------------------------------
     @property
     def num_rounds(self) -> int:
@@ -254,13 +250,6 @@ class Schedule:
         return out
 
     # -- statistics -----------------------------------------------------------
-    def max_transfer_bytes(self) -> int:
-        """Largest single message in the schedule (0 if empty)."""
-        return max(
-            (t.nbytes(self.problem) for rnd in self.rounds for t in rnd),
-            default=0,
-        )
-
     def ops_by_rank(self) -> Dict[int, int]:
         """Send+recv operation count per rank (only ranks with ops)."""
         ops: Dict[int, int] = {}

@@ -69,20 +69,15 @@ class FaultInjector:
         #: what deadlock diagnostics and ``BroadcastResult.faults_active``
         #: report.
         self.descriptions: Tuple[str, ...] = tuple(descriptions)
-        # Distinct activation times; the index found by bisect is the
-        # "fault epoch" of a request time, which keys the route memo
-        # (the set of active faults is monotone in time, so the epoch
-        # fully determines it).
+        # Distinct link/node death times; the index found by bisect is
+        # the "kill epoch" of a request time, which keys the route memo
+        # (the set of dead links and nodes is monotone in time, so the
+        # epoch fully determines it).  Degradations slow links but never
+        # reroute, so they do not advance it and do not invalidate
+        # cached BFS detours.
         times = {t for t in self._dead_links.values()}
         times.update(self._dead_nodes.values())
-        # Kill epochs advance only on link/node deaths — the events that
-        # change reachability.  The route memo is keyed on these, so a
-        # degradation activating (which slows links but never reroutes)
-        # does not invalidate cached BFS detours.
         self._kill_times: List[float] = sorted(times)
-        for spans in self._degraded.values():
-            times.update(t for t, _ in spans)
-        self._times: List[float] = sorted(times)
         self._route_memo: Dict[Tuple[int, int, int], Optional[Tuple[int, ...]]] = {}
         self._any_degraded = bool(self._degraded)
 
@@ -170,10 +165,6 @@ class FaultInjector:
         )
 
     # -- queries ----------------------------------------------------------
-    def epoch(self, now: float) -> int:
-        """Index of the fault activation epoch containing time ``now``."""
-        return bisect_right(self._times, now)
-
     def kill_epoch(self, now: float) -> int:
         """Index of the *reachability* epoch containing time ``now``.
 

@@ -243,24 +243,6 @@ class Machine:
             raise ConfigurationError(f"{self!r} is not a 2-D mesh machine")
         return (self.topology.rows, self.topology.cols)
 
-    def coords(self, rank: int) -> Tuple[int, int]:
-        """Mesh ``(row, col)`` of ``rank`` (identity-mapped meshes only)."""
-        if not self.is_mesh:
-            raise ConfigurationError(
-                "mesh coordinates are only meaningful on identity-mapped meshes"
-            )
-        assert isinstance(self.topology, Mesh2D)
-        return self.topology.coords(rank)
-
-    def rank_at(self, row: int, col: int) -> int:
-        """Rank at mesh coordinate (identity-mapped meshes only)."""
-        if not self.is_mesh:
-            raise ConfigurationError(
-                "mesh coordinates are only meaningful on identity-mapped meshes"
-            )
-        assert isinstance(self.topology, Mesh2D)
-        return self.topology.node_at(row, col)
-
     @property
     def logical_grid(self) -> Tuple[int, int]:
         """``(rows, cols)`` grid on which source distributions are defined.

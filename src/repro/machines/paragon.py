@@ -48,7 +48,7 @@ def paragon(
 
     Ranks are the row-major node order of the submesh, exactly as NX
     numbers them; the mapping is the identity, so algorithms may use
-    mesh coordinates (``machine.coords`` / ``machine.rank_at``).
+    mesh coordinates (``machine.topology.coords`` / ``node_at``).
     """
     if rows <= 0 or cols <= 0:
         raise ConfigurationError(f"invalid Paragon shape {rows}x{cols}")

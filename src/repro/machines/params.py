@@ -121,17 +121,6 @@ class MachineParams:
         scale = self.collective_mem_scale if collective else 1.0
         return nbytes * self.t_mem_byte * scale
 
-    def latency(self, nbytes: int, hops: int = 1) -> float:
-        """Uncontended end-to-end time for one ``nbytes`` message."""
-        return (
-            self.t_send_overhead
-            + self.route_setup
-            + hops * self.t_hop
-            + nbytes * self.t_byte
-            + self.t_recv_overhead
-            + self.copy_cost(nbytes)
-        )
-
     def with_overrides(self, **changes: Any) -> "MachineParams":
         """A copy with selected fields replaced (for ablations)."""
         return replace(self, **changes)

@@ -229,9 +229,9 @@ class Comm:
             )
         # One fused event per message: delivery (inbox deposit) runs as
         # the completion event's first callback, so the calendar carries
-        # a single entry where the seed code scheduled two (call_at +
-        # completion) for the same instant.  Callback order preserves the
-        # seed semantics: deliver first, then resume any send-waiters.
+        # a single entry rather than a delivery and a completion for the
+        # same instant.  Callback order keeps the semantics of two
+        # entries: deliver first, then resume any send-waiters.
         completion = engine.event()
         completion.add_callback(
             lambda _ev, _deliver=world.deliver, _env=envelope: _deliver(_env)

@@ -111,16 +111,6 @@ class ReliableComm:
         #: Ranks presumed failed (sticky: later sends fail immediately).
         self._failed: Set[int] = set()
 
-    # -- failure bookkeeping ----------------------------------------------
-    @property
-    def failed_peers(self) -> frozenset:
-        """Ranks this endpoint has presumed failed."""
-        return frozenset(self._failed)
-
-    def is_failed(self, rank: int) -> bool:
-        """Whether ``rank`` has been presumed failed by this endpoint."""
-        return rank in self._failed
-
     # -- sending -----------------------------------------------------------
     def send(
         self, dest: int, payload: Any, nbytes: int, tag: int = 0
@@ -272,7 +262,7 @@ class ReliableComm:
             # loop will conclude the same thing from silence.
             pass
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         return (
             f"<ReliableComm over {self.comm!r} "
             f"retries={self.max_retries} failed={sorted(self._failed)}>"

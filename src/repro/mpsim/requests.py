@@ -14,9 +14,9 @@ class Request:
     """Handle for an outstanding non-blocking send (or receive).
 
     Wraps the completion :class:`~repro.simulator.events.Event`.  Use
-    ``yield from request.wait()`` inside a process, or pass
-    ``request.event`` to :class:`~repro.simulator.events.AllOf` to wait
-    on several requests at once.
+    ``yield from request.wait()`` inside a process; to wait on several
+    requests, wait on each in turn, as the schedule executor does with a
+    round's sends.
     """
 
     __slots__ = ("event", "kind")

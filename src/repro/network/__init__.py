@@ -22,12 +22,7 @@ from __future__ import annotations
 from repro.network.fabric import Fabric, TransferStats
 from repro.network.hypercube import Hypercube
 from repro.network.linear import LinearArray
-from repro.network.mapping import (
-    IdentityMapping,
-    RandomMapping,
-    RankMapping,
-    SnakeMapping,
-)
+from repro.network.mapping import IdentityMapping, RandomMapping, RankMapping
 from repro.network.mesh import Mesh2D
 from repro.network.topology import Topology
 from repro.network.torus import Torus3D
@@ -42,6 +37,5 @@ __all__ = [
     "TransferStats",
     "RankMapping",
     "IdentityMapping",
-    "SnakeMapping",
     "RandomMapping",
 ]

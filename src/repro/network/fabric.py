@@ -29,10 +29,9 @@ charged and links never conflict.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.network.topology import Topology
@@ -144,11 +143,6 @@ class Fabric:
         self._wire = WireState(topology.num_links, 2 * topology.num_nodes)
         self._transfers = 0
         self._total_wait = 0.0
-
-    @property
-    def _busy_time(self) -> List[float]:
-        """Per-link accumulated busy time (wire-state view)."""
-        return self._wire.busy_time
 
     # -- core operation ---------------------------------------------------
     def transfer(self, src: int, dst: int, nbytes: int, now: float) -> TransferStats:
@@ -276,20 +270,3 @@ class Fabric:
         """
         horizon = until if until is not None else self._wire.max_free_at()
         return self._wire.wire_utilization(horizon)
-
-    def hottest_links(self, k: int = 5) -> List[tuple]:
-        """The ``k`` busiest links as ``(busy_time, (u, v))`` pairs."""
-        return heapq.nlargest(
-            k,
-            (
-                (busy, self.topology.link_endpoints(link_id))
-                for link_id, busy in enumerate(self._busy_time)
-                if busy > 0.0
-            ),
-        )
-
-    def reset(self) -> None:
-        """Clear all reservations and statistics."""
-        self._wire.reset()
-        self._transfers = 0
-        self._total_wait = 0.0

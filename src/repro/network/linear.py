@@ -2,7 +2,7 @@
 
 Used directly in unit tests, and as the *logical* structure underlying
 ``Br_Lin`` (which views any machine as a linear array; on a physical
-mesh the snake mapping in :mod:`repro.network.mapping` realises the
+mesh :meth:`~repro.machines.machine.Machine.linear_order` realises the
 paper's snake-like row-major indexing).
 """
 

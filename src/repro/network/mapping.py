@@ -4,9 +4,10 @@ The algorithms of the paper address *ranks* ``0..p-1``.  How ranks sit
 on physical nodes matters enormously:
 
 * On the Paragon, applications ran on a contiguous submesh and the rank
-  order was the row-major node order — :class:`IdentityMapping` — or a
-  snake-like row-major order when an algorithm views the mesh as a
-  linear array — :class:`SnakeMapping`.
+  order was the row-major node order — :class:`IdentityMapping`.  An
+  algorithm that views the mesh as a linear array walks it in snake
+  order (:meth:`~repro.machines.machine.Machine.linear_order`) over
+  those ranks.
 * On the T3D, "the mapping of virtual to physical processors cannot be
   controlled by the user" (§5): :class:`RandomMapping` draws a seeded
   random permutation, which is why topology-aware algorithms lose their
@@ -21,10 +22,9 @@ from typing import List
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.network.mesh import Mesh2D
 from repro.network.topology import Topology
 
-__all__ = ["RankMapping", "IdentityMapping", "SnakeMapping", "RandomMapping"]
+__all__ = ["RankMapping", "IdentityMapping", "RandomMapping"]
 
 
 class RankMapping(ABC):
@@ -68,25 +68,6 @@ class IdentityMapping(RankMapping):
 
     def _build(self) -> List[int]:
         return list(range(self.topology.num_nodes))
-
-
-class SnakeMapping(RankMapping):
-    """Snake-like (boustrophedon) row-major order on a 2-D mesh.
-
-    Rank order walks row 0 left-to-right, row 1 right-to-left, and so
-    on, so consecutive ranks are always physical neighbours — the
-    indexing the paper prescribes for ``Br_Lin`` on a mesh.
-    """
-
-    def _build(self) -> List[int]:
-        topo = self.topology
-        if not isinstance(topo, Mesh2D):
-            raise ConfigurationError("SnakeMapping requires a Mesh2D topology")
-        order: List[int] = []
-        for r in range(topo.rows):
-            cols = range(topo.cols) if r % 2 == 0 else range(topo.cols - 1, -1, -1)
-            order.extend(topo.node_at(r, c) for c in cols)
-        return order
 
 
 class RandomMapping(RankMapping):

@@ -7,7 +7,8 @@ Links are identified by dense integer ids so the fabric can keep its
 reservation state in flat arrays.
 
 Subclasses implement the coordinate system, the dimension-order
-:meth:`route` and its hop count, :meth:`distance`.
+:meth:`route_nodes` and its hop count, :meth:`distance`; the base class
+turns node paths into memoized link paths (:meth:`route_links`).
 """
 
 from __future__ import annotations
@@ -155,20 +156,14 @@ class Topology(ABC):
     def route_nodes(self, src: int, dst: int) -> List[int]:
         """Dimension-order node path ``[src, ..., dst]`` (inclusive)."""
 
-    def route(self, src: int, dst: int) -> List[int]:
-        """Full link-id path: injection, wires along the node path, ejection.
+    def route_links(self, src: int, dst: int) -> Tuple[int, ...]:
+        """Memoized link-id path: injection, wires along the node path,
+        ejection.
 
         For ``src == dst`` the path is empty — a self-send never touches
-        the network.
-        """
-        return list(self.route_links(src, dst))
-
-    def route_links(self, src: int, dst: int) -> Tuple[int, ...]:
-        """Memoized link-id path as an immutable tuple (the hot-path API).
-
-        The returned tuple is shared across calls and **must not** be
-        mutated by consumers; :class:`~repro.network.fabric.Fabric`
-        iterates it in place.  Small topologies are fully precomputed at
+        the network.  The returned tuple is shared across calls and
+        **must not** be mutated by consumers;
+        :class:`~repro.network.fabric.Fabric` iterates it in place.  Small topologies are fully precomputed at
         :meth:`_finalize`; large ones fill a bounded FIFO-evicting memo.
         """
         if src == dst:

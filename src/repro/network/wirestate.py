@@ -90,8 +90,3 @@ class WireState:
     def max_free_at(self) -> float:
         """Latest reservation end across all links (0.0 when untouched)."""
         return max(self.free_at, default=0.0)
-
-    def reset(self) -> None:
-        """Clear every reservation and statistic."""
-        self.free_at = [0.0] * self.num_links
-        self.busy_time = [0.0] * self.num_links

@@ -54,10 +54,6 @@ class LinkUsage:
     busy: Dict[int, List[float]]
     queue: Dict[int, List[float]]
 
-    @property
-    def horizon_us(self) -> float:
-        return self.bin_us * self.bins
-
     def busiest(self, k: int = 10) -> List[int]:
         """The ``k`` links with the highest total busy time."""
         return sorted(

@@ -2,8 +2,8 @@
 
 Three tiers, mirroring the simulator's layering:
 
-* ``route/…`` — raw :meth:`Topology.route` link-path lookups (the
-  fabric's per-message work);
+* ``route/…`` — raw :meth:`Topology.route_links` link-path lookups
+  (the fabric's per-message work);
 * ``pingpong/…`` — isend/recv round-trips through the full engine +
   communicator stack on a tiny mesh;
 * ``run/…`` — whole ``run_broadcast`` points (schedule build,
@@ -96,10 +96,8 @@ def _bench_route_lookup(lookups: int, repeats: int) -> BenchResult:
     rng = random.Random(0xC0FFEE)
     n = topo.num_nodes
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(lookups)]
-    # Post-overhaul topologies serve cached tuples via route_links; the
-    # seed baseline falls back to route() — the difference is exactly
-    # what this benchmark tracks.
-    route = getattr(topo, "route_links", topo.route)
+    # route_links serves memoized tuples: the fabric's per-send lookup.
+    route = topo.route_links
 
     def body() -> None:
         for src, dst in pairs:

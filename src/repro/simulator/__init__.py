@@ -20,7 +20,7 @@ simulation is a pure function of its inputs and seeds.
 from __future__ import annotations
 
 from repro.simulator.engine import Engine
-from repro.simulator.events import AllOf, AnyOf, Event, Timeout
+from repro.simulator.events import AnyOf, Event, Timeout
 from repro.simulator.process import Process
 from repro.simulator.resources import Store
 from repro.simulator.trace import (
@@ -36,7 +36,6 @@ __all__ = [
     "Engine",
     "Event",
     "Timeout",
-    "AllOf",
     "AnyOf",
     "Process",
     "Store",

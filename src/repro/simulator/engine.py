@@ -20,9 +20,9 @@ Two design points matter for reproducing the paper:
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Generator, List, Optional, Tuple
 
-from repro.errors import DeadlockError, SimulationError
+from repro.errors import DeadlockError
 from repro.simulator.events import Event, Timeout
 from repro.simulator.process import Process
 from repro.simulator.trace import NULL_SPAN, Span, Tracer
@@ -81,19 +81,6 @@ class Engine:
         self._processes.append(proc)
         return proc
 
-    # -- scheduling ---------------------------------------------------------
-    def call_at(self, when: float, callback: Callable[[], None]) -> Event:
-        """Run ``callback`` at absolute time ``when`` (must be >= now)."""
-        if when < self._now:
-            raise SimulationError(
-                f"call_at: target time {when!r} is before now "
-                f"({self._now!r}); absolute times must not lie in the past"
-            )
-        event = self.event()
-        event.add_callback(lambda _ev: callback())
-        event.succeed(delay=when - self._now)
-        return event
-
     # -- main loop ------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
         """Run until the calendar drains (or past time ``until``).
@@ -137,11 +124,6 @@ class Engine:
             )
 
     # -- introspection ----------------------------------------------------
-    @property
-    def pending_events(self) -> int:
-        """Number of events currently on the calendar."""
-        return len(self._queue)
-
     @property
     def events_scheduled(self) -> int:
         """Total events placed on the calendar so far (perf metric)."""

@@ -3,9 +3,8 @@
 An :class:`Event` is the unit of synchronization: a process ``yield``-s an
 event and is resumed (with the event's value) once the event *succeeds*.
 Events succeed at most once.  :class:`Timeout` is an event pre-scheduled
-to succeed after a fixed delay; :class:`AllOf` / :class:`AnyOf` compose
-events for fork-join patterns (e.g. waiting on several outstanding
-non-blocking sends).
+to succeed after a fixed delay; :class:`AnyOf` fires on the first of
+several events (a message layer's receive racing its timeout).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from repro.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulator.engine import Engine
 
-__all__ = ["Event", "Timeout", "Condition", "AllOf", "AnyOf"]
+__all__ = ["Event", "Timeout", "Condition", "AnyOf"]
 
 #: Sentinel distinguishing "no value yet" from a legitimate ``None`` value.
 _PENDING = object()
@@ -134,7 +133,7 @@ class Timeout(Event):
 class Condition(Event):
     """Base class for events composed from several child events."""
 
-    __slots__ = ("events", "_remaining")
+    __slots__ = ("events",)
 
     def __init__(self, engine: "Engine", events: Sequence[Event]) -> None:
         super().__init__(engine)
@@ -142,7 +141,6 @@ class Condition(Event):
         for event in self.events:
             if event.engine is not engine:
                 raise SimulationError("cannot mix events from different engines")
-        self._remaining = len(self.events)
         if not self.events:
             self.succeed([])
         else:
@@ -151,21 +149,6 @@ class Condition(Event):
 
     def _child_fired(self, event: Event) -> None:
         raise NotImplementedError
-
-
-class AllOf(Condition):
-    """Fires once *every* child event has fired (a join barrier).
-
-    The value is the list of child values in construction order —
-    convenient for ``values = yield AllOf(engine, requests)``.
-    """
-
-    __slots__ = ()
-
-    def _child_fired(self, event: Event) -> None:
-        self._remaining -= 1
-        if self._remaining == 0 and not self.triggered:
-            self.succeed([child.value for child in self.events])
 
 
 class AnyOf(Condition):

@@ -85,12 +85,3 @@ class Store:
                 del self._getters[idx]
                 return True
         return False
-
-    def peek_all(self) -> Tuple[Any, ...]:
-        """Snapshot of buffered items (for diagnostics and tests)."""
-        return tuple(self._items)
-
-    @property
-    def waiting_getters(self) -> int:
-        """Number of parked ``get`` requests (for deadlock diagnostics)."""
-        return len(self._getters)

@@ -39,10 +39,6 @@ class TraceRecord:
     kind: str
     fields: Dict[str, Any] = field(default_factory=dict)
 
-    def __str__(self) -> str:
-        parts = " ".join(f"{k}={v}" for k, v in sorted(self.fields.items()))
-        return f"[{self.time:12.3f}us] {self.kind:<14s} {parts}"
-
 
 class Tracer:
     """Accumulates :class:`TraceRecord` objects, optionally filtered by kind.
@@ -82,17 +78,6 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def of_kind(self, kind: str) -> List[TraceRecord]:
-        """All records of one kind, in chronological order."""
-        return [r for r in self.records if r.kind == kind]
-
-    def dump(self) -> str:
-        """Human-readable multi-line rendering of the whole trace."""
-        lines = [str(r) for r in self.records]
-        if self.truncated:
-            lines.append("... trace truncated ...")
-        return "\n".join(lines)
 
 
 class Span:

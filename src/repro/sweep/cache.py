@@ -47,7 +47,6 @@ import json
 import os
 import pathlib
 import re
-import shutil
 import socket
 import time
 from dataclasses import dataclass
@@ -395,17 +394,6 @@ class ResultCache:
     def __len__(self) -> int:
         """Number of result entries on disk (siblings not counted)."""
         return len(self._entry_paths())
-
-    def clear(self) -> None:
-        """Delete every entry (and the cache directory itself).
-
-        Stale temp files go with the tree; :meth:`gc_stale_tmp` runs
-        first with ``max_age_s=0`` so a clear on a directory that
-        resists ``rmtree`` (e.g. concurrent writers re-creating shard
-        dirs) still reaps crashed-writer leftovers.
-        """
-        self.gc_stale_tmp(max_age_s=0.0)
-        shutil.rmtree(self.root, ignore_errors=True)
 
     def __repr__(self) -> str:
         return f"<ResultCache root={str(self.root)!r}>"

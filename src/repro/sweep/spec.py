@@ -252,19 +252,6 @@ class SweepSpec:
                 "on the faults axis (a clean run has nothing to recover)"
             )
 
-    @property
-    def num_points(self) -> int:
-        """Size of the expanded grid."""
-        return (
-            len(self.machines)
-            * len(self.distributions)
-            * len(self.s_values)
-            * len(self.message_sizes)
-            * len(self.algorithms)
-            * len(self.seeds)
-            * len(self.faults)
-        )
-
     def points(self) -> List[SweepPoint]:
         """Expand the grid, machine-major, in deterministic order."""
         from repro.distributions import get_distribution  # local: avoid cycle

@@ -75,8 +75,8 @@ class TestScheduleStructure:
         sched = BrXYSource().build_schedule(problem)
         for rnd in sched.rounds:
             for t in rnd:
-                sr, sc = machine.coords(t.src)
-                dr, dc = machine.coords(t.dst)
+                sr, sc = machine.topology.coords(t.src)
+                dr, dc = machine.topology.coords(t.dst)
                 if rnd.label.startswith("rows"):
                     assert sr == dr
                 else:

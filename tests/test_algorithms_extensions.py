@@ -103,8 +103,11 @@ class TestAutoPredict:
         machine = t3d(64)
         src = DISTRIBUTIONS["E"].generate(machine, 32)
         problem = BroadcastProblem(machine, src, message_size=4096)
-        chosen = AutoPredict().chosen_for(problem)
-        assert chosen in ("MPI_Alltoall", "MPI_AllGather")
+        chosen = AutoPredict().build_schedule(problem).algorithm
+        assert chosen in (
+            "Auto_Predict[MPI_Alltoall]",
+            "Auto_Predict[MPI_AllGather]",
+        )
 
     def test_skips_mesh_algorithms_off_mesh(self):
         machine = t3d(32)
@@ -115,4 +118,5 @@ class TestAutoPredict:
         auto = AutoPredict(portfolio=("Br_Ring",))
         src = DISTRIBUTIONS["E"].generate(square_paragon, 10)
         problem = BroadcastProblem(square_paragon, src, message_size=512)
-        assert auto.chosen_for(problem) == "Br_Ring"
+        chosen = auto.build_schedule(problem).algorithm
+        assert chosen == "Auto_Predict[Br_Ring]"

@@ -66,8 +66,8 @@ class TestStructure:
         exchange = sched.rounds[-1]
         # split along columns: partners differ by 4 columns
         for t in exchange:
-            sr, sc = machine.coords(t.src)
-            dr, dc = machine.coords(t.dst)
+            sr, sc = machine.topology.coords(t.src)
+            dr, dc = machine.topology.coords(t.dst)
             assert sr == dr and abs(sc - dc) == 4
 
 

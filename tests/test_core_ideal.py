@@ -8,9 +8,9 @@ from repro.core.ideal import (
     best_line_positions,
     ideal_linear_sources,
     ideal_row_sources,
-    left_diagonal_sources,
 )
 from repro.core.structure import estimate_halving_time
+from repro.distributions import DISTRIBUTIONS
 from repro.errors import DistributionError
 from repro.machines import paragon, t3d
 
@@ -88,13 +88,13 @@ class TestIdealGenerators:
         assert len(set(ranks)) == 3
         assert all(0 <= r < 20 for r in ranks)
 
-    def test_left_diagonal_delegates_to_dl(self):
-        machine = paragon(10, 10)
-        assert len(left_diagonal_sources(machine, 15)) == 15
-
     def test_generators_work_on_t3d_logical_grid(self):
         machine = t3d(64)
-        for fn in (ideal_row_sources, ideal_linear_sources, left_diagonal_sources):
+        for fn in (
+            ideal_row_sources,
+            ideal_linear_sources,
+            DISTRIBUTIONS["Dl"].generate,
+        ):
             ranks = fn(machine, 12)
             assert len(set(ranks)) == 12
 

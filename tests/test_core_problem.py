@@ -38,7 +38,7 @@ class TestConstruction:
 class TestQueries:
     def test_uniform_sizes(self, small_problem):
         assert small_problem.size_of(3) == 1024
-        assert small_problem.total_bytes == 5 * 1024
+        assert small_problem.nbytes(small_problem.source_set) == 5 * 1024
 
     def test_per_source_size_override(self, small_paragon):
         prob = BroadcastProblem(
@@ -46,7 +46,7 @@ class TestQueries:
         )
         assert prob.size_of(0) == 100
         assert prob.size_of(5) == 999
-        assert prob.total_bytes == 1099
+        assert prob.nbytes(prob.source_set) == 1099
 
     def test_size_of_non_source_raises(self, small_problem):
         with pytest.raises(ConfigurationError):

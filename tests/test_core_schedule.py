@@ -59,7 +59,7 @@ class TestScheduleConstruction:
         a.add_round([Transfer(0, 1, frozenset({0}))])
         b = Schedule(problem)
         b.add_round([Transfer(4, 3, frozenset({4}))])
-        a.extend(b)
+        a.rounds.extend(b.rounds)
         assert a.num_rounds == 2
 
     def test_counts(self, problem):
@@ -133,13 +133,6 @@ class TestValidation:
 
 
 class TestStatistics:
-    def test_max_transfer_bytes(self, problem):
-        sched = Schedule(problem)
-        sched.add_round([Transfer(0, 1, frozenset({0}))])
-        sched.add_round([Transfer(0, 2, frozenset({0, 4}), nbytes_override=1)])
-        # override counts, not the set size
-        assert sched.max_transfer_bytes() == 100
-
     def test_ops_by_rank(self, problem):
         sched = Schedule(problem)
         sched.add_round(

@@ -226,21 +226,14 @@ class TestDetourRouting:
         path, _ = injector.plan(0, 5, now=0.0)
         assert path == topo.route_links(0, 5)
 
-    def test_epoch_counts_activations(self, topo):
-        injector = FaultSchedule.parse("link:5-6@100us;node:9@200us").bind(topo)
-        assert injector.epoch(0.0) == 0
-        assert injector.epoch(100.0) == 1
-        assert injector.epoch(200.0) == 2
-
 
 class TestKillEpochRouteMemo:
     SPEC = "link:5-6@0us;degrade:links=1,factor=2@50us;node:9@100us"
 
     def test_kill_epoch_ignores_degradations(self, topo):
         injector = FaultSchedule.parse(self.SPEC).bind(topo)
-        # epoch() counts every activation; kill_epoch() only the two
-        # reachability-changing ones (the link at 0, the node at 100).
-        assert injector.epoch(50.0) == 2
+        # Only the two reachability-changing activations count (the link
+        # at 0, the node at 100), not the degradation at 50.
         assert injector.kill_epoch(0.0) == 1
         assert injector.kill_epoch(50.0) == 1
         assert injector.kill_epoch(99.9) == 1

@@ -38,7 +38,7 @@ def fingerprint(result):
 @pytest.fixture(scope="module")
 def points():
     pts = GRID.points()
-    assert len(pts) == GRID.num_points == 32
+    assert len(pts) == 32
     return pts
 
 

@@ -21,13 +21,12 @@ class TestShapeHelpers:
         assert not small_t3d.topology_stable_ranks
 
     def test_mesh_coords_roundtrip(self, small_paragon):
+        topo = small_paragon.topology
         for rank in range(small_paragon.p):
-            r, c = small_paragon.coords(rank)
-            assert small_paragon.rank_at(r, c) == rank
+            r, c = topo.coords(rank)
+            assert topo.node_at(r, c) == rank
 
-    def test_coords_rejected_off_mesh(self, small_t3d):
-        with pytest.raises(ConfigurationError):
-            small_t3d.coords(0)
+    def test_mesh_shape_rejected_off_mesh(self, small_t3d):
         with pytest.raises(ConfigurationError):
             small_t3d.mesh_shape
 
@@ -42,6 +41,17 @@ class TestShapeHelpers:
         order = small_paragon.linear_order()
         assert order[:10] == [0, 1, 2, 3, 4, 9, 8, 7, 6, 5]
         assert sorted(order) == list(range(20))
+
+    def test_linear_order_snake_rows_alternate(self):
+        # row0 L->R, row1 R->L, row2 L->R
+        expected = [0, 1, 2, 3, 7, 6, 5, 4, 8, 9, 10, 11]
+        assert paragon(3, 4).linear_order() == expected
+
+    def test_linear_order_steps_are_physical_neighbors(self):
+        machine = paragon(5, 6)
+        order = machine.linear_order()
+        for u, v in zip(order, order[1:]):
+            assert machine.topology.has_wire_link(u, v), (u, v)
 
     def test_linear_order_identity_off_mesh(self, small_t3d):
         assert small_t3d.linear_order() == list(range(32))

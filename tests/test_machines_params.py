@@ -75,13 +75,6 @@ class TestCopyAndLatency:
         p = make_params(collective_mem_scale=0.1)
         assert p.copy_cost(100, collective=True) == pytest.approx(0.2)
 
-    def test_latency_composition(self):
-        p = make_params(route_setup=1.0)
-        # o_s + setup + 2 hops + bytes*(wire+copy) + o_r
-        assert p.latency(100, hops=2) == pytest.approx(
-            10 + 1 + 0.2 + 100 * 0.01 + 5 + 100 * 0.02
-        )
-
     def test_with_overrides_returns_copy(self):
         p = make_params()
         q = p.with_overrides(t_byte=0.5)

@@ -87,7 +87,7 @@ class TestRetransmission:
 
         result = machine.run(program, tracer=tracer)
         assert result.returns[1] == "payload"
-        retries = tracer.of_kind("reliable_retry")
+        retries = [r for r in tracer if r.kind == "reliable_retry"]
         assert retries  # at least one retransmission happened
         budgets = [r.fields["budget_us"] for r in retries]
         assert budgets == sorted(budgets)  # backoff grows the budget
@@ -127,7 +127,7 @@ class TestFailureDetection:
                 try:
                     yield from reliable.send(5, "x", 64)
                 except PeerFailedError:
-                    return ("failed", reliable.is_failed(5))
+                    return ("failed", "failed=[5]" in repr(reliable))
             return None
             yield  # pragma: no cover - keeps every branch a generator
 
@@ -148,7 +148,7 @@ class TestFailureDetection:
                         outcomes.append("sent")
                     except PeerFailedError as exc:
                         outcomes.append(str(exc))
-                return (outcomes, reliable.failed_peers)
+                return (outcomes, repr(reliable))
             return None
             yield  # pragma: no cover
 
@@ -156,7 +156,7 @@ class TestFailureDetection:
         (first, second), failed = result.returns[0]
         assert "presumed failed" in first
         assert "already presumed failed" in second
-        assert failed == frozenset([1])
+        assert failed.endswith(" failed=[1]>")
 
     def test_nack_fails_the_sender_fast(self, machine):
         def program(comm):

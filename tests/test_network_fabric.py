@@ -100,21 +100,6 @@ class TestStatistics:
     def test_utilization_zero_without_traffic(self):
         assert make_fabric().link_utilization() == 0.0
 
-    def test_hottest_links(self):
-        fabric = make_fabric()
-        fabric.transfer(0, 3, nbytes=1000, now=0.0)
-        hot = fabric.hottest_links(k=2)
-        assert len(hot) == 2
-        assert hot[0][0] >= hot[1][0]
-
-    def test_reset_clears_state(self):
-        fabric = make_fabric()
-        fabric.transfer(0, 3, nbytes=100, now=0.0)
-        fabric.reset()
-        assert fabric.transfers == 0
-        stats = fabric.transfer(0, 3, nbytes=100, now=0.0)
-        assert stats.link_wait == 0.0
-
 
 class TestTransferStats:
     def test_derived_properties(self):

@@ -2,16 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import ConfigurationError
-from repro.network import (
-    IdentityMapping,
-    Mesh2D,
-    RandomMapping,
-    SnakeMapping,
-    Torus3D,
-)
+from repro.network import IdentityMapping, Mesh2D, RandomMapping, Torus3D
 
 
 class TestIdentityMapping:
@@ -20,27 +11,6 @@ class TestIdentityMapping:
         for rank in range(9):
             assert mapping.node_of(rank) == rank
             assert mapping.rank_of(rank) == rank
-
-
-class TestSnakeMapping:
-    def test_even_rows_left_to_right(self):
-        topo = Mesh2D(3, 4)
-        mapping = SnakeMapping(topo)
-        # rank order: row0 L->R, row1 R->L, row2 L->R
-        expected_nodes = [0, 1, 2, 3, 7, 6, 5, 4, 8, 9, 10, 11]
-        assert [mapping.node_of(r) for r in range(12)] == expected_nodes
-
-    def test_consecutive_ranks_are_physical_neighbors(self):
-        topo = Mesh2D(5, 6)
-        mapping = SnakeMapping(topo)
-        for rank in range(topo.num_nodes - 1):
-            u = mapping.node_of(rank)
-            v = mapping.node_of(rank + 1)
-            assert topo.has_wire_link(u, v), (rank, u, v)
-
-    def test_requires_mesh(self):
-        with pytest.raises(ConfigurationError):
-            SnakeMapping(Torus3D(2, 2, 2))
 
 
 class TestRandomMapping:

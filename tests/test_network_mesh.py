@@ -84,4 +84,4 @@ class TestXYRouting:
 
     def test_route_is_deterministic(self):
         topo = Mesh2D(6, 6)
-        assert topo.route(3, 29) == topo.route(3, 29)
+        assert topo.route_links(3, 29) == topo._build_route(3, 29)

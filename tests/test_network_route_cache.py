@@ -39,11 +39,8 @@ def test_cached_routes_match_uncached_construction(topo):
         for dst in range(n):
             if src == dst:
                 assert topo.route_links(src, dst) == ()
-                assert topo.route(src, dst) == []
             else:
-                cached = topo.route_links(src, dst)
-                assert cached == topo._build_route(src, dst)
-                assert topo.route(src, dst) == list(cached)
+                assert topo.route_links(src, dst) == topo._build_route(src, dst)
 
 
 @pytest.mark.parametrize("topo", TOPOLOGIES, ids=repr)
@@ -65,8 +62,6 @@ def test_out_of_range_does_not_alias_cached_pair():
     line.route_links(1, 2)  # ensure the aliasing target is cached
     with pytest.raises(TopologyError):
         line.route_links(0, 5)
-    with pytest.raises(TopologyError):
-        line.route(0, 5)
     with pytest.raises(TopologyError):
         line.route_links(-1, 2)
 

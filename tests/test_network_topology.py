@@ -45,7 +45,7 @@ class TestLinkNumbering:
         with pytest.raises(TopologyError):
             topo.injection_link(3)
         with pytest.raises(TopologyError):
-            topo.route(0, 5)
+            topo.route_links(0, 5)
 
 
 class TestLinearArrayRouting:
@@ -59,12 +59,12 @@ class TestLinearArrayRouting:
 
     def test_self_route_is_empty(self):
         topo = LinearArray(6)
-        assert topo.route(2, 2) == []
+        assert topo.route_links(2, 2) == ()
         assert topo.distance(2, 2) == 0
 
     def test_route_includes_injection_and_ejection(self):
         topo = LinearArray(6)
-        path = topo.route(0, 2)
+        path = topo.route_links(0, 2)
         assert path[0] == topo.injection_link(0)
         assert path[-1] == topo.ejection_link(2)
         assert len(path) == 2 + 2  # inj + 2 wires + ej

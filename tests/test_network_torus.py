@@ -64,7 +64,7 @@ class TestRingRouting:
 
     def test_self_route_empty(self):
         topo = Torus3D(2, 2, 2)
-        assert topo.route(3, 3) == []
+        assert topo.route_links(3, 3) == ()
 
     def test_route_symmetric_distance(self):
         topo = Torus3D(4, 4, 4)

@@ -117,7 +117,7 @@ def test_fabric_reservations_never_overlap_per_link(transfers):
         assert stats.start_time >= clock
         if src == dst:
             continue
-        for link in topo.route(src, dst):
+        for link in topo.route_links(src, dst):
             intervals.setdefault(link, []).append(
                 (stats.start_time, stats.finish_time)
             )

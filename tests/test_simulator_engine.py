@@ -8,6 +8,11 @@ from repro.errors import DeadlockError, SimulationError
 from repro.simulator import Engine
 
 
+def at(engine, when, callback):
+    """Run ``callback`` at absolute time ``when`` via a timeout."""
+    engine.timeout(when - engine.now).add_callback(lambda _ev: callback())
+
+
 class TestClockAndScheduling:
     def test_time_starts_at_zero(self):
         assert Engine().now == 0.0
@@ -60,29 +65,14 @@ class TestClockAndScheduling:
         engine.run()
         assert fired == [0, 1, 2, 3, 4]
 
-    def test_call_at_runs_at_absolute_time(self):
-        engine = Engine()
-        seen = []
-        engine.call_at(7.5, lambda: seen.append(engine.now))
-        engine.run()
-        assert seen == [7.5]
-
     def test_run_until_stops_before_later_events(self):
         engine = Engine()
         seen = []
-        engine.call_at(5.0, lambda: seen.append("early"))
-        engine.call_at(50.0, lambda: seen.append("late"))
+        at(engine, 5.0, lambda: seen.append("early"))
+        at(engine, 50.0, lambda: seen.append("late"))
         engine.run(until=10.0)
         assert seen == ["early"]
         assert engine.now == 10.0
-
-    def test_pending_events_counts_queue(self):
-        engine = Engine()
-        engine.timeout(1.0)
-        engine.timeout(2.0)
-        assert engine.pending_events == 2
-        engine.run()
-        assert engine.pending_events == 0
 
 
 class TestProcessLifecycle:
@@ -238,11 +228,10 @@ class TestRunUntilEdgeCases:
     def test_until_before_first_event_leaves_it_pending(self):
         engine = Engine()
         seen = []
-        engine.call_at(10.0, lambda: seen.append(engine.now))
+        at(engine, 10.0, lambda: seen.append(engine.now))
         engine.run(until=5.0)
         assert engine.now == 5.0
         assert seen == []
-        assert engine.pending_events == 1
         # resuming past the event fires it at its original time
         engine.run(until=20.0)
         assert seen == [10.0]
@@ -250,37 +239,21 @@ class TestRunUntilEdgeCases:
     def test_until_exactly_at_event_time_fires_it(self):
         engine = Engine()
         seen = []
-        engine.call_at(10.0, lambda: seen.append(engine.now))
+        at(engine, 10.0, lambda: seen.append(engine.now))
         engine.run(until=10.0)
         assert seen == [10.0]
         assert engine.now == 10.0
-        assert engine.pending_events == 0
+        # the calendar is drained: a later run fires nothing more
+        engine.run()
+        assert seen == [10.0]
+        assert engine.now == 10.0
 
     def test_until_after_drain_stops_at_last_event(self):
         # The clock does not coast to `until` once the calendar drains;
         # it reads the time of the last processed event.
         engine = Engine()
         seen = []
-        engine.call_at(3.0, lambda: seen.append(engine.now))
+        at(engine, 3.0, lambda: seen.append(engine.now))
         engine.run(until=100.0)
         assert seen == [3.0]
         assert engine.now == 3.0
-
-
-class TestCallAtValidation:
-    def test_call_at_in_the_past_raises_naming_call_at(self):
-        engine = Engine()
-        engine.call_at(5.0, lambda: None)
-        engine.run()
-        assert engine.now == 5.0
-        with pytest.raises(SimulationError, match="call_at"):
-            engine.call_at(2.0, lambda: None)
-
-    def test_call_at_exactly_now_is_allowed(self):
-        engine = Engine()
-        seen = []
-        engine.call_at(5.0, lambda: None)
-        engine.run()
-        engine.call_at(engine.now, lambda: seen.append(engine.now))
-        engine.run()
-        assert seen == [5.0]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulator import AllOf, AnyOf, Engine
+from repro.simulator import AnyOf, Engine
 from repro.simulator.events import Condition
 
 
@@ -50,35 +50,18 @@ class TestEventBasics:
         assert order == [1, 2]
 
 
-class TestAllOf:
-    def test_waits_for_every_child(self):
+class TestAnyOf:
+    def test_empty_anyof_fires_immediately(self):
         engine = Engine()
-        events = [engine.timeout(d, value=d) for d in (3.0, 1.0, 2.0)]
-        combo = AllOf(engine, events)
-
-        def waiter():
-            values = yield combo
-            return (engine.now, values)
-
-        p = engine.process(waiter())
-        engine.run()
-        when, values = p.value
-        assert when == 3.0
-        assert values == [3.0, 1.0, 2.0]  # construction order
-
-    def test_empty_allof_fires_immediately(self):
-        engine = Engine()
-        combo = AllOf(engine, [])
+        combo = AnyOf(engine, [])
         engine.run()
         assert combo.value == []
 
     def test_mixed_engines_rejected(self):
         e1, e2 = Engine(), Engine()
         with pytest.raises(SimulationError):
-            AllOf(e1, [e2.event()])
+            AnyOf(e1, [e2.event()])
 
-
-class TestAnyOf:
     def test_fires_on_first_child(self):
         engine = Engine()
         events = [engine.timeout(5.0, "slow"), engine.timeout(1.0, "fast")]

@@ -80,7 +80,10 @@ class TestFilteredGet:
         p = run_consumer(engine, store, predicate=lambda it: it[0] == "tagB")
         engine.run()
         assert p.value == ("tagB", 2)
-        assert store.peek_all() == (("tagA", 1),)
+        assert len(store) == 1
+        rest = run_consumer(engine, store)
+        engine.run()
+        assert rest.value == ("tagA", 1)
 
     def test_waiting_filtered_getter_ignores_mismatches(self):
         engine = Engine()
@@ -96,7 +99,10 @@ class TestFilteredGet:
         engine.process(producer())
         engine.run()
         assert p.value == "want"
-        assert store.peek_all() == ("junk",)
+        assert len(store) == 1
+        rest = run_consumer(engine, store)
+        engine.run()
+        assert rest.value == "junk"
 
     def test_matching_same_filter_preserves_order(self):
         # MPI non-overtaking: same-(src, tag) messages arrive in order.
@@ -111,14 +117,12 @@ class TestFilteredGet:
         assert a.value == ("s0", "first")
         assert b.value == ("s0", "second")
 
-    def test_waiting_getters_counter(self):
+    def test_unmatched_getter_stays_parked(self):
         engine = Engine()
         store = Store(engine)
-        run_consumer(engine, store, predicate=lambda it: False)
-        assert store.waiting_getters == 0  # process not started yet
+        event = store.get(lambda it: False)
         store.put("ignored")
-        try:
-            engine.run()
-        except Exception:
-            pass
-        assert store.waiting_getters == 1
+        engine.run()
+        assert not event.triggered
+        assert store.cancel(event)  # it was still parked
+        assert not store.cancel(event)

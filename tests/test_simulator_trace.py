@@ -26,14 +26,6 @@ class TestTracer:
         engine.trace("recv", n=2)
         assert [r.kind for r in tracer] == ["send"]
 
-    def test_of_kind_selects(self):
-        tracer = Tracer()
-        engine = Engine(tracer=tracer)
-        engine.trace("a")
-        engine.trace("b")
-        engine.trace("a")
-        assert len(tracer.of_kind("a")) == 2
-
     def test_limit_truncates(self):
         tracer = Tracer(limit=2)
         engine = Engine(tracer=tracer)
@@ -41,14 +33,3 @@ class TestTracer:
             engine.trace("x", i=i)
         assert len(tracer) == 2
         assert tracer.truncated
-        assert "truncated" in tracer.dump()
-
-    def test_dump_renders_time_and_fields(self):
-        tracer = Tracer()
-        engine = Engine(tracer=tracer)
-        engine.call_at(2.5, lambda: engine.trace("mark", rank=3))
-        engine.run()
-        dump = tracer.dump()
-        assert "mark" in dump
-        assert "rank=3" in dump
-        assert "2.500" in dump

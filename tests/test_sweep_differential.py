@@ -41,7 +41,7 @@ def fingerprint(result):
 @pytest.fixture(scope="module")
 def points():
     pts = GRID.points()
-    assert len(pts) == GRID.num_points == 48
+    assert len(pts) == 48
     return pts
 
 

@@ -242,7 +242,7 @@ class TestSweepSpec:
             seeds=(0, 1),
         )
         points = spec.points()
-        assert len(points) == spec.num_points == 16
+        assert len(points) == 16  # 2 dists x 2 s x 2 algorithms x 2 seeds
         # deterministic: expanding twice gives the same sequence
         assert points == spec.points()
         assert {pt.machine for pt in points} == {"paragon:4x4"}
@@ -269,7 +269,7 @@ class TestSweepSpec:
             faults=(None, "link:1-2"),
         )
         points = spec.points()
-        assert len(points) == spec.num_points == 2
+        assert len(points) == 2
         assert {pt.faults for pt in points} == {None, "link:1-2@0us"}
 
     def test_faults_axis_defaults_to_faultfree(self):
