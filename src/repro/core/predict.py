@@ -1,24 +1,39 @@
 """Closed-form completion-time prediction from a schedule.
 
 A contention-free critical-path model: per-rank ready times are
-propagated round by round through the schedule, charging each rank its
-send overheads back-to-back, each transfer its uncontended wire time,
-and each receive its overhead plus copy cost — exactly the executor's
-cost structure *minus* link contention and arbitration.
+propagated round by round through the schedule in the lowering's op
+order (a rank issues its sends, then takes its receives, then waits for
+its sends to drain), charging each rank its send overheads
+back-to-back, each transfer its uncontended wire time, and each receive
+its overhead plus copy cost — the executor's cost structure *minus*
+link contention and arbitration.
+
+Exactness: with ``contention=False``, on a wormhole-switched machine
+with one message size for every source, the simulated completion time
+equals the prediction (tests hold it to 1e-12 relative).  Two cases
+fall outside that and are not modelled:
+
+* **store-and-forward switching** — the model charges wormhole wire
+  time, so it is off on a ``switching=store_and_forward`` machine (by
+  up to 50% on ``paragon:10x10``);
+* **per-source sizes** — two messages between one pair of ranks in one
+  round can then overtake each other on the wire; the engines match
+  them in arrival order, the model in schedule order, so the
+  simulation can come out *below* the prediction.
+
+With contention on, the model omits link waits, so it bounds the
+simulation from below.
 
 Uses:
 
 * **fast what-if analysis** — predicting a sweep is orders of magnitude
   cheaper than simulating it (no event engine);
-* **model validation** — tests assert the prediction brackets the
-  simulation from below (it omits contention) and stays within a
-  modest factor on contention-light workloads;
 * **contention attribution** — ``simulated / predicted`` is a direct
   measure of how contention-bound an algorithm is (the naive flood
   scores highest, per the §2 claim).
 
 Works on any machine; on seed-dependent machines (the T3D) the
-prediction uses hop counts from the seed-0 mapping.
+prediction uses hop counts from the seed's mapping (seed 0 by default).
 """
 
 from __future__ import annotations
@@ -26,28 +41,25 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.schedule import Schedule
-from repro.machines.machine import Machine
 
 __all__ = ["predict_schedule_time", "predict_broadcast_time"]
 
 
-def predict_schedule_time(
-    schedule: Schedule, machine: Machine | None = None, seed: int = 0
-) -> float:
+def predict_schedule_time(schedule: Schedule, seed: int = 0) -> float:
     """Predicted completion time of ``schedule`` in microseconds.
 
     Critical-path recurrence per round: a sender issues its sends
     back-to-back (each costing its software overhead), each message
-    arrives at ``issue + wire(nbytes, hops)``, and the receiver
-    processes its receives in schedule order, each costing
-    ``max(arrival, receiver ready) + recv overhead + copy``.
-    Blocking-send semantics: a rank's next round starts only after its
-    own sends have drained.
+    arrives at ``issue + wire(nbytes, hops)``, and the receiver, once
+    its own sends are issued, processes its receives in schedule order,
+    each costing ``max(arrival, receiver clock) + recv overhead +
+    copy``.  Blocking-send semantics: a rank's next round starts only
+    after its own sends have drained.
     """
     problem = schedule.problem
-    machine = machine if machine is not None else problem.machine
+    machine = problem.machine
     params = machine.params
-    mapping = machine._mapping_factory(machine.topology, seed)
+    mapping = machine.build_mapping(seed)
     ready: Dict[int, float] = {}
 
     def rank_ready(rank: int) -> float:
@@ -74,13 +86,17 @@ def predict_schedule_time(
                 else 0.0
             )
             arrivals.append(clock + wire)
-        # Phase 2: receivers drain their receives in schedule order.
+        # Phase 2: receivers drain their receives in schedule order,
+        # each starting once its own round sends are issued.
         recv_clock: Dict[int, float] = {}
         send_drain: Dict[int, float] = {}
         for t, arrival in zip(rnd, arrivals):
             nbytes = t.nbytes(problem)
             start = max(
-                arrival, recv_clock.get(t.dst, rank_ready(t.dst))
+                arrival,
+                recv_clock.get(
+                    t.dst, issue_clock.get(t.dst, rank_ready(t.dst))
+                ),
             )
             copy = params.copy_cost(nbytes, collective=rnd.collective)
             recv_clock[t.dst] = start + o_recv + copy

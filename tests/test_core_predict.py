@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core import BroadcastProblem, run_broadcast
-from repro.core.algorithms import list_algorithms
+from repro.core.algorithms import get_algorithm, list_algorithms
 from repro.core.predict import predict_broadcast_time, predict_schedule_time
 from repro.core.schedule import Schedule, Transfer
 from repro.distributions import DISTRIBUTIONS
-from repro.machines import paragon, t3d
+from repro.machines import machine_from_spec, paragon, t3d
 
 
 class TestPrimitive:
@@ -49,18 +49,64 @@ class TestPrimitive:
 SCHEDULE_ALGORITHMS = [name for name in list_algorithms() if name != "Auto_Predict"]
 
 
+def model_is_exact(problem) -> bool:
+    """Where the contention-free model must equal the simulation.
+
+    Wormhole switching (the model charges wormhole wire time) and one
+    message size for every source (with mixed sizes two messages
+    between one pair in one round can overtake each other, and the
+    engines match them in arrival order).
+    """
+    sizes = {problem.size_of(source) for source in problem.sources}
+    return problem.machine.params.switching == "wormhole" and len(sizes) == 1
+
+
+def exactness_grid():
+    """Problems on a small grid of shapes, with the predicate's outsiders."""
+    machines = [
+        paragon(3, 5),
+        paragon(4, 4),
+        t3d(16),
+        machine_from_spec("hypercube:16"),
+        machine_from_spec("paragon:4x4+switching=store_and_forward"),
+    ]
+    for machine in machines:
+        for dist in ("E", "R", "Cr"):
+            for s in (1, 7):
+                src = DISTRIBUTIONS[dist].generate(machine, s)
+                yield BroadcastProblem(machine, src, message_size=2048)
+        src = DISTRIBUTIONS["E"].generate(machine, 4)
+        yield BroadcastProblem(
+            machine, src, message_size=2048, sizes={src[0]: 64}
+        )
+
+
 class TestAgainstSimulation:
-    @pytest.mark.parametrize("contention", [True, False], ids=["cont", "nocont"])
     @pytest.mark.parametrize("name", SCHEDULE_ALGORITHMS)
-    def test_prediction_lower_bounds_simulation(
-        self, name, contention, square_paragon
-    ):
+    def test_prediction_lower_bounds_simulation(self, name, square_paragon):
         """The model omits contention, so sim >= prediction (float eps)."""
         src = DISTRIBUTIONS["E"].generate(square_paragon, 30)
         problem = BroadcastProblem(square_paragon, src, message_size=4096)
-        sim = run_broadcast(problem, name, contention=contention).elapsed_us
+        sim = run_broadcast(problem, name).elapsed_us
         pred = predict_broadcast_time(problem, name)
         assert sim >= pred * (1 - 1e-12)
+
+    def test_prediction_equals_contention_free_simulation(self):
+        """Without contention the model is exact wherever it claims to be."""
+        grid = list(exactness_grid())
+        exact = [problem for problem in grid if model_is_exact(problem)]
+        assert (len(grid), len(exact)) == (35, 24)
+        for problem in exact:
+            for name in SCHEDULE_ALGORITHMS:
+                if not get_algorithm(name).supports(problem.machine):
+                    continue
+                sim = run_broadcast(problem, name, contention=False).elapsed_us
+                pred = predict_broadcast_time(problem, name)
+                assert sim == pytest.approx(pred, rel=1e-12, abs=0.0), (
+                    name,
+                    problem.machine.spec,
+                    problem.sources,
+                )
 
     def test_same_pair_twice_in_one_round(self):
         """Two transfers between one pair in a round keep both arrivals.
@@ -85,17 +131,6 @@ class TestAgainstSimulation:
         sim = run_broadcast(problem, name).elapsed_us
         pred = predict_broadcast_time(problem, name)
         assert sim <= 1.5 * pred
-
-    def test_prediction_equals_contention_free_simulation_closely(
-        self, square_paragon
-    ):
-        src = DISTRIBUTIONS["E"].generate(square_paragon, 20)
-        problem = BroadcastProblem(square_paragon, src, message_size=2048)
-        sim_off = run_broadcast(
-            problem, "2-Step", contention=False
-        ).elapsed_us
-        pred = predict_broadcast_time(problem, "2-Step")
-        assert sim_off == pytest.approx(pred, rel=0.05)
 
     def test_contention_attribution_ranks_flood_highest(self, square_paragon):
         """sim/pred measures contention-boundness: Naive >> Br_Lin."""
