@@ -215,7 +215,9 @@ def _dispatch(args) -> int:
     """Run the targets ``args`` name; configuration errors propagate.
 
     The meta-targets load and validate every config; experiment ids
-    parse only their own files.
+    parse only their own files.  A meta-target with another target, or
+    a docs-only flag (``--check``, ``--skip-results``) with a target
+    other than ``docs``, exits 2 before any config is loaded.
     """
     config_dir = pathlib.Path(args.configs) if args.configs else DEFAULT_CONFIG_DIR
     names = list(dict.fromkeys(args.experiments)) or ["list"]
@@ -223,6 +225,19 @@ def _dispatch(args) -> int:
     if meta and len(names) > 1:
         print(
             f"error: meta-target {meta[0]!r} takes no other target "
+            f"(got: {' '.join(names)})",
+            file=sys.stderr,
+        )
+        return 2
+    docs_flags = [
+        flag
+        for flag, given in (("--check", args.check),
+                            ("--skip-results", args.skip_results))
+        if given
+    ]
+    if docs_flags and names != ["docs"]:
+        print(
+            f"error: {docs_flags[0]} applies only to the docs target "
             f"(got: {' '.join(names)})",
             file=sys.stderr,
         )

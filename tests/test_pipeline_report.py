@@ -348,6 +348,24 @@ class TestReportCli:
         assert f"meta-target {meta!r}" in err
         assert "unknown experiment" not in err
 
+    @pytest.mark.parametrize("target", ["fig6", "all", "list"])
+    @pytest.mark.parametrize("flag", ["--check", "--skip-results"])
+    def test_docs_flag_with_another_target_is_a_usage_error(
+        self, flag, target, capsys, monkeypatch
+    ):
+        from repro.pipeline import cli
+
+        def no_config(*args, **kwargs):
+            raise AssertionError("a config was loaded")
+
+        monkeypatch.setattr(cli, "load_config_dir", no_config)
+        assert cli.main([target, flag, "--quick", "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {flag} applies only to the docs target (got: {target})\n"
+        )
+
     def test_quick_run_emits_self_contained_pages(self, tmp_path, capsys):
         from repro.pipeline.cli import main
 
