@@ -15,7 +15,7 @@ fall outside that and are not modelled:
 
 * **store-and-forward switching** — the model charges wormhole wire
   time, so it is off on a ``switching=store_and_forward`` machine (by
-  up to 50% on ``paragon:10x10``);
+  up to 58% on ``paragon:10x10``);
 * **per-source sizes** — two messages between one pair of ranks in one
   round can then overtake each other on the wire; the engines match
   them in arrival order, the model in schedule order, so the

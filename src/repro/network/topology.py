@@ -157,13 +157,13 @@ class Topology(ABC):
         """Dimension-order node path ``[src, ..., dst]`` (inclusive)."""
 
     def route_links(self, src: int, dst: int) -> Tuple[int, ...]:
-        """Memoized link-id path: injection, wires along the node path,
-        ejection.
+        """Memoized link-id path as an immutable tuple: injection, wires
+        along the node path, ejection (empty for ``src == dst``: a
+        self-send never touches the network).
 
-        For ``src == dst`` the path is empty — a self-send never touches
-        the network.  The returned tuple is shared across calls and
-        **must not** be mutated by consumers;
-        :class:`~repro.network.fabric.Fabric` iterates it in place.  Small topologies are fully precomputed at
+        The returned tuple is shared across calls and **must not** be
+        mutated by consumers; :class:`~repro.network.fabric.Fabric`
+        iterates it in place.  Small topologies are fully precomputed at
         :meth:`_finalize`; large ones fill a bounded FIFO-evicting memo.
         """
         if src == dst:

@@ -229,19 +229,15 @@ def _dispatch(args) -> int:
             file=sys.stderr,
         )
         return 2
-    docs_flags = [
-        flag
-        for flag, given in (("--check", args.check),
-                            ("--skip-results", args.skip_results))
-        if given
-    ]
-    if docs_flags and names != ["docs"]:
-        print(
-            f"error: {docs_flags[0]} applies only to the docs target "
-            f"(got: {' '.join(names)})",
-            file=sys.stderr,
-        )
-        return 2
+    for flag, given in (("--check", args.check),
+                        ("--skip-results", args.skip_results)):
+        if given and names != ["docs"]:
+            print(
+                f"error: {flag} applies only to the docs target "
+                f"(got: {' '.join(names)})",
+                file=sys.stderr,
+            )
+            return 2
 
     selected = list(
         load_config_dir(config_dir, ids=None if meta else names).values()
