@@ -24,6 +24,7 @@ from repro.core.algorithms.base import (
 )
 from repro.core.problem import BroadcastProblem
 from repro.core.schedule import Schedule
+from repro.errors import AlgorithmError
 
 __all__ = ["AutoPredict"]
 
@@ -62,6 +63,10 @@ class AutoPredict(BroadcastAlgorithm):
             predicted = predict_schedule_time(schedule)
             if predicted < best_time:
                 best_schedule, best_time, best_name = schedule, predicted, name
-        assert best_schedule is not None, "portfolio cannot be empty"
+        if best_schedule is None:
+            raise AlgorithmError(
+                f"no algorithm of the portfolio {self.portfolio} can run on "
+                f"{problem.machine!r}"
+            )
         best_schedule.algorithm = f"{self.name}[{best_name}]"
         return best_schedule

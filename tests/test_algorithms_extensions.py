@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core import BroadcastProblem, run_broadcast
 from repro.core.algorithms import AutoPredict, BrRing
-from repro.distributions import DISTRIBUTIONS
+from repro.core.predict import predict_broadcast_time
+from repro.distributions import DISTRIBUTIONS, RandomDistribution
+from repro.errors import AlgorithmError
 from repro.machines import paragon, t3d
 
 
@@ -120,3 +124,59 @@ class TestAutoPredict:
         problem = BroadcastProblem(square_paragon, src, message_size=512)
         chosen = auto.build_schedule(problem).algorithm
         assert chosen == "Auto_Predict[Br_Ring]"
+
+    def test_portfolio_skips_unsupported_candidates(self):
+        auto = AutoPredict(portfolio=("Br_xy_source", "Br_Lin"))  # mesh-only first
+        problem = BroadcastProblem(t3d(32), tuple(range(8)), message_size=1024)
+        assert auto.build_schedule(problem).algorithm == "Auto_Predict[Br_Lin]"
+
+    def test_no_supported_candidate_is_an_algorithm_error(self):
+        auto = AutoPredict(portfolio=("Br_xy_source",))
+        problem = BroadcastProblem(t3d(32), tuple(range(4)), message_size=1024)
+        with pytest.raises(AlgorithmError, match="Br_xy_source"):
+            auto.build_schedule(problem)
+
+    def test_picks_the_lowest_prediction_first_on_ties(self, square_paragon):
+        """The winner is the portfolio's first strict minimum of the model."""
+        portfolio = ("Br_Lin", "Br_xy_source", "Repos_xy_source", "Br_Ring")
+        auto = AutoPredict(portfolio=portfolio)
+        for s, size in ((4, 512), (30, 4096), (80, 16384)):
+            src = RandomDistribution(seed=s).generate(square_paragon, s)
+            problem = BroadcastProblem(square_paragon, src, message_size=size)
+            predicted = [predict_broadcast_time(problem, n) for n in portfolio]
+            first_best = portfolio[predicted.index(min(predicted))]
+            chosen = auto.build_schedule(problem).algorithm
+            assert chosen == f"Auto_Predict[{first_best}]"
+        twins = AutoPredict(portfolio=("Br_xy_source", "Br_xy_dim"))
+        problem = BroadcastProblem(square_paragon, (0,), message_size=1024)
+        assert predict_broadcast_time(problem, "Br_xy_source") == (
+            predict_broadcast_time(problem, "Br_xy_dim")
+        )
+        assert twins.build_schedule(problem).algorithm == (
+            "Auto_Predict[Br_xy_source]"
+        )
+
+    def test_never_loses_badly_to_a_fixed_candidate(self, square_paragon):
+        """Over a mixed workload the predictive pick stays within 10% of
+        the best single candidate used for every problem."""
+        portfolio = ("Br_Lin", "Br_xy_source")
+        workload = [
+            BroadcastProblem(
+                square_paragon,
+                RandomDistribution(seed=i).generate(square_paragon, s),
+                message_size=4096,
+            )
+            for i, s in enumerate((10, 40, 80))
+        ]
+
+        def total_us(algorithm, engine="auto"):
+            return sum(
+                run_broadcast(p, algorithm, engine=engine).elapsed_us
+                for p in workload
+            )
+
+        fixed = min(total_us(name) for name in portfolio)
+        # The event engine compiles this instance's own pick; the fast
+        # path's plan cache keys plans by the name every portfolio shares.
+        predictive = total_us(AutoPredict(portfolio=portfolio), engine="event")
+        assert predictive <= 1.1 * fixed
