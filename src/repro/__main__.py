@@ -5,21 +5,23 @@ Examples::
     python -m repro --machine paragon:10x10 --dist Dr --s 30 --L 4096
     python -m repro --machine t3d:128 --algorithm MPI_Alltoall --s 40
     python -m repro --machine paragon:16x16 --dist Sq --s 49 --timeline
-    python -m repro --machine t3d:128 --s 40 --cache-dir ~/.cache/repro/sweep
+    python -m repro --machine paragon:12x10 --algorithm Br_xy_dim --s 12 \\
+        --trace-json out.trace.json
 
-Runs route through the sweep executor (see :mod:`repro.sweep`): with
-``--cache-dir`` set, a repeated configuration is answered from the
-on-disk result cache instead of re-simulating; ``--no-cache`` forces
-recomputation.  ``--timeline`` always simulates directly (the tracer
-cannot ride through worker processes or the cache).
+Every run simulates directly through :func:`repro.run_broadcast`.
+``--trace-json PATH`` captures a full trace: after the summary lines
+the command prints the per-phase roll-up (the slowest phase marked
+``<- slowest``) and the link-utilization heatmap (``--queue`` shows
+queue depth, ``--links N`` sets its rows), and writes the Chrome
+trace-event JSON for ``chrome://tracing`` / Perfetto to ``PATH``.
 
-Subcommands: ``python -m repro sweep`` evaluates whole grids — serial
-or pooled (``--jobs``, see :mod:`repro.sweep.cli`); ``python -m repro
-chaos`` runs the fault harness (``--io`` points it at the result
-cache's storage); ``python -m repro trace`` exports Chrome traces; ``python -m repro
-report`` reproduces the paper from ``configs/*.toml`` into
-self-contained HTML reports and regenerates EXPERIMENTS.md/RESULTS.txt
-(see :mod:`repro.pipeline.cli`).
+Subcommands: ``python -m repro sweep`` evaluates whole grids through
+the memoizing sweep executor — serial or pooled (``--jobs``, see
+:mod:`repro.sweep.cli`); ``python -m repro chaos`` runs the fault
+campaigns (``--io`` points them at the result cache's storage);
+``python -m repro report`` reproduces the paper from
+``configs/*.toml`` into self-contained HTML reports and regenerates
+EXPERIMENTS.md/RESULTS.txt (see :mod:`repro.pipeline.cli`).
 """
 
 from __future__ import annotations
@@ -35,28 +37,11 @@ from repro.errors import ReproError
 from repro.machines import SPEC_GRAMMAR, machine_from_spec
 from repro.metrics.timeline import render_timeline
 from repro.simulator.trace import Tracer
-from repro.sweep import ResultCache, SweepExecutor, SweepPoint
 
 __all__ = ["main"]
 
-
-def _engine_line(requested: str, result: "repro.BroadcastResult") -> str:
-    """Human-readable execution provenance for the ``engine:`` line.
-
-    Direct runs carry it in ``result.debug``; results that crossed the
-    sweep executor's serialization boundary (worker process or cache)
-    lose the debug dict, so the line is reconstructed from the engine
-    request and run shape — the selection rule is deterministic.
-    """
-    debug = result.debug
-    if debug.get("engine") == "fast":
-        return f"fast (plan-cache={debug['plan_cache']})"
-    if debug.get("engine") == "event":
-        return "event"
-    blocked = bool(result.faults_active) or result.recovered is not None
-    if requested == "event" or (requested == "auto" and blocked):
-        return "event"
-    return "fast"
+#: Default rows of the ``--trace-json`` link heatmap.
+DEFAULT_LINKS = 8
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -66,10 +51,6 @@ def main(argv: List[str] | None = None) -> int:
         from repro.faults.chaos import main as chaos_main
 
         return chaos_main(argv[1:])
-    if argv and argv[0] == "trace":
-        from repro.obs.cli import main as trace_main
-
-        return trace_main(argv[1:])
     if argv and argv[0] == "sweep":
         from repro.sweep.cli import main as sweep_main
 
@@ -122,7 +103,26 @@ def main(argv: List[str] | None = None) -> int:
         "--trace-json",
         default=None,
         metavar="PATH",
-        help="capture a full trace and write Chrome trace-event JSON here",
+        help=(
+            "capture a full trace: print the phase roll-up and the link "
+            "heatmap, and write Chrome trace-event JSON here"
+        ),
+    )
+    parser.add_argument(
+        "--queue",
+        action="store_true",
+        help="heatmap shows queue depth instead of busy fraction "
+        "(needs --trace-json)",
+    )
+    parser.add_argument(
+        "--links",
+        type=int,
+        default=None,
+        metavar="N",
+        help=(
+            "rows in the link heatmap / hottest-links table "
+            f"(default: {DEFAULT_LINKS}; needs --trace-json)"
+        ),
     )
     parser.add_argument(
         "--engine",
@@ -135,17 +135,15 @@ def main(argv: List[str] | None = None) -> int:
             "way (default: %(default)s)"
         ),
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="memoize results in this sweep cache directory",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the sweep result cache (no reads, no writes)",
-    )
     args = parser.parse_args(argv)
+    if args.trace_json is None:
+        # Without a trace there is no heatmap for them to shape.
+        for flag, given in (("--queue", args.queue),
+                            ("--links", args.links is not None)):
+            if given:
+                print(f"error: {flag} needs --trace-json", file=sys.stderr)
+                return 2
+    links = DEFAULT_LINKS if args.links is None else args.links
 
     try:
         machine = machine_from_spec(args.machine)
@@ -167,44 +165,26 @@ def main(argv: List[str] | None = None) -> int:
             tracer = Tracer(kinds=("send", "recv"))
         else:
             tracer = None
-        if tracer is None:
-            cache = (
-                ResultCache(args.cache_dir)
-                if args.cache_dir and not args.no_cache
-                else None
-            )
-            # One point is one batch, which never leaves this process.
-            executor = SweepExecutor(jobs=1, cache=cache, engine=args.engine)
-            point = SweepPoint.from_problem(
-                problem,
-                algorithm,
-                seed=args.seed,
-                distribution=args.dist,
-                faults=args.faults,
-                recover=args.recover and args.faults is not None,
-            )
-            result = executor.run([point])[0]
-            if cache is not None and executor.last_report is not None:
-                print(
-                    "cache:      "
-                    + ("hit" if executor.last_report.cached else "miss")
-                    + f" ({args.cache_dir})"
-                )
-        else:
-            result = repro.run_broadcast(
-                problem, algorithm, seed=args.seed, tracer=tracer,
-                faults=args.faults,
-                recover=args.recover and args.faults is not None,
-                engine=args.engine,
-            )
+        result = repro.run_broadcast(
+            problem, algorithm, seed=args.seed, tracer=tracer,
+            faults=args.faults,
+            recover=args.recover and args.faults is not None,
+            engine=args.engine,
+        )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    debug = result.debug
+    engine = (
+        f"fast (plan-cache={debug['plan_cache']})"
+        if debug["engine"] == "fast"
+        else "event"
+    )
     print(f"machine:    {machine.params.name}, p = {machine.p}")
     print(f"problem:    s = {problem.s}, L = {args.L} bytes "
           f"({distribution.name} distribution)")
-    print(f"engine:     {_engine_line(args.engine, result)}")
+    print(f"engine:     {engine}")
     print(f"time:       {result.elapsed_ms:.3f} ms")
     if result.faults_active:
         print(f"faults:     {'; '.join(result.faults_active)}")
@@ -226,16 +206,23 @@ def main(argv: List[str] | None = None) -> int:
         f"av_msg_lgth={metrics.av_msg_lgth:.0f} "
         f"av_act_proc={metrics.av_act_proc:.1f}"
     )
-    if tracer is not None and args.timeline:
+    if args.timeline:
         print()
         print(render_timeline(tracer, p=machine.p))
-    if tracer is not None and args.trace_json is not None:
-        from repro.obs.chrome import write_chrome_trace
+    if args.trace_json is not None:
+        from repro.obs import (
+            link_usage,
+            render_link_heatmap,
+            render_rollup,
+            summarize_trace,
+            write_chrome_trace,
+        )
 
+        topology = machine.topology
         trace = write_chrome_trace(
             args.trace_json,
             tracer,
-            topology=machine.topology,
+            topology=topology,
             label=(
                 f"{args.machine} {args.dist} s={args.s} L={args.L} "
                 f"{result.algorithm} seed={args.seed}"
@@ -246,6 +233,15 @@ def main(argv: List[str] | None = None) -> int:
             f"({len(trace['traceEvents'])} events, "
             f"schema {trace['otherData']['schema']})"
         )
+        print()
+        print(render_rollup(
+            summarize_trace(tracer, topology=topology, k_links=links)
+        ))
+        print()
+        print(render_link_heatmap(
+            link_usage(tracer, topology=topology),
+            topology=topology, k=links, queue=args.queue,
+        ))
     return 0
 
 

@@ -49,6 +49,11 @@ class AutoPredict(BroadcastAlgorithm):
     def __init__(self, portfolio: Sequence[str] = DEFAULT_PORTFOLIO) -> None:
         self.portfolio = tuple(portfolio)
 
+    def schedule_depends_on_sizes(self, problem: BroadcastProblem) -> bool:
+        # The winner is the lowest predicted time at these sizes, so one
+        # size table's pick must not serve another's.
+        return True
+
     def build_schedule(self, problem: BroadcastProblem) -> Schedule:
         from repro.core.predict import predict_schedule_time  # avoid cycle
 

@@ -39,7 +39,7 @@ from repro.fastpath.evaluator import (
     evaluate_plan,
 )
 from repro.fastpath.lowering import FastPlan, lower_schedule
-from repro.fastpath.plancache import FastOutcome, evaluate_problem, plan_cache
+from repro.fastpath.plancache import FastOutcome, evaluate_problem
 
 __all__ = [
     "FastOutcome",
@@ -51,5 +51,4 @@ __all__ = [
     "evaluate_plan",
     "evaluate_problem",
     "lower_schedule",
-    "plan_cache",
 ]

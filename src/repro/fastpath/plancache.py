@@ -21,9 +21,11 @@ then one cached structure serves every message length via
 :meth:`FastPlan.rebind_sizes` — bit-identical to fresh lowering.  Two
 guards keep this safe: algorithms whose *round structure* depends on
 sizes declare it (:meth:`BroadcastAlgorithm.schedule_depends_on_sizes`
-— the pipelined MPI_AllGather segments by length), and the lowering
-itself probes reusability per plan (:attr:`FastPlan.size_reusable`).
-Either guard failing keys the entry by the full size signature instead.
+— the pipelined MPI_AllGather segments by length, and Auto_Predict
+picks its candidate by the predicted times at these sizes), and the
+lowering itself probes reusability per plan
+(:attr:`FastPlan.size_reusable`).  Either guard failing keys the entry
+by the full size signature instead.
 
 The machine part of the key is its canonical spec, which names every
 parameter that differs from the family's defaults, so parameter
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.fastpath.evaluator import (
     FastRunResult,
@@ -60,9 +62,7 @@ __all__ = [
     "FastOutcome",
     "PlanCache",
     "evaluate_problem",
-    "plan_cache",
     "clear",
-    "stats",
 ]
 
 #: Lowered-plan entries kept per process (LRU).
@@ -120,7 +120,6 @@ class _PlanEntry:
             self.size_bindings[sig] = plan
             if len(self.size_bindings) > BINDING_CAPACITY:
                 self.size_bindings.popitem(last=False)
-            _CACHE.counters["size_rebinds"] += 1
         else:
             self.size_bindings.move_to_end(sig)
         return plan
@@ -150,11 +149,6 @@ class PlanCache:
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = capacity
         self._entries: "OrderedDict[tuple, _PlanEntry]" = OrderedDict()
-        self.counters: Dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "size_rebinds": 0,
-        }
 
     def get(self, key: tuple) -> Optional[_PlanEntry]:
         entry = self._entries.get(key)
@@ -168,38 +162,17 @@ class PlanCache:
             self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop every entry and reset the counters."""
+        """Drop every entry."""
         self._entries.clear()
-        for name in self.counters:
-            self.counters[name] = 0
-
-    def stats(self) -> Dict[str, int]:
-        """Counter snapshot plus the current entry count."""
-        data = dict(self.counters)
-        data["entries"] = len(self._entries)
-        return data
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 #: The per-process cache instance (worker processes each get their own).
 _CACHE = PlanCache()
 
 
-def plan_cache() -> PlanCache:
-    """The process-wide :class:`PlanCache` singleton."""
-    return _CACHE
-
-
 def clear() -> None:
     """Reset the process-wide cache (tests and cold-path benchmarks)."""
     _CACHE.clear()
-
-
-def stats() -> Dict[str, int]:
-    """Counter snapshot of the process-wide cache."""
-    return _CACHE.stats()
 
 
 def _size_sig(problem: "BroadcastProblem") -> Tuple[int, ...]:
@@ -229,7 +202,10 @@ def evaluate_problem(
     """
     machine = problem.machine
     sig = _size_sig(problem)
-    key_base = (machine.spec or machine, algorithm.name, problem.sources)
+    # The algorithm object, not its name: registry algorithms are
+    # singletons, and a configured instance (an AutoPredict portfolio)
+    # must not share another instance's plans.
+    key_base = (machine.spec or machine, algorithm, problem.sources)
     sized_structure = algorithm.schedule_depends_on_sizes(problem)
     entry = None
     if not sized_structure:
@@ -237,12 +213,8 @@ def evaluate_problem(
     if entry is None:
         entry = _CACHE.get(key_base + ("sized", sig))
 
-    if entry is not None:
-        _CACHE.counters["hits"] += 1
-        verdict = "hit"
-    else:
-        _CACHE.counters["misses"] += 1
-        verdict = "miss"
+    verdict = "hit" if entry is not None else "miss"
+    if entry is None:
         schedule = algorithm.build_schedule(problem)
         schedule.validate()
         plan = lower_schedule(schedule)

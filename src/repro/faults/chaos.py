@@ -28,28 +28,34 @@ the reported schedule is a minimal reproduction.  Every trial is
 addressable by ``(seed, index)`` — ``--trial K`` replays exactly one.
 
 ``--io`` turns the same methodology on the **storage layer**
-(:mod:`repro.reliability`): seeded plans from the IO-fault grammar
-(``torn:write@K`` / ``err:ENOSPC@K`` / ``crash@K`` / ``stall:read@K+D``)
-are injected into the filesystem calls of a cached ``SweepExecutor``
-run, and the invariants assert that the result cache delivers — a
-clean rerun completes, corrupt cache entries are quarantined and
-recomputed (never served), and the recovered sweep is bit-identical to
-serial.
+(:mod:`repro.reliability`): IO-fault plans (``torn:write@K`` /
+``err:ENOSPC@K`` / ``crash@K`` / ``stall:read@K+D``) are injected into
+the filesystem calls of a cached ``SweepExecutor`` run of a four-point
+grid, and one trial runner (:func:`run_io_trial`) asserts that the
+result cache delivers: a clean rerun completes and recomputes exactly
+what a crash lost, corrupt entries are quarantined and recomputed
+(never served), and the recovered sweep is bit-identical to serial.
+The campaign first crashes the run at every IO op that a clean probe
+run counts (the exhaustive crash sweep), then runs the seeded plans.
 
 CLI::
 
     python -m repro chaos --trials 25 --seed 7
     python -m repro chaos --trials 1 --seed 7 --trial 13   # replay
-    python -m repro chaos --io --trials 25 --seed 7
+    python -m repro chaos --io --trials 25 --seed 7        # sweep + 25 plans
+    python -m repro chaos --io --trials 0                  # the crash sweep
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import shlex
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -87,7 +93,8 @@ _MAX_DEGRADE_FACTOR = 8.0
 class Violation:
     """One invariant breach, with the (shrunk) schedule reproducing it."""
 
-    trial: int
+    #: The trial's index; ``None`` for a plan of the storage crash sweep.
+    trial: Optional[int]
     invariant: str
     detail: str
     schedule: str
@@ -313,9 +320,9 @@ def run_trial(trial: ChaosTrial, *, determinism: bool = False) -> Optional[Viola
 
 # -- storage chaos: tear/fail/crash the result cache's filesystem calls ---
 
-#: Grid every IO trial sweeps — the crash harness's tiny grid: four
-#: points, finishing in well under a second.
-_IO_GRID = dict(
+#: The one grid every storage plan runs: four points, finishing in well
+#: under a second.
+IO_GRID = dict(
     machines=("paragon:4x4",),
     distributions=("E",),
     s_values=(2, 4),
@@ -324,36 +331,65 @@ _IO_GRID = dict(
     seeds=(0,),
 )
 
-#: Fault indices are drawn below this bound: the counted IO-op count of
-#: one clean cached run of ``_IO_GRID`` (a read per point, then a write
-#: and a replace per stored entry), so every fault lands inside the run.
-_IO_INDEX_BOUND = 12
+
+@functools.lru_cache(maxsize=None)
+def _probe_io_grid() -> Tuple[Tuple[str, ...], int, Tuple[int, ...]]:
+    """``(serial, ops, replaces)`` of :data:`IO_GRID`, once per process.
+
+    ``serial`` holds the result fingerprints of a serial run without a
+    cache.  ``ops`` counts the IO ops of a clean cached run over an
+    empty cache — a read per point, then a write and a replace per
+    stored entry — and ``replaces`` lists the indices of its
+    ``replace`` ops, the moments its entries land.  The grid is fixed
+    and the run serial, so the op sequence is deterministic.
+    """
+    from repro.reliability.iofaults import FaultyIO
+    from repro.sweep import ResultCache, SweepExecutor, SweepSpec
+
+    points = SweepSpec(**IO_GRID).points()
+    serial = tuple(map(_fingerprint, SweepExecutor(jobs=1).run(points)))
+    workdir = tempfile.mkdtemp(prefix="repro-chaos-io-probe-")
+    try:
+        io = FaultyIO()
+        SweepExecutor(jobs=1, cache=ResultCache(workdir, io=io)).run(points)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    replaces = tuple(i for i, kind, _ in io.trace if kind == "replace")
+    return serial, io.ops, replaces
 
 
 @dataclass(frozen=True)
 class IOTrial:
-    """One storage-chaos trial: a seeded IO-fault plan vs. a cached run."""
+    """One storage-chaos trial: an IO-fault plan vs. a cached run.
 
-    index: int
+    ``index`` addresses a seeded trial; it is ``None`` for a plan of
+    the crash sweep, which a seed does not draw.
+    """
+
+    index: Optional[int]
     plan_spec: str
     seed: int
 
     def describe(self) -> str:
-        return f"trial {self.index}: io faults '{self.plan_spec}'"
+        where = "crash sweep" if self.index is None else f"trial {self.index}"
+        return f"{where}: io faults '{self.plan_spec}'"
 
 
 def generate_io_trial(base_seed: int, index: int) -> IOTrial:
     """The deterministic storage trial at ``(base_seed, index)``.
 
-    Draws 1–3 faults from the IO grammar (:mod:`repro.reliability`):
-    crashes and torn writes dominate (they are the crash-consistency
-    hazards), injected errnos cover the common resource failures, and
-    stalls stay at 10 ms so a 25-trial batch finishes in seconds.
+    Draws 1–3 faults from the IO grammar (:mod:`repro.reliability`) at
+    indices below the probed op count of :data:`IO_GRID`, so every
+    fault lands inside the run: crashes and torn writes dominate (they
+    are the crash-consistency hazards), injected errnos cover the
+    common resource failures, and stalls stay at 10 ms so a 25-trial
+    batch finishes in seconds.
     """
+    ops = _probe_io_grid()[1]
     rng = random.Random(f"chaos-io#{base_seed}#{index}")
     clauses: List[str] = []
     for _ in range(rng.randint(1, 3)):
-        at = rng.randrange(_IO_INDEX_BOUND)
+        at = rng.randrange(ops)
         kind = rng.random()
         if kind < 0.35:
             clauses.append(f"crash@{at}")
@@ -367,21 +403,30 @@ def generate_io_trial(base_seed: int, index: int) -> IOTrial:
 
 
 def run_io_trial(trial: IOTrial) -> Optional[Violation]:
-    """Run the cached sweep under an IO-fault plan; check the invariants.
+    """Run :data:`IO_GRID` cached under ``trial``'s plan; check the invariants.
 
-    1. **Recoverability** — after the faulty attempts (crashes and
-       injected errnos are expected to abort them), a clean rerun over
-       the same cache directory completes.
-    2. **Bit-identity** — the clean rerun's results equal a serial
-       ``SweepExecutor`` run (corrupt entries are quarantined and
-       recomputed, never served).
-    3. **No residual corruption** — after the rerun touched every
-       point, an offline ``verify_all`` scan finds nothing left to
-       quarantine (everything torn was already caught and rewritten).
+    The faulty attempts share one ``FaultyIO``, whose op counter keeps
+    advancing, so each fault fires at most once: an attempt that a
+    crash or an injected errno aborts is restarted while a fault of the
+    plan still lies ahead (a lone ``crash@K`` ends them at op K).  Then:
+
+    * **verified-or-quarantined** — for a plan without a torn write, an
+      offline ``verify_all`` of the wreckage quarantines nothing: a
+      crash or an errno can strand a temp file, never publish a torn
+      entry;
+    * **recoverability** — a rerun over the same cache directory on a
+      healthy disk completes;
+    * **exact-recompute** — after a lone ``crash@K``, the rerun computes
+      exactly the points whose entry's ``replace`` had not landed
+      before op K, and serves the rest;
+    * **bit-identity** — the rerun's results equal a serial run without
+      a cache, byte for byte (corrupt entries are quarantined and
+      recomputed, never served);
+    * **no-residual-corruption** — an offline ``verify_all`` after the
+      rerun quarantines nothing: everything torn was already caught
+      and rewritten;
+    * **warm-rerun** — a second rerun computes nothing.
     """
-    import shutil
-    import tempfile
-
     from repro.errors import ReproError
     from repro.reliability.iofaults import FaultyIO, SimulatedCrash
     from repro.sweep import ResultCache, SweepExecutor, SweepSpec
@@ -397,28 +442,40 @@ def run_io_trial(trial: IOTrial) -> Optional[Violation]:
             distribution="-",
         )
 
-    def fingerprints(results) -> List[str]:
-        return [json.dumps(r.to_dict(), sort_keys=True) for r in results]
-
-    points = SweepSpec(**_IO_GRID).points()
-    serial = fingerprints(SweepExecutor(jobs=1).run(points))
+    serial, _ops, replaces = _probe_io_grid()
+    points = SweepSpec(**IO_GRID).points()
+    io = FaultyIO(trial.plan_spec)
+    faults = io.plan.faults
     workdir = tempfile.mkdtemp(prefix="repro-chaos-io-")
     try:
-        io = FaultyIO(trial.plan_spec)
-        # One shared FaultyIO across attempts: its op counter keeps
-        # advancing, so each crash in the plan fires at most once and
-        # the attempt loop is bounded by the fault count.
-        for _ in range(len(io.plan.faults) + 1):
+        for _ in range(len(faults) + 1):
             try:
                 SweepExecutor(jobs=1, cache=ResultCache(workdir, io=io)).run(
                     points
                 )
                 break
             except (SimulatedCrash, OSError, ReproError):
-                continue
-        # Clean recovery pass: the same cache directory on a healthy disk.
+                if all(fault.index < io.ops for fault in faults):
+                    break
+        if not any(fault.kind == "torn" for fault in faults):
+            audit = ResultCache(workdir).verify_all()
+            if audit.quarantined_now:
+                return violation(
+                    "verified-or-quarantined",
+                    f"{audit.quarantined_now} torn entr(ies) in the wreckage",
+                )
         cache = ResultCache(workdir)
-        collected = fingerprints(SweepExecutor(jobs=1, cache=cache).run(points))
+        executor = SweepExecutor(jobs=1, cache=cache)
+        collected = tuple(map(_fingerprint, executor.run(points)))
+        computed = executor.last_report.computed
+        if len(faults) == 1 and faults[0].kind == "crash":
+            landed = sum(1 for i in replaces if i < faults[0].index)
+            if computed != len(points) - landed:
+                return violation(
+                    "exact-recompute",
+                    f"rerun computed {computed} point(s), "
+                    f"expected {len(points) - landed}",
+                )
         if collected != serial:
             mismatches = sum(1 for a, b in zip(serial, collected) if a != b)
             return violation(
@@ -431,6 +488,13 @@ def run_io_trial(trial: IOTrial) -> Optional[Violation]:
                 "no-residual-corruption",
                 f"verify_all quarantined {audit.quarantined_now} entr(ies) "
                 "that the rerun should already have caught",
+            )
+        executor.run(points)
+        if executor.last_report.computed:
+            return violation(
+                "warm-rerun",
+                f"second rerun computed {executor.last_report.computed} "
+                "point(s)",
             )
     except Exception as exc:  # noqa: BLE001 - any escape is the violation
         return violation("recoverability", f"{type(exc).__name__}: {exc}")
@@ -461,23 +525,19 @@ class ChaosReport:
 
 
 def _run_batch(
-    generate: Callable[[int, int], Any],
+    batch: Sequence[Any],
     run: Callable[[Any, bool], Optional[Violation]],
-    trials: int,
     seed: int,
-    only: Optional[int],
     verbose: bool,
 ) -> ChaosReport:
     """The one batch loop of every chaos mode.
 
-    ``generate(seed, index)`` draws a trial and ``run(trial, first)``
-    returns its violation; ``first`` marks the batch's first trial.
+    ``run(trial, first)`` returns a trial's violation; ``first`` marks
+    the batch's first trial.
     """
-    report = ChaosReport(seed=seed, trials=trials)
-    indices = [only] if only is not None else list(range(trials))
-    for index in indices:
-        trial = generate(seed, index)
-        violation = run(trial, index == indices[0])
+    report = ChaosReport(seed=seed, trials=len(batch))
+    for position, trial in enumerate(batch):
+        violation = run(trial, position == 0)
         if verbose:
             status = "FAIL" if violation is not None else "ok"
             print(f"  [{status:4s}] {trial.describe()}")
@@ -498,9 +558,8 @@ def run_trials(
     verbose: bool = True,
 ) -> ChaosReport:
     """Run a batch of seeded trials; collect (shrunk) violations."""
-
-    def generate(seed: int, index: int) -> ChaosTrial:
-        return generate_trial(
+    batch = [
+        generate_trial(
             seed,
             index,
             machine_spec=machine_spec,
@@ -508,22 +567,36 @@ def run_trials(
             distributions=distributions,
             message_size=message_size,
         )
-
-    def run(trial: ChaosTrial, first: bool) -> Optional[Violation]:
-        # The determinism invariant re-runs the batch's first trial.
-        return run_trial(trial, determinism=first)
-
-    return _run_batch(generate, run, trials, seed, only, verbose)
+        for index in ([only] if only is not None else range(trials))
+    ]
+    # The determinism invariant re-runs the batch's first trial.
+    return _run_batch(
+        batch,
+        lambda trial, first: run_trial(trial, determinism=first),
+        seed,
+        verbose,
+    )
 
 
 def run_io_trials(
     trials: int, seed: int, *, only: Optional[int] = None, verbose: bool = True
 ) -> ChaosReport:
-    """Seeded batch of storage-chaos trials (the ``--io`` mode)."""
+    """The ``--io`` campaign: the crash sweep, then ``trials`` seeded trials.
+
+    The crash sweep runs a lone ``crash@K`` at every op K that a clean
+    run of :data:`IO_GRID` counts, so it covers every point at which
+    the cache can die on this workload: each entry's temp write and
+    replace, on both sides of the replace.  ``only`` replays seeded
+    trial ``only`` alone, without the sweep.
+    """
+    if only is not None:
+        batch = [generate_io_trial(seed, only)]
+    else:
+        ops = _probe_io_grid()[1]
+        batch = [IOTrial(None, f"crash@{at}", seed) for at in range(ops)]
+        batch += [generate_io_trial(seed, index) for index in range(trials)]
     return _run_batch(
-        generate_io_trial,
-        lambda trial, _first: run_io_trial(trial),
-        trials, seed, only, verbose,
+        batch, lambda trial, _first: run_io_trial(trial), seed, verbose
     )
 
 
@@ -574,7 +647,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     flag = " --io" if args.io else ""
     pools = ""
     if args.io:
-        print(f"chaos (io): {args.trials} trial(s), seed {args.seed}")
+        sweep = (
+            ""
+            if args.trial is not None
+            else f"a crash at each of {_probe_io_grid()[1]} IO op(s), then "
+        )
+        print(f"chaos (io): {sweep}{args.trials} trial(s), seed {args.seed}")
         report = run_io_trials(args.trials, args.seed, only=args.trial)
     else:
         # The machine-mode pools shape every trial: a replay needs each
@@ -604,15 +682,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"all invariants held over {report.trials} trial(s)")
         return 0
     for violation in report.violations:
+        if violation.trial is None:
+            # A crash-sweep plan: every --io run without --trial replays
+            # the sweep, and --trials 0 runs nothing else.
+            where, replay = violation.schedule, "--trials 0"
+        else:
+            where = f"trial {violation.trial}"
+            replay = (
+                f"--trials 1 --seed {report.seed} "
+                f"--trial {violation.trial}{pools}"
+            )
         print()
-        print(f"VIOLATION [{violation.invariant}] in trial {violation.trial}:")
+        print(f"VIOLATION [{violation.invariant}] in {where}:")
         print(f"  {violation.detail}")
         print(f"  schedule: {violation.schedule}")
         print(f"  shrunk:   {violation.shrunk_schedule}")
-        print(
-            f"  replay:   python -m repro chaos{flag} --trials 1 "
-            f"--seed {report.seed} --trial {violation.trial}{pools}"
-        )
+        print(f"  replay:   python -m repro chaos{flag} {replay}")
     print(f"\n{len(report.violations)} violation(s)")
     return 1
 

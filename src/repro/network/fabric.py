@@ -137,9 +137,11 @@ class Fabric:
         self.switching = switching
         self.injector = injector
         self.tracer = tracer
-        # Shared reservation core: the fastpath evaluator builds its own
-        # WireState over the same link id space, so both engines run the
-        # identical contention arithmetic (see repro.network.wirestate).
+        # Reservation state: the fastpath evaluator builds its own
+        # WireState over the same link id space, and its kernel repeats
+        # reserve_path/reserve_link inline over those lists; the
+        # differential tests keep both copies equal (see
+        # repro.network.wirestate).
         self._wire = WireState(topology.num_links, 2 * topology.num_nodes)
         self._transfers = 0
         self._total_wait = 0.0

@@ -187,8 +187,8 @@ class Topology(ABC):
         return path
 
     def _build_route(self, src: int, dst: int) -> Tuple[int, ...]:
-        """Uncached route construction (the seed-code path, kept for
-        differential testing against the memoized :meth:`route_links`)."""
+        """Uncached route construction: what fills the route cache, up
+        front on small topologies and on a :meth:`route_links` miss."""
         nodes = self.route_nodes(src, dst)
         if nodes[0] != src or nodes[-1] != dst:
             raise RoutingError(

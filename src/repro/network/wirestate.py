@@ -1,12 +1,18 @@
-"""Shared wire-occupancy state: the contention core of the fabric.
+"""Wire-occupancy state: the contention core of the fabric.
 
 The reservation model — per-link *earliest-free timestamps* plus
 accumulated busy time — is needed in two places: the event-driven
 :class:`~repro.network.fabric.Fabric` (which serves transfers as the
 simulation reaches them) and the :mod:`repro.fastpath` batch evaluator
 (which replays the very same request sequence without an event loop).
-Both must produce bit-identical timings, so the float arithmetic lives
-here exactly once.
+Both must produce bit-identical timings.  What they share is this
+class's state — the ``free_at`` and ``busy_time`` lists — and
+:meth:`WireState.wire_utilization`.  The reservation arithmetic itself
+exists twice: the fabric calls :meth:`WireState.reserve_path` and
+:meth:`WireState.reserve_link`, while the replay kernel
+(:mod:`repro.fastpath.kernel`) repeats both inline over the same lists.
+The randomized differential grid and the traced store-and-forward test
+(``tests/test_fastpath_differential.py``) keep the two copies equal.
 """
 
 from __future__ import annotations

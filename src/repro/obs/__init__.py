@@ -10,8 +10,11 @@ into things a human can look at:
 * :mod:`repro.obs.linkstats` — per-link utilization and queue-depth
   time series, rendered as an ASCII heatmap;
 * :mod:`repro.obs.summary` — per-phase span roll-ups and sweep-level
-  aggregation (slowest phase per algorithm, hottest links);
-* :mod:`repro.obs.cli` — the ``python -m repro trace`` subcommand.
+  aggregation (slowest phase per algorithm, hottest links).
+
+``python -m repro --trace-json PATH`` prints a single run's roll-up and
+heatmap and writes its Chrome trace; ``report --observe`` rolls up
+whole sweeps.
 
 Everything here is post-hoc: it reads a finished trace and never
 touches the simulation, so enabling observability cannot change any

@@ -165,7 +165,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=None,
-        help="sweep worker processes (default: $REPRO_SWEEP_JOBS or 1)",
+        help="sweep worker processes (default: 1)",
     )
     parser.add_argument(
         "--cache-dir", default=str(DEFAULT_CACHE_DIR),

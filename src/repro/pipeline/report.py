@@ -309,9 +309,9 @@ def representative_point(config) -> Optional[Dict[str, object]]:
     Used for the report's link-heatmap and its Chrome-trace recipe: the
     cell at the middle x of the first series' full grid on its first
     curve (in a gain series, measured with the variant).  Series with a
-    searched placement are passed over, since the trace CLI addresses
-    distributions only; ``None`` for builder configs and when no series
-    is left.
+    searched placement are passed over, since the single-run command
+    (``python -m repro ... --trace-json``) addresses distributions only;
+    ``None`` for builder configs and when no series is left.
     """
     if config is None or config.kind != "declarative":
         return None
@@ -387,11 +387,12 @@ def _reproduce_block(
     lines = [f"python -m repro report {name}   # this page + the text tables"]
     if point is not None:
         lines.append(
-            "python -m repro trace"
+            "python -m repro"
             f" --machine {point['machine']} --dist {point['dist']}"
             f" --s {point['s']} --L {point['L']}"
             f" --algorithm {point['algorithm']}"
-            f" --json {name}.trace.json   # Chrome trace (chrome://tracing)"
+            f" --trace-json {name}.trace.json"
+            "   # roll-up, heatmap, Chrome trace (chrome://tracing)"
         )
     return "<pre>" + _esc("\n".join(lines)) + "</pre>"
 

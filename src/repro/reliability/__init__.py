@@ -17,16 +17,16 @@ fabric:
 * :mod:`repro.reliability.envelope` — self-verifying storage: the
   versioned ``repro-cache/2`` entry envelope with an embedded sha256,
   verified on every read.
-* :mod:`repro.reliability.harness` — the crash-consistency harness:
-  replay a cached ``SweepExecutor`` run with a crash injected at
-  *every* IO-op index and assert the cache never serves unverified
-  bytes, a rerun recomputes exactly what the crash lost, and the
-  recovered sweep is bit-identical to serial.
 
-Layering: the two library modules sit below :mod:`repro.sweep` (which
-consumes them) and import only :mod:`repro.errors`; the harness is the
-deliberate exception — it is a test driver that exercises
-:mod:`repro.sweep` end-to-end, and is therefore not re-exported here.
+The storage-fault campaign that drives these layers end to end,
+``python -m repro chaos --io``, lives in :mod:`repro.faults.chaos`: it
+replays a cached ``SweepExecutor`` run with a crash injected at *every*
+IO-op index, then under seeded fault plans, and asserts the cache never
+serves unverified bytes, a rerun recomputes exactly what a crash lost,
+and the recovered sweep is bit-identical to serial.
+
+Layering: both modules sit below :mod:`repro.sweep` (which consumes
+them) and import only :mod:`repro.errors`.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ Every filesystem call the sweep's result cache
 :class:`IOBackend`.  The default backend (:data:`RAW_IO`) is a thin
 passthrough to :mod:`os` / :mod:`pathlib`; :class:`FaultyIO` counts
 operations and applies an :class:`IOFaultPlan` against the counter, so
-a test (or the chaos harness) can make *exactly* the K-th filesystem
+a test (or ``chaos --io``) can make *exactly* the K-th filesystem
 operation tear, fail, stall, or kill the process.
 
 The textual grammar mirrors the simulator's fault specs
@@ -54,7 +54,7 @@ __all__ = [
 #: Operation kinds that advance the fault-plan index.  Metadata-only
 #: calls (mkdir, stat) are not counted: a crash between a mkdir and the
 #: following write is indistinguishable from a crash at the write, so
-#: counting them would only inflate the harness's sweep.
+#: counting them would only inflate the crash sweep of ``chaos --io``.
 COUNTED_OPS = ("read", "write", "replace", "unlink")
 
 
@@ -151,7 +151,7 @@ class IOFaultPlan:
     Like :class:`~repro.faults.spec.FaultSchedule`, parsing is
     normalising: faults sort by ``(index, canonical)``, so two spellings
     of one plan share a canonical string.  An empty plan is legal (the
-    counting-only shim the harness's probe pass uses).
+    counting-only shim the storage campaign's probe run uses).
     """
 
     faults: Tuple[IOFault, ...] = ()
@@ -230,8 +230,8 @@ class FaultyIO(IOBackend):
 
     ``ops`` is the number of counted operations performed so far — the
     index the plan's clauses address.  ``trace`` records every counted
-    op as ``(index, kind, path)`` so the crash-consistency harness can
-    probe a sequence's length and label its crash points.  With an
+    op as ``(index, kind, path)`` so the storage campaign can probe
+    a sequence's length and label its crash points.  With an
     empty plan this is a pure counting shim.
 
     Fault semantics at index K:

@@ -26,8 +26,8 @@ entry served as truth.
 
 Every filesystem call routes through an injectable
 :class:`~repro.reliability.iofaults.IOBackend`, so tests and the
-crash-consistency harness can make exactly the K-th operation tear,
-fail, or kill the process.  Each quarantine is counted in
+storage campaign (``chaos --io``) can make exactly the K-th operation
+tear, fail, or kill the process.  Each quarantine is counted in
 :attr:`ResultCache.quarantines`.
 
 The cache directory is **shared across processes**: every concurrent

@@ -97,7 +97,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes (default: $REPRO_SWEEP_JOBS or 1)",
+        help="worker processes (default: 1)",
     )
     parser.add_argument(
         "--cache-dir",

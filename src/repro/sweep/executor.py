@@ -22,18 +22,15 @@ All four are exercised against each other by the differential tests
 (``tests/test_sweep_differential.py``): serial, parallel, cold-cache and
 warm-cache evaluations of the same grid must agree bit-for-bit.
 
-Worker count resolution: explicit ``jobs`` argument, else the
-``REPRO_SWEEP_JOBS`` environment variable, else 1.  ``jobs=1`` never
-touches :mod:`multiprocessing` — the serial fallback runs the identical
-evaluation function in-process.
+Worker count: the ``jobs`` argument, 1 when it is ``None``.
+``jobs=1`` never touches :mod:`multiprocessing` — the serial fallback
+runs the identical evaluation function in-process.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -52,53 +49,19 @@ __all__ = [
     "resolve_jobs",
 ]
 
-#: Environment variable overriding the default worker count.
-JOBS_ENV_VAR = "REPRO_SWEEP_JOBS"
-
-
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Effective worker count: argument > ``$REPRO_SWEEP_JOBS`` > 1.
+    """Effective worker count: ``jobs``, or 1 (serial) for ``None``.
 
-    An unusable *explicit* argument (zero or negative) raises
-    :class:`~repro.errors.ConfigurationError` — the caller asked for an
+    A zero or negative count raises
+    :class:`~repro.errors.ConfigurationError`: the caller asked for an
     impossible worker count, and silently clamping ``jobs=0`` to serial
-    hides the bug that produced it.  An unusable *environment* value
-    (not an integer, or below 1) falls back to serial — but loudly, with
-    a :class:`RuntimeWarning` naming the bad value, so a typo'd
-    ``REPRO_SWEEP_JOBS=abc`` in a CI config does not silently run a
-    sweep 16x slower than intended.  (The environment is configuration,
-    not code: a warning keeps a shared shell profile from breaking every
-    run, while an explicit bad argument is a programming error.)
+    hides the bug that produced it.
     """
-    if jobs is not None:
-        jobs = int(jobs)
-        if jobs < 1:
-            raise ConfigurationError(
-                f"jobs must be >= 1, got {jobs}; pass jobs=None to defer "
-                f"to ${JOBS_ENV_VAR}"
-            )
-        return jobs
-    raw = os.environ.get(JOBS_ENV_VAR, "")
-    if not raw:
+    if jobs is None:
         return 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring {JOBS_ENV_VAR}={raw!r}: not an integer; "
-            "running serial (jobs=1)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
+    jobs = int(jobs)
     if jobs < 1:
-        warnings.warn(
-            f"ignoring {JOBS_ENV_VAR}={raw!r}: worker count must be "
-            ">= 1; running serial (jobs=1)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     return jobs
 
 
@@ -184,8 +147,7 @@ class SweepExecutor:
     Parameters
     ----------
     jobs:
-        Worker-process count; ``None`` defers to ``$REPRO_SWEEP_JOBS``
-        (default 1 = serial, in-process).
+        Worker-process count; ``None`` means 1 (serial, in-process).
     cache:
         A :class:`ResultCache`, or ``None`` to disable memoization
         entirely — no reads *and* no writes (the ``--no-cache`` CLI

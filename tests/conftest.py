@@ -22,6 +22,19 @@ TEST_PARAMS = MachineParams(
 )
 
 
+def model_is_exact(problem: BroadcastProblem) -> bool:
+    """Where the contention-free model must equal the simulation.
+
+    Wormhole switching (the model charges wormhole wire time) and one
+    message size for every source (with mixed sizes two messages
+    between one pair in one round can overtake each other, and the
+    engines match them in arrival order).  See
+    :mod:`repro.core.predict`.
+    """
+    sizes = {problem.size_of(source) for source in problem.sources}
+    return problem.machine.params.switching == "wormhole" and len(sizes) == 1
+
+
 @pytest.fixture
 def small_paragon() -> Machine:
     """A 4x5 Paragon submesh (20 ranks, odd/even mixed dimensions)."""

@@ -169,14 +169,11 @@ class TestAutoPredict:
             for i, s in enumerate((10, 40, 80))
         ]
 
-        def total_us(algorithm, engine="auto"):
+        def total_us(algorithm):
             return sum(
-                run_broadcast(p, algorithm, engine=engine).elapsed_us
-                for p in workload
+                run_broadcast(p, algorithm).elapsed_us for p in workload
             )
 
         fixed = min(total_us(name) for name in portfolio)
-        # The event engine compiles this instance's own pick; the fast
-        # path's plan cache keys plans by the name every portfolio shares.
-        predictive = total_us(AutoPredict(portfolio=portfolio), engine="event")
+        predictive = total_us(AutoPredict(portfolio=portfolio))
         assert predictive <= 1.1 * fixed

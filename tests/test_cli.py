@@ -143,6 +143,20 @@ class TestReproCLI:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags,line",
+        [
+            ([], "engine:     fast (plan-cache="),
+            (["--engine", "event"], "engine:     event\n"),
+            (["--faults", "node:15"], "engine:     event\n"),
+        ],
+        ids=["auto", "event", "faults"],
+    )
+    def test_engine_line_reads_the_run(self, capsys, flags, line):
+        argv = ["--machine", "paragon:4x4", "--algorithm", "Br_Lin", "--s", "4"]
+        assert repro_main(argv + flags) == 0
+        assert line in capsys.readouterr().out
+
     def test_trace_json_flag_writes_valid_trace(self, capsys, tmp_path):
         import json
 
@@ -174,11 +188,13 @@ class TestReproCLI:
 
 
 class TestTraceCLI:
-    def test_trace_subcommand_rollup(self, capsys):
+    """``--trace-json``: the single run's roll-up, heatmap and trace file."""
+
+    def test_trace_json_prints_rollup_and_heatmap(self, capsys, tmp_path):
         code = repro_main(
             [
-                "trace", "--machine", "paragon:4x4", "--algorithm",
-                "Br_xy_dim", "--s", "4",
+                "--machine", "paragon:4x4", "--algorithm", "Br_xy_dim",
+                "--s", "4", "--trace-json", str(tmp_path / "t.json"),
             ]
         )
         out = capsys.readouterr().out
@@ -186,28 +202,60 @@ class TestTraceCLI:
         assert "<- slowest" in out
         assert "link utilization" in out
         assert "rows" in out or "cols" in out
+        # The diagnosis follows the summary lines.
+        assert out.index("figure-2:") < out.index("<- slowest")
 
-    def test_trace_subcommand_writes_json(self, capsys, tmp_path):
+    def test_trace_json_writes_labelled_json(self, capsys, tmp_path):
         import json
 
         path = tmp_path / "trace.json"
         code = repro_main(
-            [
-                "trace", "--machine", "paragon:4x4", "--s", "4",
-                "--json", str(path),
-            ]
+            ["--machine", "paragon:4x4", "--s", "4", "--trace-json", str(path)]
         )
-        out = capsys.readouterr().out
         assert code == 0
-        assert "wrote" in out
+        assert f"trace:      {path}" in capsys.readouterr().out
         trace = json.loads(path.read_text())
         assert trace["otherData"]["schema"] == "repro-trace/1"
         assert "label" in trace["otherData"]
 
-    def test_trace_subcommand_bad_machine_is_graceful(self, capsys):
-        code = repro_main(["trace", "--machine", "bogus:9"])
+    def test_queue_and_links_shape_the_heatmap(self, capsys, tmp_path):
+        code = repro_main(
+            [
+                "--machine", "paragon:4x4", "--algorithm", "Br_Lin",
+                "--s", "4", "--trace-json", str(tmp_path / "t.json"),
+                "--queue", "--links", "3",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        heatmap = out[out.index("queue depth"):].splitlines()
+        assert len([line for line in heatmap if "->" in line]) == 3
+        assert "link utilization" not in out
+
+    @pytest.mark.parametrize("flags", [["--queue"], ["--links", "3"]],
+                             ids=["queue", "links"])
+    def test_heatmap_flag_without_trace_json_is_a_usage_error(
+        self, capsys, flags
+    ):
+        code = repro_main(["--machine", "paragon:4x4", "--s", "4", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {flags[0]} needs --trace-json\n"
+
+    def test_trace_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["trace", "--machine", "paragon:4x4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: trace" in capsys.readouterr().err
+
+    def test_bad_machine_is_graceful(self, capsys, tmp_path):
+        code = repro_main(
+            ["--machine", "bogus:9", "--trace-json", str(tmp_path / "t.json")]
+        )
         assert code == 2
         assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
 
 
 class TestSweepCLI:

@@ -10,6 +10,7 @@ from repro.core.predict import predict_broadcast_time, predict_schedule_time
 from repro.core.schedule import Schedule, Transfer
 from repro.distributions import DISTRIBUTIONS
 from repro.machines import machine_from_spec, paragon, t3d
+from tests.conftest import model_is_exact
 
 
 class TestPrimitive:
@@ -47,18 +48,6 @@ class TestPrimitive:
 
 #: Every registered algorithm except the predictor-driven selector.
 SCHEDULE_ALGORITHMS = [name for name in list_algorithms() if name != "Auto_Predict"]
-
-
-def model_is_exact(problem) -> bool:
-    """Where the contention-free model must equal the simulation.
-
-    Wormhole switching (the model charges wormhole wire time) and one
-    message size for every source (with mixed sizes two messages
-    between one pair in one round can overtake each other, and the
-    engines match them in arrival order).
-    """
-    sizes = {problem.size_of(source) for source in problem.sources}
-    return problem.machine.params.switching == "wormhole" and len(sizes) == 1
 
 
 def exactness_grid():

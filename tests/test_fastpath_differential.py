@@ -8,7 +8,10 @@ tests exercise that promise three ways:
 * a seeded randomized grid over (machine, algorithm, distribution,
   source count, message length, seed, contention) comparing the two
   engines' canonical JSON byte-for-byte — including exception parity
-  for combinations an algorithm rejects;
+  for combinations an algorithm rejects — and holding both against the
+  contention-free model (:mod:`repro.core.predict`), which shares no
+  code with them: equal to it where it claims exactness, never below
+  it anywhere else;
 * sweep-level agreement: serial and ``jobs=4`` executors forced to
   ``event``, ``fast`` and ``auto`` all produce the same results;
 * cache-key neutrality: entries written by an event-engine sweep are
@@ -27,6 +30,7 @@ import random
 import pytest
 
 import repro
+from repro.core.predict import predict_broadcast_time
 from repro.core.problem import BroadcastProblem
 from repro.core.runner import run_broadcast
 from repro.errors import ReproError
@@ -35,11 +39,19 @@ from repro.machines.paragon import PARAGON_PARAMS
 from repro.simulator.trace import Tracer
 from repro.summation import left_sum
 from repro.sweep import ResultCache, SweepExecutor, SweepSpec
+from tests.conftest import model_is_exact
 
-#: Pools the seeded sampler draws from.  Machines cover both wormhole
-#: meshes and store-and-forward tori plus the hypercube extension;
+#: Pools the seeded sampler draws from.  Machines cover wormhole meshes,
+#: a store-and-forward mesh, wormhole tori and the hypercube extension;
 #: algorithms include mesh-only families (exception parity on t3d).
-MACHINES = ("paragon:4x4", "paragon:8x8", "t3d:16", "t3d:32", "hypercube:16")
+MACHINES = (
+    "paragon:4x4",
+    "paragon:8x8",
+    "t3d:16",
+    "t3d:32",
+    "hypercube:16",
+    "paragon:4x4+switching=store_and_forward",
+)
 DISTRIBUTIONS = ("E", "R", "Sq", "Dr", "C", "Rnd", "B")
 ALGORITHMS = (
     "Br_Lin",
@@ -84,7 +96,7 @@ def _sample_points(n: int = 28, seed: int = 20260807):
                 sources,
                 rng.choice((64, 512, 1024, 4096)),
                 rng.randint(0, 3),
-                rng.random() < 0.25,  # ~1 in 4 points: contention off
+                rng.random() < 0.25,  # contention on at ~1 in 4 points
             )
         )
     assert len(points) == n, "sampler failed to fill the grid"
@@ -124,6 +136,11 @@ def test_fast_engine_matches_event_engine(
         problem, alg, seed=seed, contention=contention, engine="fast"
     )
     assert _blob(fast) == _blob(event)
+    predicted = predict_broadcast_time(problem, alg, seed=seed)
+    if not contention and model_is_exact(problem):
+        assert event.elapsed_us == pytest.approx(predicted, rel=1e-12, abs=0.0)
+    else:
+        assert event.elapsed_us >= predicted * (1 - 1e-12)
 
 
 #: Tracer shapes the traced differential runs under: full capture, a

@@ -10,7 +10,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.sweep.cache import ResultCache
 from repro.sweep.executor import (
-    JOBS_ENV_VAR,
     SweepExecutor,
     evaluate_point,
     evaluate_point_batch,
@@ -20,50 +19,25 @@ from repro.sweep.spec import SweepPoint
 
 
 class TestResolveJobs:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "8")
+    def test_explicit_argument_wins(self):
         assert resolve_jobs(3) == 3
 
-    def test_env_var_used_when_unset(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "4")
-        assert resolve_jobs(None) == 4
-
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
+    def test_default_is_serial(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the default path must be quiet
             assert resolve_jobs(None) == 1
 
-    @pytest.mark.parametrize("bad", ["abc", "0", "-2"])
-    def test_bad_env_value_warns_and_falls_back(self, monkeypatch, bad):
-        # Regression: "abc", "0", and "-2" all silently coerced to 1,
-        # hiding the typo that serialised the whole sweep.
-        monkeypatch.setenv(JOBS_ENV_VAR, bad)
-        with pytest.warns(RuntimeWarning, match=bad):
-            assert resolve_jobs(None) == 1
-
-    def test_warning_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "abc")
-        with pytest.warns(RuntimeWarning, match=JOBS_ENV_VAR):
-            resolve_jobs(None)
-
-    def test_valid_env_value_is_quiet(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "2")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_jobs(None) == 2
+    def test_environment_is_not_read(self, monkeypatch):
+        # --jobs is the one way to set the worker count.
+        monkeypatch.setenv("REPRO_SWEEP_JOBS", "4")
+        assert resolve_jobs(None) == 1
 
     @pytest.mark.parametrize("bad", [0, -2])
     def test_explicit_bad_argument_raises(self, bad):
         # Regression: an explicit jobs=0 / negative was silently clamped
-        # to 1 — a typo in *code* deserves an error, not a fallback (the
-        # lenient path is reserved for the environment variable).
+        # to 1 — a typo in *code* deserves an error, not a fallback.
         with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
             resolve_jobs(bad)
-
-    def test_explicit_bad_argument_mentions_env_escape_hatch(self):
-        with pytest.raises(ConfigurationError, match=JOBS_ENV_VAR):
-            resolve_jobs(0)
 
 
 def _point(algorithm="Br_Lin", seed=0):
