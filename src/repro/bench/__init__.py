@@ -11,7 +11,7 @@ pipeline import:
   (:func:`seed_points`, :func:`seed_times`);
 * :mod:`repro.bench.types` — the :class:`FigureResult` /
   :class:`Series` / :class:`Check` result records;
-* the builders that ``kind = "builder"`` configs name — Figures 1 and 2
+* the builders that configs name with ``builder =`` — Figures 1 and 2
   and the §5 varied-lengths study (:mod:`repro.bench.figures`), the
   ablations, the extension studies and the robustness study.  Each
   builder returns a :class:`Plan` and evaluates nothing itself, so the

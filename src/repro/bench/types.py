@@ -27,25 +27,26 @@ class Series:
         """The y-value of ``curve`` at ``x``."""
         return self.curves[curve][list(self.x_values).index(x)]
 
-    def to_table(self, width: int = 12, precision: int = 3) -> str:
+    def to_table(self) -> str:
         """Render as an aligned text table (x column + one per curve).
 
-        ``width`` is a *minimum*: the shared column width grows to fit
-        the longest curve name, x value, or x-axis label (plus two
-        spaces of separation), so long condition names such as
+        Values print with three decimals.  Columns are at least 12
+        characters wide: the shared width grows to fit the longest
+        curve name, x value, or x-axis label (plus two spaces of
+        separation), so long condition names such as
         ``node-fail+recover`` stay aligned instead of fusing into their
         neighbours.
         """
         names = list(self.curves)
         labels = [self.x_label, *names, *(str(x) for x in self.x_values)]
-        width = max(width, *(len(label) + 2 for label in labels))
+        width = max(12, *(len(label) + 2 for label in labels))
         header = f"{self.x_label:>{width}}" + "".join(
             f"{name:>{width}}" for name in names
         )
         lines = [self.title, f"[{self.y_label}]", header]
         for i, x in enumerate(self.x_values):
             cells = "".join(
-                f"{self.curves[name][i]:>{width}.{precision}f}"
+                f"{self.curves[name][i]:>{width}.3f}"
                 for name in names
             )
             lines.append(f"{str(x):>{width}}" + cells)

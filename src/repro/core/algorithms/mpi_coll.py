@@ -29,17 +29,17 @@ __all__ = ["MPIAllGather", "MPIAlltoAll", "build_pipelined_allgather_schedule"]
 
 
 def build_pipelined_allgather_schedule(
-    problem: BroadcastProblem, name: str, root: int = 0
+    problem: BroadcastProblem, name: str
 ) -> Schedule:
     """Vendor-optimised Allgatherv: flat gather + segmented ring broadcast.
 
-    The gather step is the same flat s-to-one of 2-Step — it keeps the
-    congestion at ``P0`` the paper observes (§5.3): all contributions
-    serialise on the root's ejection channel and receive path.  The
-    broadcast step is a *pipelined ring*: the root streams each gathered
-    message, split into ``collective_segment_bytes`` segments, along the
-    machine's linear order; every rank forwards segment *q* one hop per
-    round.  Gather and broadcast overlap through data-parallel
+    The gather step is the same flat s-to-one of 2-Step, rooted at
+    rank 0 — it keeps the congestion at ``P0`` the paper observes
+    (§5.3): all contributions serialise on the root's ejection channel
+    and receive path.  The broadcast step is a *pipelined ring*: the
+    root streams each gathered message, split into
+    ``collective_segment_bytes`` segments, along the machine's linear
+    order; every rank forwards segment *q* one hop per round.  Gather and broadcast overlap through data-parallel
     synchronisation, so spreading a fixed total over more sources
     shortens the pipeline fill — the Figure-12 effect.
     """
@@ -47,9 +47,9 @@ def build_pipelined_allgather_schedule(
     seg_size = params.collective_segment_bytes
     schedule = Schedule(problem, algorithm=name)
     gather = [
-        Transfer(src, root, frozenset((src,)))
+        Transfer(src, 0, frozenset((src,)))
         for src in problem.sources
-        if src != root
+        if src != 0
     ]
     with schedule.span("gather"):
         schedule.add_round(gather, label="gatherv", collective=True, mpi=True)
@@ -63,10 +63,8 @@ def build_pipelined_allgather_schedule(
         for q in range(nseg):
             seg_bytes = base + (size - base * nseg if q == nseg - 1 else 0)
             stream.append((src, max(seg_bytes, 1)))
-    order = problem.machine.linear_order()
-    # Rotate so the ring starts at the root.
-    start = order.index(root)
-    ring = order[start:] + order[:start]
+    # The linear order starts at rank 0, the root.
+    ring = problem.machine.linear_order()
     edges = list(zip(ring, ring[1:]))  # p-1 forwarding hops, no wrap
     num_items = len(stream)
     num_rounds = num_items + len(edges) - 1

@@ -25,20 +25,19 @@ def build_two_step_schedule(
     name: str,
     collective: bool = False,
     mpi: bool = False,
-    root: int = 0,
 ) -> Schedule:
     """The gather + broadcast schedule, with configurable overhead mode.
 
     Shared by the NX ``2-Step`` and its MPI library twin
     ``MPI_AllGather`` (which the paper identifies as the same structure
-    inside the vendor collective, §5.3).
+    inside the vendor collective, §5.3).  The root is rank 0.
     """
     schedule = Schedule(problem, algorithm=name)
     # Step 1: flat gather of the s messages at the root.
     gather = [
-        Transfer(src, root, frozenset((src,)))
+        Transfer(src, 0, frozenset((src,)))
         for src in problem.sources
-        if src != root
+        if src != 0
     ]
     with schedule.span("gather"):
         schedule.add_round(gather, label="gather", collective=collective, mpi=mpi)
@@ -46,7 +45,7 @@ def build_two_step_schedule(
     order = problem.machine.linear_order()
     all_messages = frozenset(problem.sources)
     empty: frozenset = frozenset()
-    holdings = {rank: (all_messages if rank == root else empty) for rank in order}
+    holdings = {rank: (all_messages if rank == 0 else empty) for rank in order}
     with schedule.span("bcast"):
         for idx, transfers in enumerate(halving_rounds(order, holdings)):
             schedule.add_round(

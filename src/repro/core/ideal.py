@@ -125,11 +125,12 @@ def best_line_positions(n: int, k: int) -> Tuple[int, ...]:
     return tuple(sorted(best))
 
 
-def _hill_climb(n, k, start, score, max_rounds: int = 3):
-    """Single-swap local improvement, bounded to keep the search cheap."""
+def _hill_climb(n, k, start, score):
+    """Single-swap local improvement, bounded to three improving swaps
+    to keep the search cheap."""
     current = set(start)
     best_score = score(tuple(sorted(current)))
-    for _ in range(max_rounds):
+    for _ in range(3):
         improved = False
         for src in sorted(current):
             for dst in range(n):

@@ -114,31 +114,13 @@ class BroadcastProblem:
             for rank in range(self.p)
         )
 
-    def replace_sources(
-        self, sources: Iterable[int], carry_sizes: bool = False
-    ) -> "BroadcastProblem":
-        """A copy of this problem with a different source set.
-
-        With ``carry_sizes`` the per-source sizes are carried over in
-        sorted-rank order (used by repositioning: message *i* moves to
-        target slot *i*); otherwise all new sources get the uniform
-        ``message_size``.
-        """
-        new_sources = tuple(sorted(set(sources)))
-        sizes: Optional[Dict[int, int]] = None
-        if carry_sizes:
-            if len(new_sources) != self.s:
-                raise ConfigurationError(
-                    "carry_sizes requires equally many sources "
-                    f"({len(new_sources)} != {self.s})"
-                )
-            old_sizes = [self._size_table[r] for r in self.sources]
-            sizes = dict(zip(new_sources, old_sizes))
+    def replace_sources(self, sources: Iterable[int]) -> "BroadcastProblem":
+        """A copy of this problem with a different source set, every
+        source of the uniform ``message_size``."""
         return BroadcastProblem(
             machine=self.machine,
-            sources=new_sources,
+            sources=tuple(sorted(set(sources))),
             message_size=self.message_size,
-            sizes=sizes,
         )
 
     def __repr__(self) -> str:

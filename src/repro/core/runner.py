@@ -121,17 +121,14 @@ class BroadcastResult:
         return data
 
     @classmethod
-    def from_dict(
-        cls,
-        data: Dict[str, Any],
-        problem: Optional[BroadcastProblem] = None,
-    ) -> "BroadcastResult":
+    def from_dict(cls, data: Dict[str, Any]) -> "BroadcastResult":
         """Rebuild a result serialized by :meth:`to_dict`.
 
-        ``problem`` overrides the embedded descriptor (callers that still
-        hold the original instance avoid rebuilding the machine).
+        The problem is rebuilt from the embedded descriptor; a result
+        of a machine without a spec comes back without one.
         """
-        if problem is None and data.get("problem") is not None:
+        problem = None
+        if data.get("problem") is not None:
             from repro.machines import machine_from_spec  # local: avoid cycle
 
             desc = data["problem"]

@@ -144,12 +144,11 @@ class Schedule:
         label: str = "",
         collective: bool = False,
         mpi: bool = False,
-        phase: str | None = None,
     ) -> None:
         """Append a round (empty rounds are dropped silently).
 
-        ``phase`` defaults to the enclosing :meth:`span` block's name
-        (empty outside any block); pass it explicitly to override.
+        Its phase is the enclosing :meth:`span` block's name (empty
+        outside any block).
         """
         if transfers:
             self.rounds.append(
@@ -158,7 +157,7 @@ class Schedule:
                     label=label,
                     collective=collective,
                     mpi=mpi,
-                    phase=self._phase if phase is None else phase,
+                    phase=self._phase,
                 )
             )
 

@@ -96,27 +96,27 @@ def analyze_schedule(schedule: Schedule) -> ScheduleProfile:
     )
 
 
-def estimate_halving_time(
-    n: int,
-    positions: Sequence[int],
-    *,
-    overhead: float = 70.0,
-    per_byte: float = 0.017,
-    message_size: int = 2048,
-) -> float:
+#: The estimator's per-exchange overhead (µs), per-byte time (µs) and
+#: message size (bytes): the Paragon's overhead-to-bandwidth ratio.
+_OVERHEAD_US = 70.0
+_PER_BYTE_US = 0.017
+_MESSAGE_SIZE = 2048
+
+
+def estimate_halving_time(n: int, positions: Sequence[int]) -> float:
     """LogP-style completion-time estimate of the halving broadcast.
 
     ``positions`` are the source slots on a line of ``n`` positions;
-    every source carries ``message_size`` bytes.  The estimate tracks a
+    every source carries 2048 bytes.  The estimate tracks a
     per-position ready time: an exchanging pair finishes at
-    ``max(ready_a, ready_b) + overhead + bytes_moved * per_byte``.
-    Default constants approximate the Paragon's overhead-to-bandwidth
-    ratio; the *ranking* of placements (which is all the ideal search
-    needs) is insensitive to their exact values.
+    ``max(ready_a, ready_b) + 70 + bytes_moved * 0.017`` µs.  The
+    constants approximate the Paragon's overhead-to-bandwidth ratio;
+    the *ranking* of placements (which is all the ideal search needs)
+    is insensitive to their exact values.
     """
     source_set = set(positions)
     ready = [0.0] * n
-    units = [message_size if i in source_set else 0 for i in range(n)]
+    units = [_MESSAGE_SIZE if i in source_set else 0 for i in range(n)]
     for pairs in halving_pairs(n):
         snapshot_units = list(units)
         snapshot_ready = list(ready)
@@ -127,8 +127,8 @@ def estimate_halving_time(
             moved = ua if one_way else max(ua, ub)
             done = (
                 max(snapshot_ready[a], snapshot_ready[b])
-                + overhead
-                + moved * per_byte
+                + _OVERHEAD_US
+                + moved * _PER_BYTE_US
             )
             ready[a] = max(ready[a], done)
             ready[b] = max(ready[b], done)

@@ -14,15 +14,13 @@ from repro.machines.machine import Machine
 __all__ = ["render_placement", "render_grid"]
 
 
-def render_grid(
-    rows: int, cols: int, sources: Iterable[int], mark: str = "*", empty: str = "."
-) -> str:
-    """Grid picture with ``mark`` at each source rank (row-major ranks)."""
+def render_grid(rows: int, cols: int, sources: Iterable[int]) -> str:
+    """Grid picture with ``*`` at each source rank (row-major ranks)."""
     source_set = set(sources)
     lines = []
     for r in range(rows):
         line = " ".join(
-            mark if r * cols + c in source_set else empty for c in range(cols)
+            "*" if r * cols + c in source_set else "." for c in range(cols)
         )
         lines.append(line)
     return "\n".join(lines)

@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 #: Lowered-plan entries kept per process (LRU).
-DEFAULT_CAPACITY = 64
+PLAN_CAPACITY = 64
 #: Size-table rebinds kept per entry (LRU).
 BINDING_CAPACITY = 32
 #: Link-path bindings kept per entry (LRU; one covers all seeds on
@@ -146,8 +146,7 @@ class _PlanEntry:
 class PlanCache:
     """LRU cache of lowered plans, keyed by schedule-determining data."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._entries: "OrderedDict[tuple, _PlanEntry]" = OrderedDict()
 
     def get(self, key: tuple) -> Optional[_PlanEntry]:
@@ -158,7 +157,7 @@ class PlanCache:
 
     def put(self, key: tuple, entry: _PlanEntry) -> None:
         self._entries[key] = entry
-        if len(self._entries) > self.capacity:
+        if len(self._entries) > PLAN_CAPACITY:
             self._entries.popitem(last=False)
 
     def clear(self) -> None:

@@ -528,9 +528,8 @@ def _run_batch(
     batch: Sequence[Any],
     run: Callable[[Any, bool], Optional[Violation]],
     seed: int,
-    verbose: bool,
 ) -> ChaosReport:
-    """The one batch loop of every chaos mode.
+    """The one batch loop of every chaos mode; prints one line per trial.
 
     ``run(trial, first)`` returns a trial's violation; ``first`` marks
     the batch's first trial.
@@ -538,9 +537,8 @@ def _run_batch(
     report = ChaosReport(seed=seed, trials=len(batch))
     for position, trial in enumerate(batch):
         violation = run(trial, position == 0)
-        if verbose:
-            status = "FAIL" if violation is not None else "ok"
-            print(f"  [{status:4s}] {trial.describe()}")
+        status = "FAIL" if violation is not None else "ok"
+        print(f"  [{status:4s}] {trial.describe()}")
         if violation is not None:
             report.violations.append(violation)
     return report
@@ -555,7 +553,6 @@ def run_trials(
     distributions: Sequence[str] = DEFAULT_DISTRIBUTIONS,
     message_size: int = 1024,
     only: Optional[int] = None,
-    verbose: bool = True,
 ) -> ChaosReport:
     """Run a batch of seeded trials; collect (shrunk) violations."""
     batch = [
@@ -574,12 +571,11 @@ def run_trials(
         batch,
         lambda trial, first: run_trial(trial, determinism=first),
         seed,
-        verbose,
     )
 
 
 def run_io_trials(
-    trials: int, seed: int, *, only: Optional[int] = None, verbose: bool = True
+    trials: int, seed: int, *, only: Optional[int] = None
 ) -> ChaosReport:
     """The ``--io`` campaign: the crash sweep, then ``trials`` seeded trials.
 
@@ -595,9 +591,7 @@ def run_io_trials(
         ops = _probe_io_grid()[1]
         batch = [IOTrial(None, f"crash@{at}", seed) for at in range(ops)]
         batch += [generate_io_trial(seed, index) for index in range(trials)]
-    return _run_batch(
-        batch, lambda trial, _first: run_io_trial(trial), seed, verbose
-    )
+    return _run_batch(batch, lambda trial, _first: run_io_trial(trial), seed)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -301,7 +301,6 @@ class Machine:
         seed: int = 0,
         contention: bool = True,
         tracer: Optional[Tracer] = None,
-        until: Optional[float] = None,
         faults: Optional[FaultSchedule] = None,
         allow_partial: bool = False,
     ) -> RunResult:
@@ -339,7 +338,7 @@ class Machine:
         ]
         deadlock: Optional[str] = None
         try:
-            engine.run(until=until)
+            engine.run()
         except DeadlockError as exc:
             if not allow_partial:
                 raise

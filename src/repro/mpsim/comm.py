@@ -53,7 +53,6 @@ class World:
         fabric: Fabric,
         params: "MachineParams",
         mapping: RankMapping,
-        metrics: Optional[MetricsCollector] = None,
         injector: Optional["FaultInjector"] = None,
     ) -> None:
         self.engine = engine
@@ -64,7 +63,7 @@ class World:
         self.injector = injector
         self.size = mapping.size
         self.inboxes: List[Store] = [Store(engine) for _ in range(self.size)]
-        self.metrics = metrics if metrics is not None else MetricsCollector(self.size)
+        self.metrics = MetricsCollector(self.size)
 
     def comm(self, rank: int) -> "Comm":
         """The world communicator as seen by ``rank``."""

@@ -8,15 +8,13 @@ end-to-end machinery real transports use:
 * **sequence-numbered envelopes** — every data message carries a per
   ``(destination, tag)`` stream sequence number, so retransmits are
   recognisable as duplicates and delivered exactly once;
-* **ACK/NACK** — the receiver acknowledges every data message (including
-  duplicates, whose earlier ACK may itself have been lost), or
-  negatively acknowledges one its caller refuses, which fails the
-  sender fast instead of burning its retry budget;
+* **ACK** — the receiver acknowledges every data message (including
+  duplicates, whose earlier ACK may itself have been lost);
 * **retransmit with backoff** — each attempt is an ``isend`` plus an
   ACK receive with a timeout; an unacknowledged message is re-sent
   with a budget that grows by ``backoff_factor`` per attempt;
-* **failure detection** — once the retry budget is exhausted (or a NACK
-  arrives), the peer is *presumed failed* and
+* **failure detection** — once the retry budget is exhausted, the peer
+  is *presumed failed* and
   :class:`~repro.errors.PeerFailedError` is raised, turning silent loss
   into a typed error the algorithm can act on.  The presumption is
   sticky: later sends to the same peer fail immediately.
@@ -33,7 +31,7 @@ streams never collide with plain traffic on the same communicator.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional, Set, Tuple
+from typing import Any, Dict, Generator, Optional, Set, Tuple
 
 from repro.errors import CommError, PeerFailedError, RecvTimeoutError
 from repro.mpsim.comm import ANY_SOURCE, Comm
@@ -44,17 +42,17 @@ __all__ = ["ReliableComm", "transfer_budget"]
 #: Reliable data / acknowledgement tag bases, far above any round tag.
 DATA_TAG_BASE = 1 << 27
 ACK_TAG_BASE = 1 << 28
-#: Simulated size of an ACK/NACK control message (header-only packet).
+#: Simulated size of an ACK control message (header-only packet).
 ACK_NBYTES = 16
 
 
-def transfer_budget(comm: Comm, nbytes: int, slack: float = 8.0) -> float:
+def transfer_budget(comm: Comm, nbytes: int) -> float:
     """A generous one-transfer timeout for ``nbytes`` on this machine.
 
     Upper-bounds a contention-free transfer — software overheads, the
     longest possible path, the wire time, the receive copy — and scales
-    it by ``slack`` to absorb link contention and degraded links.  The
-    backoff of the retry loop covers what slack does not.
+    it by a slack of 8 to absorb link contention and degraded links.
+    The backoff of the retry loop covers what slack does not.
     """
     params = comm.world.params
     hops = max(comm.world.size, 2)
@@ -66,7 +64,7 @@ def transfer_budget(comm: Comm, nbytes: int, slack: float = 8.0) -> float:
         + max(nbytes, 1) * params.t_byte
         + params.copy_cost(max(nbytes, 1))
     )
-    return slack * base
+    return 8.0 * base
 
 
 class ReliableComm:
@@ -119,8 +117,8 @@ class ReliableComm:
 
         Completes when ``dest`` has acknowledged the message.  Raises
         :class:`~repro.errors.PeerFailedError` when the peer is already
-        presumed failed, NACKs the message, is a dead node, or stays
-        silent through every retransmission.
+        presumed failed, is a dead node, or stays silent through every
+        retransmission.
         """
         comm = self.comm
         engine = comm.world.engine
@@ -143,7 +141,7 @@ class ReliableComm:
         for attempt in range(attempts):
             try:
                 yield from comm.isend(
-                    dest, ("dat", seq, payload), nbytes, tag=data_tag
+                    dest, (seq, payload), nbytes, tag=data_tag
                 )
             except PeerFailedError:
                 self._failed.add(dest)
@@ -159,19 +157,11 @@ class ReliableComm:
                     )
                 except RecvTimeoutError:
                     break
-                kind, ack_seq = ack.payload
-                if ack_seq != seq:
-                    # A duplicate ACK from an earlier exchange whose
-                    # first ACK we already consumed; drain and keep
-                    # waiting within the same deadline.
-                    continue
-                if kind == "ack":
+                if ack.payload == seq:
                     return seq
-                self._failed.add(dest)
-                raise PeerFailedError(
-                    f"reliable send to rank {dest} "
-                    f"rejected (NACK for seq {seq}) at t={engine.now:.3f}us"
-                )
+                # A duplicate ACK from an earlier exchange whose first
+                # ACK we already consumed; drain and keep waiting within
+                # the same deadline.
             if engine.tracer is not None:
                 engine.trace(
                     "reliable_retry",
@@ -198,15 +188,12 @@ class ReliableComm:
         tag: int = 0,
         *,
         timeout_us: Optional[float] = None,
-        accept: Optional[Callable[[Any], bool]] = None,
     ) -> Generator[Any, Any, Envelope]:
         """Reliable receive: exactly-once delivery per stream.
 
         Every incoming data message is acknowledged — duplicates too,
         since the ACK that made them duplicates may itself have been
-        lost — but only the first copy is returned.  ``accept`` (when
-        given) vets the payload: a refused message is NACKed, failing
-        the sender fast, and the receive keeps waiting.
+        lost — but only the first copy is returned.
 
         ``timeout_us`` bounds the *total* wait;
         :class:`~repro.errors.RecvTimeoutError` is raised on expiry.
@@ -229,12 +216,9 @@ class ReliableComm:
                 envelope = yield from comm.recv(
                     source=source, tag=data_tag, timeout_us=remaining
                 )
-            _kind, seq, payload = envelope.payload
+            seq, payload = envelope.payload
             src = envelope.source
-            if accept is not None and not accept(payload):
-                yield from self._post_control(src, ack_tag, ("nack", seq))
-                continue
-            yield from self._post_control(src, ack_tag, ("ack", seq))
+            yield from self._post_ack(src, ack_tag, seq)
             delivered = self._delivered.setdefault((src, tag), set())
             if seq in delivered:
                 # Retransmit of a message we already returned: the fresh
@@ -251,12 +235,12 @@ class ReliableComm:
                 arrival_time=envelope.arrival_time,
             )
 
-    def _post_control(
-        self, dest: int, tag: int, payload: Tuple[str, int]
+    def _post_ack(
+        self, dest: int, tag: int, seq: int
     ) -> Generator[Any, Any, None]:
-        """Fire-and-forget control message (ACK/NACK); loss is tolerated."""
+        """Fire-and-forget ACK of ``seq``; loss is tolerated."""
         try:
-            yield from self.comm.isend(dest, payload, ACK_NBYTES, tag=tag)
+            yield from self.comm.isend(dest, seq, ACK_NBYTES, tag=tag)
         except PeerFailedError:
             # The sender died between sending and our reply; its retry
             # loop will conclude the same thing from silence.

@@ -8,7 +8,8 @@ reservation state in flat arrays.
 
 Subclasses implement the coordinate system, the dimension-order
 :meth:`route_nodes` and its hop count, :meth:`distance`; the base class
-turns node paths into memoized link paths (:meth:`route_links`).
+turns node paths into link paths memoized on first use
+(:meth:`route_links`).
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ from repro.errors import RoutingError, TopologyError
 
 __all__ = ["Topology"]
 
-#: All-pairs routes are precomputed at finalize up to this node count
-#: (<= 992 routes); larger topologies memoize lazily with a bounded cache.
-_PRECOMPUTE_MAX_NODES = 32
-
-#: Cap on lazily cached routes for large topologies.  A 32x32 mesh has
-#: ~1M ordered pairs; real workloads touch a small working set, so the
-#: cache evicts in FIFO order once full instead of growing unboundedly.
+#: Cap on memoized routes.  It holds every ordered pair of a 256-node
+#: machine (65,280), the largest the configs build; a 32x32 mesh has
+#: ~1M pairs, but real workloads touch a small working set, so the memo
+#: evicts in FIFO order once full instead of growing unboundedly.
 _ROUTE_CACHE_MAX = 1 << 16
 
 
@@ -50,7 +48,6 @@ class Topology(ABC):
         self._finalized = False
         self._adjacency: Tuple[Tuple[int, ...], ...] = ()
         self._route_cache: Dict[int, Tuple[int, ...]] = {}
-        self._route_cache_bounded = False
 
     # -- construction -----------------------------------------------------
     def _add_link(self, u: int, v: int) -> int:
@@ -74,8 +71,7 @@ class Topology(ABC):
 
         * adjacency table — per-node sorted neighbor tuples, so
           :meth:`neighbors` is O(degree) instead of an O(num_links) scan;
-        * route cache — all-pairs link paths for small topologies
-          (``num_nodes <= 32``), a bounded lazily-filled memo otherwise.
+        * route cache — an empty, bounded memo of link paths.
         """
         self._finalized = True
         out: List[List[int]] = [[] for _ in range(self._num_nodes)]
@@ -83,14 +79,6 @@ class Topology(ABC):
             out[u].append(v)
         self._adjacency = tuple(tuple(sorted(vs)) for vs in out)
         self._route_cache = {}
-        self._route_cache_bounded = self._num_nodes > _PRECOMPUTE_MAX_NODES
-        if not self._route_cache_bounded:
-            n = self._num_nodes
-            for src in range(n):
-                base = src * n
-                for dst in range(n):
-                    if src != dst:
-                        self._route_cache[base + dst] = self._build_route(src, dst)
 
     # -- identity --------------------------------------------------------
     @property
@@ -163,16 +151,15 @@ class Topology(ABC):
 
         The returned tuple is shared across calls and **must not** be
         mutated by consumers; :class:`~repro.network.fabric.Fabric`
-        iterates it in place.  Small topologies are fully precomputed at
-        :meth:`_finalize`; large ones fill a bounded FIFO-evicting memo.
+        iterates it in place.  Paths fill a bounded FIFO-evicting memo
+        on first use.
         """
         if src == dst:
             return ()
         n = self._num_nodes
         if not 0 <= src < n or not 0 <= dst < n:
-            # Keep the seed behavior (TopologyError from route_nodes'
-            # bounds checks) — and keep out-of-range ids from aliasing
-            # a valid pair in the flat src*n+dst keyspace.
+            # Raise TopologyError, and keep out-of-range ids from
+            # aliasing a valid pair in the flat src*n+dst keyspace.
             self._check_node(src)
             self._check_node(dst)
         cache = self._route_cache
@@ -181,14 +168,14 @@ class Topology(ABC):
         if path is not None:
             return path
         path = self._build_route(src, dst)
-        if self._route_cache_bounded and len(cache) >= _ROUTE_CACHE_MAX:
+        if len(cache) >= _ROUTE_CACHE_MAX:
             cache.pop(next(iter(cache)))
         cache[key] = path
         return path
 
     def _build_route(self, src: int, dst: int) -> Tuple[int, ...]:
-        """Uncached route construction: what fills the route cache, up
-        front on small topologies and on a :meth:`route_links` miss."""
+        """Uncached route construction: what fills the route cache on a
+        :meth:`route_links` miss."""
         nodes = self.route_nodes(src, dst)
         if nodes[0] != src or nodes[-1] != dst:
             raise RoutingError(

@@ -37,6 +37,8 @@ __all__ = ["LinkUsage", "link_usage", "render_link_heatmap", "RAMP"]
 
 #: Density ramp, sparse to dense (index 0 = idle, last = saturated).
 RAMP = " .:-=+*#%@"
+#: Time bins a trace's horizon is split into.
+BINS = 60
 
 
 @dataclass(frozen=True)
@@ -79,12 +81,10 @@ def _overlaps(
 
 
 def link_usage(
-    records: Iterable[TraceRecord],
-    *,
-    bins: int = 60,
-    topology: Optional[Topology] = None,
+    records: Iterable[TraceRecord], *, topology: Optional[Topology] = None
 ) -> LinkUsage:
-    """Binned busy/queue series from a trace's ``"xfer"`` records.
+    """Binned busy/queue series (:data:`BINS` bins) from a trace's
+    ``"xfer"`` records.
 
     ``topology`` (optional) restricts the series to wire links,
     dropping the per-node injection/ejection channels (ids below
@@ -96,30 +96,30 @@ def link_usage(
     """
     xfers = [r for r in records if r.kind == "xfer"]
     horizon = max((r.fields["finish"] for r in xfers), default=0.0)
-    if horizon <= 0.0 or bins < 1:
+    if horizon <= 0.0:
         return LinkUsage(bin_us=1.0, bins=0, busy={}, queue={})
-    bin_us = horizon / bins
+    bin_us = horizon / BINS
     first_wire = 2 * topology.num_nodes if topology is not None else 0
     busy: Dict[int, List[float]] = {}
     queue: Dict[int, List[float]] = {}
     for r in xfers:
         start = r.fields["start"]
-        held = _overlaps(start, r.fields["finish"], bin_us, bins)
+        held = _overlaps(start, r.fields["finish"], bin_us, BINS)
         # Waiting interval: requested but the path not yet acquired.
-        waited = _overlaps(r.time, start, bin_us, bins)
+        waited = _overlaps(r.time, start, bin_us, BINS)
         for link in r.fields["links"]:
             if link < first_wire:
                 continue
             if link not in busy:
-                busy[link] = [0.0] * bins
-                queue[link] = [0.0] * bins
+                busy[link] = [0.0] * BINS
+                queue[link] = [0.0] * BINS
             series = busy[link]
             for b, fraction in held:
                 series[b] += fraction
             series = queue[link]
             for b, fraction in waited:
                 series[b] += fraction
-    return LinkUsage(bin_us=bin_us, bins=bins, busy=busy, queue=queue)
+    return LinkUsage(bin_us=bin_us, bins=BINS, busy=busy, queue=queue)
 
 
 def _ramp_char(value: float, ceiling: float = 1.0) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 __all__ = ["BenchTiming", "bench", "calibrate"]
 
@@ -36,27 +36,15 @@ class BenchTiming:
 
 
 def bench(
-    fn: Callable[[], Any],
-    *,
-    repeats: int = 5,
-    warmup: int = 1,
-    setup: Optional[Callable[[], Any]] = None,
+    fn: Callable[[], Any], *, repeats: int = 5, warmup: int = 1
 ) -> BenchTiming:
-    """Time ``fn()`` best-of-``repeats`` after ``warmup`` discarded runs.
-
-    ``setup`` (when given) runs before every measured repeat, outside
-    the timed region — used to reset caches or rebuild consumed state.
-    """
+    """Time ``fn()`` best-of-``repeats`` after ``warmup`` discarded runs."""
     if repeats < 1:
         raise ValueError(f"need at least one repeat, got {repeats}")
     for _ in range(warmup):
-        if setup is not None:
-            setup()
         fn()
     times = []
     for _ in range(repeats):
-        if setup is not None:
-            setup()
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
@@ -65,14 +53,14 @@ def bench(
     )
 
 
-def calibrate(loops: int = 100_000, repeats: int = 3) -> float:
+def calibrate() -> float:
     """Seconds for a fixed pure-Python workload (machine-speed proxy).
 
-    The workload mixes integer arithmetic with tuple/list allocation
-    and heap churn, mirroring the simulator event loop's interpreter
-    profile — on shared hosts, allocator-heavy code slows down under
-    co-tenant memory pressure that a pure-integer spin never sees.
-    Best-of-``repeats``, so a background blip does not skew the
+    The workload, 100,000 loops, mixes integer arithmetic with
+    tuple/list allocation and heap churn, mirroring the simulator event
+    loop's interpreter profile — on shared hosts, allocator-heavy code
+    slows down under co-tenant memory pressure that a pure-integer spin
+    never sees.  Best of three, so a background blip does not skew the
     normalization.
     """
     import heapq
@@ -82,11 +70,11 @@ def calibrate(loops: int = 100_000, repeats: int = 3) -> float:
         push, pop = heapq.heappush, heapq.heappop
         acc = 0
         when = 0.0
-        for i in range(loops):
+        for i in range(100_000):
             acc = (acc * 31 + i) & 0xFFFFFFFF
             push(heap, (when + (acc & 7), i, (i, acc)))
             if len(heap) > 64:
                 when = pop(heap)[0] + 0.5
         return when
 
-    return bench(spin, repeats=repeats, warmup=1).best_s
+    return bench(spin, repeats=3, warmup=1).best_s

@@ -15,14 +15,14 @@ Evaluation helpers (bound per check to the experiment's series list;
 ``at(curve, x)``          y-value of ``curve`` at x-axis value ``x``
 ``curve(name)``           the full y-list of ``curve``
 ``xs``                    the x-axis values of the check's series
-``v(i, curve, x)``        ``at`` against series ``i``
-``curve_of(i, name)``     ``curve`` against series ``i``
-``xs_of(i)``              ``xs`` of series ``i``
 ========================  =============================================
 
 plus the pure builtins ``min max abs all any len sum sorted zip round
-range enumerate float int str``.  ``detail`` expressions (usually
-f-strings) use the same language and render the check's detail text.
+range enumerate float int str``.  ``sum`` is
+:func:`~repro.summation.left_sum`, so a float total, and the verdict
+that compares it, is the same on every interpreter.  ``detail``
+expressions (usually f-strings) use the same language and render the
+check's detail text.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Sequence, Set
 from repro.bench.types import Check, Series
 from repro.errors import ConfigurationError
 from repro.pipeline.schema import CheckSpec
+from repro.summation import left_sum
 
 __all__ = ["compile_expr", "evaluate_check", "ALLOWED_NAMES"]
 
@@ -45,7 +46,7 @@ _BUILTINS: Dict[str, Any] = {
     "all": all,
     "any": any,
     "len": len,
-    "sum": sum,
+    "sum": left_sum,
     "sorted": sorted,
     "zip": zip,
     "round": round,
@@ -57,9 +58,7 @@ _BUILTINS: Dict[str, Any] = {
 }
 
 #: Series helpers (bound at evaluation time) + builtins + ``xs``.
-ALLOWED_NAMES: Set[str] = (
-    {"at", "curve", "v", "curve_of", "xs", "xs_of"} | set(_BUILTINS)
-)
+ALLOWED_NAMES: Set[str] = {"at", "curve", "xs"} | set(_BUILTINS)
 
 #: AST node types an expression may contain.  Notably absent:
 #: ``Attribute`` (no method calls, no ``__class__`` escapes),
@@ -127,9 +126,8 @@ def compile_expr(expr: str, *, context: str = "expression") -> CodeType:
     return compile(tree, filename=f"<{context}>", mode="eval")
 
 
-def _namespace(series: Sequence[Series], default: int) -> Dict[str, Any]:
-    """The evaluation namespace for a check bound to ``series[default]``."""
-    base = series[default]
+def _namespace(base: Series) -> Dict[str, Any]:
+    """The evaluation namespace for a check bound to series ``base``."""
 
     def at(curve: str, x: Any) -> float:
         return base.value(curve, x)
@@ -137,20 +135,8 @@ def _namespace(series: Sequence[Series], default: int) -> Dict[str, Any]:
     def curve(name: str) -> List[float]:
         return base.curves[name]
 
-    def v(i: int, curve_name: str, x: Any) -> float:
-        return series[i].value(curve_name, x)
-
-    def curve_of(i: int, name: str) -> List[float]:
-        return series[i].curves[name]
-
-    def xs_of(i: int) -> List[Any]:
-        return list(series[i].x_values)
-
     names: Dict[str, Any] = dict(_BUILTINS)
-    names.update(
-        at=at, curve=curve, v=v, curve_of=curve_of,
-        xs=list(base.x_values), xs_of=xs_of,
-    )
+    names.update(at=at, curve=curve, xs=list(base.x_values))
     return names
 
 
@@ -168,19 +154,14 @@ def evaluate_check(
             f"{context}: series index {spec.series} out of range "
             f"(experiment has {len(series)} series)"
         )
-    names = _namespace(series, spec.series)
+    names = _namespace(series[spec.series])
     try:
         # Names go in *globals*: comprehensions in an eval'd expression
         # run in their own scope, which resolves free names through the
         # globals mapping, never through an outer locals dict.
         names["__builtins__"] = {}
-        if spec.type == "ratio_range":
-            num = series[spec.series].value(spec.curve, spec.x_num)
-            den = series[spec.series].value(spec.curve, spec.x_den)
-            passed = bool(spec.lo <= num / den <= spec.hi)
-        else:  # "expr" — the only other type the loader admits
-            code = compile_expr(spec.expr, context=f"{context}.expr")
-            passed = bool(eval(code, names))
+        code = compile_expr(spec.expr, context=f"{context}.expr")
+        passed = bool(eval(code, names))
         detail = ""
         if spec.detail is not None:
             detail_code = compile_expr(spec.detail, context=f"{context}.detail")

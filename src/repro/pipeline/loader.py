@@ -1,11 +1,12 @@
 """TOML experiment configs → validated :class:`ExperimentConfig`.
 
-The loader is strict by design: unknown table keys, unknown assertion
-types, malformed axes, a cell field set twice or not at all, mismatched
-per-x list lengths, unregistered algorithms/distributions and malformed
-machine specs are all rejected **at load time**, with an error message
-naming the offending file and key — a config never fails halfway through
-a multi-minute sweep.
+The loader is strict by design: unknown table keys, malformed axes, a
+cell field set twice or not at all, mismatched per-x list lengths,
+unregistered algorithms/distributions, check expressions outside the
+restricted language and malformed machine specs are all rejected **at
+load time**, with an error message naming the offending file and key —
+a config never fails halfway through a multi-minute sweep.  A config is
+a builder config exactly when ``[experiment]`` names a ``builder``.
 
 Doctest — a config expands into the sweep points ``report`` evaluates::
 
@@ -14,7 +15,6 @@ Doctest — a config expands into the sweep points ``report`` evaluates::
     ... id = "demo"
     ... title = "Demo"
     ... description = "a two-point sweep"
-    ... kind = "declarative"
     ...
     ... [[series]]
     ... title = "demo sweep"
@@ -27,7 +27,6 @@ Doctest — a config expands into the sweep points ``report`` evaluates::
     ... algorithms = ["Br_Lin"]
     ...
     ... [[checks]]
-    ... type = "expr"
     ... description = "time grows with s"
     ... expr = "curve('Br_Lin')[-1] > curve('Br_Lin')[0]"
     ... ''')
@@ -52,7 +51,6 @@ from repro.machines import machine_from_spec
 from repro.pipeline.checks import compile_expr
 from repro.pipeline.schema import (
     CELL_AXES,
-    CHECK_TYPES,
     CheckSpec,
     DocSpec,
     Dual,
@@ -112,12 +110,6 @@ def _str(value: Any, context: str) -> str:
 def _int(value: Any, context: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(context, f"expected an integer, got {value!r}")
-    return value
-
-
-def _number(value: Any, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(context, f"expected a number, got {value!r}")
     return value
 
 
@@ -207,16 +199,13 @@ _CURVE_AXES = {"algorithms": _algorithm, "distributions": _dist_key,
 #: What the cells measure besides an ``algorithms`` curve axis.
 _MEASURES = ("algorithm", "baseline", "variant")
 _SERIES_TABLE_KEYS = (
-    "title", "x_label", "y_label", "contention", "x_values", "cell_axis",
-    "placement", *_CELL_FIELDS, *_CURVE_AXES, *_MEASURES,
+    "title", "x_label", "y_label", "x_values", "cell_axis", "placement",
+    *_CELL_FIELDS, *_CURVE_AXES, *_MEASURES,
 )
 
 
 def _parse_series(table: Dict[str, Any], context: str) -> SeriesSpec:
     _reject_unknown(table, _SERIES_TABLE_KEYS, context)
-    contention = table.get("contention", True)
-    if not isinstance(contention, bool):
-        _fail(f"{context}.contention", f"expected a boolean, got {contention!r}")
     x_values = _dual(_req(table, "x_values", context),
                      lambda v, c: _list_of(v, _x_value, c),
                      f"{context}.x_values")
@@ -282,7 +271,6 @@ def _parse_series(table: Dict[str, Any], context: str) -> SeriesSpec:
         x_label=_str(_req(table, "x_label", context), f"{context}.x_label"),
         x_values=x_values,
         y_label=_str(table.get("y_label", "time (ms)"), f"{context}.y_label"),
-        contention=contention,
         cell_axis=cell_axis,
         placement=(
             _placement(table["placement"], f"{context}.placement")
@@ -296,23 +284,12 @@ def _parse_series(table: Dict[str, Any], context: str) -> SeriesSpec:
 
 # -- checks ----------------------------------------------------------------
 
-_CHECK_KEYS = {
-    "expr": ("type", "description", "series", "expr", "detail"),
-    "ratio_range": ("type", "description", "series", "curve",
-                    "x_num", "x_den", "lo", "hi", "detail"),
-}
+_CHECK_KEYS = ("description", "series", "expr", "detail")
 
 
 def _parse_check(table: Dict[str, Any], context: str,
                  num_series: int) -> CheckSpec:
-    check_type = _str(_req(table, "type", context), f"{context}.type")
-    if check_type not in CHECK_TYPES:
-        _fail(
-            f"{context}.type",
-            f"unknown assertion type {check_type!r} "
-            f"(known: {', '.join(CHECK_TYPES)})",
-        )
-    _reject_unknown(table, _CHECK_KEYS[check_type], context)
+    _reject_unknown(table, _CHECK_KEYS, context)
     description = _str(_req(table, "description", context),
                        f"{context}.description")
     series = table.get("series", 0)
@@ -325,29 +302,16 @@ def _parse_check(table: Dict[str, Any], context: str,
     if detail is not None:
         detail = _str(detail, f"{context}.detail")
         compile_expr(detail, context=f"{context}.detail")
-    if check_type == "expr":
-        expr = _str(_req(table, "expr", context), f"{context}.expr")
-        compile_expr(expr, context=f"{context}.expr")
-        return CheckSpec(type=check_type, description=description,
-                         series=series, expr=expr, detail=detail)
-    lo = _number(_req(table, "lo", context), f"{context}.lo")
-    hi = _number(_req(table, "hi", context), f"{context}.hi")
-    if lo > hi:
-        _fail(context, f"empty ratio range: lo = {lo} > hi = {hi}")
-    x_num = _req(table, "x_num", context)
-    x_den = _req(table, "x_den", context)
-    return CheckSpec(
-        type=check_type, description=description, series=series,
-        detail=detail,
-        curve=_str(_req(table, "curve", context), f"{context}.curve"),
-        x_num=x_num, x_den=x_den, lo=lo, hi=hi,
-    )
+    expr = _str(_req(table, "expr", context), f"{context}.expr")
+    compile_expr(expr, context=f"{context}.expr")
+    return CheckSpec(description=description, expr=expr, series=series,
+                     detail=detail)
 
 
 # -- experiment ------------------------------------------------------------
 
-_EXPERIMENT_KEYS = ("id", "title", "description", "kind", "group",
-                    "builder", "expected_checks")
+_EXPERIMENT_KEYS = ("id", "title", "description", "group", "builder",
+                    "expected_checks")
 _DOC_KEYS = ("section", "verdict", "body", "removed", "effect", "finding")
 _TOP_KEYS = ("experiment", "doc", "series", "checks", "notes")
 
@@ -395,10 +359,6 @@ def load_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
     title = _str(_req(exp, "title", context), f"{context}.title")
     description = _str(_req(exp, "description", context),
                        f"{context}.description")
-    kind = _str(_req(exp, "kind", context), f"{context}.kind")
-    if kind not in ("declarative", "builder"):
-        _fail(f"{context}.kind",
-              f"kind must be 'declarative' or 'builder', got {kind!r}")
     group = exp.get("group", "figures")
     if group not in _GROUPS:
         _fail(f"{context}.group",
@@ -412,8 +372,8 @@ def load_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
         if "doc" in data else None
     )
 
-    if kind == "builder":
-        builder = _str(_req(exp, "builder", context), f"{context}.builder")
+    if "builder" in exp:
+        builder = _str(exp["builder"], f"{context}.builder")
         _validate_builder(builder, f"{context}.builder")
         expected = _int(_req(exp, "expected_checks", context),
                         f"{context}.expected_checks")
@@ -429,14 +389,14 @@ def load_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
             _fail(f"{path}: notes",
                   "builder experiments take their notes from the builder")
         return ExperimentConfig(
-            id=exp_id, title=title, description=description, kind=kind,
+            id=exp_id, title=title, description=description,
             path=path, group=group, builder=builder,
             expected_checks=expected, doc=doc,
         )
 
-    if "builder" in exp or "expected_checks" in exp:
-        _fail(context, "declarative experiments may not set builder or "
-                       "expected_checks")
+    if "expected_checks" in exp:
+        _fail(f"{context}.expected_checks",
+              "only builder experiments set expected_checks")
     series_tables = data.get("series")
     if not isinstance(series_tables, list) or not series_tables:
         _fail(f"{path}: [[series]]",
@@ -455,7 +415,7 @@ def load_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
         for i, t in enumerate(check_tables)
     )
     return ExperimentConfig(
-        id=exp_id, title=title, description=description, kind=kind,
+        id=exp_id, title=title, description=description,
         path=path, group=group, series=series, checks=checks,
         notes=notes, doc=doc,
     )

@@ -108,7 +108,7 @@ def plan_experiment(config: ExperimentConfig, quick: bool = False) -> Plan:
     for spec in config.series:
         xs, items, collate = _expand(spec, quick)
         start = len(points)
-        points.extend(seed_points(items, contention=spec.contention))
+        points.extend(seed_points(items))
         series.append((spec, xs, items, collate, start, len(points)))
 
     def finish(results) -> FigureResult:

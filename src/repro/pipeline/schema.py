@@ -5,7 +5,8 @@ file into these dataclasses; everything downstream — the runner, the
 report generator, the docs generator, ``tools/check_experiments.py`` —
 works from this validated representation, never from raw TOML.
 
-Two experiment kinds exist:
+An experiment is one of two kinds (:attr:`ExperimentConfig.kind`),
+told apart by whether the config names a ``builder``:
 
 * ``declarative`` — the series and shape checks are described entirely
   in the config.  The runner expands them into the sweep points of one
@@ -36,12 +37,7 @@ __all__ = [
     "DocSpec",
     "ExperimentConfig",
     "CELL_AXES",
-    "CHECK_TYPES",
 ]
-
-#: Recognized shape-check assertion types.  Anything else is rejected
-#: at load time, not mid-run.
-CHECK_TYPES = ("expr", "ratio_range")
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,6 @@ class SeriesSpec:
     x_label: str
     x_values: Dual
     y_label: str = "time (ms)"
-    contention: bool = True
     machine: Optional[Dual] = None
     distribution: Optional[Dual] = None
     s: Optional[Dual] = None
@@ -153,24 +148,17 @@ class SeriesSpec:
 class CheckSpec:
     """One declarative shape check.
 
-    ``type = "expr"`` evaluates a restricted Python expression against
-    the measured series (helpers: ``at``, ``curve``, ``v``, ``curve_of``,
-    ``xs``, ``xs_of`` — see :mod:`repro.pipeline.checks`);
-    ``type = "ratio_range"`` asserts ``lo <= at(curve, x_num) /
-    at(curve, x_den) <= hi``.  ``detail`` is an optional expression
-    (typically an f-string) rendered into the check's detail text.
+    ``expr`` is a restricted Python expression evaluated against series
+    ``series`` of the measured figure (helpers: ``at``, ``curve``,
+    ``xs`` — see :mod:`repro.pipeline.checks`).  ``detail`` is an
+    optional expression (typically an f-string) rendered into the
+    check's detail text.
     """
 
-    type: str
     description: str
+    expr: str
     series: int = 0
-    expr: Optional[str] = None
     detail: Optional[str] = None
-    curve: Optional[str] = None
-    x_num: Optional[Any] = None
-    x_den: Optional[Any] = None
-    lo: Optional[float] = None
-    hi: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -200,7 +188,6 @@ class ExperimentConfig:
     id: str
     title: str
     description: str
-    kind: str  # "declarative" | "builder"
     path: str = ""
     group: str = "figures"  # figures | text | ablations | extensions | robustness
     builder: Optional[str] = None
@@ -211,8 +198,13 @@ class ExperimentConfig:
     doc: Optional[DocSpec] = None
 
     @property
+    def kind(self) -> str:
+        """``"builder"`` when the config names a builder, else ``"declarative"``."""
+        return "builder" if self.builder is not None else "declarative"
+
+    @property
     def num_checks(self) -> int:
         """Declared shape-check count (used by the summary counters)."""
-        if self.kind == "builder":
+        if self.builder is not None:
             return int(self.expected_checks or 0)
         return len(self.checks)

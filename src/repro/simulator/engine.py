@@ -69,9 +69,9 @@ class Engine:
         """Create a fresh pending :class:`Event` bound to this engine."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create an event that fires ``delay`` microseconds from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def process(
         self, generator: Generator[Event, Any, Any], name: Optional[str] = None
@@ -82,8 +82,8 @@ class Engine:
         return proc
 
     # -- main loop ------------------------------------------------------------
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the calendar drains (or past time ``until``).
+    def run(self) -> None:
+        """Run until the calendar drains.
 
         Raises
         ------
@@ -96,19 +96,10 @@ class Engine:
         # global) lookups per event.
         queue = self._queue
         pop = heapq.heappop
-        if until is None:
-            while queue:
-                when, _seq, event = pop(queue)
-                self._now = when
-                event._process()
-        else:
-            while queue:
-                if queue[0][0] > until:
-                    self._now = until
-                    return
-                when, _seq, event = pop(queue)
-                self._now = when
-                event._process()
+        while queue:
+            when, _seq, event = pop(queue)
+            self._now = when
+            event._process()
         blocked = [p for p in self._processes if p.is_alive]
         if blocked:
             detail = "; ".join(p.describe_block() for p in blocked[:16])

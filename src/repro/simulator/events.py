@@ -117,14 +117,14 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
+    def __init__(self, engine: "Engine", delay: float) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
         self.engine = engine
         self.callbacks = []
         self._processed = False
         self.delay = delay
-        self._value = value
+        self._value = None
         # Inlined Event.__init__ + calendar push (hot path; see succeed).
         heapq.heappush(engine._queue, (engine._now + delay, engine._seq, self))
         engine._seq += 1

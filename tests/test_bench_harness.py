@@ -22,9 +22,9 @@ class TestSeries:
         series = Series(
             "my title", "s", [1, 2], {"algo": [1.5, 2.5], "other": [3.0, 4.0]}
         )
-        table = series.to_table(width=10, precision=1)
+        table = series.to_table()
         assert "my title" in table
-        assert "1.5" in table and "4.0" in table
+        assert "1.500" in table and "4.000" in table
         assert "algo" in table and "other" in table
 
     def test_missing_curve_raises(self):

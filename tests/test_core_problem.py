@@ -72,15 +72,3 @@ class TestReplaceSources:
         moved = small_problem.replace_sources((1, 2, 3, 4, 5))
         assert moved.sources == (1, 2, 3, 4, 5)
         assert moved.message_size == small_problem.message_size
-
-    def test_carry_sizes_maps_in_order(self, small_paragon):
-        prob = BroadcastProblem(
-            small_paragon, (0, 5), message_size=100, sizes={0: 11, 5: 22}
-        )
-        moved = prob.replace_sources((8, 9), carry_sizes=True)
-        assert moved.size_of(8) == 11
-        assert moved.size_of(9) == 22
-
-    def test_carry_sizes_requires_same_count(self, small_problem):
-        with pytest.raises(ConfigurationError):
-            small_problem.replace_sources((1, 2), carry_sizes=True)

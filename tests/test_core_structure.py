@@ -67,11 +67,6 @@ class TestAnalyzeSchedule:
 
 
 class TestEstimator:
-    def test_monotone_in_message_size(self):
-        fast = estimate_halving_time(16, (0, 5), message_size=512)
-        slow = estimate_halving_time(16, (0, 5), message_size=8192)
-        assert slow > fast
-
     def test_single_source_cost_scales_with_depth(self):
         t8 = estimate_halving_time(8, (0,))
         t64 = estimate_halving_time(64, (0,))

@@ -36,12 +36,12 @@ class TestInvariants:
     def test_ci_batch_holds_all_invariants(self):
         # The acceptance criterion: the exact batch CI runs (25 trials,
         # fixed seed) must produce zero violations.
-        report = chaos.run_trials(25, 20260806, verbose=False)
+        report = chaos.run_trials(25, 20260806)
         assert report.ok, [v.to_dict() for v in report.violations]
         assert report.trials == 25
 
     def test_single_trial_replay(self):
-        report = chaos.run_trials(25, 20260806, only=13, verbose=False)
+        report = chaos.run_trials(25, 20260806, only=13)
         assert report.ok
 
     def test_connected_classifier(self):

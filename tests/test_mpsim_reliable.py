@@ -158,28 +158,6 @@ class TestFailureDetection:
         assert "already presumed failed" in second
         assert failed.endswith(" failed=[1]>")
 
-    def test_nack_fails_the_sender_fast(self, machine):
-        def program(comm):
-            reliable = ReliableComm(comm)
-            if comm.rank == 0:
-                try:
-                    yield from reliable.send(1, "poison", 64)
-                except PeerFailedError as exc:
-                    return str(exc)
-            elif comm.rank == 1:
-                try:
-                    yield from reliable.recv(
-                        source=0,
-                        timeout_us=50_000.0,
-                        accept=lambda payload: payload != "poison",
-                    )
-                except RecvTimeoutError:
-                    return "timed-out"
-
-        result = machine.run(program, allow_partial=True)
-        assert "NACK" in result.returns[0]
-        assert result.returns[1] == "timed-out"
-
     def test_recv_timeout_raises(self, machine):
         def program(comm):
             reliable = ReliableComm(comm)
@@ -201,16 +179,13 @@ class TestConfiguration:
     def test_budget_grows_with_message_size(self, machine):
         def program(comm):
             if comm.rank == 0:
-                small = transfer_budget(comm, 64)
-                large = transfer_budget(comm, 1 << 20)
-                scaled = transfer_budget(comm, 64, slack=16.0)
-                return (small, large, scaled)
+                return (transfer_budget(comm, 64),
+                        transfer_budget(comm, 1 << 20))
             return None
             yield  # pragma: no cover
 
-        small, large, scaled = machine.run(program).returns[0]
+        small, large = machine.run(program).returns[0]
         assert 0.0 < small < large
-        assert scaled == pytest.approx(2.0 * small)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,7 +1,7 @@
 """Route-cache correctness: memoized paths vs. uncached construction.
 
-``Topology.route_links`` memoizes link-id paths (all pairs precomputed
-at finalize for small topologies, bounded FIFO memo for large ones).
+``Topology.route_links`` memoizes link-id paths in a bounded FIFO memo
+filled on first use.
 These tests pin the cached path against ``_build_route`` — the seed
 code's uncached construction, kept verbatim for exactly this purpose —
 and check the cache never changes observable behavior: bounds errors,
@@ -55,8 +55,8 @@ def test_out_of_range_does_not_alias_cached_pair():
     """Flat src*n+dst keys must not let bad ids hit a valid entry.
 
     On a 3-node line, key(0, 5) == key(1, 2): without a bounds guard
-    the precomputed cache would silently return node 1's route to
-    node 2 for the invalid query (0, 5).
+    the cache would silently return node 1's route to node 2 for the
+    invalid query (0, 5).
     """
     line = LinearArray(3)
     line.route_links(1, 2)  # ensure the aliasing target is cached
@@ -66,24 +66,17 @@ def test_out_of_range_does_not_alias_cached_pair():
         line.route_links(-1, 2)
 
 
-def test_large_topology_uses_bounded_cache(monkeypatch):
-    """>32-node topologies memoize lazily and evict at the cap."""
+@pytest.mark.parametrize("rows", [4, 6])
+def test_routes_memoize_lazily_and_evict_at_the_cap(monkeypatch, rows):
+    """Every size fills the memo on first use and evicts at the cap."""
     monkeypatch.setattr(topology_mod, "_ROUTE_CACHE_MAX", 8)
-    mesh = Mesh2D(6, 6)  # 36 nodes > _PRECOMPUTE_MAX_NODES
-    assert mesh._route_cache_bounded
+    mesh = Mesh2D(rows, 6)
     assert mesh._route_cache == {}
     for dst in range(1, 21):
         assert mesh.route_links(0, dst) == mesh._build_route(0, dst)
     assert len(mesh._route_cache) <= 8
     # Evicted entries are rebuilt correctly on re-query.
     assert mesh.route_links(0, 1) == mesh._build_route(0, 1)
-
-
-def test_small_topology_precomputes_all_pairs():
-    mesh = Mesh2D(4, 4)
-    assert not mesh._route_cache_bounded
-    n = mesh.num_nodes
-    assert len(mesh._route_cache) == n * (n - 1)
 
 
 @pytest.mark.parametrize("topo", TOPOLOGIES, ids=repr)

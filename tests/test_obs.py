@@ -74,13 +74,14 @@ def _reference_overlaps(series, start, finish, bin_us):
             series[b] += (hi - lo) / bin_us
 
 
-def _reference_link_usage(records, *, bins=60, topology=None):
+def _reference_link_usage(records, *, topology=None):
     """``link_usage`` binning every interval again for each link it holds.
 
     The reference the per-transfer binning must match bit for bit.
     """
     xfers = [r for r in records if r.kind == "xfer"]
     horizon = max((r.fields["finish"] for r in xfers), default=0.0)
+    bins = 60
     bin_us = horizon / bins
     first_wire = 2 * topology.num_nodes if topology is not None else 0
     busy, queue = {}, {}
@@ -295,8 +296,8 @@ class TestGoldenTraces:
 class TestLinkStats:
     def test_usage_from_trace(self):
         machine, tracer, _ = _traced()
-        usage = link_usage(tracer, topology=machine.topology, bins=20)
-        assert usage.bins == 20
+        usage = link_usage(tracer, topology=machine.topology)
+        assert usage.bins == 60
         assert usage.busy  # something moved
         first_wire = 2 * machine.topology.num_nodes
         assert all(link >= first_wire for link in usage.busy)
@@ -311,7 +312,7 @@ class TestLinkStats:
 
     def test_heatmap_renders_busiest_rows(self):
         machine, tracer, _ = _traced()
-        usage = link_usage(tracer, topology=machine.topology, bins=16)
+        usage = link_usage(tracer, topology=machine.topology)
         art = render_link_heatmap(usage, topology=machine.topology, k=3)
         lines = art.splitlines()
         assert "link utilization" in lines[0]
@@ -341,11 +342,14 @@ class TestLinkStats:
         assert usage.busy and usage == want
         assert list(usage.busy) == list(want.busy)
 
-    @pytest.mark.parametrize("bins", [1, 4, 7])
-    def test_synthetic_transfers_match_the_per_link_reference(self, bins):
+    @pytest.mark.parametrize("stretch", [1.0, 0.1, 3.7])
+    def test_synthetic_transfers_match_the_per_link_reference(self, stretch):
+        """Stretching the times moves every edge against the bin grid."""
         def xfer(time, start, finish, links):
-            return TraceRecord(time, "xfer", {"links": links, "start": start,
-                                              "finish": finish})
+            return TraceRecord(stretch * time, "xfer", {
+                "links": links, "start": stretch * start,
+                "finish": stretch * finish,
+            })
 
         records = [
             xfer(3.0, 3.0, 3.0, (5, 9)),        # zero-length hold and wait
@@ -355,8 +359,8 @@ class TestLinkStats:
             xfer(0.0, 0.0, 7.3, (1, 5, 1)),
             xfer(0.7, 9.9, 30.1, (12,)),
         ]
-        usage = link_usage(records, bins=bins)
-        want = _reference_link_usage(records, bins=bins)
+        usage = link_usage(records)
+        want = _reference_link_usage(records)
         assert (usage.bin_us, usage.bins) == (want.bin_us, want.bins)
         assert usage.busy == want.busy and usage.queue == want.queue
         assert list(usage.busy) == [5, 9, 12, 1]

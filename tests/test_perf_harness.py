@@ -49,7 +49,7 @@ class TestTimer:
         assert 0 < timing.best_s <= timing.mean_s
 
     def test_calibrate_positive(self):
-        assert calibrate(loops=10_000) > 0
+        assert calibrate() > 0
 
 
 class TestSuite:

@@ -59,7 +59,6 @@ class TestEvaluateCheck:
     def test_expr_pass(self):
         check = evaluate_check(
             CheckSpec(
-                type="expr",
                 description="2-Step always above Br_Lin",
                 expr="all(a < b for a, b in zip(curve('Br_Lin'), curve('2-Step')))",
             ),
@@ -70,7 +69,7 @@ class TestEvaluateCheck:
 
     def test_expr_fail(self):
         check = evaluate_check(
-            CheckSpec(type="expr", description="x", expr="at('Br_Lin', 4) > 10"),
+            CheckSpec(description="x", expr="at('Br_Lin', 4) > 10"),
             SERIES,
         )
         assert not check.passed
@@ -78,7 +77,6 @@ class TestEvaluateCheck:
     def test_detail_expression_renders(self):
         check = evaluate_check(
             CheckSpec(
-                type="expr",
                 description="x",
                 expr="True",
                 detail="f\"{at('Br_Lin', 16) / at('Br_Lin', 4):.1f}x\"",
@@ -87,44 +85,40 @@ class TestEvaluateCheck:
         )
         assert check.detail == "4.0x"
 
-    def test_cross_series_helpers(self):
+    def test_series_picks_the_series_that_at_reads(self):
         check = evaluate_check(
             CheckSpec(
-                type="expr",
                 description="x",
                 series=1,
-                expr="v(0, 'Br_Lin', 4) < at('Br_Lin', 256)",
+                expr="at('Br_Lin', 256) == 9.0 and xs == [256]",
             ),
             SERIES,
         )
         assert check.passed
 
-    def test_ratio_range(self):
-        spec = CheckSpec(
-            type="ratio_range",
-            description="doubling s doubles time",
-            curve="Br_Lin",
-            x_num=16,
-            x_den=4,
-            lo=3.5,
-            hi=4.5,
-        )
+    def test_ratio_as_a_chained_comparison(self):
+        """Figure 4's linear-growth check is a plain expression."""
+        ratio = "at('Br_Lin', 16) / at('Br_Lin', 4)"
+        spec = CheckSpec(description="x", expr=f"3.5 <= {ratio} <= 4.5")
         assert evaluate_check(spec, SERIES).passed
-        tight = CheckSpec(
-            type="ratio_range",
-            description="x",
-            curve="Br_Lin",
-            x_num=16,
-            x_den=4,
-            lo=1.0,
-            hi=2.0,
-        )
+        tight = CheckSpec(description="x", expr=f"1.0 <= {ratio} <= 2.0")
         assert not evaluate_check(tight, SERIES).passed
+
+    def test_sum_adds_left_to_right(self):
+        """``sum`` is ``left_sum``: no compensation on any interpreter."""
+        tenths = [Series(title="t", x_label="x", x_values=list(range(10)),
+                         curves={"c": [0.1] * 10})]
+        check = evaluate_check(
+            CheckSpec(description="x",
+                      expr="sum(curve('c')) == 0.9999999999999999"),
+            tenths,
+        )
+        assert check.passed
 
     def test_series_index_out_of_range(self):
         with pytest.raises(ConfigurationError) as err:
             evaluate_check(
-                CheckSpec(type="expr", description="x", series=5, expr="True"),
+                CheckSpec(description="x", series=5, expr="True"),
                 SERIES,
                 context="cfg [checks#0]",
             )
@@ -134,7 +128,6 @@ class TestEvaluateCheck:
         """Free names inside comprehensions resolve (globals scoping)."""
         check = evaluate_check(
             CheckSpec(
-                type="expr",
                 description="x",
                 expr="min(min(curve(n)) for n in ['Br_Lin', '2-Step']) > 0",
             ),

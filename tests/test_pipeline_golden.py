@@ -44,7 +44,7 @@ CHEAP = {
     "fig11": "distribution curves, per-x machine/s/size and cell_axis = 's'",
     "sec52-conditions": "ideal_rows placement",
 }
-#: Every ``kind = "builder"`` config.
+#: Every builder config.
 BUILDERS = [id_ for id_, config in CONFIGS.items() if config.kind == "builder"]
 
 

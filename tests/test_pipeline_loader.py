@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import ast
+import tomllib
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.pipeline import checks, loader
+from repro.pipeline.checks import ALLOWED_NAMES
 from repro.pipeline.loader import (
     DEFAULT_CONFIG_DIR,
     load_config,
@@ -12,13 +17,13 @@ from repro.pipeline.loader import (
     load_config_text,
 )
 from repro.pipeline.runner import experiment_points
+from repro.pipeline.schema import CELL_AXES
 
 MINIMAL = """
 [experiment]
 id = "demo"
 title = "Demo"
 description = "a two-point sweep"
-kind = "declarative"
 
 [[series]]
 title = "demo sweep"
@@ -37,12 +42,32 @@ def _minimal(extra: str = "") -> str:
     return MINIMAL.format(extra=extra)
 
 
+#: A check table for ``_minimal(extra=CHECK)``; the old-spelling test
+#: adds its ``expr``.
+CHECK = '\n[[checks]]\ndescription = "d"\n'
+#: A builder config: its series, checks and notes come from the function.
+BUILDER = """
+[experiment]
+id = "demo"
+title = "Demo"
+description = "builder"
+builder = "repro.bench.figures:fig01"
+expected_checks = 3
+"""
+#: The line of ``_minimal(CHECK)`` after which a table's keys go.
+ANCHORS = {
+    "experiment": 'description = "a two-point sweep"',
+    "series#0": 'x_label = "s"',
+    "checks#0": 'description = "d"',
+}
+
+
 class TestErrorNaming:
     """Rejections at load time name the offending file and key."""
 
     def test_unknown_experiment_key_names_key_and_file(self):
         text = _minimal().replace(
-            'kind = "declarative"', 'kind = "declarative"\nfrobnicate = 1'
+            'title = "Demo"', 'title = "Demo"\nfrobnicate = 1'
         )
         with pytest.raises(ConfigurationError) as err:
             load_config_text(text, path="configs/xx-demo.toml")
@@ -55,19 +80,45 @@ class TestErrorNaming:
             load_config_text(text)
         assert "'x_label'" in str(err.value)
 
-    @pytest.mark.parametrize("spelling", [
-        'kind = "sweep"', 'kind = "cells"', "total_bytes = 4096",
-        'axis = "s"', 'machines = ["paragon:4x4"]', "cells = [{ s = 4 }]",
+    @pytest.mark.parametrize("table, spelling, named", [
+        # A series has one form: a kind, or a kind's own key, is rejected;
+        # so is the contention switch no config set.
+        ("series#0", 'kind = "sweep"', None),
+        ("series#0", 'kind = "cells"', None),
+        ("series#0", "total_bytes = 4096", None),
+        ("series#0", 'axis = "s"', None),
+        ("series#0", 'machines = ["paragon:4x4"]', None),
+        ("series#0", "cells = [{ s = 4 }]", None),
+        ("series#0", "contention = false", None),
+        # An experiment's kind is whether it names a builder.
+        ("experiment", 'kind = "declarative"', None),
+        ("experiment", 'kind = "builder"', None),
+        # A check has one form, an expression: no type, no ratio_range.
+        ("checks#0", 'type = "expr"', None),
+        ("checks#0", 'type = "ratio_range"', None),
+        ("checks#0", 'curve = "Br_Lin"', None),
+        ("checks#0", "x_num = 8", None),
+        ("checks#0", "x_den = 4", None),
+        ("checks#0", "lo = 1.5", None),
+        ("checks#0", "hi = 2.5", None),
+        # ``series = N`` picks the series; no cross-series helpers.
+        ("checks#0", "expr = \"v(0, 'Br_Lin', 4) > 0\"", "unknown name 'v'"),
+        ("checks#0", "expr = \"curve_of(0, 'Br_Lin') != []\"",
+         "unknown name 'curve_of'"),
+        ("checks#0", 'expr = "xs_of(0) != []"', "unknown name 'xs_of'"),
     ])
-    def test_old_series_kind_spellings_are_unknown_keys(self, spelling):
-        """A series has one form: a kind, or a kind's own key, is rejected."""
+    def test_old_spellings_are_rejected(self, table, spelling, named):
+        """An old spelling fails at load, naming the file and the table."""
         key = spelling.split(" = ")[0]
-        text = _minimal().replace('x_label = "s"', f'x_label = "s"\n{spelling}')
+        anchor = ANCHORS[table]
+        text = _minimal(CHECK).replace(anchor, f"{anchor}\n{spelling}")
+        if key != "expr":
+            text += 'expr = "True"\n'
         with pytest.raises(ConfigurationError) as err:
             load_config_text(text, path="configs/xx-demo.toml")
         message = str(err.value)
-        assert f"unknown key(s) {key!r}" in message
-        assert "configs/xx-demo.toml: [series#0]" in message
+        assert (named or f"unknown key(s) {key!r}") in message
+        assert f"configs/xx-demo.toml: [{table}]" in message
 
     @pytest.mark.parametrize("old, new, named", [
         # s set twice: by its own key and by the x axis.
@@ -151,27 +202,11 @@ class TestErrorNaming:
         assert "'paragon:4x4'" in str(err.value)
         assert "configs/xx-demo.toml" in str(err.value)
 
-    def test_unknown_assertion_type_rejected_at_load(self):
-        """The satellite case: a bad check type never reaches a sweep."""
-        text = _minimal(
-            extra="""
-[[checks]]
-type = "assert_monotone"
-description = "nope"
-"""
-        )
-        with pytest.raises(ConfigurationError) as err:
-            load_config_text(text, path="configs/xx-demo.toml")
-        message = str(err.value)
-        assert "assert_monotone" in message
-        assert "configs/xx-demo.toml" in message
-
     def test_check_expression_compiled_at_load(self):
         """Disallowed syntax in an expr fails at load, not mid-run."""
         text = _minimal(
             extra="""
 [[checks]]
-type = "expr"
 description = "attribute escape"
 expr = "().__class__"
 """
@@ -184,52 +219,43 @@ expr = "().__class__"
         text = _minimal(
             extra="""
 [[checks]]
-type = "expr"
 description = "wrong series"
 series = 3
-expr = "v('Br_Lin', 4) > 0"
+expr = "at('Br_Lin', 4) > 0"
 """
         )
         with pytest.raises(ConfigurationError) as err:
             load_config_text(text)
         assert "series" in str(err.value)
 
-    def test_builder_config_rejects_series(self):
-        text = """
-[experiment]
-id = "demo"
-title = "Demo"
-description = "builder"
-kind = "builder"
-builder = "repro.bench.figures:fig01"
-expected_checks = 3
-
-[[series]]
-title = "t"
-x_label = "s"
-x_values = [4]
-cell_axis = "s"
-machine = "paragon:4x4"
-distribution = "E"
-algorithms = ["Br_Lin"]
-message_size = 256
-"""
+    @pytest.mark.parametrize("before, after, table", [
+        ("", '\n[[series]]\ntitle = "t"\n', "[series]"),
+        ("", '\n[[checks]]\ndescription = "d"\n', "[checks]"),
+        ('notes = ["a note"]\n', "", "notes"),
+    ])
+    def test_builder_config_rejects_declarative_parts(self, before, after,
+                                                      table):
+        """A builder's series, checks and notes come from its function."""
         with pytest.raises(ConfigurationError) as err:
-            load_config_text(text)
+            load_config_text(before + BUILDER + after,
+                             path="configs/xx-demo.toml")
+        assert f"configs/xx-demo.toml: {table}" in str(err.value)
         assert "builder" in str(err.value)
 
-    def test_unimportable_builder_rejected(self):
-        text = """
-[experiment]
-id = "demo"
-title = "Demo"
-description = "builder"
-kind = "builder"
-builder = "repro.bench.figures:no_such_figure"
-expected_checks = 1
-"""
+    def test_expected_checks_needs_a_builder(self):
+        text = _minimal().replace(
+            'description = "a two-point sweep"',
+            'description = "a two-point sweep"\nexpected_checks = 3',
+        )
         with pytest.raises(ConfigurationError) as err:
-            load_config_text(text)
+            load_config_text(text, path="configs/xx-demo.toml")
+        assert "configs/xx-demo.toml: [experiment].expected_checks" in str(
+            err.value
+        )
+
+    def test_unimportable_builder_rejected(self):
+        with pytest.raises(ConfigurationError) as err:
+            load_config_text(BUILDER.replace("fig01", "no_such_figure"))
         assert "no_such_figure" in str(err.value)
 
     def test_per_x_list_length_mismatch_rejected(self):
@@ -326,6 +352,8 @@ class TestCommittedConfigs:
         configs = list(load_config_dir().values())
         assert len(configs) == 25
         assert sum(c.num_checks for c in configs) == 74
+        kinds = [c.kind for c in configs]
+        assert (kinds.count("builder"), kinds.count("declarative")) == (12, 13)
 
     def test_every_config_has_doc_block(self):
         for config in load_config_dir().values():
@@ -342,6 +370,47 @@ class TestCommittedConfigs:
         assert len(by_group["ablations"]) == 5
         assert len(by_group["extensions"]) == 3
         assert len(by_group["robustness"]) == 1
+
+    def test_every_accepted_spelling_is_used(self):
+        """The config language holds only what the committed configs use:
+        each key the loader accepts, each ``cell_axis`` and ``placement``
+        value and each check helper appears in at least one config."""
+        used = {table: set() for table in ("top", "experiment", "series",
+                                           "checks", "doc")}
+        values = {"cell_axis": set(), "placement": set()}
+        names = set()
+        for path in sorted(DEFAULT_CONFIG_DIR.glob("*.toml")):
+            data = tomllib.loads(path.read_text(encoding="utf-8"))
+            used["top"] |= set(data)
+            used["experiment"] |= set(data["experiment"])
+            used["doc"] |= set(data.get("doc", {}))
+            for series in data.get("series", []):
+                used["series"] |= set(series)
+                for key in values:
+                    if key in series:
+                        values[key].add(series[key])
+            for check in data.get("checks", []):
+                used["checks"] |= set(check)
+                for key in ("expr", "detail"):
+                    if key in check:
+                        tree = ast.parse(check[key])
+                        names |= {
+                            node.id for node in ast.walk(tree)
+                            if isinstance(node, ast.Name)
+                        } - checks._bound_names(tree)
+        accepted = {
+            "top": loader._TOP_KEYS, "experiment": loader._EXPERIMENT_KEYS,
+            "series": loader._SERIES_TABLE_KEYS, "checks": loader._CHECK_KEYS,
+            "doc": loader._DOC_KEYS, "cell_axis": tuple(CELL_AXES),
+            "placement": loader._PLACEMENTS,
+            "helpers": tuple(ALLOWED_NAMES - set(checks._BUILTINS)),
+        }
+        used.update(values, helpers=names)
+        unused = {
+            table: sorted(set(keys) - used[table])
+            for table, keys in accepted.items() if set(keys) - used[table]
+        }
+        assert unused == {}
 
     def test_default_config_dir_is_the_repo_configs(self):
         assert DEFAULT_CONFIG_DIR.name == "configs"

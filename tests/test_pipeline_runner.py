@@ -20,7 +20,6 @@ SWEEP = """
 id = "demo"
 title = "Demo"
 description = "a small sweep"
-kind = "declarative"
 
 [[series]]
 title = "demo sweep"

@@ -82,7 +82,7 @@ class TestCrashConsistency:
         monkeypatch.setattr(
             chaos, "run_io_trial", lambda trial: ran.append(trial.plan_spec)
         )
-        report = chaos.run_io_trials(1, 7, verbose=False)
+        report = chaos.run_io_trials(1, 7)
         assert report.ok and report.trials == 4
         assert ran[:3] == ["crash@0", "crash@1", "crash@2"]
         assert ran[3] == chaos.generate_io_trial(7, 0).plan_spec
@@ -214,12 +214,12 @@ class TestIoTrialGeneration:
 
 class TestIoInvariants:
     def test_small_batch_holds_all_invariants(self):
-        report = chaos.run_io_trials(6, 20260808, verbose=False)
+        report = chaos.run_io_trials(6, 20260808)
         assert report.ok, [v.to_dict() for v in report.violations]
         assert report.trials == 12 + 6
 
     def test_single_trial_replay(self):
-        report = chaos.run_io_trials(25, 7, only=13, verbose=False)
+        report = chaos.run_io_trials(25, 7, only=13)
         assert report.ok
         assert report.trials == 1
 

@@ -8,11 +8,6 @@ from repro.errors import DeadlockError, SimulationError
 from repro.simulator import Engine
 
 
-def at(engine, when, callback):
-    """Run ``callback`` at absolute time ``when`` via a timeout."""
-    engine.timeout(when - engine.now).add_callback(lambda _ev: callback())
-
-
 class TestClockAndScheduling:
     def test_time_starts_at_zero(self):
         assert Engine().now == 0.0
@@ -64,15 +59,6 @@ class TestClockAndScheduling:
             ev.succeed(delay=1.0)
         engine.run()
         assert fired == [0, 1, 2, 3, 4]
-
-    def test_run_until_stops_before_later_events(self):
-        engine = Engine()
-        seen = []
-        at(engine, 5.0, lambda: seen.append("early"))
-        at(engine, 50.0, lambda: seen.append("late"))
-        engine.run(until=10.0)
-        assert seen == ["early"]
-        assert engine.now == 10.0
 
 
 class TestProcessLifecycle:
@@ -222,38 +208,3 @@ class TestDeadlockDetection:
         message = str(excinfo.value)
         assert "more)" not in message
         assert all(f"proc{i:02d}" in message for i in range(16))
-
-
-class TestRunUntilEdgeCases:
-    def test_until_before_first_event_leaves_it_pending(self):
-        engine = Engine()
-        seen = []
-        at(engine, 10.0, lambda: seen.append(engine.now))
-        engine.run(until=5.0)
-        assert engine.now == 5.0
-        assert seen == []
-        # resuming past the event fires it at its original time
-        engine.run(until=20.0)
-        assert seen == [10.0]
-
-    def test_until_exactly_at_event_time_fires_it(self):
-        engine = Engine()
-        seen = []
-        at(engine, 10.0, lambda: seen.append(engine.now))
-        engine.run(until=10.0)
-        assert seen == [10.0]
-        assert engine.now == 10.0
-        # the calendar is drained: a later run fires nothing more
-        engine.run()
-        assert seen == [10.0]
-        assert engine.now == 10.0
-
-    def test_until_after_drain_stops_at_last_event(self):
-        # The clock does not coast to `until` once the calendar drains;
-        # it reads the time of the last processed event.
-        engine = Engine()
-        seen = []
-        at(engine, 3.0, lambda: seen.append(engine.now))
-        engine.run(until=100.0)
-        assert seen == [3.0]
-        assert engine.now == 3.0

@@ -64,7 +64,8 @@ class TestAnyOf:
 
     def test_fires_on_first_child(self):
         engine = Engine()
-        events = [engine.timeout(5.0, "slow"), engine.timeout(1.0, "fast")]
+        events = [engine.event().succeed("slow", delay=5.0),
+                  engine.event().succeed("fast", delay=1.0)]
         combo = AnyOf(engine, events)
 
         def waiter():
@@ -80,7 +81,8 @@ class TestAnyOf:
 
     def test_later_children_do_not_retrigger(self):
         engine = Engine()
-        events = [engine.timeout(1.0, "a"), engine.timeout(2.0, "b")]
+        events = [engine.event().succeed("a", delay=1.0),
+                  engine.event().succeed("b", delay=2.0)]
         combo = AnyOf(engine, events)
         engine.run()
         assert combo.value == (0, "a")

@@ -335,9 +335,12 @@ class TestBroadcastResultSerialization:
         assert clone.problem.size_of(9) == 32
         assert clone.problem.size_of(0) == 768
 
-    def test_explicit_problem_overrides_descriptor(self):
-        machine = paragon(4, 4)
-        problem = BroadcastProblem(machine, (0, 5), message_size=256)
+    def test_machine_without_spec_has_no_problem(self, line_machine):
+        """A machine without a spec has no descriptor to rebuild."""
+        problem = BroadcastProblem(line_machine, (0, 5), message_size=256)
         result = run_broadcast(problem, "Br_Lin", seed=0)
-        clone = BroadcastResult.from_dict(result.to_dict(), problem=problem)
-        assert clone.problem is problem
+        data = result.to_dict()
+        assert "problem" not in data
+        clone = BroadcastResult.from_dict(data)
+        assert clone.problem is None
+        assert clone.elapsed_us == result.elapsed_us

@@ -81,6 +81,48 @@ class TestCheckCallers:
         ]
         assert flagged == ["only_tested", "Holder.idle"]
 
+    def test_default_nothing_sets_fails(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(
+            "def used(a, by_position=1, by_keyword=2):\n    pass\n\n"
+            "def spread(a, by_kwargs=0):\n    pass\n\n"
+            "def bound(a, by_partial=0):\n    pass\n\n"
+            "def planted(a, only_tested=0):\n    pass\n\n"
+            "def from_config(quick=False):\n    pass\n\n"
+            "class Holder:\n"
+            "    def __init__(self, size=3):\n        pass\n\n"
+            "    def run(self, step=0, unset=1):\n"
+            "        def inner(depth=0):\n            pass\n"
+            "        return inner()\n"
+        )
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text(
+            "from functools import partial\n"
+            "from repro.mod import Holder, bound, planted, spread, used\n"
+            "used(0, 1)\nused(0, by_keyword=5)\nspread(0, **{})\n"
+            "partial(bound, by_partial=1)\nplanted(0)\n"
+            "Holder(4).run(2)\n"
+        )
+        (tmp_path / "configs").mkdir()
+        (tmp_path / "configs" / "01-x.toml").write_text(
+            'builder = "repro.mod:from_config"\n'
+        )
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_mod.py").write_text(
+            "from repro.mod import Holder, planted\n"
+            "planted(0, only_tested=1)\nHolder().run(unset=2)\n"
+        )
+        proc = run_tool("check_callers.py", str(tmp_path))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert lines[0].startswith("defaulted parameters no call")
+        flagged = [line.rsplit(": ", 1)[1] for line in lines[1:]]
+        assert flagged == [
+            "planted(only_tested=)", "Holder.run(unset=)",
+            "Holder.run.inner(depth=)",
+        ]
+
 
 class TestCheckLinks:
     def test_repo_passes(self):
