@@ -43,9 +43,10 @@ Tracing rides on the same replay: with a
 :class:`~repro.simulator.trace.Tracer` the kernel fills its event log
 (see :mod:`repro.fastpath.kernel`), and :func:`evaluate_plan` rebuilds
 the event engine's ``span_begin`` / ``span_end`` / ``xfer`` / ``send`` /
-``recv`` records from it, in log order, through ``tracer.record`` — so
-kind filters, limits and truncation behave exactly as on the event
-engine, and the records are equal field for field.
+``recv`` records from it, in log order, and stores them with one
+``tracer.extend`` call — kind filters, limits and truncation leave
+exactly what the event engine's per-record ``tracer.record`` calls
+leave, and the records are equal field for field.
 
 Metric reduction follows :meth:`MetricsReport.from_collector` term by
 term: the fields the schedule fixes are counted once per plan, at
@@ -62,11 +63,17 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.errors import DeadlockError
-from repro.fastpath.kernel import LOG_BEGIN, LOG_RECV, LOG_SEND, replay_kernel
+from repro.fastpath.kernel import (
+    LOG_BEGIN,
+    LOG_END,
+    LOG_RECV,
+    LOG_SEND,
+    replay_kernel,
+)
 from repro.fastpath.lowering import FastPlan
 from repro.metrics.report import MetricsReport
 from repro.network.wirestate import WireState
-from repro.simulator.trace import SPAN_BEGIN, SPAN_END
+from repro.simulator.trace import SPAN_BEGIN, SPAN_END, TraceRecord
 from repro.summation import left_sum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -227,7 +234,10 @@ def _record_trace(
     fabric's ``xfer`` (node ids, link path, reservation window) then the
     message layer's ``send``; a receive completion is ``recv``; a
     round-entry boundary is the executor's ``span_begin`` /
-    ``span_end``.
+    ``span_end``.  Kinds the tracer's filter drops are skipped before
+    their fields are built, and the run's records are stored with one
+    :meth:`~repro.simulator.trace.Tracer.extend` call, which applies the
+    tracer's ``limit``.
     """
     send_src = plan.send_src
     send_dst = plan.send_dst
@@ -237,46 +247,50 @@ def _record_trace(
     round_phase = plan.round_phase
     nodes = binding.nodes
     paths = binding.paths
-    record = tracer.record
-    # Kinds the tracer's filter drops are skipped before their fields
-    # are built; record() would drop them unseen anyway.
+    records: List[TraceRecord] = []
+    append = records.append
     xfer = tracer.wants("xfer")
     send = tracer.wants("send")
     recv = tracer.wants("recv")
-    spans = tracer.wants(SPAN_BEGIN) or tracer.wants(SPAN_END)
+    # The record kind of each span log code, None where the filter drops it.
+    span_kind = {
+        code: kind if tracer.wants(kind) else None
+        for code, kind in ((LOG_BEGIN, SPAN_BEGIN), (LOG_END, SPAN_END))
+    }
     for code, ident, time, a, b in log:
         if code == LOG_SEND:
             if xfer:
-                record(time, "xfer", {
+                append(TraceRecord(time, "xfer", {
                     "src": nodes[send_src[ident]],
                     "dst": nodes[send_dst[ident]],
                     "nbytes": send_nbytes[ident],
                     "links": paths[ident],
                     "start": a,
                     "finish": b,
-                })
+                }))
             if send:
-                record(time, "send", {
+                append(TraceRecord(time, "send", {
                     "src": send_src[ident],
                     "dst": send_dst[ident],
                     "tag": send_round[ident],
                     "nbytes": send_nbytes[ident],
                     "start": a,
                     "finish": b,
-                })
+                }))
         elif code == LOG_RECV:
             if recv:
-                record(time, "recv", {
+                append(TraceRecord(time, "recv", {
                     "rank": send_dst[ident],
                     "src": send_src[ident],
                     "tag": send_round[ident],
                     "nbytes": send_nbytes[ident],
                     "waited": a,
-                })
-        elif spans:
-            rank, rnd = divmod(ident, num_rounds)
-            record(
-                time,
-                SPAN_BEGIN if code == LOG_BEGIN else SPAN_END,
-                {"name": round_phase[rnd], "rank": rank, "round": rnd},
-            )
+                }))
+        else:
+            kind = span_kind[code]
+            if kind is not None:
+                rank, rnd = divmod(ident, num_rounds)
+                append(TraceRecord(time, kind, {
+                    "name": round_phase[rnd], "rank": rank, "round": rnd,
+                }))
+    tracer.extend(records)

@@ -18,6 +18,7 @@ roll-up renderers print.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.network.topology import Topology
@@ -40,37 +41,36 @@ def span_intervals(records: Iterable[TraceRecord]) -> List[Dict[str, Any]]:
     """Paired span intervals, in begin order.
 
     Begins and ends are matched LIFO per identical field set (name,
-    rank, and any extra fields), which is exactly how the context
-    manager emits them.  An unmatched begin (truncated trace, or a
-    program that died inside a span) yields no interval.
+    rank, and any extra fields, in any insertion order), which is
+    exactly how the context manager emits them.  An unmatched begin
+    (truncated trace, or a program that died inside a span) yields no
+    interval.
     """
-    open_spans: Dict[Tuple, List[TraceRecord]] = {}
+    open_spans: Dict[frozenset, List[TraceRecord]] = {}
     intervals: List[Dict[str, Any]] = []
-    order: List[Tuple[float, Dict[str, Any]]] = []
     for record in records:
-        if record.kind == SPAN_BEGIN:
-            key = tuple(sorted(record.fields.items()))
-            open_spans.setdefault(key, []).append(record)
-        elif record.kind == SPAN_END:
-            key = tuple(sorted(record.fields.items()))
+        kind = record.kind
+        if kind == SPAN_BEGIN:
+            key = frozenset(record.fields.items())
             stack = open_spans.get(key)
+            if stack is None:
+                open_spans[key] = [record]
+            else:
+                stack.append(record)
+        elif kind == SPAN_END:
+            stack = open_spans.get(frozenset(record.fields.items()))
             if not stack:
                 continue
             begin = stack.pop()
-            order.append(
-                (
-                    begin.time,
-                    {
-                        "name": begin.fields.get("name", "span"),
-                        "rank": begin.fields.get("rank"),
-                        "round": begin.fields.get("round"),
-                        "start": begin.time,
-                        "end": record.time,
-                    },
-                )
-            )
-    order.sort(key=lambda pair: pair[0])
-    intervals = [interval for _, interval in order]
+            fields = begin.fields
+            intervals.append({
+                "name": fields.get("name", "span"),
+                "rank": fields.get("rank"),
+                "round": fields.get("round"),
+                "start": begin.time,
+                "end": record.time,
+            })
+    intervals.sort(key=itemgetter("start"))
     return intervals
 
 
@@ -79,49 +79,46 @@ def phase_stats(
 ) -> Dict[str, Dict[str, Any]]:
     """Per-phase aggregation of span intervals.
 
-    Returns ``{name: {count, total_us, max_us, mean_us, first_us,
-    last_us}}`` where ``total_us`` sums the per-rank span durations
-    (processor-time, so overlapping ranks add up) and ``first_us`` /
-    ``last_us`` bound the phase's wall-clock extent.
+    Returns ``{name: {count, total_us, max_us, first_us, last_us,
+    mean_us}}`` where ``total_us`` sums the per-rank span durations in
+    interval order (processor-time, so overlapping ranks add up) and
+    ``first_us`` / ``last_us`` bound the phase's wall-clock extent.
     """
-    stats: Dict[str, Dict[str, Any]] = {}
+    # [count, total, max, first, last] per phase, in first-seen order.
+    acc: Dict[str, List[Any]] = {}
     for interval in intervals:
-        name = interval["name"]
-        duration = interval["end"] - interval["start"]
-        entry = stats.get(name)
+        start = interval["start"]
+        end = interval["end"]
+        duration = end - start
+        entry = acc.get(interval["name"])
         if entry is None:
-            stats[name] = {
-                "count": 1,
-                "total_us": duration,
-                "max_us": duration,
-                "first_us": interval["start"],
-                "last_us": interval["end"],
-            }
-        else:
-            entry["count"] += 1
-            entry["total_us"] += duration
-            entry["max_us"] = max(entry["max_us"], duration)
-            entry["first_us"] = min(entry["first_us"], interval["start"])
-            entry["last_us"] = max(entry["last_us"], interval["end"])
-    for entry in stats.values():
-        entry["mean_us"] = entry["total_us"] / entry["count"]
-    return stats
+            acc[interval["name"]] = [1, duration, duration, start, end]
+            continue
+        entry[0] += 1
+        entry[1] += duration
+        if duration > entry[2]:
+            entry[2] = duration
+        if start < entry[3]:
+            entry[3] = start
+        if end > entry[4]:
+            entry[4] = end
+    return {
+        name: {
+            "count": count,
+            "total_us": total,
+            "max_us": peak,
+            "first_us": first,
+            "last_us": last,
+            "mean_us": total / count,
+        }
+        for name, (count, total, peak, first, last) in acc.items()
+    }
 
 
 def _hottest_links(
-    records: Iterable[TraceRecord],
-    topology: Optional[Topology],
-    k: int,
+    busy: Dict[int, float], topology: Optional[Topology], k: int
 ) -> List[Dict[str, Any]]:
-    busy: Dict[int, float] = {}
-    first_wire = 2 * topology.num_nodes if topology is not None else 0
-    for record in records:
-        if record.kind != "xfer":
-            continue
-        duration = record.fields["finish"] - record.fields["start"]
-        for link in record.fields["links"]:
-            if link >= first_wire:
-                busy[link] = busy.get(link, 0.0) + duration
+    """The ``k`` busiest links of a link → reserved-time table."""
     ranked = sorted(busy.items(), key=lambda item: (-item[1], item[0]))[:k]
     out: List[Dict[str, Any]] = []
     for link, total in ranked:
@@ -144,23 +141,36 @@ def summarize_trace(
     Carries the per-phase span table, the slowest phase (by summed
     processor-time), the hottest wire links, and the event counts a
     report needs — everything the sweep layer stores beside (never
-    inside) a cached result.
+    inside) a cached result.  One pass over the records counts kinds,
+    sums each wire link's reserved time in record order and collects
+    the span records for :func:`span_intervals`.
     """
-    records = list(tracer)
-    intervals = span_intervals(records)
+    kinds: Dict[str, int] = {}
+    busy: Dict[int, float] = {}
+    spans: List[TraceRecord] = []
+    first_wire = 2 * topology.num_nodes if topology is not None else 0
+    for record in tracer.records:
+        kind = record.kind
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if kind == "xfer":
+            fields = record.fields
+            duration = fields["finish"] - fields["start"]
+            for link in fields["links"]:
+                if link >= first_wire:
+                    busy[link] = busy.get(link, 0.0) + duration
+        elif kind == SPAN_BEGIN or kind == SPAN_END:
+            spans.append(record)
+    intervals = span_intervals(spans)
     phases = phase_stats(intervals)
     slowest = max(
         phases, key=lambda name: phases[name]["total_us"], default=None
     )
-    kinds: Dict[str, int] = {}
-    for record in records:
-        kinds[record.kind] = kinds.get(record.kind, 0) + 1
     return {
         "schema": SUMMARY_SCHEMA,
         "phases": phases,
         "slowest_phase": slowest,
         "spans": len(intervals),
-        "hottest_links": _hottest_links(records, topology, k_links),
+        "hottest_links": _hottest_links(busy, topology, k_links),
         "kinds": kinds,
         "lost_transfers": kinds.get("xfer_lost", 0),
         "truncated": tracer.truncated,

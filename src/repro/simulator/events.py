@@ -115,7 +115,7 @@ class Timeout(Event):
     software overhead) as well as plain sleeps.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, engine: "Engine", delay: float) -> None:
         if delay < 0:
@@ -123,7 +123,6 @@ class Timeout(Event):
         self.engine = engine
         self.callbacks = []
         self._processed = False
-        self.delay = delay
         self._value = None
         # Inlined Event.__init__ + calendar push (hot path; see succeed).
         heapq.heappush(engine._queue, (engine._now + delay, engine._seq, self))

@@ -31,9 +31,15 @@ SPAN_BEGIN = "span_begin"
 SPAN_END = "span_end"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
-    """One traced occurrence: a timestamp, a kind tag, and free-form fields."""
+    """One traced occurrence: a timestamp, a kind tag, and free-form fields.
+
+    A plain slotted record: a traced fast-path point builds tens of
+    thousands of them, and a slotted instance costs about half of a
+    frozen one to build.  Nothing mutates or hashes a record once the
+    tracer holds it.
+    """
 
     time: float
     kind: str
@@ -42,6 +48,11 @@ class TraceRecord:
 
 class Tracer:
     """Accumulates :class:`TraceRecord` objects, optionally filtered by kind.
+
+    The event engine stores records one at a time through
+    :meth:`record`; the fast path builds a whole run's records and
+    stores them in one :meth:`extend` call.  Either way the kind
+    filter, ``limit`` and ``truncated`` leave the same records behind.
 
     Parameters
     ----------
@@ -72,6 +83,20 @@ class Tracer:
             self.truncated = True
             return
         self.records.append(TraceRecord(time, kind, fields))
+
+    def extend(self, records: List[TraceRecord]) -> None:
+        """Store a batch of records, as :meth:`record` would one by one.
+
+        The caller builds only records of kinds :meth:`wants` keeps, so
+        that a dropped kind never has its fields built; the batch is
+        not filtered again here.  Records past ``limit`` are dropped
+        and set ``truncated``.
+        """
+        room = max(self._limit - len(self.records), 0)
+        if len(records) > room:
+            self.truncated = True
+            records = records[:room]
+        self.records.extend(records)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)

@@ -203,6 +203,19 @@ def test_traced_store_and_forward_matches_event_engine(alg, contention):
     _assert_traced_engines_agree(problem, alg, 1, contention, TRACERS["full"])
 
 
+@pytest.mark.parametrize(
+    "kinds", [("span_begin",), ("span_end",), ("send", "recv")]
+)
+def test_partial_kind_filters_match_event_engine(kinds):
+    """The fast path builds only the kinds the filter keeps, one by one."""
+    problem = BroadcastProblem(
+        machine_from_spec("paragon:4x4"), (0, 5, 10), message_size=512
+    )
+    _assert_traced_engines_agree(
+        problem, "2-Step", 0, True, lambda: Tracer(kinds=kinds)
+    )
+
+
 #: Overhead-free parameter sets: sends issue at once (no overhead
 #: timeout), and without receive overhead or copy cost a matched
 #: receive completes at the instant it matches.

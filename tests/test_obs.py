@@ -150,6 +150,30 @@ class TestSpanIntervals:
         records = [TraceRecord(0.0, "span_begin", {"name": "a", "rank": 0})]
         assert span_intervals(records) == []
 
+    def test_pairs_equal_fields_in_any_insertion_order(self):
+        """The pairing key is the field set, not the dict's item order."""
+        records = [
+            TraceRecord(0.0, "span_begin", {"name": "a", "rank": 0, "round": 1}),
+            TraceRecord(4.0, "span_end", {"round": 1, "rank": 0, "name": "a"}),
+        ]
+        assert span_intervals(records) == [
+            {"name": "a", "rank": 0, "round": 1, "start": 0.0, "end": 4.0}
+        ]
+
+    def test_nested_spans_with_one_key_pair_lifo(self):
+        """An end closes the latest open begin of its key."""
+        records = [
+            TraceRecord(0.0, "span_begin", {"name": "a", "rank": 0}),
+            TraceRecord(1.0, "span_begin", {"rank": 0, "name": "a"}),
+            TraceRecord(3.0, "span_end", {"name": "a", "rank": 0}),
+            TraceRecord(7.0, "span_end", {"rank": 0, "name": "a"}),
+        ]
+        intervals = span_intervals(records)
+        assert [(i["start"], i["end"]) for i in intervals] == [
+            (0.0, 7.0),
+            (1.0, 3.0),
+        ]
+
     def test_every_round_of_a_run_is_spanned(self):
         machine, tracer, result = _traced()
         intervals = span_intervals(tracer)
