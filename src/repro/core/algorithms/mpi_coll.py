@@ -53,16 +53,18 @@ def build_pipelined_allgather_schedule(
     ]
     with schedule.span("gather"):
         schedule.add_round(gather, label="gatherv", collective=True, mpi=True)
-    # The stream of (message, segment) items the ring carries, in source
-    # order (the order Allgatherv concatenates contributions).
+    # The stream of (message set, segment bytes) items the ring carries,
+    # in source order (the order Allgatherv concatenates contributions);
+    # a message's segments share its one-source set.
     stream: List[tuple] = []
     for src in problem.sources:
         size = problem.size_of(src)
         nseg = max(1, math.ceil(size / seg_size))
         base = size // nseg
+        msgset = frozenset((src,))
         for q in range(nseg):
             seg_bytes = base + (size - base * nseg if q == nseg - 1 else 0)
-            stream.append((src, max(seg_bytes, 1)))
+            stream.append((msgset, max(seg_bytes, 1)))
     # The linear order starts at rank 0, the root.
     ring = problem.machine.linear_order()
     edges = list(zip(ring, ring[1:]))  # p-1 forwarding hops, no wrap
@@ -71,13 +73,13 @@ def build_pipelined_allgather_schedule(
     with schedule.span("ring"):
         for r in range(num_rounds):
             transfers = []
-            for j, (u, v) in enumerate(edges):
-                q = r - j
-                if 0 <= q < num_items:
-                    src_msg, seg_bytes = stream[q]
-                    transfers.append(
-                        Transfer(u, v, frozenset((src_msg,)), nbytes_override=seg_bytes)
-                    )
+            # Edge j forwards stream item r - j, for the items in range.
+            for j in range(max(0, r - num_items + 1), min(r + 1, len(edges))):
+                u, v = edges[j]
+                msgset, seg_bytes = stream[r - j]
+                transfers.append(
+                    Transfer(u, v, msgset, nbytes_override=seg_bytes)
+                )
             schedule.add_round(
                 transfers, label=f"ring-{r}", collective=True, mpi=True
             )

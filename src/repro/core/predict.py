@@ -38,7 +38,7 @@ prediction uses hop counts from the seed's mapping (seed 0 by default).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.core.schedule import Schedule
 
@@ -69,8 +69,9 @@ def predict_schedule_time(schedule: Schedule, seed: int = 0) -> float:
         o_send = params.send_overhead(collective=rnd.collective, mpi=rnd.mpi)
         o_recv = params.recv_overhead(collective=rnd.collective, mpi=rnd.mpi)
         # Keyed by position in the round: one round may carry two
-        # transfers between the same pair of ranks.
-        arrivals: List[float] = []
+        # transfers between the same pair of ranks.  Each arrival keeps
+        # its transfer's byte count beside it for phase 2.
+        arrivals: List[Tuple[float, int]] = []
         issue_clock: Dict[int, float] = {}
         # Phase 1: every rank issues its round sends back-to-back.
         for t in rnd:
@@ -85,13 +86,12 @@ def predict_schedule_time(schedule: Schedule, seed: int = 0) -> float:
                 if hops
                 else 0.0
             )
-            arrivals.append(clock + wire)
+            arrivals.append((clock + wire, nbytes))
         # Phase 2: receivers drain their receives in schedule order,
         # each starting once its own round sends are issued.
         recv_clock: Dict[int, float] = {}
         send_drain: Dict[int, float] = {}
-        for t, arrival in zip(rnd, arrivals):
-            nbytes = t.nbytes(problem)
+        for t, (arrival, nbytes) in zip(rnd, arrivals):
             start = max(
                 arrival,
                 recv_clock.get(

@@ -46,7 +46,7 @@ def _phase_of_label(label: str) -> str:
     return label
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Transfer:
     """One message: ``src`` sends the combined messages of ``msgset`` to ``dst``.
 
@@ -54,6 +54,11 @@ class Transfer:
     message: the transfer still carries the message ids (for delivery
     tracking) but is charged the segment size.  ``None`` means the full
     combined size from the problem's size table.
+
+    A slotted, unfrozen dataclass: schedules build hundreds of
+    thousands of transfers, a frozen one pays for ``object.__setattr__``
+    on each field, and nothing mutates or hashes a transfer after
+    construction (equality still compares fields).
     """
 
     src: int
@@ -69,7 +74,7 @@ class Transfer:
                 f"empty transfer {self.src}->{self.dst}; omit it instead"
             )
         if not isinstance(self.msgset, frozenset):
-            object.__setattr__(self, "msgset", frozenset(self.msgset))
+            self.msgset = frozenset(self.msgset)
         if self.nbytes_override is not None and self.nbytes_override <= 0:
             raise AlgorithmError(
                 f"nbytes_override must be positive, got {self.nbytes_override}"

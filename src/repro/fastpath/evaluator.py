@@ -3,10 +3,11 @@
 The evaluator is the thin orchestration layer around the replay
 kernel (:mod:`repro.fastpath.kernel`): it binds a lowered
 :class:`~repro.fastpath.lowering.FastPlan` to a run — seed-dependent
-rank placement, one route tuple per send, wire durations — invokes the
-kernel once on the plan's lists, and folds the kernel's
-timing-dependent accumulators and the plan's precomputed report fields
-into a :class:`~repro.metrics.report.MetricsReport`.
+rank placement, one route tuple per distinct rank pair shared by its
+sends, wire durations — invokes the kernel once on the plan's lists,
+and folds the kernel's timing-dependent accumulators and the plan's
+precomputed report fields into a
+:class:`~repro.metrics.report.MetricsReport`.
 
 The kernel replicates the generator engine's observable behaviour
 exactly — not merely equivalent results, the *same* results to the
@@ -102,9 +103,10 @@ class FastRunResult:
 class PlanBinding:
     """A plan's seed-dependent link paths, resolved once per mapping.
 
-    ``paths[sid]`` is send ``sid``'s memoized route tuple (injection
-    channel, wire links, ejection channel), shared with the topology's
-    route cache.  ``nodes`` is the rank → node placement the paths were
+    ``paths[sid]`` is send ``sid``'s route tuple (injection channel,
+    wire links, ejection channel): one tuple per distinct rank pair,
+    shared by every send of that pair and with the topology's route
+    cache.  ``nodes`` is the rank → node placement the paths were
     resolved under (traced ``xfer`` records name nodes).  Bindings are
     reusable across replays of the same (plan, rank mapping) — the plan
     cache keeps one per seed class.
@@ -115,17 +117,22 @@ class PlanBinding:
 
 
 def bind_plan(plan: FastPlan, machine: "Machine", seed: int) -> PlanBinding:
-    """Resolve ``plan``'s link paths under ``machine``'s ``seed`` mapping."""
+    """Resolve ``plan``'s link paths under ``machine``'s ``seed`` mapping.
+
+    One route per distinct ``(src, dst)`` rank pair, resolved in order
+    of first use; every send of a pair shares that pair's tuple (a
+    pipelined MPI_AllGather ring repeats each pair once per segment).
+    """
     node_of = machine.build_mapping(seed).node_of
-    nodes = [node_of(rank) for rank in range(plan.p)]
+    p = plan.p
+    nodes = [node_of(rank) for rank in range(p)]
     route_links = machine.topology.route_links
-    return PlanBinding(
-        paths=[
-            route_links(nodes[src], nodes[dst])
-            for src, dst in zip(plan.send_src, plan.send_dst)
-        ],
-        nodes=nodes,
-    )
+    pairs = [src * p + dst for src, dst in zip(plan.send_src, plan.send_dst)]
+    route_of = {
+        pair: route_links(nodes[pair // p], nodes[pair % p])
+        for pair in dict.fromkeys(pairs)
+    }
+    return PlanBinding(paths=[route_of[pair] for pair in pairs], nodes=nodes)
 
 
 def evaluate_plan(

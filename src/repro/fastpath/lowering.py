@@ -34,7 +34,7 @@ receive.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.problem import BroadcastProblem
@@ -171,11 +171,17 @@ class FastPlan:
 
 
 def lower_schedule(schedule: "Schedule") -> FastPlan:
-    """Lower ``schedule`` into a :class:`FastPlan`."""
+    """Lower ``schedule`` into a :class:`FastPlan`.
+
+    Each distinct message set is summed under the problem's size table
+    once per lowering; transfers that repeat a set (a ring forwarding
+    one source's message, a pipeline's segments) reuse the sum.
+    """
     problem = schedule.problem
     params = problem.machine.params
     p = problem.p
     nbytes_of = problem.nbytes
+    msgset_bytes: Dict[FrozenSet[int], int] = {}
 
     send_src: List[int] = []
     send_dst: List[int] = []
@@ -196,6 +202,8 @@ def lower_schedule(schedule: "Schedule") -> FastPlan:
     active_rounds: List[int] = []
     congestion = 0
     size_reusable = True
+    # (sends, receives) -> a rank-round's op codes, built once per shape.
+    code_runs: Dict[Tuple[int, int], List[int]] = {}
     for rnd_idx, rnd in enumerate(schedule.rounds):
         collective = rnd.collective
         mpi = rnd.mpi
@@ -204,38 +212,67 @@ def lower_schedule(schedule: "Schedule") -> FastPlan:
         round_mpi.append(mpi)
         round_recv_ovh.append(params.recv_overhead(collective=collective, mpi=mpi))
         round_mem_scale.append(params.collective_mem_scale if collective else 1.0)
-        # rank -> (send ids, receive sources): its slice of this round.
-        slices: Dict[int, tuple] = {}
-        for t in rnd.transfers:
-            sid = len(send_src)
-            src = t.src
-            msgset = t.msgset
-            nbytes = t.nbytes(problem)
-            if t.nbytes_override is not None and size_reusable:
-                # Size-reusability probe: the structure transfers to
-                # other size tables exactly when every send moves whole
-                # messages, i.e. its byte count is its message set's sum
-                # under this problem's table.
-                size_reusable = nbytes == nbytes_of(msgset)
-            send_src.append(src)
-            send_dst.append(t.dst)
-            send_round.append(rnd_idx)
-            send_msgset.append(msgset)
+        transfers = rnd.transfers
+        if not transfers:
+            continue
+        active_rounds.append(rnd_idx)
+        first = len(send_src)
+        srcs = [t.src for t in transfers]
+        dsts = [t.dst for t in transfers]
+        send_src += srcs
+        send_dst += dsts
+        send_msgset += [t.msgset for t in transfers]
+        send_round += [rnd_idx] * len(transfers)
+        send_ovh += [ovh] * len(transfers)
+        for t in transfers:
+            nbytes = t.nbytes_override
+            if nbytes is None or size_reusable:
+                total = msgset_bytes.get(t.msgset)
+                if total is None:
+                    total = msgset_bytes[t.msgset] = nbytes_of(t.msgset)
+                if nbytes is None:
+                    nbytes = total
+                else:
+                    # Size-reusability probe: the structure transfers to
+                    # other size tables exactly when every send moves
+                    # whole messages, i.e. its byte count is its message
+                    # set's sum under this problem's table.
+                    size_reusable = nbytes == total
             send_nbytes.append(nbytes)
-            send_ovh.append(ovh)
-            slices.setdefault(src, ([], []))[0].append(sid)
-            slices.setdefault(t.dst, ([], []))[1].append(src)
-        if slices:
-            active_rounds.append(rnd_idx)
-        for rank, (sids, srcs) in slices.items():
+        # rank -> its send ids / receive sources: its slice of this round.
+        sends: Dict[int, List[int]] = {}
+        recvs: Dict[int, List[int]] = {}
+        for sid, src, dst in zip(range(first, first + len(srcs)), srcs, dsts):
+            ids = sends.get(src)
+            if ids is None:
+                sends[src] = [sid]
+            else:
+                ids.append(sid)
+            froms = recvs.get(dst)
+            if froms is None:
+                recvs[dst] = [src]
+            else:
+                froms.append(src)
+        for rank in {**sends, **recvs}:
+            sids = sends.get(rank, ())
+            froms = recvs.get(rank, ())
             n_send = len(sids)
-            ops = n_send + len(srcs)
+            n_recv = len(froms)
+            ops = n_send + n_recv
             if ops > congestion:
                 congestion = ops
             rank_ops[rank] += ops
             rank_rounds[rank] += 1
-            codes[rank] += [OP_SEND] * n_send + [OP_RECV] * len(srcs) + [OP_WAIT] * n_send
-            args[rank] += sids + srcs + sids
+            run = code_runs.get((n_send, n_recv))
+            if run is None:
+                run = code_runs[n_send, n_recv] = (
+                    [OP_SEND] * n_send + [OP_RECV] * n_recv + [OP_WAIT] * n_send
+                )
+            codes[rank] += run
+            rank_args = args[rank]
+            rank_args += sids
+            rank_args += froms
+            rank_args += sids
             auxs[rank] += [rnd_idx] * (ops + n_send)
 
     op_code: List[int] = []

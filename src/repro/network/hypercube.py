@@ -55,18 +55,19 @@ class Hypercube(Topology):
             (node >> k) & 1 for k in range(self.dimensions - 1, -1, -1)
         )
 
-    def route_nodes(self, src: int, dst: int) -> List[int]:
-        """E-cube: correct differing bits from the highest dimension down."""
-        self._check_node(src)
-        self._check_node(dst)
-        nodes = [src]
-        current = src
+    def _corners(self, src: int, dst: int) -> List[int]:
+        """E-cube: correct differing bits from the highest dimension
+        down, one hop per corrected bit."""
+        corners = [src]
         for k in range(self.dimensions - 1, -1, -1):
             bit = 1 << k
-            if (current ^ dst) & bit:
-                current ^= bit
-                nodes.append(current)
-        return nodes
+            if (src ^ dst) & bit:
+                corners.append(corners[-1] ^ bit)
+        return corners
+
+    def _walk(self, a: int, b: int) -> List[int]:
+        """A leg is the single hop between two corners."""
+        return [b]
 
     def distance(self, src: int, dst: int) -> int:
         """Hop count == Hamming distance of the addresses."""

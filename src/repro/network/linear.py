@@ -29,11 +29,14 @@ class LinearArray(Topology):
     def shape(self) -> Sequence[int]:
         return (self._num_nodes,)
 
-    def route_nodes(self, src: int, dst: int) -> List[int]:
-        self._check_node(src)
-        self._check_node(dst)
-        step = 1 if dst >= src else -1
-        return list(range(src, dst + step, step))
+    def _corners(self, src: int, dst: int) -> Tuple[int, int]:
+        """One dimension: the route is one straight leg."""
+        return (src, dst)
+
+    def _walk(self, a: int, b: int) -> List[int]:
+        """The nodes after ``a`` up to ``b``."""
+        step = 1 if b > a else -1
+        return list(range(a + step, b + step, step))
 
     def distance(self, src: int, dst: int) -> int:
         """Hop count: ``|dst - src|``."""

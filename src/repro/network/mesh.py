@@ -20,6 +20,10 @@ __all__ = ["Mesh2D"]
 class Mesh2D(Topology):
     """A ``rows x cols`` 2-D mesh without wraparound links.
 
+    A route is at most two straight legs, along the source's row and
+    then the destination's column; the base class memoizes each leg's
+    links and joins routes from them.
+
     Parameters
     ----------
     rows, cols:
@@ -64,18 +68,19 @@ class Mesh2D(Topology):
         return row * self.cols + col
 
     # -- routing -----------------------------------------------------------
-    def route_nodes(self, src: int, dst: int) -> List[int]:
-        """XY dimension-order route: move along the row first, then the column."""
-        sr, sc = self.coords(src)
-        dr, dc = self.coords(dst)
-        nodes = [src]
-        col_step = 1 if dc > sc else -1
-        for c in range(sc + col_step, dc + col_step, col_step) if dc != sc else []:
-            nodes.append(self.node_at(sr, c))
-        row_step = 1 if dr > sr else -1
-        for r in range(sr + row_step, dr + row_step, row_step) if dr != sr else []:
-            nodes.append(self.node_at(r, dc))
-        return nodes
+    def _corners(self, src: int, dst: int) -> Tuple[int, int, int]:
+        """XY dimension order: along the row to ``dst``'s column, then
+        along that column; the turn is node ``(src row, dst column)``."""
+        cols = self.cols
+        return (src, src - src % cols + dst % cols, dst)
+
+    def _walk(self, a: int, b: int) -> List[int]:
+        """The nodes after ``a`` up to ``b`` along their shared row or column."""
+        cols = self.cols
+        step = 1 if a // cols == b // cols else cols
+        if b < a:
+            step = -step
+        return list(range(a + step, b + step, step))
 
     def distance(self, src: int, dst: int) -> int:
         """Hop count of the XY route: row distance plus column distance."""

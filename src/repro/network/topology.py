@@ -6,10 +6,13 @@ Every node owns one *injection* link (processor → router) and one
 Links are identified by dense integer ids so the fabric can keep its
 reservation state in flat arrays.
 
-Subclasses implement the coordinate system, the dimension-order
-:meth:`route_nodes` and its hop count, :meth:`distance`; the base class
-turns node paths into link paths memoized on first use
-(:meth:`route_links`).
+Subclasses implement the coordinate system, the dimension order and
+the route's hop count, :meth:`distance`.  The dimension order is written
+once, as a route's corner nodes (:meth:`Topology._corners`) and a walk
+along one straight leg between two of them (:meth:`Topology._walk`);
+the base class derives both views of a route from it: the node path
+(:meth:`route_nodes`) and the link path (:meth:`route_links`), joined
+from per-leg link tuples memoized on the topology.
 """
 
 from __future__ import annotations
@@ -37,6 +40,13 @@ class Topology(ABC):
     * ``0 .. num_nodes-1`` — injection links (node *i*'s is id *i*);
     * ``num_nodes .. 2*num_nodes-1`` — ejection links;
     * ``2*num_nodes ..`` — wire links, in registration order.
+
+    A route is its *corners* — ``src``, the nodes where it turns from
+    one dimension to the next, ``dst`` — joined by straight legs.  Each
+    leg's link tuple is memoized on first use, keyed ``a * n + b`` by
+    its end nodes: a leg stays within one dimension, so there are at
+    most ``n`` times the sum of the extents of them (8,192 on a 16x16
+    mesh), and routes that share a leg share its tuple.
     """
 
     def __init__(self, num_nodes: int) -> None:
@@ -44,10 +54,13 @@ class Topology(ABC):
             raise TopologyError(f"need at least one node, got {num_nodes}")
         self._num_nodes = num_nodes
         self._wire_endpoints: List[Tuple[int, int]] = []
-        self._wire_index: Dict[Tuple[int, int], int] = {}
+        #: Wire link id by ``u * num_nodes + v``.
+        self._wire_index: Dict[int, int] = {}
         self._finalized = False
         self._adjacency: Tuple[Tuple[int, ...], ...] = ()
         self._route_cache: Dict[int, Tuple[int, ...]] = {}
+        #: Wire links of the straight leg ``a -> b``, by ``a * n + b``.
+        self._legs: Dict[int, Tuple[int, ...]] = {}
 
     # -- construction -----------------------------------------------------
     def _add_link(self, u: int, v: int) -> int:
@@ -58,11 +71,11 @@ class Topology(ABC):
         self._check_node(v)
         if u == v:
             raise TopologyError(f"self-link at node {u}")
-        key = (u, v)
+        key = u * self._num_nodes + v
         if key in self._wire_index:
             raise TopologyError(f"duplicate link {u}->{v}")
         link_id = 2 * self._num_nodes + len(self._wire_endpoints)
-        self._wire_endpoints.append(key)
+        self._wire_endpoints.append((u, v))
         self._wire_index[key] = link_id
         return link_id
 
@@ -111,14 +124,15 @@ class Topology(ABC):
 
         Raises :class:`~repro.errors.RoutingError` if absent.
         """
-        try:
-            return self._wire_index[(u, v)]
-        except KeyError:
-            raise RoutingError(f"no link {u}->{v} in {self!r}") from None
+        if self.has_wire_link(u, v):
+            return self._wire_index[u * self._num_nodes + v]
+        raise RoutingError(f"no link {u}->{v} in {self!r}")
 
     def has_wire_link(self, u: int, v: int) -> bool:
         """Whether the directed wire link ``u -> v`` exists."""
-        return (u, v) in self._wire_index
+        n = self._num_nodes
+        # The range check keeps a bad id from aliasing another pair's key.
+        return 0 <= u < n and 0 <= v < n and u * n + v in self._wire_index
 
     def link_endpoints(self, link_id: int) -> Tuple[int, int]:
         """``(u, v)`` endpoints of any link (end nodes for inj/ej)."""
@@ -141,8 +155,30 @@ class Topology(ABC):
 
     # -- routing ---------------------------------------------------------
     @abstractmethod
+    def _corners(self, src: int, dst: int) -> Sequence[int]:
+        """The dimension-order route's corners: ``src``, the node where
+        it turns into each next dimension, ``dst``.
+
+        Consecutive corners differ in at most one dimension; equal ones
+        (a dimension the route does not move in) are skipped.
+        """
+
+    @abstractmethod
+    def _walk(self, a: int, b: int) -> List[int]:
+        """The nodes after ``a`` up to ``b`` on the straight leg between
+        two corners (``a != b``, one dimension apart)."""
+
     def route_nodes(self, src: int, dst: int) -> List[int]:
         """Dimension-order node path ``[src, ..., dst]`` (inclusive)."""
+        self._check_node(src)
+        self._check_node(dst)
+        nodes = [src]
+        a = src
+        for b in self._corners(src, dst):
+            if b != a:
+                nodes += self._walk(a, b)
+                a = b
+        return nodes
 
     def route_links(self, src: int, dst: int) -> Tuple[int, ...]:
         """Memoized link-id path as an immutable tuple: injection, wires
@@ -174,24 +210,36 @@ class Topology(ABC):
         return path
 
     def _build_route(self, src: int, dst: int) -> Tuple[int, ...]:
-        """Uncached route construction: what fills the route cache on a
-        :meth:`route_links` miss."""
-        nodes = self.route_nodes(src, dst)
-        if nodes[0] != src or nodes[-1] != dst:
-            raise RoutingError(
-                f"route_nodes({src}, {dst}) returned endpoints "
-                f"{nodes[0]}..{nodes[-1]}"
-            )
-        path = [self.injection_link(src)]
+        """Uncached route construction, what fills the route cache on a
+        :meth:`route_links` miss: the injection channel, each leg's
+        memoized wire links, the ejection channel."""
+        n = self._num_nodes
+        legs = self._legs
+        path: Tuple[int, ...] = (src,)  # node i's injection link is id i
+        a = src
+        for b in self._corners(src, dst):
+            if b != a:
+                key = a * n + b
+                leg = legs.get(key)
+                if leg is None:
+                    leg = legs[key] = self._leg_links(a, b)
+                path += leg
+                a = b
+        return path + (n + dst,)  # and its ejection link id n + i
+
+    def _leg_links(self, a: int, b: int) -> Tuple[int, ...]:
+        """Wire link ids of the straight leg ``a -> b``."""
+        n = self._num_nodes
         wire_index = self._wire_index
-        append = path.append
-        for u, v in zip(nodes, nodes[1:]):
-            try:
-                append(wire_index[(u, v)])
-            except KeyError:
-                raise RoutingError(f"no link {u}->{v} in {self!r}") from None
-        append(self.ejection_link(dst))
-        return tuple(path)
+        links = []
+        u = a
+        for v in self._walk(a, b):
+            link = wire_index.get(u * n + v)
+            if link is None:
+                raise RoutingError(f"no link {u}->{v} in {self!r}")
+            links.append(link)
+            u = v
+        return tuple(links)
 
     @abstractmethod
     def distance(self, src: int, dst: int) -> int:

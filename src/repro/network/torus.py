@@ -6,7 +6,8 @@ six wire links (±x, ±y, ±z); a dimension of extent 1 contributes no
 links, and a dimension of extent 2 contributes a single bidirectional
 pair (not a double link).  Routing is dimension-order X→Y→Z, taking the
 shorter way around each ring (ties broken toward increasing
-coordinates, as hardware routers do deterministically).
+coordinates, as hardware routers do deterministically), so a route is
+at most three straight legs, one per ring.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ __all__ = ["Torus3D"]
 
 
 class Torus3D(Topology):
-    """An ``nx x ny x nz`` 3-D torus with wraparound in every dimension."""
+    """An ``nx x ny x nz`` 3-D torus with wraparound in every dimension.
+
+    A route is at most three straight legs, around the x, the y and
+    then the z ring; the base class memoizes each leg's links and joins
+    routes from them.
+    """
 
     def __init__(self, nx: int, ny: int, nz: int) -> None:
         if nx <= 0 or ny <= 0 or nz <= 0:
@@ -29,6 +35,8 @@ class Torus3D(Topology):
         self.nx = nx
         self.ny = ny
         self.nz = nz
+        #: ``(node id stride, extent)`` of the x, y and z coordinates.
+        self._axes = ((ny * nz, nx), (nz, ny), (1, nz))
         for x in range(nx):
             for y in range(ny):
                 for z in range(nz):
@@ -93,18 +101,27 @@ class Torus3D(Topology):
         return coords
 
     # -- routing ----------------------------------------------------------
-    def route_nodes(self, src: int, dst: int) -> List[int]:
-        """Dimension-order (X, then Y, then Z) shortest-ring route."""
-        sx, sy, sz = self.coords(src)
-        dx, dy, dz = self.coords(dst)
-        nodes = [src]
-        for x in self._ring_steps(sx, dx, self.nx):
-            nodes.append(self.node_at(x, sy, sz))
-        for y in self._ring_steps(sy, dy, self.ny):
-            nodes.append(self.node_at(dx, y, sz))
-        for z in self._ring_steps(sz, dz, self.nz):
-            nodes.append(self.node_at(dx, dy, z))
-        return nodes
+    def _corners(self, src: int, dst: int) -> Tuple[int, int, int, int]:
+        """Dimension order X, then Y, then Z: the turns are ``(dx, sy,
+        sz)`` and ``(dx, dy, sz)``."""
+        plane = self.ny * self.nz
+        nz = self.nz
+        return (
+            src,
+            dst - dst % plane + src % plane,
+            dst - dst % nz + src % nz,
+            dst,
+        )
+
+    def _walk(self, a: int, b: int) -> List[int]:
+        """The nodes after ``a`` up to ``b`` the short way round their
+        shared ring."""
+        for stride, extent in self._axes:
+            s, d = a // stride % extent, b // stride % extent
+            if s != d:
+                break
+        base = a - s * stride
+        return [base + c * stride for c in self._ring_steps(s, d, extent)]
 
     def distance(self, src: int, dst: int) -> int:
         """Hop count of the route: the shorter way round each ring, summed."""

@@ -3,7 +3,9 @@
 Five tiers, mirroring the simulator's layering:
 
 * ``route/…`` — raw :meth:`Topology.route_links` link-path lookups
-  (the fabric's per-message work);
+  (the fabric's per-message work), warm (memoized routes) and cold
+  (every route built on a fresh topology, as on a cold sweep job's
+  new machines);
 * ``pingpong/…`` — isend/recv round-trips through the full engine +
   communicator stack on a tiny mesh;
 * ``run/…`` — whole ``run_broadcast`` points (schedule build,
@@ -39,6 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.problem import BroadcastProblem
 from repro.core.runner import run_broadcast
 from repro.machines import machine_from_spec
+from repro.network import Mesh2D, Topology, Torus3D
 from repro.perf.timer import bench, calibrate
 
 __all__ = [
@@ -110,6 +113,39 @@ def _bench_route_lookup(lookups: int, repeats: int) -> BenchResult:
     timing = bench(body, repeats=repeats, warmup=1)
     return BenchResult(
         name="route/paragon:16x16/lookups",
+        wall_s=timing.best_s,
+        mean_s=timing.mean_s,
+        repeats=timing.repeats,
+        extra={"lookups": lookups, "lookups_per_s": lookups / timing.best_s},
+    )
+
+
+def _bench_route_build(
+    spec: str, make: Callable[[], Topology], lookups: int, repeats: int
+) -> BenchResult:
+    """Cold link-path builds: a fixed pair list on a fresh topology.
+
+    What a cold sweep job pays on each new machine, where every route
+    is built once, joined from the topology's memoized legs.  The fresh
+    topologies, one per run, are built before timing starts; each run
+    takes the next.
+    """
+    import random
+
+    fresh = [make() for _ in range(repeats + 1)]  # + the warmup run
+    rng = random.Random(0xC0FFEE)
+    n = fresh[0].num_nodes
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(lookups)]
+    topologies = iter(fresh)
+
+    def body() -> None:
+        route = next(topologies).route_links
+        for src, dst in pairs:
+            route(src, dst)
+
+    timing = bench(body, repeats=repeats, warmup=1)
+    return BenchResult(
+        name=f"route/{spec}/build",
         wall_s=timing.best_s,
         mean_s=timing.mean_s,
         repeats=timing.repeats,
@@ -369,11 +405,28 @@ def _definitions(quick: bool) -> List[Tuple[str, Callable[[], BenchResult]]]:
     """
     repeats = 5
     lookups = 20_000
+    builds = 4_000
+    # Cold builds take a few milliseconds each, short enough for host
+    # jitter to show; more repeats steady their minimum.
+    build_repeats = 9
     iterations = 400
     defs: List[Tuple[str, Callable[[], BenchResult]]] = [
         (
             "route/paragon:16x16/lookups",
             lambda: _bench_route_lookup(lookups, repeats),
+        ),
+        (
+            "route/paragon:16x16/build",
+            lambda: _bench_route_build(
+                "paragon:16x16", lambda: Mesh2D(16, 16), builds, build_repeats
+            ),
+        ),
+        (
+            "route/t3d:128/build",
+            lambda: _bench_route_build(
+                "t3d:128", lambda: Torus3D(*Torus3D.dims_for(128)), builds,
+                build_repeats,
+            ),
         ),
         (
             "pingpong/paragon:2x2",

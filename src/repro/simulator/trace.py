@@ -109,7 +109,9 @@ class Span:
     """A named phase: records ``span_begin`` on entry, ``span_end`` on exit.
 
     Built by :meth:`~repro.simulator.engine.Engine.span`; use as a
-    context manager so the end record cannot be forgotten.  The same
+    context manager so the end record cannot be forgotten.  A block left
+    by ``GeneratorExit`` (its process closed, not finished) records no
+    end.  The same
     ``fields`` dict is recorded on both ends (plus the span ``name``),
     which is what lets exporters pair them back up per rank.
     """
@@ -128,11 +130,15 @@ class Span:
         )
         return self
 
-    def __exit__(self, *exc: Any) -> bool:
-        engine = self._engine
-        engine.tracer.record(
-            engine.now, SPAN_END, {"name": self.name, **self.fields}
-        )
+    def __exit__(self, exc_type: Any, *exc: Any) -> bool:
+        # A GeneratorExit is the rank's process being closed, by the
+        # cyclic collector when a faulted pass abandoned it: the span
+        # did not end in virtual time, so it records no end.
+        if exc_type is not GeneratorExit:
+            engine = self._engine
+            engine.tracer.record(
+                engine.now, SPAN_END, {"name": self.name, **self.fields}
+            )
         return False
 
 

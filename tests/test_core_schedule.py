@@ -18,6 +18,7 @@ class TestTransfer:
     def test_msgset_coerced_to_frozenset(self):
         t = Transfer(0, 1, {2, 3})
         assert isinstance(t.msgset, frozenset)
+        assert t.msgset == frozenset({2, 3})
 
     def test_self_transfer_rejected(self):
         with pytest.raises(AlgorithmError):
@@ -35,9 +36,10 @@ class TestTransfer:
         t = Transfer(0, 1, frozenset({0}), nbytes_override=37)
         assert t.nbytes(problem) == 37
 
-    def test_bad_override_rejected(self):
+    @pytest.mark.parametrize("override", [0, -1])
+    def test_bad_override_rejected(self, override):
         with pytest.raises(AlgorithmError):
-            Transfer(0, 1, frozenset({0}), nbytes_override=0)
+            Transfer(0, 1, frozenset({0}), nbytes_override=override)
 
 
 class TestScheduleConstruction:

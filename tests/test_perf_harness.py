@@ -64,11 +64,17 @@ class TestSuite:
         assert report["schema"] == SCHEMA
         assert report["calibration_s"] > 0
         names = [b["name"] for b in report["benchmarks"]]
-        assert names == ["route/paragon:16x16/lookups"]
+        # Warm lookups, then cold builds on fresh topologies.
+        assert names == [
+            "route/paragon:16x16/lookups",
+            "route/paragon:16x16/build",
+            "route/t3d:128/build",
+        ]
         assert seen == names
-        route = report["benchmarks"][0]
-        assert route["wall_s"] > 0
-        assert route["extra"]["lookups"] == 20_000
+        lookups, *builds = report["benchmarks"]
+        assert lookups["wall_s"] > 0
+        assert lookups["extra"]["lookups"] == 20_000
+        assert [b["extra"]["lookups"] for b in builds] == [4_000, 4_000]
 
     def test_write_and_load_roundtrip(self, tmp_path):
         report = _report([_bench_dict("a", 1.0)])
@@ -139,7 +145,7 @@ class TestCompare:
 class TestCli:
     def test_writes_report(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
-        code = perf_main(["--quick", "--only", "route", "--out", str(out)])
+        code = perf_main(["--quick", "--only", "lookups", "--out", str(out)])
         assert code == 0
         report = load_report(out)
         assert [b["name"] for b in report["benchmarks"]] == [
@@ -152,7 +158,7 @@ class TestCli:
             [
                 "--quick",
                 "--only",
-                "route",
+                "lookups",
                 "--out",
                 str(tmp_path / "b.json"),
                 "--compare",
@@ -166,7 +172,7 @@ class TestCli:
         baseline = tmp_path / "baseline.json"
         assert (
             perf_main(
-                ["--quick", "--only", "route", "--out", str(baseline)]
+                ["--quick", "--only", "lookups", "--out", str(baseline)]
             )
             == 0
         )
@@ -176,7 +182,7 @@ class TestCli:
             [
                 "--quick",
                 "--only",
-                "route",
+                "lookups",
                 "--out",
                 str(out),
                 "--compare",
@@ -192,7 +198,7 @@ class TestCli:
         baseline = tmp_path / "baseline.json"
         assert (
             perf_main(
-                ["--quick", "--only", "route", "--out", str(out)]
+                ["--quick", "--only", "lookups", "--out", str(out)]
             )
             == 0
         )
@@ -204,7 +210,7 @@ class TestCli:
             [
                 "--quick",
                 "--only",
-                "route",
+                "lookups",
                 "--out",
                 str(out),
                 "--compare",

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import json
+
 import pytest
 
 from repro.core.problem import BroadcastProblem
 from repro.core.runner import run_broadcast
 from repro.machines import machine_from_spec
 from repro.simulator import Engine, TraceRecord, Tracer
+from repro.sweep import SweepExecutor, SweepPoint
 
 
 class TestTracer:
@@ -98,3 +102,57 @@ class TestExtend:
         stray = TraceRecord(0.0, "send", {"src": 0})
         tracer.extend([stray])
         assert tracer.records == [stray]
+
+
+class TestSpanExit:
+    """A span ends when its block finishes or raises, not when its
+    process is closed without finishing."""
+
+    def test_closed_process_records_no_span_end(self):
+        tracer = Tracer()
+        engine = Engine(tracer=tracer)
+
+        def process():
+            with engine.span("phase", rank=0):
+                yield
+
+        gen = process()
+        next(gen)
+        gen.close()  # GeneratorExit inside the span, as the collector does
+        assert [r.kind for r in tracer] == ["span_begin"]
+
+    def test_raising_block_still_records_span_end(self):
+        tracer = Tracer()
+        engine = Engine(tracer=tracer)
+        with pytest.raises(ValueError):
+            with engine.span("phase", rank=0):
+                raise ValueError("boom")
+        assert [r.kind for r in tracer] == ["span_begin", "span_end"]
+
+    def test_faulted_observation_does_not_depend_on_the_collector(self):
+        """A recovered faulted pass abandons rank processes whose engine
+        still holds the run's tracer; whenever the collector closes
+        them, the observation must not change."""
+        point = SweepPoint(
+            machine="paragon:4x4", sources=(0, 5), message_size=512,
+            algorithm="Br_Lin", faults="node:5", recover=True,
+        )
+
+        def observe():
+            executor = SweepExecutor(jobs=1, cache=None, observe=True)
+            executor.run([point])
+            return json.dumps(executor.last_observations, sort_keys=True)
+
+        first = observe()
+        gc.collect()
+        second = observe()
+        gc.collect()
+        third = observe()
+        gc.disable()
+        try:
+            uncollected = observe()
+        finally:
+            gc.enable()
+        assert second == first
+        assert third == first
+        assert uncollected == first

@@ -52,6 +52,11 @@ KEEP = {
         "test modules use for hand-computable hop counts and timings"
     ),
     "list_algorithms": "tests enumerate the algorithm registry through it",
+    "route_nodes": (
+        "the node view of the one dimension order each topology writes; "
+        "tests hold the closed-form distance and the hop-by-hop reference "
+        "routes to it"
+    ),
 }
 
 #: Defaulted parameters that no call outside tests sets, kept on
