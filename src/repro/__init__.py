@@ -32,7 +32,7 @@ from repro.core.algorithms import (
 )
 from repro.core.problem import BroadcastProblem
 from repro.core.runner import BroadcastResult, run_broadcast
-from repro.core.schedule import Round, Schedule, Transfer
+from repro.core.schedule import Schedule
 from repro.distributions import (
     DISTRIBUTIONS,
     SourceDistribution,
@@ -55,8 +55,6 @@ __all__ = [
     "BroadcastResult",
     "run_broadcast",
     "Schedule",
-    "Round",
-    "Transfer",
     "BroadcastAlgorithm",
     "ALGORITHMS",
     "get_algorithm",

@@ -197,6 +197,10 @@ def ablation_ideal_rows(quick: bool = False) -> Plan:
     On a 10-row machine the evenly spaced rows {0, 5} are halving
     partners; the searched placement avoids the pairing and the
     estimator (and the simulated Br_Lin column phase) confirm the win.
+    The search returns rows {0, 1}, not the paper's {0, 6}: it keeps
+    the lexicographically first of the 24 of 45 row pairs that tie at
+    the estimator's minimum, 419.264 ({0, 6} ties too; {0, 5} scores
+    523.712).
     """
     # End-to-end confirmation on the simulated machine.
     machine = paragon(10, 10)

@@ -3,7 +3,7 @@
 * :class:`~repro.core.problem.BroadcastProblem` — machine + source set
   + message sizes.
 * :mod:`~repro.core.schedule` — the communication-schedule IR every
-  algorithm compiles to (rounds of message-set transfers).
+  algorithm compiles to (rounds of message-set sends, as columns).
 * :mod:`~repro.core.algorithms` — the paper's algorithms, each a
   schedule builder.
 * :mod:`~repro.core.executor` — runs a schedule on the simulated
@@ -22,12 +22,10 @@ from __future__ import annotations
 from repro.core.problem import BroadcastProblem
 from repro.core.recovery import RecoveryOutcome, run_recovery
 from repro.core.runner import BroadcastResult, run_broadcast
-from repro.core.schedule import Round, Schedule, Transfer
+from repro.core.schedule import Schedule
 
 __all__ = [
     "BroadcastProblem",
-    "Transfer",
-    "Round",
     "Schedule",
     "run_broadcast",
     "BroadcastResult",

@@ -35,6 +35,6 @@ class BrLin(BroadcastAlgorithm):
         holdings = initial_holdings_map(problem, order)
         schedule = Schedule(problem, algorithm=self.name)
         with schedule.span("halving"):
-            for idx, transfers in enumerate(halving_rounds(order, holdings)):
-                schedule.add_round(transfers, label=f"halving-{idx}")
+            for idx, sends in enumerate(halving_rounds(order, holdings)):
+                schedule.add_round(sends, label=f"halving-{idx}")
         return schedule

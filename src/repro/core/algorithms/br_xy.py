@@ -26,34 +26,27 @@ from typing import Dict, FrozenSet, List
 from repro.core.algorithms.base import BroadcastAlgorithm, register
 from repro.core.algorithms.common import (
     GridView,
+    Send,
     halving_rounds,
     initial_holdings_map,
+    merge_rounds,
 )
 from repro.core.problem import BroadcastProblem
-from repro.core.schedule import Schedule, Transfer
+from repro.core.schedule import Schedule
 
 __all__ = ["BrXYSource", "BrXYDim", "xy_phase_rounds", "source_line_maxima"]
 
 
 def xy_phase_rounds(
     lines: List[List[int]], holdings: Dict[int, FrozenSet[int]]
-) -> List[List[Transfer]]:
+) -> List[List[Send]]:
     """Halving rounds run simultaneously across parallel ``lines``.
 
     All lines have equal length, so their halving structures have the
     same depth; round *k* of the phase is the union of round *k* of
     every line.  ``holdings`` is advanced in place.
     """
-    per_line = [halving_rounds(line, holdings) for line in lines]
-    depth = max((len(r) for r in per_line), default=0)
-    merged: List[List[Transfer]] = []
-    for k in range(depth):
-        combined: List[Transfer] = []
-        for line_rounds in per_line:
-            if k < len(line_rounds):
-                combined.extend(line_rounds[k])
-        merged.append(combined)
-    return merged
+    return merge_rounds([halving_rounds(line, holdings) for line in lines])
 
 
 def source_line_maxima(problem: BroadcastProblem, view: GridView) -> tuple:
@@ -93,11 +86,11 @@ def build_xy_schedule(
     )
     first_tag, second_tag = ("rows", "cols") if rows_first else ("cols", "rows")
     with schedule.span(first_tag):
-        for idx, transfers in enumerate(xy_phase_rounds(first, holdings)):
-            schedule.add_round(transfers, label=f"{first_tag}-{idx}")
+        for idx, sends in enumerate(xy_phase_rounds(first, holdings)):
+            schedule.add_round(sends, label=f"{first_tag}-{idx}")
     with schedule.span(second_tag):
-        for idx, transfers in enumerate(xy_phase_rounds(second, holdings)):
-            schedule.add_round(transfers, label=f"{second_tag}-{idx}")
+        for idx, sends in enumerate(xy_phase_rounds(second, holdings)):
+            schedule.add_round(sends, label=f"{second_tag}-{idx}")
     return schedule
 
 

@@ -16,24 +16,26 @@ both halves collectively hold the segment's full message union — this
 is why, on meshes "with an odd number of rows, new sources are
 introduced" where power-of-two sizes introduce none (§2).
 
-:func:`holdings_to_transfers` turns pair structure into concrete
-:class:`~repro.core.schedule.Transfer` objects, applying the paper's
-rule: partners exchange when both hold messages, one-way send when
-only one does, stay silent when neither does.
+:func:`halving_rounds` turns pair structure into concrete
+``(src, dst, msgset)`` sends, applying the paper's rule: partners
+exchange when both hold messages, one-way send when only one does,
+stay silent when neither does.  :func:`merge_rounds` runs such round
+lists side by side, on disjoint groups of ranks.
 """
 
 from __future__ import annotations
 
+from itertools import chain, zip_longest
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.core.problem import BroadcastProblem
-from repro.core.schedule import Transfer
 from repro.errors import AlgorithmError
 
 __all__ = [
     "halving_pairs",
     "folding_pairs",
     "halving_rounds",
+    "merge_rounds",
     "GridView",
     "initial_holdings_map",
     "apply_round",
@@ -42,6 +44,10 @@ __all__ = [
 #: One communication pair: (position_a, position_b, one_way).
 #: ``one_way`` pairs only ever move data a -> b (the odd-segment feed).
 Pair = Tuple[int, int, bool]
+
+#: One send, as :meth:`~repro.core.schedule.Schedule.add_round` takes
+#: it: (source rank, destination rank, message set).
+Send = Tuple[int, int, FrozenSet[int]]
 
 
 def halving_pairs(n: int) -> List[List[Pair]]:
@@ -111,20 +117,18 @@ def initial_holdings_map(
 
 
 def apply_round(
-    holdings: Dict[int, FrozenSet[int]], transfers: Sequence[Transfer]
+    holdings: Dict[int, FrozenSet[int]], sends: Sequence[Send]
 ) -> None:
-    """Advance ``holdings`` past one round (snapshot semantics)."""
-    updates: List[Tuple[int, FrozenSet[int]]] = [
-        (t.dst, t.msgset) for t in transfers
-    ]
-    for dst, msgset in updates:
+    """Advance ``holdings`` past one round (snapshot semantics: each
+    send carries the set its sender held before the round)."""
+    for _src, dst, msgset in sends:
         holdings[dst] = holdings[dst] | msgset
 
 
 def halving_rounds(
     order: Sequence[int], holdings: Dict[int, FrozenSet[int]]
-) -> List[List[Transfer]]:
-    """Concrete transfer rounds of the halving pattern over ``order``.
+) -> List[List[Send]]:
+    """Concrete send rounds of the halving pattern over ``order``.
 
     ``order[j]`` is the rank at linear position ``j``; ``holdings`` maps
     each of those ranks to its current message set and is updated in
@@ -134,19 +138,31 @@ def halving_rounds(
     one non-empty → one-way send; both empty → silence.  One-way
     structural pairs only ever move a → b.
     """
-    rounds: List[List[Transfer]] = []
+    rounds: List[List[Send]] = []
     for pairs in halving_pairs(len(order)):
-        transfers: List[Transfer] = []
+        sends: List[Send] = []
         for pos_a, pos_b, one_way in pairs:
             rank_a, rank_b = order[pos_a], order[pos_b]
             held_a, held_b = holdings[rank_a], holdings[rank_b]
             if held_a:
-                transfers.append(Transfer(rank_a, rank_b, held_a))
+                sends.append((rank_a, rank_b, held_a))
             if not one_way and held_b:
-                transfers.append(Transfer(rank_b, rank_a, held_b))
-        apply_round(holdings, transfers)
-        rounds.append(transfers)
+                sends.append((rank_b, rank_a, held_b))
+        apply_round(holdings, sends)
+        rounds.append(sends)
     return rounds
+
+
+def merge_rounds(per_group: Sequence[List[List[Send]]]) -> List[List[Send]]:
+    """Round lists of parallel groups run side by side.
+
+    Round *k* is the union of every group's round *k*, taken in group
+    order; a group with fewer rounds drops out once it has run them.
+    """
+    return [
+        list(chain.from_iterable(rounds))
+        for rounds in zip_longest(*per_group, fillvalue=())
+    ]
 
 
 class GridView:

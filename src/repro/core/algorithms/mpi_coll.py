@@ -23,7 +23,7 @@ from repro.core.algorithms.base import BroadcastAlgorithm, register
 from repro.core.algorithms.pers_alltoall import build_pers_alltoall_schedule
 from repro.core.algorithms.two_step import build_two_step_schedule
 from repro.core.problem import BroadcastProblem
-from repro.core.schedule import Schedule, Transfer
+from repro.core.schedule import Schedule
 
 __all__ = ["MPIAllGather", "MPIAlltoAll", "build_pipelined_allgather_schedule"]
 
@@ -46,11 +46,7 @@ def build_pipelined_allgather_schedule(
     params = problem.machine.params
     seg_size = params.collective_segment_bytes
     schedule = Schedule(problem, algorithm=name)
-    gather = [
-        Transfer(src, 0, frozenset((src,)))
-        for src in problem.sources
-        if src != 0
-    ]
+    gather = [(src, 0, frozenset((src,))) for src in problem.sources if src != 0]
     with schedule.span("gather"):
         schedule.add_round(gather, label="gatherv", collective=True, mpi=True)
     # The stream of (message set, segment bytes) items the ring carries,
@@ -72,16 +68,14 @@ def build_pipelined_allgather_schedule(
     num_rounds = num_items + len(edges) - 1
     with schedule.span("ring"):
         for r in range(num_rounds):
-            transfers = []
+            sends = []
             # Edge j forwards stream item r - j, for the items in range.
             for j in range(max(0, r - num_items + 1), min(r + 1, len(edges))):
                 u, v = edges[j]
                 msgset, seg_bytes = stream[r - j]
-                transfers.append(
-                    Transfer(u, v, msgset, nbytes_override=seg_bytes)
-                )
+                sends.append((u, v, msgset, seg_bytes))
             schedule.add_round(
-                transfers, label=f"ring-{r}", collective=True, mpi=True
+                sends, label=f"ring-{r}", collective=True, mpi=True
             )
     return schedule
 

@@ -19,8 +19,9 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.algorithms.base import BroadcastAlgorithm, register
+from repro.core.algorithms.common import Send
 from repro.core.problem import BroadcastProblem
-from repro.core.schedule import Schedule, Transfer
+from repro.core.schedule import Schedule
 
 __all__ = ["NaiveIndependent"]
 
@@ -39,7 +40,7 @@ class NaiveIndependent(BroadcastAlgorithm):
         with schedule.span("flood"):
             for stage in range(stages):
                 span = 1 << stage
-                transfers: List[Transfer] = []
+                sends: List[Send] = []
                 for root in problem.sources:
                     # Virtual ranks relative to the root: [0, span) already
                     # hold the message and feed [span, 2*span).
@@ -49,6 +50,6 @@ class NaiveIndependent(BroadcastAlgorithm):
                             break
                         src = (vsrc + root) % p
                         dst = (vdst + root) % p
-                        transfers.append(Transfer(src, dst, frozenset((root,))))
-                schedule.add_round(transfers, label=f"flood-{stage}")
+                        sends.append((src, dst, frozenset((root,))))
+                schedule.add_round(sends, label=f"flood-{stage}")
         return schedule

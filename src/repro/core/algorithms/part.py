@@ -18,33 +18,23 @@ better performance than repositioning alone").
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.core.algorithms.base import BroadcastAlgorithm, register
 from repro.core.algorithms.br_xy import xy_phase_rounds
-from repro.core.algorithms.common import GridView, halving_rounds
+from repro.core.algorithms.common import (
+    GridView,
+    Send,
+    halving_rounds,
+    merge_rounds,
+)
 from repro.core.algorithms.repos import repositioning_round
 from repro.core.ideal import best_line_positions
 from repro.core.problem import BroadcastProblem
-from repro.core.schedule import Schedule, Transfer
+from repro.core.schedule import Schedule
 from repro.errors import AlgorithmError
 
 __all__ = ["PartLin", "PartXYSource", "PartXYDim"]
-
-
-def _merge_parallel(
-    per_group: Sequence[List[List[Transfer]]],
-) -> List[List[Transfer]]:
-    """Zip the groups' round lists: round k = union over groups."""
-    depth = max((len(rounds) for rounds in per_group), default=0)
-    merged: List[List[Transfer]] = []
-    for k in range(depth):
-        combined: List[Transfer] = []
-        for rounds in per_group:
-            if k < len(rounds):
-                combined.extend(rounds[k])
-        merged.append(combined)
-    return merged
 
 
 class _PartBase(BroadcastAlgorithm):
@@ -69,7 +59,7 @@ class _PartBase(BroadcastAlgorithm):
         problem: BroadcastProblem,
         view: GridView,
         holdings: Dict[int, FrozenSet[int]],
-    ) -> List[List[Transfer]]:
+    ) -> List[List[Send]]:
         """The broadcast rounds of one group, given post-permutation holdings."""
         raise NotImplementedError
 
@@ -93,16 +83,16 @@ class _PartBase(BroadcastAlgorithm):
         targets1 = self._group_targets(problem, g1, s1)
         targets2 = self._group_targets(problem, g2, s2)
         schedule = Schedule(problem, algorithm=self.name)
-        transfers, holdings = repositioning_round(
+        sends, holdings = repositioning_round(
             problem, tuple(targets1) + tuple(targets2)
         )
         with schedule.span("reposition"):
-            schedule.add_round(transfers, label="reposition")
+            schedule.add_round(sends, label="reposition")
         # Parallel, independent broadcasts within the two groups.
         rounds1 = self._group_rounds(problem, g1, holdings)
         rounds2 = self._group_rounds(problem, g2, holdings)
         with schedule.span("group-bcast"):
-            for idx, rnd in enumerate(_merge_parallel((rounds1, rounds2))):
+            for idx, rnd in enumerate(merge_rounds((rounds1, rounds2))):
                 schedule.add_round(rnd, label=f"group-bcast-{idx}")
         # Final exchange: the i-th processor of G1 (row-major) pairs
         # with the i-th of G2 and they swap their groups' full data.
@@ -112,12 +102,12 @@ class _PartBase(BroadcastAlgorithm):
         set2 = frozenset().union(
             *(holdings[rank] for rank in g2.all_ranks())
         ) if s2 else frozenset()
-        exchange: List[Transfer] = []
+        exchange: List[Send] = []
         for rank1, rank2 in zip(g1.all_ranks(), g2.all_ranks()):
             if set1:
-                exchange.append(Transfer(rank1, rank2, set1))
+                exchange.append((rank1, rank2, set1))
             if set2:
-                exchange.append(Transfer(rank2, rank1, set2))
+                exchange.append((rank2, rank1, set2))
         with schedule.span("exchange"):
             schedule.add_round(exchange, label="exchange")
         return schedule

@@ -22,7 +22,7 @@ from typing import Tuple
 
 from repro.core.algorithms.base import BroadcastAlgorithm, register
 from repro.core.problem import BroadcastProblem
-from repro.core.schedule import Schedule, Transfer
+from repro.core.schedule import Schedule
 from repro.errors import CommError
 
 __all__ = [
@@ -66,13 +66,13 @@ def build_pers_alltoall_schedule(
     p = problem.p
     with schedule.span("perm"):
         for k in range(1, p):
-            transfers = []
+            sends = []
             for src in problem.sources:
                 dst, _ = xor_or_cyclic_partner(src, p, k)
                 if dst != src:
-                    transfers.append(Transfer(src, dst, frozenset((src,))))
+                    sends.append((src, dst, frozenset((src,))))
             schedule.add_round(
-                transfers, label=f"perm-{k}", collective=collective, mpi=mpi
+                sends, label=f"perm-{k}", collective=collective, mpi=mpi
             )
     return schedule
 

@@ -20,21 +20,26 @@ from typing import Dict, FrozenSet, Sequence, Tuple
 from repro.core import ideal
 from repro.core.algorithms.base import BroadcastAlgorithm, register
 from repro.core.algorithms.br_xy import build_xy_schedule, source_line_maxima
-from repro.core.algorithms.common import GridView, halving_rounds
+from repro.core.algorithms.common import (
+    GridView,
+    Send,
+    apply_round,
+    halving_rounds,
+)
 from repro.core.problem import BroadcastProblem
-from repro.core.schedule import Schedule, Transfer
+from repro.core.schedule import Schedule
 
 __all__ = ["ReposLin", "ReposXYSource", "ReposXYDim", "repositioning_round"]
 
 
 def repositioning_round(
     problem: BroadcastProblem, targets: Sequence[int]
-) -> Tuple[Tuple[Transfer, ...], Dict[int, FrozenSet[int]]]:
+) -> Tuple[Tuple[Send, ...], Dict[int, FrozenSet[int]]]:
     """The permutation round moving sources onto ``targets``.
 
     Source *j* (in sorted rank order) moves to target *j* (sorted), a
     stable matching that keeps the permutation partial whenever source
-    and target sets overlap.  Returns the transfers plus the post-round
+    and target sets overlap.  Returns the sends plus the post-round
     holdings map (target rank → original message ids), which the target
     algorithm's phase builders consume directly — message identity is
     preserved, only position changes.
@@ -49,20 +54,19 @@ def repositioning_round(
     holdings: Dict[int, FrozenSet[int]] = {
         rank: empty for rank in range(problem.p)
     }
-    transfers = []
+    sends = []
     for src, dst in zip(sources, target_list):
         if src == dst:
             holdings[dst] = holdings[dst] | frozenset((src,))
         else:
-            transfers.append(Transfer(src, dst, frozenset((src,))))
-    for t in transfers:
-        holdings[t.dst] = holdings[t.dst] | t.msgset
+            sends.append((src, dst, frozenset((src,))))
+    apply_round(holdings, sends)
     # Original sources keep their own message (sends copy, not move) —
     # but the broadcast phase treats only the targets as holders, so we
     # deliberately do not add them back: this reproduces the paper's
     # model where the moved message *is* the broadcast payload.  The
     # original source receives its message back through the broadcast.
-    return tuple(transfers), holdings
+    return tuple(sends), holdings
 
 
 @register
@@ -75,9 +79,9 @@ class ReposLin(BroadcastAlgorithm):
     def build_schedule(self, problem: BroadcastProblem) -> Schedule:
         targets = ideal.ideal_linear_sources(problem.machine, problem.s)
         schedule = Schedule(problem, algorithm=self.name)
-        transfers, holdings = repositioning_round(problem, targets)
+        sends, holdings = repositioning_round(problem, targets)
         with schedule.span("reposition"):
-            schedule.add_round(transfers, label="reposition")
+            schedule.add_round(sends, label="reposition")
         order = problem.machine.linear_order()
         with schedule.span("halving"):
             for idx, rnd in enumerate(halving_rounds(order, holdings)):
@@ -99,9 +103,9 @@ class _ReposXY(BroadcastAlgorithm):
         view = GridView.full_machine(rows, cols)
         targets = ideal.ideal_row_sources(problem.machine, problem.s)
         schedule = Schedule(problem, algorithm=self.name)
-        transfers, holdings = repositioning_round(problem, targets)
+        sends, holdings = repositioning_round(problem, targets)
         with schedule.span("reposition"):
-            schedule.add_round(transfers, label="reposition")
+            schedule.add_round(sends, label="reposition")
         ideal_problem = problem.replace_sources(targets)
         rows_first = self._rows_first(ideal_problem, view)
         return build_xy_schedule(

@@ -23,7 +23,8 @@ from typing import List
 
 from repro.core.algorithms.base import BroadcastAlgorithm, register
 from repro.core.problem import BroadcastProblem
-from repro.core.schedule import Schedule, Transfer
+from repro.core.algorithms.common import Send
+from repro.core.schedule import Schedule
 
 __all__ = ["BrRing"]
 
@@ -49,14 +50,14 @@ class BrRing(BroadcastAlgorithm):
         # one message per round only if sources are distinct positions —
         # multiple messages *can* share an edge in a round, which the
         # executor's FIFO matching handles and the fabric charges.
-        rounds: List[List[Transfer]] = [[] for _ in range(p - 1)]
+        rounds: List[List[Send]] = [[] for _ in range(p - 1)]
         for src_rank in problem.sources:
             start = position[src_rank]
             for hop in range(p - 1):
                 u = order[(start + hop) % p]
                 v = order[(start + hop + 1) % p]
-                rounds[hop].append(Transfer(u, v, frozenset((src_rank,))))
+                rounds[hop].append((u, v, frozenset((src_rank,))))
         with schedule.span("ring"):
-            for idx, transfers in enumerate(rounds):
-                schedule.add_round(transfers, label=f"ring-{idx}")
+            for idx, sends in enumerate(rounds):
+                schedule.add_round(sends, label=f"ring-{idx}")
         return schedule

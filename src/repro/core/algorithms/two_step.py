@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.core.algorithms.base import BroadcastAlgorithm, register
 from repro.core.algorithms.common import halving_rounds
 from repro.core.problem import BroadcastProblem
-from repro.core.schedule import Schedule, Transfer
+from repro.core.schedule import Schedule
 
 __all__ = ["TwoStep", "build_two_step_schedule"]
 
@@ -34,11 +34,7 @@ def build_two_step_schedule(
     """
     schedule = Schedule(problem, algorithm=name)
     # Step 1: flat gather of the s messages at the root.
-    gather = [
-        Transfer(src, 0, frozenset((src,)))
-        for src in problem.sources
-        if src != 0
-    ]
+    gather = [(src, 0, frozenset((src,))) for src in problem.sources if src != 0]
     with schedule.span("gather"):
         schedule.add_round(gather, label="gather", collective=collective, mpi=mpi)
     # Step 2: one-to-all of the combined message over the linear order.
@@ -47,9 +43,9 @@ def build_two_step_schedule(
     empty: frozenset = frozenset()
     holdings = {rank: (all_messages if rank == 0 else empty) for rank in order}
     with schedule.span("bcast"):
-        for idx, transfers in enumerate(halving_rounds(order, holdings)):
+        for idx, sends in enumerate(halving_rounds(order, holdings)):
             schedule.add_round(
-                transfers, label=f"bcast-{idx}", collective=collective, mpi=mpi
+                sends, label=f"bcast-{idx}", collective=collective, mpi=mpi
             )
     return schedule
 

@@ -49,23 +49,20 @@ class ScheduleExecutor:
     """Runs a :class:`Schedule` as per-rank SPMD programs.
 
     The schedule is lowered once (it is static), so program setup is
-    O(transfers) overall rather than O(rounds x p).  Per-transfer byte
-    counts, per-round mode flags and span names come resolved in the
-    plan, keeping the simulated hot loop free of schedule bookkeeping.
+    O(sends) overall rather than O(rounds x p).  Per-send byte counts,
+    per-round mode flags and span names come resolved in the plan,
+    keeping the simulated hot loop free of schedule bookkeeping.
     """
 
     def __init__(self, schedule: Schedule) -> None:
-        self.schedule = schedule
-        self.problem = schedule.problem
-        p = self.problem.p
         # One shared snapshot: initial_holdings() builds a p-tuple per
         # call, so indexing a cached copy per rank avoids O(p^2) setup.
-        self._initial = self.problem.initial_holdings()
+        self._initial = schedule.problem.initial_holdings()
         #: Per-rank live holdings, updated in place as envelopes arrive.
         #: After a run this doubles as the partial-delivery record: ranks
         #: stalled by injected faults leave their entry at whatever
         #: subset they had actually combined when the run ended.
-        self.holdings: List[Optional[Set[int]]] = [None] * p
+        self.holdings: List[Optional[Set[int]]] = [None] * schedule.problem.p
         #: The plan every rank's program walks: what the fast path replays.
         self.plan: FastPlan = lower_schedule(schedule)
 
@@ -74,7 +71,6 @@ class ScheduleExecutor:
         rank = comm.rank
         holdings: Set[int] = set(self._initial[rank])
         self.holdings[rank] = holdings
-        iteration_cell = comm._iteration_cell
         engine = comm.world.engine
         plan = self.plan
         op_code = plan.op_code
@@ -84,16 +80,16 @@ class ScheduleExecutor:
         end = plan.op_start[rank + 1]
         while i < end:
             # The rank's ops for one round are contiguous: op_aux names it.
+            # The round sets the communicator's metrics bucket and
+            # overhead mode; only this program issues through it.
             round_idx = op_aux[i]
-            iteration_cell[0] = round_idx
+            comm.iteration = round_idx
+            comm.collective = plan.round_collective[round_idx]
+            comm.mpi = plan.round_mpi[round_idx]
             # Observability span around this rank's slice of the round;
             # with tracing off this is the shared NULL_SPAN no-op.
             with engine.span(plan.round_phase[round_idx], rank=rank,
                              round=round_idx):
-                mode = comm.with_mode(
-                    collective=plan.round_collective[round_idx],
-                    mpi=plan.round_mpi[round_idx],
-                )
                 requests = {}
                 while i < end and op_aux[i] == round_idx:
                     code = op_code[i]
@@ -101,7 +97,7 @@ class ScheduleExecutor:
                     i += 1
                     if code == OP_SEND:
                         try:
-                            requests[arg] = yield from mode.isend(
+                            requests[arg] = yield from comm.isend(
                                 plan.send_dst[arg],
                                 plan.send_msgset[arg],
                                 nbytes=plan.send_nbytes[arg],
@@ -115,7 +111,7 @@ class ScheduleExecutor:
                             # delivery fraction instead of a crashed run.
                             pass
                     elif code == OP_RECV:
-                        envelope = yield from mode.recv(
+                        envelope = yield from comm.recv(
                             source=arg, tag=round_idx
                         )
                         holdings.update(envelope.payload)

@@ -8,12 +8,23 @@ wastes an iteration with the evenly spaced rows {0, 5}, because rows 0
 and 5 are halving partners.
 
 Rather than hard-coding per-dimension case analysis, this module
-*searches*: :func:`best_line_positions` scores a set of structured
-candidate placements (evenly spaced with phase shifts, recursive
-tree placements with misalignment shifts, bit-reversed orders, and —
-for small lines — exhaustive enumeration) with the LogP-style
-finish-time estimator and keeps the winner.  Results are cached; the
-search is a pure function of ``(n, k)``.
+*searches*: :func:`best_line_positions` scores placements with the
+LogP-style finish-time estimator and keeps the lowest score.  Where
+``C(n, k)`` is at most 20,000 it scans every placement in
+lexicographic order and keeps the *first* minimum; past that it scores
+structured candidates (evenly spaced with phase shifts, recursive tree
+placements with misalignment shifts, bit-reversed orders) and
+hill-climbs.  Results are cached; the search is a pure function of
+``(n, k)``.
+
+The estimator ties heavily, and the tie rule decides the pick.  For
+R(20) on 10x10 the scan over row pairs (n = 10, k = 2) returns rows
+{0, 1}, not the paper's {0, 6}: 24 of the 45 pairs tie at the minimum
+score, 419.264 — {0, 1}, {0, 4}, {0, 6} and {0, 9} among them — while
+the even spacing {0, 5} scores 523.712.  The tie hides real
+differences (Br_xy_source on paragon:10x10 takes 2,642.5 µs from rows
+{0, 6}, 2,752.0 from {0, 4}).  Every (n, k) the committed experiments
+reach takes the exhaustive scan.
 
 Generators provided:
 
@@ -53,8 +64,10 @@ def _tree_positions(n: int, k: int, shift: int) -> Tuple[int, ...]:
 
     Splits ``k`` sources ceil/floor across the halving segments; the
     upper half's placement is cyclically shifted by ``shift`` so lower
-    and upper sources avoid becoming halving partners (the {0, 6}
-    versus {0, 5} effect).
+    and upper sources avoid becoming halving partners (the paper's
+    {0, 6} versus {0, 5} effect).  Only a structured candidate: lines
+    small enough for the exhaustive scan (10 rows among them, where the
+    scan picks {0, 1}) never reach it.
     """
     if k <= 0:
         return ()
@@ -105,7 +118,9 @@ def _candidate_placements(n: int, k: int) -> List[Tuple[int, ...]]:
 def best_line_positions(n: int, k: int) -> Tuple[int, ...]:
     """The best-scoring placement of ``k`` sources on ``n`` line slots.
 
-    Exhaustive for small ``C(n, k)``; otherwise the best structured
+    Exhaustive for small ``C(n, k)``, keeping the lexicographically
+    first of the placements that tie at the minimum score (``(0, 1)``
+    for ``(10, 2)``, one of 24 ties); otherwise the best structured
     candidate, refined by a bounded hill-climb for small ``n``.
     """
     if not 1 <= k <= n:

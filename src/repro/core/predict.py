@@ -4,9 +4,11 @@ A contention-free critical-path model: per-rank ready times are
 propagated round by round through the schedule in the lowering's op
 order (a rank issues its sends, then takes its receives, then waits for
 its sends to drain), charging each rank its send overheads
-back-to-back, each transfer its uncontended wire time, and each receive
+back-to-back, each send its uncontended wire time, and each receive
 its overhead plus copy cost — the executor's cost structure *minus*
-link contention and arbitration.
+link contention and arbitration.  It reads the schedule's columns
+itself and never calls the lowering, so it is a check that shares no
+lowering code with the engines.
 
 Exactness: with ``contention=False``, on a wormhole-switched machine
 with one message size for every source, the simulated completion time
@@ -65,44 +67,46 @@ def predict_schedule_time(schedule: Schedule, seed: int = 0) -> float:
     def rank_ready(rank: int) -> float:
         return ready.get(rank, 0.0)
 
-    for rnd in schedule.rounds:
-        o_send = params.send_overhead(collective=rnd.collective, mpi=rnd.mpi)
-        o_recv = params.recv_overhead(collective=rnd.collective, mpi=rnd.mpi)
-        # Keyed by position in the round: one round may carry two
-        # transfers between the same pair of ranks.  Each arrival keeps
-        # its transfer's byte count beside it for phase 2.
-        arrivals: List[Tuple[float, int]] = []
+    bounds = schedule.round_bounds()
+    for collective, mpi, first, stop in zip(
+        schedule.round_collective, schedule.round_mpi, bounds, bounds[1:]
+    ):
+        o_send = params.send_overhead(collective=collective, mpi=mpi)
+        o_recv = params.recv_overhead(collective=collective, mpi=mpi)
+        # One entry per send, in send order (a round may carry two sends
+        # between the same pair of ranks), with its byte count beside it
+        # for phase 2.
+        arrivals: List[Tuple[int, int, float, int]] = []
         issue_clock: Dict[int, float] = {}
         # Phase 1: every rank issues its round sends back-to-back.
-        for t in rnd:
-            clock = issue_clock.get(t.src, rank_ready(t.src)) + o_send
-            issue_clock[t.src] = clock
-            nbytes = t.nbytes(problem)
-            src_node = mapping.node_of(t.src)
-            dst_node = mapping.node_of(t.dst)
+        for sid in range(first, stop):
+            src, dst = schedule.send_src[sid], schedule.send_dst[sid]
+            clock = issue_clock.get(src, rank_ready(src)) + o_send
+            issue_clock[src] = clock
+            nbytes = schedule.send_override[sid]
+            if nbytes is None:
+                nbytes = problem.nbytes(schedule.send_msgset[sid])
+            src_node = mapping.node_of(src)
+            dst_node = mapping.node_of(dst)
             hops = machine.topology.distance(src_node, dst_node)
             wire = (
                 params.route_setup + hops * params.t_hop + nbytes * params.t_byte
                 if hops
                 else 0.0
             )
-            arrivals.append((clock + wire, nbytes))
+            arrivals.append((src, dst, clock + wire, nbytes))
         # Phase 2: receivers drain their receives in schedule order,
         # each starting once its own round sends are issued.
         recv_clock: Dict[int, float] = {}
         send_drain: Dict[int, float] = {}
-        for t, (arrival, nbytes) in zip(rnd, arrivals):
+        for src, dst, arrival, nbytes in arrivals:
             start = max(
                 arrival,
-                recv_clock.get(
-                    t.dst, issue_clock.get(t.dst, rank_ready(t.dst))
-                ),
+                recv_clock.get(dst, issue_clock.get(dst, rank_ready(dst))),
             )
-            copy = params.copy_cost(nbytes, collective=rnd.collective)
-            recv_clock[t.dst] = start + o_recv + copy
-            send_drain[t.src] = max(
-                send_drain.get(t.src, 0.0), arrival
-            )
+            copy = params.copy_cost(nbytes, collective=collective)
+            recv_clock[dst] = start + o_recv + copy
+            send_drain[src] = max(send_drain.get(src, 0.0), arrival)
         # Phase 3: next-round ready times.
         for rank, clock in issue_clock.items():
             ready[rank] = max(rank_ready(rank), clock, send_drain.get(rank, 0.0))

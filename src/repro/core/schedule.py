@@ -1,19 +1,18 @@
 """The communication-schedule IR all broadcasting algorithms compile to.
 
-A :class:`Schedule` is a list of :class:`Round`\\ s; a round is a set of
-:class:`Transfer`\\ s — (source rank, destination rank, message set).
-The *message set* is the set of original source ids whose (combined)
-messages travel in that transfer; byte sizes come from the problem's
-size table, so the IR is size-agnostic.
+A :class:`Schedule` records an algorithm's sends in parallel columns,
+per send and per round (see the class).  A send's *message set* is the
+set of original source ids whose (combined) messages it carries; byte
+sizes come from the problem's size table, so the IR is size-agnostic.
+:func:`~repro.fastpath.lowering.lower_schedule` hands these columns to
+the :class:`~repro.fastpath.lowering.FastPlan` both engines run instead
+of copying them.
 
 Rounds are the paper's *iterations*: they bucket the Figure-2 metrics,
 and the executor lets each rank flow through them with only
 data-parallel synchronisation (a rank starts its round-k sends as soon
 as *its own* round-(k-1) operations finished — no global barrier,
-exactly as §5 describes the implementations).  Both engines run a
-schedule through one lowering,
-:func:`~repro.fastpath.lowering.lower_schedule`, which resolves it into
-per-rank operation streams in round order.
+exactly as §5 describes the implementations).
 
 Central invariant (checked by :meth:`Schedule.validate`): **causality**
 — a rank may only send message sets it already holds, where holdings
@@ -26,14 +25,15 @@ distributions, and source counts.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set
 
 from repro.core.problem import BroadcastProblem
 from repro.errors import AlgorithmError, VerificationError
 
-__all__ = ["Transfer", "Round", "Schedule"]
+__all__ = ["Schedule"]
 
 
 def _phase_of_label(label: str) -> str:
@@ -46,125 +46,94 @@ def _phase_of_label(label: str) -> str:
     return label
 
 
-@dataclass(slots=True)
-class Transfer:
-    """One message: ``src`` sends the combined messages of ``msgset`` to ``dst``.
-
-    ``nbytes_override`` lets pipelined schedules move a *segment* of a
-    message: the transfer still carries the message ids (for delivery
-    tracking) but is charged the segment size.  ``None`` means the full
-    combined size from the problem's size table.
-
-    A slotted, unfrozen dataclass: schedules build hundreds of
-    thousands of transfers, a frozen one pays for ``object.__setattr__``
-    on each field, and nothing mutates or hashes a transfer after
-    construction (equality still compares fields).
-    """
-
-    src: int
-    dst: int
-    msgset: FrozenSet[int]
-    nbytes_override: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise AlgorithmError(f"self-transfer at rank {self.src}")
-        if not self.msgset:
-            raise AlgorithmError(
-                f"empty transfer {self.src}->{self.dst}; omit it instead"
-            )
-        if not isinstance(self.msgset, frozenset):
-            self.msgset = frozenset(self.msgset)
-        if self.nbytes_override is not None and self.nbytes_override <= 0:
-            raise AlgorithmError(
-                f"nbytes_override must be positive, got {self.nbytes_override}"
-            )
-
-    def nbytes(self, problem: BroadcastProblem) -> int:
-        """Simulated byte size of this transfer."""
-        if self.nbytes_override is not None:
-            return self.nbytes_override
-        return problem.nbytes(self.msgset)
-
-
-@dataclass(frozen=True)
-class Round:
-    """One iteration of an algorithm.
-
-    Attributes
-    ----------
-    transfers:
-        The messages exchanged this round.
-    label:
-        Human-readable per-round tag (shown in reports/traces).
-    collective:
-        Whether these messages are issued from inside a library
-        collective (charged the machine's collective overhead tier).
-    mpi:
-        Whether these messages pay the MPI point-to-point overhead
-        scale (vs. the native library).
-    phase:
-        The algorithm phase this round belongs to — the span name the
-        executor opens around the round at run time (see
-        :meth:`Schedule.span`).  Empty means unphased; the executor
-        falls back to the ``label``.
-    """
-
-    transfers: Tuple[Transfer, ...]
-    label: str = ""
-    collective: bool = False
-    mpi: bool = False
-    phase: str = ""
-
-    def __post_init__(self) -> None:
-        # Duplicate (src, dst) pairs within a round are legal: the
-        # message layer's per-(source, tag) FIFO (MPI non-overtaking)
-        # delivers them in posting order, and the executor merges
-        # received message sets commutatively, so matching order cannot
-        # affect the outcome (the NaiveIndependent baseline relies on
-        # this when its binomial trees collide).
-        if not isinstance(self.transfers, tuple):
-            object.__setattr__(self, "transfers", tuple(self.transfers))
-
-    def __len__(self) -> int:
-        return len(self.transfers)
-
-    def __iter__(self) -> Iterator[Transfer]:
-        return iter(self.transfers)
-
-
-@dataclass
 class Schedule:
-    """An ordered list of rounds plus the problem it was built for."""
+    """An algorithm's rounds of sends, as columns, plus its problem.
 
-    problem: BroadcastProblem
-    rounds: List[Round] = field(default_factory=list)
-    algorithm: str = ""
-    #: Phase name applied to rounds added inside a :meth:`span` block.
-    _phase: str = field(default="", repr=False, compare=False)
+    Per send, indexed by send id in the order rounds added them:
+    ``send_src`` / ``send_dst`` (ranks), ``send_msgset`` (a frozenset
+    of source ids), ``send_override`` (the bytes charged, or ``None``
+    for the message set's full size — pipelined schedules charge a
+    *segment* while the send still carries the message ids) and
+    ``send_round`` (non-decreasing).  Per round: ``round_label``,
+    ``round_collective`` (issued from inside a library collective, so
+    charged the machine's collective overhead tier), ``round_mpi``
+    (charged the MPI overhead scale) and ``round_phase``, the span name
+    the executor opens around the round: the enclosing :meth:`span`
+    block's name, or else the label's stem.
+
+    Duplicate (src, dst) pairs within a round are legal: the message
+    layer's per-(source, tag) FIFO (MPI non-overtaking) delivers them
+    in posting order, and the executor merges received message sets
+    commutatively, so matching order cannot affect the outcome (the
+    NaiveIndependent baseline relies on this when its binomial trees
+    collide).
+    """
+
+    def __init__(self, problem: BroadcastProblem, algorithm: str = "") -> None:
+        self.problem = problem
+        self.algorithm = algorithm
+        self.send_src: List[int] = []
+        self.send_dst: List[int] = []
+        self.send_msgset: List[FrozenSet[int]] = []
+        self.send_override: List[Optional[int]] = []
+        self.send_round: List[int] = []
+        self.round_label: List[str] = []
+        self.round_collective: List[bool] = []
+        self.round_mpi: List[bool] = []
+        self.round_phase: List[str] = []
+        #: Phase name applied to rounds added inside a :meth:`span` block.
+        self._phase = ""
 
     def add_round(
         self,
-        transfers: Sequence[Transfer],
+        sends: Sequence[tuple],
         label: str = "",
         collective: bool = False,
         mpi: bool = False,
     ) -> None:
-        """Append a round (empty rounds are dropped silently).
+        """Append a round of ``(src, dst, msgset[, nbytes])`` sends.
 
-        Its phase is the enclosing :meth:`span` block's name (empty
-        outside any block).
+        An empty round is dropped silently.  A send to itself, an empty
+        message set or a byte override below 1 raises
+        :class:`~repro.errors.AlgorithmError` and leaves the schedule
+        unchanged; a message set that is not a frozenset is converted
+        to one.
         """
-        if transfers:
-            self.rounds.append(
-                Round(
-                    tuple(transfers),
-                    label=label,
-                    collective=collective,
-                    mpi=mpi,
-                    phase=self._phase,
-                )
-            )
+        if not sends:
+            return
+        srcs: List[int] = []
+        dsts: List[int] = []
+        msgsets: List[FrozenSet[int]] = []
+        overrides: List[Optional[int]] = []
+        for send in sends:
+            if len(send) == 3:
+                src, dst, msgset = send
+                nbytes = None
+            else:
+                src, dst, msgset, nbytes = send
+                if nbytes is not None and nbytes <= 0:
+                    raise AlgorithmError(
+                        f"byte override must be positive, got {nbytes}"
+                    )
+            if src == dst:
+                raise AlgorithmError(f"self-send at rank {src}")
+            if not msgset:
+                raise AlgorithmError(f"empty send {src}->{dst}; omit it instead")
+            if type(msgset) is not frozenset:
+                msgset = frozenset(msgset)
+            srcs.append(src)
+            dsts.append(dst)
+            msgsets.append(msgset)
+            overrides.append(nbytes)
+        self.send_round += [len(self.round_label)] * len(srcs)
+        self.send_src += srcs
+        self.send_dst += dsts
+        self.send_msgset += msgsets
+        self.send_override += overrides
+        self.round_label.append(label)
+        self.round_collective.append(collective)
+        self.round_mpi.append(mpi)
+        self.round_phase.append(self._phase or _phase_of_label(label))
 
     @contextmanager
     def span(self, name: str) -> Iterator["Schedule"]:
@@ -185,17 +154,27 @@ class Schedule:
     # -- queries ------------------------------------------------------------
     @property
     def num_rounds(self) -> int:
-        return len(self.rounds)
+        return len(self.round_label)
 
     @property
     def num_transfers(self) -> int:
-        return sum(len(r) for r in self.rounds)
+        return len(self.send_src)
+
+    def round_bounds(self) -> List[int]:
+        """Each round's first send id, then the send count.
+
+        Round ``k``'s sends are ids ``bounds[k]`` up to ``bounds[k + 1]``.
+        """
+        send_round = self.send_round
+        bounds = [bisect_left(send_round, rnd) for rnd in range(self.num_rounds)]
+        bounds.append(len(send_round))
+        return bounds
 
     # -- validation ---------------------------------------------------------
     def validate(self) -> None:
         """Check causality and delivery; raises on violation.
 
-        * causality: every transfer's ``msgset`` is a subset of what its
+        * causality: every send's ``msgset`` is a subset of what its
           sender held *before* the round began;
         * rank bounds: all endpoints within ``[0, p)``;
         * delivery: final holdings equal the full source set everywhere.
@@ -203,27 +182,29 @@ class Schedule:
         p = self.problem.p
         all_sources = set(self.problem.sources)
         holdings: List[Set[int]] = [set(h) for h in self.problem.initial_holdings()]
-        for round_idx, rnd in enumerate(self.rounds):
-            pending: List[Tuple[int, FrozenSet[int]]] = []
-            for t in rnd:
-                if not (0 <= t.src < p and 0 <= t.dst < p):
+        bounds = self.round_bounds()
+        for round_idx in range(self.num_rounds):
+            first, stop = bounds[round_idx], bounds[round_idx + 1]
+            dsts = self.send_dst[first:stop]
+            msgsets = self.send_msgset[first:stop]
+            for src, dst, msgset in zip(self.send_src[first:stop], dsts, msgsets):
+                if not (0 <= src < p and 0 <= dst < p):
                     raise AlgorithmError(
                         f"{self.algorithm}: round {round_idx} transfer "
-                        f"{t.src}->{t.dst} outside [0, {p})"
+                        f"{src}->{dst} outside [0, {p})"
                     )
-                if not t.msgset <= holdings[t.src]:
-                    missing = sorted(t.msgset - holdings[t.src])
+                if not msgset <= holdings[src]:
+                    missing = sorted(msgset - holdings[src])
                     raise AlgorithmError(
-                        f"{self.algorithm}: round {round_idx}: rank {t.src} "
+                        f"{self.algorithm}: round {round_idx}: rank {src} "
                         f"sends messages {missing} it does not hold"
                     )
-                if not t.msgset <= all_sources:
+                if not msgset <= all_sources:
                     raise AlgorithmError(
                         f"{self.algorithm}: round {round_idx}: transfer "
-                        f"carries non-source ids {sorted(t.msgset - all_sources)}"
+                        f"carries non-source ids {sorted(msgset - all_sources)}"
                     )
-                pending.append((t.dst, t.msgset))
-            for dst, msgset in pending:
+            for dst, msgset in zip(dsts, msgsets):
                 holdings[dst] |= msgset
         incomplete = [
             rank for rank, held in enumerate(holdings) if held != all_sources
@@ -237,31 +218,10 @@ class Schedule:
                 f"missing {missing[:8]}"
             )
 
-    def phases(self) -> List[Tuple[str, int, int]]:
-        """Contiguous phase runs as ``(name, first_round, last_round)``.
-
-        Unphased rounds fall back to their label with any trailing
-        ``-<n>`` counter stripped, so legacy labels like ``halving-3``
-        group under ``halving``.
-        """
-        out: List[Tuple[str, int, int]] = []
-        for idx, rnd in enumerate(self.rounds):
-            name = rnd.phase or _phase_of_label(rnd.label)
-            if out and out[-1][0] == name:
-                out[-1] = (name, out[-1][1], idx)
-            else:
-                out.append((name, idx, idx))
-        return out
-
     # -- statistics -----------------------------------------------------------
     def ops_by_rank(self) -> Dict[int, int]:
         """Send+recv operation count per rank (only ranks with ops)."""
-        ops: Dict[int, int] = {}
-        for rnd in self.rounds:
-            for t in rnd:
-                ops[t.src] = ops.get(t.src, 0) + 1
-                ops[t.dst] = ops.get(t.dst, 0) + 1
-        return ops
+        return dict(Counter(self.send_src) + Counter(self.send_dst))
 
     def __repr__(self) -> str:
         return (

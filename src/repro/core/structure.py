@@ -58,15 +58,15 @@ def analyze_schedule(schedule: Schedule) -> ScheduleProfile:
     holdings: List[Set[int]] = [set(h) for h in problem.initial_holdings()]
     holders = {rank for rank, h in enumerate(holdings) if h}
     profiles: List[RoundProfile] = []
-    for idx, rnd in enumerate(schedule.rounds):
-        active = set()
-        sizes = []
-        for t in rnd:
-            active.add(t.src)
-            active.add(t.dst)
-            sizes.append(nbytes(t.msgset))
-        for t in rnd:
-            holdings[t.dst] |= t.msgset
+    bounds = schedule.round_bounds()
+    for idx, label in enumerate(schedule.round_label):
+        first, stop = bounds[idx], bounds[idx + 1]
+        dsts = schedule.send_dst[first:stop]
+        msgsets = schedule.send_msgset[first:stop]
+        active = set(schedule.send_src[first:stop]) | set(dsts)
+        sizes = [nbytes(msgset) for msgset in msgsets]
+        for dst, msgset in zip(dsts, msgsets):
+            holdings[dst] |= msgset
         new_holders = {
             rank for rank, h in enumerate(holdings) if h
         } - holders
@@ -74,8 +74,8 @@ def analyze_schedule(schedule: Schedule) -> ScheduleProfile:
         profiles.append(
             RoundProfile(
                 index=idx,
-                label=rnd.label,
-                transfers=len(rnd),
+                label=label,
+                transfers=stop - first,
                 active_ranks=len(active),
                 new_holders=len(new_holders),
                 max_transfer_bytes=max(sizes, default=0),

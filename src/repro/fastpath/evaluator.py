@@ -220,7 +220,7 @@ def evaluate_plan(
         total_recv_wait=left_sum(recv_wait),
         total_link_wait=left_sum(link_wait),
         total_copy_time=left_sum(copy),
-        iteration_times=tuple((it, round_last[it]) for it in plan.active_rounds),
+        iteration_times=tuple(enumerate(round_last)),
         **plan.report_fields,
     )
     return FastRunResult(

@@ -1,23 +1,24 @@
 """Lowering: a :class:`~repro.core.schedule.Schedule` as flat lists.
 
-:func:`lower_schedule` is the one lowering both engines run.  One pass
-over ``schedule.rounds`` produces a :class:`FastPlan` of plain Python
-lists:
+:func:`lower_schedule` is the one lowering both engines run.  It
+produces a :class:`FastPlan` of plain Python lists:
 
-* per send (indexed by send id, in transfer order): source,
-  destination, round, message set and byte count, with every cost the
-  replay needs (sender overhead, receiver overhead + combining copy)
-  resolved from per-round parameter tables;
+* per send (indexed by send id): source, destination, round and
+  message set — the schedule's own columns, shared rather than copied
+  — plus the byte count and every cost the replay needs (sender
+  overhead, receiver overhead + combining copy), resolved from
+  per-round parameter tables;
 * one flat operation stream (``op_code`` / ``op_arg`` / ``op_aux``
   segmented by ``op_start``): per rank and round, ``(SEND, sid)`` for
-  each transfer the rank sends, ``(RECV, src)`` for each it receives,
+  each send of the rank, ``(RECV, src)`` for each send it receives,
   then ``(WAIT, sid)`` for each send, every op carrying its round in
   ``op_aux``.  The replay kernel replays this stream and
   :class:`~repro.core.executor.ScheduleExecutor` runs it as each rank's
   generator program, so both engines issue operations in one order;
-* per round: the span name, the overhead-mode flags and the cost
-  tables a size rebind needs (see :meth:`FastPlan.rebind_sizes`);
-* the metrics report fields the schedule alone fixes: every transfer
+* per round: the span name and overhead-mode flags (the schedule's
+  columns again) and the cost tables a size rebind needs (see
+  :meth:`FastPlan.rebind_sizes`);
+* the metrics report fields the schedule alone fixes: every send
   lowers to one send and one receive, so per-rank op and byte counts
   are known before replay and are counted here, once per plan.
 
@@ -52,16 +53,17 @@ OP_WAIT = 2
 class FastPlan:
     """A schedule lowered to flat lists, ready for either engine.
 
-    All per-send lists are parallel (indexed by send id, in transfer
-    order).  The plan splits into a **structural** part — a pure
-    function of (machine parameters, algorithm, source placement) — and
-    a **size-bound** part (byte counts and the receive costs and report
-    fields derived from them).  When :attr:`size_reusable` is true the
+    All per-send lists are parallel (indexed by send id).  The plan
+    splits into a **structural** part — a pure function of (machine
+    parameters, algorithm, source placement) — and a **size-bound**
+    part (byte counts and the receive costs and report fields derived
+    from them).  When :attr:`size_reusable` is true the
     structural part is valid for *any* per-source size table and
     :meth:`rebind_sizes` produces the size-bound part for a new problem
     without re-lowering.  The plan is seed-independent — link paths
     depend on the run's rank mapping and are resolved by the evaluator
-    at bind time.
+    at bind time.  Seven of its lists are the lowered schedule's own
+    (see :func:`lower_schedule`).
     """
 
     p: int
@@ -71,7 +73,7 @@ class FastPlan:
     send_src: List[int]
     send_dst: List[int]
     send_round: List[int]
-    #: The transfer's message set: the event engine's payload, and what
+    #: The send's message set: the event engine's payload, and what
     #: :meth:`rebind_sizes` sums under a new size table.
     send_msgset: List[FrozenSet[int]]
     #: Sender software overhead before issue (fixed by the round's mode).
@@ -86,16 +88,14 @@ class FastPlan:
     #: The number of rounds in which each rank sends or receives.
     rank_rounds: List[int]
     # -- structural: per round -------------------------------------------
-    #: Span name of each round (see :meth:`Schedule.phases`).
+    #: Span name of each round (see :class:`~repro.core.schedule.Schedule`).
     round_phase: List[str]
-    #: Overhead-mode flags of each round (see :class:`Round`).
+    #: Overhead-mode flags of each round.
     round_collective: List[bool]
     round_mpi: List[bool]
     #: Receiver overhead and copy-cost scale under each round's mode.
     round_recv_ovh: List[float]
     round_mem_scale: List[float]
-    #: Rounds in which some rank sends or receives, ascending.
-    active_rounds: List[int]
     #: The machine's per-byte memory-copy cost.
     t_mem_byte: float
     # -- size-bound ------------------------------------------------------
@@ -112,7 +112,7 @@ class FastPlan:
     #: Whether every send's byte count equals the sum of its message
     #: set's source sizes — i.e. the *structure* is size-independent and
     #: :meth:`rebind_sizes` is exact.  Pipelined schedules that move
-    #: explicit segments (``nbytes_override``) lower with this false.
+    #: explicit segments (byte overrides) lower with this false.
     size_reusable: bool = True
 
     def rebind_sizes(self, problem: "BroadcastProblem") -> "FastPlan":
@@ -173,21 +173,44 @@ class FastPlan:
 def lower_schedule(schedule: "Schedule") -> FastPlan:
     """Lower ``schedule`` into a :class:`FastPlan`.
 
-    Each distinct message set is summed under the problem's size table
-    once per lowering; transfers that repeat a set (a ring forwarding
-    one source's message, a pipeline's segments) reuse the sum.
+    The plan shares the schedule's columns instead of copying them: its
+    ``send_src``, ``send_dst``, ``send_round``, ``send_msgset``,
+    ``round_phase``, ``round_collective`` and ``round_mpi`` are the
+    schedule's lists.  So a lowered schedule is never extended: only
+    freshly built schedules are lowered (by the plan cache and the
+    event executor).  Each distinct message set is summed under the
+    problem's size table once per lowering; sends that repeat a set (a
+    ring forwarding one source's message, a pipeline's segments) reuse
+    the sum.
     """
     problem = schedule.problem
     params = problem.machine.params
     p = problem.p
     nbytes_of = problem.nbytes
-    msgset_bytes: Dict[FrozenSet[int], int] = {}
+    send_src = schedule.send_src
+    send_dst = schedule.send_dst
+    round_collective = schedule.round_collective
+    round_mpi = schedule.round_mpi
+    num_rounds = schedule.num_rounds
 
-    send_src: List[int] = []
-    send_dst: List[int] = []
-    send_round: List[int] = []
-    send_msgset: List[FrozenSet[int]] = []
+    msgset_bytes: Dict[FrozenSet[int], int] = {}
     send_nbytes: List[int] = []
+    size_reusable = True
+    for msgset, nbytes in zip(schedule.send_msgset, schedule.send_override):
+        if nbytes is None or size_reusable:
+            total = msgset_bytes.get(msgset)
+            if total is None:
+                total = msgset_bytes[msgset] = nbytes_of(msgset)
+            if nbytes is None:
+                nbytes = total
+            else:
+                # Size-reusability probe: the structure transfers to
+                # other size tables exactly when every send moves whole
+                # messages, i.e. its byte count is its message set's sum
+                # under this problem's table.
+                size_reusable = nbytes == total
+        send_nbytes.append(nbytes)
+
     send_ovh: List[float] = []
     # Each rank's op stream, built round by round and flattened below.
     codes: List[List[int]] = [[] for _ in range(p)]
@@ -195,54 +218,21 @@ def lower_schedule(schedule: "Schedule") -> FastPlan:
     auxs: List[List[int]] = [[] for _ in range(p)]
     rank_ops = [0] * p
     rank_rounds = [0] * p
-    round_collective: List[bool] = []
-    round_mpi: List[bool] = []
-    round_recv_ovh: List[float] = []
-    round_mem_scale: List[float] = []
-    active_rounds: List[int] = []
     congestion = 0
-    size_reusable = True
     # (sends, receives) -> a rank-round's op codes, built once per shape.
     code_runs: Dict[Tuple[int, int], List[int]] = {}
-    for rnd_idx, rnd in enumerate(schedule.rounds):
-        collective = rnd.collective
-        mpi = rnd.mpi
+    bounds = schedule.round_bounds()
+    for rnd_idx, (collective, mpi, first, stop) in enumerate(
+        zip(round_collective, round_mpi, bounds, bounds[1:])
+    ):
         ovh = params.send_overhead(collective=collective, mpi=mpi)
-        round_collective.append(collective)
-        round_mpi.append(mpi)
-        round_recv_ovh.append(params.recv_overhead(collective=collective, mpi=mpi))
-        round_mem_scale.append(params.collective_mem_scale if collective else 1.0)
-        transfers = rnd.transfers
-        if not transfers:
-            continue
-        active_rounds.append(rnd_idx)
-        first = len(send_src)
-        srcs = [t.src for t in transfers]
-        dsts = [t.dst for t in transfers]
-        send_src += srcs
-        send_dst += dsts
-        send_msgset += [t.msgset for t in transfers]
-        send_round += [rnd_idx] * len(transfers)
-        send_ovh += [ovh] * len(transfers)
-        for t in transfers:
-            nbytes = t.nbytes_override
-            if nbytes is None or size_reusable:
-                total = msgset_bytes.get(t.msgset)
-                if total is None:
-                    total = msgset_bytes[t.msgset] = nbytes_of(t.msgset)
-                if nbytes is None:
-                    nbytes = total
-                else:
-                    # Size-reusability probe: the structure transfers to
-                    # other size tables exactly when every send moves
-                    # whole messages, i.e. its byte count is its message
-                    # set's sum under this problem's table.
-                    size_reusable = nbytes == total
-            send_nbytes.append(nbytes)
+        send_ovh += [ovh] * (stop - first)
         # rank -> its send ids / receive sources: its slice of this round.
         sends: Dict[int, List[int]] = {}
         recvs: Dict[int, List[int]] = {}
-        for sid, src, dst in zip(range(first, first + len(srcs)), srcs, dsts):
+        for sid, src, dst in zip(
+            range(first, stop), send_src[first:stop], send_dst[first:stop]
+        ):
             ids = sends.get(src)
             if ids is None:
                 sends[src] = [sid]
@@ -285,39 +275,39 @@ def lower_schedule(schedule: "Schedule") -> FastPlan:
         op_aux += auxs[rank]
         op_start.append(len(op_code))
 
-    iterations = len(active_rounds)
     num_sends = len(send_src)
     counts = {
-        "iterations": iterations,
+        "iterations": num_rounds,
         "congestion": congestion,
         "send_recv_ops": max(rank_ops),
-        "av_act_proc": sum(rank_rounds) / iterations if iterations else 0.0,
+        "av_act_proc": sum(rank_rounds) / num_rounds if num_rounds else 0.0,
         "total_messages": num_sends,
     }
     return FastPlan(
         p=p,
-        num_rounds=len(schedule.rounds),
+        num_rounds=num_rounds,
         num_sends=num_sends,
         send_src=send_src,
         send_dst=send_dst,
-        send_round=send_round,
-        send_msgset=send_msgset,
+        send_round=schedule.send_round,
+        send_msgset=schedule.send_msgset,
         send_ovh=send_ovh,
         op_code=op_code,
         op_arg=op_arg,
         op_aux=op_aux,
         op_start=op_start,
         rank_rounds=rank_rounds,
-        round_phase=[
-            name
-            for name, first, last in schedule.phases()
-            for _ in range(first, last + 1)
-        ],
+        round_phase=schedule.round_phase,
         round_collective=round_collective,
         round_mpi=round_mpi,
-        round_recv_ovh=round_recv_ovh,
-        round_mem_scale=round_mem_scale,
-        active_rounds=active_rounds,
+        round_recv_ovh=[
+            params.recv_overhead(collective=collective, mpi=mpi)
+            for collective, mpi in zip(round_collective, round_mpi)
+        ],
+        round_mem_scale=[
+            params.collective_mem_scale if collective else 1.0
+            for collective in round_collective
+        ],
         t_mem_byte=params.t_mem_byte,
         # The size-bound fields are filled in by _with_sizes below.
         send_nbytes=send_nbytes,

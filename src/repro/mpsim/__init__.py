@@ -9,8 +9,8 @@ world communicator and mirrors the subset of NX/MPI the paper uses:
   semantics, and optional receive timeouts,
 * ``isend`` — non-blocking send returning a
   :class:`~repro.mpsim.requests.Request`, and
-* ``with_mode`` — cached views that charge the machine's library
-  collective or MPI overhead tier instead of the native one.
+* the ``collective`` / ``mpi`` flags — set, they charge the machine's
+  library collective or MPI overhead tier instead of the native one.
 
 The paper's library collectives (``MPI_AllGather``, ``MPI_Alltoall``)
 are schedules whose collective rounds pay that tier (see

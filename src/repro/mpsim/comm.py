@@ -3,7 +3,8 @@
 :class:`World` owns the shared state of one machine run (engine,
 fabric, inboxes, metrics); :class:`Comm` is one rank's view of the
 world communicator, with its per-message overhead mode (point-to-point,
-library collective, MPI) selected by :meth:`Comm.with_mode`.
+library collective, MPI) selected by its ``collective`` and ``mpi``
+flags.
 
 Timing of one point-to-point message::
 
@@ -20,7 +21,7 @@ over the bytes).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
 from repro.errors import CommError, PeerFailedError, RecvTimeoutError
 from repro.metrics.counters import MetricsCollector
@@ -92,48 +93,19 @@ class Comm:
         self.rank = rank
         self.size = world.size
         #: Overhead mode applied to every operation issued through this
-        #: communicator (a schedule's collective rounds flip
-        #: ``collective``).
+        #: communicator: the schedule executor sets both flags at each
+        #: round, so that a library-collective round pays the machine's
+        #: collective overhead tier.
         self.collective = False
         self.mpi = False
-        # Current logical iteration (the schedule round), shared by
-        # reference across every mode view of this rank so metrics
-        # bucket correctly no matter which view issues the op.
-        self._iteration_cell = [0]
-        # (collective, mpi) -> cached mode-variant view of this comm.
-        self._mode_cache: Dict[Tuple[bool, bool], "Comm"] = {}
+        #: Logical iteration (the schedule round) that metrics bucket
+        #: this rank's operations under; the executor sets it per round.
+        self.iteration = 0
         # Per-message software overheads memoized for the current mode
         # flags (invalidated by comparison, so late flag flips are safe).
         self._cost_key: Optional[Tuple[bool, bool]] = None
         self._send_ovh = 0.0
         self._recv_ovh = 0.0
-
-    def with_mode(
-        self, *, collective: Optional[bool] = None, mpi: Optional[bool] = None
-    ) -> "Comm":
-        """A view of this rank's communicator with the given overhead modes.
-
-        The schedule executor flips the mode every round, so that a
-        library-collective round pays the machine's collective overhead
-        tier.  Views are cheap and cached: asking for this
-        communicator's own mode returns ``self``, and each distinct
-        ``(collective, mpi)`` combination is built once per
-        communicator.  Cached views share the iteration cell, so they
-        are interchangeable with freshly built copies.
-        """
-        want_collective = self.collective if collective is None else collective
-        want_mpi = self.mpi if mpi is None else mpi
-        if want_collective == self.collective and want_mpi == self.mpi:
-            return self
-        key = (want_collective, want_mpi)
-        comm = self._mode_cache.get(key)
-        if comm is None:
-            comm = Comm(self.world, self.rank)
-            comm.collective = want_collective
-            comm.mpi = want_mpi
-            comm._iteration_cell = self._iteration_cell
-            self._mode_cache[key] = comm
-        return comm
 
     def _mode_costs(self) -> Tuple[float, float]:
         """``(send_overhead, recv_overhead)`` for the current mode flags."""
@@ -188,7 +160,7 @@ class Comm:
                 rank,
                 nbytes,
                 0.0,
-                iteration=self._iteration_cell[0],
+                iteration=self.iteration,
                 when=now,
             )
             if engine.tracer is not None:
@@ -213,7 +185,7 @@ class Comm:
             rank,
             nbytes,
             stats.start_time - now,
-            iteration=self._iteration_cell[0],
+            iteration=self.iteration,
             when=now,
         )
         if engine.tracer is not None:
@@ -327,7 +299,7 @@ class Comm:
             envelope.nbytes,
             wait_time,
             copy_time,
-            iteration=self._iteration_cell[0],
+            iteration=self.iteration,
             when=engine.now,
         )
         if engine.tracer is not None:

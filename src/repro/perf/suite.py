@@ -1,11 +1,14 @@
 """The pinned microbenchmark suite and report comparison.
 
-Five tiers, mirroring the simulator's layering:
+Six tiers, mirroring the simulator's layering:
 
 * ``route/…`` — raw :meth:`Topology.route_links` link-path lookups
   (the fabric's per-message work), warm (memoized routes) and cold
   (every route built on a fresh topology, as on a cold sweep job's
   new machines);
+* ``schedule/…`` — the stages a plan-cache miss pays before the
+  replay: ``build_schedule``, ``validate`` and ``lower_schedule`` of
+  one point, nothing cached, for each of the ``run/…`` algorithms;
 * ``pingpong/…`` — isend/recv round-trips through the full engine +
   communicator stack on a tiny mesh;
 * ``run/…`` — whole ``run_broadcast`` points (schedule build,
@@ -150,6 +153,36 @@ def _bench_route_build(
         mean_s=timing.mean_s,
         repeats=timing.repeats,
         extra={"lookups": lookups, "lookups_per_s": lookups / timing.best_s},
+    )
+
+
+def _bench_schedule(
+    algorithm: str, spec: str, s: int, message_size: int, repeats: int
+) -> BenchResult:
+    """Build, validate and lower one point's schedule, nothing cached:
+    what a plan-cache miss pays before the replay."""
+    from repro.core.algorithms import get_algorithm
+    from repro.fastpath.lowering import lower_schedule
+
+    machine = machine_from_spec(spec)
+    problem = BroadcastProblem(
+        machine=machine, sources=tuple(range(s)), message_size=message_size
+    )
+    build = get_algorithm(algorithm).build_schedule
+
+    def body() -> None:
+        schedule = build(problem)
+        schedule.validate()
+        lower_schedule(schedule)
+
+    timing = bench(body, repeats=repeats, warmup=1)
+    sends = build(problem).num_transfers
+    return BenchResult(
+        name=f"schedule/{algorithm}/{spec}/s={s}/L={message_size}",
+        wall_s=timing.best_s,
+        mean_s=timing.mean_s,
+        repeats=timing.repeats,
+        extra={"sends": sends, "sends_per_s": sends / timing.best_s},
     )
 
 
@@ -394,6 +427,15 @@ def _bench_traced_point(
 
 _POINT_ALGOS = ("PersAlltoAll", "Br_xy_source", "MPI_AllGather")
 
+#: One ``schedule/…`` point per point algorithm, ~8,000 sends each, so
+#: a run takes tens of milliseconds (shorter ones spread too far under
+#: host load to gate); the T3D's MPI_AllGather is the pipelined ring.
+_SCHEDULE_POINTS = (
+    ("PersAlltoAll", "paragon:16x16", 32),
+    ("Br_xy_source", "paragon:32x32", 64),
+    ("MPI_AllGather", "t3d:128", 64),
+)
+
 
 def _definitions(quick: bool) -> List[Tuple[str, Callable[[], BenchResult]]]:
     """``(name, thunk)`` pairs; quick mode is a strict subset of full.
@@ -433,6 +475,13 @@ def _definitions(quick: bool) -> List[Tuple[str, Callable[[], BenchResult]]]:
             lambda: _bench_pingpong(iterations, repeats),
         ),
     ]
+    for algorithm, spec, s in _SCHEDULE_POINTS:
+        defs.append((
+            f"schedule/{algorithm}/{spec}/s={s}/L=4096",
+            lambda a=algorithm, sp=spec, ss=s: _bench_schedule(
+                a, sp, ss, 4096, build_repeats
+            ),
+        ))
     grid = [("paragon:8x8", 16, 4096)]
     if not quick:
         grid.append(("paragon:16x16", 64, 4096))

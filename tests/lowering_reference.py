@@ -3,20 +3,24 @@
 ``lower_schedule`` as it was before it summed each message set once per
 lowering and built its op streams per round: every transfer pays a
 ``t.nbytes(problem)`` sum, and every transfer's sender and receiver get
-their round slice through ``slices.setdefault``.  The body is unchanged;
-it builds the same :class:`~repro.fastpath.lowering.FastPlan`, through
-the same ``_with_sizes``.  ``tests/test_fastpath_lowering_reference.py``
-holds the production lowering to it, field by field.
+their round slice through ``slices.setdefault``.  The body is unchanged.
+It reads the schedule as rounds of transfer objects, so callers pass
+``tests.schedule_view.rounds_view(schedule)``, and it builds the same
+:class:`~repro.fastpath.lowering.FastPlan` through that module's
+``FastPlan``, and the same ``_with_sizes``.
+``tests/test_fastpath_lowering_reference.py`` holds the production
+lowering to it, field by field.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, FrozenSet, List
 
-from repro.fastpath.lowering import OP_RECV, OP_SEND, OP_WAIT, FastPlan
+from repro.fastpath.lowering import OP_RECV, OP_SEND, OP_WAIT
+from tests.schedule_view import FastPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.schedule import Schedule
+    from tests.schedule_view import ScheduleView as Schedule
 
 
 def lower_schedule(schedule: "Schedule") -> FastPlan:

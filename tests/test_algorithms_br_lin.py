@@ -8,6 +8,7 @@ from repro.core import BroadcastProblem, run_broadcast
 from repro.core.algorithms import BrLin
 from repro.core.structure import analyze_schedule
 from repro.distributions import DISTRIBUTIONS
+from tests.schedule_view import round_sends
 
 
 class TestSchedule:
@@ -45,7 +46,7 @@ class TestSchedule:
         """Round-0 partners must be snake-linear, not rank-linear."""
         problem = BroadcastProblem(small_paragon, (0,), message_size=64)
         sched = BrLin().build_schedule(problem)
-        t = sched.rounds[0].transfers[0]
+        t = round_sends(sched, 0)[0]
         order = small_paragon.linear_order()
         # 0 sits at snake position 0; partner is snake position 10
         assert t.src == 0

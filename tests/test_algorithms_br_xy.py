@@ -29,14 +29,14 @@ class TestDimensionChoice:
         src = DISTRIBUTIONS["R"].generate(machine, 30)
         problem = BroadcastProblem(machine, src, message_size=64)
         sched = BrXYSource().build_schedule(problem)
-        assert sched.rounds[0].label.startswith("cols")
+        assert sched.round_label[0].startswith("cols")
 
     def test_xy_source_picks_rows_first_for_column_distribution(self):
         machine = paragon(10, 10)
         src = DISTRIBUTIONS["C"].generate(machine, 30)
         problem = BroadcastProblem(machine, src, message_size=64)
         sched = BrXYSource().build_schedule(problem)
-        assert sched.rounds[0].label.startswith("rows")
+        assert sched.round_label[0].startswith("rows")
 
     def test_xy_dim_ignores_sources(self):
         machine = paragon(10, 10)  # r >= c => rows first, always
@@ -45,7 +45,7 @@ class TestDimensionChoice:
             sched = BrXYDim().build_schedule(
                 BroadcastProblem(machine, src, message_size=64)
             )
-            assert sched.rounds[0].label.startswith("rows")
+            assert sched.round_label[0].startswith("rows")
 
     def test_xy_dim_columns_first_on_wide_mesh(self):
         machine = paragon(4, 30)  # r < c => columns first
@@ -53,7 +53,7 @@ class TestDimensionChoice:
         sched = BrXYDim().build_schedule(
             BroadcastProblem(machine, src, message_size=64)
         )
-        assert sched.rounds[0].label.startswith("cols")
+        assert sched.round_label[0].startswith("cols")
 
 
 class TestScheduleStructure:
@@ -73,14 +73,15 @@ class TestScheduleStructure:
         src = DISTRIBUTIONS["E"].generate(machine, 9)
         problem = BroadcastProblem(machine, src, message_size=16)
         sched = BrXYSource().build_schedule(problem)
-        for rnd in sched.rounds:
-            for t in rnd:
-                sr, sc = machine.topology.coords(t.src)
-                dr, dc = machine.topology.coords(t.dst)
-                if rnd.label.startswith("rows"):
-                    assert sr == dr
-                else:
-                    assert sc == dc
+        for sender, receiver, rnd in zip(
+            sched.send_src, sched.send_dst, sched.send_round
+        ):
+            sr, sc = machine.topology.coords(sender)
+            dr, dc = machine.topology.coords(receiver)
+            if sched.round_label[rnd].startswith("rows"):
+                assert sr == dr
+            else:
+                assert sc == dc
 
     def test_rejected_on_t3d(self, small_t3d):
         problem = BroadcastProblem(small_t3d, (0, 1), message_size=16)

@@ -24,6 +24,7 @@ from repro.machines import Machine, MachineParams
 from repro.network.linear import LinearArray
 from repro.simulator.trace import Tracer
 from tests.conftest import TEST_PARAMS
+from tests.schedule_view import round_sends
 
 #: Segment size of the pipelined ring in these tests: small enough that
 #: every message below splits into several segments.
@@ -48,7 +49,11 @@ def pipelined(p: int) -> Machine:
 
 
 def rounds_labelled(schedule, prefix):
-    return [rnd for rnd in schedule.rounds if rnd.label.startswith(prefix)]
+    return [
+        round_sends(schedule, rnd)
+        for rnd, label in enumerate(schedule.round_label)
+        if label.startswith(prefix)
+    ]
 
 
 @pytest.fixture(params=[5, 8], ids=["p5", "p8"])
@@ -74,7 +79,7 @@ class TestGather:
         # problem has nothing to gather and adds no round at all.
         rounds = rounds_labelled(schedule, "gather")
         assert len(rounds) == (0 if sources == (0,) else 1)
-        assert all(rnd.collective and rnd.mpi for rnd in rounds)
+        assert all(schedule.round_collective) and all(schedule.round_mpi)
         gather = [t for rnd in rounds for t in rnd]
         assert sorted((t.src, t.dst, t.msgset) for t in gather) == [
             (src, 0, frozenset({src})) for src in sorted(sources) if src != 0
@@ -163,7 +168,7 @@ class TestPersonalizedExchange:
         problem = BroadcastProblem(line(p), sources, message_size=64)
         schedule = MPIAlltoAll().build_schedule(problem)
         assert schedule.num_rounds == p - 1
-        sent = sorted((t.src, t.dst) for rnd in schedule.rounds for t in rnd)
+        sent = sorted(zip(schedule.send_src, schedule.send_dst))
         assert sent == [
             (src, dst) for src in sorted(sources) for dst in range(p) if dst != src
         ]

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.algorithms.br_xy import xy_phase_rounds
 from repro.core.algorithms.common import (
     GridView,
     folding_pairs,
     halving_pairs,
     halving_rounds,
     initial_holdings_map,
+    merge_rounds,
 )
 from repro.core.problem import BroadcastProblem
 from repro.errors import AlgorithmError
@@ -119,16 +121,14 @@ class TestHalvingRounds:
         holdings = initial_holdings_map(problem, order)
         rounds = halving_rounds(order, holdings)
         # first round: only 0 -> 10 (one-way), nothing else has data
-        assert len(rounds[0]) == 1
-        t = rounds[0][0]
-        assert (t.src, t.dst) == (0, 10)
+        assert rounds[0] == [(0, 10, frozenset({0}))]
 
     def test_exchange_when_both_hold(self, small_paragon):
         problem = BroadcastProblem(small_paragon, (0, 10), message_size=10)
         order = list(range(20))
         holdings = initial_holdings_map(problem, order)
         rounds = halving_rounds(order, holdings)
-        first = {(t.src, t.dst) for t in rounds[0]}
+        first = {(src, dst) for src, dst, _msgset in rounds[0]}
         assert (0, 10) in first and (10, 0) in first
 
     def test_silence_when_both_empty(self, small_paragon):
@@ -149,6 +149,48 @@ class TestHalvingRounds:
         halving_rounds(order, holdings)
         full = frozenset({0, 10})
         assert all(holdings[r] == full for r in order)
+
+
+class TestMergeRounds:
+    def test_round_k_is_every_groups_round_k_in_group_order(self):
+        a = [
+            [(0, 1, frozenset({0}))],
+            [(0, 2, frozenset({0})), (1, 3, frozenset({0}))],
+        ]
+        b = [[(4, 5, frozenset({4}))]]
+        c = [[], [(6, 7, frozenset({6}))], [(7, 8, frozenset({6}))]]
+        assert merge_rounds([a, b, c]) == [
+            [(0, 1, frozenset({0})), (4, 5, frozenset({4}))],
+            [
+                (0, 2, frozenset({0})),
+                (1, 3, frozenset({0})),
+                (6, 7, frozenset({6})),
+            ],
+            [(7, 8, frozenset({6}))],
+        ]
+
+    def test_no_groups_no_rounds(self):
+        assert merge_rounds([]) == []
+
+    def test_xy_phase_rounds_merges_per_line_halving(self, small_paragon):
+        """The xy phase is the lines' halving rounds run side by side,
+        the zip loop it replaced send for send."""
+        problem = BroadcastProblem(small_paragon, (0, 6, 13, 19), message_size=8)
+        view = GridView.full_machine(4, 5)
+        for lines in (view.row_lines(), view.col_lines()):
+            holdings = initial_holdings_map(problem, view.all_ranks())
+            expected_holdings = dict(holdings)
+            per_line = [halving_rounds(line, expected_holdings) for line in lines]
+            expected = []
+            for k in range(max(len(rounds) for rounds in per_line)):
+                expected.append([
+                    send
+                    for rounds in per_line
+                    if k < len(rounds)
+                    for send in rounds[k]
+                ])
+            assert xy_phase_rounds(lines, holdings) == expected
+            assert holdings == expected_holdings
 
 
 class TestGridView:

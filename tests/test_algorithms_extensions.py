@@ -10,6 +10,7 @@ from repro.core.predict import predict_broadcast_time
 from repro.distributions import DISTRIBUTIONS, RandomDistribution
 from repro.errors import AlgorithmError
 from repro.machines import paragon, t3d
+from tests.schedule_view import all_rounds
 
 
 class TestBrRing:
@@ -20,9 +21,8 @@ class TestBrRing:
     def test_each_rank_receives_exactly_s_messages(self, small_problem):
         sched = BrRing().build_schedule(small_problem)
         recv_count = {}
-        for rnd in sched.rounds:
-            for t in rnd:
-                recv_count[t.dst] = recv_count.get(t.dst, 0) + 1
+        for dst in sched.send_dst:
+            recv_count[dst] = recv_count.get(dst, 0) + 1
         # everyone except ... everyone receives s messages (their own
         # message also travels the full ring back past them minus 1)
         for rank in range(small_problem.p):
@@ -32,9 +32,7 @@ class TestBrRing:
 
     def test_messages_never_combined(self, small_problem):
         sched = BrRing().build_schedule(small_problem)
-        assert all(
-            len(t.msgset) == 1 for rnd in sched.rounds for t in rnd
-        )
+        assert all(len(msgset) == 1 for msgset in sched.send_msgset)
 
     def test_bytes_through_each_rank_minimal(self, small_problem):
         """Br_Ring's per-rank received bytes are the minimum s*L (less
@@ -59,7 +57,7 @@ class TestBrRing:
 
     def test_rounds_are_partial_permutations(self, small_problem):
         sched = BrRing().build_schedule(small_problem)
-        for rnd in sched.rounds:
+        for rnd in all_rounds(sched):
             srcs = [t.src for t in rnd]
             dsts = [t.dst for t in rnd]
             assert len(set(srcs)) == len(srcs)

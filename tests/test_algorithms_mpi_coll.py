@@ -6,20 +6,31 @@ from repro.core import BroadcastProblem, run_broadcast
 from repro.core.algorithms import MPIAllGather, MPIAlltoAll
 from repro.distributions import DISTRIBUTIONS
 from repro.machines import t3d
+from tests.schedule_view import all_rounds
+
+
+def ring_sends(sched):
+    """The sends of every ``ring-*`` round, in send order."""
+    return [
+        t
+        for label, rnd in zip(sched.round_label, all_rounds(sched))
+        if label.startswith("ring")
+        for t in rnd
+    ]
 
 
 class TestStructureSelection:
     def test_monolithic_on_paragon(self, square_paragon):
         problem = BroadcastProblem(square_paragon, (0, 5, 9), message_size=64)
         sched = MPIAllGather().build_schedule(problem)
-        labels = [r.label for r in sched.rounds]
+        labels = sched.round_label
         assert labels[0] == "gather"
         assert any(lbl.startswith("bcast") for lbl in labels)
 
     def test_pipelined_on_t3d(self, small_t3d):
         problem = BroadcastProblem(small_t3d, (0, 5, 9), message_size=64)
         sched = MPIAllGather().build_schedule(problem)
-        labels = [r.label for r in sched.rounds]
+        labels = sched.round_label
         assert labels[0] == "gatherv"
         assert any(lbl.startswith("ring") for lbl in labels)
 
@@ -27,8 +38,8 @@ class TestStructureSelection:
         problem = BroadcastProblem(square_paragon, (0, 5), message_size=64)
         for algo in (MPIAllGather(), MPIAlltoAll()):
             sched = algo.build_schedule(problem)
-            assert all(r.collective for r in sched.rounds)
-            assert all(r.mpi for r in sched.rounds)
+            assert all(sched.round_collective)
+            assert all(sched.round_mpi)
 
     def test_both_validate_on_both_machines(self, square_paragon, small_t3d):
         for machine in (square_paragon, small_t3d):
@@ -45,7 +56,7 @@ class TestPipelinedRing:
         seg = small_t3d.params.collective_segment_bytes
         problem = BroadcastProblem(small_t3d, (3,), message_size=4 * seg)
         sched = MPIAllGather().build_schedule(problem)
-        ring = [t for r in sched.rounds for t in r if r.label.startswith("ring")]
+        ring = ring_sends(sched)
         # 4 segments traverse p - 1 edges each
         assert len(ring) == 4 * (small_t3d.p - 1)
         assert all(t.nbytes(problem) == seg for t in ring)
@@ -53,7 +64,7 @@ class TestPipelinedRing:
     def test_small_message_single_segment(self, small_t3d):
         problem = BroadcastProblem(small_t3d, (3,), message_size=100)
         sched = MPIAllGather().build_schedule(problem)
-        ring = [t for r in sched.rounds for t in r if r.label.startswith("ring")]
+        ring = ring_sends(sched)
         assert len(ring) == small_t3d.p - 1
         assert all(t.nbytes(problem) == 100 for t in ring)
 
@@ -62,9 +73,7 @@ class TestPipelinedRing:
         sched = MPIAllGather().build_schedule(problem)
         first_edge_bytes = sum(
             t.nbytes(problem)
-            for r in sched.rounds
-            if r.label.startswith("ring")
-            for t in r
+            for t in ring_sends(sched)
             if t.src == sched.problem.machine.linear_order()[0]
         )
         assert first_edge_bytes == 40_000

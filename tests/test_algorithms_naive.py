@@ -20,9 +20,7 @@ class TestStructure:
 
     def test_no_combining_ever(self, small_problem):
         sched = NaiveIndependent().build_schedule(small_problem)
-        for rnd in sched.rounds:
-            for t in rnd:
-                assert len(t.msgset) == 1
+        assert all(len(msgset) == 1 for msgset in sched.send_msgset)
 
     def test_validates(self, small_paragon, small_t3d):
         for machine in (small_paragon, small_t3d):

@@ -8,6 +8,7 @@ from repro.core import BroadcastProblem, run_broadcast
 from repro.core.algorithms import PartLin, PartXYDim, PartXYSource
 from repro.distributions import DISTRIBUTIONS
 from repro.machines import paragon
+from tests.schedule_view import round_sends
 
 
 class TestStructure:
@@ -23,7 +24,7 @@ class TestStructure:
         src = DISTRIBUTIONS["E"].generate(square_paragon, 20)
         problem = BroadcastProblem(square_paragon, src, message_size=64)
         sched = PartLin().build_schedule(problem)
-        labels = [r.label for r in sched.rounds]
+        labels = sched.round_label
         assert labels[0] == "reposition"
         assert labels[-1] == "exchange"
         assert any(lbl.startswith("group-bcast") for lbl in labels)
@@ -32,7 +33,7 @@ class TestStructure:
         src = DISTRIBUTIONS["E"].generate(square_paragon, 20)
         problem = BroadcastProblem(square_paragon, src, message_size=64)
         sched = PartLin().build_schedule(problem)
-        exchange = sched.rounds[-1]
+        exchange = round_sends(sched, -1)
         # every processor participates exactly once in each direction
         srcs = [t.src for t in exchange]
         dsts = [t.dst for t in exchange]
@@ -43,7 +44,7 @@ class TestStructure:
         src = DISTRIBUTIONS["E"].generate(square_paragon, 30)
         problem = BroadcastProblem(square_paragon, src, message_size=64)
         sched = PartLin().build_schedule(problem)
-        exchange = sched.rounds[-1]
+        exchange = round_sends(sched, -1)
         sizes = {len(t.msgset) for t in exchange}
         assert sizes == {15}  # s1 = s2 = 15 on equal halves
 
@@ -63,7 +64,7 @@ class TestStructure:
         src = DISTRIBUTIONS["E"].generate(machine, 8)
         problem = BroadcastProblem(machine, src, message_size=64)
         sched = PartXYSource().build_schedule(problem)
-        exchange = sched.rounds[-1]
+        exchange = round_sends(sched, -1)
         # split along columns: partners differ by 4 columns
         for t in exchange:
             sr, sc = machine.topology.coords(t.src)

@@ -10,6 +10,7 @@ from repro.core.algorithms.pers_alltoall import xor_or_cyclic_partner
 from repro.distributions import DISTRIBUTIONS
 from repro.errors import CommError
 from repro.machines import paragon
+from tests.schedule_view import all_rounds
 
 
 class TestPartnerGeneration:
@@ -51,14 +52,13 @@ class TestStructure:
 
     def test_only_sources_send(self, small_problem):
         sched = PersAlltoAll().build_schedule(small_problem)
-        senders = {t.src for rnd in sched.rounds for t in rnd}
+        senders = set(sched.send_src)
         assert senders <= set(small_problem.sources)
 
     def test_messages_never_combined(self, small_problem):
         sched = PersAlltoAll().build_schedule(small_problem)
-        for rnd in sched.rounds:
-            for t in rnd:
-                assert t.msgset == frozenset({t.src})
+        for src, msgset in zip(sched.send_src, sched.send_msgset):
+            assert msgset == frozenset({src})
 
     def test_total_message_count(self, small_problem):
         """Each source sends p - 1 original copies."""
@@ -67,7 +67,7 @@ class TestStructure:
 
     def test_each_round_is_a_partial_permutation(self, small_problem):
         sched = PersAlltoAll().build_schedule(small_problem)
-        for rnd in sched.rounds:
+        for rnd in all_rounds(sched):
             dsts = [t.dst for t in rnd]
             srcs = [t.src for t in rnd]
             assert len(set(dsts)) == len(dsts)
@@ -77,15 +77,15 @@ class TestStructure:
         machine = paragon(4, 4)
         problem = BroadcastProblem(machine, (3,), message_size=8)
         sched = PersAlltoAll().build_schedule(problem)
-        for k, rnd in enumerate(sched.rounds, start=1):
-            (t,) = rnd.transfers
+        for k, rnd in enumerate(all_rounds(sched), start=1):
+            (t,) = rnd
             assert t.dst == 3 ^ k
 
     def test_cyclic_permutations_otherwise(self, square_paragon):
         problem = BroadcastProblem(square_paragon, (7,), message_size=8)
         sched = PersAlltoAll().build_schedule(problem)
-        for k, rnd in enumerate(sched.rounds, start=1):
-            (t,) = rnd.transfers
+        for k, rnd in enumerate(all_rounds(sched), start=1):
+            (t,) = rnd
             assert t.dst == (7 + k) % 100
 
     def test_validates_for_all_s(self, small_paragon):

@@ -9,6 +9,7 @@ from repro.core.algorithms import ReposLin, ReposXYDim, ReposXYSource
 from repro.core.algorithms.repos import repositioning_round
 from repro.distributions import DISTRIBUTIONS
 from repro.machines import paragon
+from tests.schedule_view import round_sends
 
 
 class TestRepositioningRound:
@@ -16,7 +17,7 @@ class TestRepositioningRound:
         problem = BroadcastProblem(small_paragon, (2, 5, 9), message_size=8)
         transfers, holdings = repositioning_round(problem, (2, 7, 11))
         # source 2 already sits on target 2: no transfer for it
-        moved = {(t.src, t.dst) for t in transfers}
+        moved = {(src, dst) for src, dst, _msgset in transfers}
         assert moved == {(5, 7), (9, 11)}
         assert holdings[2] == frozenset({2})
         assert holdings[7] == frozenset({5})
@@ -27,8 +28,8 @@ class TestRepositioningRound:
         transfers, holdings = repositioning_round(problem, (10, 11))
         assert holdings[10] == frozenset({0})
         assert holdings[11] == frozenset({1})
-        for t in transfers:
-            assert t.msgset == frozenset({t.src})
+        for src, _dst, msgset in transfers:
+            assert msgset == frozenset({src})
 
     def test_wrong_target_count_rejected(self, small_paragon):
         problem = BroadcastProblem(small_paragon, (0, 1), message_size=8)
@@ -50,10 +51,10 @@ class TestSchedules:
         src = DISTRIBUTIONS["Sq"].generate(square_paragon, 25)
         problem = BroadcastProblem(square_paragon, src, message_size=64)
         sched = ReposXYSource().build_schedule(problem)
-        assert sched.rounds[0].label == "reposition"
+        assert sched.round_label[0] == "reposition"
         # a permutation: distinct sources, distinct targets
-        srcs = [t.src for t in sched.rounds[0]]
-        dsts = [t.dst for t in sched.rounds[0]]
+        srcs = [t.src for t in round_sends(sched, 0)]
+        dsts = [t.dst for t in round_sends(sched, 0)]
         assert len(set(srcs)) == len(srcs)
         assert len(set(dsts)) == len(dsts)
 
@@ -74,8 +75,7 @@ class TestSchedules:
         ideal = ideal_row_sources(machine, 32)
         problem = BroadcastProblem(machine, ideal, message_size=64)
         sched = ReposXYSource().build_schedule(problem)
-        assert sched.rounds[0].label != "reposition" or len(sched.rounds[0]) == 0 or \
-            len([t for t in sched.rounds[0]]) < 32
+        assert sched.round_label[0] != "reposition" or len(round_sends(sched, 0)) < 32
 
 
 class TestPaperShapes:

@@ -6,41 +6,42 @@ from repro.core import BroadcastProblem, run_broadcast
 from repro.core.algorithms import TwoStep
 from repro.core.structure import analyze_schedule
 from repro.distributions import DISTRIBUTIONS
+from tests.schedule_view import all_rounds, round_sends
 
 
 class TestStructure:
     def test_gather_round_first(self, small_problem):
         sched = TwoStep().build_schedule(small_problem)
-        assert sched.rounds[0].label == "gather"
-        gather = sched.rounds[0]
+        assert sched.round_label[0] == "gather"
+        gather = round_sends(sched, 0)
         assert all(t.dst == 0 for t in gather)
         assert {t.src for t in gather} == set(small_problem.sources) - {0}
 
     def test_gather_carries_individual_messages(self, small_problem):
         sched = TwoStep().build_schedule(small_problem)
-        for t in sched.rounds[0]:
+        for t in round_sends(sched, 0):
             assert t.msgset == frozenset({t.src})
 
     def test_bcast_carries_combined_message(self, small_problem):
         sched = TwoStep().build_schedule(small_problem)
         full = frozenset(small_problem.sources)
-        for rnd in sched.rounds[1:]:
+        for rnd in all_rounds(sched)[1:]:
             for t in rnd:
                 assert t.msgset == full
 
     def test_bcast_sends_p_minus_1_messages(self, small_problem):
         sched = TwoStep().build_schedule(small_problem)
-        bcast_transfers = sum(len(r) for r in sched.rounds[1:])
+        bcast_transfers = sum(len(r) for r in all_rounds(sched)[1:])
         assert bcast_transfers == small_problem.p - 1
 
     def test_root_as_source_sends_nothing_in_gather(self, small_paragon):
         problem = BroadcastProblem(small_paragon, (0, 5), message_size=64)
         sched = TwoStep().build_schedule(problem)
-        assert len(sched.rounds[0]) == 1  # only rank 5 sends
+        assert len(round_sends(sched, 0)) == 1  # only rank 5 sends
 
     def test_native_mode_flags(self, small_problem):
         sched = TwoStep().build_schedule(small_problem)
-        assert all(not r.collective and not r.mpi for r in sched.rounds)
+        assert not any(sched.round_collective) and not any(sched.round_mpi)
 
     def test_validates_everywhere(self, small_paragon, square_paragon, small_t3d):
         for machine in (small_paragon, square_paragon, small_t3d):

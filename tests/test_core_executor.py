@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.executor import ScheduleExecutor
 from repro.core.problem import BroadcastProblem
-from repro.core.schedule import Schedule, Transfer
+from repro.core.schedule import Schedule
 
 
 @pytest.fixture
@@ -22,7 +22,7 @@ def run_schedule(problem, schedule, **kw):
 class TestDelivery:
     def test_holdings_returned_per_rank(self, problem):
         sched = Schedule(problem, algorithm="t")
-        sched.add_round([Transfer(0, 1, frozenset({0}))])
+        sched.add_round([(0, 1, frozenset({0}))])
         result = run_schedule(problem, sched)
         assert result.returns[1] == frozenset({0, })
         assert result.returns[0] == frozenset({0})
@@ -32,9 +32,9 @@ class TestDelivery:
     def test_payload_carries_msgset(self, problem):
         sched = Schedule(problem, algorithm="t")
         sched.add_round(
-            [Transfer(0, 4, frozenset({0})), Transfer(4, 0, frozenset({4}))]
+            [(0, 4, frozenset({0})), (4, 0, frozenset({4}))]
         )
-        sched.add_round([Transfer(0, 1, frozenset({0, 4}))])
+        sched.add_round([(0, 1, frozenset({0, 4}))])
         result = run_schedule(problem, sched)
         assert result.returns[1] == frozenset({0, 4})
 
@@ -44,9 +44,9 @@ class TestDataParallelSynchronization:
         """Ranks uninvolved in round 0 proceed straight to round 1."""
         sched = Schedule(problem, algorithm="t")
         # round 0: a slow large transfer between 0 and 1
-        sched.add_round([Transfer(0, 1, frozenset({0}), nbytes_override=100_000)])
+        sched.add_round([(0, 1, frozenset({0}), 100_000)])
         # round 1: an unrelated fast transfer between 4 and 5
-        sched.add_round([Transfer(4, 5, frozenset({4}))])
+        sched.add_round([(4, 5, frozenset({4}))])
         result = run_schedule(problem, sched)
         # If there were a global barrier, elapsed would exceed the big
         # transfer (1000us wire) plus the small one; without one, the
@@ -59,8 +59,8 @@ class TestDataParallelSynchronization:
     def test_dependency_chains_propagate(self, problem):
         """Round k+1 sends wait for the sender's round-k receive."""
         sched = Schedule(problem, algorithm="t")
-        sched.add_round([Transfer(0, 2, frozenset({0}), nbytes_override=50_000)])
-        sched.add_round([Transfer(2, 3, frozenset({0}))])
+        sched.add_round([(0, 2, frozenset({0}), 50_000)])
+        sched.add_round([(2, 3, frozenset({0}))])
         result = run_schedule(problem, sched)
         # 2's forward can only start after the 50 KB message arrived
         # (500 us wire) and was copied (1000 us at 0.02/byte).
@@ -69,8 +69,8 @@ class TestDataParallelSynchronization:
 
     def test_iteration_buckets_follow_rounds(self, problem):
         sched = Schedule(problem, algorithm="t")
-        sched.add_round([Transfer(0, 1, frozenset({0}))])
-        sched.add_round([Transfer(4, 5, frozenset({4}))])
+        sched.add_round([(0, 1, frozenset({0}))])
+        sched.add_round([(4, 5, frozenset({4}))])
         result = run_schedule(problem, sched)
         assert result.metrics.iterations == 2
 
@@ -84,11 +84,11 @@ class TestModes:
         problem = BroadcastProblem(machine, (0,), message_size=100)
 
         plain = Schedule(problem, algorithm="p")
-        plain.add_round([Transfer(0, 1, frozenset({0}))])
+        plain.add_round([(0, 1, frozenset({0}))])
         for rank in range(1, 8):
             pass
         lib = Schedule(problem, algorithm="l")
-        lib.add_round([Transfer(0, 1, frozenset({0}))], collective=True)
+        lib.add_round([(0, 1, frozenset({0}))], collective=True)
 
         t_plain = run_schedule(problem, plain, seed=0).elapsed_us
         t_lib = run_schedule(problem, lib, seed=0).elapsed_us
@@ -99,8 +99,8 @@ class TestModes:
         sched = Schedule(problem, algorithm="dup")
         sched.add_round(
             [
-                Transfer(0, 1, frozenset({0})),
-                Transfer(0, 1, frozenset({0}), nbytes_override=7),
+                (0, 1, frozenset({0})),
+                (0, 1, frozenset({0}), 7),
             ]
         )
         result = run_schedule(problem, sched)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core.ideal import (
@@ -49,6 +51,28 @@ class TestBestLinePositions:
         assert estimate_halving_time(16, found) <= estimate_halving_time(
             16, even
         )
+
+    @pytest.mark.parametrize("n,k", [(10, 2), (16, 5)])
+    def test_pick_is_the_first_minimum_of_the_exhaustive_scan(self, n, k):
+        """Ties at the estimator's minimum go to the lexicographically
+        first placement, and there are many of them."""
+        placements = list(itertools.combinations(range(n), k))
+        scores = [estimate_halving_time(n, pos) for pos in placements]
+        best = min(scores)
+        assert best_line_positions(n, k) == placements[scores.index(best)]
+        assert scores.count(best) > 1
+
+    def test_ten_rows_pick_and_spread(self):
+        """R(20) on 10 rows: the search picks {0, 1}, one of 24 tied pairs
+        that include the paper's {0, 6}; even spacing scores higher."""
+        assert best_line_positions(10, 2) == (0, 1)
+        pairs = list(itertools.combinations(range(10), 2))
+        score = {pair: estimate_halving_time(10, pair) for pair in pairs}
+        tied = [pair for pair in pairs if score[pair] == score[(0, 1)]]
+        assert len(tied) == 24 and len(pairs) == 45
+        assert {(0, 4), (0, 6), (0, 9)} <= set(tied)
+        assert score[(0, 1)] == pytest.approx(419.264)
+        assert score[(0, 5)] == pytest.approx(523.712)
 
     def test_cached_and_deterministic(self):
         assert best_line_positions(12, 5) == best_line_positions(12, 5)

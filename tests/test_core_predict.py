@@ -7,7 +7,7 @@ import pytest
 from repro.core import BroadcastProblem, run_broadcast
 from repro.core.algorithms import get_algorithm, list_algorithms
 from repro.core.predict import predict_broadcast_time, predict_schedule_time
-from repro.core.schedule import Schedule, Transfer
+from repro.core.schedule import Schedule
 from repro.distributions import DISTRIBUTIONS
 from repro.machines import machine_from_spec, paragon, t3d
 from tests.conftest import model_is_exact
@@ -17,7 +17,7 @@ class TestPrimitive:
     def test_single_transfer_matches_hand_computation(self, line_machine):
         problem = BroadcastProblem(line_machine, (0,), message_size=100)
         sched = Schedule(problem, algorithm="t")
-        sched.add_round([Transfer(0, 3, frozenset({0}))])
+        sched.add_round([(0, 3, frozenset({0}))])
         predicted = predict_schedule_time(sched)
         # o_s 10 + wire (3 hops * 0.1 + 100 * 0.01) + o_r 5 + copy 2
         assert predicted == pytest.approx(18.3)
@@ -29,20 +29,20 @@ class TestPrimitive:
     def test_dependency_chain_accumulates(self, line_machine):
         problem = BroadcastProblem(line_machine, (0,), message_size=100)
         sched = Schedule(problem, algorithm="t")
-        sched.add_round([Transfer(0, 1, frozenset({0}))])
-        sched.add_round([Transfer(1, 2, frozenset({0}))])
+        sched.add_round([(0, 1, frozenset({0}))])
+        sched.add_round([(1, 2, frozenset({0}))])
         two_hop = predict_schedule_time(sched)
         one = Schedule(problem, algorithm="t")
-        one.add_round([Transfer(0, 1, frozenset({0}))])
+        one.add_round([(0, 1, frozenset({0}))])
         assert two_hop > predict_schedule_time(one)
 
     def test_collective_rounds_use_fast_tier(self):
         machine = t3d(16)
         problem = BroadcastProblem(machine, (0,), message_size=4096)
         plain = Schedule(problem, algorithm="p")
-        plain.add_round([Transfer(0, 1, frozenset({0}))])
+        plain.add_round([(0, 1, frozenset({0}))])
         lib = Schedule(problem, algorithm="l")
-        lib.add_round([Transfer(0, 1, frozenset({0}))], collective=True)
+        lib.add_round([(0, 1, frozenset({0}))], collective=True)
         assert predict_schedule_time(lib) < predict_schedule_time(plain)
 
 

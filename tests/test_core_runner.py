@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import BroadcastProblem, run_broadcast
 from repro.core.algorithms import BrLin, get_algorithm
-from repro.core.schedule import Schedule, Transfer
+from repro.core.schedule import Schedule
 from repro.errors import AlgorithmError, VerificationError
 
 
@@ -57,7 +57,7 @@ class TestRunBroadcast:
                 sched = Schedule(problem, algorithm=self.name)
                 src = problem.sources[0]
                 dst = (src + 1) % problem.p
-                sched.add_round([Transfer(src, dst, frozenset({src}))])
+                sched.add_round([(src, dst, frozenset({src}))])
                 return sched  # delivers to one rank only
 
         with pytest.raises(VerificationError):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import BroadcastProblem
 from repro.core.algorithms import BrLin, TwoStep
-from repro.core.schedule import Schedule, Transfer
+from repro.core.schedule import Schedule
 from repro.core.structure import analyze_schedule, estimate_halving_time
 
 
@@ -14,9 +14,9 @@ class TestAnalyzeSchedule:
     def test_per_round_actives_and_new_holders(self, line_machine):
         problem = BroadcastProblem(line_machine, (0,), message_size=100)
         sched = Schedule(problem, algorithm="hand")
-        sched.add_round([Transfer(0, 4, frozenset({0}))])
+        sched.add_round([(0, 4, frozenset({0}))])
         sched.add_round(
-            [Transfer(0, 2, frozenset({0})), Transfer(4, 6, frozenset({0}))]
+            [(0, 2, frozenset({0})), (4, 6, frozenset({0}))]
         )
         profile = analyze_schedule(sched)
         assert profile.rounds[0].active_ranks == 2
@@ -28,9 +28,9 @@ class TestAnalyzeSchedule:
         problem = BroadcastProblem(line_machine, (0, 4), message_size=100)
         sched = Schedule(problem, algorithm="hand")
         sched.add_round(
-            [Transfer(0, 4, frozenset({0})), Transfer(4, 0, frozenset({4}))]
+            [(0, 4, frozenset({0})), (4, 0, frozenset({4}))]
         )
-        sched.add_round([Transfer(0, 1, frozenset({0, 4}))])
+        sched.add_round([(0, 1, frozenset({0, 4}))])
         profile = analyze_schedule(sched)
         assert profile.rounds[0].max_transfer_bytes == 100
         assert profile.rounds[0].total_bytes == 200

@@ -326,7 +326,7 @@ def _copy_per_rank(schedule, receives):
     per_rank = [0.0] * schedule.problem.p
     for rank, nbytes, rnd in receives:
         per_rank[rank] += params.copy_cost(
-            nbytes, collective=schedule.rounds[rnd].collective
+            nbytes, collective=schedule.round_collective[rnd]
         )
     return per_rank
 
@@ -354,9 +354,10 @@ def test_copy_cost_follows_match_order(spec, sources, sizes, seed):
         (r.fields["rank"], r.fields["nbytes"], r.fields["tag"]) for r in tracer
     ])
     in_op_order = _copy_per_rank(schedule, [
-        (t.dst, t.nbytes(problem), i)
-        for i, rnd in enumerate(schedule.rounds)
-        for t in rnd
+        (dst, problem.nbytes(msgset), rnd)
+        for dst, msgset, rnd in zip(
+            schedule.send_dst, schedule.send_msgset, schedule.send_round
+        )
     ])
     # The engine sums in match order, and the case is sensitive to it.
     assert left_sum(in_match_order) == event.metrics.total_copy_time

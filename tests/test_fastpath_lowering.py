@@ -4,8 +4,8 @@ The event engine's :class:`~repro.core.executor.ScheduleExecutor` walks
 the plan's operation streams as each rank's program and the replay
 kernel replays them, so the engines share the op order by
 construction.  The op-stream check here is the independent half: it
-rebuilds each rank's expected program straight from
-``schedule.rounds`` and shares no code with either engine.
+rebuilds each rank's expected program straight from the schedule's
+columns and shares no code with either engine.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from repro.core.executor import ScheduleExecutor
 from repro.core.problem import BroadcastProblem
 from repro.fastpath.lowering import OP_RECV, OP_SEND, OP_WAIT, lower_schedule
 from repro.machines import machine_from_spec
+from tests.schedule_view import all_rounds
 
 CASES = [
     ("paragon:4x4", "PersAlltoAll", 4),
@@ -36,13 +37,13 @@ def _schedule(spec: str, algorithm: str, s: int):
 
 
 def _expected_slices(schedule):
-    """Per rank: ``(round, sent transfers, receive sources)`` per round."""
+    """Per rank: ``(round, its sends, receive sources)`` per round."""
     p = schedule.problem.p
     slices = [[] for _ in range(p)]
-    for rnd_idx, rnd in enumerate(schedule.rounds):
+    for rnd_idx, rnd in enumerate(all_rounds(schedule)):
         for rank in range(p):
-            sends = [t for t in rnd.transfers if t.src == rank]
-            recvs = [t.src for t in rnd.transfers if t.dst == rank]
+            sends = [send for send in rnd if send[0] == rank]
+            recvs = [send[0] for send in rnd if send[1] == rank]
             if sends or recvs:
                 slices[rank].append((rnd_idx, sends, recvs))
     return slices
@@ -67,15 +68,17 @@ def test_op_stream_follows_schedule_rounds(spec, algorithm, s):
         i = 0
         for rnd_idx, sends, recvs in expected:
             sids = []
-            for t in sends:
+            for _src, dst, msgset, override in sends:
                 code, sid, aux = ops[i]
                 assert (code, aux) == (OP_SEND, rnd_idx)
                 assert plan.send_src[sid] == rank
-                assert plan.send_dst[sid] == t.dst
+                assert plan.send_dst[sid] == dst
                 assert plan.send_round[sid] == rnd_idx
-                assert plan.send_msgset[sid] == t.msgset
+                assert plan.send_msgset[sid] == msgset
                 assert isinstance(plan.send_msgset[sid], frozenset)
-                assert plan.send_nbytes[sid] == t.nbytes(problem)
+                assert plan.send_nbytes[sid] == (
+                    problem.nbytes(msgset) if override is None else override
+                )
                 sids.append(sid)
                 i += 1
             for src in recvs:
@@ -86,7 +89,7 @@ def test_op_stream_follows_schedule_rounds(spec, algorithm, s):
                 i += 1
             seen_sids.extend(sids)
         assert i == len(ops)
-    # Every transfer lowers to exactly one send.
+    # Every send of the schedule lowers to exactly one send.
     assert sorted(seen_sids) == list(range(plan.num_sends))
 
 
@@ -98,24 +101,45 @@ def test_executor_runs_the_lowered_plan(spec, algorithm, s):
     assert ScheduleExecutor(schedule).plan == lower_schedule(schedule)
 
 
+#: The plan fields that are the lowered schedule's own lists.
+SHARED_COLUMNS = (
+    "send_src",
+    "send_dst",
+    "send_msgset",
+    "send_round",
+    "round_phase",
+    "round_collective",
+    "round_mpi",
+)
+
+
+@pytest.mark.parametrize("spec,algorithm,s", CASES)
+def test_plan_shares_the_schedules_columns(spec, algorithm, s):
+    """The lowering hands the plan the schedule's lists, not copies, and
+    a size rebind of the plan keeps sharing them."""
+    schedule = _schedule(spec, algorithm, s)
+    plan = lower_schedule(schedule)
+    plans = [plan]
+    if plan.size_reusable:
+        plans.append(plan.rebind_sizes(schedule.problem))
+    for lowered in plans:
+        for name in SHARED_COLUMNS:
+            assert getattr(lowered, name) is getattr(schedule, name), name
+
+
 @pytest.mark.parametrize("spec,algorithm,s", CASES)
 def test_round_tables_follow_schedule_rounds(spec, algorithm, s):
-    """Per-round mode flags, span names and per-send costs come from the
-    round each send belongs to."""
+    """Per-send costs come from the mode of the round each send belongs
+    to."""
     schedule = _schedule(spec, algorithm, s)
     params = schedule.problem.machine.params
     plan = lower_schedule(schedule)
-    assert plan.num_rounds == schedule.num_rounds
-    assert plan.round_collective == [r.collective for r in schedule.rounds]
-    assert plan.round_mpi == [r.mpi for r in schedule.rounds]
-    assert len(plan.round_phase) == schedule.num_rounds
-    for name, first, last in schedule.phases():
-        assert set(plan.round_phase[first:last + 1]) == {name}
+    assert plan.num_rounds == schedule.num_rounds == len(plan.round_phase)
+    assert len(plan.round_recv_ovh) == len(plan.round_mem_scale) == plan.num_rounds
     for sid, rnd_idx in enumerate(plan.send_round):
-        rnd = schedule.rounds[rnd_idx]
-        mode = {"collective": rnd.collective, "mpi": rnd.mpi}
-        copy = params.copy_cost(plan.send_nbytes[sid],
-                                collective=rnd.collective)
+        collective = schedule.round_collective[rnd_idx]
+        mode = {"collective": collective, "mpi": schedule.round_mpi[rnd_idx]}
+        copy = params.copy_cost(plan.send_nbytes[sid], collective=collective)
         assert plan.send_ovh[sid] == params.send_overhead(**mode)
         assert plan.recv_copy[sid] == copy
         assert plan.recv_total[sid] == params.recv_overhead(**mode) + copy

@@ -3,7 +3,8 @@
 ``lower_schedule`` sums each message set once per lowering and builds
 its op streams per round; ``bind_plan`` resolves one route per distinct
 rank pair.  These tests hold the lowering to ``tests/lowering_reference.py``
-— the per-transfer lowering it replaced, kept verbatim — field by field
+— the per-transfer lowering it replaced, kept verbatim and fed the
+schedule through ``tests/schedule_view.py``'s adapter — field by field
 for every registered algorithm on a small grid, and the bind to one
 ``route_links`` call per send.
 """
@@ -21,6 +22,7 @@ from repro.fastpath.lowering import lower_schedule
 from repro.machines import machine_from_spec
 from repro.network import topology as topology_mod
 from tests import lowering_reference as reference
+from tests.schedule_view import rounds_view
 
 #: Machines of the grid: a mesh, a T3D (random ranks, pipelined
 #: MPI_AllGather) and a T3D whose 256-byte segments split messages.
@@ -59,7 +61,7 @@ def test_lowering_equals_per_transfer_reference(spec, algorithm):
     for problem in _problems(spec):
         schedule = alg.build_schedule(problem)
         assert _fields(lower_schedule(schedule)) == _fields(
-            reference.lower_schedule(schedule)
+            reference.lower_schedule(rounds_view(schedule))
         )
 
 
@@ -68,10 +70,10 @@ def test_pipelined_allgather_lowers_unreusable_with_overrides():
     machine = machine_from_spec(MACHINES[2])
     problem = BroadcastProblem(machine=machine, sources=(0, 5), message_size=600)
     schedule = get_algorithm("MPI_AllGather").build_schedule(problem)
-    assert any(t.nbytes_override for rnd in schedule.rounds for t in rnd)
+    assert any(schedule.send_override)
     plan = lower_schedule(schedule)
     assert plan.size_reusable is False
-    assert _fields(plan) == _fields(reference.lower_schedule(schedule))
+    assert _fields(plan) == _fields(reference.lower_schedule(rounds_view(schedule)))
 
 
 @pytest.mark.parametrize("algorithm", ["Br_xy_source", "PersAlltoAll", "2-Step"])
@@ -84,7 +86,7 @@ def test_size_rebind_equals_reference_lowering(algorithm):
     assert base.size_reusable
     rebound = base.rebind_sizes(varied)
     assert _fields(rebound) == _fields(
-        reference.lower_schedule(alg.build_schedule(varied))
+        reference.lower_schedule(rounds_view(alg.build_schedule(varied)))
     )
 
 

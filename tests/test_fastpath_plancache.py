@@ -174,8 +174,7 @@ def test_rebind_sizes_bit_equal_to_fresh_lowering():
     for name in ("send_src", "send_dst", "send_round", "send_msgset",
                  "send_ovh", "op_code", "op_arg", "op_aux", "op_start",
                  "rank_rounds", "round_phase", "round_collective",
-                 "round_mpi", "round_recv_ovh", "round_mem_scale",
-                 "active_rounds"):
+                 "round_mpi", "round_recv_ovh", "round_mem_scale"):
         assert getattr(rebound, name) is getattr(plan, name), name
 
 

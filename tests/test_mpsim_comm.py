@@ -152,25 +152,45 @@ class TestBlockingSemantics:
 
 
 class TestModes:
-    def test_with_mode_flips_overheads(self, machine):
-        def program(comm):
-            lib = comm.with_mode(collective=True)
-            assert lib.collective and not comm.collective
-            assert lib.rank == comm.rank and lib.size == comm.size
-            return None
-            yield
+    def test_mode_flags_flip_overheads(self):
+        """Each flag flip charges the next send its mode's overhead."""
+        params = EXACT.with_overrides(
+            collective_overhead_scale=0.25, mpi_overhead_scale=2.0
+        )
+        modes = [(False, False), (True, False), (True, True), (False, False)]
 
-        machine.run(program)
-
-    def test_iteration_cell_shared_across_views(self, machine):
         def program(comm):
-            lib = comm.with_mode(collective=True)
-            comm._iteration_cell[0] = 4
-            return lib._iteration_cell[0]
-            yield
+            if comm.rank == 1:
+                for _ in modes:
+                    yield from comm.recv(source=0)
+                return None
+            issued = []
+            for collective, mpi in modes:
+                comm.collective, comm.mpi = collective, mpi
+                start = comm.now
+                request = yield from comm.isend(1, None, nbytes=16)
+                issued.append(comm.now - start)
+                yield from request.wait()
+            return issued
+
+        result = Machine(LinearArray(2), params).run(program)
+        assert result.returns[0] == [8.0, 2.0, 4.0, 8.0]
+
+    def test_iteration_buckets_metrics(self, machine):
+        """Operations count under the iteration set when they are issued."""
+
+        def program(comm):
+            if comm.rank > 1:
+                return None
+            for iteration in (4, 7):
+                comm.iteration = iteration
+                if comm.rank == 0:
+                    yield from comm.send(1, None, nbytes=16)
+                else:
+                    yield from comm.recv(source=0)
 
         result = machine.run(program)
-        assert result.returns[0] == 4
+        assert [it for it, _ in result.metrics.iteration_times] == [4, 7]
 
 
 def late_message_run(receiver, tracer=None):

@@ -8,6 +8,7 @@ normalization), and CLI exit codes.
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -21,6 +22,12 @@ from repro.perf import (
 )
 from repro.perf.__main__ import main as perf_main
 from repro.perf.suite import SCHEMA, _definitions
+
+BASELINE = (
+    pathlib.Path(__file__).resolve().parent.parent
+    / "benchmarks"
+    / "perf_baseline.json"
+)
 
 
 def _report(benchmarks, calibration_s=1.0, **over):
@@ -75,6 +82,24 @@ class TestSuite:
         assert lookups["wall_s"] > 0
         assert lookups["extra"]["lookups"] == 20_000
         assert [b["extra"]["lookups"] for b in builds] == [4_000, 4_000]
+
+    def test_schedule_benches_run_in_both_modes(self):
+        quick = {name for name, _ in _definitions(quick=True)}
+        assert {name for name in quick if name.startswith("schedule/")} == {
+            "schedule/PersAlltoAll/paragon:16x16/s=32/L=4096",
+            "schedule/Br_xy_source/paragon:32x32/s=64/L=4096",
+            "schedule/MPI_AllGather/t3d:128/s=64/L=4096",
+        }
+        report = run_suite(quick=True, only="schedule/MPI_AllGather")
+        (bench_dict,) = report["benchmarks"]
+        assert bench_dict["wall_s"] > 0
+        assert bench_dict["extra"]["sends"] == 8191
+
+    def test_baseline_covers_every_benchmark(self):
+        baseline = load_report(BASELINE)
+        assert [b["name"] for b in baseline["benchmarks"]] == [
+            name for name, _ in _definitions(quick=False)
+        ]
 
     def test_write_and_load_roundtrip(self, tmp_path):
         report = _report([_bench_dict("a", 1.0)])

@@ -21,6 +21,7 @@ from repro.network.linear import LinearArray
 from repro.simulator.trace import Tracer
 from tests.conftest import TEST_PARAMS
 from tests.test_algorithms_collectives import message_time, two_ranks
+from tests.schedule_view import all_rounds
 
 group_sizes = st.integers(2, 9)
 
@@ -72,7 +73,11 @@ def test_monolithic_broadcast_is_a_binomial_tree(n, data):
     sources = data.draw(contributors(n), label="sources")
     problem = BroadcastProblem(line(n), sources, message_size=64)
     schedule = MPIAllGather().build_schedule(problem)
-    bcast = [rnd for rnd in schedule.rounds if rnd.label.startswith("bcast")]
+    bcast = [
+        rnd
+        for label, rnd in zip(schedule.round_label, all_rounds(schedule))
+        if label.startswith("bcast")
+    ]
     assert len(bcast) == math.ceil(math.log2(n))
     transfers = [t for rnd in bcast for t in rnd]
     assert sorted(t.dst for t in transfers) == list(range(1, n))
@@ -93,8 +98,8 @@ def test_pipelined_ring_carries_every_byte_for_any_sizes(n, segment, data):
     problem = BroadcastProblem(machine, sources, message_size=1, sizes=sizes)
     schedule = MPIAllGather().build_schedule(problem)
     carried = defaultdict(int)
-    for rnd in schedule.rounds:
-        if rnd.label.startswith("ring"):
+    for label, rnd in zip(schedule.round_label, all_rounds(schedule)):
+        if label.startswith("ring"):
             for t in rnd:
                 (msg,) = t.msgset
                 carried[(t.src, t.dst, msg)] += t.nbytes(problem)

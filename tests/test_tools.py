@@ -123,6 +123,43 @@ class TestCheckCallers:
             "Holder.run.inner(depth=)",
         ]
 
+    @staticmethod
+    def forwarding_tree(tmp_path, call):
+        """``A.run`` forwards its ``until`` to ``B.run``; ``walk`` sets
+        its own ``depth`` recursively; ``examples/`` calls ``call``."""
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(
+            "class B:\n"
+            "    def run(self, until=None):\n        return until\n\n"
+            "class A:\n"
+            "    def __init__(self):\n        self.engine = B()\n\n"
+            "    def run(self, until=None):\n"
+            "        return self.engine.run(until=until)\n\n"
+            "def walk(n, depth=0):\n"
+            "    return depth if n == 0 else walk(n - 1, depth=depth + 1)\n"
+        )
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text(
+            f"from repro.mod import A, walk\nwalk(3)\n{call}\n"
+        )
+        (tmp_path / "configs").mkdir()
+        return run_tool("check_callers.py", str(tmp_path))
+
+    def test_forwarding_and_self_calls_do_not_hide_an_unset_default(
+        self, tmp_path
+    ):
+        proc = self.forwarding_tree(tmp_path, "A().run()")
+        assert proc.returncode == 1
+        flagged = [
+            line.rsplit(": ", 1)[1] for line in proc.stderr.splitlines()[1:]
+        ]
+        assert flagged == ["B.run(until=)", "A.run(until=)", "walk(depth=)"]
+
+    def test_forwarding_a_set_default_sets_the_callee(self, tmp_path):
+        proc = self.forwarding_tree(tmp_path, "A().run(until=3)\nwalk(3, 1)")
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestCheckLinks:
     def test_repo_passes(self):

@@ -20,16 +20,26 @@ Two passes over the code outside ``tests/`` — the modules under
    ``src/repro`` (methods and nested functions included) must be set
    by some call outside ``tests/``: by keyword, by position (after
    ``self`` for a method; a class call sets its ``__init__``), through
-   ``*args`` or ``**kwargs``, or through ``functools.partial``.  The
-   builder functions that configs name with ``builder =`` are exempt:
-   the runner calls them as ``builder(quick)``.  ``KEEP_PARAMS`` lists
-   the rest that stay on purpose.
+   ``*args`` or ``**kwargs``, or through ``functools.partial``.  Two
+   rules keep forwarding from hiding an unset default:
+
+   * a call inside a def never sets that def's own defaults;
+   * ``g(x=x)``, passing the innermost enclosing def's defaulted ``x``
+     on, sets ``g``'s ``x`` only once that ``x`` is itself set — a
+     fixpoint, in which ``KEEP_PARAMS`` entries and the builder
+     functions configs name count as set.
+
+   The builder functions that configs name with ``builder =`` are
+   exempt: the runner calls them as ``builder(quick)``.
+   ``KEEP_PARAMS`` lists the rest that stay on purpose.
 
 Both passes guard against regrowth; neither proves use.  Calls are
 matched to definitions by name alone, so a definition counts as named,
 and a parameter as set, when *any* reference or call anywhere shares
 the name (``reset``, ``clear``, ``run`` and the like), whether or not
-it reaches that definition.
+it reaches that definition.  For example, ``Engine.run(until=)`` counts
+as set because ``machine.run(program)`` passes ``Machine.run`` one
+positional argument, and a name cannot tell the two ``run`` apart.
 
 Run:  python tools/check_callers.py [repo-root]
 """
@@ -151,46 +161,62 @@ def unnamed_definitions(root: pathlib.Path) -> list:
     ]
 
 
-def defaulted_parameters(src: pathlib.Path) -> list:
+def _defs(node, prefix="", class_name=None):
+    """``(def node, qualified name, enclosing class name or None)`` of
+    every def under ``node``, outer defs first."""
+    for item in ast.iter_child_nodes(node):
+        if isinstance(item, ast.ClassDef):
+            yield from _defs(item, f"{prefix}{item.name}.", item.name)
+        elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qualified = f"{prefix}{item.name}"
+            yield item, qualified, class_name
+            yield from _defs(item, f"{qualified}.")
+        else:
+            yield from _defs(item, prefix, class_name)
+
+
+def _defaulted(fn: ast.AST) -> list:
+    """``(param, index)`` of ``fn``'s defaulted parameters; ``index`` is
+    the parameter's position, ``None`` for a keyword-only one."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return [
+        (positional[index].arg, index)
+        for index in range(first, len(positional))
+    ] + [
+        (arg.arg, None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+
+
+def defaulted_parameters(root: pathlib.Path) -> list:
     """``(path, line, qualified name, call name, param, index)`` of every
-    defaulted parameter under ``src``.
+    defaulted parameter under ``src/repro``, ``path`` relative to
+    ``root``.
 
     ``index`` is the position a call's arguments fill (``self`` not
     counted), ``None`` for a keyword-only parameter; the call name of
     an ``__init__`` is its class's.
     """
     found = []
-
-    def visit(node, path, prefix, in_class, class_name):
-        for item in ast.iter_child_nodes(node):
-            if isinstance(item, ast.ClassDef):
-                visit(item, path, f"{prefix}{item.name}.", True, item.name)
-            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualified = f"{prefix}{item.name}"
-                decorators = {
-                    getattr(d, "id", getattr(d, "attr", None))
-                    for d in item.decorator_list
-                }
-                static = "staticmethod" in decorators
-                offset = 1 if in_class and not static else 0
-                call = class_name if item.name == "__init__" else item.name
-                args = item.args
-                positional = args.posonlyargs + args.args
-                first = len(positional) - len(args.defaults)
-                for index in range(first, len(positional)):
-                    found.append((path, item.lineno, qualified, call,
-                                  positional[index].arg, index - offset))
-                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                    if default is not None:
-                        found.append((path, item.lineno, qualified, call,
-                                      arg.arg, None))
-                visit(item, path, f"{qualified}.", False, None)
-            else:
-                visit(item, path, prefix, in_class, class_name)
-
-    for path in sorted(src.rglob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), path, "",
-              False, None)
+    for path in sorted((root / "src/repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn, qualified, class_name in _defs(tree):
+            decorators = {
+                getattr(d, "id", getattr(d, "attr", None))
+                for d in fn.decorator_list
+            }
+            offset = (
+                1 if class_name and "staticmethod" not in decorators else 0
+            )
+            call = class_name if fn.name == "__init__" else fn.name
+            for param, index in _defaulted(fn):
+                found.append((
+                    path.relative_to(root), fn.lineno, qualified, call, param,
+                    None if index is None else index - offset,
+                ))
     return found
 
 
@@ -203,31 +229,56 @@ def _callee(node: ast.AST):
 
 
 def calls_outside_tests(root: pathlib.Path) -> dict:
-    """``{call name: (positions filled, keywords, *args?, **kwargs?)}``
-    over every call outside ``tests/``, ``functools.partial`` included."""
+    """``{call name: [(positions filled, keywords, *args?, **kwargs?,
+    inside, forwards), ...]}`` over every call outside ``tests/``,
+    ``functools.partial`` included.
+
+    ``inside`` holds the ``(path, qualified name)`` of every def around
+    the call.  ``forwards`` maps each keyword whose value is a
+    defaulted parameter of the innermost such def to ``(path,
+    qualified name, param)``.
+    """
     calls = {}
+
+    def scan(node, path, inside, defaults):
+        for child in ast.iter_child_nodes(node):
+            qualified = qualified_of.get(id(child))
+            if qualified is not None:
+                scan(child, path, inside | {(path, qualified)},
+                     {param: (path, qualified, param)
+                      for param, _index in _defaulted(child)})
+                continue
+            if isinstance(child, ast.Call):
+                record(child, inside, defaults)
+            scan(child, path, inside, defaults)
+
+    def record(node, inside, defaults):
+        name, args = _callee(node.func), node.args
+        if name == "partial" and args:
+            name, args = _callee(args[0]), args[1:]
+        if name is None:
+            return
+        calls.setdefault(name, []).append((
+            sum(not isinstance(a, ast.Starred) for a in args),
+            frozenset(k.arg for k in node.keywords if k.arg),
+            any(isinstance(a, ast.Starred) for a in args),
+            any(k.arg is None for k in node.keywords),
+            inside,
+            {
+                k.arg: defaults[k.value.id]
+                for k in node.keywords
+                if k.arg and isinstance(k.value, ast.Name)
+                and k.value.id in defaults
+            },
+        ))
+
     for directory in NAMING_DIRS:
         for path in sorted((root / directory).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                name, args = _callee(node.func), node.args
-                if name == "partial" and args:
-                    name, args = _callee(args[0]), args[1:]
-                if name is None:
-                    continue
-                positions, keywords, star, kwargs = calls.get(
-                    name, (0, frozenset(), False, False)
-                )
-                calls[name] = (
-                    max(positions, sum(
-                        not isinstance(a, ast.Starred) for a in args
-                    )),
-                    keywords | {k.arg for k in node.keywords if k.arg},
-                    star or any(isinstance(a, ast.Starred) for a in args),
-                    kwargs or any(k.arg is None for k in node.keywords),
-                )
+            qualified_of = {
+                id(fn): qualified for fn, qualified, _class in _defs(tree)
+            }
+            scan(tree, path.relative_to(root), frozenset(), {})
     return calls
 
 
@@ -238,23 +289,43 @@ def unset_parameters(root: pathlib.Path) -> list:
     for path in sorted((root / "configs").glob("*.toml")):
         for module, function in BUILDER_RE.findall(path.read_text()):
             builders.add((module.replace(".", "/") + ".py", function))
-    unset = []
-    for path, line, qualified, call, param, index in defaulted_parameters(
-        root / "src/repro"
-    ):
-        relative = path.relative_to(root)
-        label = f"{qualified}({param}=)"
-        if (str(relative.relative_to("src")), qualified) in builders:
-            continue
-        positions, keywords, star, kwargs = calls.get(
-            call, (0, frozenset(), False, False)
-        )
-        by_position = index is not None and (index < positions or star)
-        if param in keywords or kwargs or by_position:
-            continue
-        if label not in KEEP_PARAMS:
-            unset.append((relative, line, label))
-    return unset
+    params = defaulted_parameters(root)
+    checked = {(path, qualified, param)
+               for path, _line, qualified, _call, param, _index in params}
+    # Set so far: KEEP_PARAMS entries and builder parameters, then every
+    # parameter some call sets, until a pass adds none.
+    is_set = {
+        (path, qualified, param)
+        for path, _line, qualified, _call, param, _index in params
+        if f"{qualified}({param}=)" in KEEP_PARAMS
+        or (str(path.relative_to("src")), qualified) in builders
+    }
+
+    def sets(call, param, index) -> bool:
+        positions, keywords, star, kwargs, _inside, forwards = call
+        if kwargs or (index is not None and (index < positions or star)):
+            return True
+        if param not in keywords:
+            return False
+        source = forwards.get(param)
+        return source is None or source not in checked or source in is_set
+
+    changed = True
+    while changed:
+        changed = False
+        for path, _line, qualified, call_name, param, index in params:
+            key = (path, qualified, param)
+            if key not in is_set and any(
+                (path, qualified) not in call[4] and sets(call, param, index)
+                for call in calls.get(call_name, ())
+            ):
+                is_set.add(key)
+                changed = True
+    return [
+        (path, line, f"{qualified}({param}=)")
+        for path, line, qualified, _call, param, _index in params
+        if (path, qualified, param) not in is_set
+    ]
 
 
 def main(argv: list | None = None) -> int:
