@@ -11,6 +11,7 @@ from typing import Dict, List
 
 from repro.bench.runner import Plan, seed_points, seed_times
 from repro.bench.types import Check, FigureResult, Series
+from repro.core.algorithms.common import GridView
 from repro.core.ideal import best_line_positions, ideal_row_sources
 from repro.core.problem import BroadcastProblem
 from repro.core.structure import estimate_halving_time
@@ -210,7 +211,10 @@ def ablation_ideal_rows(quick: bool = False) -> Plan:
     )
     items = [
         (BroadcastProblem(machine, sources, message_size=4096), "Br_xy_source")
-        for sources in (even_sources, ideal_row_sources(machine, 20))
+        for sources in (
+            even_sources,
+            ideal_row_sources(GridView.full_machine(10, 10), 20),
+        )
     ]
 
     def finish(results):

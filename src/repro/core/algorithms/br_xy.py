@@ -21,7 +21,7 @@ They differ only in dimension order:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List
+from typing import AbstractSet, Dict, FrozenSet, List
 
 from repro.core.algorithms.base import BroadcastAlgorithm, register
 from repro.core.algorithms.common import (
@@ -49,14 +49,14 @@ def xy_phase_rounds(
     return merge_rounds([halving_rounds(line, holdings) for line in lines])
 
 
-def source_line_maxima(problem: BroadcastProblem, view: GridView) -> tuple:
-    """``(max_r, max_c)``: max sources in any row / any column of ``view``."""
+def source_line_maxima(view: GridView, holders: AbstractSet[int]) -> tuple:
+    """``(max_r, max_c)``: max ``holders`` in any row / any column of ``view``."""
     max_r = max(
-        (sum(1 for rank in line if problem.is_source(rank)) for line in view.row_lines()),
+        (sum(1 for rank in line if rank in holders) for line in view.row_lines()),
         default=0,
     )
     max_c = max(
-        (sum(1 for rank in line if problem.is_source(rank)) for line in view.col_lines()),
+        (sum(1 for rank in line if rank in holders) for line in view.col_lines()),
         default=0,
     )
     return max_r, max_c
@@ -105,7 +105,7 @@ class BrXYSource(BroadcastAlgorithm):
         self.check_supported(problem)
         rows, cols = problem.machine.mesh_shape
         view = GridView.full_machine(rows, cols)
-        max_r, max_c = source_line_maxima(problem, view)
+        max_r, max_c = source_line_maxima(view, problem.source_set)
         rows_first = max_r < max_c
         return build_xy_schedule(problem, view, rows_first, self.name)
 

@@ -17,11 +17,10 @@ better performance than repositioning alone").
 
 from __future__ import annotations
 
-import math
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.core.algorithms.base import BroadcastAlgorithm, register
-from repro.core.algorithms.br_xy import xy_phase_rounds
+from repro.core.algorithms.br_xy import source_line_maxima, xy_phase_rounds
 from repro.core.algorithms.common import (
     GridView,
     Send,
@@ -29,7 +28,7 @@ from repro.core.algorithms.common import (
     merge_rounds,
 )
 from repro.core.algorithms.repos import repositioning_round
-from repro.core.ideal import best_line_positions
+from repro.core.ideal import ideal_linear_sources, ideal_row_sources
 from repro.core.problem import BroadcastProblem
 from repro.core.schedule import Schedule
 from repro.errors import AlgorithmError
@@ -48,10 +47,8 @@ class _PartBase(BroadcastAlgorithm):
         rows, cols = machine.mesh_shape
         return rows % 2 == 0 or cols % 2 == 0
 
-    def _group_targets(
-        self, problem: BroadcastProblem, view: GridView, count: int
-    ) -> Tuple[int, ...]:
-        """Ideal placement of ``count`` sources inside one group view."""
+    def _group_targets(self, view: GridView, count: int) -> Tuple[int, ...]:
+        """Ideal placement of ``count`` > 0 sources inside one group view."""
         raise NotImplementedError
 
     def _group_rounds(
@@ -80,8 +77,8 @@ class _PartBase(BroadcastAlgorithm):
         # clamped to each group's capacity.
         s1 = min(max(round(s * p1 / problem.p), s - p1), p1, s)
         s2 = s - s1
-        targets1 = self._group_targets(problem, g1, s1)
-        targets2 = self._group_targets(problem, g2, s2)
+        targets1 = self._group_targets(g1, s1) if s1 else ()
+        targets2 = self._group_targets(g2, s2) if s2 else ()
         schedule = Schedule(problem, algorithm=self.name)
         sends, holdings = repositioning_round(
             problem, tuple(targets1) + tuple(targets2)
@@ -119,14 +116,8 @@ class PartLin(_PartBase):
 
     name = "Part_Lin"
 
-    def _group_targets(
-        self, problem: BroadcastProblem, view: GridView, count: int
-    ) -> Tuple[int, ...]:
-        if count == 0:
-            return ()
-        order = view.snake_order()
-        positions = best_line_positions(len(order), count)
-        return tuple(sorted(order[pos] for pos in positions))
+    def _group_targets(self, view: GridView, count: int) -> Tuple[int, ...]:
+        return ideal_linear_sources(view.snake_order(), count)
 
     def _group_rounds(self, problem, view, holdings):
         return halving_rounds(view.snake_order(), holdings)
@@ -140,22 +131,8 @@ class _PartXY(_PartBase):
     ) -> bool:
         raise NotImplementedError
 
-    def _group_targets(
-        self, problem: BroadcastProblem, view: GridView, count: int
-    ) -> Tuple[int, ...]:
-        if count == 0:
-            return ()
-        # Ideal row distribution within the group: full view-rows at
-        # searched positions along the group's column length.
-        i = math.ceil(count / view.cols)
-        row_positions = best_line_positions(view.rows, i)
-        ranks: List[int] = []
-        remaining = count
-        for row in row_positions:
-            take = min(view.cols, remaining)
-            ranks.extend(view.cells[row][:take])
-            remaining -= take
-        return tuple(sorted(ranks))
+    def _group_targets(self, view: GridView, count: int) -> Tuple[int, ...]:
+        return ideal_row_sources(view, count)
 
     def _group_rounds(self, problem, view, holdings):
         # Dimension choice is made on the post-permutation (ideal)
@@ -182,14 +159,7 @@ class PartXYSource(_PartXY):
     name = "Part_xy_source"
 
     def _rows_first(self, view: GridView, holders: FrozenSet[int]) -> bool:
-        max_r = max(
-            (sum(1 for r in line if r in holders) for line in view.row_lines()),
-            default=0,
-        )
-        max_c = max(
-            (sum(1 for r in line if r in holders) for line in view.col_lines()),
-            default=0,
-        )
+        max_r, max_c = source_line_maxima(view, holders)
         return max_r < max_c
 
 

@@ -77,12 +77,12 @@ class ReposLin(BroadcastAlgorithm):
     requires_mesh = False
 
     def build_schedule(self, problem: BroadcastProblem) -> Schedule:
-        targets = ideal.ideal_linear_sources(problem.machine, problem.s)
+        order = problem.machine.linear_order()
+        targets = ideal.ideal_linear_sources(order, problem.s)
         schedule = Schedule(problem, algorithm=self.name)
         sends, holdings = repositioning_round(problem, targets)
         with schedule.span("reposition"):
             schedule.add_round(sends, label="reposition")
-        order = problem.machine.linear_order()
         with schedule.span("halving"):
             for idx, rnd in enumerate(halving_rounds(order, holdings)):
                 schedule.add_round(rnd, label=f"halving-{idx}")
@@ -94,20 +94,19 @@ class _ReposXY(BroadcastAlgorithm):
 
     requires_mesh = True
 
-    def _rows_first(self, problem: BroadcastProblem, view: GridView) -> bool:
+    def _rows_first(self, view: GridView, holders: FrozenSet[int]) -> bool:
         raise NotImplementedError
 
     def build_schedule(self, problem: BroadcastProblem) -> Schedule:
         self.check_supported(problem)
         rows, cols = problem.machine.mesh_shape
         view = GridView.full_machine(rows, cols)
-        targets = ideal.ideal_row_sources(problem.machine, problem.s)
+        targets = ideal.ideal_row_sources(view, problem.s)
         schedule = Schedule(problem, algorithm=self.name)
         sends, holdings = repositioning_round(problem, targets)
         with schedule.span("reposition"):
             schedule.add_round(sends, label="reposition")
-        ideal_problem = problem.replace_sources(targets)
-        rows_first = self._rows_first(ideal_problem, view)
+        rows_first = self._rows_first(view, frozenset(targets))
         return build_xy_schedule(
             problem, view, rows_first, self.name, schedule, holdings
         )
@@ -119,10 +118,10 @@ class ReposXYSource(_ReposXY):
 
     name = "Repos_xy_source"
 
-    def _rows_first(self, problem: BroadcastProblem, view: GridView) -> bool:
+    def _rows_first(self, view: GridView, holders: FrozenSet[int]) -> bool:
         # Dimension choice is made on the *ideal* (post-permutation)
         # distribution, as Br_xy_source would see it.
-        max_r, max_c = source_line_maxima(problem, view)
+        max_r, max_c = source_line_maxima(view, holders)
         return max_r < max_c
 
 
@@ -132,6 +131,5 @@ class ReposXYDim(_ReposXY):
 
     name = "Repos_xy_dim"
 
-    def _rows_first(self, problem: BroadcastProblem, view: GridView) -> bool:
-        rows, cols = problem.machine.mesh_shape
-        return rows >= cols
+    def _rows_first(self, view: GridView, holders: FrozenSet[int]) -> bool:
+        return view.rows >= view.cols

@@ -29,10 +29,10 @@ reach takes the exhaustive scan.
 Generators provided:
 
 * :func:`ideal_row_sources` — the ideal row distribution used by
-  ``Repos_xy_source`` / ``Repos_xy_dim`` (full rows at searched row
-  positions);
-* :func:`ideal_linear_sources` — searched positions on the machine's
-  linear (snake) order, used by ``Repos_Lin``.
+  ``Repos_xy_*`` on the machine and ``Part_xy_*`` in each group (full
+  rows at searched row positions);
+* :func:`ideal_linear_sources` — searched positions on a linear
+  (snake) order, used by ``Repos_Lin`` and ``Part_Lin``.
 
 The paper's named ideal for ``Br_Lin`` (§4), the left diagonal, is the
 ``Dl`` distribution (``DISTRIBUTIONS["Dl"]``).
@@ -47,7 +47,6 @@ from typing import List, Sequence, Tuple
 
 from repro.core.structure import estimate_halving_time
 from repro.errors import DistributionError
-from repro.machines.machine import Machine
 
 __all__ = [
     "best_line_positions",
@@ -165,40 +164,38 @@ def _hill_climb(n, k, start, score):
     return tuple(sorted(current))
 
 
-# -- machine-level generators --------------------------------------------
+# -- source generators ----------------------------------------------------
 
 
-def ideal_row_sources(machine: Machine, s: int) -> Tuple[int, ...]:
-    """Ideal row distribution: full rows at searched row positions.
+def ideal_row_sources(view, s: int) -> Tuple[int, ...]:
+    """Ideal row distribution on ``view``: full rows at searched positions.
 
-    ``ceil(s / c)`` rows are chosen by :func:`best_line_positions` over
-    the column length ``r`` (the dimension the second, column phase of
+    ``view`` is a :class:`~repro.core.algorithms.common.GridView`: a
+    machine's logical grid, or one partition group.  ``ceil(s / cols)``
+    of its rows are chosen by :func:`best_line_positions` over the
+    column length (the dimension the second, column phase of
     ``Br_xy_*`` broadcasts along); each chosen row is filled from the
     left, the last one partially.
     """
-    rows, cols = machine.logical_grid
-    _check_s(machine, s)
-    i = math.ceil(s / cols)
-    row_positions = best_line_positions(rows, i)
+    _check_s(view.rows * view.cols, s)
     ranks: List[int] = []
     remaining = s
-    for row in row_positions:
-        take = min(cols, remaining)
-        ranks.extend(row * cols + col for col in range(take))
+    for row in best_line_positions(view.rows, math.ceil(s / view.cols)):
+        take = min(view.cols, remaining)
+        ranks.extend(view.cells[row][:take])
         remaining -= take
     return tuple(sorted(ranks))
 
 
-def ideal_linear_sources(machine: Machine, s: int) -> Tuple[int, ...]:
-    """Ideal sources for ``Br_Lin``: searched slots on the linear order."""
-    _check_s(machine, s)
-    order = machine.linear_order()
+def ideal_linear_sources(order: Sequence[int], s: int) -> Tuple[int, ...]:
+    """Ideal sources for ``Br_Lin``: searched slots on a linear ``order``
+    (a machine's :meth:`~repro.machines.machine.Machine.linear_order`, or
+    a partition group's snake order)."""
+    _check_s(len(order), s)
     positions = best_line_positions(len(order), s)
     return tuple(sorted(order[pos] for pos in positions))
 
 
-def _check_s(machine: Machine, s: int) -> None:
-    if not 1 <= s <= machine.p:
-        raise DistributionError(
-            f"s must be in [1, {machine.p}], got {s}"
-        )
+def _check_s(slots: int, s: int) -> None:
+    if not 1 <= s <= slots:
+        raise DistributionError(f"s must be in [1, {slots}], got {s}")

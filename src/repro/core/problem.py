@@ -114,15 +114,6 @@ class BroadcastProblem:
             for rank in range(self.p)
         )
 
-    def replace_sources(self, sources: Iterable[int]) -> "BroadcastProblem":
-        """A copy of this problem with a different source set, every
-        source of the uniform ``message_size``."""
-        return BroadcastProblem(
-            machine=self.machine,
-            sources=tuple(sorted(set(sources))),
-            message_size=self.message_size,
-        )
-
     def __repr__(self) -> str:
         return (
             f"<BroadcastProblem s={self.s} p={self.p} "

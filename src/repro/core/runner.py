@@ -242,26 +242,12 @@ def run_broadcast(
         # Schedule build, validation, lowering and the delivery check
         # all live behind the plan cache — points sharing (machine,
         # algorithm, sources) amortize them (see repro.fastpath.plancache).
-        outcome = fastpath.evaluate_problem(
+        return fastpath.evaluate_problem(
             problem,
             algorithm,
             seed=seed,
             contention=contention,
             tracer=tracer,
-        )
-        fast = outcome.fast
-        return BroadcastResult(
-            algorithm=outcome.algorithm,
-            problem=problem,
-            elapsed_us=fast.elapsed_us,
-            metrics=fast.metrics,
-            num_rounds=outcome.num_rounds,
-            num_transfers=outcome.num_transfers,
-            link_utilization=fast.link_utilization,
-            debug={
-                "engine": "fast",
-                "plan_cache": outcome.plan_cache,
-            },
         )
     schedule: Schedule = algorithm.build_schedule(problem)
     schedule.validate()

@@ -39,10 +39,9 @@ from repro.fastpath.evaluator import (
     evaluate_plan,
 )
 from repro.fastpath.lowering import FastPlan, lower_schedule
-from repro.fastpath.plancache import FastOutcome, evaluate_problem
+from repro.fastpath.plancache import evaluate_problem
 
 __all__ = [
-    "FastOutcome",
     "FastPlan",
     "FastRunResult",
     "PlanBinding",

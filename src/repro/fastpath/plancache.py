@@ -13,7 +13,7 @@ is identical work, so this module caches it per worker process:
   per-size-table rebinds);
 * :func:`evaluate_problem` is the runner's fast-path entry: resolve the
   cache, bind the point's sizes and seed, replay through the kernel,
-  and return a :class:`FastOutcome`.
+  and return the run's :class:`~repro.core.runner.BroadcastResult`.
 
 **Size discipline.**  A plan's structure is usually size-independent
 (whole messages move; byte counts are sums over message sets), and
@@ -42,24 +42,18 @@ bytes or sweep cache keys.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.fastpath.evaluator import (
-    FastRunResult,
-    PlanBinding,
-    bind_plan,
-    evaluate_plan,
-)
+from repro.fastpath.evaluator import PlanBinding, bind_plan, evaluate_plan
 from repro.fastpath.lowering import FastPlan, lower_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.algorithms.base import BroadcastAlgorithm
     from repro.core.problem import BroadcastProblem
+    from repro.core.runner import BroadcastResult
     from repro.simulator.trace import Tracer
 
 __all__ = [
-    "FastOutcome",
     "PlanCache",
     "evaluate_problem",
     "clear",
@@ -72,20 +66,6 @@ BINDING_CAPACITY = 32
 #: Link-path bindings kept per entry (LRU; one covers all seeds on
 #: machines with seed-independent rank placement).
 PATH_CAPACITY = 8
-
-
-@dataclass(frozen=True)
-class FastOutcome:
-    """Everything the runner needs from one fast-path evaluation."""
-
-    fast: FastRunResult
-    #: The schedule's algorithm label (``schedule.algorithm`` fallback
-    #: to the registry name) — what ``BroadcastResult.algorithm`` shows.
-    algorithm: str
-    num_rounds: int
-    num_transfers: int
-    #: Cache verdict for debug surfacing: ``hit`` | ``miss``.
-    plan_cache: str
 
 
 class _PlanEntry:
@@ -187,7 +167,7 @@ def evaluate_problem(
     seed: int = 0,
     contention: bool = True,
     tracer: Optional["Tracer"] = None,
-) -> FastOutcome:
+) -> "BroadcastResult":
     """Build-or-reuse the lowering for ``(problem, algorithm)`` and replay.
 
     The fast-path equivalent of the runner's build → validate →
@@ -195,10 +175,13 @@ def evaluate_problem(
     point that shares this problem's machine, algorithm and source
     placement.  A ``tracer`` receives the event engine's trace records
     for the replay (see :func:`~repro.fastpath.evaluator.evaluate_plan`).
-    Raises exactly what the un-cached pipeline would: ``AlgorithmError``
-    or ``VerificationError`` from build/validate, ``DeadlockError``
-    from the replay.
+    The result's ``debug`` names the engine and the plan-cache verdict
+    (``hit`` | ``miss``).  Raises exactly what the un-cached pipeline
+    would: ``AlgorithmError`` or ``VerificationError`` from
+    build/validate, ``DeadlockError`` from the replay.
     """
+    from repro.core.runner import BroadcastResult  # local: avoid cycle
+
     machine = problem.machine
     sig = _size_sig(problem)
     # The algorithm object, not its name: registry algorithms are
@@ -229,10 +212,13 @@ def evaluate_problem(
         plan, machine, seed=seed, contention=contention, binding=binding,
         tracer=tracer,
     )
-    return FastOutcome(
-        fast=fast,
+    return BroadcastResult(
         algorithm=entry.algorithm_label,
+        problem=problem,
+        elapsed_us=fast.elapsed_us,
+        metrics=fast.metrics,
         num_rounds=plan.num_rounds,
         num_transfers=plan.num_sends,
-        plan_cache=verdict,
+        link_utilization=fast.link_utilization,
+        debug={"engine": "fast", "plan_cache": verdict},
     )

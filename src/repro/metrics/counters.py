@@ -10,7 +10,7 @@ Figure 2 defines its parameters (congestion is *per iteration*,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 __all__ = ["RankCounters", "MetricsCollector"]
 
@@ -21,20 +21,19 @@ class RankCounters:
 
     ``per_iter_ops`` maps iteration index → number of send+receive
     operations the rank performed in that iteration (the congestion
-    bucket); ``msg_lengths`` collects the byte length of every message
-    the rank sent or received.
+    bucket); ``msg_bytes`` totals the byte length of every message the
+    rank sent or received.
     """
 
     sends: int = 0
     recvs: int = 0
     bytes_sent: int = 0
-    bytes_received: int = 0
     recv_wait_time: float = 0.0
     recv_wait_count: int = 0
     link_wait_time: float = 0.0
     copy_time: float = 0.0
     per_iter_ops: Dict[int, int] = field(default_factory=dict)
-    msg_lengths: List[int] = field(default_factory=list)
+    msg_bytes: int = 0
 
     @property
     def total_ops(self) -> int:
@@ -57,7 +56,6 @@ class MetricsCollector:
         #: iteration → virtual time of its last recorded operation
         #: (send issue or receive completion) — the per-round timeline.
         self.last_time_by_iter: Dict[int, float] = {}
-        self.iterations_seen: Set[int] = set()
 
     # -- recording ---------------------------------------------------------
     def record_send(
@@ -78,7 +76,7 @@ class MetricsCollector:
         counters.sends += 1
         counters.bytes_sent += nbytes
         counters.link_wait_time += link_wait
-        counters.msg_lengths.append(nbytes)
+        counters.msg_bytes += nbytes
         # Inlined _bump: called once per message, and the collector runs
         # inside the simulation hot loop.
         per_iter = counters.per_iter_ops
@@ -86,7 +84,6 @@ class MetricsCollector:
         self.active_by_iter.setdefault(iteration, set()).add(rank)
         if when > self.last_time_by_iter.get(iteration, -1.0):
             self.last_time_by_iter[iteration] = when
-        self.iterations_seen.add(iteration)
 
     def record_recv(
         self,
@@ -100,16 +97,14 @@ class MetricsCollector:
         """Account one message arriving at ``rank`` in ``iteration``."""
         counters = self.ranks[rank]
         counters.recvs += 1
-        counters.bytes_received += nbytes
         counters.recv_wait_time += wait_time
         if wait_time > 0.0:
             counters.recv_wait_count += 1
         counters.copy_time += copy_time
-        counters.msg_lengths.append(nbytes)
+        counters.msg_bytes += nbytes
         # Inlined _bump (see record_send).
         per_iter = counters.per_iter_ops
         per_iter[iteration] = per_iter.get(iteration, 0) + 1
         self.active_by_iter.setdefault(iteration, set()).add(rank)
         if when > self.last_time_by_iter.get(iteration, -1.0):
             self.last_time_by_iter[iteration] = when
-        self.iterations_seen.add(iteration)

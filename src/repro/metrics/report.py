@@ -55,7 +55,7 @@ class MetricsReport:
     @classmethod
     def from_collector(cls, collector: "MetricsCollector") -> "MetricsReport":
         """Reduce raw per-rank counters into a report."""
-        iterations = len(collector.iterations_seen)
+        iterations = len(collector.active_by_iter)
         congestion = 0
         wait_count = 0
         ops = 0
@@ -66,7 +66,7 @@ class MetricsReport:
             ops = max(ops, counters.total_ops)
             active_iters = len(counters.per_iter_ops)
             if active_iters:
-                av_msg = max(av_msg, sum(counters.msg_lengths) / active_iters)
+                av_msg = max(av_msg, counters.msg_bytes / active_iters)
         if collector.active_by_iter:
             av_act = sum(
                 len(ranks) for ranks in collector.active_by_iter.values()

@@ -2,11 +2,14 @@
 
 A declarative config states its DESIGN.md shape criteria as small
 Python expressions evaluated against the measured
-:class:`~repro.bench.types.Series` list.  The language is validated at
-**load time** — :func:`compile_expr` parses the expression and walks its
-AST against a whitelist (no attribute access, no imports, no dunder
-names, only known helper/builtin names), so a typo'd helper or a
-smuggled ``__import__`` fails when the config is read, not mid-sweep.
+:class:`~repro.bench.types.Series` list; the docs' placeholders and
+deviations (:mod:`repro.pipeline.docsgen`) are written in the same
+language.  :func:`compile_expr` parses an expression and walks its AST
+against a whitelist (no attribute access, no imports, no dunder names,
+only known helper/builtin names).  Checks are compiled at **load
+time**, so a typo'd helper or a smuggled ``__import__`` fails when the
+config is read, not mid-sweep; the docs' expressions compile when the
+docs render.
 
 Evaluation helpers (bound per check to the experiment's series list;
 ``series = N`` in the check selects the default series):
@@ -36,7 +39,7 @@ from repro.errors import ConfigurationError
 from repro.pipeline.schema import CheckSpec
 from repro.summation import left_sum
 
-__all__ = ["compile_expr", "evaluate_check", "ALLOWED_NAMES"]
+__all__ = ["compile_expr", "evaluate_check", "evaluate_expr", "ALLOWED_NAMES"]
 
 #: Builtins exposed to check expressions (pure, total on their domains).
 _BUILTINS: Dict[str, Any] = {
@@ -140,6 +143,37 @@ def _namespace(base: Series) -> Dict[str, Any]:
     return names
 
 
+def evaluate_expr(
+    expr: str, series: Sequence[Series], index: int = 0, *,
+    context: str = "expression",
+) -> Any:
+    """The value of one expression over ``series[index]``.
+
+    Checks, their details, and the docs' placeholders and deviations
+    (:mod:`repro.pipeline.docsgen`) all evaluate through here.  Raises
+    :class:`~repro.errors.ConfigurationError` naming ``context`` for an
+    out-of-range index, an expression outside the language, or a failed
+    evaluation (a missing curve or x value).
+    """
+    if not 0 <= index < len(series):
+        raise ConfigurationError(
+            f"{context}: series index {index} out of range "
+            f"(experiment has {len(series)} series)"
+        )
+    code = compile_expr(expr, context=context)
+    # Names go in *globals*: comprehensions in an eval'd expression
+    # run in their own scope, which resolves free names through the
+    # globals mapping, never through an outer locals dict.
+    names = _namespace(series[index])
+    names["__builtins__"] = {}
+    try:
+        return eval(code, names)
+    except Exception as exc:  # missing curve/x value: a config defect
+        raise ConfigurationError(
+            f"{context}: evaluation failed for {expr!r}: {exc}"
+        ) from exc
+
+
 def evaluate_check(
     spec: CheckSpec, series: Sequence[Series], *, context: str = "check"
 ) -> Check:
@@ -149,28 +183,12 @@ def evaluate_check(
     builder functions build, so reports and verdicts render identically
     for both experiment kinds.
     """
-    if not 0 <= spec.series < len(series):
-        raise ConfigurationError(
-            f"{context}: series index {spec.series} out of range "
-            f"(experiment has {len(series)} series)"
-        )
-    names = _namespace(series[spec.series])
-    try:
-        # Names go in *globals*: comprehensions in an eval'd expression
-        # run in their own scope, which resolves free names through the
-        # globals mapping, never through an outer locals dict.
-        names["__builtins__"] = {}
-        code = compile_expr(spec.expr, context=f"{context}.expr")
-        passed = bool(eval(code, names))
-        detail = ""
-        if spec.detail is not None:
-            detail_code = compile_expr(spec.detail, context=f"{context}.detail")
-            detail = str(eval(detail_code, names))
-    except ConfigurationError:
-        raise
-    except Exception as exc:  # missing curve/x value: a config defect
-        raise ConfigurationError(
-            f"{context}: evaluation failed for "
-            f"{spec.description!r}: {exc}"
-        ) from exc
+    passed = bool(
+        evaluate_expr(spec.expr, series, spec.series, context=f"{context}.expr")
+    )
+    detail = ""
+    if spec.detail is not None:
+        detail = str(evaluate_expr(
+            spec.detail, series, spec.series, context=f"{context}.detail"
+        ))
     return Check(spec.description, passed, detail)

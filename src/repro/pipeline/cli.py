@@ -8,7 +8,7 @@ Examples::
     python -m repro report all --quick    # smoke grids, same pages
     python -m repro report --quick --observe fig3  # + trace roll-up
     python -m repro report all --jobs 4   # evaluate over 4 worker processes
-    python -m repro report docs           # regenerate EXPERIMENTS.md/RESULTS.txt
+    python -m repro report docs           # full grids -> EXPERIMENTS.md/RESULTS.txt
     python -m repro report docs --check   # CI: fail if committed docs drift
 
 Every experiment is described by one ``configs/*.toml`` file.  The
@@ -33,7 +33,11 @@ from typing import List, Optional, Tuple
 
 from repro.bench.types import FigureResult
 from repro.errors import ReproError
-from repro.pipeline.docsgen import render_experiments_md, render_results_txt
+from repro.pipeline.docsgen import (
+    compile_doc,
+    render_experiments_md,
+    render_results_txt,
+)
 from repro.pipeline.loader import DEFAULT_CONFIG_DIR, load_config_dir
 from repro.pipeline.report import render_experiment_html, render_index_html
 from repro.pipeline.runner import plan_experiment
@@ -112,19 +116,19 @@ def _write_reports(
 
 
 def _docs(configs, args, executor: SweepExecutor, root: pathlib.Path) -> int:
-    """Regenerate (or ``--check``) EXPERIMENTS.md and RESULTS.txt."""
-    targets = [(root / "EXPERIMENTS.md", render_experiments_md(configs))]
-    if not args.skip_results:
-        if args.quick:
-            print(
-                "error: RESULTS.txt is a full-grid artifact; "
-                "drop --quick (or pass --skip-results)",
-                file=sys.stderr,
-            )
-            return 2
-        entries = _run_all(configs, args, executor)
-        results = [result for _, result in entries]
-        targets.append((root / "RESULTS.txt", render_results_txt(results)))
+    """Regenerate (or ``--check``) EXPERIMENTS.md and RESULTS.txt.
+
+    Both render from one full-grid run of every config; each config's
+    placeholders and deviation compile before any point runs.
+    """
+    for config in configs:
+        compile_doc(config)
+    entries = _run_all(configs, args, executor)
+    targets = [
+        (root / "EXPERIMENTS.md", render_experiments_md(entries)),
+        (root / "RESULTS.txt",
+         render_results_txt([result for _, result in entries])),
+    ]
     failures = 0
     for path, text in targets:
         if args.check:
@@ -199,10 +203,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--check", action="store_true",
         help="docs target: compare regenerated docs against committed files",
     )
-    parser.add_argument(
-        "--skip-results", action="store_true",
-        help="docs target: only regenerate EXPERIMENTS.md (no experiment runs)",
-    )
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
@@ -215,9 +215,9 @@ def _dispatch(args) -> int:
     """Run the targets ``args`` name; configuration errors propagate.
 
     The meta-targets load and validate every config; experiment ids
-    parse only their own files.  A meta-target with another target, or
-    a docs-only flag (``--check``, ``--skip-results``) with a target
-    other than ``docs``, exits 2 before any config is loaded.
+    parse only their own files.  A meta-target with another target,
+    ``--check`` with a target other than ``docs``, or ``docs --quick``
+    exits 2 before any config is loaded.
     """
     config_dir = pathlib.Path(args.configs) if args.configs else DEFAULT_CONFIG_DIR
     names = list(dict.fromkeys(args.experiments)) or ["list"]
@@ -229,15 +229,17 @@ def _dispatch(args) -> int:
             file=sys.stderr,
         )
         return 2
-    for flag, given in (("--check", args.check),
-                        ("--skip-results", args.skip_results)):
-        if given and names != ["docs"]:
-            print(
-                f"error: {flag} applies only to the docs target "
-                f"(got: {' '.join(names)})",
-                file=sys.stderr,
-            )
-            return 2
+    if args.check and names != ["docs"]:
+        print(
+            "error: --check applies only to the docs target "
+            f"(got: {' '.join(names)})",
+            file=sys.stderr,
+        )
+        return 2
+    if args.quick and names == ["docs"]:
+        print("error: the docs render from the full grids; drop --quick",
+              file=sys.stderr)
+        return 2
 
     selected = list(
         load_config_dir(config_dir, ids=None if meta else names).values()

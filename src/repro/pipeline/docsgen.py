@@ -1,33 +1,57 @@
-"""EXPERIMENTS.md and RESULTS.txt as build artifacts.
+"""EXPERIMENTS.md and RESULTS.txt, rendered from one full-grid run.
 
-The per-experiment prose lives in each config's ``[doc]`` block
-(verbatim markdown), the summary counters are computed from the configs
-themselves, and the measured tables come from actually running the
-experiments — so the two documents regenerate exactly with::
+Each config's ``[doc]`` block is the prose of its EXPERIMENTS.md
+section or table row, and RESULTS.txt is the run's text reports.  Both
+regenerate exactly with::
 
     python -m repro report docs            # rewrite both in place
     python -m repro report docs --check    # CI: diff against committed
 
-Only the section *content* is declarative; the connective tissue — the
-preamble, the ablation/extension table scaffolding, and the operational
-appendix (fault grammar, recovery, cache notes) — is owned by this
-module as string constants.
+**Placeholders.**  Every measured number in the prose is a placeholder:
+``{expr:fmt}`` is ``expr``, in the check language
+(:mod:`repro.pipeline.checks`: ``at``, ``curve``, ``xs`` bound to
+series 0 of the experiment's results, a builder's included), formatted
+with the format spec ``fmt`` (the text after the last colon, possibly
+empty); ``{N:expr:fmt}`` binds series ``N``.  A number renders with the
+prose's minus sign, ``−``.  Literal braces are doubled.
 
->>> from repro.pipeline.loader import load_config_dir
->>> text = render_experiments_md(load_config_dir().values())
->>> text.splitlines()[0]
-'# EXPERIMENTS — paper vs. measured, figure by figure'
->>> "do not hand-edit" in text
-True
+**Verdicts.**  An experiment is ``partial`` exactly when its ``[doc]
+deviation`` expression (series 0) holds on its results, else
+``reproduced`` (:func:`verdict`, also the report index's column).  The
+summary's pass, check and partial counts come from the results too.
+
+Placeholders and deviations compile only when the docs render:
+``report docs`` runs :func:`compile_doc` on every config before it runs
+a point.  The connective tissue — preamble, table scaffolding, and the
+operational appendix (fault grammar, recovery, cache notes) — is string
+constants here, which state no measured number.
+
+>>> from repro.bench.types import Series
+>>> _fill("{at('Br_Lin', 8):.2f} ms, {-xs[0]:+d}, {{braces}}", "demo",
+...       [Series("t", "s", [4, 8], {"Br_Lin": [1.0, 2.5]})])
+'2.50 ms, −4, {braces}'
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import re
+from typing import List, Sequence, Tuple
 
-from repro.bench.types import FigureResult
+from repro.bench.types import FigureResult, Series
+from repro.errors import ConfigurationError
+from repro.pipeline.checks import compile_expr, evaluate_expr
+from repro.pipeline.schema import ExperimentConfig
 
-__all__ = ["render_experiments_md", "render_results_txt", "summary_counts"]
+__all__ = [
+    "compile_doc",
+    "render_doc",
+    "render_experiments_md",
+    "render_results_txt",
+    "verdict",
+]
+
+#: ``(config, its full-grid result)`` pairs, in config filename order.
+Entries = Sequence[Tuple[ExperimentConfig, FigureResult]]
 
 _TITLE = "# EXPERIMENTS — paper vs. measured, figure by figure"
 
@@ -41,23 +65,22 @@ _PREAMBLE = """Environment: the simulated Paragon/T3D of this package (see DESIG
 for the substitution rationale).  Absolute times are simulator
 milliseconds, **not** calibrated to the 1996 hardware; the reproduction
 targets *shape* — orderings, rough factors, crossovers.  Every number
-below regenerates with:
+below is computed from one full-grid run, which regenerates with:
 
 ```bash
-python -m repro report docs         # ~75 s cold (one Xeon core), prints all tables
-python -m repro report all          # same grids → reports/html/ + docs
+python -m repro report docs         # full grids → all tables, this file, RESULTS.txt
+python -m repro report all          # same grids → reports/html/
 pytest benchmarks/ --benchmark-only # same experiments as bench targets
 ```
 
-Verdict legend: **reproduced** (all shape criteria hold), **partial**
-(core claim holds, a secondary claim deviates — deviation documented)."""
+Verdict legend: **partial** while the deviation from the paper that a
+section documents still holds in the results, **reproduced** otherwise;
+the summary counts the shape checks that pass."""
 
 _ABLATIONS_HEAD = """## Ablations (design-choice evidence, DESIGN.md §5)
 
 | ablation | removed ingredient | effect |
 |---|---|---|"""
-
-_ABLATIONS_TAIL = "All ablation shape checks pass."
 
 _EXTENSIONS_HEAD = """## Extension studies (beyond the paper)
 
@@ -80,8 +103,7 @@ Determinism: the degraded subset is drawn with
 `random.Random(f"{canonical_spec}#{seed}")`, detour routes are BFS in
 sorted-neighbour order, and the canonicalised spec participates in the
 sweep cache key — so `--faults` runs reproduce bit-identically serial,
-parallel (`--jobs N`), and from a warm cache.  Fault-free points keep
-their pre-faults cache keys and result JSON unchanged.
+parallel (`--jobs N`), and from a warm cache.
 
 Degraded operation: a send into a dead node raises a typed
 `PeerFailedError` (the bundled schedules catch it and keep going); a
@@ -117,8 +139,7 @@ python -m repro --machine paragon:8x8 --faults 'node:63@0us' --recover
 The result gains `recovered` (did every *achievable* delivery land —
 messages on dead ranks or in severed components are unrecoverable and
 not counted against it), `recovery_rounds`, and `recovery_time_us`.
-Fault-free runs carry none of these keys: their result JSON and sweep
-cache entries are byte-identical to before.  A monotone link-kill
+Fault-free runs carry none of these keys.  A monotone link-kill
 schedule that leaves the mesh connected loses nothing in the first
 place (detours exist at request time), so recovery there is a free
 no-op (`0 rounds`).
@@ -145,26 +166,10 @@ report (with shrunk schedules) on failure.
 
 ---
 
-## Known deviations, in one place
-
-1. **Br_Lin's baseline** sits 15–25 % above Br_xy_* on ideal Paragon
-   distributions (paper: "almost identical"); consequently Br_Lin does
-   not win on the square block in Figure 6 (it does on the cross).
-2. **Figure 8's** dimension sensitivity concentrates at small s in our
-   model, not large s; the anomaly itself reproduces with the paper's
-   own explanation.
-3. **Figure 11's** 28 % equal-distribution advantage shrinks to a few
-   percent under our seeded random placement.
-4. **Figure 13** at s ≈ 5: Br_Lin ties MPI_Alltoall instead of
-   trailing; correct ordering from s ≈ 10.
-
-Each is stated in the corresponding experiment's notes and bounded by
-an automated check where possible.
-
 ## Re-running sweeps: the executor and its cache
 
 All grid-based experiments above evaluate their points through the
-sweep executor (`repro.sweep`).  Three operational notes:
+sweep executor (`repro.sweep`).  Four operational notes:
 
 - **Parallelism.** `python -m repro report --jobs 4 <id>` fans cold
   grid points over worker processes.
@@ -180,10 +185,10 @@ sweep executor (`repro.sweep`).  Three operational notes:
   fingerprint of the code (a sha256 over every module of `src/repro`),
   so any source edit, recalibrated machine parameters included,
   re-keys every point instead of letting a warm cache serve results of
-  the old code.  A warm cache turns a multi-minute full-grid figure
-  into a sub-second table lookup, which is the intended workflow when
-  editing the prose in `configs/`: regenerate everything once, then
-  iterate freely.
+  the old code.  A warm cache serves a figure without simulating,
+  which is the intended workflow when editing the prose in `configs/`:
+  `report docs` renders EXPERIMENTS.md from the results, so run it once
+  cold, then iterate on the prose against the warm cache.
 - **Seed protocol unchanged.** The executor preserves the measurement
   protocol used throughout: stable-rank machines (Paragon, hypercube)
   run seed 0 once; T3D points run seeds 0–4 and average the best 4,
@@ -193,7 +198,7 @@ sweep executor (`repro.sweep`).  Three operational notes:
   faults, no recovery), so under the default `--engine auto` all of
   them — Figures 1–13, the §5/§5.2 studies, the ablations and the
   extension studies — evaluate on the vectorized fast path
-  (`repro.fastpath`), typically 2–3× faster end to end.  Traced runs
+  (`repro.fastpath`).  Traced runs
   (`--observe`, `--trace-json`, the report pages' link heatmaps) stay
   on the fast path too; only the robustness study and chaos campaigns
   (fault injection and recovery) run on the generator event engine.
@@ -207,10 +212,9 @@ sweep executor (`repro.sweep`).  Three operational notes:
 
 Simulator wall-clock is itself a guarded quantity: the figures above
 are only cheap to regenerate because the event loop stays fast.
-`python -m repro.perf` runs the pinned microbenchmark suite (route
-lookups, isend/recv ping-pong, full `run_broadcast` points on the
-8×8/16×16 Paragon, and explicit `fastpath/…` points that also record
-the fast path's speedup over the event engine) and writes
+`python -m repro.perf` runs the pinned microbenchmark suite (the
+`route/…`, `schedule/…`, `pingpong/…`, `run/…`, `fastpath/…` and
+`traced/…` tiers that `repro.perf.suite` describes) and writes
 `BENCH_simcore.json`; `--compare
 benchmarks/perf_baseline.json` gates against the committed baseline,
 calibration-normalized so a slower host does not masquerade as a
@@ -224,68 +228,149 @@ scheduling — is proven behavior-preserving by
 × distribution points to sha256 hashes of their complete result JSON
 captured from the pre-optimization simulator."""
 
+#: The ``[doc]`` fields that may hold placeholders.
+_PROSE_FIELDS = ("section", "body", "removed", "effect", "finding")
 
-def summary_counts(configs: Sequence) -> Dict[str, int]:
-    """The counters the summary paragraph (and CI) is built from."""
-    counts = {
-        "experiments": len(configs),
-        "checks": sum(config.num_checks for config in configs),
-        "partial": sum(
-            1
-            for config in configs
-            if config.doc is not None and config.doc.verdict == "partial"
-        ),
-    }
-    for group in ("figures", "text", "ablations", "extensions", "robustness"):
-        counts[group] = sum(1 for c in configs if c.group == group)
-    return counts
+#: Doubled braces, a placeholder, or a lone brace (an error).
+_TOKEN = re.compile(r"\{\{|\}\}|\{[^{}]*\}|[{}]")
 
 
-def _summary(configs: Sequence) -> str:
-    n = summary_counts(configs)
-    return (
-        f"Summary: **{n['experiments']}/{n['experiments']} experiments pass "
-        f"all {n['checks']} automated shape checks**\n"
-        f"({n['figures']} figures, {n['text']} §5 text claims, "
-        f"{n['ablations']} ablations, {n['extensions']} extension studies, "
-        f"{n['robustness']}\nrobustness study; full tables in `RESULTS.txt`, "
-        "pytest log in\n`bench_output.txt`); "
-        f"{n['partial']} experiments carry documented secondary\ndeviations."
+def _placeholders(text: str, context: str) -> List[Tuple[str, int, str, str]]:
+    """Every placeholder of ``text`` as ``(source, series, expr, fmt)``."""
+    found = []
+    for match in _TOKEN.finditer(text):
+        token = match.group()
+        if token in ("{{", "}}"):
+            continue
+        head, colon, fmt = token[1:-1].rpartition(":")
+        if len(token) == 1 or not colon:
+            raise ConfigurationError(
+                f"{context}: {token!r} at offset {match.start()} is neither "
+                "{expr:fmt}, {N:expr:fmt} nor a doubled literal brace"
+            )
+        series, _, expr = head.partition(":")
+        if not series.strip().isdigit():
+            series, expr = "0", head
+        found.append((token, int(series), expr.strip(), fmt))
+    return found
+
+
+def compile_doc(config: ExperimentConfig) -> None:
+    """Compile every placeholder and the deviation of ``config``'s ``[doc]``.
+
+    Raises :class:`~repro.errors.ConfigurationError` naming the file, the
+    field and the placeholder when one is malformed or leaves the check
+    language.  ``report docs`` calls this for every config before it
+    runs any point, so a typo costs no sweep.
+    """
+    doc, where = _doc(config), config.path or config.id
+    for field in _PROSE_FIELDS:
+        context = f"{where}: [doc].{field}"
+        for token, _series, expr, _fmt in _placeholders(
+            getattr(doc, field), context
+        ):
+            compile_expr(expr, context=f"{context} {token}")
+    if doc.deviation is not None:
+        compile_expr(doc.deviation, context=f"{where}: [doc].deviation")
+
+
+def _fill(text: str, context: str, series: Sequence[Series]) -> str:
+    """``text`` with each placeholder replaced by its formatted value."""
+    values = {}
+    for token, index, expr, fmt in _placeholders(text, context):
+        value = evaluate_expr(expr, series, index, context=f"{context} {token}")
+        try:
+            values[token] = format(value, fmt)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"{context} {token}: cannot format {value!r}: {exc}"
+            ) from None
+        if isinstance(value, (int, float)):
+            values[token] = values[token].replace("-", "−")
+    return _TOKEN.sub(lambda m: values.get(m.group(), m.group()[0]), text)
+
+
+def verdict(config: ExperimentConfig, result: FigureResult) -> str:
+    """``"partial"`` when ``config``'s deviation holds on ``result``, else
+    ``"reproduced"``."""
+    doc = config.doc
+    if doc is None or doc.deviation is None:
+        return "reproduced"
+    held = evaluate_expr(
+        doc.deviation, result.series,
+        context=f"{config.path or config.id}: [doc].deviation",
     )
+    return "partial" if held else "reproduced"
 
 
-def _doc(config):
+def _doc(config: ExperimentConfig):
     if config.doc is None:
-        raise ValueError(f"{config.path or config.id}: missing [doc] block")
+        raise ConfigurationError(
+            f"{config.path or config.id}: missing [doc] block"
+        )
     return config.doc
 
 
-def render_experiments_md(configs: Sequence) -> str:
-    """The complete EXPERIMENTS.md text for ``configs`` (filename order)."""
-    parts: List[str] = [_TITLE, _BANNER, _PREAMBLE, _summary(configs), "---"]
-    for config in configs:
-        if config.group in ("figures", "text"):
-            doc = _doc(config)
-            parts.append(f"## {doc.section}\n\n{doc.body.strip()}")
-    rows = [
-        f"| {_doc(c).section} | {_doc(c).removed} | {_doc(c).effect} |"
-        for c in configs
-        if c.group == "ablations"
-    ]
-    parts.append("---\n\n" + "\n".join([_ABLATIONS_HEAD, *rows]))
-    parts.append(_ABLATIONS_TAIL)
-    rows = [
-        f"| {_doc(c).section} | {_doc(c).finding} |"
-        for c in configs
-        if c.group == "extensions"
-    ]
-    parts.append("\n".join([_EXTENSIONS_HEAD, *rows]))
-    for config in configs:
-        if config.group == "robustness":
-            doc = _doc(config)
-            parts.append(f"## {doc.section}\n\n{doc.body.strip()}")
-    parts.append(_APPENDIX)
-    return "\n\n".join(parts) + "\n"
+def _summary(entries: Entries) -> str:
+    results = [result for _, result in entries]
+    n, total = len(results), sum(len(r.checks) for r in results)
+    passed = sum(c.passed for r in results for c in r.checks)
+    if passed == total:
+        head = f"{n}/{n} experiments pass all {total} automated shape checks"
+    else:
+        ok = sum(r.all_passed for r in results)
+        head = (f"{ok}/{n} experiments pass all their shape checks; "
+                f"{passed} of {total} automated shape checks pass")
+    groups = [config.group for config, _ in entries]
+    partial = sum(verdict(c, r) == "partial" for c, r in entries)
+    return (
+        f"Summary: **{head}**\n"
+        f"({groups.count('figures')} figures, {groups.count('text')} §5 "
+        f"text claims, {groups.count('ablations')} ablations, "
+        f"{groups.count('extensions')} extension studies, "
+        f"{groups.count('robustness')}\nrobustness study; full tables in "
+        f"`RESULTS.txt`); {partial} experiments carry\ndocumented secondary "
+        "deviations."
+    )
+
+
+def render_doc(config: ExperimentConfig, result: FigureResult) -> str:
+    """``config``'s part of EXPERIMENTS.md, filled from ``result``.
+
+    A ``figures``/``text`` config renders its section with the computed
+    verdict line, the robustness study its section, an ablation or an
+    extension its summary-table row.
+    """
+    where = config.path or config.id
+
+    def prose(field: str) -> str:
+        text = getattr(_doc(config), field)
+        return _fill(text, f"{where}: [doc].{field}", result.series)
+
+    if config.group == "ablations":
+        return f"| {prose('section')} | {prose('removed')} | {prose('effect')} |"
+    if config.group == "extensions":
+        return f"| {prose('section')} | {prose('finding')} |"
+    text = f"## {prose('section')}\n\n{prose('body').strip()}"
+    if config.group == "robustness":
+        return text
+    return f"{text}\n**Verdict: {verdict(config, result)}.**"
+
+
+def render_experiments_md(entries: Entries) -> str:
+    """The complete EXPERIMENTS.md text for ``entries`` (filename order)."""
+
+    def docs(*groups: str) -> List[str]:
+        return [render_doc(c, r) for c, r in entries if c.group in groups]
+
+    return "\n\n".join([
+        _TITLE, _BANNER, _PREAMBLE, _summary(entries), "---",
+        *docs("figures", "text"),
+        "---\n\n" + "\n".join([_ABLATIONS_HEAD, *docs("ablations")]),
+        "\n".join([_EXTENSIONS_HEAD, *docs("extensions")]),
+        *docs("robustness"),
+        _APPENDIX,
+    ]) + "\n"
 
 
 def render_results_txt(results: Sequence[FigureResult]) -> str:

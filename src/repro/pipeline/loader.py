@@ -5,8 +5,10 @@ cell field set twice or not at all, mismatched per-x list lengths,
 unregistered algorithms/distributions, check expressions outside the
 restricted language and malformed machine specs are all rejected **at
 load time**, with an error message naming the offending file and key —
-a config never fails halfway through a multi-minute sweep.  A config is
-a builder config exactly when ``[experiment]`` names a ``builder``.
+a config never fails halfway through a sweep.  The ``[doc]`` prose's
+placeholders and ``deviation`` are the exception: they are compiled only
+when the docs render, so loading pays nothing for them.  A config is a
+builder config exactly when ``[experiment]`` names a ``builder``.
 
 Doctest — a config expands into the sweep points ``report`` evaluates::
 
@@ -310,25 +312,26 @@ def _parse_check(table: Dict[str, Any], context: str,
 
 # -- experiment ------------------------------------------------------------
 
-_EXPERIMENT_KEYS = ("id", "title", "description", "group", "builder",
-                    "expected_checks")
-_DOC_KEYS = ("section", "verdict", "body", "removed", "effect", "finding")
+_EXPERIMENT_KEYS = ("id", "title", "description", "group", "builder")
+_DOC_KEYS = ("section", "body", "removed", "effect", "finding", "deviation")
 _TOP_KEYS = ("experiment", "doc", "series", "checks", "notes")
 
 
 def _parse_doc(table: Dict[str, Any], context: str) -> DocSpec:
+    """The ``[doc]`` block; its placeholders and deviation stay uncompiled
+    until the docs render (:func:`repro.pipeline.docsgen.compile_doc`)."""
     _reject_unknown(table, _DOC_KEYS, context)
-    verdict = table.get("verdict", "reproduced")
-    if verdict not in ("reproduced", "partial"):
-        _fail(f"{context}.verdict",
-              f"verdict must be 'reproduced' or 'partial', got {verdict!r}")
+    deviation = table.get("deviation")
     return DocSpec(
         section=_str(_req(table, "section", context), f"{context}.section"),
-        verdict=verdict,
         body=table.get("body", ""),
         removed=table.get("removed", ""),
         effect=table.get("effect", ""),
         finding=table.get("finding", ""),
+        deviation=(
+            None if deviation is None
+            else _str(deviation, f"{context}.deviation")
+        ),
     )
 
 
@@ -375,11 +378,6 @@ def load_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
     if "builder" in exp:
         builder = _str(exp["builder"], f"{context}.builder")
         _validate_builder(builder, f"{context}.builder")
-        expected = _int(_req(exp, "expected_checks", context),
-                        f"{context}.expected_checks")
-        if expected < 0:
-            _fail(f"{context}.expected_checks",
-                  f"expected_checks must be >= 0, got {expected}")
         for key in ("series", "checks"):
             if key in data:
                 _fail(f"{path}: [{key}]",
@@ -390,13 +388,9 @@ def load_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
                   "builder experiments take their notes from the builder")
         return ExperimentConfig(
             id=exp_id, title=title, description=description,
-            path=path, group=group, builder=builder,
-            expected_checks=expected, doc=doc,
+            path=path, group=group, builder=builder, doc=doc,
         )
 
-    if "expected_checks" in exp:
-        _fail(f"{context}.expected_checks",
-              "only builder experiments set expected_checks")
     series_tables = data.get("series")
     if not isinstance(series_tables, list) or not series_tables:
         _fail(f"{path}: [[series]]",
@@ -467,12 +461,12 @@ def load_config_dir(
 
     Returns ``{experiment id: config}``.  Without ``ids``, every file is
     parsed and validated, in filename order; the ``list``/``all``/
-    ``docs`` report targets and ``tools/check_experiments.py`` load this
-    way.  With ``ids`` (``report <id>...``), only the files of those ids
-    are parsed, in the order given, and the other configs go
-    unvalidated.  Ids are looked up by file name (``NN-<id>.toml``); an
-    id with no file is an error listing the known ids.  Each parsed file
-    must declare the id its name carries.
+    ``docs`` report targets load this way.  With ``ids`` (``report
+    <id>...``), only the files of those ids are parsed, in the order
+    given, and the other configs go unvalidated.  Ids are looked up by
+    file name (``NN-<id>.toml``); an id with no file is an error listing
+    the known ids.  Each parsed file must declare the id its name
+    carries.
     """
     root = pathlib.Path(directory) if directory else DEFAULT_CONFIG_DIR
     files = _config_files(root)

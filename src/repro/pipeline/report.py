@@ -33,6 +33,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.types import FigureResult, Series
+from repro.pipeline.docsgen import verdict
 from repro.sweep import ResultCache, SweepPoint
 
 __all__ = [
@@ -493,7 +494,11 @@ def render_experiment_html(
 def render_index_html(
     entries: Sequence[Tuple[object, FigureResult]], *, quick: bool = False
 ) -> str:
-    """The landing page: one row per experiment, linking its report."""
+    """The landing page: one row per experiment, linking its report.
+
+    Each row's verdict is :func:`~repro.pipeline.docsgen.verdict` of the
+    config on the results at hand, quick or full.
+    """
     total_checks = sum(len(r.checks) for _, r in entries)
     passed_checks = sum(
         1 for _, r in entries for c in r.checks if c.passed
@@ -502,11 +507,7 @@ def render_index_html(
     rows: List[str] = []
     for config, result in entries:
         name = config.id if config is not None else result.figure
-        verdict = (
-            config.doc.verdict
-            if config is not None and config.doc is not None
-            else "reproduced"
-        )
+        status = verdict(config, result) if config is not None else "reproduced"
         passed = sum(1 for c in result.checks if c.passed)
         cls = "pass" if result.all_passed else "fail"
         rows.append(
@@ -516,7 +517,7 @@ def render_index_html(
             f"<td>{_esc(config.group if config is not None else '')}</td>"
             f'<td class="num"><span class="badge {cls}">'
             f"{passed}/{len(result.checks)}</span></td>"
-            f"<td>{_esc(verdict)}</td>"
+            f"<td>{_esc(status)}</td>"
             "</tr>"
         )
     body = "\n".join(

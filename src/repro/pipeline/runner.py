@@ -43,9 +43,11 @@ def _problem(spec: SeriesSpec, cell: Dict[str, Any]) -> BroadcastProblem:
     """The broadcast problem of one grid cell."""
     machine = machine_from_spec(cell["machine"])
     if spec.placement == "ideal_rows":
+        from repro.core.algorithms.common import GridView
         from repro.core.ideal import ideal_row_sources
 
-        sources = ideal_row_sources(machine, cell["s"])
+        view = GridView.full_machine(*machine.logical_grid)
+        sources = ideal_row_sources(view, cell["s"])
     else:
         sources = DISTRIBUTIONS[cell["distribution"]].generate(
             machine, cell["s"]

@@ -2,8 +2,8 @@
 
 The loader (:mod:`repro.pipeline.loader`) parses a ``configs/*.toml``
 file into these dataclasses; everything downstream — the runner, the
-report generator, the docs generator, ``tools/check_experiments.py`` —
-works from this validated representation, never from raw TOML.
+report generator, the docs generator — works from this validated
+representation, never from raw TOML.
 
 An experiment is one of two kinds (:attr:`ExperimentConfig.kind`),
 told apart by whether the config names a ``builder``:
@@ -15,8 +15,9 @@ told apart by whether the config names a ``builder``:
   (``"repro.bench.figures:fig01"``) for experiments whose logic is
   irreducibly imperative (ASCII placement art, custom machine
   parameters, seeded non-uniform sizes).  The config still carries the
-  documentation prose and the expected check count, so the generated
-  docs and the summary counters cover every experiment uniformly.
+  documentation prose, whose placeholders read the builder's
+  :class:`~repro.bench.types.FigureResult`, so the generated docs cover
+  every experiment uniformly.
 
 A declarative experiment's series all have one form
 (:class:`SeriesSpec`): completion time, or a percent gain, over one
@@ -166,19 +167,25 @@ class DocSpec:
     """The EXPERIMENTS.md prose for one experiment (a build input).
 
     ``figures``/``text`` experiments carry a ``section`` heading and a
-    verbatim markdown ``body`` (which must state the declared
-    ``verdict``); ``ablations`` rows carry ``removed``/``effect`` table
-    cells, ``extensions`` rows a ``finding`` cell, and the robustness
-    study a ``section`` plus free-form ``body``.
+    verbatim markdown ``body``; ``ablations`` rows carry
+    ``removed``/``effect`` table cells, ``extensions`` rows a
+    ``finding`` cell, and the robustness study a ``section`` plus
+    free-form ``body``.  Each measured number in that prose is an
+    ``{expr:fmt}`` (or ``{N:expr:fmt}``) placeholder in the check
+    language, filled from the full-grid results when the docs render
+    (see :mod:`repro.pipeline.docsgen`).  ``deviation``, when given, is a
+    check-language expression over series 0 that holds while the
+    experiment deviates from the paper: the verdict is ``partial``
+    exactly when it holds.
     """
 
     section: str
-    verdict: str = "reproduced"
     body: str = ""
     #: Ablation/extension summary-table cells (group-specific).
     removed: str = ""
     effect: str = ""
     finding: str = ""
+    deviation: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -191,7 +198,6 @@ class ExperimentConfig:
     path: str = ""
     group: str = "figures"  # figures | text | ablations | extensions | robustness
     builder: Optional[str] = None
-    expected_checks: Optional[int] = None
     series: Tuple[SeriesSpec, ...] = ()
     checks: Tuple[CheckSpec, ...] = ()
     notes: Tuple[str, ...] = ()
@@ -201,10 +207,3 @@ class ExperimentConfig:
     def kind(self) -> str:
         """``"builder"`` when the config names a builder, else ``"declarative"``."""
         return "builder" if self.builder is not None else "declarative"
-
-    @property
-    def num_checks(self) -> int:
-        """Declared shape-check count (used by the summary counters)."""
-        if self.builder is not None:
-            return int(self.expected_checks or 0)
-        return len(self.checks)

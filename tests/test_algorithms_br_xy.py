@@ -19,7 +19,7 @@ class TestDimensionChoice:
         # sources fill row 0 of the 4x5 mesh
         problem = BroadcastProblem(small_paragon, (0, 1, 2, 3, 4), message_size=8)
         view = GridView.full_machine(4, 5)
-        max_r, max_c = source_line_maxima(problem, view)
+        max_r, max_c = source_line_maxima(view, problem.source_set)
         assert max_r == 5
         assert max_c == 1
 

@@ -69,10 +69,11 @@ class TestSchedules:
 
     def test_near_ideal_input_needs_few_moves(self):
         """Repositioning an already-ideal row distribution moves little."""
+        from repro.core.algorithms.common import GridView
         from repro.core.ideal import ideal_row_sources
 
         machine = paragon(16, 16)
-        ideal = ideal_row_sources(machine, 32)
+        ideal = ideal_row_sources(GridView.full_machine(16, 16), 32)
         problem = BroadcastProblem(machine, ideal, message_size=64)
         sched = ReposXYSource().build_schedule(problem)
         assert sched.round_label[0] != "reposition" or len(round_sends(sched, 0)) < 32

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from repro.core.algorithms.common import GridView
 from repro.core.ideal import (
     best_line_positions,
     ideal_linear_sources,
@@ -78,10 +79,14 @@ class TestBestLinePositions:
         assert best_line_positions(12, 5) == best_line_positions(12, 5)
 
 
+def _grid(machine) -> GridView:
+    return GridView.full_machine(*machine.logical_grid)
+
+
 class TestIdealGenerators:
     def test_ideal_rows_are_full_rows(self):
         machine = paragon(10, 10)
-        ranks = ideal_row_sources(machine, 30)
+        ranks = ideal_row_sources(_grid(machine), 30)
         assert len(ranks) == 30
         by_row = {}
         for rank in ranks:
@@ -91,7 +96,7 @@ class TestIdealGenerators:
 
     def test_ideal_rows_partial_last(self):
         machine = paragon(10, 10)
-        ranks = ideal_row_sources(machine, 25)
+        ranks = ideal_row_sources(_grid(machine), 25)
         by_row = {}
         for rank in ranks:
             by_row.setdefault(rank // 10, []).append(rank)
@@ -101,33 +106,32 @@ class TestIdealGenerators:
         """Rows 0 and 5 are halving partners on a 10-row mesh — the
         searched ideal must avoid that pairing (the R(20) observation)."""
         machine = paragon(10, 10)
-        ranks = ideal_row_sources(machine, 20)
+        ranks = ideal_row_sources(_grid(machine), 20)
         rows = sorted({rank // 10 for rank in ranks})
         assert len(rows) == 2
         assert rows[1] - rows[0] != 5
 
     def test_ideal_linear_maps_through_snake(self):
         machine = paragon(4, 5)
-        ranks = ideal_linear_sources(machine, 3)
+        ranks = ideal_linear_sources(machine.linear_order(), 3)
         assert len(set(ranks)) == 3
         assert all(0 <= r < 20 for r in ranks)
 
     def test_generators_work_on_t3d_logical_grid(self):
         machine = t3d(64)
-        for fn in (
-            ideal_row_sources,
-            ideal_linear_sources,
-            DISTRIBUTIONS["Dl"].generate,
+        for ranks in (
+            ideal_row_sources(_grid(machine), 12),
+            ideal_linear_sources(machine.linear_order(), 12),
+            DISTRIBUTIONS["Dl"].generate(machine, 12),
         ):
-            ranks = fn(machine, 12)
             assert len(set(ranks)) == 12
 
     def test_s_bounds(self):
         machine = paragon(4, 4)
-        with pytest.raises(DistributionError):
-            ideal_row_sources(machine, 0)
-        with pytest.raises(DistributionError):
-            ideal_linear_sources(machine, 17)
+        with pytest.raises(DistributionError, match=r"\[1, 16\], got 0"):
+            ideal_row_sources(_grid(machine), 0)
+        with pytest.raises(DistributionError, match=r"\[1, 16\], got 17"):
+            ideal_linear_sources(machine.linear_order(), 17)
 
 
 class TestEstimator:

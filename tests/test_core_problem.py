@@ -65,10 +65,3 @@ class TestQueries:
         assert holdings[0] == frozenset({0})
         assert holdings[1] == frozenset()
         assert len(holdings) == 20
-
-
-class TestReplaceSources:
-    def test_plain_replacement(self, small_problem):
-        moved = small_problem.replace_sources((1, 2, 3, 4, 5))
-        assert moved.sources == (1, 2, 3, 4, 5)
-        assert moved.message_size == small_problem.message_size

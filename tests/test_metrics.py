@@ -31,7 +31,7 @@ class TestCollector:
         c.record_send(0, 10, 0.0, iteration=3)
         assert c.ranks[0].per_iter_ops == {0: 2, 3: 1}
         assert c.ranks[0].max_ops_in_one_iteration() == 2
-        assert c.iterations_seen == {0, 3}
+        assert set(c.active_by_iter) == {0, 3}
 
     def test_active_by_iteration(self):
         c = MetricsCollector(4)

@@ -52,7 +52,6 @@ id = "demo"
 title = "Demo"
 description = "builder"
 builder = "repro.bench.figures:fig01"
-expected_checks = 3
 """
 #: The line of ``_minimal(CHECK)`` after which a table's keys go.
 ANCHORS = {
@@ -242,16 +241,40 @@ expr = "at('Br_Lin', 4) > 0"
         assert f"configs/xx-demo.toml: {table}" in str(err.value)
         assert "builder" in str(err.value)
 
-    def test_expected_checks_needs_a_builder(self):
-        text = _minimal().replace(
-            'description = "a two-point sweep"',
-            'description = "a two-point sweep"\nexpected_checks = 3',
-        )
+    @pytest.mark.parametrize("base", ["declarative", "builder"])
+    @pytest.mark.parametrize("table, key, line", [
+        ("[experiment]", "expected_checks", "expected_checks = 3"),
+        ("[doc]", "verdict", 'verdict = "partial"'),
+    ])
+    def test_hand_set_verdicts_and_check_counts_are_gone(self, base, table,
+                                                         key, line):
+        """The results compute both; a config that still sets one fails
+        to load, naming the file and the key."""
+        text = _minimal() if base == "declarative" else BUILDER
+        if table == "[experiment]":
+            text = text.replace('description = "', f'{line}\ndescription = "', 1)
+        else:
+            text += f'\n[doc]\nsection = "s"\n{line}\n'
         with pytest.raises(ConfigurationError) as err:
             load_config_text(text, path="configs/xx-demo.toml")
-        assert "configs/xx-demo.toml: [experiment].expected_checks" in str(
+        assert f"configs/xx-demo.toml: {table}: unknown key(s) '{key}'" in str(
             err.value
         )
+
+    def test_doc_expressions_compile_only_when_the_docs_render(self):
+        """Loading never compiles a placeholder or the deviation."""
+        from repro.pipeline.docsgen import compile_doc
+
+        doc = (
+            '\n[doc]\nsection = "s"\nbody = "took {nope(1):.2f} ms"\n'
+            'deviation = "curve(\'Br_Lin\')[0] > 0"\n'
+        )
+        config = load_config_text(_minimal(doc), path="configs/xx-demo.toml")
+        assert config.doc.deviation == "curve('Br_Lin')[0] > 0"
+        with pytest.raises(ConfigurationError) as err:
+            compile_doc(config)
+        assert "configs/xx-demo.toml: [doc].body {nope(1):.2f}" in str(err.value)
+        assert "unknown name 'nope'" in str(err.value)
 
     def test_unimportable_builder_rejected(self):
         with pytest.raises(ConfigurationError) as err:
@@ -349,16 +372,30 @@ class TestCommittedConfigs:
     """The shipped configs/ directory is complete and well-formed."""
 
     def test_counts_match_the_experiments_summary(self):
+        """25 experiments whose recorded results hold 74 checks; a
+        declarative config's checks are its ``[[checks]]``."""
+        import json
+
+        golden = json.loads(
+            (DEFAULT_CONFIG_DIR.parent / "tests" / "golden"
+             / "experiments_quick.json").read_text()
+        )
         configs = list(load_config_dir().values())
         assert len(configs) == 25
-        assert sum(c.num_checks for c in configs) == 74
+        assert sum(golden[c.id]["checks"] for c in configs) == 74
+        for config in configs:
+            if config.kind == "declarative":
+                assert len(config.checks) == golden[config.id]["checks"]
         kinds = [c.kind for c in configs]
         assert (kinds.count("builder"), kinds.count("declarative")) == (12, 13)
 
     def test_every_config_has_doc_block(self):
-        for config in load_config_dir().values():
+        configs = load_config_dir()
+        for config in configs.values():
             assert config.doc is not None, config.id
-            assert config.doc.verdict in ("reproduced", "partial")
+        assert [c.id for c in configs.values() if c.doc.deviation] == [
+            "fig6", "fig8", "fig11",
+        ]
 
     def test_groups_cover_the_paper(self):
         configs = list(load_config_dir().values())

@@ -10,12 +10,16 @@ import sys
 import pytest
 
 from repro.bench.types import Check, FigureResult, Series
+from repro.errors import ConfigurationError
 from repro.pipeline.docsgen import (
+    compile_doc,
+    render_doc,
     render_experiments_md,
     render_results_txt,
-    summary_counts,
+    verdict,
 )
-from repro.pipeline.loader import load_config_dir
+from repro.pipeline.loader import load_config_dir, load_config_text
+from repro.pipeline.runner import run_experiment
 from repro.pipeline.report import (
     render_experiment_html,
     render_index_html,
@@ -271,26 +275,121 @@ class TestHeatmapCache:
         assert len(list(cache.glob("??/*.heatmap.json"))) == 2
 
 
-class TestDocsGen:
-    def test_summary_counts(self, configs):
-        counts = summary_counts(list(configs.values()))
-        assert counts["experiments"] == 25
-        assert counts["checks"] == 74
-        assert counts["partial"] == 3
+def _fig6_result(br_lin_on_sq: float) -> FigureResult:
+    """A Figure-6-shaped result with Br_Lin's time on Sq set."""
+    xs = ["R", "C", "Dr", "Dl", "E", "B", "Sq", "Cr"]
+    curves = {"Br_Lin": [2.5] * 8, "Br_xy_source": [2.3] * 8,
+              "Br_xy_dim": [2.4] * 8}
+    curves["Br_Lin"][xs.index("Sq")] = br_lin_on_sq
+    return FigureResult("Figure 6", "d", series=[
+        Series("t", "distribution", xs, curves)
+    ])
 
-    def test_experiments_md_structure(self, configs):
-        text = render_experiments_md(list(configs.values()))
+
+def _demo(exp_id: str, group: str, doc: str) -> object:
+    """A one-series config of ``group`` with the given ``[doc]`` keys."""
+    return load_config_text(f"""
+[experiment]
+id = "{exp_id}"
+title = "{exp_id}"
+description = "d"
+group = "{group}"
+
+[doc]
+{doc}
+
+[[series]]
+title = "t"
+x_label = "s"
+x_values = [4, 8]
+cell_axis = "s"
+machine = "paragon:4x4"
+distribution = "E"
+message_size = 256
+algorithms = ["Br_Lin"]
+""", path=f"configs/{exp_id}.toml")
+
+
+class TestDocsGen:
+    def test_summary_counts_the_results(self):
+        """Pass and check counts come from the results, the partial
+        count from the deviations that hold on them."""
+        figure = _demo("a", "figures", 'section = "A"\nbody = "x"\n'
+                       "deviation = \"at('Br_Lin', 8) > 1\"")
+        ablation = _demo("b", "ablations",
+                         'section = "B"\nremoved = "r"\neffect = "e"')
+        series = [Series("t", "s", [4, 8], {"Br_Lin": [1.0, 2.0]})]
+
+        def result(*passed):
+            checks = [Check(f"c{i}", ok) for i, ok in enumerate(passed)]
+            return FigureResult("F", "d", series=series, checks=checks)
+
+        text = render_experiments_md(
+            [(figure, result(True)), (ablation, result(True, True))]
+        )
+        assert "**2/2 experiments pass all 3 automated shape checks**" in text
+        assert "(1 figures, 0 §5 text claims, 1 ablations," in text
+        assert "1 experiments carry\ndocumented secondary deviations." in text
+        text = render_experiments_md(
+            [(figure, result(False)), (ablation, result(True, True))]
+        )
+        assert ("**1/2 experiments pass all their shape checks; 2 of 3 "
+                "automated shape checks pass**") in text
+
+    def test_experiments_md_structure(self):
+        figure = _demo("a", "figures", 'section = "A head"\n'
+                       "body = \"took {at('Br_Lin', 8):.1f} ms\"")
+        robustness = _demo("r", "robustness",
+                           'section = "R head"\nbody = "faults"')
+        result = FigureResult("F", "d", series=[
+            Series("t", "s", [4, 8], {"Br_Lin": [1.0, 2.25]})
+        ])
+        text = render_experiments_md([(figure, result), (robustness, result)])
         assert text.startswith("# EXPERIMENTS")
         assert "do not hand-edit" in text
-        assert "**25/25 experiments pass all 74 automated shape checks**" in text
-        for config in configs.values():
-            assert config.doc.section in text, config.id
-        assert text.count("## Figure ") == 13
-        assert "### Fault-spec grammar" in text
+        assert "## A head\n\ntook 2.2 ms\n**Verdict: reproduced.**" in text
+        assert "## R head\n\nfaults\n\n### Fault-spec grammar" in text
+        for stale in ("bench_output.txt", "75 s", "Known deviations",
+                      "All ablation shape checks pass", "pre-faults"):
+            assert stale not in text
 
-    def test_experiments_md_matches_committed_file(self, configs):
+    @pytest.mark.parametrize("experiment_id", ["fig6", "ablation-ideal-rows"])
+    def test_doc_renders_its_committed_text_from_the_full_grid(
+        self, configs, experiment_id
+    ):
+        """A declarative section and a builder's table row, with every
+        number and the verdict computed from the full-grid results."""
+        config = configs[experiment_id]
+        text = render_doc(config, run_experiment(config))
         committed = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
-        assert committed == render_experiments_md(list(configs.values()))
+        assert f"\n{text}\n" in committed
+
+    def test_every_placeholder_and_deviation_compiles(self, configs):
+        """Loading compiles neither, so this is where a typo shows."""
+        assert len(configs) == 25
+        for config in configs.values():
+            compile_doc(config)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("{at('Br_Lin', 8) +:.1f}", "syntax error"),
+        ("{x.y:.1f}", "disallowed construct"),
+        ("{curve('Br_Lin')}", "is neither {expr:fmt}"),
+        ("a lone { brace", "is neither {expr:fmt}"),
+    ])
+    def test_malformed_placeholders_name_file_and_field(self, bad, message):
+        config = _demo("a", "figures", f'section = "A"\nbody = "{bad}"')
+        with pytest.raises(ConfigurationError) as err:
+            compile_doc(config)
+        assert "configs/a.toml: [doc].body" in str(err.value)
+        assert message in str(err.value)
+
+    def test_every_deviation_evaluates_on_its_quick_grid(self, configs):
+        """``report --quick`` puts each verdict on the index."""
+        deviating = [c for c in configs.values() if c.doc.deviation]
+        assert [c.id for c in deviating] == ["fig6", "fig8", "fig11"]
+        for config in deviating:
+            result = run_experiment(config, quick=True)
+            assert verdict(config, result) == "partial", config.id
 
     def test_results_txt_rendering(self):
         text = render_results_txt([RESULT])
@@ -301,9 +400,30 @@ class TestDocsGen:
         assert text.rstrip().endswith("all shape checks passed (2 experiment(s))")
         assert "(ran in" not in text
 
-    def test_check_experiments_tool_passes_on_committed_docs(self):
-        checker = _load_tool("check_experiments")
-        assert checker.main([str(REPO_ROOT)]) == 0
+
+class TestVerdicts:
+    """The verdict is computed from the deviation, wherever it shows."""
+
+    def test_index_follows_the_deviation(self, configs):
+        fig6 = configs["fig6"]
+        held = render_index_html([(fig6, _fig6_result(2.75))])
+        mended = render_index_html([(fig6, _fig6_result(2.0))])
+        assert "<td>partial</td>" in held
+        assert "<td>reproduced</td>" in mended
+        assert "partial" not in mended
+
+    def test_pages_do_not_show_the_verdict(self, configs):
+        """An experiment page is the same whatever its deviation says."""
+        import dataclasses
+
+        fig6 = configs["fig6"]
+        plain = dataclasses.replace(
+            fig6, doc=dataclasses.replace(fig6.doc, deviation=None)
+        )
+        for result in (_fig6_result(2.75), _fig6_result(2.0)):
+            page = render_experiment_html(fig6, result)
+            assert page == render_experiment_html(plain, result)
+            assert "partial" not in page and "reproduced" not in page
 
 
 class TestReportCli:
@@ -349,7 +469,7 @@ class TestReportCli:
         assert "unknown experiment" not in err
 
     @pytest.mark.parametrize("target", ["fig6", "all", "list"])
-    @pytest.mark.parametrize("flag", ["--check", "--skip-results"])
+    @pytest.mark.parametrize("flag", ["--check"])
     def test_docs_flag_with_another_target_is_a_usage_error(
         self, flag, target, capsys, monkeypatch
     ):
@@ -457,12 +577,37 @@ class TestReportCli:
         warm.run(points)
         assert warm.last_report.computed == 0
 
-    def test_docs_check_skip_results_matches_committed(self, capsys):
-        from repro.pipeline.cli import main
+    def test_docs_render_from_the_full_grid_only(self, capsys, monkeypatch):
+        from repro.pipeline import cli
 
-        assert main(["docs", "--check", "--skip-results"]) == 0
-        assert "matches regenerated" in capsys.readouterr().out
+        def no_config(*args, **kwargs):
+            raise AssertionError("a config was loaded")
 
+        monkeypatch.setattr(cli, "load_config_dir", no_config)
+        assert cli.main(["docs", "--quick", "--no-cache"]) == 2
+        assert "drop --quick" in capsys.readouterr().err
+
+    def test_docs_compile_every_placeholder_before_any_point(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A typo'd placeholder stops ``report docs`` before the sweep."""
+        from repro.pipeline import cli
+        from repro.sweep import SweepExecutor
+
+        def no_sweep(self, points):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(SweepExecutor, "run", no_sweep)
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        text = (REPO_ROOT / "configs" / "06-fig6.toml").read_text()
+        (configs / "06-fig6.toml").write_text(
+            text.replace("{at('Br_Lin', 'Sq'):.2f}", "{att('Br_Lin', 'Sq'):.2f}")
+        )
+        assert cli.main(["docs", "--check", "--configs", str(configs)]) == 2
+        err = capsys.readouterr().err
+        assert "06-fig6.toml: [doc].body {att('Br_Lin', 'Sq'):.2f}" in err
+        assert "unknown name 'att'" in err
 
 class TestReportLoadsNamedConfigs:
     """``report <id>`` parses only the named files; meta-targets parse all."""

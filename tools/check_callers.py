@@ -37,9 +37,9 @@ Both passes guard against regrowth; neither proves use.  Calls are
 matched to definitions by name alone, so a definition counts as named,
 and a parameter as set, when *any* reference or call anywhere shares
 the name (``reset``, ``clear``, ``run`` and the like), whether or not
-it reaches that definition.  For example, ``Engine.run(until=)`` counts
-as set because ``machine.run(program)`` passes ``Machine.run`` one
-positional argument, and a name cannot tell the two ``run`` apart.
+it reaches that definition.  For example, ``Dual.get(quick=)`` and
+``Store.get(predicate=)`` share a name, so any call ``x.get(v)`` counts
+as setting both, whichever class ``x`` is.
 
 Run:  python tools/check_callers.py [repo-root]
 """
