@@ -1,6 +1,6 @@
 """The pinned microbenchmark suite and report comparison.
 
-Six tiers, mirroring the simulator's layering:
+Seven tiers, mirroring the simulator's layering:
 
 * ``route/…`` — raw :meth:`Topology.route_links` link-path lookups
   (the fabric's per-message work), warm (memoized routes) and cold
@@ -22,7 +22,9 @@ Six tiers, mirroring the simulator's layering:
 * ``traced/…`` — an observed point: a fully traced ``run_broadcast``
   then :func:`~repro.obs.summary.summarize_trace`, what an observed
   sweep pays per computed point, with the untraced run and the summary
-  alone timed beside it.
+  alone timed beside it;
+* ``cache/warm-read`` — a warm result cache read back: every stored
+  entry of a small grid opened, verified and checked against its point.
 
 ``quick=True`` (the CI smoke mode) drops the 16×16 points; the
 remaining benchmarks run with workloads identical to full mode, so
@@ -45,7 +47,7 @@ from repro.core.problem import BroadcastProblem
 from repro.core.runner import run_broadcast
 from repro.machines import machine_from_spec
 from repro.network import Mesh2D, Topology, Torus3D
-from repro.perf.timer import bench, calibrate
+from repro.perf.timer import BenchTiming, bench, calibrate
 
 __all__ = [
     "SCHEMA",
@@ -97,6 +99,18 @@ class BenchResult:
 
 # -- benchmark bodies ------------------------------------------------------
 
+def _timed(name: str, timing: BenchTiming, **fields: Any) -> BenchResult:
+    """The :class:`BenchResult` of ``timing``, with more ``fields``."""
+    return BenchResult(name=name, wall_s=timing.best_s, mean_s=timing.mean_s,
+                       repeats=timing.repeats, **fields)
+
+
+def _problem(spec: str, s: int, message_size: int) -> BroadcastProblem:
+    """``s`` sources at ranks ``0..s-1`` of machine ``spec``."""
+    return BroadcastProblem(machine=machine_from_spec(spec),
+                            sources=tuple(range(s)), message_size=message_size)
+
+
 def _bench_route_lookup(lookups: int, repeats: int) -> BenchResult:
     """Warm link-path lookups on the 16×16 mesh, deterministic pair list."""
     import random
@@ -114,11 +128,8 @@ def _bench_route_lookup(lookups: int, repeats: int) -> BenchResult:
             route(src, dst)
 
     timing = bench(body, repeats=repeats, warmup=1)
-    return BenchResult(
-        name="route/paragon:16x16/lookups",
-        wall_s=timing.best_s,
-        mean_s=timing.mean_s,
-        repeats=timing.repeats,
+    return _timed(
+        "route/paragon:16x16/lookups", timing,
         extra={"lookups": lookups, "lookups_per_s": lookups / timing.best_s},
     )
 
@@ -147,11 +158,8 @@ def _bench_route_build(
             route(src, dst)
 
     timing = bench(body, repeats=repeats, warmup=1)
-    return BenchResult(
-        name=f"route/{spec}/build",
-        wall_s=timing.best_s,
-        mean_s=timing.mean_s,
-        repeats=timing.repeats,
+    return _timed(
+        f"route/{spec}/build", timing,
         extra={"lookups": lookups, "lookups_per_s": lookups / timing.best_s},
     )
 
@@ -164,10 +172,7 @@ def _bench_schedule(
     from repro.core.algorithms import get_algorithm
     from repro.fastpath.lowering import lower_schedule
 
-    machine = machine_from_spec(spec)
-    problem = BroadcastProblem(
-        machine=machine, sources=tuple(range(s)), message_size=message_size
-    )
+    problem = _problem(spec, s, message_size)
     build = get_algorithm(algorithm).build_schedule
 
     def body() -> None:
@@ -177,11 +182,8 @@ def _bench_schedule(
 
     timing = bench(body, repeats=repeats, warmup=1)
     sends = build(problem).num_transfers
-    return BenchResult(
-        name=f"schedule/{algorithm}/{spec}/s={s}/L={message_size}",
-        wall_s=timing.best_s,
-        mean_s=timing.mean_s,
-        repeats=timing.repeats,
+    return _timed(
+        f"schedule/{algorithm}/{spec}/s={s}/L={message_size}", timing,
         extra={"sends": sends, "sends_per_s": sends / timing.best_s},
     )
 
@@ -211,11 +213,8 @@ def _bench_pingpong(iterations: int, repeats: int) -> BenchResult:
     timing = bench(body, repeats=repeats, warmup=1)
     result = machine.run(program)
     events = getattr(result, "events_scheduled", 0)
-    return BenchResult(
-        name="pingpong/paragon:2x2",
-        wall_s=timing.best_s,
-        mean_s=timing.mean_s,
-        repeats=timing.repeats,
+    return _timed(
+        "pingpong/paragon:2x2", timing,
         events_per_s=(events / timing.best_s) if events else None,
         extra={
             "iterations": iterations,
@@ -231,10 +230,8 @@ def _bench_point(
     from repro.core.algorithms import get_algorithm
     from repro.core.executor import ScheduleExecutor
 
-    machine = machine_from_spec(spec)
-    problem = BroadcastProblem(
-        machine=machine, sources=tuple(range(s)), message_size=message_size
-    )
+    problem = _problem(spec, s, message_size)
+    machine = problem.machine
 
     def body() -> None:
         run_broadcast(problem, algorithm)
@@ -249,11 +246,8 @@ def _bench_point(
     )
     run = machine.run(executor.program)
     events = getattr(run, "events_scheduled", 0)
-    return BenchResult(
-        name=f"run/{algorithm}/{spec}/s={s}/L={message_size}",
-        wall_s=timing.best_s,
-        mean_s=timing.mean_s,
-        repeats=timing.repeats,
+    return _timed(
+        f"run/{algorithm}/{spec}/s={s}/L={message_size}", timing,
         events_per_s=(events / engine_timing.best_s) if events else None,
         extra={
             "engine_s": engine_timing.best_s,
@@ -277,10 +271,7 @@ def _bench_fastpath_point(
     """
     from repro.fastpath import plancache
 
-    machine = machine_from_spec(spec)
-    problem = BroadcastProblem(
-        machine=machine, sources=tuple(range(s)), message_size=message_size
-    )
+    problem = _problem(spec, s, message_size)
 
     def fast_run() -> None:
         run_broadcast(problem, algorithm, engine="fast")
@@ -297,11 +288,8 @@ def _bench_fastpath_point(
         warmup=0,
     )
     result = run_broadcast(problem, algorithm, engine="fast")
-    return BenchResult(
-        name=f"fastpath/{algorithm}/{spec}/s={s}/L={message_size}",
-        wall_s=timing.best_s,
-        mean_s=timing.mean_s,
-        repeats=timing.repeats,
+    return _timed(
+        f"fastpath/{algorithm}/{spec}/s={s}/L={message_size}", timing,
         extra={
             "event_s": event_timing.best_s,
             "speedup_vs_event": event_timing.best_s / timing.best_s,
@@ -355,11 +343,8 @@ def _bench_fastpath_sweep(repeats: int) -> BenchResult:
         repeats=2,
         warmup=0,
     )
-    return BenchResult(
-        name="fastpath/fig3-sweep/paragon:10x10",
-        wall_s=timing.best_s,
-        mean_s=timing.mean_s,
-        repeats=timing.repeats,
+    return _timed(
+        "fastpath/fig3-sweep/paragon:10x10", timing,
         extra={
             "points": len(points),
             "event_s": event_timing.best_s,
@@ -387,11 +372,8 @@ def _bench_traced_point(
     from repro.obs.summary import summarize_trace
     from repro.simulator.trace import Tracer
 
-    machine = machine_from_spec(spec)
-    topology = machine.topology
-    problem = BroadcastProblem(
-        machine=machine, sources=tuple(range(s)), message_size=message_size
-    )
+    problem = _problem(spec, s, message_size)
+    topology = problem.machine.topology
 
     def observed_run() -> None:
         tracer = Tracer()
@@ -409,17 +391,53 @@ def _bench_traced_point(
         repeats=repeats,
         warmup=0,
     )
-    return BenchResult(
-        name=f"traced/{algorithm}/{spec}/s={s}/L={message_size}",
-        wall_s=timing.best_s,
-        mean_s=timing.mean_s,
-        repeats=timing.repeats,
+    return _timed(
+        f"traced/{algorithm}/{spec}/s={s}/L={message_size}", timing,
         extra={
             "records": len(tracer),
             "untraced_s": untraced.best_s,
             "summary_s": summary.best_s,
             "observed_vs_untraced": timing.best_s / untraced.best_s,
         },
+    )
+
+
+def _bench_cache_read(repeats: int) -> BenchResult:
+    """Warm cache reads: open, verify and payload-check stored entries.
+
+    What a warm ``report`` page pays per point before it renders: a body
+    reads each stored result of a 256-point grid eight times, with the
+    key the sweep executor passes (over 50 ms: shorter timings spread
+    too far under host load to gate).
+    """
+    import tempfile
+
+    from repro.sweep import ResultCache, SweepExecutor, SweepSpec
+
+    points = SweepSpec(
+        machines=("paragon:4x4", "paragon:8x8"),
+        distributions=("E", "R"),
+        s_values=(1, 2, 4, 8),
+        message_sizes=(256, 1024, 4096, 16384),
+        algorithms=("Br_Lin", "Br_xy_source", "2-Step", "MPI_AllGather"),
+    ).points()
+    keys = [point.key() for point in points]
+    with tempfile.TemporaryDirectory() as root:
+        cache = ResultCache(root)
+        SweepExecutor(jobs=1, cache=cache).run(points)
+        reads = list(zip(points, keys)) * 8
+
+        def body() -> None:
+            for point, key in reads:
+                if cache.load(point, key) is None:
+                    raise RuntimeError(f"cache/warm-read: {key} missed")
+
+        timing = bench(body, repeats=repeats, warmup=1)
+        stored = sum(cache.path_for(key).stat().st_size for key in keys)
+    return _timed(
+        "cache/warm-read", timing,
+        extra={"entries": len(points), "bytes": stored,
+               "reads_per_s": len(reads) / timing.best_s},
     )
 
 
@@ -519,6 +537,7 @@ def _definitions(quick: bool) -> List[Tuple[str, Callable[[], BenchResult]]]:
             ),
         )
     )
+    defs.append(("cache/warm-read", lambda: _bench_cache_read(repeats)))
     if not quick:
         defs.append(
             ("fastpath/fig3-sweep/paragon:10x10",

@@ -7,9 +7,9 @@ deviations (:mod:`repro.pipeline.docsgen`) are written in the same
 language.  :func:`compile_expr` parses an expression and walks its AST
 against a whitelist (no attribute access, no imports, no dunder names,
 only known helper/builtin names).  Checks are compiled at **load
-time**, so a typo'd helper or a smuggled ``__import__`` fails when the
-config is read, not mid-sweep; the docs' expressions compile when the
-docs render.
+time** and the config keeps the code, so a typo'd helper or a smuggled
+``__import__`` fails when the config is read, not mid-sweep; the docs'
+expressions compile where the docs evaluate them.
 
 Evaluation helpers (bound per check to the experiment's series list;
 ``series = N`` in the check selects the default series):
@@ -85,24 +85,13 @@ _ALLOWED_NODES = (
 )
 
 
-def _bound_names(tree: ast.AST) -> Set[str]:
-    """Names bound by comprehension targets inside ``tree``."""
-    bound: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.comprehension):
-            for target in ast.walk(node.target):
-                if isinstance(target, ast.Name):
-                    bound.add(target.id)
-    return bound
-
-
 def compile_expr(expr: str, *, context: str = "expression") -> CodeType:
     """Parse, whitelist-check and compile one check expression.
 
     Raises :class:`~repro.errors.ConfigurationError` naming the
     ``context`` (the loader passes ``"<file>: [checks#N].expr"``) when
     the expression is syntactically invalid, contains a disallowed
-    construct, or references an unknown name.
+    construct, or references an unknown name (one walk finds both).
 
     >>> code = compile_expr("min(xs) < max(xs)")
     >>> eval(code, {"__builtins__": {}}, {"xs": [1, 2], "min": min, "max": max})
@@ -112,20 +101,26 @@ def compile_expr(expr: str, *, context: str = "expression") -> CodeType:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ConfigurationError(f"{context}: syntax error: {exc.msg}") from None
+    loaded: List[str] = []
+    bound: Set[str] = set()
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ConfigurationError(
                 f"{context}: disallowed construct "
                 f"{type(node).__name__!r} in {expr!r}"
             )
-    bound = _bound_names(tree)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            if node.id not in ALLOWED_NAMES and node.id not in bound:
-                raise ConfigurationError(
-                    f"{context}: unknown name {node.id!r} "
-                    f"(allowed: {', '.join(sorted(ALLOWED_NAMES))})"
-                )
+        if isinstance(node, ast.Name):
+            # A stored name can only be a comprehension target.
+            if isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+            else:
+                loaded.append(node.id)
+    for name in loaded:
+        if name not in ALLOWED_NAMES and name not in bound:
+            raise ConfigurationError(
+                f"{context}: unknown name {name!r} "
+                f"(allowed: {', '.join(sorted(ALLOWED_NAMES))})"
+            )
     return compile(tree, filename=f"<{context}>", mode="eval")
 
 
@@ -144,23 +139,23 @@ def _namespace(base: Series) -> Dict[str, Any]:
 
 
 def evaluate_expr(
-    expr: str, series: Sequence[Series], index: int = 0, *,
+    code: CodeType, series: Sequence[Series], index: int = 0, *,
     context: str = "expression",
 ) -> Any:
-    """The value of one expression over ``series[index]``.
+    """The value of one compiled expression over ``series[index]``.
 
-    Checks, their details, and the docs' placeholders and deviations
+    ``code`` comes from :func:`compile_expr`.  Checks, their details,
+    and the docs' placeholders and deviations
     (:mod:`repro.pipeline.docsgen`) all evaluate through here.  Raises
     :class:`~repro.errors.ConfigurationError` naming ``context`` for an
-    out-of-range index, an expression outside the language, or a failed
-    evaluation (a missing curve or x value).
+    out-of-range index or a failed evaluation (a missing curve or x
+    value).
     """
     if not 0 <= index < len(series):
         raise ConfigurationError(
             f"{context}: series index {index} out of range "
             f"(experiment has {len(series)} series)"
         )
-    code = compile_expr(expr, context=context)
     # Names go in *globals*: comprehensions in an eval'd expression
     # run in their own scope, which resolves free names through the
     # globals mapping, never through an outer locals dict.
@@ -170,7 +165,7 @@ def evaluate_expr(
         return eval(code, names)
     except Exception as exc:  # missing curve/x value: a config defect
         raise ConfigurationError(
-            f"{context}: evaluation failed for {expr!r}: {exc}"
+            f"{context}: evaluation failed: {exc}"
         ) from exc
 
 

@@ -5,10 +5,13 @@ cell field set twice or not at all, mismatched per-x list lengths,
 unregistered algorithms/distributions, check expressions outside the
 restricted language and malformed machine specs are all rejected **at
 load time**, with an error message naming the offending file and key —
-a config never fails halfway through a sweep.  The ``[doc]`` prose's
-placeholders and ``deviation`` are the exception: they are compiled only
-when the docs render, so loading pays nothing for them.  A config is a
-builder config exactly when ``[experiment]`` names a ``builder``.
+a config never fails halfway through a sweep.  Each check's ``expr``
+and ``detail`` are kept as the code that validation compiled, so a
+loaded config evaluates its checks without compiling them again.  The
+``[doc]`` prose's placeholders and ``deviation`` are the exception:
+they compile where they are evaluated (the docs, the report index's
+verdict), so loading pays nothing for them.  A config is a builder
+config exactly when ``[experiment]`` names a ``builder``.
 
 Doctest — a config expands into the sweep points ``report`` evaluates::
 
@@ -302,12 +305,12 @@ def _parse_check(table: Dict[str, Any], context: str,
               f"(experiment has {num_series} series)")
     detail = table.get("detail")
     if detail is not None:
-        detail = _str(detail, f"{context}.detail")
-        compile_expr(detail, context=f"{context}.detail")
+        detail = compile_expr(_str(detail, f"{context}.detail"),
+                              context=f"{context}.detail")
     expr = _str(_req(table, "expr", context), f"{context}.expr")
-    compile_expr(expr, context=f"{context}.expr")
-    return CheckSpec(description=description, expr=expr, series=series,
-                     detail=detail)
+    return CheckSpec(description=description,
+                     expr=compile_expr(expr, context=f"{context}.expr"),
+                     series=series, detail=detail)
 
 
 # -- experiment ------------------------------------------------------------

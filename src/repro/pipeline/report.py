@@ -363,8 +363,9 @@ def _link_heatmap(
         traced = SweepPoint.from_problem(
             problem, str(point["algorithm"]), distribution=str(point["dist"])
         )
+        key = traced.key()
         if cache is not None:
-            text = cache.load_sibling(traced, "heatmap")
+            text = cache.load_sibling(traced, key, "heatmap")
             if text is not None:
                 return text
         tracer = Tracer(kinds=("xfer",))
@@ -376,7 +377,7 @@ def _link_heatmap(
     except ReproError:  # pragma: no cover - no committed point raises
         return None
     if cache is not None:
-        cache.store_sibling(traced, "heatmap", text)
+        cache.store_sibling(traced, key, "heatmap", text)
     return text
 
 

@@ -29,6 +29,7 @@ them and the report samples its representative point from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import CodeType
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -149,17 +150,19 @@ class SeriesSpec:
 class CheckSpec:
     """One declarative shape check.
 
-    ``expr`` is a restricted Python expression evaluated against series
-    ``series`` of the measured figure (helpers: ``at``, ``curve``,
-    ``xs`` — see :mod:`repro.pipeline.checks`).  ``detail`` is an
-    optional expression (typically an f-string) rendered into the
-    check's detail text.
+    ``expr`` is a restricted Python expression, compiled once by
+    :func:`~repro.pipeline.checks.compile_expr` when the config loads,
+    evaluated against series ``series`` of the measured figure
+    (helpers: ``at``, ``curve``, ``xs``).  ``detail`` is an optional
+    compiled expression (typically an f-string) rendered into the
+    check's detail text.  Code does not pickle, so neither does a
+    config; only sweep points cross to worker processes.
     """
 
     description: str
-    expr: str
+    expr: CodeType
     series: int = 0
-    detail: Optional[str] = None
+    detail: Optional[CodeType] = None
 
 
 @dataclass(frozen=True)

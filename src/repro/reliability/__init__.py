@@ -15,8 +15,9 @@ fabric:
   ``torn:write@K`` / ``err:ENOSPC@K`` / ``crash@K`` /
   ``stall:read@K+D``, mirroring the simulator's fault specs).
 * :mod:`repro.reliability.envelope` — self-verifying storage: the
-  versioned ``repro-cache/2`` entry envelope with an embedded sha256,
-  verified on every read.
+  versioned ``repro-cache/3`` entry, a header line with the sha256 of
+  the body text that follows it, checked over the stored text before
+  every read parses it.
 
 The storage-fault campaign that drives these layers end to end,
 ``python -m repro chaos --io``, lives in :mod:`repro.faults.chaos`: it
@@ -26,35 +27,6 @@ serves unverified bytes, a rerun recomputes exactly what a crash lost,
 and the recovered sweep is bit-identical to serial.
 
 Layering: both modules sit below :mod:`repro.sweep` (which consumes
-them) and import only :mod:`repro.errors`.
+them) and import only :mod:`repro.errors`; callers import from them
+directly.
 """
-
-from __future__ import annotations
-
-from repro.reliability.envelope import (
-    ENTRY_SCHEMA_V2,
-    EnvelopeError,
-    open_envelope,
-    seal_envelope,
-)
-from repro.reliability.iofaults import (
-    RAW_IO,
-    FaultyIO,
-    IOBackend,
-    IOFault,
-    IOFaultPlan,
-    SimulatedCrash,
-)
-
-__all__ = [
-    "ENTRY_SCHEMA_V2",
-    "EnvelopeError",
-    "FaultyIO",
-    "IOBackend",
-    "IOFault",
-    "IOFaultPlan",
-    "RAW_IO",
-    "SimulatedCrash",
-    "open_envelope",
-    "seal_envelope",
-]

@@ -1,22 +1,26 @@
-"""Self-verifying storage envelopes (``repro-cache/2``).
+"""Self-verifying storage envelopes (``repro-cache/3``).
 
-A v2 cache entry wraps its payload in an envelope carrying a sha256 of
-the payload's canonical JSON form::
+A v3 cache entry is one header line, the schema and the sha256 of the
+body text, followed by the body's JSON::
 
-    {"schema": "repro-cache/2",
-     "sha256": "<hex digest of canonical(body)>",
-     "body": {...}}
+    repro-cache/3 <hex sha256 of everything after the newline>
+    {"compute_s":0.0078125,"point":{...},"result":{...}}
 
-:func:`seal_envelope` builds one; :func:`open_envelope` verifies and
-unwraps it, raising :class:`EnvelopeError` on any defect — a digest
-mismatch (torn write, bit rot, truncation that still parses), a
-malformed envelope, or a body that is not an object.  Verification
-re-serialises the body with the same canonical ``json.dumps`` used at
-seal time, so a JSON round-trip through disk is digest-stable (Python's
-float repr round-trips exactly).
+:func:`seal_envelope` encodes the body once and hashes exactly the
+text it returns for writing; :func:`open_envelope` checks the digest
+over the stored text *before* it parses the body, once.  Every stored
+byte after the header is covered, so any change to it — a flipped bit,
+added whitespace, ``1.0`` written as ``1.00`` — is a defect.
 
-An entry without a ``schema`` key (the plain pre-envelope format) is a
-``bad-envelope`` defect like any other: nothing unverified is served.
+A defect raises :class:`EnvelopeError`, whose message is the quarantine
+reason; its prefix names the kind: ``bad-envelope`` (no ``repro-cache/3
+<sha256>`` header — a v2 or pre-envelope entry, an unknown schema, a
+foreign file — or a body that is not a JSON object), ``truncated`` (the
+text ends inside its header line, or its body fails the digest and does
+not parse: a torn or cut-short write, or damage to its syntax),
+``checksum-mismatch`` (the body parses but fails the digest: bit rot or
+an edit) and ``invalid-json`` (a body that matches its digest but does
+not parse, which only a hand-made entry can be).
 """
 
 from __future__ import annotations
@@ -27,73 +31,64 @@ from typing import Any, Dict
 
 from repro.errors import ReproError
 
-__all__ = [
-    "ENTRY_SCHEMA_V2",
-    "EnvelopeError",
-    "canonical_digest",
-    "open_envelope",
-    "seal_envelope",
-]
+__all__ = ["ENTRY_SCHEMA", "EnvelopeError", "open_envelope", "seal_envelope"]
 
 #: Schema tag of checksummed entries.  Bump on incompatible envelope
 #: layout changes; readers treat unknown schemas as corrupt (quarantine,
 #: never serve) rather than guessing.
-ENTRY_SCHEMA_V2 = "repro-cache/2"
+ENTRY_SCHEMA = "repro-cache/3"
+
+#: How every entry's text starts: the schema, a space, the digest.
+_HEADER = f"{ENTRY_SCHEMA} "
 
 
 class EnvelopeError(ReproError):
     """A storage envelope failed verification or parsing.
 
-    The message is the quarantine *reason*: machine-checkable prefix
-    (``checksum-mismatch``, ``bad-envelope``, ``invalid-json``) plus
-    human detail.
+    The message is the quarantine *reason*: a machine-checkable prefix
+    naming the defect's kind, plus human detail.
     """
 
 
-def canonical_digest(body: Dict[str, Any]) -> str:
-    """sha256 hex digest of ``body``'s canonical JSON form."""
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def seal_envelope(body: Dict[str, Any]) -> Dict[str, Any]:
-    """Wrap ``body`` in a verified ``repro-cache/2`` envelope."""
-    return {
-        "schema": ENTRY_SCHEMA_V2,
-        "sha256": canonical_digest(body),
-        "body": body,
-    }
+def seal_envelope(body: Dict[str, Any]) -> str:
+    """The ``repro-cache/3`` entry text of ``body``, ready to write."""
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return f"{_HEADER}{_sha256(text)}\n{text}"
 
 
 def open_envelope(text: str) -> Dict[str, Any]:
-    """Parse and verify stored entry ``text``; returns its body.
+    """Verify stored entry ``text``, then parse it; returns its body.
 
-    Raises
-    ------
-    EnvelopeError
-        On unparseable JSON, a non-object entry, a missing or unknown
-        schema, a malformed envelope, or — the case the whole layer
-        exists for — a sha256 that does not match the body.
+    Raises :class:`EnvelopeError` with a reason prefixed by the
+    defect's kind (see the module docstring).
     """
-    try:
-        entry = json.loads(text)
-    except ValueError as exc:
-        raise EnvelopeError(f"invalid-json: {exc}") from None
-    if not isinstance(entry, dict):
+    header, newline, body_text = text.partition("\n")
+    if not newline and _HEADER.startswith(header[: len(_HEADER)]):
         raise EnvelopeError(
-            f"bad-envelope: entry is {type(entry).__name__}, not an object"
+            f"truncated: {len(text)} bytes end inside the header line"
         )
-    schema = entry.get("schema")
-    if schema != ENTRY_SCHEMA_V2:
-        raise EnvelopeError(f"bad-envelope: unknown schema {schema!r}")
-    body = entry.get("body")
-    stored = entry.get("sha256")
-    if not isinstance(body, dict) or not isinstance(stored, str):
-        raise EnvelopeError("bad-envelope: missing body or sha256")
-    actual = canonical_digest(body)
-    if actual != stored:
+    if not header.startswith(_HEADER):
         raise EnvelopeError(
-            f"checksum-mismatch: stored {stored[:12]}.., "
-            f"recomputed {actual[:12]}.."
+            f"bad-envelope: no {ENTRY_SCHEMA} header (starts {text[:24]!r})"
+        )
+    stored, actual = header[len(_HEADER):], _sha256(body_text)
+    try:
+        if actual != stored:
+            json.loads(body_text)  # parses: rot, not a cut-short write
+            raise EnvelopeError(
+                f"checksum-mismatch: stored {stored[:12]}.., "
+                f"recomputed {actual[:12]}.."
+            )
+        body = json.loads(body_text)
+    except ValueError as exc:
+        kind = "invalid-json" if actual == stored else "truncated"
+        raise EnvelopeError(f"{kind}: {exc}") from None
+    if not isinstance(body, dict):
+        raise EnvelopeError(
+            f"bad-envelope: body is {type(body).__name__}, not an object"
         )
     return body

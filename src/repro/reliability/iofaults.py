@@ -199,12 +199,16 @@ class IOBackend:
     """
 
     def read_text(self, path: Union[str, pathlib.Path]) -> str:
-        """Read a whole file (``FileNotFoundError`` on a missing one)."""
-        return pathlib.Path(path).read_text()
+        """Read a whole UTF-8 file (``FileNotFoundError`` on a missing one).
+
+        An undecodable byte (a flipped high bit) reads as U+FFFD, which
+        no stored digest matches: a defect, not an exception.
+        """
+        return pathlib.Path(path).read_text(encoding="utf-8", errors="replace")
 
     def write_text(self, path: Union[str, pathlib.Path], text: str) -> None:
-        """Write a whole file (non-atomic; pair with :meth:`replace`)."""
-        pathlib.Path(path).write_text(text)
+        """Write a whole UTF-8 file (non-atomic; pair with :meth:`replace`)."""
+        pathlib.Path(path).write_text(text, encoding="utf-8")
 
     def replace(
         self, src: Union[str, pathlib.Path], dst: Union[str, pathlib.Path]

@@ -2,14 +2,14 @@
 
 Entries are JSON files named by the sweep point's content hash
 (:meth:`~repro.sweep.spec.SweepPoint.key`), sharded into 256 two-hex
-subdirectories.  Each entry wraps the point's full identity payload,
+subdirectories.  Each entry holds the point's full identity payload,
 the serialized :class:`~repro.core.runner.BroadcastResult`, and the
-original compute duration (which feeds the speedup counters) in a
-self-verifying ``repro-cache/2`` envelope
-(:mod:`repro.reliability.envelope`): an embedded sha256 of the
-payload's canonical JSON, recomputed and checked on every read, so a
-torn write or bit rot can never be served as truth; an entry without
-the envelope is a defect like any other.  Beside an entry,
+original compute duration (which feeds the speedup counters) as the
+body of a self-verifying ``repro-cache/3`` envelope
+(:mod:`repro.reliability.envelope`): a header line carrying the sha256
+of the body text, checked over the stored text before the body is
+parsed, so a torn write or bit rot can never be served as truth; a
+file without that header is a defect like any other.  Beside an entry,
 ``<key>.<kind>.json`` *siblings* (:data:`SIBLINGS`: an observed run's
 summary, a report page's link heatmap) ride in the same envelope under
 the same payload check.
@@ -50,7 +50,7 @@ import re
 import socket
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.reliability.envelope import EnvelopeError, open_envelope, seal_envelope
 from repro.reliability.iofaults import RAW_IO, IOBackend
@@ -103,6 +103,16 @@ _REQUIRED_RESULT_FIELDS = (
     "link_utilization",
     "metrics",
 )
+
+
+def _result_of(body: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
+    """An entry body's ``(result, compute_s)``; ``KeyError`` on a gap (a
+    ``compute_s`` of 0.0 would silently zero the speedup accounting)."""
+    result = body["result"]
+    for field in _REQUIRED_RESULT_FIELDS:
+        if field not in result:
+            raise KeyError(field)
+    return result, float(body["compute_s"])
 
 
 @dataclass
@@ -171,45 +181,27 @@ class ResultCache:
         return self.root / QUARANTINE_DIR
 
     # -- read --------------------------------------------------------------
-    def load(self, point: SweepPoint) -> Optional[Tuple[Dict[str, Any], float]]:
+    def load(
+        self, point: SweepPoint, key: str
+    ) -> Optional[Tuple[Dict[str, Any], float]]:
         """``(result_dict, original_compute_seconds)`` or ``None`` on miss.
 
-        Any defect — unreadable file, invalid JSON, a failed envelope
-        checksum, missing fields, or a stored payload that does not
-        match the point (stale format, hash collision) — counts as a
-        miss; the bad entry is quarantined *together with its
-        siblings* so all are recomputed and rewritten rather than
-        tripping every future run.  (Leaving a ``<key>.obs.json``
-        sibling behind would let a stale-format observation survive
-        the recompute and be served beside the fresh result.)
+        ``key`` is ``point.key()``, which the caller computes once per
+        point and passes to every method here.  Any defect — an
+        unreadable or torn file, a failed envelope checksum, missing
+        fields, or a stored payload that does not match the point (stale
+        format, hash collision) — counts as a miss; the bad entry is
+        quarantined *together with its siblings* so all are recomputed
+        and rewritten rather than tripping every future run.  (Leaving a
+        ``<key>.obs.json`` sibling behind would let a stale-format
+        observation survive the recompute and be served beside the fresh
+        result.)
         """
-        key = point.key()
-        path = self.path_for(key)
-        try:
-            text = self.io.read_text(path)
-        except OSError:
-            return None
-        try:
-            body = open_envelope(text)
-            if body["point"] != point.payload():
-                raise ValueError("stored payload does not match the point")
-            result = body["result"]
-            for field in _REQUIRED_RESULT_FIELDS:
-                if field not in result:
-                    raise KeyError(field)
-            # A missing compute_s is a format defect like any other —
-            # defaulting it to 0.0 would silently zero the speedup
-            # accounting — so KeyError here quarantines and recomputes.
-            compute_s = float(body["compute_s"])
-        except EnvelopeError as exc:
-            self._quarantine(key, str(exc))
-            return None
-        except (ValueError, KeyError, TypeError) as exc:
-            self._quarantine(key, f"bad-entry: {exc}")
-            return None
-        return result, compute_s
+        return self._read(point, key, self.path_for(key), _result_of)
 
-    def load_sibling(self, point: SweepPoint, kind: str) -> Optional[Any]:
+    def load_sibling(
+        self, point: SweepPoint, key: str, kind: str
+    ) -> Optional[Any]:
         """The stored ``kind`` sibling of ``point``, or ``None``.
 
         A sibling needs no result entry beside it, and ``None`` also
@@ -218,8 +210,29 @@ class ResultCache:
         is quarantined here unless the sibling itself is corrupt or
         stale, and then it goes alone.
         """
-        key = point.key()
+
+        def value_of(body: Dict[str, Any]) -> Any:
+            if not isinstance(body[kind], SIBLINGS[kind]):
+                raise TypeError(f"{kind} must be a {SIBLINGS[kind].__name__}")
+            return body[kind]
+
         path = self.sibling_path(key, kind)
+        return self._read(point, key, path, value_of, quarantine=[path])
+
+    def _read(
+        self,
+        point: SweepPoint,
+        key: str,
+        path: pathlib.Path,
+        value_of: Callable[[Dict[str, Any]], Any],
+        quarantine: Optional[List[pathlib.Path]] = None,
+    ) -> Optional[Any]:
+        """``value_of`` the verified body at ``path``, or ``None``.
+
+        A missing file is a miss; a failed envelope, another point's
+        payload or a body ``value_of`` rejects is a defect, and moves
+        ``quarantine`` (default: the entry and its siblings) aside.
+        """
         try:
             text = self.io.read_text(path)
         except OSError:
@@ -228,38 +241,36 @@ class ResultCache:
             body = open_envelope(text)
             if body["point"] != point.payload():
                 raise ValueError("stored payload does not match the point")
-            value = body[kind]
-            if not isinstance(value, SIBLINGS[kind]):
-                raise TypeError(f"{kind} must be a {SIBLINGS[kind].__name__}")
+            return value_of(body)
         except EnvelopeError as exc:
-            self._quarantine(key, str(exc), paths=[path])
-            return None
+            reason = str(exc)
         except (ValueError, KeyError, TypeError) as exc:
-            self._quarantine(key, f"bad-entry: {exc}", paths=[path])
-            return None
-        return value
+            reason = f"bad-entry: {exc}"
+        self._quarantine(key, reason, paths=quarantine)
+        return None
 
     # -- write -------------------------------------------------------------
     def store(
-        self, point: SweepPoint, result: Dict[str, Any], compute_s: float
+        self, point: SweepPoint, key: str, result: Dict[str, Any],
+        compute_s: float,
     ) -> None:
-        """Persist one evaluated point (atomic replace, v2 envelope)."""
+        """Persist one evaluated point (atomic replace, v3 envelope)."""
         body = {
             "point": point.payload(),
             "result": result,
             "compute_s": compute_s,
         }
-        self._write_atomic(self.path_for(point.key()), seal_envelope(body))
+        self._write_atomic(self.path_for(key), seal_envelope(body))
 
-    def store_sibling(self, point: SweepPoint, kind: str, value: Any) -> None:
-        """Persist one point's ``kind`` sibling (atomic replace, v2 envelope)."""
+    def store_sibling(
+        self, point: SweepPoint, key: str, kind: str, value: Any
+    ) -> None:
+        """Persist one point's ``kind`` sibling (atomic replace, v3 envelope)."""
         body = {"point": point.payload(), kind: value}
-        self._write_atomic(
-            self.sibling_path(point.key(), kind), seal_envelope(body)
-        )
+        self._write_atomic(self.sibling_path(key, kind), seal_envelope(body))
 
-    def _write_atomic(self, path: pathlib.Path, entry: Dict[str, Any]) -> None:
-        """Temp-file + ``replace`` write, with stale-temp GC.
+    def _write_atomic(self, path: pathlib.Path, text: str) -> None:
+        """Temp-file + ``replace`` write of ``text``, with stale-temp GC.
 
         The temp name is unique per (host, pid, in-process counter):
         concurrent writers — including workers on *different hosts*
@@ -273,7 +284,7 @@ class ResultCache:
         tmp = path.with_name(
             f"{path.name}.{_HOST_TOKEN}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp"
         )
-        self.io.write_text(tmp, json.dumps(entry, sort_keys=True))
+        self.io.write_text(tmp, text)
         self.io.replace(tmp, path)
 
     # -- quarantine --------------------------------------------------------
@@ -360,10 +371,10 @@ class ResultCache:
 
         Opens each ``??/<key>.json`` entry (siblings are not entries)
         through the envelope layer: a verifying entry counts
-        ``verified``; anything else — bad JSON, a missing envelope, a
-        failed checksum — is quarantined exactly as a sweep-time read
-        would, and counts ``quarantined_now``.  Payload/point agreement
-        is *not* checked (the scan has no
+        ``verified``; anything else — a missing or foreign header, a
+        torn write, a failed checksum — is quarantined exactly as a
+        sweep-time read would, and counts ``quarantined_now``.
+        Payload/point agreement is *not* checked (the scan has no
         :class:`~repro.sweep.spec.SweepPoint` to compare against); a
         wrong-payload entry is caught at load time.
         """

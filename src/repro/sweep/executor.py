@@ -218,22 +218,25 @@ class SweepExecutor:
         )
         result_dicts: List[Optional[Dict[str, Any]]] = [None] * len(points)
         observations: List[Optional[Dict[str, Any]]] = [None] * len(points)
+        # Each point is hashed once per run; the cache reuses the key.
+        keys = [point.key() for point in points]
         first_index_by_key: Dict[str, int] = {}
         duplicate_of: Dict[int, int] = {}
         todo: List[int] = []
-        for i, point in enumerate(points):
-            key = point.key()
+        for i, (point, key) in enumerate(zip(points, keys)):
             if key in first_index_by_key:
                 duplicate_of[i] = first_index_by_key[key]
                 continue
             first_index_by_key[key] = i
-            hit = self.cache.load(point) if self.cache is not None else None
+            hit = None if self.cache is None else self.cache.load(point, key)
             if hit is not None:
                 result_dicts[i], original_s = hit
                 report.cached += 1
                 report.saved_s += original_s
                 if self.observe:
-                    observations[i] = self.cache.load_sibling(point, "obs")
+                    observations[i] = self.cache.load_sibling(
+                        point, key, "obs"
+                    )
             else:
                 todo.append(i)
 
@@ -256,12 +259,18 @@ class SweepExecutor:
                 evaluated = [evaluate(plist) for plist in payload_lists]
             for batch, items in zip(batches, evaluated):
                 for i, item in zip(batch, items):
-                    result_dict, seconds, observation = item
-                    observations[i] = observation
-                    if observation is not None and self.cache is not None:
-                        self.cache.store_sibling(points[i], "obs", observation)
-                    self._record(points[i], i, result_dict, seconds,
-                                 result_dicts, report)
+                    result_dicts[i], seconds, observations[i] = item
+                    report.computed += 1
+                    report.busy_s += seconds
+                    if self.cache is None:
+                        continue
+                    # The sibling lands first: an entry implies its sibling.
+                    if observations[i] is not None:
+                        self.cache.store_sibling(
+                            points[i], keys[i], "obs", observations[i]
+                        )
+                    self.cache.store(points[i], keys[i], result_dicts[i],
+                                     seconds)
 
         for i, j in duplicate_of.items():
             result_dicts[i] = result_dicts[j]
@@ -276,22 +285,6 @@ class SweepExecutor:
         if self.observe:
             self.last_observations = observations
         return [BroadcastResult.from_dict(d) for d in result_dicts]
-
-    def _record(
-        self,
-        point: SweepPoint,
-        index: int,
-        result_dict: Dict[str, Any],
-        seconds: float,
-        result_dicts: List[Optional[Dict[str, Any]]],
-        report: SweepReport,
-    ) -> None:
-        """Book one computed result: slot, counters, cache write."""
-        result_dicts[index] = result_dict
-        report.computed += 1
-        report.busy_s += seconds
-        if self.cache is not None:
-            self.cache.store(point, result_dict, seconds)
 
 
 def plan_affinity_batches(

@@ -9,6 +9,16 @@ from repro.errors import ConfigurationError
 from repro.pipeline.checks import compile_expr, evaluate_check
 from repro.pipeline.schema import CheckSpec
 
+
+def compiled(expr, *, series=0, detail=None):
+    """A :class:`CheckSpec` compiled as the loader compiles it."""
+    return CheckSpec(
+        description="x",
+        expr=compile_expr(expr),
+        series=series,
+        detail=None if detail is None else compile_expr(detail),
+    )
+
 SERIES = [
     Series(
         title="demo",
@@ -54,32 +64,32 @@ class TestCompileExpr:
         compile_expr("[y * 2 for y in curve('Br_Lin')]")
         compile_expr("f\"{min(xs)}..{max(xs)}\"")
 
+    def test_comprehension_targets_bind_only_their_names(self):
+        compile_expr("all(a < b for a, b in zip(xs, xs[1:]))")
+        with pytest.raises(ConfigurationError, match="unknown name 'z'"):
+            compile_expr("all(z > 0 for y in xs)")
+
 
 class TestEvaluateCheck:
     def test_expr_pass(self):
-        check = evaluate_check(
-            CheckSpec(
-                description="2-Step always above Br_Lin",
-                expr="all(a < b for a, b in zip(curve('Br_Lin'), curve('2-Step')))",
+        spec = CheckSpec(
+            description="2-Step always above Br_Lin",
+            expr=compile_expr(
+                "all(a < b for a, b in zip(curve('Br_Lin'), curve('2-Step')))"
             ),
-            SERIES,
         )
+        check = evaluate_check(spec, SERIES)
         assert check.passed
         assert check.description == "2-Step always above Br_Lin"
 
     def test_expr_fail(self):
-        check = evaluate_check(
-            CheckSpec(description="x", expr="at('Br_Lin', 4) > 10"),
-            SERIES,
-        )
+        check = evaluate_check(compiled("at('Br_Lin', 4) > 10"), SERIES)
         assert not check.passed
 
     def test_detail_expression_renders(self):
         check = evaluate_check(
-            CheckSpec(
-                description="x",
-                expr="True",
-                detail="f\"{at('Br_Lin', 16) / at('Br_Lin', 4):.1f}x\"",
+            compiled(
+                "True", detail="f\"{at('Br_Lin', 16) / at('Br_Lin', 4):.1f}x\""
             ),
             SERIES,
         )
@@ -87,11 +97,7 @@ class TestEvaluateCheck:
 
     def test_series_picks_the_series_that_at_reads(self):
         check = evaluate_check(
-            CheckSpec(
-                description="x",
-                series=1,
-                expr="at('Br_Lin', 256) == 9.0 and xs == [256]",
-            ),
+            compiled("at('Br_Lin', 256) == 9.0 and xs == [256]", series=1),
             SERIES,
         )
         assert check.passed
@@ -99,9 +105,8 @@ class TestEvaluateCheck:
     def test_ratio_as_a_chained_comparison(self):
         """Figure 4's linear-growth check is a plain expression."""
         ratio = "at('Br_Lin', 16) / at('Br_Lin', 4)"
-        spec = CheckSpec(description="x", expr=f"3.5 <= {ratio} <= 4.5")
-        assert evaluate_check(spec, SERIES).passed
-        tight = CheckSpec(description="x", expr=f"1.0 <= {ratio} <= 2.0")
+        assert evaluate_check(compiled(f"3.5 <= {ratio} <= 4.5"), SERIES).passed
+        tight = compiled(f"1.0 <= {ratio} <= 2.0")
         assert not evaluate_check(tight, SERIES).passed
 
     def test_sum_adds_left_to_right(self):
@@ -109,28 +114,28 @@ class TestEvaluateCheck:
         tenths = [Series(title="t", x_label="x", x_values=list(range(10)),
                          curves={"c": [0.1] * 10})]
         check = evaluate_check(
-            CheckSpec(description="x",
-                      expr="sum(curve('c')) == 0.9999999999999999"),
-            tenths,
+            compiled("sum(curve('c')) == 0.9999999999999999"), tenths
         )
         assert check.passed
 
     def test_series_index_out_of_range(self):
         with pytest.raises(ConfigurationError) as err:
             evaluate_check(
-                CheckSpec(description="x", series=5, expr="True"),
-                SERIES,
-                context="cfg [checks#0]",
+                compiled("True", series=5), SERIES, context="cfg [checks#0]"
             )
         assert "cfg [checks#0]" in str(err.value)
+
+    def test_failed_evaluation_names_its_context(self):
+        with pytest.raises(ConfigurationError) as err:
+            evaluate_check(
+                compiled("at('Br_X', 4) > 0"), SERIES, context="cfg [checks#1]"
+            )
+        assert "cfg [checks#1].expr: evaluation failed" in str(err.value)
 
     def test_genexpr_resolves_whitelisted_names(self):
         """Free names inside comprehensions resolve (globals scoping)."""
         check = evaluate_check(
-            CheckSpec(
-                description="x",
-                expr="min(min(curve(n)) for n in ['Br_Lin', '2-Step']) > 0",
-            ),
+            compiled("min(min(curve(n)) for n in ['Br_Lin', '2-Step']) > 0"),
             SERIES,
         )
         assert check.passed

@@ -430,11 +430,14 @@ class TestCommittedConfigs:
                 used["checks"] |= set(check)
                 for key in ("expr", "detail"):
                     if key in check:
-                        tree = ast.parse(check[key])
-                        names |= {
-                            node.id for node in ast.walk(tree)
+                        ids = [
+                            (node.id, isinstance(node.ctx, ast.Store))
+                            for node in ast.walk(ast.parse(check[key]))
                             if isinstance(node, ast.Name)
-                        } - checks._bound_names(tree)
+                        ]
+                        # Comprehension targets are not helpers.
+                        names |= ({n for n, stored in ids if not stored}
+                                  - {n for n, stored in ids if stored})
         accepted = {
             "top": loader._TOP_KEYS, "experiment": loader._EXPERIMENT_KEYS,
             "series": loader._SERIES_TABLE_KEYS, "checks": loader._CHECK_KEYS,

@@ -275,6 +275,44 @@ class TestHeatmapCache:
         assert len(list(cache.glob("??/*.heatmap.json"))) == 2
 
 
+class TestWarmPageWork:
+    """A warm ``report <id>`` does each piece of work once."""
+
+    @pytest.mark.parametrize("experiment_id", ["fig7", "fig8"])
+    def test_each_expression_compiles_once(self, experiment_id, tmp_path,
+                                            monkeypatch, configs):
+        """Every check ``expr`` and ``detail`` compiles once, when the
+        config loads; the index's verdict compiles the deviation."""
+        import tomllib
+
+        import repro.pipeline.checks as checks
+        import repro.pipeline.docsgen as docsgen
+        import repro.pipeline.loader as loader
+        from repro.pipeline.cli import main
+
+        argv = [experiment_id, "--quick", "--cache-dir", str(tmp_path / "c"),
+                "--out", str(tmp_path / "html")]
+        assert main(argv) == 0
+        compiled = []
+        real = checks.compile_expr
+
+        def spy(expr, *, context="expression"):
+            compiled.append(expr)
+            return real(expr, context=context)
+
+        for module in (checks, docsgen, loader):
+            monkeypatch.setattr(module, "compile_expr", spy)
+        assert main(argv) == 0
+        data = tomllib.loads(pathlib.Path(
+            configs[experiment_id].path).read_text(encoding="utf-8"))
+        expected = [check[key] for check in data["checks"]
+                    for key in ("expr", "detail") if key in check]
+        if "deviation" in data["doc"]:
+            expected.append(data["doc"]["deviation"])
+        assert sorted(compiled) == sorted(expected)
+        assert len(expected) > 3
+
+
 def _fig6_result(br_lin_on_sq: float) -> FigureResult:
     """A Figure-6-shaped result with Br_Lin's time on Sq set."""
     xs = ["R", "C", "Dr", "Dl", "E", "B", "Sq", "Cr"]

@@ -1,4 +1,4 @@
-"""Self-verifying envelope (repro-cache/2) tests."""
+"""Self-verifying envelope (repro-cache/3) tests."""
 
 from __future__ import annotations
 
@@ -6,73 +6,96 @@ import json
 
 import pytest
 
-from repro.reliability import (
-    ENTRY_SCHEMA_V2,
+from repro.reliability.envelope import (
+    ENTRY_SCHEMA,
     EnvelopeError,
     open_envelope,
     seal_envelope,
 )
-from repro.reliability.envelope import canonical_digest
+from tests.cache_entries import edit_body, sealed, split, v2_entry
 
 BODY = {
     "point": {"machine": "paragon:4x4", "seed": 0},
-    "result": {"elapsed_us": 12.375, "metrics": {"rounds": 3}},
+    "result": {"elapsed_us": 12.375, "metrics": {"rounds": 3}, "ratio": 1.0},
     "compute_s": 0.0078125,
 }
 
 
 class TestSealOpen:
     def test_roundtrip(self):
-        env = seal_envelope(BODY)
-        assert env["schema"] == ENTRY_SCHEMA_V2
-        assert open_envelope(json.dumps(env)) == BODY
+        text = seal_envelope(BODY)
+        assert split(text)[0].startswith(f"{ENTRY_SCHEMA} ")
+        assert open_envelope(text) == BODY
 
-    def test_digest_survives_a_disk_roundtrip(self):
-        # The digest is over canonical JSON, and Python floats
-        # round-trip exactly through json — so parse + re-serialise +
-        # re-parse must still verify.
-        once = json.dumps(seal_envelope(BODY), sort_keys=True)
-        twice = json.dumps(json.loads(once), sort_keys=True)
-        body = open_envelope(twice)
-        assert canonical_digest(body) == json.loads(twice)["sha256"]
+    def test_layout_is_a_header_line_over_the_body_text(self):
+        """The header's digest is the sha256 of every byte after it."""
+        text = seal_envelope(BODY)
+        assert json.loads(split(text)[1]) == BODY
+        assert sealed(split(text)[1]) == text
 
-    def test_digest_is_key_order_independent(self):
+    def test_sealing_is_key_order_independent(self):
         reordered = {k: BODY[k] for k in sorted(BODY, reverse=True)}
-        assert canonical_digest(reordered) == canonical_digest(BODY)
+        assert seal_envelope(reordered) == seal_envelope(BODY)
 
 
 class TestDefects:
     def test_flipped_bit_fails_checksum(self):
-        env = seal_envelope(BODY)
-        env["body"]["result"]["elapsed_us"] = 99.0
+        text = edit_body(seal_envelope(BODY), lambda b: b.replace("12.375", "12.875"))
         with pytest.raises(EnvelopeError, match="checksum-mismatch"):
-            open_envelope(json.dumps(env))
+            open_envelope(text)
 
-    def test_invalid_json(self):
+    @pytest.mark.parametrize("edit", [
+        lambda body: body.replace(",", ", ", 1),
+        lambda body: body.replace('"ratio":1.0', '"ratio":1.00'),
+        lambda body: body + "\n",
+    ], ids=["whitespace", "float-spelling", "trailing-newline"])
+    def test_every_stored_byte_is_covered(self, edit):
+        """Edits the v2 canonical form ignored: same JSON value, new bytes."""
+        text = edit_body(seal_envelope(BODY), edit)
+        assert json.loads(split(text)[1]) == BODY
+        with pytest.raises(EnvelopeError, match="checksum-mismatch"):
+            open_envelope(text)
+
+    def test_truncated_body_is_not_a_flipped_bit(self):
+        text = seal_envelope(BODY)
+        for cut in (len(split(text)[0]) + 1, len(text) // 2, len(text) - 1):
+            with pytest.raises(EnvelopeError, match="^truncated"):
+                open_envelope(text[:cut])
+
+    def test_torn_header_is_truncated(self):
+        text = seal_envelope(BODY)
+        for cut in (0, 5, len(ENTRY_SCHEMA) + 1, len(split(text)[0])):
+            with pytest.raises(EnvelopeError, match="^truncated"):
+                open_envelope(text[:cut])
+
+    def test_verified_body_that_does_not_parse(self):
         with pytest.raises(EnvelopeError, match="invalid-json"):
-            open_envelope("{ torn write !!!")
+            open_envelope(sealed("{ torn write !!!"))
 
-    def test_non_object_entry(self):
+    def test_non_object_body(self):
         with pytest.raises(EnvelopeError, match="bad-envelope"):
-            open_envelope("[1, 2, 3]")
+            open_envelope(sealed("[1, 2, 3]"))
 
     def test_unknown_schema_is_corrupt_not_guessed(self):
-        env = seal_envelope(BODY)
-        env["schema"] = "repro-cache/99"
-        with pytest.raises(EnvelopeError, match="unknown schema"):
-            open_envelope(json.dumps(env))
-
-    def test_missing_body_or_digest(self):
+        text = seal_envelope(BODY).replace(ENTRY_SCHEMA, "repro-cache/99", 1)
         with pytest.raises(EnvelopeError, match="bad-envelope"):
-            open_envelope(json.dumps({"schema": ENTRY_SCHEMA_V2}))
+            open_envelope(text)
+
+    def test_header_without_digest(self):
         with pytest.raises(EnvelopeError, match="bad-envelope"):
-            open_envelope(
-                json.dumps({"schema": ENTRY_SCHEMA_V2, "body": {}, "sha256": 7})
-            )
+            open_envelope(f"{ENTRY_SCHEMA}\n{json.dumps(BODY)}")
+
+    def test_foreign_text(self):
+        with pytest.raises(EnvelopeError, match="bad-envelope"):
+            open_envelope("{ torn write !!!")
 
 
-class TestSchemaLess:
-    """The plain pre-envelope format is a defect, not a second format."""
+class TestRetiredFormats:
+    """Older formats are defects, not second formats."""
+
+    def test_v2_entry_is_a_bad_envelope(self):
+        with pytest.raises(EnvelopeError, match="bad-envelope"):
+            open_envelope(v2_entry(seal_envelope(BODY)))
 
     def test_plain_entry_is_a_bad_envelope(self):
         with pytest.raises(EnvelopeError, match="bad-envelope"):

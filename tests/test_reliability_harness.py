@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.faults import chaos
-from repro.reliability import FaultyIO, IOFaultPlan, SimulatedCrash
+from repro.reliability.iofaults import FaultyIO, IOFaultPlan, SimulatedCrash
 from repro.sweep import ResultCache, SweepExecutor, SweepSpec
 
 #: The campaign grid's points, in run order.

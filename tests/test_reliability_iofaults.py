@@ -7,7 +7,7 @@ import errno
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.reliability import (
+from repro.reliability.iofaults import (
     RAW_IO,
     FaultyIO,
     IOFault,

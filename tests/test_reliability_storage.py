@@ -14,11 +14,18 @@ import json
 import pytest
 
 from repro.metrics.progress import SweepReport
-from repro.reliability import seal_envelope
 from repro.sweep.cache import ResultCache
 from repro.sweep.cli import main as sweep_main
 from repro.sweep.executor import SweepExecutor
 from repro.sweep.spec import SweepPoint
+from tests.cache_entries import (
+    edit_body,
+    reseal,
+    schema_less,
+    sealed,
+    split,
+    v2_entry,
+)
 
 
 def _point(seed=0):
@@ -44,7 +51,7 @@ class TestQuarantine:
         point = _populate(cache)
         path = cache.path_for(point.key())
         path.write_text("{ torn !!!")
-        assert cache.load(point) is None  # a defect is a miss...
+        assert cache.load(point, point.key()) is None  # a defect is a miss...
         assert not path.exists()  # ...and the evidence moved aside
         moved = cache.quarantine_root / path.name
         assert moved.read_text() == "{ torn !!!"
@@ -53,15 +60,31 @@ class TestQuarantine:
     def test_reason_record_names_the_defect(self, tmp_path):
         cache = ResultCache(tmp_path)
         point = _populate(cache)
-        cache.path_for(point.key()).write_text("{ torn !!!")
-        cache.load(point)
+        path = cache.path_for(point.key())
+        path.write_text(path.read_text()[:-1])  # a torn write
+        cache.load(point, point.key())
         record = json.loads(
             (cache.quarantine_root / f"{point.key()}.reason.json").read_text()
         )
         assert record["key"] == point.key()
-        assert "invalid-json" in record["reason"]
+        assert record["reason"].startswith("truncated")
         assert record["files"] == [f"{point.key()}.json"]
         assert record["quarantined_at"] > 0
+
+    def test_undecodable_byte_is_quarantined_not_raised(self, tmp_path):
+        """A flipped high bit leaves bytes that are not UTF-8."""
+        cache = ResultCache(tmp_path)
+        point = _populate(cache)
+        path = cache.path_for(point.key())
+        data = bytearray(path.read_bytes())
+        data[data.index(b'"machine":"paragon') + len(b'"machine":"')] ^= 0x80
+        path.write_bytes(bytes(data))
+        assert cache.load(point, point.key()) is None
+        record = json.loads(
+            (cache.quarantine_root / f"{point.key()}.reason.json").read_text()
+        )
+        assert record["reason"].startswith("checksum-mismatch")
+        assert (cache.quarantine_root / path.name).read_bytes() == data
 
     def test_obs_sibling_quarantined_with_its_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -69,7 +92,7 @@ class TestQuarantine:
         obs_path = cache.sibling_path(point.key(), "obs")
         assert obs_path.exists()
         cache.path_for(point.key()).write_text("not json")
-        cache.load(point)
+        cache.load(point, point.key())
         assert not obs_path.exists()
         assert (cache.quarantine_root / obs_path.name).exists()
 
@@ -78,7 +101,7 @@ class TestQuarantine:
         point = _populate(cache)
         assert len(cache) == 1
         cache.path_for(point.key()).write_text("junk")
-        cache.load(point)
+        cache.load(point, point.key())
         # The quarantined copy must not count as (or ever be served as)
         # an entry: the quarantine dir name is longer than a shard's.
         assert len(cache) == 0
@@ -91,62 +114,56 @@ class TestQuarantine:
         executor = SweepExecutor(jobs=1, cache=cache)
         executor.run([point])
         assert executor.last_report.computed == 1  # the miss recomputed
-        assert cache.load(point) is not None
+        assert cache.load(point, point.key()) is not None
         assert executor.last_report.quarantines == 1
         assert executor.last_report.summary().endswith(
             " (reliability: quarantines=1)"
         )
 
 
-def _reseal(mutate):
-    def defect(text):
-        entry = json.loads(text)
-        mutate(entry["body"])
-        return json.dumps(seal_envelope(entry["body"]), sort_keys=True)
-
-    return defect
+def _resealed(mutate):
+    return lambda text: reseal(text, mutate)
 
 
-def _unsealed(mutate):
-    def defect(text):
-        entry = json.loads(text)
-        mutate(entry)
-        return json.dumps(entry, sort_keys=True)
-
-    return defect
-
-
-def _flip_elapsed(entry):
-    entry["body"]["result"]["elapsed_us"] += 1
-
-
-def _schema_less(text):
-    """The sealed entry's body alone: the plain pre-envelope format."""
-    return json.dumps(json.loads(text)["body"], sort_keys=True)
+def _torn_header(text):
+    """The write stopped inside the header line."""
+    return text[: len(split(text)[0]) // 2]
 
 
 #: ``(reason prefix, defect)`` per kind of damage a stored entry can
 #: take; each defect maps the entry's text to its damaged text.
 DEFECTS = {
-    "invalid-json": ("invalid-json", lambda text: "{ torn !!!"),
-    "truncated": ("invalid-json", lambda text: text[: len(text) // 2]),
-    "empty": ("invalid-json", lambda text: ""),
-    "non-object": ("bad-envelope", lambda text: "[1, 2]"),
+    "foreign-text": ("bad-envelope", lambda text: "{ torn !!!"),
+    "torn-header": ("truncated", _torn_header),
+    "truncated": ("truncated", lambda text: text[: len(text) // 2]),
+    "empty": ("truncated", lambda text: ""),
+    "non-object": ("bad-envelope", lambda text: sealed("[1,2]")),
     "unknown-schema": (
         "bad-envelope",
-        _unsealed(lambda entry: entry.update(schema="repro-cache/99")),
+        lambda text: text.replace("repro-cache/3", "repro-cache/99", 1),
     ),
-    "schema-less": ("bad-envelope", _schema_less),
-    "flipped-bit": ("checksum-mismatch", _unsealed(_flip_elapsed)),
+    "v2-entry": ("bad-envelope", v2_entry),
+    "schema-less": ("bad-envelope", schema_less),
+    "flipped-bit": (
+        "checksum-mismatch",
+        lambda text: edit_body(text, lambda body: body.replace(
+            '"elapsed_us":', '"elapsed_us":1', 1)),
+    ),
+    "extra-whitespace": (
+        "checksum-mismatch",
+        lambda text: edit_body(text, lambda body: body.replace(",", ", ", 1)),
+    ),
     "stale-payload": (
         "bad-entry",
-        _reseal(lambda body: body["point"].update(seed=999)),
+        _resealed(lambda body: body["point"].update(seed=999)),
     ),
     "missing-result-field": (
         "bad-entry",
-        _reseal(lambda body: body["result"].pop("num_rounds")),
+        _resealed(lambda body: body["result"].pop("num_rounds")),
     ),
-    "missing-compute_s": ("bad-entry", _reseal(lambda body: body.pop("compute_s"))),
+    "missing-compute_s": (
+        "bad-entry", _resealed(lambda body: body.pop("compute_s"))
+    ),
 }
 
 
@@ -195,38 +212,44 @@ class TestQuarantineAccounting:
         assert cache.quarantines == 2
 
 
-class TestSchemaLess:
-    """A file without the envelope is quarantined, never served."""
+#: The formats before ``repro-cache/3``, each mapping a stored entry's
+#: text to that entry in the old format.
+RETIRED = {"v2-entry": v2_entry, "schema-less": schema_less}
+
+
+@pytest.mark.parametrize("retire", sorted(RETIRED))
+class TestRetiredFormats:
+    """An entry in an older format is quarantined, never served."""
 
     def _reason(self, cache, point):
         record = cache.quarantine_root / f"{point.key()}.reason.json"
         return json.loads(record.read_text())["reason"]
 
-    def test_load_quarantines_it(self, tmp_path):
+    def test_load_quarantines_it(self, retire, tmp_path):
         cache = ResultCache(tmp_path)
         point = _populate(cache)
         path = cache.path_for(point.key())
-        path.write_text(_schema_less(path.read_text()))
-        assert cache.load(point) is None
+        path.write_text(RETIRED[retire](path.read_text()))
+        assert cache.load(point, point.key()) is None
         assert not path.exists()
         assert (cache.quarantine_root / path.name).exists()
         assert self._reason(cache, point).startswith("bad-envelope")
 
-    def test_load_sibling_quarantines_it_alone(self, tmp_path):
+    def test_load_sibling_quarantines_it_alone(self, retire, tmp_path):
         cache = ResultCache(tmp_path)
         point = _populate(cache, observe=True)
         path = cache.sibling_path(point.key(), "obs")
-        path.write_text(_schema_less(path.read_text()))
-        assert cache.load_sibling(point, "obs") is None
+        path.write_text(RETIRED[retire](path.read_text()))
+        assert cache.load_sibling(point, point.key(), "obs") is None
         assert (cache.quarantine_root / path.name).exists()
         assert self._reason(cache, point).startswith("bad-envelope")
-        assert cache.load(point) is not None  # the entry itself is sound
+        assert cache.load(point, point.key()) is not None  # the entry itself is sound
 
-    def test_verify_all_quarantines_it(self, tmp_path):
+    def test_verify_all_quarantines_it(self, retire, tmp_path):
         cache = ResultCache(tmp_path)
         point = _populate(cache)
         path = cache.path_for(point.key())
-        path.write_text(_schema_less(path.read_text()))
+        path.write_text(RETIRED[retire](path.read_text()))
         audit = cache.verify_all()
         assert (audit.verified, audit.quarantined_now) == (0, 1)
         assert (cache.quarantine_root / path.name).exists()
@@ -237,10 +260,10 @@ class TestVerifyAll:
     def test_mixed_cache_audit(self, tmp_path):
         cache = ResultCache(tmp_path)
         good = _populate(cache, seed=0)
-        plain = _populate(cache, seed=1)
+        retired = _populate(cache, seed=1)
         corrupt = _populate(cache, seed=2)
-        path = cache.path_for(plain.key())
-        path.write_text(_schema_less(path.read_text()))
+        path = cache.path_for(retired.key())
+        path.write_text(v2_entry(path.read_text()))
         cache.path_for(corrupt.key()).write_text("{ half a write")
         audit = cache.verify_all()
         assert audit.verified == 1
@@ -253,7 +276,7 @@ class TestVerifyAll:
         again = cache.verify_all()
         assert again.quarantined_now == 0
         assert again.quarantined_total == 2
-        assert cache.load(good) is not None
+        assert cache.load(good, good.key()) is not None
 
     def test_empty_cache_is_clean(self, tmp_path):
         audit = ResultCache(tmp_path).verify_all()

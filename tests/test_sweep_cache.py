@@ -12,21 +12,9 @@ import time
 import pytest
 
 from repro.pipeline.cli import build_executor
-from repro.reliability.envelope import seal_envelope
 from repro.sweep import ResultCache, SweepExecutor, SweepPoint, SweepSpec
 from repro.sweep.cache import TMP_MAX_AGE_S
-
-
-def rewrite_body(path, mutate):
-    """Unwrap a v2 entry, mutate its body, and re-seal it (valid sha256).
-
-    Keeps these defect tests pointed at the *field-validation* layer:
-    mutating the body without re-sealing would trip the checksum first
-    and never reach the semantic checks.
-    """
-    body = json.loads(path.read_text())["body"]
-    mutate(body)
-    path.write_text(json.dumps(seal_envelope(body), sort_keys=True))
+from tests.cache_entries import rewrite_body
 
 POINT = SweepPoint(
     machine="paragon:4x4",
@@ -128,7 +116,7 @@ class TestCacheDefense:
         assert executor.last_report.computed == 1
         assert again.elapsed_us == good.elapsed_us
         # the bad entry was replaced by a fresh, loadable one
-        assert cache.load(POINT) is not None
+        assert cache.load(POINT, POINT.key()) is not None
 
     def test_truncated_entry_recomputed(self, tmp_path):
         cache, executor, good = self.baseline(tmp_path)
@@ -153,14 +141,14 @@ class TestCacheDefense:
         cache, executor, good = self.baseline(tmp_path)
         path = cache.path_for(POINT.key())
         rewrite_body(path, lambda body: body.pop("compute_s"))
-        assert cache.load(POINT) is None
+        assert cache.load(POINT, POINT.key()) is None
         assert not path.exists()  # quarantined, not left to trip again
         assert (cache.quarantine_root / path.name).exists()
         again = executor.run([POINT])[0]
         assert executor.last_report.computed == 1
         assert again.elapsed_us == good.elapsed_us
         # the rewritten entry carries a real compute_s again
-        hit = cache.load(POINT)
+        hit = cache.load(POINT, POINT.key())
         assert hit is not None and hit[1] > 0.0
 
     def test_stale_payload_recomputed(self, tmp_path):
@@ -169,8 +157,47 @@ class TestCacheDefense:
         cache, executor, _ = self.baseline(tmp_path)
         path = cache.path_for(POINT.key())
         rewrite_body(path, lambda body: body["point"].update(seed=999))
-        assert cache.load(POINT) is None
+        assert cache.load(POINT, POINT.key()) is None
         assert not path.exists()  # quarantined, not left to trip again
+
+
+class TestReadPath:
+    """A read verifies the stored text and parses it once, nothing more."""
+
+    def test_load_encodes_nothing(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        SweepExecutor(cache=cache).run([POINT])
+        key = POINT.key()
+        dumps = []
+        real = json.dumps
+
+        def spy(*args, **kwargs):
+            dumps.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", spy)
+        hit = cache.load(POINT, key)
+        assert hit is not None and hit[1] > 0.0
+        assert dumps == []
+
+    def test_executor_keys_each_point_once(self, tmp_path, monkeypatch):
+        """A run hashes each point once; the cache reuses the key on a
+        hit, and on a miss for the entry and its observation."""
+        calls = []
+        real = SweepPoint.key
+
+        def spy(point):
+            calls.append(point)
+            return real(point)
+
+        monkeypatch.setattr(SweepPoint, "key", spy)
+        twin = dataclasses.replace(POINT, seed=1)
+        executor = SweepExecutor(cache=ResultCache(tmp_path), observe=True)
+        for computed in (2, 0):
+            calls.clear()
+            executor.run([POINT, twin, POINT])
+            assert executor.last_report.computed == computed
+            assert calls == [POINT, twin, POINT]
 
 
 class TestCacheHygiene:
@@ -190,7 +217,7 @@ class TestCacheHygiene:
         obs_path = cache.sibling_path(POINT.key(), "obs")
         assert obs_path.exists()
         cache.path_for(POINT.key()).write_text("{ not json !!!")
-        assert cache.load(POINT) is None
+        assert cache.load(POINT, POINT.key()) is None
         assert not obs_path.exists()
 
     def test_stale_tmp_collected_on_store(self, tmp_path):
@@ -203,7 +230,7 @@ class TestCacheHygiene:
         os.utime(stale, (old, old))
         fresh = shard_dir / "deadbeef.json.otherhost.12345.1.tmp"
         fresh.write_text("{}")  # young: may belong to a live writer
-        cache.store(POINT, {"elapsed_us": 1}, compute_s=0.1)
+        cache.store(POINT, POINT.key(), {"elapsed_us": 1}, compute_s=0.1)
         assert not stale.exists()
         assert fresh.exists()
 
@@ -247,8 +274,8 @@ class TestCacheHygiene:
 
         monkeypatch.setattr(cache_mod.os, "replace", spy)
         cache = ResultCache(tmp_path)
-        cache.store(POINT, {"elapsed_us": 1}, compute_s=0.1)
-        cache.store(POINT, {"elapsed_us": 1}, compute_s=0.1)
+        cache.store(POINT, POINT.key(), {"elapsed_us": 1}, compute_s=0.1)
+        cache.store(POINT, POINT.key(), {"elapsed_us": 1}, compute_s=0.1)
         assert len(seen) == len(set(seen)) == 2
         for name in seen:
             assert cache_mod._HOST_TOKEN in name
@@ -264,7 +291,7 @@ class TestHeatmapSibling:
     def _warm(self, tmp_path):
         cache = ResultCache(tmp_path)
         SweepExecutor(cache=cache, observe=True).run([POINT])
-        cache.store_sibling(POINT, "heatmap", self.TEXT)
+        cache.store_sibling(POINT, POINT.key(), "heatmap", self.TEXT)
         return cache
 
     def test_verify_all_and_len_ignore_siblings(self, tmp_path):
@@ -283,7 +310,7 @@ class TestHeatmapSibling:
         cache = self._warm(tmp_path)
         path = cache.sibling_path(POINT.key(), "heatmap")
         path.write_text(path.read_text()[:-9])
-        assert cache.load_sibling(POINT, "heatmap") is None
+        assert cache.load_sibling(POINT, POINT.key(), "heatmap") is None
         assert not path.exists()
         assert (cache.quarantine_root / path.name).exists()
         record = json.loads(
@@ -291,22 +318,22 @@ class TestHeatmapSibling:
         )
         assert record["files"] == [path.name]
         # The entry and the other sibling stay, and a store repairs it.
-        assert cache.load(POINT) is not None
-        assert cache.load_sibling(POINT, "obs") is not None
-        cache.store_sibling(POINT, "heatmap", self.TEXT)
-        assert cache.load_sibling(POINT, "heatmap") == self.TEXT
+        assert cache.load(POINT, POINT.key()) is not None
+        assert cache.load_sibling(POINT, POINT.key(), "obs") is not None
+        cache.store_sibling(POINT, POINT.key(), "heatmap", self.TEXT)
+        assert cache.load_sibling(POINT, POINT.key(), "heatmap") == self.TEXT
 
     def test_wrong_kind_of_value_is_a_defect(self, tmp_path):
         cache = self._warm(tmp_path)
         path = cache.sibling_path(POINT.key(), "heatmap")
         rewrite_body(path, lambda body: body.update(heatmap={"not": "text"}))
-        assert cache.load_sibling(POINT, "heatmap") is None
+        assert cache.load_sibling(POINT, POINT.key(), "heatmap") is None
         assert (cache.quarantine_root / path.name).exists()
 
     def test_entry_quarantine_moves_its_siblings(self, tmp_path):
         cache = self._warm(tmp_path)
         cache.path_for(POINT.key()).write_text("{ torn")
-        assert cache.load(POINT) is None
+        assert cache.load(POINT, POINT.key()) is None
         record = json.loads(
             (cache.quarantine_root / f"{POINT.key()}.reason.json").read_text()
         )
@@ -322,10 +349,10 @@ class TestHeatmapSibling:
 
     def test_sibling_without_an_entry_is_served(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.store_sibling(POINT, "heatmap", self.TEXT)
+        cache.store_sibling(POINT, POINT.key(), "heatmap", self.TEXT)
         assert len(cache) == 0
-        assert cache.load(POINT) is None
-        assert cache.load_sibling(POINT, "heatmap") == self.TEXT
+        assert cache.load(POINT, POINT.key()) is None
+        assert cache.load_sibling(POINT, POINT.key(), "heatmap") == self.TEXT
 
 
 class TestCacheBypass:
@@ -389,7 +416,7 @@ def _store_race(cache_dir, key_payload, result_dict, rounds):
     cache = ResultCache(cache_dir)
     point = SweepPoint.from_payload(key_payload)
     for _ in range(rounds):
-        cache.store(point, result_dict, compute_s=0.01)
+        cache.store(point, point.key(), result_dict, compute_s=0.01)
 
 
 class TestConcurrentWriters:
@@ -417,7 +444,7 @@ class TestConcurrentWriters:
             proc.join(timeout=60)
             assert proc.exitcode == 0
         cache = ResultCache(tmp_path)
-        hit = cache.load(points[0])
+        hit = cache.load(points[0], points[0].key())
         assert hit is not None
         assert hit[0] == result_dict
         assert len(cache) == 1

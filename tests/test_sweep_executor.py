@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import time
 import warnings
 
@@ -16,6 +17,7 @@ from repro.sweep.executor import (
     resolve_jobs,
 )
 from repro.sweep.spec import SweepPoint
+from tests.cache_entries import split
 
 
 class TestResolveJobs:
@@ -99,21 +101,13 @@ class TestObserve:
         point = _point()
         plain.run([point])
         observed.run([point])
-        entry_a = plain.cache.path_for(point.key())
-        entry_b = observed.cache.path_for(point.key())
-        json_a = entry_a.read_text()
-        json_b = entry_b.read_text()
-        # compute_s differs per run; everything else must match exactly.
-        import json as json_module
-
-        a = json_module.loads(json_a)
-        b = json_module.loads(json_b)
-        a["body"].pop("compute_s")
-        b["body"].pop("compute_s")
-        # compute_s participates in the envelope digest, so the sha256
-        # legitimately differs once it is popped; the bodies must not.
-        a.pop("sha256")
-        b.pop("sha256")
+        # compute_s differs per run, and so does the digest over it;
+        # the rest of the bodies must match exactly.
+        a, b = (
+            json.loads(split(run.cache.path_for(point.key()).read_text())[1])
+            for run in (plain, observed)
+        )
+        assert a.pop("compute_s") > 0 and b.pop("compute_s") > 0
         assert a == b
         # The observation landed in a sibling file, not the entry.
         assert observed.cache.sibling_path(point.key(), "obs").exists()
