@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple, Union
 
 from repro.core.executor import ScheduleExecutor
 from repro.core.problem import BroadcastProblem
@@ -15,9 +15,13 @@ from repro.errors import (
 )
 from repro.faults import FaultSchedule
 from repro.metrics.report import MetricsReport
+from repro.obs.summary import summarize_trace
 from repro.simulator.trace import Tracer
 
-__all__ = ["BroadcastResult", "run_broadcast", "ENGINES"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.algorithms.base import BroadcastAlgorithm
+
+__all__ = ["BroadcastResult", "run_broadcast", "observe_broadcast", "ENGINES"]
 
 #: Valid ``run_broadcast(engine=...)`` values.
 ENGINES = ("auto", "event", "fast")
@@ -155,9 +159,44 @@ class BroadcastResult:
         )
 
 
+def _select(
+    algorithm: Union[str, "BroadcastAlgorithm"],
+    faults: Union[None, str, Iterable, FaultSchedule],
+    recover: bool,
+    engine: str,
+) -> Tuple["BroadcastAlgorithm", Optional[FaultSchedule], bool]:
+    """The run's algorithm object, fault schedule and engine choice.
+
+    The last item is whether the run replays on the fast path (see
+    :func:`run_broadcast`'s ``engine``).  Raises for an unknown engine,
+    and for ``engine="fast"`` with faults or recovery.
+    """
+    from repro.core.algorithms import get_algorithm  # local: avoid cycle
+
+    if engine not in ENGINES:
+        raise ConfigurationError(
+            f"engine must be one of {ENGINES}, got {engine!r}"
+        )
+    if isinstance(algorithm, str):
+        algorithm = get_algorithm(algorithm)
+    fault_schedule = FaultSchedule.coerce(faults)
+    blockers = []
+    if fault_schedule is not None:
+        blockers.append("faults")
+    if recover:
+        blockers.append("recovery")
+    if engine == "fast" and blockers:
+        raise UnsupportedFastPathError(
+            f"engine='fast' does not support {', '.join(blockers)}; "
+            "use engine='auto' or engine='event'"
+        )
+    fast = engine == "fast" or (engine == "auto" and not blockers)
+    return algorithm, fault_schedule, fast
+
+
 def run_broadcast(
     problem: BroadcastProblem,
-    algorithm: Union[str, "BroadcastAlgorithm"],  # noqa: F821
+    algorithm: Union[str, "BroadcastAlgorithm"],
     *,
     seed: int = 0,
     contention: bool = True,
@@ -217,26 +256,9 @@ def run_broadcast(
         cannot model.  Both engines produce bit-identical results, so
         the choice never changes what a run returns — only how fast.
     """
-    from repro.core.algorithms import get_algorithm  # local: avoid cycle
-
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"engine must be one of {ENGINES}, got {engine!r}"
-        )
-    if isinstance(algorithm, str):
-        algorithm = get_algorithm(algorithm)
-    fault_schedule = FaultSchedule.coerce(faults)
-    blockers = []
-    if fault_schedule is not None:
-        blockers.append("faults")
-    if recover:
-        blockers.append("recovery")
-    if engine == "fast" and blockers:
-        raise UnsupportedFastPathError(
-            f"engine='fast' does not support {', '.join(blockers)}; "
-            "use engine='auto' or engine='event'"
-        )
-    if engine == "fast" or (engine == "auto" and not blockers):
+    algorithm, fault_schedule, fast = _select(algorithm, faults, recover,
+                                              engine)
+    if fast:
         import repro.fastpath as fastpath  # local: avoid cycle
 
         # Schedule build, validation, lowering and the delivery check
@@ -317,3 +339,41 @@ def run_broadcast(
         recovery_time_us=recovery_time_us,
         debug={"engine": "event"},
     )
+
+
+def observe_broadcast(
+    problem: BroadcastProblem,
+    algorithm: Union[str, "BroadcastAlgorithm"],
+    *,
+    seed: int = 0,
+    contention: bool = True,
+    faults: Union[None, str, Iterable, FaultSchedule] = None,
+    recover: bool = False,
+    engine: str = "auto",
+) -> Tuple[BroadcastResult, Dict[str, Any]]:
+    """:func:`run_broadcast`, plus the run's observation summary.
+
+    The summary is the ``repro-obs/1`` digest of the run's full trace
+    (:func:`repro.obs.summary.summarize`).  The engine that runs decides
+    where it is read from: a fast-path replay is digested straight from
+    its event log and builds no trace record
+    (:func:`repro.fastpath.plancache.observe_problem`); an event-engine
+    run records into a full :class:`~repro.simulator.trace.Tracer` that
+    :func:`~repro.obs.summary.summarize_trace` reads.  Both give the
+    same summary, byte for byte, and the same result as an unobserved
+    run.
+    """
+    algorithm, fault_schedule, fast = _select(algorithm, faults, recover,
+                                              engine)
+    if fast:
+        import repro.fastpath as fastpath  # local: avoid cycle
+
+        return fastpath.observe_problem(
+            problem, algorithm, seed=seed, contention=contention
+        )
+    tracer = Tracer()
+    result = run_broadcast(
+        problem, algorithm, seed=seed, contention=contention, tracer=tracer,
+        faults=fault_schedule, recover=recover, engine="event",
+    )
+    return result, summarize_trace(tracer, topology=problem.machine.topology)

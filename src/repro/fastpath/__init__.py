@@ -24,7 +24,9 @@ starts.  This package exploits that staticness in three layers:
 Selection is wired through ``run_broadcast(engine=...)``: ``"auto"``
 takes this path whenever faults and recovery are off — traced runs
 included: the kernel then logs its events and the evaluator rebuilds
-the event engine's trace records from the log.  The 49 golden sha256
+the event engine's trace records from the log.  An observed run
+(``observe_broadcast``) digests the log into its summary instead and
+builds no record.  The 49 golden sha256
 fixtures, the trace goldens and the randomized differential harness
 (``tests/test_fastpath_differential.py``) pin the bit-identity claim
 for cold lowerings, warm plan-cache replays and traces alike.  See
@@ -39,7 +41,7 @@ from repro.fastpath.evaluator import (
     evaluate_plan,
 )
 from repro.fastpath.lowering import FastPlan, lower_schedule
-from repro.fastpath.plancache import evaluate_problem
+from repro.fastpath.plancache import evaluate_problem, observe_problem
 
 __all__ = [
     "FastPlan",
@@ -50,4 +52,5 @@ __all__ = [
     "evaluate_plan",
     "evaluate_problem",
     "lower_schedule",
+    "observe_problem",
 ]

@@ -40,14 +40,16 @@ non-overtaking ``(source, tag)`` semantics — so the replay stays
 faithful even when same-instant arrivals make static send→recv pairing
 ambiguous.
 
-Tracing rides on the same replay: with a
-:class:`~repro.simulator.trace.Tracer` the kernel fills its event log
-(see :mod:`repro.fastpath.kernel`), and :func:`evaluate_plan` rebuilds
-the event engine's ``span_begin`` / ``span_end`` / ``xfer`` / ``send`` /
-``recv`` records from it, in log order, and stores them with one
-``tracer.extend`` call — kind filters, limits and truncation leave
-exactly what the event engine's per-record ``tracer.record`` calls
-leave, and the records are equal field for field.
+Tracing rides on the same replay: given a list, the kernel fills it
+with its event log (see :mod:`repro.fastpath.kernel`), which two
+readers interpret with the plan and its binding.
+:func:`record_trace` rebuilds the event engine's ``span_begin`` /
+``span_end`` / ``xfer`` / ``send`` / ``recv`` records from it, in log
+order, and stores them with one ``tracer.extend`` call — kind filters,
+limits and truncation leave exactly what the event engine's per-record
+``tracer.record`` calls leave, and the records are equal field for
+field.  :func:`summarize_replay` digests the log straight into the
+observation summary those records would give, without building them.
 
 Metric reduction follows :meth:`MetricsReport.from_collector` term by
 term: the fields the schedule fixes are counted once per plan, at
@@ -60,8 +62,10 @@ which would differ in the last bits.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import DeadlockError
 from repro.fastpath.kernel import (
@@ -73,19 +77,22 @@ from repro.fastpath.kernel import (
 )
 from repro.fastpath.lowering import FastPlan
 from repro.metrics.report import MetricsReport
+from repro.network.topology import Topology
 from repro.network.wirestate import WireState
-from repro.simulator.trace import SPAN_BEGIN, SPAN_END, TraceRecord
+from repro.obs.summary import HOTTEST_LINKS, summarize, summarize_trace
+from repro.simulator.trace import SPAN_BEGIN, SPAN_END, TraceRecord, Tracer
 from repro.summation import left_sum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machines.machine import Machine
-    from repro.simulator.trace import Tracer
 
 __all__ = [
     "FastRunResult",
     "PlanBinding",
     "bind_plan",
     "evaluate_plan",
+    "record_trace",
+    "summarize_replay",
 ]
 
 
@@ -142,14 +149,15 @@ def evaluate_plan(
     seed: int = 0,
     contention: bool = True,
     binding: Optional[PlanBinding] = None,
-    tracer: Optional["Tracer"] = None,
+    log: Optional[List[tuple]] = None,
 ) -> FastRunResult:
     """Replay ``plan`` on ``machine``; returns timing plus metrics.
 
     ``binding`` may carry pre-resolved link paths for this (plan, rank
     mapping) — pass it when replaying one plan many times (the plan
-    cache does).  With ``tracer`` the replay also records the event
-    engine's trace records into it.
+    cache does).  Given ``log`` (a list), the kernel appends the
+    replay's event log to it, which :func:`record_trace` and
+    :func:`summarize_replay` read.
     """
     params = machine.params
     topology = machine.topology
@@ -176,7 +184,6 @@ def evaluate_plan(
         ]
 
     wire = WireState(topology.num_links, 2 * topology.num_nodes)
-    log = None if tracer is None else []
     (now, finished, recv_wait, recv_wait_ct, link_wait, copy,
      round_last) = replay_kernel(
         p,
@@ -200,8 +207,6 @@ def evaluate_plan(
         wire.busy_time,
         log,
     )
-    if log is not None:
-        _record_trace(log, plan, binding, tracer)
 
     blocked = [rank for rank in range(p) if not finished[rank]]
     if blocked:
@@ -231,8 +236,8 @@ def evaluate_plan(
     )
 
 
-def _record_trace(
-    log: List[tuple], plan: FastPlan, binding: PlanBinding, tracer: "Tracer"
+def record_trace(
+    log: List[tuple], plan: FastPlan, binding: PlanBinding, tracer: Tracer
 ) -> None:
     """Rebuild the event engine's trace records from the kernel's log.
 
@@ -301,3 +306,71 @@ def _record_trace(
                     "name": round_phase[rnd], "rank": rank, "round": rnd,
                 }))
     tracer.extend(records)
+
+
+#: The record kinds each log code stands for, in record order.
+_LOG_KINDS = {
+    LOG_SEND: ("xfer", "send"),
+    LOG_RECV: ("recv",),
+    LOG_BEGIN: (SPAN_BEGIN,),
+    LOG_END: (SPAN_END,),
+}
+
+
+def summarize_replay(
+    log: List[tuple],
+    plan: FastPlan,
+    binding: PlanBinding,
+    topology: Optional[Topology],
+) -> Dict[str, Any]:
+    """The observation summary of a replay, straight from its event log.
+
+    Equal to :func:`~repro.obs.summary.summarize_trace` of a full
+    :class:`~repro.simulator.trace.Tracer` that :func:`record_trace`
+    filled from ``log``, byte for byte, and built without a single
+    record.  Each log entry stands for the records it would become:
+
+    * a send issue is one ``xfer`` and one ``send``, and keeps each
+      wire link of its path busy for ``finish - start``;
+    * a receive completion is one ``recv``;
+    * a round-entry begin / end opens / closes the (rank, round) slice,
+      an interval named by the plan's ``round_phase``.  A rank's slices
+      follow one another, so a slice is never open twice at once.
+
+    A run with more records than a full tracer keeps is summarized from
+    the records that tracer keeps, truncation included.
+    """
+    tracer = Tracer()
+    if len(log) + plan.num_sends > tracer.limit:
+        record_trace(log, plan, binding, tracer)
+        return summarize_trace(tracer, topology=topology)
+    kinds: Dict[str, int] = {}
+    for code, count in Counter(map(itemgetter(0), log)).items():
+        for kind in _LOG_KINDS[code]:
+            kinds[kind] = count
+    paths = binding.paths
+    xfers = [
+        (paths[sid], start, finish)
+        for code, sid, _, start, finish in log
+        if code == LOG_SEND
+    ]
+    num_rounds = plan.num_rounds
+    round_phase = plan.round_phase
+    opened: Dict[int, float] = {}
+    intervals: List[Dict[str, Any]] = []
+    for code, entry, time, _, _ in log:
+        if code == LOG_BEGIN:
+            opened[entry] = time
+        elif code == LOG_END:
+            rank, rnd = divmod(entry, num_rounds)
+            intervals.append({
+                "name": round_phase[rnd],
+                "rank": rank,
+                "round": rnd,
+                "start": opened.pop(entry),
+                "end": time,
+            })
+    return summarize(
+        kinds, xfers, intervals,
+        truncated=False, topology=topology, k_links=HOTTEST_LINKS,
+    )

@@ -13,7 +13,9 @@ is identical work, so this module caches it per worker process:
   per-size-table rebinds);
 * :func:`evaluate_problem` is the runner's fast-path entry: resolve the
   cache, bind the point's sizes and seed, replay through the kernel,
-  and return the run's :class:`~repro.core.runner.BroadcastResult`.
+  and return the run's :class:`~repro.core.runner.BroadcastResult`;
+  :func:`observe_problem` does the same and also digests the replay's
+  event log into the run's observation summary.
 
 **Size discipline.**  A plan's structure is usually size-independent
 (whole messages move; byte counts are sums over message sets), and
@@ -42,9 +44,15 @@ bytes or sweep cache keys.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.fastpath.evaluator import PlanBinding, bind_plan, evaluate_plan
+from repro.fastpath.evaluator import (
+    PlanBinding,
+    bind_plan,
+    evaluate_plan,
+    record_trace,
+    summarize_replay,
+)
 from repro.fastpath.lowering import FastPlan, lower_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -56,6 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "PlanCache",
     "evaluate_problem",
+    "observe_problem",
     "clear",
 ]
 
@@ -160,25 +169,19 @@ def _size_sig(problem: "BroadcastProblem") -> Tuple[int, ...]:
     return tuple(size_of(r) for r in problem.sources)
 
 
-def evaluate_problem(
+def _replay(
     problem: "BroadcastProblem",
     algorithm: "BroadcastAlgorithm",
-    *,
-    seed: int = 0,
-    contention: bool = True,
-    tracer: Optional["Tracer"] = None,
-) -> "BroadcastResult":
-    """Build-or-reuse the lowering for ``(problem, algorithm)`` and replay.
+    seed: int,
+    contention: bool,
+    log: Optional[List[tuple]],
+) -> Tuple["BroadcastResult", FastPlan, PlanBinding]:
+    """Replay ``(problem, algorithm)`` through its cache entry.
 
-    The fast-path equivalent of the runner's build → validate →
-    simulate pipeline, with the first two stages amortized across every
-    point that shares this problem's machine, algorithm and source
-    placement.  A ``tracer`` receives the event engine's trace records
-    for the replay (see :func:`~repro.fastpath.evaluator.evaluate_plan`).
-    The result's ``debug`` names the engine and the plan-cache verdict
-    (``hit`` | ``miss``).  Raises exactly what the un-cached pipeline
-    would: ``AlgorithmError`` or ``VerificationError`` from
-    build/validate, ``DeadlockError`` from the replay.
+    Builds the entry on a miss, binds its plan to ``problem``'s sizes
+    and ``seed``'s rank mapping, and replays it with ``log`` (see
+    :func:`~repro.fastpath.evaluator.evaluate_plan`).  Returns the
+    result with the bound plan and binding, which read the log.
     """
     from repro.core.runner import BroadcastResult  # local: avoid cycle
 
@@ -210,9 +213,9 @@ def evaluate_problem(
     binding = entry.binding_for(machine, seed)
     fast = evaluate_plan(
         plan, machine, seed=seed, contention=contention, binding=binding,
-        tracer=tracer,
+        log=log,
     )
-    return BroadcastResult(
+    result = BroadcastResult(
         algorithm=entry.algorithm_label,
         problem=problem,
         elapsed_us=fast.elapsed_us,
@@ -221,4 +224,55 @@ def evaluate_problem(
         num_transfers=plan.num_sends,
         link_utilization=fast.link_utilization,
         debug={"engine": "fast", "plan_cache": verdict},
+    )
+    return result, plan, binding
+
+
+def evaluate_problem(
+    problem: "BroadcastProblem",
+    algorithm: "BroadcastAlgorithm",
+    *,
+    seed: int = 0,
+    contention: bool = True,
+    tracer: Optional["Tracer"] = None,
+) -> "BroadcastResult":
+    """Build-or-reuse the lowering for ``(problem, algorithm)`` and replay.
+
+    The fast-path equivalent of the runner's build → validate →
+    simulate pipeline, with the first two stages amortized across every
+    point that shares this problem's machine, algorithm and source
+    placement.  A ``tracer`` receives the event engine's trace records
+    for the replay (see :func:`~repro.fastpath.evaluator.record_trace`).
+    The result's ``debug`` names the engine and the plan-cache verdict
+    (``hit`` | ``miss``).  Raises exactly what the un-cached pipeline
+    would: ``AlgorithmError`` or ``VerificationError`` from
+    build/validate, ``DeadlockError`` from the replay (before any record
+    is stored).
+    """
+    log: Optional[List[tuple]] = None if tracer is None else []
+    result, plan, binding = _replay(problem, algorithm, seed, contention, log)
+    if log is not None:
+        record_trace(log, plan, binding, tracer)
+    return result
+
+
+def observe_problem(
+    problem: "BroadcastProblem",
+    algorithm: "BroadcastAlgorithm",
+    *,
+    seed: int,
+    contention: bool,
+) -> Tuple["BroadcastResult", Dict[str, Any]]:
+    """:func:`evaluate_problem` plus the run's observation summary.
+
+    The summary is what :func:`~repro.obs.summary.summarize_trace` gives
+    for the records a full tracer would hold, read straight from the
+    replay's event log by
+    :func:`~repro.fastpath.evaluator.summarize_replay`: no trace record
+    is built.
+    """
+    log: List[tuple] = []
+    result, plan, binding = _replay(problem, algorithm, seed, contention, log)
+    return result, summarize_replay(
+        log, plan, binding, problem.machine.topology
     )

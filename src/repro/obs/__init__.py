@@ -14,7 +14,12 @@ into things a human can look at:
 
 ``python -m repro --trace-json PATH`` prints a single run's roll-up and
 heatmap and writes its Chrome trace; ``report --observe`` rolls up
-whole sweeps.
+whole sweeps.  An observed sweep point on the fast path builds no
+records: :func:`~repro.obs.summary.summarize`, the one summary
+arithmetic, is fed the replay's event log instead
+(:func:`repro.fastpath.evaluator.summarize_replay`), and gives the
+summary :func:`~repro.obs.summary.summarize_trace` gives for the
+records, byte for byte.
 
 Everything here is post-hoc: it reads a finished trace and never
 touches the simulation, so enabling observability cannot change any
@@ -35,6 +40,7 @@ from repro.obs.summary import (
     render_rollup,
     render_sweep_rollup,
     span_intervals,
+    summarize,
     summarize_trace,
 )
 
@@ -47,6 +53,7 @@ __all__ = [
     "render_link_heatmap",
     "span_intervals",
     "phase_stats",
+    "summarize",
     "summarize_trace",
     "render_rollup",
     "aggregate_observations",

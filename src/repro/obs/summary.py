@@ -2,10 +2,13 @@
 
 ``span_intervals`` pairs the tracer's ``span_begin``/``span_end``
 records back into intervals; ``phase_stats`` aggregates them per phase
-name; ``summarize_trace`` bundles the phase table with fabric-level
-facts (hottest links, lost transfers) into one JSON-serialisable dict —
-the unit the sweep executor attaches to each observed point and the
-roll-up renderers print.
+name; ``summarize`` bundles the phase table with fabric-level facts
+(hottest links, lost transfers) into one JSON-serialisable dict — the
+unit the sweep executor attaches to each observed point and the roll-up
+renderers print.  ``summarize_trace`` feeds it a tracer's records; the
+fast path feeds it its replay log
+(:func:`repro.fastpath.evaluator.summarize_replay`), so no record is
+built to be summarized.
 
 >>> from repro.simulator.trace import TraceRecord
 >>> records = [TraceRecord(0.0, "span_begin", {"name": "fold", "rank": 0}),
@@ -27,6 +30,7 @@ from repro.simulator.trace import SPAN_BEGIN, SPAN_END, TraceRecord, Tracer
 __all__ = [
     "span_intervals",
     "phase_stats",
+    "summarize",
     "summarize_trace",
     "render_rollup",
     "aggregate_observations",
@@ -35,16 +39,20 @@ __all__ = [
 
 #: Version tag of the summary dict layout.
 SUMMARY_SCHEMA = "repro-obs/1"
+#: Hottest wire links a summary lists unless asked for another count.
+HOTTEST_LINKS = 5
 
 
 def span_intervals(records: Iterable[TraceRecord]) -> List[Dict[str, Any]]:
-    """Paired span intervals, in begin order.
+    """Paired span intervals, sorted by start.
 
     Begins and ends are matched LIFO per identical field set (name,
     rank, and any extra fields, in any insertion order), which is
     exactly how the context manager emits them.  An unmatched begin
     (truncated trace, or a program that died inside a span) yields no
-    interval.
+    interval.  The sort is stable, so intervals with equal starts keep
+    the order their ends were recorded in, and :func:`phase_stats` sums
+    them in that order.
     """
     open_spans: Dict[frozenset, List[TraceRecord]] = {}
     intervals: List[Dict[str, Any]] = []
@@ -130,37 +138,43 @@ def _hottest_links(
     return out
 
 
-def summarize_trace(
-    tracer: Tracer,
+def summarize(
+    kinds: Dict[str, int],
+    xfers: Iterable[Tuple[Sequence[int], float, float]],
+    intervals: List[Dict[str, Any]],
     *,
-    topology: Optional[Topology] = None,
-    k_links: int = 5,
+    truncated: bool,
+    topology: Optional[Topology],
+    k_links: int,
 ) -> Dict[str, Any]:
     """One JSON-serialisable digest of a finished trace.
 
     Carries the per-phase span table, the slowest phase (by summed
     processor-time), the hottest wire links, and the event counts a
     report needs — everything the sweep layer stores beside (never
-    inside) a cached result.  One pass over the records counts kinds,
-    sums each wire link's reserved time in record order and collects
-    the span records for :func:`span_intervals`.
+    inside) a cached result.  It reads only what a trace says, however
+    it was kept:
+
+    * ``kinds`` — the count of records of each kind, in first-seen
+      order;
+    * ``xfers`` — each ``xfer``'s ``(links, start, finish)``, in record
+      order: every wire link of the path is busy for ``finish - start``,
+      summed in this order;
+    * ``intervals`` — the closed span intervals (``name``, ``rank``,
+      ``round``, ``start``, ``end``) in the order they closed; they are
+      sorted here, in place and stably by start (one linear pass when
+      they come sorted, as :func:`span_intervals` returns them), and
+      the phase table sums them in that order;
+    * ``truncated`` — whether the trace lost records to a limit.
     """
-    kinds: Dict[str, int] = {}
-    busy: Dict[int, float] = {}
-    spans: List[TraceRecord] = []
     first_wire = 2 * topology.num_nodes if topology is not None else 0
-    for record in tracer.records:
-        kind = record.kind
-        kinds[kind] = kinds.get(kind, 0) + 1
-        if kind == "xfer":
-            fields = record.fields
-            duration = fields["finish"] - fields["start"]
-            for link in fields["links"]:
-                if link >= first_wire:
-                    busy[link] = busy.get(link, 0.0) + duration
-        elif kind == SPAN_BEGIN or kind == SPAN_END:
-            spans.append(record)
-    intervals = span_intervals(spans)
+    busy: Dict[int, float] = {}
+    for links, start, finish in xfers:
+        duration = finish - start
+        for link in links:
+            if link >= first_wire:
+                busy[link] = busy.get(link, 0.0) + duration
+    intervals.sort(key=itemgetter("start"))
     phases = phase_stats(intervals)
     slowest = max(
         phases, key=lambda name: phases[name]["total_us"], default=None
@@ -173,12 +187,41 @@ def summarize_trace(
         "hottest_links": _hottest_links(busy, topology, k_links),
         "kinds": kinds,
         "lost_transfers": kinds.get("xfer_lost", 0),
-        "truncated": tracer.truncated,
+        "truncated": truncated,
     }
 
 
+def summarize_trace(
+    tracer: Tracer,
+    *,
+    topology: Optional[Topology] = None,
+    k_links: int = HOTTEST_LINKS,
+) -> Dict[str, Any]:
+    """:func:`summarize` of a tracer's records.
+
+    One pass over the records counts kinds, takes each ``xfer``'s link
+    path and reservation window and collects the span records for
+    :func:`span_intervals`.
+    """
+    kinds: Dict[str, int] = {}
+    xfers: List[Tuple[Sequence[int], float, float]] = []
+    spans: List[TraceRecord] = []
+    for record in tracer.records:
+        kind = record.kind
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if kind == "xfer":
+            fields = record.fields
+            xfers.append((fields["links"], fields["start"], fields["finish"]))
+        elif kind == SPAN_BEGIN or kind == SPAN_END:
+            spans.append(record)
+    return summarize(
+        kinds, xfers, span_intervals(spans),
+        truncated=tracer.truncated, topology=topology, k_links=k_links,
+    )
+
+
 def render_rollup(summary: Dict[str, Any]) -> str:
-    """Human-readable report of one :func:`summarize_trace` digest."""
+    """Human-readable report of one :func:`summarize` digest."""
     lines: List[str] = []
     phases = summary.get("phases", {})
     if phases:

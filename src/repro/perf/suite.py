@@ -4,7 +4,7 @@ Seven tiers, mirroring the simulator's layering:
 
 * ``route/…`` — raw :meth:`Topology.route_links` link-path lookups
   (the fabric's per-message work), warm (memoized routes) and cold
-  (every route built on a fresh topology, as on a cold sweep job's
+  (every route built on fresh topologies, as on a cold sweep job's
   new machines);
 * ``schedule/…`` — the stages a plan-cache miss pays before the
   replay: ``build_schedule``, ``validate`` and ``lower_schedule`` of
@@ -19,10 +19,10 @@ Seven tiers, mirroring the simulator's layering:
 * ``fastpath/…`` — explicit ``engine="fast"`` points and a Figure-3
   style sweep, each also timing the event engine once so the report
   records the engine speedup alongside the absolute number;
-* ``traced/…`` — an observed point: a fully traced ``run_broadcast``
-  then :func:`~repro.obs.summary.summarize_trace`, what an observed
-  sweep pays per computed point, with the untraced run and the summary
-  alone timed beside it;
+* ``traced/…`` — an observed point, what an observed sweep pays per
+  computed point: :func:`~repro.sweep.executor.evaluate_point` with
+  ``observe=True``, with the unobserved point and the records path
+  (what ``--trace-json`` pays) timed beside it;
 * ``cache/warm-read`` — a warm result cache read back: every stored
   entry of a small grid opened, verified and checked against its point.
 
@@ -30,7 +30,9 @@ Seven tiers, mirroring the simulator's layering:
 remaining benchmarks run with workloads identical to full mode, so
 their names form a strict subset with comparable numbers, and
 :func:`compare_reports` checks the intersection — a quick run gates
-directly against a full-mode baseline.
+directly against a full-mode baseline.  Bodies shorter than about
+50 ms are repeated a fixed number of times inside one timing, so that
+every gated timing takes longer than that.
 """
 
 from __future__ import annotations
@@ -135,40 +137,51 @@ def _bench_route_lookup(lookups: int, repeats: int) -> BenchResult:
 
 
 def _bench_route_build(
-    spec: str, make: Callable[[], Topology], lookups: int, repeats: int
+    spec: str,
+    make: Callable[[], Topology],
+    lookups: int,
+    passes: int,
+    repeats: int,
 ) -> BenchResult:
-    """Cold link-path builds: a fixed pair list on a fresh topology.
+    """Cold link-path builds: a fixed pair list on fresh topologies.
 
     What a cold sweep job pays on each new machine, where every route
-    is built once, joined from the topology's memoized legs.  The fresh
-    topologies, one per run, are built before timing starts; each run
-    takes the next.
+    is built once, joined from the topology's memoized legs.  A timing
+    routes the pair list on ``passes`` fresh topologies, built before
+    timing starts and dropped once routed.
     """
     import random
 
-    fresh = [make() for _ in range(repeats + 1)]  # + the warmup run
+    fresh = [make() for _ in range((repeats + 1) * passes)]  # + warmup
     rng = random.Random(0xC0FFEE)
     n = fresh[0].num_nodes
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(lookups)]
-    topologies = iter(fresh)
 
     def body() -> None:
-        route = next(topologies).route_links
-        for src, dst in pairs:
-            route(src, dst)
+        for _ in range(passes):
+            route = fresh.pop().route_links
+            for src, dst in pairs:
+                route(src, dst)
 
     timing = bench(body, repeats=repeats, warmup=1)
     return _timed(
         f"route/{spec}/build", timing,
-        extra={"lookups": lookups, "lookups_per_s": lookups / timing.best_s},
+        extra={"lookups": lookups, "passes": passes,
+               "lookups_per_s": lookups * passes / timing.best_s},
     )
 
 
 def _bench_schedule(
-    algorithm: str, spec: str, s: int, message_size: int, repeats: int
+    algorithm: str,
+    spec: str,
+    s: int,
+    message_size: int,
+    passes: int,
+    repeats: int,
 ) -> BenchResult:
     """Build, validate and lower one point's schedule, nothing cached:
-    what a plan-cache miss pays before the replay."""
+    what a plan-cache miss pays before the replay, ``passes`` times a
+    timing."""
     from repro.core.algorithms import get_algorithm
     from repro.fastpath.lowering import lower_schedule
 
@@ -176,15 +189,17 @@ def _bench_schedule(
     build = get_algorithm(algorithm).build_schedule
 
     def body() -> None:
-        schedule = build(problem)
-        schedule.validate()
-        lower_schedule(schedule)
+        for _ in range(passes):
+            schedule = build(problem)
+            schedule.validate()
+            lower_schedule(schedule)
 
     timing = bench(body, repeats=repeats, warmup=1)
     sends = build(problem).num_transfers
     return _timed(
         f"schedule/{algorithm}/{spec}/s={s}/L={message_size}", timing,
-        extra={"sends": sends, "sends_per_s": sends / timing.best_s},
+        extra={"sends": sends, "passes": passes,
+               "sends_per_s": sends * passes / timing.best_s},
     )
 
 
@@ -358,46 +373,59 @@ def _bench_fastpath_sweep(repeats: int) -> BenchResult:
 
 
 def _bench_traced_point(
-    algorithm: str, spec: str, s: int, message_size: int, repeats: int
+    algorithm: str, spec: str, s: int, message_size: int, calls: int,
+    repeats: int,
 ) -> BenchResult:
-    """One observed point: a fully traced run, then its summary.
+    """One observed point, as an observed sweep computes it.
 
-    ``wall_s`` is the warm (plan cache populated) ``run_broadcast`` with
-    a full :class:`~repro.simulator.trace.Tracer` plus
-    :func:`~repro.obs.summary.summarize_trace` — on the fast path that
-    is the replay, the record rebuild and the summary.  ``extra`` holds
-    the same point untraced and the summary alone, so the report
-    records what observing a point costs.
+    ``wall_s`` times ``calls`` warm (plan cache populated)
+    :func:`~repro.sweep.executor.evaluate_point` calls with
+    ``observe=True``: on the fast path, the replay and the summary read
+    straight from its event log.  ``extra`` times as many calls of the
+    same point unobserved (``untraced_s``) and through the records path
+    (``records_path_s``: a fully traced ``run_broadcast`` then
+    :func:`~repro.obs.summary.summarize_trace`, what ``--trace-json``
+    pays), so the report records what observing a point costs.
     """
     from repro.obs.summary import summarize_trace
     from repro.simulator.trace import Tracer
+    from repro.sweep import SweepPoint
+    from repro.sweep.executor import evaluate_point
 
+    payload = SweepPoint(
+        machine=spec, sources=tuple(range(s)), message_size=message_size,
+        algorithm=algorithm,
+    ).payload()
     problem = _problem(spec, s, message_size)
     topology = problem.machine.topology
 
-    def observed_run() -> None:
-        tracer = Tracer()
-        run_broadcast(problem, algorithm, tracer=tracer)
-        summarize_trace(tracer, topology=topology)
+    def observed() -> None:
+        for _ in range(calls):
+            evaluate_point(payload, observe=True)
 
-    timing = bench(observed_run, repeats=repeats, warmup=1)
-    untraced = bench(
-        lambda: run_broadcast(problem, algorithm), repeats=repeats, warmup=1
-    )
+    def untraced() -> None:
+        for _ in range(calls):
+            evaluate_point(payload)
+
+    def records_path() -> None:
+        for _ in range(calls):
+            tracer = Tracer()
+            run_broadcast(problem, algorithm, tracer=tracer)
+            summarize_trace(tracer, topology=topology)
+
+    timing = bench(observed, repeats=repeats, warmup=1)
+    untraced_timing = bench(untraced, repeats=repeats, warmup=1)
+    records_timing = bench(records_path, repeats=repeats, warmup=1)
     tracer = Tracer()
     run_broadcast(problem, algorithm, tracer=tracer)
-    summary = bench(
-        lambda: summarize_trace(tracer, topology=topology),
-        repeats=repeats,
-        warmup=0,
-    )
     return _timed(
         f"traced/{algorithm}/{spec}/s={s}/L={message_size}", timing,
         extra={
+            "calls": calls,
             "records": len(tracer),
-            "untraced_s": untraced.best_s,
-            "summary_s": summary.best_s,
-            "observed_vs_untraced": timing.best_s / untraced.best_s,
+            "untraced_s": untraced_timing.best_s,
+            "records_path_s": records_timing.best_s,
+            "observed_vs_untraced": timing.best_s / untraced_timing.best_s,
         },
     )
 
@@ -445,13 +473,13 @@ def _bench_cache_read(repeats: int) -> BenchResult:
 
 _POINT_ALGOS = ("PersAlltoAll", "Br_xy_source", "MPI_AllGather")
 
-#: One ``schedule/…`` point per point algorithm, ~8,000 sends each, so
-#: a run takes tens of milliseconds (shorter ones spread too far under
-#: host load to gate); the T3D's MPI_AllGather is the pipelined ring.
+#: One ``schedule/…`` point per point algorithm, ~8,000 sends each,
+#: with the passes that take one timing past 50 ms; the T3D's
+#: MPI_AllGather is the pipelined ring.
 _SCHEDULE_POINTS = (
-    ("PersAlltoAll", "paragon:16x16", 32),
-    ("Br_xy_source", "paragon:32x32", 64),
-    ("MPI_AllGather", "t3d:128", 64),
+    ("PersAlltoAll", "paragon:16x16", 32, 4),
+    ("Br_xy_source", "paragon:32x32", 64, 3),
+    ("MPI_AllGather", "t3d:128", 64, 5),
 )
 
 
@@ -466,8 +494,8 @@ def _definitions(quick: bool) -> List[Tuple[str, Callable[[], BenchResult]]]:
     repeats = 5
     lookups = 20_000
     builds = 4_000
-    # Cold builds take a few milliseconds each, short enough for host
-    # jitter to show; more repeats steady their minimum.
+    # Cold builds and schedule stages spread widely under host jitter;
+    # more repeats steady their minimum.
     build_repeats = 9
     iterations = 400
     defs: List[Tuple[str, Callable[[], BenchResult]]] = [
@@ -478,14 +506,15 @@ def _definitions(quick: bool) -> List[Tuple[str, Callable[[], BenchResult]]]:
         (
             "route/paragon:16x16/build",
             lambda: _bench_route_build(
-                "paragon:16x16", lambda: Mesh2D(16, 16), builds, build_repeats
+                "paragon:16x16", lambda: Mesh2D(16, 16), builds, 7,
+                build_repeats,
             ),
         ),
         (
             "route/t3d:128/build",
             lambda: _bench_route_build(
                 "t3d:128", lambda: Torus3D(*Torus3D.dims_for(128)), builds,
-                build_repeats,
+                8, build_repeats,
             ),
         ),
         (
@@ -493,11 +522,11 @@ def _definitions(quick: bool) -> List[Tuple[str, Callable[[], BenchResult]]]:
             lambda: _bench_pingpong(iterations, repeats),
         ),
     ]
-    for algorithm, spec, s in _SCHEDULE_POINTS:
+    for algorithm, spec, s, passes in _SCHEDULE_POINTS:
         defs.append((
             f"schedule/{algorithm}/{spec}/s={s}/L=4096",
-            lambda a=algorithm, sp=spec, ss=s: _bench_schedule(
-                a, sp, ss, 4096, build_repeats
+            lambda a=algorithm, sp=spec, ss=s, n=passes: _bench_schedule(
+                a, sp, ss, 4096, n, build_repeats
             ),
         ))
     grid = [("paragon:8x8", 16, 4096)]
@@ -527,13 +556,13 @@ def _definitions(quick: bool) -> List[Tuple[str, Callable[[], BenchResult]]]:
                 ),
             )
         )
-    # One observed point guards the trace path: record rebuild, bulk
-    # store and summary.
+    # One observed point guards the observed path: the logged replay
+    # and the summary read from its log, 48 times a timing.
     defs.append(
         (
             "traced/Br_xy_source/paragon:8x8/s=16/L=4096",
             lambda: _bench_traced_point(
-                "Br_xy_source", "paragon:8x8", 16, 4096, repeats
+                "Br_xy_source", "paragon:8x8", 16, 4096, 48, repeats
             ),
         )
     )

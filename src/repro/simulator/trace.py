@@ -60,14 +60,15 @@ class Tracer:
         When given, only records whose ``kind`` is in this set are kept.
     limit:
         Safety cap on stored records; the tracer silently stops
-        recording past the cap (``truncated`` turns ``True``).
+        recording past the cap (``truncated`` turns ``True``).  Kept as
+        the ``limit`` attribute.
     """
 
     def __init__(
         self, kinds: Optional[Tuple[str, ...]] = None, limit: int = 1_000_000
     ) -> None:
         self._kinds = frozenset(kinds) if kinds is not None else None
-        self._limit = limit
+        self.limit = limit
         self.records: List[TraceRecord] = []
         self.truncated = False
 
@@ -79,7 +80,7 @@ class Tracer:
         """Store one record (subject to the kind filter and limit)."""
         if self._kinds is not None and kind not in self._kinds:
             return
-        if len(self.records) >= self._limit:
+        if len(self.records) >= self.limit:
             self.truncated = True
             return
         self.records.append(TraceRecord(time, kind, fields))
@@ -92,7 +93,7 @@ class Tracer:
         not filtered again here.  Records past ``limit`` are dropped
         and set ``truncated``.
         """
-        room = max(self._limit - len(self.records), 0)
+        room = max(self.limit - len(self.records), 0)
         if len(records) > room:
             self.truncated = True
             records = records[:room]

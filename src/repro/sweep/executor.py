@@ -34,10 +34,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.runner import ENGINES, BroadcastResult, run_broadcast
+from repro.core.runner import (
+    ENGINES,
+    BroadcastResult,
+    observe_broadcast,
+    run_broadcast,
+)
 from repro.errors import ConfigurationError
 from repro.metrics.progress import SweepReport
-from repro.simulator.trace import Tracer
 from repro.sweep.cache import ResultCache
 from repro.sweep.spec import SweepPoint, code_fingerprint
 
@@ -81,39 +85,39 @@ def evaluate_point(
     result bit, so cache entries stay engine-agnostic.
 
     ``observation`` is ``None`` unless ``observe`` is set.  Then the run
-    is traced with a full :class:`~repro.simulator.trace.Tracer` and
-    digested through :func:`repro.obs.summary.summarize_trace`.  Both
-    engines record the same trace, so the summary does not depend on
-    the engine either.  Trace records never influence simulated time,
-    so the result dict is byte-identical with and without ``observe``
-    — which is what lets an observed sweep share cache entries with an
+    goes through :func:`~repro.core.runner.observe_broadcast`, which
+    also returns the ``repro-obs/1`` summary of the run's full trace: a
+    fast-path replay is summarized straight from its event log, with no
+    trace record built, and an event-engine run from the records of a
+    full :class:`~repro.simulator.trace.Tracer`.  The two summaries are
+    equal byte for byte, so the observation does not depend on the
+    engine either.  Tracing never influences simulated time, so the
+    result dict is byte-identical with and without ``observe`` — which
+    is what lets an observed sweep share cache entries with an
     unobserved one (the differential tests pin this).
     """
     point = SweepPoint.from_payload(payload)
     start = time.perf_counter()
     problem = point.build_problem()
-    tracer = Tracer() if observe else None
-    result = run_broadcast(
-        problem,
-        point.algorithm,
+    run = dict(
         seed=point.seed,
         contention=point.contention,
         faults=point.faults,
         recover=point.recover,
-        tracer=tracer,
         engine=engine,
     )
-    seconds = time.perf_counter() - start
     observation = None
-    if tracer is not None:
-        from repro.obs.summary import summarize_trace  # local: keep workers lean
-
+    if observe:
+        result, summary = observe_broadcast(problem, point.algorithm, **run)
         observation = {
             "algorithm": point.algorithm,
             "distribution": point.distribution,
             "machine": point.machine,
-            "summary": summarize_trace(tracer, topology=problem.machine.topology),
+            "summary": summary,
         }
+    else:
+        result = run_broadcast(problem, point.algorithm, **run)
+    seconds = time.perf_counter() - start
     return result.to_dict(), seconds, observation
 
 
@@ -153,8 +157,8 @@ class SweepExecutor:
         entirely — no reads *and* no writes (the ``--no-cache`` CLI
         contract).
     observe:
-        Trace every computed point and attach a per-point observation
-        summary (see :func:`repro.obs.summary.summarize_trace`).
+        Observe every computed point and attach a per-point observation
+        summary (see :func:`~repro.core.runner.observe_broadcast`).
         Observation is **cache-key neutral**: summaries are stored
         beside cache entries (``<key>.obs.json``), never inside them, so
         observed and unobserved sweeps share results bit-for-bit.  A
@@ -166,9 +170,8 @@ class SweepExecutor:
         | ``"fast"``, see :func:`~repro.core.runner.run_broadcast`).
         Engine choice is **cache-key neutral**: results are bit-identical
         across engines, so sweeps with different engines share cache
-        entries.  Observed points run on this engine too: both engines
-        record the same trace, so observation summaries are equal
-        across engines as well.
+        entries.  Observed points run on this engine too, and their
+        summaries are equal across engines as well.
 
     Attributes
     ----------

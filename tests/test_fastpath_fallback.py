@@ -6,7 +6,9 @@ recovery — and must take the fast path on every other run, traced or
 not.  An explicit ``engine="fast"`` on such a run must fail loudly with
 :class:`~repro.errors.UnsupportedFastPathError` (these tests pin the
 message, which names every blocker).  Traced and observed runs on the
-fast path must record what the event engine records.
+fast path must record what the event engine records.  The fast path has
+two entries: ``evaluate_problem`` (plain and traced runs) and
+``observe_problem`` (observed runs, summarized from the replay log).
 """
 
 from __future__ import annotations
@@ -118,19 +120,20 @@ def _forbid_fast_path(monkeypatch):
     def _boom(*args, **kwargs):  # pragma: no cover - failure path
         raise AssertionError("fast path must not run for this configuration")
 
-    monkeypatch.setattr(repro.fastpath, "evaluate_problem", _boom)
+    for entry in ("evaluate_problem", "observe_problem"):
+        monkeypatch.setattr(repro.fastpath, entry, _boom)
 
 
-def _spy_fast_path(monkeypatch):
-    """Record the keyword arguments of every fast-path evaluation."""
+def _spy_fast_path(monkeypatch, entry="evaluate_problem"):
+    """Record the keyword arguments of every call to a fast-path entry."""
     calls = []
-    real = repro.fastpath.evaluate_problem
+    real = getattr(repro.fastpath, entry)
 
     def _spy(*args, **kwargs):
         calls.append(kwargs)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(repro.fastpath, "evaluate_problem", _spy)
+    monkeypatch.setattr(repro.fastpath, entry, _spy)
     return calls
 
 
@@ -198,13 +201,12 @@ def test_sweep_executor_rejects_unknown_engine():
 def test_sweep_executor_observes_on_the_fast_path(monkeypatch, tmp_path):
     """observe=True with engine="fast": fast replays, event-equal output."""
     points = _points()
-    calls = _spy_fast_path(monkeypatch)
+    calls = _spy_fast_path(monkeypatch, "observe_problem")
     fast = SweepExecutor(
         observe=True, engine="fast", cache=ResultCache(tmp_path / "fast")
     )
     fast_results = fast.run(points)
     assert len(calls) == len(points)
-    assert all(isinstance(call["tracer"], Tracer) for call in calls)
     event = SweepExecutor(
         observe=True, engine="event", cache=ResultCache(tmp_path / "event")
     )
@@ -241,7 +243,7 @@ def test_report_cli_observes_on_the_fast_path(monkeypatch, capsys, tmp_path):
     """``report --observe --engine fast`` renders what the event engine does."""
     from repro.pipeline.cli import main
 
-    calls = _spy_fast_path(monkeypatch)
+    calls = _spy_fast_path(monkeypatch, "observe_problem")
     outputs = {}
     for engine in ("fast", "event"):
         code = main([
@@ -251,7 +253,9 @@ def test_report_cli_observes_on_the_fast_path(monkeypatch, capsys, tmp_path):
         assert code == 0
         outputs[engine] = _strip_report_output(capsys.readouterr().out)
         if engine == "fast":
-            assert calls and all(call["tracer"] is not None for call in calls)
+            assert calls
+            observed = len(calls)
+    assert len(calls) == observed
     assert "observed points:" in outputs["fast"]
     assert outputs["fast"] == outputs["event"]
     for page in ("fig7.html", "index.html"):
